@@ -239,13 +239,19 @@ mod tests {
     /// digests move.
     #[test]
     fn fast_path_leaves_batch_output_digests_unchanged() {
-        let expected: [(FlowType, usize, u64); 6] = [
+        let expected: [(FlowType, usize, u64); 12] = [
             (FlowType::Ip, 0, 0xf4de_a8f3_7a4c_8a14),
             (FlowType::Ip, 1, 0xf4de_a8f3_7a4c_8a14),
             (FlowType::Ip, 8, 0xd188_364e_af20_fc15),
             (FlowType::Mon, 0, 0xb82c_02a3_fac2_9981),
             (FlowType::Mon, 1, 0xb82c_02a3_fac2_9981),
             (FlowType::Mon, 8, 0x45f9_2bbf_4b8c_f221),
+            (FlowType::Fw, 0, 0x27ca_5ca8_422b_d48b),
+            (FlowType::Fw, 1, 0x27ca_5ca8_422b_d48b),
+            (FlowType::Re, 0, 0xe42a_455c_ba1f_812c),
+            (FlowType::Re, 1, 0xe42a_455c_ba1f_812c),
+            (FlowType::Vpn, 0, 0x6108_578e_9aba_b023),
+            (FlowType::Vpn, 1, 0x6108_578e_9aba_b023),
         ];
         for (flow, batch, want) in expected {
             let p = measure_point(flow, batch, ExpParams::quick());

@@ -28,6 +28,7 @@ use pp_core::prelude::*;
 use pp_sim::config::MachineConfig;
 use pp_sim::counters::CounterSnapshot;
 use pp_sim::engine::Engine;
+use pp_sim::fault::DropStats;
 use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, Cycles, MemDomain};
 
@@ -109,6 +110,12 @@ pub struct PipelineBatchPoint {
     pub front_clock: Cycles,
     /// Back-core clock at end of run.
     pub back_clock: Cycles,
+    /// The pipeline's shared loss ledger since construction.
+    pub drops: DropStats,
+    /// Latencies recorded over the window.
+    pub latency_count: u64,
+    /// Median ingress→egress latency over the window, simulated cycles.
+    pub p50_cycles: Cycles,
 }
 
 /// Measure one (workload, placement, burst) point. `burst == 0` runs the
@@ -127,6 +134,7 @@ pub fn measure_point(
     let pipe = PipelineSpec::new(front_domain).with_burst(burst);
     let (src, sink, _q) = build_pipeline(&mut machine, front_domain, back_domain, &spec, &pipe);
     let lat = sink.latency_handle();
+    let drops = src.drop_handle();
     let mut engine = Engine::new(machine);
     engine.set_task(front_core, Box::new(src));
     engine.set_task(back_core, Box::new(sink));
@@ -148,6 +156,7 @@ pub fn measure_point(
         + back.tag(HANDOFF_TAG).map(|c| c.cycles()).unwrap_or(0);
     let us = |cycles: Cycles| cycles as f64 / (freq_ghz * 1e3);
     let lat = lat.borrow();
+    let drops = *drops.borrow();
     PipelineBatchPoint {
         flow,
         placement,
@@ -162,6 +171,9 @@ pub fn measure_point(
         back,
         front_clock: engine.machine.core(front_core).clock,
         back_clock: engine.machine.core(back_core).clock,
+        drops,
+        latency_count: lat.count(),
+        p50_cycles: lat.p50(),
     }
 }
 
@@ -298,6 +310,66 @@ pub fn run(ctx: &RunCtx) -> Vec<PipelineBatchPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::batch::digest_counts;
+
+    /// Pinned output digests of two-core pipeline points — both cores'
+    /// window totals and per-tag deltas, both clocks, the loss ledger, and
+    /// the latency count and median — captured from the per-packet
+    /// (`burst == 0`) stage bodies before they were deleted. The equal
+    /// `0`/`1` pairs say that burst 0 is accepted and means 1, and that a
+    /// one-packet burst is the paper's per-packet pipeline.
+    #[test]
+    fn one_packet_bursts_reproduce_the_pinned_per_packet_pipeline() {
+        let expected: [(FlowType, StagePlacement, usize, u64); 8] = [
+            (FlowType::Ip, StagePlacement::SameSocket, 0, 0x4143_35ab_adaf_99ad),
+            (FlowType::Ip, StagePlacement::SameSocket, 1, 0x4143_35ab_adaf_99ad),
+            (FlowType::Ip, StagePlacement::CrossSocket, 0, 0x0160_8eed_b5af_a0dc),
+            (FlowType::Ip, StagePlacement::CrossSocket, 1, 0x0160_8eed_b5af_a0dc),
+            (FlowType::Mon, StagePlacement::SameSocket, 0, 0xaf00_0256_01a6_a81d),
+            (FlowType::Mon, StagePlacement::SameSocket, 1, 0xaf00_0256_01a6_a81d),
+            (FlowType::Mon, StagePlacement::CrossSocket, 0, 0x7e0d_c6fd_9efe_9740),
+            (FlowType::Mon, StagePlacement::CrossSocket, 1, 0x7e0d_c6fd_9efe_9740),
+        ];
+        for (flow, placement, burst, want) in expected {
+            let p = measure_point(flow, placement, burst, ExpParams::quick());
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mix = |h: &mut u64, bytes: &[u8]| {
+                for &b in bytes {
+                    *h ^= b as u64;
+                    *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            };
+            for side in [&p.front, &p.back] {
+                digest_counts(&mut h, &side.total);
+                for (name, c) in &side.tags {
+                    mix(&mut h, name.as_bytes());
+                    digest_counts(&mut h, c);
+                }
+            }
+            let d = p.drops;
+            for v in [
+                p.front_clock,
+                p.back_clock,
+                d.offered,
+                d.nic_rx_exhausted,
+                d.queue_full,
+                d.element_dropped,
+                d.wire_overflow,
+                d.shed,
+                d.drained,
+                p.latency_count,
+                p.p50_cycles,
+            ] {
+                mix(&mut h, &v.to_le_bytes());
+            }
+            assert_eq!(
+                h,
+                want,
+                "{flow} {} burst={burst}: pipeline output digest changed",
+                placement.name()
+            );
+        }
+    }
 
     #[test]
     fn quick_points_are_anchored_and_monotone() {

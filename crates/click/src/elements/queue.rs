@@ -314,6 +314,7 @@ impl SpscQueue {
 mod tests {
     use super::*;
     use crate::element::test_util::{machine, packet};
+    use pp_sim::counters::Counts;
     use pp_sim::types::{CoreId, MemDomain};
 
     fn queue(m: &mut pp_sim::machine::Machine, cap: usize) -> SpscQueue {
@@ -463,6 +464,30 @@ mod tests {
         assert_eq!(scalar.2.total, burst.2.total, "consumer totals");
         assert_eq!(scalar.3, burst.3, "consumer clock");
         assert_eq!(scalar.4, burst.4, "full_rejects");
+        // The per-packet charge sequence itself, pinned: 3 x queue_op and
+        // 7 line operations a side (pointer read, slot line, pointer
+        // publish per transfer; pointer read only for the reject / the
+        // empty pop). The producer's three misses go to memory, the
+        // consumer's hit the lines the producer left in the shared L3.
+        let side = |stall_cycles, l3_hits, l3_misses| Counts {
+            instructions: 82,
+            compute_cycles: 90,
+            stall_cycles,
+            l1_refs: 7,
+            l1_hits: 4,
+            l2_refs: 3,
+            l3_refs: 3,
+            l3_hits,
+            l3_misses,
+            ..Counts::default()
+        };
+        assert_eq!(burst.0.total, side(172, 0, 3), "producer totals");
+        assert_eq!(burst.0.tag(HANDOFF_TAG), Some(&burst.0.total), "all tagged handoff");
+        assert_eq!(burst.1, 262, "producer clock");
+        assert_eq!(burst.2.total, side(166, 3, 0), "consumer totals");
+        assert_eq!(burst.2.tag(HANDOFF_TAG), Some(&burst.2.total), "all tagged handoff");
+        assert_eq!(burst.3, 256, "consumer clock");
+        assert_eq!(burst.4, 1, "full_rejects");
     }
 
     #[test]
