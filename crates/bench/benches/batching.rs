@@ -1,13 +1,13 @@
-//! Criterion microbenchmarks of scalar vs batched graph execution.
+//! Criterion microbenchmarks of one-packet vs larger-vector graph execution.
 //!
 //! Two angles on the same speedup:
 //!
 //! * **simulated cycles** — how many packets one slice of simulated time
 //!   retires through a realistic chain at each batch size (the number the
 //!   `repro batch` experiment sweeps); and
-//! * **host ns/turn** — how fast the simulator itself executes each path,
-//!   since the batched path also removes host-side dispatch and borrow
-//!   traffic from the hot loop.
+//! * **host ns/turn** — how fast the simulator itself executes each size,
+//!   since a larger vector also amortizes host-side dispatch and borrow
+//!   traffic in the hot loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pp_click::pipelines::{build_flow, ChainKind, FlowSpec};
@@ -17,7 +17,7 @@ use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
 use std::hint::black_box;
 
-/// Build an IP flow at test scale with the given batch size (0 = scalar).
+/// Build an IP flow at test scale with the given batch size.
 fn flow_engine(batch: usize) -> Engine {
     let mut m = Machine::new(MachineConfig::westmere());
     let mut spec = FlowSpec::small(ChainKind::Ip, 11);
@@ -30,7 +30,7 @@ fn flow_engine(batch: usize) -> Engine {
 
 fn bench_graph_execution(c: &mut Criterion) {
     let mut g = c.benchmark_group("graph_execution");
-    for (name, batch) in [("scalar", 0usize), ("batch_8", 8), ("batch_32", 32)] {
+    for (name, batch) in [("batch_1", 1usize), ("batch_8", 8), ("batch_32", 32)] {
         g.bench_function(name, |b| {
             let mut e = flow_engine(batch);
             // Warm the caches once so the loop measures steady state.
@@ -49,7 +49,7 @@ fn bench_graph_execution(c: &mut Criterion) {
 
 fn bench_turn_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("turn_host_cost");
-    for (name, batch) in [("scalar_turn", 0usize), ("batch_32_turn", 32)] {
+    for (name, batch) in [("batch_1_turn", 1usize), ("batch_32_turn", 32)] {
         g.bench_function(name, |b| {
             let mut m = Machine::new(MachineConfig::westmere());
             let mut spec = FlowSpec::small(ChainKind::Ip, 11);

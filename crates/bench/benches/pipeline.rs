@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks of scalar vs burst cross-core handoff in the
+//! Criterion microbenchmarks of per-packet vs burst cross-core handoff in the
 //! §2.2 pipeline configuration.
 //!
 //! Two angles on the same amortization:
@@ -7,8 +7,8 @@
 //!   moves through a two-stage pipeline at each handoff burst size (the
 //!   number the `repro pipeline-batch` experiment sweeps); and
 //! * **host ns/turn** — how fast the simulator executes one sink-stage
-//!   dequeue turn, since the burst path also removes host-side borrow and
-//!   dispatch traffic from the hot loop.
+//!   dequeue turn, since a larger burst also amortizes host-side borrow and
+//!   dispatch traffic in the hot loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pp_click::pipelines::{build_pipeline, ChainKind, FlowSpec, PipelineSpec};
@@ -18,8 +18,8 @@ use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
 use std::hint::black_box;
 
-/// Build an IP pipeline at test scale with the given handoff burst
-/// (0 = scalar), both stages on socket 0.
+/// Build an IP pipeline at test scale with the given handoff burst, both
+/// stages on socket 0.
 fn pipeline_engine(burst: usize) -> Engine {
     let mut m = Machine::new(MachineConfig::westmere());
     let spec = FlowSpec::small(ChainKind::Ip, 11);
@@ -33,7 +33,7 @@ fn pipeline_engine(burst: usize) -> Engine {
 
 fn bench_pipeline_handoff(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline_handoff");
-    for (name, burst) in [("scalar", 0usize), ("burst_8", 8), ("burst_32", 32)] {
+    for (name, burst) in [("burst_1", 1usize), ("burst_8", 8), ("burst_32", 32)] {
         g.bench_function(name, |b| {
             let mut e = pipeline_engine(burst);
             // Warm the caches once so the loop measures steady state.
@@ -52,7 +52,7 @@ fn bench_pipeline_handoff(c: &mut Criterion) {
 
 fn bench_sink_turn_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("sink_turn_host_cost");
-    for (name, burst) in [("scalar_turn", 0usize), ("burst_32_turn", 32)] {
+    for (name, burst) in [("burst_1_turn", 1usize), ("burst_32_turn", 32)] {
         g.bench_function(name, |b| {
             let mut m = Machine::new(MachineConfig::westmere());
             let spec = FlowSpec::small(ChainKind::Ip, 11);

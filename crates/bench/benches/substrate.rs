@@ -69,7 +69,7 @@ fn bench_memctrl(c: &mut Criterion) {
 fn bench_counters(c: &mut Criterion) {
     c.bench_function("counters/bump_tagged", |b| {
         let mut cc = pp_sim::counters::CoreCounters::new();
-        cc.push_tag("hot");
+        cc.push_tag_id(TagId::intern("hot"));
         b.iter(|| cc.bump(|x| x.l3_refs += 1));
     });
 }

@@ -28,7 +28,6 @@
 //!                         vs multibit vs DIR-24-8) in the DRAM-resident
 //!                         regime: F/b + p re-fit, sensitivity curves,
 //!                         held-out predictor check (TABLES_results.json)
-//!   perf       extras   — simulator self-benchmark (wall-clock, BENCH_sim.json)
 //!   chaos      extras   — fault injection + graceful degradation: seeded
 //!                         disturbance timelines vs the runtime guard's
 //!                         ladder (CHAOS_results.json)
@@ -38,19 +37,18 @@
 //!   cluster-chaos extras — the fleet controller over N machines: crash
 //!                         detection + re-placement, telemetry blackout,
 //!                         SLA-priority shedding (CLUSTER_CHAOS_results.json)
-//!   all        everything above, in order (except perf: wall-dependent)
+//!   all        everything above, in order
 //! ```
 //!
 //! `--quick` runs test-scale structures with short windows (for smoke
 //! runs); default is paper scale. `--packets N` sizes the measurement
-//! window so a scalar flow covers roughly N packets — one knob for
+//! window so a batch-1 flow covers roughly N packets — one knob for
 //! simulation size shared by every sweep (it overrides the base window
 //! regardless of flag order). `--jobs N` shards each sweep's independent
 //! scenario points across N host threads (default: available cores;
-//! `--jobs 1` is the exact serial path; `--threads` is the pre-PR-9 alias).
-//! Results are bit-for-bit identical at any job count — each point builds
-//! its own engine from its own derived seed and results merge in canonical
-//! order; `repro perf` always times sequentially regardless. `--seed N`
+//! `--jobs 1` is the exact serial path). Results are bit-for-bit identical
+//! at any job count — each point builds its own engine from its own
+//! derived seed and results merge in canonical order. `--seed N`
 //! replaces the master seed every derived seed (workload structure,
 //! fault-plan jitter, supervisor probe jitter) mixes from — replay a
 //! failing chaos/fleet-chaos/cluster-chaos timeline by passing the seed
@@ -62,7 +60,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|pipeline|pipeline-batch|throttle|ablate|extended|cat|mixes|batch|adaptive|tables|perf|chaos|fleet-chaos|cluster-chaos|all> \
+        "usage: repro <table1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|pipeline|pipeline-batch|throttle|ablate|extended|cat|mixes|batch|adaptive|tables|chaos|fleet-chaos|cluster-chaos|all> \
          [--quick] [--packets N] [--jobs N] [--levels N] [--out DIR] [--seed N]"
     );
     std::process::exit(2);
@@ -87,9 +85,7 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            // `--threads` is the pre-PR-9 spelling of `--jobs`; both shard
-            // the sweep's independent points across host worker threads.
-            "--jobs" | "--threads" => {
+            "--jobs" => {
                 i += 1;
                 jobs =
                     Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
@@ -199,9 +195,6 @@ fn main() {
         }
         "tables" => {
             experiments::tables::run(&ctx);
-        }
-        "perf" => {
-            experiments::perf::run(&ctx);
         }
         "chaos" => {
             experiments::chaos::run(&ctx);

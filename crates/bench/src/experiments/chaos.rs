@@ -616,7 +616,7 @@ fn roster(seed: u64) -> Vec<ChaosJob> {
         .chain(std::iter::once(ChaosJob::Pipeline {
             name: "queue-pressure",
             // Clamp the 128-slot ring to a single slot: partial-burst
-            // backpressure degenerates to scalar handoffs, de-amortizing
+            // backpressure degenerates to one-packet handoffs, de-amortizing
             // the per-burst fixed costs on both stages.
             plan: FaultPlan::seeded(seed ^ 0x5EA)
                 .with(2, 6, FaultKind::QueuePressure { cap: 1 }),

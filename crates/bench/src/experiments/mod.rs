@@ -21,7 +21,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod perf;
 pub mod pipeline;
 pub mod pipeline_batch;
 pub mod table1;

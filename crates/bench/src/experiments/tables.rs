@@ -47,7 +47,7 @@ pub const STRUCTURES: [(&str, &str); 3] = [
     ("dir-24-8", "Dir248IPLookup"),
 ];
 
-/// Batch sizes swept (1 = the scalar path, 64 = the amortized endpoint).
+/// Batch sizes swept (1 = per-packet, 64 = the amortized endpoint).
 pub const BATCHES: [usize; 2] = [1, 64];
 
 /// Prefix counts swept. The larger one is the DRAM-resident regime: a
@@ -179,7 +179,7 @@ pub struct GridPoint {
     pub structure: &'static str,
     /// Prefix count requested from the generator.
     pub prefixes: usize,
-    /// Batch size (1 = scalar path).
+    /// Batch size.
     pub batch: usize,
     /// Solo measurement.
     pub solo: Measured,

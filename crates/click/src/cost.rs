@@ -22,8 +22,8 @@ pub struct CostModel {
     /// that batching amortizes: interrupt handling, doorbell writes, poll
     /// scheduling. The batched datapath charges this **once per batch**.
     /// Invariant: `batch_fixed_overhead + batch_per_packet_overhead ==
-    /// per_packet_overhead`, so a one-packet batch charges exactly what the
-    /// scalar path charges.
+    /// per_packet_overhead`, so a one-packet batch charges exactly the
+    /// paper's per-packet overhead.
     pub batch_fixed_overhead: (Cycles, u64),
     /// The irreducibly per-packet portion of the source/driver overhead in
     /// batched mode (per-packet bookkeeping that no batching removes).

@@ -11,16 +11,18 @@
 //!
 //! [`Element::process_batch`] receives a whole vector of packets at once.
 //! The default implementation loops over [`Element::process`], so every
-//! element works under [`ElementGraph::run_batch`] unchanged; hot elements
+//! element works under [`ElementGraph::run_batch_into`] unchanged; hot elements
 //! override it to hoist per-packet setup out of the loop and to overlap
 //! independent memory accesses across packets
 //! ([`ExecCtx::read_batch`] — the software analogue of the lookahead
-//! prefetching that batched dataplanes like VPP use). Overrides must keep
-//! one-packet batches charge-identical to the scalar path; the convention
+//! prefetching that batched dataplanes like VPP use). Overrides must charge
+//! a one-packet vector exactly as [`Element::process`] does — that vector
+//! is the paper's per-packet platform, and a `read_batch` of one address
+//! is *not* a `read` (its stall is divided by the MLP) — so the convention
 //! is to fall back to the default loop when `pkts.len() == 1`.
 //!
 //! [`ElementGraph`]: crate::graph::ElementGraph
-//! [`ElementGraph::run_batch`]: crate::graph::ElementGraph::run_batch
+//! [`ElementGraph::run_batch_into`]: crate::graph::ElementGraph::run_batch_into
 
 use pp_net::packet::Packet;
 use pp_sim::ctx::ExecCtx;

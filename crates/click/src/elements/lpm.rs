@@ -195,17 +195,10 @@ impl Dir248Table {
         out: &mut Vec<(Option<u32>, u32)>,
     ) {
         let Dir248Scratch { addrs, entries, spill } = scratch;
-        // Stage 1: one gather over every lane's direct-index line, with an
-        // optional charge-free host pre-touch of each spilled lane's
-        // dependent second-stage line (the `hostopt` lever, default off —
-        // the `repro perf` A/B found no wall-clock win on a single-CPU
-        // host; host reads charge nothing, so simulated results cannot
-        // change either way).
+        // Stage 1: one gather over every lane's direct-index line.
         addrs.clear();
         entries.clear();
         spill.clear();
-        let pretouch = pp_net::hostopt::host_pretouch();
-        let mut next_touch = 0u32;
         for (l, &dst) in dsts.iter().enumerate() {
             let i = (dst >> 8) as usize;
             push_covering_lines(addrs, self.stage1.addr_of(i), self.stage1.stride());
@@ -213,13 +206,9 @@ impl Dir248Table {
             entries.push(e);
             if e & SPILL != 0 {
                 let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
-                if pretouch {
-                    next_touch ^= *self.stage2.peek(idx);
-                }
                 spill.push((idx, l));
             }
         }
-        std::hint::black_box(next_touch);
         ctx.read_batch(addrs, mlp);
         // Stage 2: the spilled lanes only, visited in block-address order.
         spill.sort_unstable();

@@ -261,14 +261,10 @@ impl Element for NetFlow {
             ctx.read_batch(&self.hdrs, BATCH_MLP);
         }
         // Phase 2: parse keys; gather every packet's home-bucket header
-        // line with lookahead, host-pre-touching the tag bytes when the
-        // `hostopt` lever is on (the software-prefetch analogue — host
-        // reads charge nothing).
+        // line with lookahead.
         self.keys.clear();
         self.lens.clear();
         self.hdrs.clear();
-        let pretouch = pp_net::hostopt::host_pretouch();
-        let mut next_touch = 0u8;
         {
             let Storage::Bucketed { tab, base } = &self.storage else { unreachable!() };
             for pkt in pkts.iter() {
@@ -276,9 +272,6 @@ impl Element for NetFlow {
                     Ok(key) => {
                         let b = tab.home_bucket(&key);
                         self.hdrs.push(base + tab.header_span(b).0);
-                        if pretouch {
-                            next_touch ^= tab.prefetch_bucket(b);
-                        }
                         self.keys.push(key);
                         self.lens.push(pkt.len() as u32);
                         actions.push(Action::Out(0));
@@ -287,7 +280,6 @@ impl Element for NetFlow {
                 }
             }
         }
-        std::hint::black_box(next_touch);
         ctx.read_batch(&self.hdrs, BATCH_MLP);
         // Phase 3: per-packet update walk. The forward probe's first
         // dependent read (the home header line) was charged in phase 2;

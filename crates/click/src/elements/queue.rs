@@ -14,20 +14,19 @@
 //! * a ring of 16-byte **descriptor slots** packed 4 per cache line, as
 //!   [`NicQueue`](pp_sim::nic::NicQueue) packs its descriptor ring.
 //!
-//! Scalar [`push`](SpscQueue::push)/[`pop`](SpscQueue::pop) pay the
-//! `queue_op` compute plus a control-line transaction and a slot-line touch
-//! **per packet**. The burst path ([`push_burst`](SpscQueue::push_burst) /
-//! [`pop_burst`](SpscQueue::pop_burst)) pays `queue_op` and the head/tail
-//! ping-pong **once per burst** and touches each descriptor *line* once, so
-//! a 32-packet burst moves 8 slot lines + 2 control lines instead of 32 + 64.
-//! A one-packet burst takes the scalar path, keeping burst = 1
-//! charge-identical (same charges, same order). All queue charges are
+//! [`push_burst`](SpscQueue::push_burst) /
+//! [`pop_burst`](SpscQueue::pop_burst) pay `queue_op` and the head/tail
+//! ping-pong **once per burst** and touch each descriptor *line* once, so
+//! a 32-packet burst moves 8 slot lines + 2 control lines where 32
+//! one-packet bursts — the paper's per-packet handoff: `queue_op`, pointer
+//! read, slot line, pointer publish — move 32 + 64. All queue charges are
 //! attributed to the `handoff` function tag so experiments can read the
 //! cross-core handoff cost directly.
 //!
 //! [`poll`](SpscQueue::poll) is the consumer's idle-spin fast path: a single
 //! shared head-line read with no `queue_op` compute, so an empty-queue spin
-//! does not inflate pipeline-stage cycle counts the way a failed `pop` does.
+//! does not inflate pipeline-stage cycle counts the way a failed
+//! `pop_burst` does.
 
 use crate::cost::CostModel;
 use pp_net::packet::Packet;
@@ -117,12 +116,6 @@ impl SpscQueue {
         self.q.is_empty()
     }
 
-    /// Whether the queue is full (at its effective capacity — the ring
-    /// size, or the fault-injection cap when one is set).
-    pub fn is_full(&self) -> bool {
-        self.q.len() >= self.effective_capacity()
-    }
-
     /// Ring capacity in descriptor slots.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -162,53 +155,21 @@ impl SpscQueue {
         self.slots_addr + ((idx % self.capacity as u64) / SLOTS_PER_LINE) * CACHE_LINE
     }
 
-    /// Producer side: enqueue a packet, or return it if the queue is full.
-    pub fn push(&mut self, ctx: &mut ExecCtx<'_>, pkt: Packet) -> Result<(), Packet> {
-        ctx.scoped_id(self.t_handoff, |ctx| {
-            CostModel::charge(ctx, self.cost.queue_op);
-            // Check for space: read the consumer-written tail pointer.
-            ctx.shared_read(self.tail_addr);
-            if self.is_full() {
-                self.full_rejects += 1;
-                self.rejected_packets += 1;
-                return Err(pkt);
-            }
-            // Write the descriptor slot and publish the new head.
-            ctx.shared_write(self.slot_line(self.head));
-            ctx.shared_write(self.head_addr);
-            self.head += 1;
-            self.q.push_back(pkt);
-            self.enqueued += 1;
-            Ok(())
-        })
-    }
-
     /// Producer side: enqueue a burst, draining the enqueued prefix from
     /// `pkts` (rejected packets stay, in order) and returning how many were
     /// enqueued.
     ///
     /// Charges `queue_op`, the tail-line read, and the head-line publish
     /// **once per burst**; descriptor slot lines are written once per
-    /// *line* ([`SLOTS_PER_LINE`] slots each). A one-packet burst takes the
-    /// scalar [`push`](Self::push) path, so its charges — and their order —
-    /// are identical. A full queue cuts the burst short and counts one
-    /// `full_rejects`.
+    /// *line* ([`SLOTS_PER_LINE`] slots each). A full queue cuts the burst
+    /// short and counts one `full_rejects`.
     pub fn push_burst(&mut self, ctx: &mut ExecCtx<'_>, pkts: &mut Vec<Packet>) -> usize {
         if pkts.is_empty() {
             return 0;
         }
-        if pkts.len() == 1 {
-            let pkt = pkts.remove(0);
-            return match self.push(ctx, pkt) {
-                Ok(()) => 1,
-                Err(p) => {
-                    pkts.insert(0, p);
-                    0
-                }
-            };
-        }
         ctx.scoped_id(self.t_handoff, |ctx| {
             CostModel::charge(ctx, self.cost.queue_op);
+            // Check for space: read the consumer-written tail pointer.
             ctx.shared_read(self.tail_addr);
             let n = self.free_slots().min(pkts.len());
             if n < pkts.len() {
@@ -225,6 +186,7 @@ impl SpscQueue {
                 self.head += 1;
             }
             if n > 0 {
+                // Publish the new head.
                 ctx.shared_write(self.head_addr);
             }
             for p in pkts.drain(..n) {
@@ -236,9 +198,9 @@ impl SpscQueue {
     }
 
     /// Consumer side: a cheap emptiness probe — one shared head-line read,
-    /// no `queue_op` compute. Use before [`pop`](Self::pop) /
-    /// [`pop_burst`](Self::pop_burst) so an idle spin costs a single line
-    /// transaction instead of a full dequeue attempt.
+    /// no `queue_op` compute. Use before [`pop_burst`](Self::pop_burst) so
+    /// an idle spin costs a single line transaction instead of a full
+    /// dequeue attempt.
     pub fn poll(&mut self, ctx: &mut ExecCtx<'_>) -> bool {
         ctx.scoped_id(self.t_handoff, |ctx| {
             ctx.shared_read(self.head_addr);
@@ -246,29 +208,11 @@ impl SpscQueue {
         !self.q.is_empty()
     }
 
-    /// Consumer side: dequeue a packet if one is available.
-    pub fn pop(&mut self, ctx: &mut ExecCtx<'_>) -> Option<Packet> {
-        ctx.scoped_id(self.t_handoff, |ctx| {
-            CostModel::charge(ctx, self.cost.queue_op);
-            // Check for data: read the producer-written head pointer.
-            ctx.shared_read(self.head_addr);
-            let pkt = self.q.pop_front()?;
-            // Read the descriptor slot and publish the new tail.
-            ctx.shared_read(self.slot_line(self.tail));
-            ctx.shared_write(self.tail_addr);
-            self.tail += 1;
-            self.dequeued += 1;
-            Some(pkt)
-        })
-    }
-
     /// Consumer side: dequeue up to `max` packets in one burst, appending
     /// them to `out` in FIFO order and returning how many were dequeued.
     ///
     /// Charges `queue_op`, the head-line read, and the tail-line publish
     /// **once per burst**; descriptor slot lines are read once per line.
-    /// `max == 1` takes the scalar [`pop`](Self::pop) path, keeping a
-    /// one-packet burst charge-identical.
     pub fn pop_burst(
         &mut self,
         ctx: &mut ExecCtx<'_>,
@@ -278,17 +222,9 @@ impl SpscQueue {
         if max == 0 {
             return 0;
         }
-        if max == 1 {
-            return match self.pop(ctx) {
-                Some(p) => {
-                    out.push(p);
-                    1
-                }
-                None => 0,
-            };
-        }
         ctx.scoped_id(self.t_handoff, |ctx| {
             CostModel::charge(ctx, self.cost.queue_op);
+            // Check for data: read the producer-written head pointer.
             ctx.shared_read(self.head_addr);
             let n = self.q.len().min(max);
             let mut last_line = None;
@@ -302,6 +238,7 @@ impl SpscQueue {
                 out.push(self.q.pop_front().expect("length checked"));
             }
             if n > 0 {
+                // Publish the new tail.
                 ctx.shared_write(self.tail_addr);
             }
             self.dequeued += n as u64;
@@ -321,6 +258,22 @@ mod tests {
         SpscQueue::new(m.allocator(MemDomain(0)), cap, CostModel::default())
     }
 
+    /// Offer `pkt` as a one-packet burst; a full queue hands it back.
+    fn push1(q: &mut SpscQueue, ctx: &mut ExecCtx<'_>, pkt: Packet) -> Result<(), Packet> {
+        let mut v = vec![pkt];
+        match q.push_burst(ctx, &mut v) {
+            1 => Ok(()),
+            _ => Err(v.pop().expect("rejected packet stays with the caller")),
+        }
+    }
+
+    /// Drain a one-packet burst.
+    fn pop1(q: &mut SpscQueue, ctx: &mut ExecCtx<'_>) -> Option<Packet> {
+        let mut out = Vec::new();
+        q.pop_burst(ctx, 1, &mut out);
+        out.pop()
+    }
+
     fn pkt_with(tagb: u8) -> Packet {
         let mut p = packet();
         p.data[0] = tagb;
@@ -333,13 +286,13 @@ mod tests {
         let mut q = queue(&mut m, 8);
         let mut ctx = m.ctx(CoreId(0));
         for i in 0..5u8 {
-            q.push(&mut ctx, pkt_with(i)).unwrap();
+            push1(&mut q, &mut ctx, pkt_with(i)).unwrap();
         }
         let mut ctx = m.ctx(CoreId(1));
         for i in 0..5u8 {
-            assert_eq!(q.pop(&mut ctx).unwrap().data[0], i);
+            assert_eq!(pop1(&mut q, &mut ctx).unwrap().data[0], i);
         }
-        assert!(q.pop(&mut ctx).is_none());
+        assert!(pop1(&mut q, &mut ctx).is_none());
     }
 
     #[test]
@@ -347,9 +300,9 @@ mod tests {
         let mut m = machine();
         let mut q = queue(&mut m, 2);
         let mut ctx = m.ctx(CoreId(0));
-        q.push(&mut ctx, packet()).unwrap();
-        q.push(&mut ctx, packet()).unwrap();
-        assert!(q.push(&mut ctx, packet()).is_err());
+        push1(&mut q, &mut ctx, packet()).unwrap();
+        push1(&mut q, &mut ctx, packet()).unwrap();
+        assert!(push1(&mut q, &mut ctx, packet()).is_err());
         assert_eq!(q.full_rejects, 1);
     }
 
@@ -362,9 +315,9 @@ mod tests {
         let mut q = queue(&mut m, 64);
         for _ in 0..50 {
             let mut ctx = m.ctx(CoreId(0));
-            q.push(&mut ctx, packet()).unwrap();
+            push1(&mut q, &mut ctx, packet()).unwrap();
             let mut ctx = m.ctx(CoreId(1));
-            q.pop(&mut ctx).unwrap();
+            pop1(&mut q, &mut ctx).unwrap();
         }
         let c0 = m.core(CoreId(0)).counters.total();
         let c1 = m.core(CoreId(1)).counters.total();
@@ -390,8 +343,8 @@ mod tests {
         let mut q = queue(&mut m, 64);
         for _ in 0..50 {
             let mut ctx = m.ctx(CoreId(0));
-            q.push(&mut ctx, packet()).unwrap();
-            q.pop(&mut ctx).unwrap();
+            push1(&mut q, &mut ctx, packet()).unwrap();
+            pop1(&mut q, &mut ctx).unwrap();
         }
         let c = m.core(CoreId(0)).counters.total();
         let hit_rate = c.l1_hits as f64 / c.l1_refs as f64;
@@ -404,7 +357,7 @@ mod tests {
         let mut q = queue(&mut m, 8);
         {
             let mut ctx = m.ctx(CoreId(0));
-            q.push(&mut ctx, packet()).unwrap();
+            push1(&mut q, &mut ctx, packet()).unwrap();
         }
         let total = m.core(CoreId(0)).counters.total();
         let tagged = m.core(CoreId(0)).counters.tag(HANDOFF_TAG).unwrap();
@@ -413,62 +366,29 @@ mod tests {
     }
 
     #[test]
-    fn burst_of_one_is_charge_identical_to_scalar() {
-        // Counter-level equivalence of push_burst/pop_burst at burst 1 with
-        // scalar push/pop, including the empty-pop and full-push paths.
-        let run = |burst: bool| {
-            let mut m = machine();
-            let mut q = queue(&mut m, 2);
-            {
-                let mut ctx = m.ctx(CoreId(0));
-                if burst {
-                    let mut v = vec![packet()];
-                    assert_eq!(q.push_burst(&mut ctx, &mut v), 1);
-                    let mut v = vec![packet()];
-                    assert_eq!(q.push_burst(&mut ctx, &mut v), 1);
-                    let mut v = vec![packet()];
-                    assert_eq!(q.push_burst(&mut ctx, &mut v), 0, "full");
-                    assert_eq!(v.len(), 1, "rejected packet returned");
-                } else {
-                    q.push(&mut ctx, packet()).unwrap();
-                    q.push(&mut ctx, packet()).unwrap();
-                    assert!(q.push(&mut ctx, packet()).is_err());
-                }
-            }
-            {
-                let mut ctx = m.ctx(CoreId(1));
-                if burst {
-                    let mut out = Vec::new();
-                    assert_eq!(q.pop_burst(&mut ctx, 1, &mut out), 1);
-                    assert_eq!(q.pop_burst(&mut ctx, 1, &mut out), 1);
-                    assert_eq!(q.pop_burst(&mut ctx, 1, &mut out), 0, "empty");
-                } else {
-                    assert!(q.pop(&mut ctx).is_some());
-                    assert!(q.pop(&mut ctx).is_some());
-                    assert!(q.pop(&mut ctx).is_none());
-                }
-            }
-            (
-                m.core(CoreId(0)).counters.snapshot(),
-                m.core(CoreId(0)).clock,
-                m.core(CoreId(1)).counters.snapshot(),
-                m.core(CoreId(1)).clock,
-                q.full_rejects,
-            )
-        };
-        let scalar = run(false);
-        let burst = run(true);
-        assert_eq!(scalar.0.total, burst.0.total, "producer totals");
-        assert_eq!(scalar.0.tag(HANDOFF_TAG), burst.0.tag(HANDOFF_TAG));
-        assert_eq!(scalar.1, burst.1, "producer clock");
-        assert_eq!(scalar.2.total, burst.2.total, "consumer totals");
-        assert_eq!(scalar.3, burst.3, "consumer clock");
-        assert_eq!(scalar.4, burst.4, "full_rejects");
-        // The per-packet charge sequence itself, pinned: 3 x queue_op and
-        // 7 line operations a side (pointer read, slot line, pointer
-        // publish per transfer; pointer read only for the reject / the
-        // empty pop). The producer's three misses go to memory, the
-        // consumer's hit the lines the producer left in the shared L3.
+    fn burst_of_one_charges_the_pinned_per_packet_sequence() {
+        // Two pushes and a full reject on core 0, two pops and an empty pop
+        // on core 1, as one-packet bursts, against the counters the
+        // per-packet `push`/`pop` bodies produced before they were deleted.
+        let mut m = machine();
+        let mut q = queue(&mut m, 2);
+        {
+            let mut ctx = m.ctx(CoreId(0));
+            push1(&mut q, &mut ctx, packet()).unwrap();
+            push1(&mut q, &mut ctx, packet()).unwrap();
+            assert!(push1(&mut q, &mut ctx, packet()).is_err(), "full: packet returned");
+        }
+        {
+            let mut ctx = m.ctx(CoreId(1));
+            assert!(pop1(&mut q, &mut ctx).is_some());
+            assert!(pop1(&mut q, &mut ctx).is_some());
+            assert!(pop1(&mut q, &mut ctx).is_none(), "empty");
+        }
+        // 3 x queue_op and 7 line operations a side (pointer read, slot
+        // line, pointer publish per transfer; pointer read only for the
+        // reject / the empty pop). The producer's three misses go to
+        // memory, the consumer's hit the lines the producer left in the
+        // shared L3.
         let side = |stall_cycles, l3_hits, l3_misses| Counts {
             instructions: 82,
             compute_cycles: 90,
@@ -481,13 +401,15 @@ mod tests {
             l3_misses,
             ..Counts::default()
         };
-        assert_eq!(burst.0.total, side(172, 0, 3), "producer totals");
-        assert_eq!(burst.0.tag(HANDOFF_TAG), Some(&burst.0.total), "all tagged handoff");
-        assert_eq!(burst.1, 262, "producer clock");
-        assert_eq!(burst.2.total, side(166, 3, 0), "consumer totals");
-        assert_eq!(burst.2.tag(HANDOFF_TAG), Some(&burst.2.total), "all tagged handoff");
-        assert_eq!(burst.3, 256, "consumer clock");
-        assert_eq!(burst.4, 1, "full_rejects");
+        let producer = m.core(CoreId(0)).counters.snapshot();
+        assert_eq!(producer.total, side(172, 0, 3), "producer totals");
+        assert_eq!(producer.tag(HANDOFF_TAG), Some(&producer.total), "all tagged handoff");
+        assert_eq!(m.core(CoreId(0)).clock, 262, "producer clock");
+        let consumer = m.core(CoreId(1)).counters.snapshot();
+        assert_eq!(consumer.total, side(166, 3, 0), "consumer totals");
+        assert_eq!(consumer.tag(HANDOFF_TAG), Some(&consumer.total), "all tagged handoff");
+        assert_eq!(m.core(CoreId(1)).clock, 256, "consumer clock");
+        assert_eq!(q.full_rejects, 1);
     }
 
     #[test]
@@ -543,9 +465,9 @@ mod tests {
         assert_eq!(q.push_burst(&mut ctx, &mut v), 8);
         assert_eq!(q.full_rejects, 1, "event count: once per cut burst");
         assert_eq!(q.rejected_packets, 4, "packet count: one per refused packet");
-        // Scalar rejections count per packet too.
+        // One-packet bursts count per packet too.
         for p in v.drain(..) {
-            assert!(q.push(&mut ctx, p).is_err());
+            assert!(push1(&mut q, &mut ctx, p).is_err());
         }
         assert_eq!(q.full_rejects, 5);
         assert_eq!(q.rejected_packets, 8);
@@ -564,11 +486,10 @@ mod tests {
         // queued packets stay and drain normally.
         q.set_capacity_limit(3);
         assert_eq!(q.effective_capacity(), 3);
-        assert!(q.is_full());
         assert_eq!(q.free_slots(), 0);
         {
             let mut ctx = m.ctx(CoreId(0));
-            assert!(q.push(&mut ctx, packet()).is_err());
+            assert!(push1(&mut q, &mut ctx, packet()).is_err());
         }
         {
             let mut ctx = m.ctx(CoreId(1));
@@ -579,14 +500,14 @@ mod tests {
         assert_eq!(q.free_slots(), 1);
         {
             let mut ctx = m.ctx(CoreId(0));
-            q.push(&mut ctx, packet()).unwrap();
-            assert!(q.push(&mut ctx, packet()).is_err());
+            push1(&mut q, &mut ctx, packet()).unwrap();
+            assert!(push1(&mut q, &mut ctx, packet()).is_err());
         }
         q.clear_capacity_limit();
         assert_eq!(q.effective_capacity(), 8);
         assert_eq!(q.free_slots(), 5, "full ring capacity restored");
         let mut ctx = m.ctx(CoreId(0));
-        q.push(&mut ctx, packet()).unwrap();
+        push1(&mut q, &mut ctx, packet()).unwrap();
     }
 
     #[test]
@@ -616,7 +537,7 @@ mod tests {
         assert_eq!(c.compute_cycles, 0, "no queue_op compute on the poll path");
         {
             let mut ctx = m.ctx(CoreId(0));
-            q.push(&mut ctx, packet()).unwrap();
+            push1(&mut q, &mut ctx, packet()).unwrap();
         }
         let mut ctx = m.ctx(CoreId(1));
         assert!(q.poll(&mut ctx));
@@ -625,7 +546,7 @@ mod tests {
     #[test]
     fn burst_touches_one_slot_line_per_four_packets() {
         // 32-packet burst, slots packed 4/line: 1 tail read + 8 slot writes
-        // + 1 head write = 10 line accesses, vs 96 for 32 scalar pushes.
+        // + 1 head write = 10 line accesses, vs 96 for 32 one-packet pushes.
         let mut m = machine();
         let mut q = queue(&mut m, 64);
         {
@@ -640,19 +561,19 @@ mod tests {
         {
             let mut ctx = m2.ctx(CoreId(0));
             for i in 0..32 {
-                q2.push(&mut ctx, pkt_with(i)).unwrap();
+                push1(&mut q2, &mut ctx, pkt_with(i)).unwrap();
             }
         }
         let c2 = m2.core(CoreId(0)).counters.tag(HANDOFF_TAG).unwrap();
-        assert_eq!(c2.l1_refs, 96, "3 line ops per scalar push");
+        assert_eq!(c2.l1_refs, 96, "3 line ops per one-packet push");
     }
 
     #[test]
     fn cross_core_burst_handoff_has_fewer_private_misses_per_packet() {
         // The tentpole claim at queue level: at burst ≥ 8 the cross-core
         // handoff generates strictly fewer private misses per packet than
-        // the scalar ping-pong. The access interleaving mirrors the
-        // engine's turn scheduling: scalar alternates one push and one pop
+        // the per-packet ping-pong. The access interleaving mirrors the
+        // engine's turn scheduling: burst 1 alternates one push and one pop
         // per stage turn; burst mode moves 8-packet vectors per turn.
         let run = |burst: usize| {
             let rounds = 40;
@@ -662,9 +583,9 @@ mod tests {
                 if burst == 1 {
                     for i in 0..8 {
                         let mut ctx = m.ctx(CoreId(0));
-                        q.push(&mut ctx, pkt_with(i)).unwrap();
+                        push1(&mut q, &mut ctx, pkt_with(i)).unwrap();
                         let mut ctx = m.ctx(CoreId(1));
-                        q.pop(&mut ctx).unwrap();
+                        pop1(&mut q, &mut ctx).unwrap();
                     }
                 } else {
                     let mut ctx = m.ctx(CoreId(0));
@@ -680,14 +601,14 @@ mod tests {
             let packets = (rounds * 8) as f64;
             ((c0.l1_refs - c0.l1_hits) + (c1.l1_refs - c1.l1_hits)) as f64 / packets
         };
-        let scalar = run(1);
+        let burst1 = run(1);
         let burst8 = run(8);
         assert!(
-            burst8 < scalar,
-            "burst-8 handoff must miss less per packet: scalar {scalar:.2} vs burst {burst8:.2}"
+            burst8 < burst1,
+            "burst-8 handoff must miss less per packet: burst 1 {burst1:.2} vs burst 8 {burst8:.2}"
         );
         // And the gap is structural, not marginal: at least 2 fewer misses
         // per packet (head+tail ping-pong amortized 8x).
-        assert!(scalar - burst8 > 2.0, "gap too small: {scalar:.2} -> {burst8:.2}");
+        assert!(burst1 - burst8 > 2.0, "gap too small: {burst1:.2} -> {burst8:.2}");
     }
 }

@@ -244,11 +244,9 @@ impl MultibitTrie {
     /// Batched level-synchronous lookup, mirroring
     /// [`BinaryRadixTrie::lookup_batch_into`]: each level's node reads are
     /// independent across lanes and issue as one overlapped
-    /// [`read_batch`](ExecCtx::read_batch), with the next level's node
-    /// optionally pre-touched host-side (charge-free; the `hostopt`
-    /// lever) while this level's gather is charged. Visits the same
-    /// entries and returns the same
-    /// `(next_hop, levels)` per lane as per-lane [`lookup`](Self::lookup).
+    /// [`read_batch`](ExecCtx::read_batch). Visits the same entries and
+    /// returns the same `(next_hop, levels)` per lane as per-lane
+    /// [`lookup`](Self::lookup).
     pub fn lookup_batch_into(
         &self,
         ctx: &mut ExecCtx<'_>,
@@ -268,8 +266,6 @@ impl MultibitTrie {
         next_alive.clear();
         addrs.clear();
         // Level 1: the root-array reads, direct-indexed by the top 16 bits.
-        let pretouch = pp_net::hostopt::host_pretouch();
-        let mut next_touch = 0u32;
         for (l, &dst) in dsts.iter().enumerate() {
             let i = (dst >> 16) as usize;
             push_covering_lines(addrs, self.root.addr_of(i), self.root.stride());
@@ -277,18 +273,13 @@ impl MultibitTrie {
             entries.push(e);
             if e & INTERNAL != 0 {
                 alive.push(l);
-                if pretouch {
-                    next_touch ^= self.nodes.peek((e & !INTERNAL) as usize)[0];
-                }
             }
         }
-        std::hint::black_box(next_touch);
         ctx.read_batch(addrs, mlp);
         // Deeper levels: one stride-4 node read per alive lane per level.
         while !alive.is_empty() {
             addrs.clear();
             next_alive.clear();
-            let mut next_touch = 0u32;
             for &l in alive.iter() {
                 let node_idx = (entries[l] & !INTERNAL) as usize;
                 push_covering_lines(addrs, self.nodes.addr_of(node_idx), self.nodes.stride());
@@ -299,12 +290,8 @@ impl MultibitTrie {
                 levels[l] += 1;
                 if e & INTERNAL != 0 {
                     next_alive.push(l);
-                    if pretouch {
-                        next_touch ^= self.nodes.peek((e & !INTERNAL) as usize)[0];
-                    }
                 }
             }
-            std::hint::black_box(next_touch);
             ctx.read_batch(addrs, mlp);
             std::mem::swap(alive, next_alive);
         }
@@ -445,22 +432,16 @@ impl BinaryRadixTrie {
         alive.clear();
         alive.extend(0..n);
         next_alive.clear();
-        let pretouch = pp_net::hostopt::host_pretouch();
         for depth in 0..=32u32 {
             if alive.is_empty() {
                 break;
             }
-            // One fused pass per level: gather the level's node lines,
-            // advance each lane host-side, and — when the `hostopt`
-            // pre-touch lever is on — *touch* every lane's next node so
-            // its host-cache miss resolves while the charging walk below
-            // runs. Host reads charge nothing, so issuing them early
-            // cannot change simulated results; the charge sequence (this
-            // level's lines, in lane order) is identical to charging
-            // first and advancing second.
+            // One fused pass per level: gather the level's node lines and
+            // advance each lane host-side. Host reads charge nothing, so
+            // the charge sequence (this level's lines, in lane order) is
+            // identical to charging first and advancing second.
             addrs.clear();
             next_alive.clear();
-            let mut next_touch = 0u32;
             for &l in alive.iter() {
                 push_covering_lines(addrs, self.nodes.addr_of(cur[l]), self.nodes.stride());
                 let node = *self.nodes.peek(cur[l]);
@@ -476,12 +457,8 @@ impl BinaryRadixTrie {
                 if child != NO_CHILD {
                     cur[l] = child as usize;
                     next_alive.push(l);
-                    if pretouch {
-                        next_touch ^= self.nodes.peek(cur[l])[2];
-                    }
                 }
             }
-            std::hint::black_box(next_touch);
             ctx.read_batch(addrs, mlp);
             std::mem::swap(alive, next_alive);
         }

@@ -1,33 +1,32 @@
 //! Binding element graphs to simulated cores.
 //!
 //! [`FlowTask`] is the paper's *parallel* (run-to-completion) configuration:
-//! one core receives a packet from its own NIC queue, runs the whole element
+//! one core receives packets from its own NIC queue, runs the whole element
 //! chain, and transmits — "each core reads from its own receive queue(s) and
 //! writes to its own transmit queue(s), which are not shared with other
 //! cores".
 //!
-//! With [`FlowTask::with_batch_size`], one engine turn processes a whole
-//! packet *vector* instead: the NIC delivers the burst in one
+//! One engine turn processes one packet *vector* of
+//! [`batch_size`](FlowTask::batch_size) packets: the NIC delivers it in one
 //! `rx_batch`, the graph runs it via
-//! [`run_batch`](crate::graph::ElementGraph::run_batch) (one dispatch +
-//! one tag scope per element per batch), and [`FrameworkChurn`] — the
-//! model of Click's instruction-stream and metadata footprint — is touched
-//! **once per batch**, modelling the I-cache amortization that batched
-//! dataplanes measure. The per-batch/per-packet charge split is defined in
-//! [`CostModel`]; a batch size of 1 reproduces the scalar path bit for bit.
+//! [`run_batch_into`](crate::graph::ElementGraph::run_batch_into) (one
+//! dispatch + one tag scope per element per batch), and [`FrameworkChurn`]
+//! — the model of Click's instruction-stream and metadata footprint — is
+//! touched **once per batch**, modelling the I-cache amortization that
+//! batched dataplanes measure. The per-batch/per-packet charge split is
+//! defined in [`CostModel`]. A one-packet vector — the default — *is* the
+//! paper's per-packet platform: every charge is paid once per packet, and
+//! there is no second path (ARCHITECTURE.md, invariant 4).
 //!
 //! [`SourceStage`] / [`SinkStage`] implement the §2.2 *pipeline*
 //! configuration: the chain is split across cores connected by an
-//! [`SpscQueue`], with all the cross-core costs that entails. Both stages
-//! support burst mode ([`SourceStage::with_batch_size`] /
-//! [`SinkStage::with_batch_size`]): the front stage receives a vector in one
-//! `rx_batch`, runs it through the front graph with `run_batch`, and hands
-//! it off in one [`SpscQueue::push_burst`]; the back stage drains it in one
-//! [`SpscQueue::pop_burst`], runs the back graph once per burst, and
-//! transmits/recycles through one amortized shared NIC transaction. The
-//! head/tail control-line ping-pong is paid once per burst instead of once
-//! per packet — the §2.2 handoff cost under vector processing. Burst size 1
-//! reproduces the scalar pipeline bit for bit.
+//! [`SpscQueue`], with all the cross-core costs that entails. The front
+//! stage receives a vector in one `rx_batch`, runs it through the front
+//! graph, and hands it off in one [`SpscQueue::push_burst`]; the back stage
+//! drains it in one [`SpscQueue::pop_burst`], runs the back graph once per
+//! burst, and transmits/recycles through one amortized shared NIC
+//! transaction. The head/tail control-line ping-pong is paid once per burst
+//! — at the default burst of 1, once per packet, as §2.2 describes.
 //!
 //! Every task records per-packet ingress→egress **latency** (simulated
 //! cycles, stamped at the receive path and read at completion) into a
@@ -37,7 +36,7 @@
 
 use crate::cost::CostModel;
 use crate::elements::queue::SpscQueue;
-use crate::graph::{BatchOutcome, ElementGraph, GraphOutcome};
+use crate::graph::{BatchOutcome, ElementGraph};
 use pp_net::gen::traffic::TrafficGen;
 use pp_net::packet::Packet;
 use pp_net::pool::PacketPool;
@@ -107,9 +106,7 @@ pub struct FlowTask {
     graph: ElementGraph,
     cost: CostModel,
     churn: Option<FrameworkChurn>,
-    /// Packets per engine turn: 0 runs the scalar path, n ≥ 1 runs the
-    /// batched path with n-packet vectors (n = 1 is charge-identical to
-    /// the scalar path but exercises the batched machinery).
+    /// Packets per engine turn (≥ 1).
     batch_size: usize,
     /// Scratch frame lengths for the batched receive (reused every turn).
     lens: Vec<u64>,
@@ -166,7 +163,7 @@ impl FlowTask {
             graph,
             cost,
             churn: None,
-            batch_size: 0,
+            batch_size: 1,
             lens: Vec::new(),
             bufs: Vec::new(),
             pool: PacketPool::new(),
@@ -260,14 +257,14 @@ impl FlowTask {
         self
     }
 
-    /// Switch to batched execution with `batch` packets per engine turn
-    /// (`batch` ≥ 1). See the module docs for the batched cost model.
+    /// Run `batch` packets per engine turn (0 is accepted and means 1).
+    /// See the module docs for the batched cost model.
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.set_batch_size(batch);
         self
     }
 
-    /// Re-size the batch at run time (`batch` ≥ 1). The adaptive batch
+    /// Re-size the batch at run time (0 means 1). The adaptive batch
     /// controller uses this to move a live flow between measurement windows
     /// without rebuilding its graph or tables: the next engine turn simply
     /// receives a different-sized vector. Takes effect between turns — a
@@ -276,7 +273,7 @@ impl FlowTask {
         self.batch_size = batch.max(1);
     }
 
-    /// Packets per engine turn (0 = scalar path).
+    /// Packets per engine turn (≥ 1).
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
@@ -290,19 +287,38 @@ impl FlowTask {
     pub fn graph_mut(&mut self) -> &mut ElementGraph {
         &mut self.graph
     }
+}
 
-    /// One scalar turn: receive, run the chain, recycle on return.
-    #[inline]
-    fn run_turn_scalar(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
-        // Ingress = the start of the turn, when the wire delivered the
-        // packet: residence time covers the packet's own processing.
+impl CoreTask for FlowTask {
+    /// One turn: receive a vector in one `rx_batch`, run the graph once
+    /// per element per batch, recycle all returned buffers in one
+    /// `recycle_batch`. The NIC is borrowed twice per *batch* (receive and
+    /// recycle), and every host container — the packet vector, the
+    /// outcome, and the packet carcasses themselves — is recycled across
+    /// turns (zero steady-state allocation).
+    fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
+        // The ShrinkBatch rung of the degradation ladder re-sizes the live
+        // task through the shared control block (the task is boxed inside
+        // the engine, so `set_batch_size` is out of reach).
+        let over = self.controls.batch_override.get();
+        if over != 0 && over != self.batch_size {
+            self.set_batch_size(over);
+        }
+        let n = self.batch_size;
+        // Ingress = the start of the turn, when the wire had delivered the
+        // whole vector: residence time covers the packets' own processing.
         let ingress = ctx.now();
         // Fault/degradation hooks: all host-side branches, dead when every
-        // knob is zero (the default), so the unfaulted path is bit-for-bit
-        // what it was before the hooks existed.
+        // knob is zero (the default), so the unfaulted turn is bit-for-bit
+        // what it was before the hooks existed. Generation below is also
+        // host-side and charge-free, so running it ahead of the charges
+        // changes no simulated state.
+        let mut admitted = n as u64;
         let mut corrupt_pm = 0u32;
+        let mut shed_pm = 0u32;
         if self.controls.is_active() {
-            if self.pace_admit(ingress, 1) == 0 {
+            admitted = self.pace_admit(ingress, n as u64);
+            if admitted == 0 {
                 // Paced wire is quiet: idle this turn (the engine charges
                 // the poll cost, advancing time so credit accrues).
                 return TurnResult::Idle;
@@ -313,111 +329,10 @@ impl FlowTask {
                 // every turn to the (modeled) slower clock.
                 ctx.compute(stall, 0);
             }
-            let shed_pm = u32::from(self.controls.shed_per_mille.get());
-            if shed_pm > 0 {
-                self.shed_acc += shed_pm;
-                if self.shed_acc >= 1000 {
-                    self.shed_acc -= 1000;
-                    let mut d = self.drops.borrow_mut();
-                    d.offered += 1;
-                    d.shed += 1;
-                    drop(d);
-                    // Shedding is cheap but not free: the drop decision
-                    // costs the per-packet overhead (and advances the
-                    // clock, as Progress requires).
-                    CostModel::charge(ctx, self.cost.per_packet_overhead);
-                    return TurnResult::Progress;
-                }
-            }
-            corrupt_pm = u32::from(self.controls.corrupt_per_mille.get());
-        } else if self.pace_last != u64::MAX {
-            // Pacing just disengaged: forget stale accrual state.
-            self.pace_last = u64::MAX;
-            self.pace_credit = 0;
-        }
-        // The wire always has a packet waiting (the paper's generators run
-        // at line rate); generation itself is host-side and free — and
-        // refills a recycled carcass, so it allocates nothing.
-        let mut pkt = self.pool.take();
-        self.gen.next_packet_into(&mut pkt);
-        if corrupt_pm > 0 {
-            self.corrupt_acc += corrupt_pm;
-            if self.corrupt_acc >= 1000 {
-                self.corrupt_acc -= 1000;
-                pkt.data[CORRUPT_BYTE] ^= 0xFF;
-            }
-        }
-        CostModel::charge(ctx, self.cost.per_packet_overhead);
-        if let Some(churn) = &mut self.churn {
-            churn.touch(ctx);
-        }
-        let buf = self.nic.borrow_mut().rx(ctx, pkt.len() as u64);
-        let Some(buf) = buf else {
-            self.rx_failures += 1;
-            let mut d = self.drops.borrow_mut();
-            d.offered += 1;
-            d.nic_rx_exhausted += 1;
-            self.pool.put(pkt);
-            return TurnResult::Progress; // time advanced by the failed rx
-        };
-        pkt.buf_addr = buf;
-        let drops_before = self.graph.drops;
-        match self.graph.run(ctx, pkt) {
-            GraphOutcome::Consumed => {
-                if let Some(p) = self.graph.take_consumed() {
-                    self.pool.put(p);
-                }
-            }
-            GraphOutcome::Returned(p) => {
-                if p.buf_addr != 0 {
-                    self.nic.borrow_mut().recycle(ctx, p.buf_addr);
-                }
-                self.pool.put(p);
-            }
-        }
-        {
-            let mut d = self.drops.borrow_mut();
-            d.offered += 1;
-            d.element_dropped += self.graph.drops - drops_before;
-        }
-        self.processed += 1;
-        ctx.retire_packet();
-        self.latency.borrow_mut().record(ctx.now() - ingress);
-        TurnResult::Progress
-    }
-
-    /// One batched turn: receive a vector in one `rx_batch`, run the graph
-    /// once per element per batch, recycle all returned buffers in one
-    /// `recycle_batch`. The NIC is borrowed twice per *batch* (receive and
-    /// recycle) instead of twice per packet, and every host container —
-    /// the packet vector, the outcome, and the packet carcasses themselves
-    /// — is recycled across turns (zero steady-state allocation).
-    fn run_turn_batched(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
-        let n = self.batch_size;
-        // The whole vector arrived by the start of the turn; see the
-        // scalar path for the ingress convention.
-        let ingress = ctx.now();
-        // Fault/degradation hooks — host-side, dead at zero (see the
-        // scalar path). Generation below is also host-side and charge-free,
-        // so hoisting it above the charges changes no simulated state: the
-        // simulated sequence (fixed overhead, per-packet overhead, churn,
-        // rx_batch) is bit-for-bit the unfaulted one when the vector is
-        // whole.
-        let mut admitted = n as u64;
-        let mut corrupt_pm = 0u32;
-        let mut shed_pm = 0u32;
-        if self.controls.is_active() {
-            admitted = self.pace_admit(ingress, n as u64);
-            if admitted == 0 {
-                return TurnResult::Idle; // paced wire is quiet this turn
-            }
-            let stall = self.controls.stall_cycles.get();
-            if stall > 0 {
-                ctx.compute(stall, 0);
-            }
             shed_pm = u32::from(self.controls.shed_per_mille.get());
             corrupt_pm = u32::from(self.controls.corrupt_per_mille.get());
         } else if self.pace_last != u64::MAX {
+            // Pacing just disengaged: forget stale accrual state.
             self.pace_last = u64::MAX;
             self.pace_credit = 0;
         }
@@ -433,6 +348,9 @@ impl FlowTask {
                     continue;
                 }
             }
+            // The wire always has a packet waiting (the paper's generators
+            // run at line rate); generation refills a recycled carcass, so
+            // it allocates nothing.
             let mut pkt = self.pool.take();
             self.gen.next_packet_into(&mut pkt);
             if corrupt_pm > 0 {
@@ -458,8 +376,8 @@ impl FlowTask {
             return TurnResult::Progress;
         }
         // Per-batch fixed overhead plus the per-packet residue; the split
-        // sums to the scalar per-packet overhead, so n = 1 charges exactly
-        // the scalar amount (see CostModel).
+        // sums to `per_packet_overhead`, which is what a one-packet vector
+        // pays (see CostModel).
         CostModel::charge(ctx, self.cost.batch_fixed_overhead);
         CostModel::charge_n(ctx, self.cost.batch_per_packet_overhead, generated as u64);
         if let Some(churn) = &mut self.churn {
@@ -519,23 +437,6 @@ impl FlowTask {
         }
         TurnResult::Progress
     }
-}
-
-impl CoreTask for FlowTask {
-    fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
-        if self.batch_size >= 1 {
-            // The ShrinkBatch rung of the degradation ladder re-sizes the
-            // live task through the shared control block (the task is boxed
-            // inside the engine, so `set_batch_size` is out of reach).
-            let over = self.controls.batch_override.get();
-            if over != 0 && over != self.batch_size {
-                self.set_batch_size(over);
-            }
-            self.run_turn_batched(ctx)
-        } else {
-            self.run_turn_scalar(ctx)
-        }
-    }
 
     fn label(&self) -> &str {
         &self.label
@@ -573,8 +474,8 @@ pub struct SourceStage {
     out: Rc<RefCell<SpscQueue>>,
     cost: CostModel,
     churn: Option<FrameworkChurn>,
-    /// Packets per engine turn: 0 = scalar handoff, n ≥ 1 = burst handoff
-    /// (a partial burst is sent when the queue has fewer free slots).
+    /// Packets per engine turn, ≥ 1 (a partial burst is sent when the
+    /// queue has fewer free slots).
     batch_size: usize,
     /// Scratch frame lengths for the batched receive (reused every turn).
     lens: Vec<u64>,
@@ -620,7 +521,7 @@ impl SourceStage {
             out,
             cost,
             churn: None,
-            batch_size: 0,
+            batch_size: 1,
             lens: Vec::new(),
             bufs: Vec::new(),
             pool: Rc::new(RefCell::new(PacketPool::new())),
@@ -654,110 +555,40 @@ impl SourceStage {
         self.pool.clone()
     }
 
-    /// Switch to burst handoff with up to `batch` packets per engine turn
-    /// (`batch` ≥ 1; 1 is charge-identical to the scalar stage).
+    /// Hand off up to `batch` packets per engine turn (0 means 1).
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.set_batch_size(batch);
         self
     }
 
-    /// Re-size the handoff burst at run time (`batch` ≥ 1); effective from
+    /// Re-size the handoff burst at run time (0 means 1); effective from
     /// the next turn. Pair with [`SinkStage::set_batch_size`] — the stages
     /// tolerate differing sizes (the queue carries any mix of bursts), but
     /// the handoff amortization follows the smaller of the two.
     pub fn set_batch_size(&mut self, batch: usize) {
         self.batch_size = batch.max(1);
     }
+}
 
-    /// One scalar turn: receive, run the front chain, enqueue.
-    fn run_turn_scalar(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
-        // Ingress = the start of the turn. The engine's min-clock scheduler
-        // guarantees this is ≤ every other core's clock, so the sink's
-        // egress reading is always causally after it.
-        let ingress = ctx.now();
-        let mut pkt = self.pool.borrow_mut().take();
-        self.gen.next_packet_into(&mut pkt);
-        CostModel::charge(ctx, self.cost.per_packet_overhead);
-        if let Some(churn) = &mut self.churn {
-            churn.touch(ctx);
-        }
-        let buf = {
-            let mut nic = self.nic.borrow_mut();
-            nic.rx(ctx, pkt.len() as u64)
-        };
-        let Some(buf) = buf else {
-            // The silent-drop bug, fixed: pool exhaustion is a counted
-            // loss, surfaced both on the stage and in the shared ledger.
-            self.rx_failures += 1;
-            let mut d = self.drops.borrow_mut();
-            d.offered += 1;
-            d.nic_rx_exhausted += 1;
-            self.pool.borrow_mut().put(pkt);
-            return TurnResult::Progress;
-        };
-        self.drops.borrow_mut().offered += 1;
-        pkt.buf_addr = buf;
-        pkt.ingress_cycle = ingress;
-        let drops_before = self.graph.drops;
-        let outcome = if self.graph.is_empty() {
-            GraphOutcome::Returned(pkt)
-        } else {
-            self.graph.run(ctx, pkt)
-        };
-        match outcome {
-            GraphOutcome::Consumed => {
-                if let Some(p) = self.graph.take_consumed() {
-                    self.pool.borrow_mut().put(p);
-                }
-                self.drops.borrow_mut().element_dropped +=
-                    self.graph.drops - drops_before;
-            }
-            GraphOutcome::Returned(p) => {
-                // A front-chain drop ends the packet here: recycle locally
-                // instead of forwarding it downstream.
-                if self.graph.drops > drops_before {
-                    self.drops.borrow_mut().element_dropped +=
-                        self.graph.drops - drops_before;
-                    if p.buf_addr != 0 {
-                        self.nic.borrow_mut().recycle(ctx, p.buf_addr);
-                    }
-                    self.pool.borrow_mut().put(p);
-                    return TurnResult::Progress;
-                }
-                let mut q = self.out.borrow_mut();
-                if let Err(rejected) = q.push(ctx, p) {
-                    // Lost the race against fullness; recycle locally —
-                    // a counted queue-full drop, not a silent bounce.
-                    self.drops.borrow_mut().queue_full += 1;
-                    if rejected.buf_addr != 0 {
-                        self.nic.borrow_mut().recycle(ctx, rejected.buf_addr);
-                    }
-                    self.pool.borrow_mut().put(rejected);
-                    self.stalls += 1;
-                    return TurnResult::Progress;
-                }
-                self.forwarded += 1;
-            }
-        }
-        TurnResult::Progress
-    }
-
-    /// One burst turn: receive up to `batch_size` packets (backpressure:
-    /// never more than the queue's free slots) in one `rx_batch`, run the
-    /// front graph once per burst, hand the vector off in one `push_burst`.
-    fn run_turn_batched(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
+impl CoreTask for SourceStage {
+    /// One turn: receive up to `batch_size` packets (backpressure: never
+    /// more than the queue's free slots) in one `rx_batch`, run the front
+    /// graph once per burst, hand the vector off in one `push_burst`.
+    fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
         // Partial-burst backpressure: size the burst to the room downstream
-        // (host-side check, like the scalar stage's is_full probe).
+        // (a host-side check; a full queue stalls the turn).
         let n = self.out.borrow().free_slots().min(self.batch_size);
         if n == 0 {
             self.stalls += 1;
             return TurnResult::Idle;
         }
-        // Ingress = the start of the turn (see the scalar path).
+        // Ingress = the start of the turn. The engine's min-clock scheduler
+        // guarantees this is ≤ every other core's clock, so the sink's
+        // egress reading is always causally after it.
         let ingress = ctx.now();
         // Per-burst fixed overhead plus the per-packet residue (the split
-        // sums to the scalar per-packet overhead, so a 1-packet burst
-        // charges exactly the scalar amount).
+        // sums to `per_packet_overhead`, which is what a 1-packet burst
+        // pays).
         CostModel::charge(ctx, self.cost.batch_fixed_overhead);
         CostModel::charge_n(ctx, self.cost.batch_per_packet_overhead, n as u64);
         if let Some(churn) = &mut self.churn {
@@ -837,20 +668,6 @@ impl SourceStage {
         pool.put_all(&mut self.outcome.carcasses);
         TurnResult::Progress
     }
-}
-
-impl CoreTask for SourceStage {
-    fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
-        if self.batch_size >= 1 {
-            self.run_turn_batched(ctx)
-        } else {
-            if self.out.borrow().is_full() {
-                self.stalls += 1;
-                return TurnResult::Idle;
-            }
-            self.run_turn_scalar(ctx)
-        }
-    }
 
     fn label(&self) -> &str {
         &self.label
@@ -870,7 +687,7 @@ pub struct SinkStage {
     /// The *source* core's NIC queue: drops recycle into it cross-core.
     nic: Rc<RefCell<NicQueue>>,
     churn: Option<FrameworkChurn>,
-    /// Packets per engine turn: 0 = scalar handoff, n ≥ 1 = burst handoff.
+    /// Packets drained per engine turn (≥ 1).
     batch_size: usize,
     /// Staging vector for the burst dequeue (reused every turn).
     scratch: Vec<Packet>,
@@ -908,7 +725,7 @@ impl SinkStage {
             graph,
             nic,
             churn: None,
-            batch_size: 0,
+            batch_size: 1,
             scratch: Vec::new(),
             ingress: Vec::new(),
             bufs: Vec::new(),
@@ -942,14 +759,13 @@ impl SinkStage {
         self.drops = drops;
     }
 
-    /// Switch to burst handoff, draining up to `batch` packets per engine
-    /// turn (`batch` ≥ 1; 1 is charge-identical to the scalar stage).
+    /// Drain up to `batch` packets per engine turn (0 means 1).
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.set_batch_size(batch);
         self
     }
 
-    /// Re-size the drain burst at run time (`batch` ≥ 1); effective from
+    /// Re-size the drain burst at run time (0 means 1); effective from
     /// the next turn. See [`SourceStage::set_batch_size`].
     pub fn set_batch_size(&mut self, batch: usize) {
         self.batch_size = batch.max(1);
@@ -972,54 +788,13 @@ impl SinkStage {
             }
         }
     }
+}
 
-    /// One scalar turn: poll, dequeue one packet, run the back chain.
-    fn run_turn_scalar(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
-        let pkt = {
-            let mut q = self.input.borrow_mut();
-            if !q.poll(ctx) {
-                return TurnResult::Idle;
-            }
-            q.pop(ctx)
-        };
-        let Some(pkt) = pkt else { return TurnResult::Idle };
-        if let Some(churn) = &mut self.churn {
-            churn.touch(ctx);
-        }
-        // Pull the packet's header line from the producing core (it wrote
-        // or at least read it there; a modified line costs a transfer).
-        if pkt.buf_addr != 0 {
-            ctx.shared_read_struct(pkt.buf_addr, 64);
-        }
-        let ingress = pkt.ingress_cycle;
-        let drops_before = self.graph.drops;
-        match self.graph.run(ctx, pkt) {
-            GraphOutcome::Consumed => {
-                if let Some(p) = self.graph.take_consumed() {
-                    self.pool.borrow_mut().put(p);
-                }
-            }
-            GraphOutcome::Returned(p) => {
-                if p.buf_addr != 0 {
-                    // Cross-core recycle into the source core's pool.
-                    self.nic.borrow_mut().recycle_shared(ctx, p.buf_addr);
-                }
-                self.pool.borrow_mut().put(p);
-            }
-        }
-        if self.graph.drops > drops_before {
-            self.drops.borrow_mut().element_dropped += self.graph.drops - drops_before;
-        }
-        self.processed += 1;
-        ctx.retire_packet();
-        self.record_latencies(ctx.now(), &[ingress]);
-        TurnResult::Progress
-    }
-
-    /// One burst turn: poll, drain up to `batch_size` packets in one
+impl CoreTask for SinkStage {
+    /// One turn: poll, drain up to `batch_size` packets in one
     /// `pop_burst`, run the back graph once per burst, recycle the returned
     /// buffers in one cross-core batch transaction.
-    fn run_turn_batched(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
+    fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
         {
             let mut q = self.input.borrow_mut();
             if !q.poll(ctx) {
@@ -1035,6 +810,8 @@ impl SinkStage {
             // Once per burst: I-cache/metadata amortization.
             churn.touch(ctx);
         }
+        // Pull each packet's header line from the producing core (it wrote
+        // or at least read it there; a modified line costs a transfer).
         // Header pulls stay per packet — each header line is distinct
         // cross-core payload, unlike the amortized control lines.
         for pkt in &self.scratch {
@@ -1075,16 +852,6 @@ impl SinkStage {
         ctx.retire_packets(n);
         self.record_latencies(ctx.now(), &self.ingress);
         TurnResult::Progress
-    }
-}
-
-impl CoreTask for SinkStage {
-    fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
-        if self.batch_size >= 1 {
-            self.run_turn_batched(ctx)
-        } else {
-            self.run_turn_scalar(ctx)
-        }
     }
 
     fn label(&self) -> &str {
@@ -1207,46 +974,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_flow_reproduces_scalar_measurements_bit_for_bit() {
-        // The acceptance bar for the batched datapath: batch size 1 must
-        // equal the scalar path in every counter, tag, and the clock.
-        let run = |batch: Option<usize>| {
-            let mut m = Machine::new(MachineConfig::westmere());
-            let mut flow = simple_flow(&mut m, 42);
-            if let Some(b) = batch {
-                flow = flow.with_batch_size(b);
-            }
-            let mut e = Engine::new(m);
-            e.set_task(CoreId(0), Box::new(flow));
-            e.run_until(2_000_000);
-            let snap = e.machine.core(CoreId(0)).counters.snapshot();
-            let clock = e.machine.core(CoreId(0)).clock;
-            let task = e.take_task(CoreId(0)).unwrap();
-            (snap, clock, task)
-        };
-        let (s_snap, s_clock, _) = run(None);
-        let (b_snap, b_clock, _) = run(Some(1));
-        assert_eq!(s_snap.total, b_snap.total, "totals must match bit for bit");
-        assert_eq!(s_clock, b_clock, "clocks must match");
-        assert_eq!(
-            s_snap.tags.len(),
-            b_snap.tags.len(),
-            "same set of function tags"
-        );
-        for (tag, counts) in &s_snap.tags {
-            assert_eq!(
-                Some(counts),
-                b_snap.tag(tag),
-                "per-tag counters for {tag} must match"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_flow_processes_the_same_packets_as_scalar() {
-        // Semantic equivalence at batch > 1: the same generated packet
-        // sequence yields the same processed counts and graph outcomes
-        // (cycle counts legitimately differ — that is the speedup).
+    fn batched_flow_processes_the_same_packets_as_one_packet_vectors() {
+        // Semantic equivalence across vector sizes: the same generated
+        // packet sequence yields the same processed counts and graph
+        // outcomes (cycle counts legitimately differ — that is the speedup).
         let turns = 50usize;
         let batch = 8usize;
         let run = |batch_size: Option<usize>, turns: usize| {
@@ -1261,13 +992,13 @@ mod tests {
             }
             (flow.processed, flow.graph().drops, flow.graph().exits)
         };
-        let scalar = run(None, turns * batch);
+        let per_packet = run(None, turns * batch);
         let batched = run(Some(batch), turns);
-        assert_eq!(scalar, batched, "(processed, drops, exits) must agree");
+        assert_eq!(per_packet, batched, "(processed, drops, exits) must agree");
     }
 
     #[test]
-    fn batched_flow_is_cheaper_per_packet_than_scalar() {
+    fn batched_flow_is_cheaper_per_packet_than_one_packet_vectors() {
         let cycles_per_packet = |batch_size: Option<usize>| {
             let mut m = Machine::new(MachineConfig::westmere());
             let mut flow = simple_flow(&mut m, 5);
@@ -1280,11 +1011,11 @@ mod tests {
             let cm = meas.core(CoreId(0)).unwrap();
             cm.counts.total.cycles() as f64 / cm.counts.total.packets as f64
         };
-        let scalar = cycles_per_packet(None);
+        let per_packet = cycles_per_packet(None);
         let batched = cycles_per_packet(Some(32));
         assert!(
-            batched < scalar * 0.95,
-            "32-packet batches must amortize framework cost: scalar {scalar:.0} vs batched {batched:.0} cycles/packet"
+            batched < per_packet * 0.95,
+            "32-packet batches must amortize framework cost: batch 1 {per_packet:.0} vs batch 32 {batched:.0} cycles/packet"
         );
     }
 
@@ -1305,16 +1036,16 @@ mod tests {
             let d = m.core(CoreId(0)).counters.snapshot().delta(&before);
             d.total.cycles() as f64 / d.total.packets.max(1) as f64
         };
-        // Warm the caches, then measure a scalar window.
+        // Warm the caches, then measure a one-packet-vector window.
         let _ = window_cpp(&mut m, &mut flow, 500);
-        let scalar_cpp = window_cpp(&mut m, &mut flow, 512);
+        let b1_cpp = window_cpp(&mut m, &mut flow, 512);
         // Re-size the live task and measure again (same packet budget).
         flow.set_batch_size(32);
         assert_eq!(flow.batch_size(), 32);
         let batched_cpp = window_cpp(&mut m, &mut flow, 16);
         assert!(
-            batched_cpp < scalar_cpp * 0.95,
-            "re-sized batch must amortize: {scalar_cpp:.0} -> {batched_cpp:.0} cyc/pkt"
+            batched_cpp < b1_cpp * 0.95,
+            "re-sized batch must amortize: {b1_cpp:.0} -> {batched_cpp:.0} cyc/pkt"
         );
     }
 
@@ -1475,7 +1206,7 @@ mod tests {
         drop(task);
         let d = *drops.borrow();
         assert!(d.wire_overflow > 0, "overload must surface as wire drops");
-        assert_eq!(d.nic_rx_exhausted, 0, "pool never exhausts at batch 0/scalar");
+        assert_eq!(d.nic_rx_exhausted, 0, "pool never exhausts at batch 1");
         // offered = processed + overflow (+ nothing else): the ledger
         // accounts for every arrival the 1-cycle pace generated.
         assert_eq!(d.offered, (d.offered - d.total_dropped()) + d.wire_overflow);
@@ -1496,8 +1227,8 @@ mod tests {
     #[test]
     fn pipeline_queue_full_drops_are_counted_not_silent() {
         // Tiny queue, sink never drains: the source stage must count every
-        // loss path — and with the scalar stage's is_full pre-check, the
-        // packets that cannot be parked simply stall (backpressure).
+        // loss path — and with the stage's free-slot check, the packets
+        // that cannot be parked simply stall (backpressure).
         let mut m = Machine::new(MachineConfig::westmere());
         let cost = CostModel::default();
         let nic = Rc::new(RefCell::new(NicQueue::new(
@@ -1523,7 +1254,7 @@ mod tests {
         let d = *drops.borrow();
         assert_eq!(src.forwarded, 4, "queue holds 4");
         assert_eq!(d.offered, 4, "the stalled turns offered nothing (backpressure)");
-        assert_eq!(d.queue_full, 0, "is_full pre-check stalls instead of dropping");
+        assert_eq!(d.queue_full, 0, "the free-slot check stalls instead of dropping");
         assert!(src.stalls >= 46);
         // Burst mode with a shrunken cap: the queue fills mid-burst and the
         // rejected tail is a counted queue-full drop.

@@ -8,21 +8,20 @@
 //!
 //! ## Batched execution and its cost model
 //!
-//! [`ElementGraph::run_batch`] carries a whole packet vector through the
-//! chain: each element is visited **once per batch** — one `element_hop`
+//! [`ElementGraph::run_batch_into`] carries a whole packet vector through
+//! the chain: each element is visited **once per batch** — one `element_hop`
 //! dispatch charge and one function-tag scope per element per batch,
 //! instead of per packet — which is the framework-amortization effect that
 //! batched dataplanes (VPP, batched Click) get from I-cache reuse and
 //! devirtualized inner loops. On a branch, the batch is scattered into
 //! per-output-port sub-batches (relative packet order preserved within
 //! each sub-batch) which continue through the graph in FIFO order, port 0
-//! first. With a one-packet batch the charge sequence is identical to
-//! [`ElementGraph::run`], which is what makes batch-size sweeps comparable
-//! against the scalar baseline.
+//! first. A one-packet vector pays one hop and one scope per element per
+//! packet — Click's per-packet dispatch — which anchors batch-size sweeps
+//! to the paper's platform.
 
 use crate::cost::CostModel;
 use crate::element::{Action, Element};
-use pp_net::batch::PacketBatch;
 use pp_net::packet::Packet;
 use pp_sim::counters::TagId;
 use pp_sim::ctx::ExecCtx;
@@ -30,16 +29,6 @@ use std::collections::VecDeque;
 
 /// Identifies an element within its graph.
 pub type ElementId = usize;
-
-/// What happened to a packet pushed through the graph.
-#[derive(Debug)]
-pub enum GraphOutcome {
-    /// An element consumed the packet (buffer already handled).
-    Consumed,
-    /// An element dropped it, or it exited via an unconnected port:
-    /// the caller must recycle the buffer.
-    Returned(Packet),
-}
 
 /// What happened to a batch pushed through the graph.
 #[derive(Debug, Default)]
@@ -98,9 +87,6 @@ pub struct ElementGraph {
     spare: Vec<Vec<Packet>>,
     /// Reusable per-visit action buffer.
     actions: Vec<Action>,
-    /// Carcass of the last packet a scalar [`run`](Self::run) consumed
-    /// (see [`take_consumed`](Self::take_consumed)).
-    last_consumed: Option<Packet>,
 }
 
 impl ElementGraph {
@@ -118,19 +104,7 @@ impl ElementGraph {
             by_port: Vec::new(),
             spare: Vec::new(),
             actions: Vec::new(),
-            last_consumed: None,
         }
-    }
-
-    /// The carcass of the most recent packet a scalar
-    /// [`run`](Self::run)/[`run_from`](Self::run_from) call consumed
-    /// ([`GraphOutcome::Consumed`]), if any: the consuming element already
-    /// handled its simulated buffer, so the host `Packet` is free to
-    /// return to a [`PacketPool`](pp_net::pool::PacketPool). Cleared by
-    /// the call (the batched path reports carcasses through
-    /// [`BatchOutcome::carcasses`] instead).
-    pub fn take_consumed(&mut self) -> Option<Packet> {
-        self.last_consumed.take()
     }
 
     /// Add an element; the first added element becomes the entry point
@@ -197,44 +171,12 @@ impl ElementGraph {
         }
     }
 
-    /// Push one packet through the graph starting at the entry element.
-    pub fn run(&mut self, ctx: &mut ExecCtx<'_>, pkt: Packet) -> GraphOutcome {
-        let entry = self.entry.expect("graph has no entry element");
-        self.run_from(ctx, entry, pkt)
-    }
-
-    /// Push a whole batch through the graph starting at the entry element.
-    /// See the module docs for the batched cost model.
-    ///
-    /// Allocating convenience wrapper around
-    /// [`run_batch_into`](Self::run_batch_into), which steady-state
-    /// callers use with reused scratch buffers.
-    pub fn run_batch(&mut self, ctx: &mut ExecCtx<'_>, batch: PacketBatch) -> BatchOutcome {
-        let entry = self.entry.expect("graph has no entry element");
-        self.run_batch_from(ctx, entry, batch)
-    }
-
-    /// Push a batch starting at a specific element (pipeline stages that
-    /// enter mid-graph). Allocating wrapper around
-    /// [`run_batch_from_into`](Self::run_batch_from_into).
-    pub fn run_batch_from(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        start: ElementId,
-        batch: PacketBatch,
-    ) -> BatchOutcome {
-        let mut pkts: Vec<Packet> = batch.into_iter().collect();
-        let mut outcome = BatchOutcome::default();
-        self.run_batch_from_into(ctx, start, &mut pkts, &mut outcome);
-        outcome
-    }
-
     /// Push a batch through the graph starting at the entry element,
     /// draining `pkts` and writing results into `outcome` (reset at
     /// entry, allocations retained). The zero-allocation batched path:
     /// internal work-list and scatter vectors are recycled across calls,
     /// so a warmed-up graph runs whole batches without touching the heap.
-    /// Charges are identical to [`run_batch`](Self::run_batch).
+    /// See the module docs for the batched cost model.
     pub fn run_batch_into(
         &mut self,
         ctx: &mut ExecCtx<'_>,
@@ -243,6 +185,16 @@ impl ElementGraph {
     ) {
         let entry = self.entry.expect("graph has no entry element");
         self.run_batch_from_into(ctx, entry, pkts, outcome);
+    }
+
+    /// The element wired to the one port every action of the current visit
+    /// (`self.actions`) left on, if there is such a port and it is wired.
+    #[inline]
+    fn sole_successor(&self, cur: ElementId) -> Option<ElementId> {
+        let &first = self.actions.first()?;
+        let Action::Out(port) = first else { return None };
+        let next = self.edges[cur].get(port as usize).copied().flatten()?;
+        self.actions.iter().all(|&a| a == first).then_some(next)
     }
 
     /// [`run_batch_into`](Self::run_batch_into) starting at a specific
@@ -282,6 +234,14 @@ impl ElementGraph {
                 "element {} must emit one action per packet",
                 self.elements[cur].class_name()
             );
+            // Every packet left on one connected port — every hop of every
+            // linear chain: the vector itself moves on, unscattered. Same
+            // visit order as the scatter below would produce (one sub-batch
+            // joins the back of the work list).
+            if let Some(next) = self.sole_successor(cur) {
+                self.work.push_back((next, batch));
+                continue;
+            }
             // Scatter into per-port sub-batches, preserving packet order.
             debug_assert!(self.by_port.is_empty());
             for (pkt, action) in batch.drain(..).zip(self.actions.drain(..)) {
@@ -323,42 +283,6 @@ impl ElementGraph {
             }
         }
     }
-
-    /// Push one packet starting at a specific element (used by pipeline
-    /// stages that enter mid-graph).
-    pub fn run_from(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        start: ElementId,
-        mut pkt: Packet,
-    ) -> GraphOutcome {
-        let mut cur = start;
-        loop {
-            CostModel::charge(ctx, self.cost.element_hop);
-            let el = &mut self.elements[cur];
-            let tag = self.tag_ids[cur];
-            let action = ctx.scoped_id(tag, |ctx| el.process(ctx, &mut pkt));
-            match action {
-                Action::Consumed => {
-                    self.last_consumed = Some(pkt);
-                    return GraphOutcome::Consumed;
-                }
-                Action::Drop => {
-                    self.drops += 1;
-                    return GraphOutcome::Returned(pkt);
-                }
-                Action::Out(port) => {
-                    match self.edges[cur].get(port as usize).copied().flatten() {
-                        Some(next) => cur = next,
-                        None => {
-                            self.exits += 1;
-                            return GraphOutcome::Returned(pkt);
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -366,6 +290,13 @@ mod tests {
     use super::*;
     use crate::element::test_util::{machine, packet};
     use pp_sim::types::CoreId;
+
+    /// Run `pkts` from the entry element into a fresh outcome.
+    fn run(g: &mut ElementGraph, ctx: &mut ExecCtx<'_>, mut pkts: Vec<Packet>) -> BatchOutcome {
+        let mut out = BatchOutcome::default();
+        g.run_batch_into(ctx, &mut pkts, &mut out);
+        out
+    }
 
     /// Emits on a fixed port, counting invocations.
     struct Emit {
@@ -423,10 +354,9 @@ mod tests {
         g.chain(&[a, b, c]);
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        match g.run(&mut ctx, packet()) {
-            GraphOutcome::Consumed => {}
-            other => panic!("expected Consumed, got {other:?}"),
-        }
+        let out = run(&mut g, &mut ctx, vec![packet()]);
+        assert_eq!(out.consumed, 1);
+        assert_eq!(out.carcasses.len(), 1, "the consumed packet's carcass is handed back");
     }
 
     #[test]
@@ -437,7 +367,7 @@ mod tests {
         g.chain(&[a, b]);
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        assert!(matches!(g.run(&mut ctx, packet()), GraphOutcome::Returned(_)));
+        assert_eq!(run(&mut g, &mut ctx, vec![packet()]).dropped.len(), 1);
         assert_eq!(g.drops, 1);
     }
 
@@ -449,7 +379,7 @@ mod tests {
         g.connect(a, 0, b); // port 3 left unwired
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        assert!(matches!(g.run(&mut ctx, packet()), GraphOutcome::Returned(_)));
+        assert_eq!(run(&mut g, &mut ctx, vec![packet()]).returned.len(), 1);
         assert_eq!(g.exits, 1);
     }
 
@@ -463,7 +393,7 @@ mod tests {
         g.connect(a, 1, sink);
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        assert!(matches!(g.run(&mut ctx, packet()), GraphOutcome::Consumed));
+        assert_eq!(run(&mut g, &mut ctx, vec![packet()]).consumed, 1);
         assert_eq!(g.drops, 0);
     }
 
@@ -476,7 +406,7 @@ mod tests {
         let mut m = machine();
         {
             let mut ctx = m.ctx(CoreId(0));
-            let _ = g.run(&mut ctx, packet());
+            run(&mut g, &mut ctx, vec![packet()]);
         }
         let cc = &m.core(CoreId(0)).counters;
         assert_eq!(cc.tag("emit").unwrap().compute_cycles, 5);
@@ -501,10 +431,10 @@ mod tests {
         }
     }
 
-    fn batch_of(ports: &[u16]) -> pp_net::batch::PacketBatch {
+    fn batch_of(ports: &[u16]) -> Vec<Packet> {
         use pp_net::packet::PacketBuilder;
         use std::net::Ipv4Addr;
-        let pkts = ports
+        ports
             .iter()
             .map(|&p| {
                 PacketBuilder::default().udp(
@@ -515,8 +445,7 @@ mod tests {
                     b"x",
                 )
             })
-            .collect();
-        pp_net::batch::PacketBatch::from_packets(pkts)
+            .collect()
     }
 
     #[test]
@@ -527,7 +456,7 @@ mod tests {
         g.chain(&[a, b]);
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        let out = g.run_batch(&mut ctx, batch_of(&[1, 2, 3, 4]));
+        let out = run(&mut g, &mut ctx, batch_of(&[1, 2, 3, 4]));
         assert_eq!(out.consumed, 4);
         assert!(out.returned.is_empty());
     }
@@ -542,46 +471,11 @@ mod tests {
         let mut m = machine();
         {
             let mut ctx = m.ctx(CoreId(0));
-            let _ = g.run_batch(&mut ctx, batch_of(&[1, 2, 3, 4]));
+            run(&mut g, &mut ctx, batch_of(&[1, 2, 3, 4]));
         }
         let total = m.core(CoreId(0)).counters.total().compute_cycles;
         // 2 hops per *batch* + per-packet element compute (5 + 1 each).
         assert_eq!(total, 2 * cost.element_hop.0 + 4 * (5 + 1));
-    }
-
-    #[test]
-    fn run_batch_of_one_charges_exactly_like_run() {
-        let cost = CostModel::default();
-        let build = || {
-            let mut g = ElementGraph::new(cost);
-            let a = g.add(Box::new(Emit { port: 0, seen: 0 }));
-            let d = g.add(Box::new(Dropper));
-            g.chain(&[a, d]);
-            g
-        };
-        let mut m_scalar = machine();
-        let mut g_scalar = build();
-        {
-            let mut ctx = m_scalar.ctx(CoreId(0));
-            let _ = g_scalar.run(&mut ctx, packet());
-        }
-        let mut m_batch = machine();
-        let mut g_batch = build();
-        {
-            let mut ctx = m_batch.ctx(CoreId(0));
-            let out = g_batch.run_batch(
-                &mut ctx,
-                pp_net::batch::PacketBatch::from_packets(vec![packet()]),
-            );
-            assert_eq!(out.dropped.len(), 1, "the dropper's packet lands in dropped");
-            assert!(out.returned.is_empty());
-        }
-        assert_eq!(g_scalar.drops, g_batch.drops);
-        assert_eq!(
-            m_scalar.core(CoreId(0)).counters.snapshot().total,
-            m_batch.core(CoreId(0)).counters.snapshot().total
-        );
-        assert_eq!(m_scalar.core(CoreId(0)).clock, m_batch.core(CoreId(0)).clock);
     }
 
     #[test]
@@ -595,7 +489,7 @@ mod tests {
         g.connect(s, 0, d); // port 1 left unwired: exits
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        let out = g.run_batch(&mut ctx, batch_of(&[11, 2, 4, 7, 8, 3]));
+        let out = run(&mut g, &mut ctx, batch_of(&[11, 2, 4, 7, 8, 3]));
         assert_eq!(g.exits, 3);
         assert_eq!(g.drops, 3);
         let ports = |pkts: &[pp_net::packet::Packet]| -> Vec<u16> {
@@ -609,16 +503,20 @@ mod tests {
 
     #[test]
     fn run_batch_rejoining_branches_keep_per_branch_order() {
-        // Both scatter outputs feed the same counter; sub-batches arrive
-        // as two visits, each in order, port 0 first.
+        // Both scatter outputs feed the same two-element tail; sub-batches
+        // arrive as two visits, each in order, port 0 first — and each
+        // moves whole from `c` to `d` while the other waits in the work
+        // list, without overtaking it.
         let mut g = ElementGraph::new(CostModel::default());
         let s = g.add(Box::new(PortScatter { fanout: 2 }));
-        let c = g.add(Box::new(Emit { port: 7, seen: 0 })); // port 7 unwired: exit
+        let c = g.add(Box::new(Emit { port: 7, seen: 0 }));
+        let d = g.add(Box::new(Emit { port: 0, seen: 0 })); // port 0 unwired: exit
         g.connect(s, 0, c);
         g.connect(s, 1, c);
+        g.connect(c, 7, d);
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        let out = g.run_batch(&mut ctx, batch_of(&[1, 2, 3, 4, 5, 6]));
+        let out = run(&mut g, &mut ctx, batch_of(&[1, 2, 3, 4, 5, 6]));
         let ports: Vec<u16> = out
             .returned
             .iter()
@@ -634,7 +532,7 @@ mod tests {
         g.add(Box::new(Sink));
         let mut m = machine();
         let mut ctx = m.ctx(CoreId(0));
-        let out = g.run_batch(&mut ctx, pp_net::batch::PacketBatch::with_capacity(4));
+        let out = run(&mut g, &mut ctx, Vec::new());
         assert_eq!(out.consumed, 0);
         assert!(out.returned.is_empty());
         assert!(out.dropped.is_empty());
@@ -651,7 +549,7 @@ mod tests {
         let mut m = machine();
         {
             let mut ctx = m.ctx(CoreId(0));
-            let _ = g.run(&mut ctx, packet());
+            run(&mut g, &mut ctx, vec![packet()]);
         }
         let total = m.core(CoreId(0)).counters.total().compute_cycles;
         assert_eq!(total, 2 * cost.element_hop.0 + 5 + 1);

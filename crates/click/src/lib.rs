@@ -16,18 +16,21 @@
 //! Use [`pipelines::build_flow`] for ready-made paper workloads, or compose
 //! custom graphs from [`elements`].
 //!
-//! ## Vectorized (batched) execution
+//! ## Vector execution
 //!
-//! Beyond the paper's packet-at-a-time model, the framework has a batched
-//! datapath ([`flow::FlowTask::with_batch_size`]): one engine turn receives
-//! a whole packet vector from the NIC (`rx_batch`), pushes it through the
-//! graph with [`graph::ElementGraph::run_batch`], and transmits/recycles it
-//! in one amortized NIC transaction. The cost-model contract is:
+//! The datapath is written for packet vectors
+//! ([`flow::FlowTask::with_batch_size`]): one engine turn receives a vector
+//! from the NIC (`rx_batch`), pushes it through the graph with
+//! [`graph::ElementGraph::run_batch_into`], and transmits/recycles it in one
+//! amortized NIC transaction. The default vector holds **one** packet —
+//! the paper's packet-at-a-time platform, every charge paid once per packet
+//! — and there is no second, per-packet implementation beside it. The
+//! cost-model contract, one-packet vectors on the left:
 //!
-//! | charge | scalar path | batched path |
+//! | charge | batch 1 (the paper's platform) | batch n |
 //! |---|---|---|
 //! | element dispatch (`element_hop`) + tag scope | per element **per packet** | per element **per batch** |
-//! | source/driver overhead | `per_packet_overhead` per packet | `batch_fixed_overhead` per batch + `batch_per_packet_overhead` per packet (the two sum to the scalar value) |
+//! | source/driver overhead | `per_packet_overhead` per packet | `batch_fixed_overhead` per batch + `batch_per_packet_overhead` per packet (the two sum to `per_packet_overhead`) |
 //! | [`flow::FrameworkChurn`] (I-cache/metadata footprint) | per packet | per batch |
 //! | NIC descriptor ring | read+write per packet | read+write per descriptor *cache line* (4 descriptors/line) |
 //! | NIC buffer free list | read+write per packet | read+write per batch |
@@ -38,10 +41,10 @@
 //! [`element::Element::process_batch`] to hoist per-packet setup and issue
 //! independent per-packet loads overlapped (`ExecCtx::read_batch` with
 //! [`element::BATCH_MLP`] lookahead — software prefetching across lanes);
-//! every other element runs unchanged through the default per-packet loop.
-//! A batch size of 1 reproduces the scalar path **bit for bit** (same
-//! packet, drop, cycle, and per-tag counters), which anchors batch-size
-//! sweeps (`repro batch`) to the paper's scalar numbers.
+//! every other element runs unchanged through the default per-packet loop,
+//! and the overrides themselves fall back to it for a one-packet vector.
+//! Batch-size sweeps (`repro batch`) are anchored to the paper's numbers at
+//! batch 1, pinned by output digests.
 //!
 //! ## Burst handoff in the pipeline configuration
 //!
@@ -49,7 +52,7 @@
 //! → [`flow::SinkStage`]) has the same vector treatment
 //! ([`pipelines::PipelineSpec::with_burst`]), with its own cost split:
 //!
-//! | charge | scalar handoff | burst handoff |
+//! | charge | burst 1 (§2.2's handoff) | burst n |
 //! |---|---|---|
 //! | `queue_op` compute | per packet | per burst |
 //! | head/tail control-line ping-pong | per packet | per burst |
@@ -60,8 +63,7 @@
 //!
 //! All queue charges carry the `handoff` function tag
 //! ([`elements::queue::HANDOFF_TAG`]), so experiments read the cross-core
-//! handoff cost directly; a burst of 1 is charge-identical to the scalar
-//! pipeline. The consumer's idle spin uses [`elements::queue::SpscQueue::poll`]
+//! handoff cost directly. The consumer's idle spin uses [`elements::queue::SpscQueue::poll`]
 //! (one head-line read, no `queue_op`). Both stages stamp/record per-packet
 //! ingress→egress simulated cycles into a
 //! [`LatencyHistogram`](pp_sim::latency::LatencyHistogram), making the
@@ -102,7 +104,7 @@ pub mod prelude {
     pub use crate::elements::synthetic::{SynParams, Synthetic};
     pub use crate::elements::vpn::VpnEncrypt;
     pub use crate::flow::{FlowTask, SinkStage, SourceStage};
-    pub use crate::graph::{BatchOutcome, ElementGraph, ElementId, GraphOutcome};
+    pub use crate::graph::{BatchOutcome, ElementGraph, ElementId};
     pub use crate::pipelines::{
         build_flow, build_pipeline, two_phase_parallel, two_phase_pipeline, BuiltFlow,
         ChainKind, FlowSpec, PipelineSpec, TwoPhaseParams,

@@ -131,8 +131,8 @@ pub struct FlowSpec {
     pub n_class_rules: usize,
     /// Prepend a `Control` element (for throttling experiments).
     pub with_control: bool,
-    /// Packets per engine turn: 0 = scalar path, n ≥ 1 = batched datapath
-    /// with n-packet vectors (see [`FlowTask::with_batch_size`]).
+    /// Packets per engine turn (see [`FlowTask::with_batch_size`]). The
+    /// default, 1, is the paper's per-packet platform; 0 means 1.
     pub batch_size: usize,
 }
 
@@ -154,7 +154,7 @@ impl FlowSpec {
             nat: NatConfig::default(),
             n_class_rules: 16_000,
             with_control: false,
-            batch_size: 0,
+            batch_size: 1,
         }
     }
 
@@ -324,11 +324,9 @@ pub fn build_flow(machine: &mut Machine, domain: MemDomain, spec: &FlowSpec) -> 
     let (graph, control) = build_graph(machine, domain, &nic, spec, false);
     let churn = FrameworkChurn::new(machine.allocator(domain), &spec.cost);
     let gen = TrafficGen::new(spec.traffic());
-    let mut task =
-        FlowTask::new(spec.kind.name(), gen, nic, graph, spec.cost).with_churn(churn);
-    if spec.batch_size >= 1 {
-        task = task.with_batch_size(spec.batch_size);
-    }
+    let task = FlowTask::new(spec.kind.name(), gen, nic, graph, spec.cost)
+        .with_churn(churn)
+        .with_batch_size(spec.batch_size);
     BuiltFlow { task, control }
 }
 
@@ -342,18 +340,18 @@ pub struct PipelineSpec {
     pub queue_domain: MemDomain,
     /// Ring capacity in descriptor slots.
     pub queue_capacity: usize,
-    /// Packets per cross-core handoff: 0 = scalar (one queue transaction
-    /// per packet), n ≥ 1 = burst mode through both stages
-    /// ([`SourceStage::with_batch_size`] / [`SinkStage::with_batch_size`];
-    /// 1 reproduces the scalar pipeline bit for bit).
+    /// Packets per cross-core handoff through both stages
+    /// ([`SourceStage::with_batch_size`] / [`SinkStage::with_batch_size`]).
+    /// The default, 1, is §2.2's one queue transaction per packet; 0
+    /// means 1.
     pub burst: usize,
 }
 
 impl PipelineSpec {
-    /// Scalar pipeline with the queue homed in `queue_domain` and the
+    /// Per-packet handoff with the queue homed in `queue_domain` and the
     /// default 128-slot ring.
     pub fn new(queue_domain: MemDomain) -> Self {
-        PipelineSpec { queue_domain, queue_capacity: 128, burst: 0 }
+        PipelineSpec { queue_domain, queue_capacity: 128, burst: 1 }
     }
 
     /// Override the ring capacity.
@@ -362,7 +360,7 @@ impl PipelineSpec {
         self
     }
 
-    /// Switch both stages to burst handoff (`burst` ≥ 1).
+    /// Hand off `burst` packets per queue transaction in both stages.
     pub fn with_burst(mut self, burst: usize) -> Self {
         self.burst = burst;
         self
@@ -398,7 +396,7 @@ pub fn build_pipeline(
     if !matches!(spec.kind, ChainKind::Syn(_)) {
         front.add(Box::new(CheckIpHeader::new(cost)));
     }
-    let mut src = SourceStage::new(
+    let src = SourceStage::new(
         format!("{}-front", spec.kind.name()),
         TrafficGen::new(spec.traffic()),
         nic.clone(),
@@ -431,11 +429,7 @@ pub fn build_pipeline(
     // stages also share one loss ledger.
     sink.share_pool(src.pool_handle());
     sink.share_drops(src.drop_handle());
-    if pipe.burst >= 1 {
-        src = src.with_batch_size(pipe.burst);
-        sink = sink.with_batch_size(pipe.burst);
-    }
-    (src, sink, queue)
+    (src.with_batch_size(pipe.burst), sink.with_batch_size(pipe.burst), queue)
 }
 
 /// Live re-placement for a two-stage pipeline: move both stages to a new
@@ -557,7 +551,7 @@ pub fn two_phase_pipeline(
         let alloc = machine.allocator(front_domain);
         front.add(Box::new(Synthetic::new(alloc, mk(p.seed), cost)));
     }
-    let mut src = SourceStage::new(
+    let src = SourceStage::new(
         "2phase-front",
         TrafficGen::new(TrafficSpec::random_dst(64, p.seed)),
         nic.clone(),
@@ -575,11 +569,7 @@ pub fn two_phase_pipeline(
     let mut sink = SinkStage::new("2phase-back", queue.clone(), back, nic);
     sink.share_pool(src.pool_handle());
     sink.share_drops(src.drop_handle());
-    if pipe.burst >= 1 {
-        src = src.with_batch_size(pipe.burst);
-        sink = sink.with_batch_size(pipe.burst);
-    }
-    (src, sink, queue)
+    (src.with_batch_size(pipe.burst), sink.with_batch_size(pipe.burst), queue)
 }
 
 #[cfg(test)]
@@ -670,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn burst_pipeline_runs_and_beats_scalar() {
+    fn burst_pipeline_runs_and_beats_burst_one() {
         let pps_at = |burst: usize| {
             let mut m = Machine::new(MachineConfig::westmere());
             let spec = FlowSpec::small(ChainKind::Mon, 21);
@@ -686,11 +676,11 @@ mod tests {
             assert!(lat.borrow().count() > 0, "sink must record latencies");
             meas.core(CoreId(1)).unwrap().metrics.pps
         };
-        let scalar = pps_at(0);
+        let burst1 = pps_at(1);
         let burst = pps_at(32);
         assert!(
-            burst > scalar * 1.02,
-            "burst-32 handoff should lift MON pipeline throughput: {scalar:.0} -> {burst:.0}"
+            burst > burst1 * 1.02,
+            "burst-32 handoff should lift MON pipeline throughput: {burst1:.0} -> {burst:.0}"
         );
     }
 

@@ -39,11 +39,10 @@ pub struct ExpParams {
     pub scale: Scale,
     /// Master seed; per-flow seeds are derived deterministically.
     pub seed: u64,
-    /// Packets per engine turn for every flow in the scenario: 0 runs the
-    /// scalar datapath (the paper's configuration and the default), n ≥ 1
-    /// runs the batched datapath with n-packet vectors. Profiling at
-    /// `batch_size > 0` is how the contention predictor is re-validated
-    /// under batching (see [`crate::batch_control`]).
+    /// Packets per engine turn for every flow in the scenario. The default,
+    /// 1, is the paper's per-packet platform; 0 is accepted and means 1.
+    /// Profiling at `batch_size > 1` is how the contention predictor is
+    /// re-validated under batching (see [`crate::batch_control`]).
     pub batch_size: usize,
 }
 
@@ -55,16 +54,15 @@ impl ExpParams {
     /// packets per sweep point and visibly smooths the Fig. 5/7 curves.
     /// `repro --packets N` overrides this knob for any size.
     pub fn paper() -> Self {
-        ExpParams { warmup_ms: 8.0, window_ms: 30.0, scale: Scale::Paper, seed: 42, batch_size: 0 }
+        ExpParams { warmup_ms: 8.0, window_ms: 30.0, scale: Scale::Paper, seed: 42, batch_size: 1 }
     }
 
     /// Fast test-scale measurement (used by unit/integration tests).
     pub fn quick() -> Self {
-        ExpParams { warmup_ms: 1.0, window_ms: 3.0, scale: Scale::Test, seed: 42, batch_size: 0 }
+        ExpParams { warmup_ms: 1.0, window_ms: 3.0, scale: Scale::Test, seed: 42, batch_size: 1 }
     }
 
-    /// Run every flow of the scenario on the batched datapath with
-    /// `batch`-packet vectors (0 restores the scalar path). Solo profiles,
+    /// Run every flow of the scenario with `batch`-packet vectors. Solo profiles,
     /// SYN ramps, and co-runs measured with the same `batch` compare like
     /// with like — the batched analogue of the paper's methodology.
     pub fn with_batch(mut self, batch: usize) -> Self {
@@ -72,7 +70,7 @@ impl ExpParams {
         self
     }
 
-    /// Resize the measurement window so a scalar flow covers roughly
+    /// Resize the measurement window so a batch-1 flow covers roughly
     /// `packets` packets — the one knob `repro --packets N` exposes for
     /// simulation size, replacing per-experiment window constants.
     ///

@@ -77,7 +77,6 @@ pub mod experiment;
 pub mod fleet;
 pub mod guard;
 pub mod model;
-pub mod persist;
 pub mod placement;
 pub mod predictor;
 pub mod profiler;
@@ -110,7 +109,6 @@ pub mod prelude {
         eq1_drop, worst_case_drop, BatchAmortization, CacheModel, CrossCoreHandoff,
         PAPER_DELTA_SECS,
     };
-    pub use crate::persist::{PersistError, ProfileStore, StoredProfile};
     pub use crate::placement::{
         enumerate_placements, evaluate_measured, evaluate_predicted, study_measured,
         study_predicted, Placement, PlacementEval,

@@ -179,7 +179,7 @@ impl BatchAmortization {
 ///
 /// `handoff/packet(b) = C / b + S * ceil(b / L) / b`
 ///
-/// which equals `C + S` at `b = 1` (the scalar pipeline) and falls to
+/// which equals `C + S` at `b = 1` (the per-packet pipeline) and falls to
 /// `S / L` as the burst grows — strictly decreasing over power-of-two burst
 /// sizes, the shape `repro pipeline-batch` asserts.
 ///

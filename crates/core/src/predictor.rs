@@ -58,8 +58,9 @@ use std::collections::HashMap;
 pub struct Predictor {
     solo: HashMap<FlowType, SoloProfile>,
     curves: HashMap<FlowType, SensitivityCurve>,
-    /// Drop vs competing *fills*/sec, from the same ramp runs (may be
-    /// empty when built from parts persisted by an older run).
+    /// Drop vs competing *fills*/sec, from the same ramp runs (empty when
+    /// built [`from_parts`](Self::from_parts) without
+    /// [`with_fill_curves`](Self::with_fill_curves)).
     fill_curves: HashMap<FlowType, SensitivityCurve>,
     /// SYN ramp length used for the curves.
     pub levels: u8,

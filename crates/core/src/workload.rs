@@ -122,8 +122,8 @@ impl FlowType {
     }
 
     /// Build with an explicit structure seed (shared across instances) and
-    /// datapath batch size (0 = the scalar path, n ≥ 1 = n-packet vectors;
-    /// see [`FlowSpec::batch_size`](pp_click::pipelines::FlowSpec)).
+    /// datapath batch size (packets per engine turn; see
+    /// [`FlowSpec::batch_size`](pp_click::pipelines::FlowSpec)).
     pub fn build_with_structure(
         &self,
         machine: &mut Machine,

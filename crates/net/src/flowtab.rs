@@ -280,14 +280,6 @@ impl<K: TabKey, V: Copy> FlowTable<K, V> {
         touched.push(Touch { offset: off, len, write: true });
     }
 
-    /// Host-side touch of a bucket's tag bytes — the software-prefetch hook
-    /// for batched probe phases. Returns a value derived from the tags so
-    /// the read cannot be optimized away (xor into a sink and `black_box`
-    /// it). Charges nothing; callers issue the simulated read separately.
-    pub fn prefetch_bucket(&self, bucket: usize) -> u8 {
-        self.tags[bucket].iter().fold(0, |a, &t| a ^ t)
-    }
-
     /// The entry at `(bucket, slot)`, if occupied (host-side).
     pub fn entry_at(&self, bucket: usize, slot: usize) -> Option<&(K, V)> {
         self.slots[bucket][slot].as_ref()

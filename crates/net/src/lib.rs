@@ -20,7 +20,6 @@ pub mod fivetuple;
 pub mod flowtab;
 pub mod gen;
 pub mod headers;
-pub mod hostopt;
 pub mod packet;
 pub mod pcap;
 pub mod pool;

@@ -480,19 +480,10 @@ impl Cache {
         self.set_index.of(tag) as usize * self.ways
     }
 
-    /// First way index of the set `addr` maps to (host-side helper for the
-    /// lockstep charging engine's dirty-set log; no simulated effect).
-    #[inline]
-    pub(crate) fn base_of(&self, addr: Addr) -> usize {
-        let tag = line_of(addr) >> CACHE_LINE_SHIFT;
-        self.set_index.of(tag) as usize * self.ways
-    }
-
-    /// Read-only probe for the lockstep charging engine: one scan of the
-    /// set computing the line's tag, the set's first way index, the match
-    /// mask, and the invalid-way mask. Touches no simulated state — the
-    /// probe is pure (it is also the engine's host-cache prewarm: the tag
-    /// block it scans is exactly what the later commit mutates).
+    /// Read-only probe for fused DMA delivery: one scan of the set
+    /// computing the line's tag, the set's first way index, the match mask,
+    /// and the invalid-way mask. Touches no simulated state (and warms the
+    /// host cache with the tag block the commit that follows mutates).
     #[inline]
     pub(crate) fn probe_scan(&self, addr: Addr) -> (u64, usize, u32, u32) {
         let (tag, base) = self.locate(addr);
@@ -501,28 +492,12 @@ impl Cache {
     }
 
     /// Commit a hit whose way is already known from a validated probe
-    /// ([`probe_scan`]), in the [`hit_update`](Self::hit_update) shape used
-    /// for private L1 lookups: identical clock, LRU, dirty, stats, and MRU
-    /// hint effects, minus the re-scan. The caller must have proved the
-    /// probe is still current (no tag mutation has touched this set since);
-    /// the debug assertion rechecks the contract.
-    #[inline]
-    pub(crate) fn hit_commit_l1(&mut self, tag: u64, base: usize, way: usize, write: bool) {
-        let i = base + way;
-        debug_assert_eq!(self.tags[i], tag, "stale lockstep hit hint");
-        self.clock += 1;
-        let keep = self.meta[i] & (META_PRESENCE_MASK | META_DIRTY);
-        self.meta[i] = (self.clock << META_LRU_SHIFT) | keep | (write as u64);
-        self.stats.hits += 1;
-        self.mru_tag = tag;
-        self.mru_way = way as u32;
-    }
-
-    /// Commit a hit whose way is already known from a validated probe, in
-    /// the [`access`](Self::access) shape used for L2/L3 lookups: identical
-    /// clock, LRU, dirty, presence-merge, and stats effects, minus the
-    /// re-scan (and, like `access`, no MRU-hint update). Same validity
-    /// contract as [`hit_commit_l1`](Self::hit_commit_l1).
+    /// ([`probe_scan`](Self::probe_scan)), in the [`access`](Self::access)
+    /// shape used for L2/L3 lookups: identical clock, LRU, dirty,
+    /// presence-merge, and stats effects, minus the re-scan (and, like
+    /// `access`, no MRU-hint update). The caller must have proved the probe
+    /// is still current (no tag mutation has touched this set since); the
+    /// debug assertion rechecks the contract.
     #[inline]
     pub(crate) fn hit_commit(
         &mut self,
@@ -533,7 +508,7 @@ impl Cache {
         presence: u16,
     ) {
         let i = base + way;
-        debug_assert_eq!(self.tags[i], tag, "stale lockstep hit hint");
+        debug_assert_eq!(self.tags[i], tag, "stale hit hint");
         self.clock += 1;
         let keep = self.meta[i] & (META_PRESENCE_MASK | META_DIRTY);
         self.meta[i] = (self.clock << META_LRU_SHIFT)
@@ -551,22 +526,6 @@ impl Cache {
         ((self.meta[base + way] & META_PRESENCE_MASK) >> META_PRESENCE_SHIFT) as u16
     }
 
-    /// Pre-touch the host memory of one set's packed metadata (pure loads,
-    /// no simulated state; the caller black-boxes the return). The probe
-    /// pass of the lockstep engine calls this for addresses that will
-    /// descend, so the victim-selection meta reads the commit performs run
-    /// against a warm host cache.
-    #[inline]
-    pub(crate) fn meta_touch(&self, base: usize) -> u64 {
-        let mut acc = 0u64;
-        let mut w = 0;
-        while w < self.ways {
-            acc ^= self.meta[base + w];
-            w += 8;
-        }
-        acc
-    }
-
     /// Commit a miss established by a validated probe: identical net effect
     /// to the canonical lookup-that-misses (one clock tick, one miss count,
     /// and the scan memo primed for the fill that follows) without
@@ -579,7 +538,7 @@ impl Cache {
     pub(crate) fn miss_commit(&mut self, tag: u64, base: usize, invalid: u32) {
         debug_assert!(
             self.find_way(tag, base).is_none(),
-            "stale lockstep miss hint: line became resident"
+            "stale miss hint: line became resident"
         );
         self.clock += 1;
         self.stats.misses += 1;

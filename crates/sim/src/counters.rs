@@ -20,9 +20,8 @@
 //!   registry ([`TagId::intern`]) at *construction* time (element graphs,
 //!   NIC queues, SPSC queues resolve their tags when they are built).
 //!   Entering a scope by [`CoreCounters::push_tag_id`] is then an O(1)
-//!   table lookup instead of a per-scope linear string search. The
-//!   name-based [`CoreCounters::push_tag`] remains as the slow
-//!   compatibility path. Reported tag *order* is still per-core first-use
+//!   table lookup instead of a per-scope linear string search; there is
+//!   no by-name entry point. Reported tag *order* is still per-core first-use
 //!   order, so measurement output does not depend on interning order.
 //!   Since PR 9 the registry is additionally *pre-registered* from the
 //!   canonical `KNOWN_TAGS` list, so a known tag's ID is a process-wide
@@ -271,8 +270,8 @@ impl CoreCounters {
     }
 
     fn tag_index(&mut self, name: &'static str) -> usize {
-        // Compatibility path: linear scan by name (construction-time code
-        // uses `TagId` handles instead).
+        // Linear scan by name, once per (core, tag): `push_tag_id` caches
+        // the result by handle.
         if let Some(i) = self.tags.iter().position(|(n, _)| *n == name) {
             i
         } else {
@@ -291,17 +290,9 @@ impl CoreCounters {
         self.pending = Counts::default();
     }
 
-    /// Enter a tag scope; accesses are attributed to `name` until the
-    /// matching [`pop_tag`](Self::pop_tag). Hot code should resolve the
-    /// name once with [`TagId::intern`] and use
-    /// [`push_tag_id`](Self::push_tag_id).
-    pub fn push_tag(&mut self, name: &'static str) {
-        self.flush();
-        let i = self.tag_index(name);
-        self.tag_stack.push(i as u32);
-    }
-
-    /// Enter a tag scope by precomputed handle: O(1), no string search.
+    /// Enter a tag scope: accesses are attributed to `tag` until the
+    /// matching [`pop_tag`](Self::pop_tag). O(1), no string search — callers
+    /// resolve the name once with [`TagId::intern`].
     #[inline]
     pub fn push_tag_id(&mut self, tag: TagId) {
         self.flush();
@@ -474,7 +465,7 @@ mod tests {
     fn bump_attributes_to_total_and_tag() {
         let mut cc = CoreCounters::new();
         cc.bump(|c| c.instructions += 1);
-        cc.push_tag("lookup");
+        cc.push_tag_id(TagId::intern("lookup"));
         cc.bump(|c| c.instructions += 2);
         cc.pop_tag();
         cc.bump(|c| c.instructions += 4);
@@ -486,9 +477,9 @@ mod tests {
     #[test]
     fn nested_tags_attribute_to_innermost() {
         let mut cc = CoreCounters::new();
-        cc.push_tag("outer");
+        cc.push_tag_id(TagId::intern("outer"));
         cc.bump(|c| c.l3_refs += 1);
-        cc.push_tag("inner");
+        cc.push_tag_id(TagId::intern("inner"));
         cc.bump(|c| c.l3_refs += 10);
         cc.pop_tag();
         cc.bump(|c| c.l3_refs += 100);
@@ -501,14 +492,14 @@ mod tests {
     #[test]
     fn snapshot_delta_isolates_window() {
         let mut cc = CoreCounters::new();
-        cc.push_tag("a");
+        cc.push_tag_id(TagId::intern("a"));
         cc.bump(|c| c.packets += 5);
         cc.pop_tag();
         let s1 = cc.snapshot();
-        cc.push_tag("a");
+        cc.push_tag_id(TagId::intern("a"));
         cc.bump(|c| c.packets += 3);
         cc.pop_tag();
-        cc.push_tag("b");
+        cc.push_tag_id(TagId::intern("b"));
         cc.bump(|c| c.packets += 2);
         cc.pop_tag();
         let s2 = cc.snapshot();

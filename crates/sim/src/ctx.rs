@@ -9,7 +9,7 @@
 //!
 //! Dependent loads stall the core for their full latency — this is what
 //! makes the paper's δ (extra time per converted miss) appear in end-to-end
-//! throughput. Function tags ([`scoped`](ExecCtx::scoped)) attribute counts
+//! throughput. Function tags ([`scoped_id`](ExecCtx::scoped_id)) attribute counts
 //! to named processing steps, as in Fig. 7.
 //!
 //! [`read`]: ExecCtx::read
@@ -139,45 +139,8 @@ impl<'a> ExecCtx<'a> {
         if addrs.is_empty() {
             return;
         }
-        let total =
-            crate::reference::charge_read_batch_serial(self.machine, self.core, addrs);
-        self.finish_batch(addrs.len() as u64, total, mlp);
-    }
-
-    /// [`read_batch`](Self::read_batch) charged through the **lockstep
-    /// engine** (PR 5): a level-synchronous probe pass classifies all
-    /// addresses per hierarchy level as a group (descending only the miss
-    /// subset), then a serial-order commit replays every simulated
-    /// mutation canonically, consuming validated probe hints to skip the
-    /// re-scans. Results are bit-for-bit those of `read_batch` — the
-    /// equivalence argument lives in the `pp-sim::lockstep` module, and the
-    /// workspace property tests drive both paths through identical
-    /// batches (forced set collisions, same-line duplicates, cross-core
-    /// shared lines) asserting identical counters, stats, residency, and
-    /// clocks.
-    ///
-    /// **Measured finding (PR 5, this container):** the engine runs at
-    /// parity to ~25% *slower* than the serial walk across the
-    /// `benches/charging.rs` scenarios, because the PR-3 serial path
-    /// already overlaps host-memory latency (the blind batch prewarm) and
-    /// never re-scans redundantly (miss-memo + MRU hints) — the probe
-    /// phase's classification bookkeeping buys nothing those mechanisms
-    /// had not already banked. Production `read_batch` therefore stays on
-    /// the serial walk; this entry point keeps the engine exercised,
-    /// proven, and benchmarked so the crossover can be re-evaluated on
-    /// hosts with different memory systems.
-    pub fn read_batch_lockstep(&mut self, addrs: &[Addr], mlp: u32) {
-        if addrs.is_empty() {
-            return;
-        }
         let total = self.machine.charge_read_batch(self.core, addrs);
-        self.finish_batch(addrs.len() as u64, total, mlp);
-    }
-
-    /// Shared tail of the batched-read paths: apply the MLP overlap to the
-    /// summed latency, advance the clock, and account the stall.
-    #[inline]
-    fn finish_batch(&mut self, n: u64, total: Cycles, mlp: u32) {
+        let n = addrs.len() as u64;
         let mlp = mlp.clamp(1, self.machine.config().max_mlp) as u64;
         let stall = (total / mlp).max(n);
         let cs = self.machine.core_mut(self.core);
@@ -226,28 +189,11 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Attribute everything inside `f` to the function tag `name`
-    /// (innermost-tag-wins, like a profiler's leaf attribution).
-    ///
-    /// This is the by-name compatibility path (a linear tag search per
-    /// scope); hot callers resolve the name once at construction with
-    /// [`TagId::intern`](crate::counters::TagId::intern) and use
-    /// [`scoped_id`](Self::scoped_id).
-    #[inline]
-    pub fn scoped<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        let cs = self.machine.core_mut(self.core);
-        cs.counters.push_tag(name);
-        let depth = cs.counters.tag_depth();
-        let r = f(self);
-        let cs = self.machine.core_mut(self.core);
-        debug_assert_eq!(cs.counters.tag_depth(), depth, "unbalanced tag scope");
-        cs.counters.pop_tag();
-        r
-    }
-
-    /// [`scoped`](Self::scoped) with a precomputed
-    /// [`TagId`](crate::counters::TagId): scope entry is an O(1) table
-    /// lookup. Attribution is identical to `scoped(tag.name(), f)`.
+    /// Attribute everything inside `f` to the function tag `tag`
+    /// (innermost-tag-wins, like a profiler's leaf attribution). Callers
+    /// resolve the name once with
+    /// [`TagId::intern`](crate::counters::TagId::intern); scope entry is an
+    /// O(1) table lookup.
     #[inline]
     pub fn scoped_id<R>(
         &mut self,
@@ -383,7 +329,7 @@ mod tests {
         let mut m = machine();
         let a = MemDomain(0).base() + 0x100;
         let mut ctx = m.ctx(CoreId(0));
-        ctx.scoped("lookup", |ctx| {
+        ctx.scoped_id(crate::counters::TagId::intern("lookup"), |ctx| {
             ctx.read(a);
         });
         ctx.read(a + 4096);
@@ -495,106 +441,6 @@ mod tests {
             assert_eq!(fast.l1_holds(CoreId(0), addr), slow.l1_holds(CoreId(0), addr));
             assert_eq!(fast.l2_holds(CoreId(0), addr), slow.l2_holds(CoreId(0), addr));
         }
-    }
-
-    /// Drive the lockstep engine and the preserved serial reference
-    /// through identical random batch traces — dense line universes (to
-    /// force set collisions and intra-batch eviction interference),
-    /// same-line duplicates, interleaved scalar writes (dirty lines whose
-    /// victim chains the commit must replay), and cross-core shared writes
-    /// (back-invalidation pressure) — and require identical counters,
-    /// clocks, cache stats, and residency after every batch.
-    #[test]
-    fn lockstep_matches_serial_reference_on_random_traces() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..6u64 {
-            let mut fast = machine();
-            let mut slow = machine();
-            let mut rng = SmallRng::seed_from_u64(0xB0A7 + seed);
-            let base = MemDomain(0).base();
-            // A small universe of lines guarantees L1-set collisions
-            // (64 L1 sets) and frequent duplicates within one batch.
-            let span: u64 = [48, 256, 4096, 1 << 16][(seed % 4) as usize];
-            let mut addrs = Vec::new();
-            for step in 0..300 {
-                let n = rng.random_range(2..=64usize);
-                addrs.clear();
-                for _ in 0..n {
-                    addrs.push(base + rng.random_range(0..span) * 64);
-                }
-                let mlp = rng.random_range(1..=12u32);
-                fast.ctx(CoreId(0)).read_batch_lockstep(&addrs, mlp);
-                slow.ctx(CoreId(0)).read_batch(&addrs, mlp);
-                if step % 7 == 0 {
-                    // Dirty a line on the batch core: later batches must
-                    // replay its writeback victim chain identically.
-                    let w = base + rng.random_range(0..span) * 64;
-                    fast.ctx(CoreId(0)).write(w);
-                    slow.ctx(CoreId(0)).write(w);
-                }
-                if step % 11 == 0 {
-                    // Cross-core shared write: invalidates core 0's copy
-                    // and leaves the line dirty in core 1's L1, so a later
-                    // batch's L3 eviction can back-invalidate mid-commit.
-                    let s = base + rng.random_range(0..span) * 64;
-                    fast.ctx(CoreId(1)).shared_write(s);
-                    slow.ctx(CoreId(1)).shared_write(s);
-                }
-                assert_eq!(
-                    fast.core(CoreId(0)).counters.total(),
-                    slow.core(CoreId(0)).counters.total(),
-                    "counters diverged at step {step} (seed {seed})"
-                );
-                assert_eq!(fast.core(CoreId(0)).clock, slow.core(CoreId(0)).clock);
-                assert_eq!(fast.l1_stats(CoreId(0)), slow.l1_stats(CoreId(0)));
-                assert_eq!(fast.l2_stats(CoreId(0)), slow.l2_stats(CoreId(0)));
-                assert_eq!(fast.l3_stats(SocketId(0)), slow.l3_stats(SocketId(0)));
-                assert_eq!(
-                    fast.memctrl_stats(SocketId(0)).total_queue_delay,
-                    slow.memctrl_stats(SocketId(0)).total_queue_delay,
-                    "memctrl arrival-order divergence at step {step} (seed {seed})"
-                );
-            }
-            for line in 0..span.min(4096) {
-                let a = base + line * 64;
-                assert_eq!(fast.l1_holds(CoreId(0), a), slow.l1_holds(CoreId(0), a));
-                assert_eq!(fast.l2_holds(CoreId(0), a), slow.l2_holds(CoreId(0), a));
-                assert_eq!(fast.l3_holds(SocketId(0), a), slow.l3_holds(SocketId(0), a));
-            }
-        }
-    }
-
-    /// The lockstep engine must fall back to the serial walk (and stay
-    /// bit-identical) when the hardware prefetcher is enabled — its
-    /// neighbour-line fills couple batch addresses in ways the dirty log
-    /// does not model.
-    #[test]
-    fn lockstep_with_prefetcher_matches_reference() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut cfg = MachineConfig::westmere();
-        cfg.prefetch.enabled = true;
-        let mut fast = Machine::new(cfg.clone());
-        let mut slow = Machine::new(cfg);
-        let mut rng = SmallRng::seed_from_u64(99);
-        let base = MemDomain(0).base();
-        let mut addrs = Vec::new();
-        for _ in 0..100 {
-            addrs.clear();
-            let start = rng.random_range(0..4096u64);
-            for k in 0..16u64 {
-                addrs.push(base + (start + k) * 64); // sequential: trains streams
-            }
-            fast.ctx(CoreId(0)).read_batch_lockstep(&addrs, 8);
-            slow.ctx(CoreId(0)).read_batch(&addrs, 8);
-        }
-        assert_eq!(
-            fast.core(CoreId(0)).counters.total(),
-            slow.core(CoreId(0)).counters.total()
-        );
-        assert_eq!(fast.prefetch_stats(CoreId(0)), slow.prefetch_stats(CoreId(0)));
-        assert_eq!(fast.core(CoreId(0)).clock, slow.core(CoreId(0)).clock);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub struct DropStats {
     /// `rx_batch`). Counted per packet.
     pub nic_rx_exhausted: u64,
     /// Dropped because the cross-core handoff queue was full (pipeline
-    /// configuration; the scalar push's counted-drop outcome). Counted
-    /// per packet.
+    /// configuration; the rejected tail of a `push_burst`). Counted per
+    /// packet.
     pub queue_full: u64,
     /// Dropped by an element verdict (`Action::Drop` — e.g. a corrupted
     /// header failing `CheckIpHeader`). These packets *were* delivered

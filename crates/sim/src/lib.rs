@@ -67,15 +67,16 @@
 //! The PR-2-era implementations live on in [`mod@reference`] as executable
 //! specifications; property tests drive old and new through identical
 //! operation traces and require identical hits, misses, evictions,
-//! presence masks, counters, and clocks. `repro perf` (pp-bench) tracks
-//! the resulting simulated-packets-per-wall-second in `BENCH_sim.json`.
+//! presence masks, counters, and clocks. The repo's benchmark
+//! (`benchmark/`, `BENCHMARK.json`) tracks the resulting simulated packets
+//! per host second.
 //!
-//! PR 5 added the **lockstep batched charging engine**
-//! ([`ctx::ExecCtx::read_batch_lockstep`]; design and the measured
-//! finding in the `lockstep` module), empty-cache shortcuts on every
-//! read-only probe, a fused single-scan DMA delivery, and an 8+8
-//! split-scan for 16-way sets — all proven bit-identical by the same
-//! reference harness.
+//! PR 5 added empty-cache shortcuts on every read-only probe, a fused
+//! single-scan DMA delivery, and an 8+8 split-scan for 16-way sets — all
+//! proven bit-identical by the same reference harness. (Its level-synchronous
+//! *lockstep* charging engine for `read_batch` was proven identical,
+//! measured at parity to 25 % slower than the serial walk, and deleted;
+//! ARCHITECTURE.md keeps the finding.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,7 +91,6 @@ pub mod engine;
 pub mod fault;
 pub mod interconnect;
 pub mod latency;
-pub(crate) mod lockstep;
 pub mod machine;
 pub mod memctrl;
 pub mod nic;

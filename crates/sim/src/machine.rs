@@ -10,7 +10,6 @@ use crate::cache::{Cache, CacheStats, LookupResult};
 use crate::config::MachineConfig;
 use crate::counters::CoreCounters;
 use crate::interconnect::Interconnect;
-use crate::lockstep::{LockstepPlan, PlanLevel};
 use crate::memctrl::{MemCtrl, MemCtrlStats};
 use crate::prefetch::{PrefetchStats, StreamPrefetcher};
 use crate::types::{
@@ -43,13 +42,6 @@ pub struct Machine {
     allocators: Vec<DomainAllocator>,
     /// Per-core stream prefetchers (empty when disabled in the config).
     prefetchers: Vec<StreamPrefetcher>,
-    /// Reusable host-side state for the lockstep charging engine (see
-    /// [`charge_read_batch`](Self::charge_read_batch)).
-    lockstep: LockstepPlan,
-    /// Whether this machine's cache geometries fit the lockstep plan's
-    /// compact fields (≤ 16 ways, set bases in `u32`); checked once here
-    /// so the per-batch gate is one load.
-    lockstep_geom_ok: bool,
     /// Lines delivered by DMA since construction (diagnostic).
     pub dma_lines: u64,
 }
@@ -84,9 +76,6 @@ impl Machine {
         } else {
             Vec::new()
         };
-        let lockstep_geom_ok = [cfg.l1, cfg.l2, cfg.l3].iter().all(|g| {
-            g.ways <= 16 && g.num_sets() * g.ways as u64 <= u32::MAX as u64
-        });
         Machine {
             cfg,
             cores,
@@ -97,8 +86,6 @@ impl Machine {
             qpi,
             allocators,
             prefetchers,
-            lockstep: LockstepPlan::default(),
-            lockstep_geom_ok,
             dma_lines: 0,
         }
     }
@@ -232,7 +219,7 @@ impl Machine {
                 self.memctrl[home.index()].posted_prefetch(now);
                 self.prefetchers[ci].stats.dram_fills += 1;
                 let mask = self.l3_mask(ci);
-                let _ = self.fill_l3(si, line, false, pres, now, mask);
+                self.fill_l3(si, line, false, pres, now, mask);
             }
             self.fill_l2(ci, line, now);
         }
@@ -382,7 +369,7 @@ impl Machine {
         lat += self.memctrl[home.index()].demand_read(now);
 
         let mask = self.l3_mask(ci);
-        let _ = self.fill_l3(si, addr, false, pres, now, mask);
+        self.fill_l3(si, addr, false, pres, now, mask);
         self.fill_l2(ci, addr, now);
         self.fill_l1(ci, addr, write, now);
         self.cores[ci].counters.bump(|c| {
@@ -399,296 +386,28 @@ impl Machine {
         }
     }
 
-    /// The **lockstep charging engine** (PR 5): charge a
-    /// [`read_batch_lockstep`](crate::ctx::ExecCtx::read_batch_lockstep)'s
-    /// independent loads
-    /// with a level-synchronous probe phase (one read-only pass per
-    /// hierarchy level over all still-pending tags, descending only the
-    /// miss subset) followed by a serial-order commit phase that performs
-    /// every simulated mutation through the canonical operations, skipping
-    /// only the tag re-scans the probe already did. Returns the summed
-    /// core-visible latency, exactly as the serial walk would.
+    /// The charging walk of a
+    /// [`read_batch`](crate::ctx::ExecCtx::read_batch): a host-cache
+    /// prewarm followed by one full [`demand_access`](Self::demand_access)
+    /// walk per address, in address order. Returns the summed core-visible
+    /// latency; the caller applies the MLP overlap and advances the clock.
     ///
-    /// Results are bit-for-bit identical to the serial reference walk
-    /// (`reference::charge_read_batch_serial`);
-    /// the eligibility rules, hint-validity protocol, and equivalence
-    /// argument live in the [`lockstep`](crate::lockstep) module docs.
-    /// Serial fallbacks: batches of fewer than two addresses (nothing to
-    /// overlap) and machines with the hardware prefetcher enabled (its
-    /// neighbour-line fills couple the batch's addresses in ways the
-    /// per-set dirty log does not capture).
+    /// Serial order is part of the model: memory-controller and QPI delays
+    /// depend on arrival order, and a batch's own fills and
+    /// back-invalidations decide what its later addresses find. (A
+    /// level-synchronous alternative was built, proven bit-identical and
+    /// measured slower; ARCHITECTURE.md keeps the finding.)
     pub(crate) fn charge_read_batch(&mut self, core: CoreId, addrs: &[Addr]) -> Cycles {
-        /// Below this batch size the plan bookkeeping costs more than the
-        /// re-scans it saves (measured with `benches/charging.rs`); tiny
-        /// batches (AES table touches, short trie tails) stay serial.
-        const MIN_LOCKSTEP: usize = 8;
-        if addrs.len() < MIN_LOCKSTEP
-            || !self.prefetchers.is_empty()
-            || !self.lockstep_geom_ok
-        {
-            return crate::reference::charge_read_batch_serial(self, core, addrs);
-        }
-        let mut plan = std::mem::take(&mut self.lockstep);
-        plan.reset(addrs.len());
-        plan.mark_duplicates(addrs.iter().map(|&a| line_of(a)));
-        let l1_misses = self.plan_probe(core, addrs, &mut plan);
-        // Fill-budget bail: when most of the batch descends, nearly every
-        // commit fills — the dirty filter saturates and hints die anyway,
-        // so skip them and replay the canonical serial walk outright. The
-        // probe still paid for itself as the *targeted* prewarm (it
-        // touched exactly the sets the walk is about to need, no more).
-        let total = if l1_misses * 4 > addrs.len() {
-            let mut total: Cycles = 0;
-            for &a in addrs {
-                total += self.demand_access(core, a, AccessKind::Read);
-            }
-            total
-        } else {
-            self.plan_commit(core, addrs, &mut plan)
-        };
-        self.lockstep = plan;
-        total
-    }
-
-    /// Probe phase of the lockstep engine: level-major, read-only, and
-    /// host-pure (no simulated state is touched, so running it early
-    /// cannot change results). Each pass scans all pending tags at one
-    /// level as a group — dense, branch-predictable loops over the SoA tag
-    /// arrays — and only the miss subset descends. The scanned tag blocks
-    /// (plus a meta touch for descending addresses) double as the
-    /// host-cache prewarm the commit phase then hits.
-    fn plan_probe(&mut self, core: CoreId, addrs: &[Addr], plan: &mut LockstepPlan) -> usize {
-        let ci = core.index();
-        let si = self.cores[ci].socket.index();
-        // L1 pass over the first occurrence of every line (duplicates were
-        // left Unplanned by mark_duplicates and are never probed).
-        plan.misses.clear();
-        for k in 0..plan.pending.len() {
-            let i = plan.pending[k] as usize;
-            let (tag, base, mask, invalid) = self.l1[ci].probe_scan(addrs[i]);
-            let e = &mut plan.entries[i];
-            e.tag = tag;
-            e.base1 = base as u32;
-            if mask != 0 {
-                e.level = PlanLevel::L1Hit;
-                e.way = mask.trailing_zeros() as u8;
-            } else {
-                e.inv1 = invalid as u16;
-                e.level = PlanLevel::Mem; // provisional; refined below
-                plan.misses.push(i as u32);
-            }
-        }
-        std::mem::swap(&mut plan.pending, &mut plan.misses);
-        let l1_misses = plan.pending.len();
-        // L2 pass over the L1-miss subset.
-        let mut warm = 0u64;
-        plan.misses.clear();
-        for k in 0..plan.pending.len() {
-            let i = plan.pending[k] as usize;
-            let (_, base, mask, invalid) = self.l2[ci].probe_scan(addrs[i]);
-            let e = &mut plan.entries[i];
-            e.base2 = base as u32;
-            if mask != 0 {
-                e.level = PlanLevel::L2Hit;
-                e.way = mask.trailing_zeros() as u8;
-            } else {
-                e.inv2 = invalid as u16;
-                warm ^= self.l2[ci].meta_touch(base);
-                plan.misses.push(i as u32);
-            }
-        }
-        std::mem::swap(&mut plan.pending, &mut plan.misses);
-        // L3 pass over the L2-miss subset.
-        for k in 0..plan.pending.len() {
-            let i = plan.pending[k] as usize;
-            let (_, base, mask, invalid) = self.l3[si].probe_scan(addrs[i]);
-            let e = &mut plan.entries[i];
-            e.base3 = base as u32;
-            if mask != 0 {
-                e.level = PlanLevel::L3Hit;
-                e.way = mask.trailing_zeros() as u8;
-            } else {
-                e.inv3 = invalid as u16;
-                warm ^= self.l3[si].meta_touch(base);
-            }
-        }
-        std::hint::black_box(warm);
-        l1_misses
-    }
-
-    /// Commit phase of the lockstep engine: one pass in exact serial
-    /// address order performing every simulated mutation (LRU refreshes,
-    /// fills with their victim chains, memory-controller/QPI arrivals)
-    /// through the canonical operations. A probe hint is consumed only if
-    /// its set's tags are untouched since the probe (the per-level dirty
-    /// logs); otherwise the address falls back to the canonical scans —
-    /// state-identical either way. Counter deltas are accumulated locally
-    /// and flushed in one merged bump (sums identical to the per-address
-    /// bumps; bump order is unobservable through the pending accumulator,
-    /// as established in PR 3).
-    fn plan_commit(&mut self, core: CoreId, addrs: &[Addr], plan: &mut LockstepPlan) -> Cycles {
-        let ci = core.index();
-        let socket = self.cores[ci].socket;
-        let si = socket.index();
-        let now = self.cores[ci].clock;
-        let pres = Self::presence_bit(core);
-        let (mut l1r, mut l1h, mut l2r, mut l2h) = (0u64, 0u64, 0u64, 0u64);
-        let (mut l3r, mut l3h, mut l3m, mut rem) = (0u64, 0u64, 0u64, 0u64);
+        // Pre-touch every address's set metadata (pure host loads, no
+        // simulated state) so their host-memory latencies overlap before
+        // the serial walk — the host-side analogue of the MLP this call
+        // models.
+        std::hint::black_box(self.prewarm_batch(core, addrs));
         let mut total: Cycles = 0;
-        for (i, &addr) in addrs.iter().enumerate() {
-            let e = plan.entries[i];
-            l1r += 1;
-            let l1_hit = match e.level {
-                PlanLevel::L1Hit if plan.dirty_l1.clean(e.base1) => {
-                    self.l1[ci].hit_commit_l1(e.tag, e.base1 as usize, e.way as usize, false);
-                    true
-                }
-                PlanLevel::L2Hit | PlanLevel::L3Hit | PlanLevel::Mem
-                    if plan.dirty_l1.clean(e.base1) =>
-                {
-                    // A probed miss stays a miss: no other address's commit
-                    // can insert this (distinct) line, and the clean dirty
-                    // log proves the invalid-way memo is current.
-                    self.l1[ci].miss_commit(e.tag, e.base1 as usize, e.inv1 as u32);
-                    false
-                }
-                _ => {
-                    // Unplanned (duplicate line) or invalidated hint: the
-                    // canonical L1 lookup, exactly as `demand_access` +
-                    // `l1_missed_access` perform it.
-                    if self.l1[ci].hit_update(addr, false) {
-                        true
-                    } else {
-                        self.l1[ci].record_miss();
-                        false
-                    }
-                }
-            };
-            if l1_hit {
-                l1h += 1;
-                total += self.cfg.lat_l1;
-                continue;
-            }
-            // `prefetch_train` is skipped: lockstep batches only run with
-            // the prefetcher disabled (see charge_read_batch), where the
-            // canonical call is a no-op.
-            l2r += 1;
-            let planned2 =
-                matches!(e.level, PlanLevel::L2Hit | PlanLevel::L3Hit | PlanLevel::Mem);
-            let l2_hit = if planned2 && plan.dirty_l2.clean(e.base2) {
-                if e.level == PlanLevel::L2Hit {
-                    self.l2[ci].hit_commit(e.tag, e.base2 as usize, e.way as usize, false, 0);
-                    true
-                } else {
-                    self.l2[ci].miss_commit(e.tag, e.base2 as usize, e.inv2 as u32);
-                    false
-                }
-            } else {
-                self.l2[ci].access(addr, false, 0) == LookupResult::Hit
-            };
-            if l2_hit {
-                self.fill_l1_logged(ci, addr, false, now, plan);
-                l2h += 1;
-                total += self.cfg.lat_l2;
-                continue;
-            }
-            l3r += 1;
-            let planned3 = matches!(e.level, PlanLevel::L3Hit | PlanLevel::Mem);
-            let l3_hit = if planned3 && plan.dirty_l3.clean(e.base3) {
-                if e.level == PlanLevel::L3Hit {
-                    self.l3[si].hit_commit(e.tag, e.base3 as usize, e.way as usize, false, pres);
-                    true
-                } else {
-                    self.l3[si].miss_commit(e.tag, e.base3 as usize, e.inv3 as u32);
-                    false
-                }
-            } else {
-                self.l3[si].access(addr, false, pres) == LookupResult::Hit
-            };
-            if l3_hit {
-                self.fill_l2_logged(ci, addr, now, plan);
-                self.fill_l1_logged(ci, addr, false, now, plan);
-                l3h += 1;
-                total += self.cfg.lat_l3;
-                continue;
-            }
-            l3m += 1;
-            let home = domain_of(addr).home_socket();
-            let mut lat = self.cfg.lat_dram();
-            if home != socket {
-                lat += self.qpi.transfer(socket, home, now);
-                rem += 1;
-            }
-            lat += self.memctrl[home.index()].demand_read(now);
-            let mask = self.l3_mask(ci);
-            self.fill_l3_logged(si, ci, addr, false, pres, now, mask, plan);
-            self.fill_l2_logged(ci, addr, now, plan);
-            self.fill_l1_logged(ci, addr, false, now, plan);
-            total += lat;
+        for &a in addrs {
+            total += self.demand_access(core, a, AccessKind::Read);
         }
-        self.cores[ci].counters.bump(|c| {
-            c.l1_refs += l1r;
-            c.l1_hits += l1h;
-            c.l2_refs += l2r;
-            c.l2_hits += l2h;
-            c.l3_refs += l3r;
-            c.l3_hits += l3h;
-            c.l3_misses += l3m;
-            c.remote_accesses += rem;
-        });
         total
-    }
-
-    /// [`fill_l1`](Self::fill_l1) plus a dirty-log entry for the mutated
-    /// L1 set (lockstep commit only).
-    #[inline]
-    fn fill_l1_logged(
-        &mut self,
-        ci: usize,
-        addr: Addr,
-        dirty: bool,
-        now: Cycles,
-        plan: &mut LockstepPlan,
-    ) {
-        plan.dirty_l1.push(self.l1[ci].base_of(addr));
-        self.fill_l1(ci, addr, dirty, now);
-    }
-
-    /// [`fill_l2`](Self::fill_l2) plus a dirty-log entry for the mutated
-    /// L2 set (lockstep commit only).
-    #[inline]
-    fn fill_l2_logged(&mut self, ci: usize, addr: Addr, now: Cycles, plan: &mut LockstepPlan) {
-        plan.dirty_l2.push(self.l2[ci].base_of(addr));
-        self.fill_l2(ci, addr, now);
-    }
-
-    /// [`fill_l3`](Self::fill_l3) plus dirty-log entries for the mutated
-    /// L3 set and — when the displaced line was back-invalidated out of
-    /// the charging core's private caches — the victim's L1/L2 sets
-    /// (lockstep commit only; hints only exist for the charging core, so
-    /// other cores' invalidations need no log).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn fill_l3_logged(
-        &mut self,
-        si: usize,
-        ci: usize,
-        addr: Addr,
-        dirty: bool,
-        presence: u16,
-        now: Cycles,
-        way_mask: u64,
-        plan: &mut LockstepPlan,
-    ) {
-        plan.dirty_l3.push(self.l3[si].base_of(addr));
-        if let Some((victim_line, victim_pres)) =
-            self.fill_l3(si, addr, dirty, presence, now, way_mask)
-        {
-            if victim_pres & (1u16 << ci) != 0 {
-                plan.dirty_l1.push(self.l1[ci].base_of(victim_line));
-                plan.dirty_l2.push(self.l2[ci].base_of(victim_line));
-            }
-        }
     }
 
     /// Union of the L3 directory masks for a line over all sockets. Because
@@ -743,11 +462,6 @@ impl Machine {
     /// Evicting a line back-invalidates every private copy recorded in the
     /// directory mask; dirty data (from the L3 line or any private copy) is
     /// posted to the home controller.
-    ///
-    /// Returns the evicted line and its directory presence mask, if a line
-    /// was displaced — the lockstep engine logs the back-invalidated sets
-    /// from it (see [`fill_l3_logged`](Self::fill_l3_logged)); other
-    /// callers ignore the return value.
     fn fill_l3(
         &mut self,
         si: usize,
@@ -756,14 +470,14 @@ impl Machine {
         presence: u16,
         now: Cycles,
         way_mask: u64,
-    ) -> Option<(Addr, u16)> {
+    ) {
         // The unmasked specialization serves the no-CAT common case.
         let ev = if way_mask == u64::MAX {
             self.l3[si].insert(addr, dirty, presence)
         } else {
             self.l3[si].insert_masked(addr, dirty, presence, way_mask)
         };
-        let ev = ev?;
+        let Some(ev) = ev else { return };
         let mut any_dirty = ev.dirty;
         if ev.presence != 0 {
             let mut mask = ev.presence;
@@ -784,7 +498,6 @@ impl Machine {
             let home = domain_of(ev.line_addr).home_socket();
             self.memctrl[home.index()].posted_write(now);
         }
-        Some((ev.line_addr, ev.presence))
     }
 
     /// A load of a line that other cores may hold modified (cross-core
@@ -906,7 +619,7 @@ impl Machine {
                     None => {
                         self.l3[si].miss_commit(tag, base, invalid);
                         // IO fills are not subject to any core's CAT mask.
-                        let _ = self.fill_l3(si, line, true, 0, now, u64::MAX);
+                        self.fill_l3(si, line, true, 0, now, u64::MAX);
                     }
                 }
             } else {

@@ -96,10 +96,10 @@ impl QueueModel {
     /// arrivals the rate window has already counted, so two traces are
     /// only bit-identical if they submit arrivals in the same order —
     /// demand reads *and* the posted writes interleaved between them.
-    /// This is why the lockstep charging engine replays its commit phase
-    /// in exact serial address order (see `pp-sim::lockstep`), and why
-    /// the equivalence property tests compare `total_queue_delay`
-    /// directly: it is the most order-sensitive observable in the model.
+    /// This is why `read_batch` charges its addresses in exact serial
+    /// order (`Machine::charge_read_batch`), and why equivalence tests
+    /// compare `total_queue_delay` directly: it is the most
+    /// order-sensitive observable in the model.
     #[inline]
     pub fn arrival(&mut self, now: Cycles) -> Cycles {
         self.advance(now);
@@ -201,8 +201,8 @@ mod tests {
 
     #[test]
     fn arrival_order_is_observable() {
-        // The invariant the lockstep engine's serial-order commit exists
-        // to preserve: interleaving the same arrivals differently yields
+        // The invariant the serial-order charging walk exists to
+        // preserve: interleaving the same arrivals differently yields
         // different per-arrival delays (even though the multiset of
         // arrivals is identical).
         let run = |writes_first: bool| {

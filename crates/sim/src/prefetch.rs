@@ -14,15 +14,12 @@
 //! bandwidth cost at the memory controller) are performed by the
 //! [`Machine`](crate::machine::Machine), which owns the caches.
 //!
-//! **Lockstep interaction (PR 5):** training order is part of the
-//! simulated semantics — each L2-observed access advances stream state,
-//! and the fills a confident stream issues land at *neighbouring* lines,
-//! coupling every address in a batch to every other through sets no
-//! per-address plan can predict. The lockstep charging engine therefore
-//! refuses batches on machines with the prefetcher enabled and replays
-//! them through the serial reference walk, which trains (and fills) in
-//! exact access order (see `Machine::charge_read_batch` and the
-//! `lockstep_with_prefetcher_matches_reference` test).
+//! **Training order is part of the simulated semantics** — each
+//! L2-observed access advances stream state, and the fills a confident
+//! stream issues land at *neighbouring* lines, coupling every address in a
+//! batch to every other through sets no per-address plan can predict. A
+//! `read_batch` therefore trains (and fills) in exact access order (see
+//! `Machine::charge_read_batch`).
 
 use crate::types::{Addr, CACHE_LINE_SHIFT};
 

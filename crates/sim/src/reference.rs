@@ -17,43 +17,7 @@
 
 use crate::cache::{CacheStats, Evicted, LookupResult};
 use crate::config::CacheGeom;
-use crate::machine::Machine;
-use crate::types::{line_of, AccessKind, Addr, CoreId, Cycles, CACHE_LINE_SHIFT};
-
-/// The serial `read_batch` charging walk, verbatim as PR 3 shipped it: a
-/// host-cache prewarm followed by one full
-/// [`demand_access`](crate::machine::Machine) walk per address, in address
-/// order. This is the executable specification the PR-5 **lockstep
-/// charging engine** is proved against (see the [`crate::lockstep`] module
-/// docs for the equivalence argument): property tests drive both through
-/// identical batches — including forced set collisions, same-line
-/// duplicates, and cross-core shared lines — and require identical
-/// counters, cache stats, residency, and clocks. It is also the engine's
-/// fallback for batches it declines (small batches, the hardware
-/// prefetcher enabled, or geometries outside the plan's compact fields) —
-/// and, per the PR-5 measured finding (see
-/// [`ExecCtx::read_batch_lockstep`](crate::ctx::ExecCtx::read_batch_lockstep)),
-/// the production `read_batch` path itself.
-///
-/// Returns the summed core-visible latency; the caller applies the MLP
-/// overlap and advances the core clock
-/// (see [`ExecCtx::read_batch`](crate::ctx::ExecCtx::read_batch)).
-pub(crate) fn charge_read_batch_serial(
-    m: &mut Machine,
-    core: CoreId,
-    addrs: &[Addr],
-) -> Cycles {
-    // Pre-touch every address's set metadata (pure host loads, no
-    // simulated state) so their host-memory latencies overlap before the
-    // serial charging walk — the host-side analogue of the MLP this call
-    // models.
-    std::hint::black_box(m.prewarm_batch(core, addrs));
-    let mut total: Cycles = 0;
-    for &a in addrs {
-        total += m.demand_access(core, a, AccessKind::Read);
-    }
-    total
-}
+use crate::types::{line_of, Addr, CACHE_LINE_SHIFT};
 
 /// Per-line metadata of the reference layout. `tag` stores the full line
 /// address (address >> 6) for simplicity.

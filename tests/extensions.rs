@@ -170,26 +170,3 @@ fn nat_flow_produces_valid_packets() {
     }
     assert_eq!(nat.translated, 500);
 }
-
-/// Profile persistence round-trips the extension types and the fill-rate
-/// curves, and stored predictions match the live predictor.
-#[test]
-fn persistence_roundtrips_extension_types() {
-    let p = Predictor::profile(
-        &[FlowType::Dpi, FlowType::Nat],
-        2,
-        ExpParams::quick(),
-        default_threads(),
-    );
-    let store = ProfileStore::from_predictor(&p);
-    let text = store.to_string_repr();
-    let back = ProfileStore::from_string_repr(&text).unwrap();
-    for t in [FlowType::Dpi, FlowType::Nat] {
-        let live = p.predict_drop(t, &[FlowType::Nat; 5]);
-        let stored = back.predict_drop(t, &[FlowType::Nat; 5]).unwrap();
-        assert!((live - stored).abs() < 1e-9, "{t}");
-        let live_f = p.predict_drop_fillrate(t, &[FlowType::Nat; 5]);
-        let stored_f = back.predict_drop_fillrate(t, &[FlowType::Nat; 5]).unwrap();
-        assert!((live_f - stored_f).abs() < 1e-9, "{t} fillrate");
-    }
-}

@@ -446,107 +446,6 @@ proptest! {
         }
     }
 
-    // ---------------- PR-5 lockstep charging engine ----------------
-
-    /// The lockstep batched charging engine is bit-for-bit the serial
-    /// reference walk: two machines driven through identical random batch
-    /// traces — `read_batch_lockstep` on one, plain `read_batch` on the
-    /// other — end every step with identical counters, clocks, per-level
-    /// cache stats, and line residency. The line universe is kept small
-    /// (96 lines over 64 L1 sets) so batches are dense in forced set
-    /// collisions and same-line duplicates, the two hazards the engine's
-    /// hint-validity protocol must survive.
-    #[test]
-    fn lockstep_batches_match_serial_reference(
-        batch_sizes in proptest::collection::vec(2usize..48, 20..60),
-        lines in proptest::collection::vec(0u64..96, 600..1200),
-        mlps in proptest::collection::vec(1u32..12, 20..60),
-    ) {
-        use predictable_pp::sim::config::MachineConfig;
-        use predictable_pp::sim::machine::Machine;
-        use predictable_pp::sim::types::{CoreId, MemDomain, SocketId};
-        let mut fast = Machine::new(MachineConfig::westmere());
-        let mut slow = Machine::new(MachineConfig::westmere());
-        let base = MemDomain(0).base();
-        let mut cursor = 0usize;
-        for (step, (&n, &mlp)) in
-            batch_sizes.iter().zip(mlps.iter().cycle()).enumerate()
-        {
-            let addrs: Vec<u64> = (0..n)
-                .map(|k| base + lines[(cursor + k) % lines.len()] * 64)
-                .collect();
-            cursor = (cursor + n) % lines.len();
-            fast.ctx(CoreId(0)).read_batch_lockstep(&addrs, mlp);
-            slow.ctx(CoreId(0)).read_batch(&addrs, mlp);
-            prop_assert_eq!(
-                fast.core(CoreId(0)).counters.total(),
-                slow.core(CoreId(0)).counters.total(),
-                "counters diverged at step {}", step
-            );
-            prop_assert_eq!(fast.core(CoreId(0)).clock, slow.core(CoreId(0)).clock);
-            prop_assert_eq!(fast.l1_stats(CoreId(0)), slow.l1_stats(CoreId(0)));
-            prop_assert_eq!(fast.l2_stats(CoreId(0)), slow.l2_stats(CoreId(0)));
-            prop_assert_eq!(fast.l3_stats(SocketId(0)), slow.l3_stats(SocketId(0)));
-        }
-        for &line in lines.iter().take(96) {
-            let a = base + line * 64;
-            prop_assert_eq!(fast.l1_holds(CoreId(0), a), slow.l1_holds(CoreId(0), a));
-            prop_assert_eq!(fast.l2_holds(CoreId(0), a), slow.l2_holds(CoreId(0), a));
-            prop_assert_eq!(
-                fast.l3_holds(SocketId(0), a),
-                slow.l3_holds(SocketId(0), a)
-            );
-        }
-    }
-
-    /// Same equivalence with cross-core traffic interleaved: another core
-    /// dirties shared lines between batches (and the batch core writes
-    /// some lines itself), so lockstep commits must replay dirty-steal
-    /// writebacks, inclusive-L3 back-invalidations, and memctrl arrival
-    /// order exactly. The memctrl queue-delay totals are compared
-    /// directly — they are the most order-sensitive observable.
-    #[test]
-    fn lockstep_with_shared_lines_matches_reference(
-        batch_sizes in proptest::collection::vec(8usize..40, 10..30),
-        lines in proptest::collection::vec(0u64..4096, 300..900),
-        shared in proptest::collection::vec(0u64..4096, 10..30),
-    ) {
-        use predictable_pp::sim::config::MachineConfig;
-        use predictable_pp::sim::machine::Machine;
-        use predictable_pp::sim::types::{CoreId, MemDomain, SocketId};
-        let mut fast = Machine::new(MachineConfig::westmere());
-        let mut slow = Machine::new(MachineConfig::westmere());
-        let base = MemDomain(0).base();
-        let mut cursor = 0usize;
-        for (step, (&n, &sh)) in
-            batch_sizes.iter().zip(shared.iter().cycle()).enumerate()
-        {
-            let addrs: Vec<u64> = (0..n)
-                .map(|k| base + lines[(cursor + k) % lines.len()] * 64)
-                .collect();
-            cursor = (cursor + n) % lines.len();
-            // Core 1 dirties a line the batch may touch (cache-to-cache
-            // pressure); core 0 dirties one of its own (writeback chains).
-            fast.ctx(CoreId(1)).shared_write(base + sh * 64);
-            slow.ctx(CoreId(1)).shared_write(base + sh * 64);
-            fast.ctx(CoreId(0)).write(addrs[0]);
-            slow.ctx(CoreId(0)).write(addrs[0]);
-            fast.ctx(CoreId(0)).read_batch_lockstep(&addrs, 8);
-            slow.ctx(CoreId(0)).read_batch(&addrs, 8);
-            prop_assert_eq!(
-                fast.core(CoreId(0)).counters.total(),
-                slow.core(CoreId(0)).counters.total(),
-                "counters diverged at step {}", step
-            );
-            prop_assert_eq!(fast.core(CoreId(0)).clock, slow.core(CoreId(0)).clock);
-            let fm = fast.memctrl_stats(SocketId(0));
-            let sm = slow.memctrl_stats(SocketId(0));
-            prop_assert_eq!(fm.transfers, sm.transfers);
-            prop_assert_eq!(fm.total_queue_delay, sm.total_queue_delay,
-                "memctrl arrival order diverged at step {}", step);
-        }
-    }
-
     // ---------------- fault injection ----------------
 
     /// A seeded fault plan resolves to one timeline: the transition trace
