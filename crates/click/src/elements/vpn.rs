@@ -131,7 +131,14 @@ impl Element for VpnEncrypt {
 mod tests {
     use super::*;
     use crate::element::test_util::{machine, packet_with_payload};
-    use pp_sim::types::{CoreId, MemDomain};
+    use pp_sim::counters::Counts;
+    use pp_sim::types::{CoreId, MemDomain, CACHE_LINE};
+
+    /// Simulated cache lines the payload of `pkt` covers.
+    fn payload_lines(pkt: &Packet, len: usize) -> u64 {
+        let first = pkt.buf_addr + pkt.payload_offset().unwrap() as u64;
+        (first + len as u64 - 1) / CACHE_LINE - first / CACHE_LINE + 1
+    }
 
     fn vpn(m: &mut pp_sim::machine::Machine) -> VpnEncrypt {
         VpnEncrypt::new(m.allocator(MemDomain(0)), [3u8; 16], 42, CostModel::default())
@@ -174,22 +181,68 @@ mod tests {
         );
     }
 
+    /// The exact charges of a cold packet and of the warm one after it
+    /// (same buffer, next counter), pinned before `process` stopped
+    /// buffering its lookups: 160 table lookups per block in ten
+    /// `read_batch` rounds, the payload's lines read once and written once,
+    /// per-round and per-block compute. The 214-byte payload ends in a
+    /// partial block, which still costs a whole one.
     #[test]
     fn charges_160_lookups_per_block() {
-        let mut m = machine();
-        let mut el = vpn(&mut m);
-        let mut pkt = packet_with_payload(&[1u8; 16]); // exactly one block
-        {
-            let mut ctx = m.ctx(CoreId(0));
-            el.process(&mut ctx, &mut pkt);
+        // (instructions, compute, stall, l1_refs, l1_hits, misses to DRAM);
+        // nothing is L2- or L3-resident yet, so every L1 miss goes all the way.
+        let counts = |[ins, comp, stall, refs, hits, dram]: [u64; 6]| Counts {
+            instructions: ins,
+            compute_cycles: comp,
+            stall_cycles: stall,
+            l1_refs: refs,
+            l1_hits: hits,
+            l2_refs: dram,
+            l3_refs: dram,
+            l3_misses: dram,
+            ..Counts::default()
+        };
+        let pins = [
+            (
+                16usize,
+                [
+                    (counts([607, 300, 2650, 162, 102, 60]), 2950u64),
+                    (counts([1214, 600, 3089, 324, 257, 67]), 3689),
+                ],
+            ),
+            (
+                214,
+                [
+                    (counts([8478, 4200, 5555, 2248, 2176, 72]), 9755),
+                    (counts([16956, 8400, 7815, 4496, 4424, 72]), 16215),
+                ],
+            ),
+        ];
+        for (len, want) in pins {
+            let mut m = machine();
+            let mut el = vpn(&mut m);
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            let blocks = len.div_ceil(16);
+            let ks = Aes128::new([3u8; 16])
+                .ctr_keystream_traced(42, 0, 2 * 16 * blocks, &mut |_, _| {});
+            for (n, (want_counts, want_clock)) in want.into_iter().enumerate() {
+                let mut pkt = packet_with_payload(&payload);
+                pkt.buf_addr = MemDomain(0).base() + 0x4_0000;
+                assert_eq!(el.process(&mut m.ctx(CoreId(0)), &mut pkt), Action::Out(0));
+                let got = m.core(CoreId(0)).counters.total();
+                assert_eq!(got, want_counts, "{len} bytes, packet {n}");
+                assert_eq!(m.core(CoreId(0)).clock, want_clock, "{len} bytes, packet {n}");
+                let refs = (160 * blocks) as u64 + 2 * payload_lines(&pkt, len);
+                assert_eq!(got.l1_refs, (n as u64 + 1) * refs);
+
+                let expect: Vec<u8> = payload
+                    .iter()
+                    .zip(&ks[n * 16 * blocks..])
+                    .map(|(p, k)| p ^ k)
+                    .collect();
+                assert_eq!(pkt.payload().unwrap(), &expect[..], "{len} bytes, packet {n}");
+            }
         }
-        let c = m.core(CoreId(0)).counters.total();
-        // 160 table lookups + payload read/write lines + header-ish reads.
-        assert!(
-            c.l1_refs >= 160,
-            "expected at least 160 charged lookups, got {}",
-            c.l1_refs
-        );
     }
 
     #[test]

@@ -443,6 +443,128 @@ mod tests {
         }
     }
 
+    /// `read_batch` against its specification — one `demand_access` per
+    /// address in slice order, then the MLP stall — on random batches built
+    /// to hit every way a batch can interact with itself and its
+    /// neighbours: all-resident runs; one cold line first, in the middle
+    /// or last; same-line duplicates; more lines of one L1 set than it has
+    /// ways, so a mid-batch fill evicts a line a later address wanted;
+    /// stores that leave dirty victims; and a second core streaming
+    /// through the shared L3 between batches, whose fills back-invalidate
+    /// the first core's private lines (frequent on the tiny geometry).
+    /// Prefetcher off and on. Everything observable must match.
+    #[test]
+    fn read_batch_matches_serial_demand_access_on_random_batches() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let serial = |m: &mut Machine, core: CoreId, addrs: &[Addr], mlp: u64| {
+            let total: Cycles =
+                addrs.iter().map(|&a| m.demand_access(core, a, AccessKind::Read)).sum();
+            let n = addrs.len() as u64;
+            let stall = (total / mlp).max(n);
+            let cs = m.core_mut(core);
+            cs.clock += stall;
+            cs.counters.bump(|c| {
+                c.stall_cycles += stall;
+                c.instructions += n;
+            });
+        };
+        let mut seed = 0;
+        for base_cfg in [MachineConfig::tiny_test(), MachineConfig::westmere()] {
+            for prefetch in [false, true] {
+                let mut cfg = base_cfg.clone();
+                cfg.prefetch.enabled = prefetch;
+                seed += 1;
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut fast = Machine::new(cfg.clone());
+                let mut slow = Machine::new(cfg.clone());
+                let base = MemDomain(0).base();
+                // Hot lines fit the L1 with room to spare; cold lines
+                // overflow the tiny L3 many times over.
+                let hot = cfg.l1.num_lines() / 2;
+                let cold = 1 << 16;
+                let l1_set_stride = cfg.l1.num_sets() * CACHE_LINE;
+                let mut touched = Vec::new();
+                for round in 0..1500 {
+                    let n = rng.random_range(1..=24usize);
+                    let mut batch: Vec<Addr> = (0..n)
+                        .map(|_| base + rng.random_range(0..hot) * CACHE_LINE)
+                        .collect();
+                    let cold_line = base + rng.random_range(hot..cold) * CACHE_LINE;
+                    match rng.random_range(0..6u32) {
+                        0 => {} // all hot
+                        1 => batch[0] = cold_line,
+                        2 => batch[n / 2] = cold_line,
+                        3 => batch[n - 1] = cold_line,
+                        4 => {
+                            // One L1 set, more lines than ways, revisited.
+                            let set = rng.random_range(0..cfg.l1.num_sets()) * CACHE_LINE;
+                            let span = cfg.l1.ways as u64 + 3;
+                            for a in &mut batch {
+                                *a = base + set + rng.random_range(0..span) * l1_set_stride;
+                            }
+                        }
+                        _ => {
+                            // Hot and cold mixed, neighbours duplicated.
+                            for i in 0..n {
+                                if rng.random_range(0..4u32) == 0 {
+                                    batch[i] = base + rng.random_range(0..cold) * CACHE_LINE;
+                                } else if i > 0 && rng.random_range(0..4u32) == 0 {
+                                    batch[i] = batch[i - 1] + rng.random_range(0..CACHE_LINE);
+                                }
+                            }
+                        }
+                    }
+                    touched.extend_from_slice(&batch);
+                    let mlp = rng.random_range(1..=cfg.max_mlp);
+                    fast.ctx(CoreId(0)).read_batch(&batch, mlp);
+                    serial(&mut slow, CoreId(0), &batch, mlp as u64);
+                    if round % 3 == 0 {
+                        let a = batch[rng.random_range(0..n)];
+                        fast.ctx(CoreId(0)).write(a);
+                        slow.ctx(CoreId(0)).write(a);
+                    }
+                    if round % 4 == 0 {
+                        let start = rng.random_range(0..cold);
+                        let stream: Vec<Addr> =
+                            (0..32).map(|i| base + (start + i) % cold * CACHE_LINE).collect();
+                        touched.extend_from_slice(&stream);
+                        fast.ctx(CoreId(1)).read_batch(&stream, 4);
+                        serial(&mut slow, CoreId(1), &stream, 4);
+                    }
+                    for core in [CoreId(0), CoreId(1)] {
+                        assert_eq!(
+                            fast.core(core).counters.total(),
+                            slow.core(core).counters.total(),
+                            "seed {seed} round {round} {core:?}"
+                        );
+                        assert_eq!(fast.core(core).clock, slow.core(core).clock);
+                    }
+                }
+                for core in [CoreId(0), CoreId(1)] {
+                    assert_eq!(fast.l1_stats(core), slow.l1_stats(core));
+                    assert_eq!(fast.l2_stats(core), slow.l2_stats(core));
+                    assert_eq!(fast.prefetch_stats(core), slow.prefetch_stats(core));
+                    for &a in &touched {
+                        assert_eq!(fast.l1_holds(core, a), slow.l1_holds(core, a));
+                        assert_eq!(fast.l2_holds(core, a), slow.l2_holds(core, a));
+                    }
+                }
+                assert_eq!(fast.l3_stats(SocketId(0)), slow.l3_stats(SocketId(0)));
+                assert_eq!(fast.memctrl_stats(SocketId(0)), slow.memctrl_stats(SocketId(0)));
+                for &a in &touched {
+                    assert_eq!(fast.l3_holds(SocketId(0), a), slow.l3_holds(SocketId(0), a));
+                }
+                if cfg.l3.num_lines() < cold {
+                    assert!(
+                        fast.l1_stats(CoreId(0)).invalidations > 0,
+                        "the second core's L3 fills must back-invalidate core 0"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn retire_packet_counts() {
         let mut m = machine();

@@ -116,7 +116,7 @@ impl QueueModel {
 }
 
 /// Statistics for one memory controller.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemCtrlStats {
     /// Line transfers serviced (reads + write-backs).
     pub transfers: u64,
