@@ -193,6 +193,20 @@ impl Aes128 {
         out
     }
 
+    /// One 16-byte block of CTR-mode keystream: the encryption of
+    /// `nonce ‖ counter` (both big-endian), reporting lookups to `trace`.
+    pub fn ctr_block_traced(
+        &self,
+        nonce: u64,
+        counter: u64,
+        trace: &mut impl FnMut(TableRef, u8),
+    ) -> [u8; 16] {
+        let mut block = [0u8; 16];
+        block[..8].copy_from_slice(&nonce.to_be_bytes());
+        block[8..].copy_from_slice(&counter.to_be_bytes());
+        self.encrypt_block_traced(block, trace)
+    }
+
     /// Generate `len` bytes of CTR-mode keystream for (`nonce`, starting
     /// `counter`), reporting lookups to `trace`.
     pub fn ctr_keystream_traced(
@@ -204,10 +218,7 @@ impl Aes128 {
     ) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
         while out.len() < len {
-            let mut block = [0u8; 16];
-            block[..8].copy_from_slice(&nonce.to_be_bytes());
-            block[8..].copy_from_slice(&counter.to_be_bytes());
-            let ks = self.encrypt_block_traced(block, trace);
+            let ks = self.ctr_block_traced(nonce, counter, trace);
             let take = (len - out.len()).min(16);
             out.extend_from_slice(&ks[..take]);
             counter = counter.wrapping_add(1);

@@ -20,6 +20,10 @@ use pp_sim::types::Addr;
 /// MLP granted to the four independent lookups within a round.
 const AES_MLP: u32 = 4;
 
+/// Table lookups per block: 16 in each of the nine main rounds and the
+/// final S-box round.
+const LOOKUPS_PER_BLOCK: usize = 160;
+
 /// The VPN encryption element. See the module docs.
 pub struct VpnEncrypt {
     aes: Aes128,
@@ -92,31 +96,32 @@ impl Element for VpnEncrypt {
             ctx.read_struct(pkt.buf_addr + off as u64, len as u64);
         }
 
-        // Generate keystream, charging table lookups per round (16 at a
-        // time: one main round's independent loads).
-        let mut addrs: Vec<Addr> = Vec::with_capacity(16);
-        let mut pending: Vec<Addr> = Vec::with_capacity(176);
-        let ks = self.aes.ctr_keystream_traced(self.nonce, self.counter, len, &mut |t, idx| {
-            pending.push(self.lookup_addr(t, idx));
-        });
-        self.counter = self.counter.wrapping_add(len.div_ceil(16) as u64);
-
+        // Per 16-byte block: generate its keystream, collecting the
+        // simulated address of each of the 160 table lookups; charge them a
+        // round at a time (16 independent loads, then the round's compute);
+        // XOR the keystream into the real payload bytes.
         let n_blocks = len.div_ceil(16) as u64;
-        for chunk in pending.chunks(16) {
-            addrs.clear();
-            addrs.extend_from_slice(chunk);
-            ctx.read_batch(&addrs, AES_MLP);
-            CostModel::charge(ctx, self.cost.aes_round);
+        let mut lookups = [0 as Addr; LOOKUPS_PER_BLOCK];
+        for chunk in pkt.data[off..end].chunks_mut(16) {
+            let mut n = 0;
+            let ks = self.aes.ctr_block_traced(self.nonce, self.counter, &mut |t, idx| {
+                lookups[n] = self.lookup_addr(t, idx);
+                n += 1;
+            });
+            debug_assert_eq!(n, LOOKUPS_PER_BLOCK);
+            self.counter = self.counter.wrapping_add(1);
+            for round in lookups.chunks_exact(16) {
+                ctx.read_batch(round, AES_MLP);
+                CostModel::charge(ctx, self.cost.aes_round);
+            }
+            for (b, k) in chunk.iter_mut().zip(ks) {
+                *b ^= k;
+            }
         }
         CostModel::charge(
             ctx,
             (self.cost.aes_block_overhead.0 * n_blocks, self.cost.aes_block_overhead.1 * n_blocks),
         );
-
-        // XOR the keystream into the real payload bytes.
-        for (i, k) in ks.iter().enumerate() {
-            pkt.data[off + i] ^= k;
-        }
         if pkt.buf_addr != 0 {
             ctx.write_struct(pkt.buf_addr + off as u64, len as u64);
         }

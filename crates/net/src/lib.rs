@@ -13,7 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod checksum;
 pub mod error;
 pub mod fivetuple;
@@ -38,7 +37,6 @@ pub mod prelude {
     pub use crate::headers::{
         ethertype, ip_proto, EthernetHeader, Ipv4Header, MacAddr, TcpHeader, UdpHeader,
     };
-    pub use crate::batch::PacketBatch;
     pub use crate::packet::{Packet, PacketBuilder};
     pub use crate::pcap::PcapWriter;
     pub use crate::pool::PacketPool;

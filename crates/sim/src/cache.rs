@@ -36,6 +36,12 @@
 //!   simulated state untouched on a miss, which is what lets
 //!   [`ExecCtx::read`](crate::ctx::ExecCtx::read) commit to the hit
 //!   before the full hierarchy walk runs;
+//! * [`Cache::hit_run`] is the same hit-commit body as a run kernel: it
+//!   commits the leading run of hits of an address slice with the lookup
+//!   clock, hit count and MRU hint in registers, and stops at the first
+//!   miss under `hit_update`'s miss contract — the simulator's dominant
+//!   event, a run of L1-resident loads in a
+//!   [`read_batch`](crate::ctx::ExecCtx::read_batch), in one tight loop;
 //! * set indexing is division-free for the machine's geometries
 //!   (`SetIndex`), scans and victim selection are branchless fixed-width
 //!   code for 8/16 ways, and a miss scan memoizes its set base and
@@ -56,8 +62,7 @@ const INVALID_TAG: u64 = u64::MAX;
 /// Result of a cache lookup-with-fill (see [`Cache::access`]).
 ///
 /// `#[repr(u8)]` pins the discriminant so comparisons on the access fast
-/// path compile to a byte test (see the PR-3 monomorphization notes in
-/// `ctx.rs`).
+/// path compile to a byte test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LookupResult {
@@ -355,7 +360,10 @@ impl Cache {
     /// second line is a real memory touch: the split arm skips it for the
     /// half of hits that land in ways 0–7 (PR 5; exactness unaffected —
     /// the match result is identical and misses still scan everything).
-    #[inline]
+    ///
+    /// Always inlined: left to the compiler it became a call per address
+    /// inside the run kernel's loop.
+    #[inline(always)]
     fn scan(&self, tag: u64, base: usize) -> (u32, u32) {
         match self.ways {
             8 => Self::scan_w::<8>(&self.tags[base..base + 8], tag),
@@ -431,53 +439,69 @@ impl Cache {
     /// The fast-path lookup: a *hit* performs the complete `access`
     /// bookkeeping (clock advance, LRU refresh, dirty update, hit count); a
     /// *miss returns with every piece of cache state untouched* — no clock
-    /// tick, no miss count — so the caller can re-run the full
-    /// [`access`](Self::access) on the slow path and end up with exactly
-    /// the state a single slow-path access would have produced.
+    /// tick, no miss count — so the caller can continue with
+    /// [`record_miss`](Self::record_miss) and the next level and end up
+    /// with exactly the state a single [`access`](Self::access) would have
+    /// produced. The one-address form of the run kernel below.
     ///
     /// Presence merging is not supported (private L1/L2 caches always pass
     /// a zero mask); use `access` on levels that maintain the directory.
     #[inline]
     pub fn hit_update(&mut self, addr: Addr, write: bool) -> bool {
-        let tag = line_of(addr) >> CACHE_LINE_SHIFT;
-        if tag == self.mru_tag {
-            // Same line as the previous hit: the way is known and tags
-            // cannot have moved (mutations drop the hint).
-            let base = self.memo_base_of(tag);
-            let i = base + self.mru_way as usize;
-            debug_assert_eq!(self.tags[i], tag);
-            self.clock += 1;
-            let keep = self.meta[i] & (META_PRESENCE_MASK | META_DIRTY);
-            self.meta[i] =
-                (self.clock << META_LRU_SHIFT) | keep | (write as u64);
-            self.stats.hits += 1;
-            return true;
-        }
-        let base = self.set_index.of(tag) as usize * self.ways;
-        let (mask, invalid) = self.scan(tag, base);
-        if mask != 0 {
-            self.clock += 1;
-            let w = mask.trailing_zeros() as usize;
-            let i = base + w;
-            let keep = self.meta[i] & (META_PRESENCE_MASK | META_DIRTY);
-            self.meta[i] =
-                (self.clock << META_LRU_SHIFT) | keep | (write as u64);
-            self.stats.hits += 1;
-            self.mru_tag = tag;
-            self.mru_way = w as u32;
-            true
-        } else {
-            // The memo is host-side only, so "miss leaves cache state
-            // untouched" still holds for everything simulated.
-            self.memoize_miss(tag, base, invalid);
-            false
-        }
+        self.commit_hit_run(std::slice::from_ref(&addr), write) == 1
     }
 
-    /// Set base for a tag (used by the MRU-hint hit path).
+    /// The run kernel for loads: commit the leading run of `addrs` that hit
+    /// and return its length. Each hit has exactly
+    /// [`hit_update`](Self::hit_update)'s effects, in slice order; the
+    /// first miss stops the run with that address's lookup not performed —
+    /// `hit_update`'s miss contract — so the caller resumes there. Hits
+    /// never move tags, so the run is what one `hit_update` per address
+    /// would have found.
     #[inline]
-    fn memo_base_of(&self, tag: u64) -> usize {
-        self.set_index.of(tag) as usize * self.ways
+    pub fn hit_run(&mut self, addrs: &[Addr]) -> usize {
+        self.commit_hit_run(addrs, false)
+    }
+
+    /// The one hit-commit body behind [`hit_update`](Self::hit_update) and
+    /// [`hit_run`](Self::hit_run). The lookup clock and the MRU hint ride
+    /// in locals across the run and are stored once; the hit count is the
+    /// run's length. A miss primes the scan memo for the fill that follows
+    /// (host-side only) and leaves the MRU hint on the last hit.
+    #[inline(always)]
+    fn commit_hit_run(&mut self, addrs: &[Addr], write: bool) -> usize {
+        let mut clock = self.clock;
+        let mut mru_tag = self.mru_tag;
+        let mut mru_way = self.mru_way as usize;
+        let mut hits = 0usize;
+        for &addr in addrs {
+            let tag = line_of(addr) >> CACHE_LINE_SHIFT;
+            let base = self.set_index.of(tag) as usize * self.ways;
+            // Same line as the previous hit: the way is known, and tags
+            // cannot have moved (mutations drop the hint).
+            if tag != mru_tag {
+                let (mask, invalid) = self.scan(tag, base);
+                if mask == 0 {
+                    self.memoize_miss(tag, base, invalid);
+                    break;
+                }
+                mru_tag = tag;
+                mru_way = mask.trailing_zeros() as usize;
+            }
+            let i = base + mru_way;
+            debug_assert_eq!(self.tags[i], tag);
+            clock += 1;
+            let keep = self.meta[i] & (META_PRESENCE_MASK | META_DIRTY);
+            self.meta[i] = (clock << META_LRU_SHIFT) | keep | (write as u64);
+            hits += 1;
+        }
+        if hits != 0 {
+            self.clock = clock;
+            self.stats.hits += hits as u64;
+            self.mru_tag = mru_tag;
+            self.mru_way = mru_way as u32;
+        }
+        hits
     }
 
     /// Read-only probe for fused DMA delivery: one scan of the set

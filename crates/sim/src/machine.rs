@@ -225,11 +225,12 @@ impl Machine {
         }
     }
 
-    /// Pre-touch the host cache with the L1/L2/L3 set blocks of a batch of
+    /// Pre-touch the host cache with the L2/L3 set blocks of a batch of
     /// addresses (see [`Cache::prewarm`]): pure loads, no simulated state,
     /// bit-identical results. Called by
-    /// [`ExecCtx::read_batch`](crate::ctx::ExecCtx::read_batch), whose
-    /// addresses are known before the serial charging walk begins.
+    /// [`charge_read_batch`](Self::charge_read_batch) from a batch's first
+    /// L1 miss on, and by the NIC's batched DMA delivery through
+    /// `ExecCtx::prewarm` — both know their addresses before they walk them.
     #[inline]
     pub(crate) fn prewarm_batch(&self, core: CoreId, addrs: &[Addr]) -> u64 {
         let ci = core.index();
@@ -247,9 +248,10 @@ impl Machine {
 
     /// The L1-hit fast path (PR 3): commit a demand access entirely — cache
     /// state, counters, *and* the core clock — iff it hits the core's L1,
-    /// returning the core-visible latency. On a miss nothing changes and
-    /// the caller falls back to [`demand_access`](Self::demand_access),
-    /// which re-runs the L1 lookup with the normal miss bookkeeping.
+    /// returning the core-visible latency. On a miss nothing simulated
+    /// changes and the caller continues with
+    /// [`l1_missed_access`](Self::l1_missed_access), which records the
+    /// miss and walks on from the L2 without scanning the L1 set again.
     ///
     /// Why skipping the full walk is sound (the fast path's invariants):
     ///
@@ -387,27 +389,65 @@ impl Machine {
     }
 
     /// The charging walk of a
-    /// [`read_batch`](crate::ctx::ExecCtx::read_batch): a host-cache
-    /// prewarm followed by one full [`demand_access`](Self::demand_access)
-    /// walk per address, in address order. Returns the summed core-visible
-    /// latency; the caller applies the MLP overlap and advances the clock.
+    /// [`read_batch`](crate::ctx::ExecCtx::read_batch): commit the run of
+    /// L1-resident addresses at the head of the batch in one
+    /// [`Cache::hit_run`], walk the first miss through L2 → L3 → memory
+    /// with [`l1_missed_access`](Self::l1_missed_access), and start the
+    /// next run after it. Returns the summed core-visible latency; the
+    /// caller applies the MLP overlap and advances the clock.
     ///
-    /// Serial order is part of the model: memory-controller and QPI delays
-    /// depend on arrival order, and a batch's own fills and
-    /// back-invalidations decide what its later addresses find. (A
-    /// level-synchronous alternative was built, proven bit-identical and
-    /// measured slower; ARCHITECTURE.md keeps the finding.)
+    /// This is the serial walk — one
+    /// [`demand_access`](Self::demand_access) per address in slice order —
+    /// and serial order is part of the model: memory-controller and QPI
+    /// delays depend on arrival order, and a batch's own fills and
+    /// back-invalidations decide what its later addresses find. Why the
+    /// run form is exact:
+    ///
+    /// * addresses are still committed strictly in slice order;
+    /// * a hit never moves a tag, so the run `hit_run` commits is exactly
+    ///   the hits the serial loop would have found before its next miss;
+    /// * after every miss walk (fill, eviction, back-invalidation) the next
+    ///   `hit_run` reads live cache state, so a duplicate of the line just
+    ///   filled hits and a line the fill evicted misses, as they would
+    ///   serially;
+    /// * `now` is constant inside a batch — `read_batch` advances the core
+    ///   clock only after the walk — so when the hits' latency is added
+    ///   changes nothing a miss walk can see;
+    /// * the hits' counters land in one merged bump after the misses'
+    ///   bumps; order is unobservable without a scope boundary
+    ///   (ARCHITECTURE.md invariant 6), and none can fall inside a batch.
+    ///
+    /// The host-cache prewarm is a pure host hint, issued once, from the
+    /// batch's first miss on: a batch that never leaves the L1 touches no
+    /// L2/L3 metadata at all. (A level-synchronous alternative was built,
+    /// proven bit-identical and measured slower; ARCHITECTURE.md keeps the
+    /// finding.)
     pub(crate) fn charge_read_batch(&mut self, core: CoreId, addrs: &[Addr]) -> Cycles {
-        // Pre-touch every address's set metadata (pure host loads, no
-        // simulated state) so their host-memory latencies overlap before
-        // the serial walk — the host-side analogue of the MLP this call
-        // models.
-        std::hint::black_box(self.prewarm_batch(core, addrs));
-        let mut total: Cycles = 0;
-        for &a in addrs {
-            total += self.demand_access(core, a, AccessKind::Read);
+        let ci = core.index();
+        let mut missed: Cycles = 0;
+        let mut misses = 0u64;
+        let mut k = 0;
+        loop {
+            k += self.l1[ci].hit_run(&addrs[k..]);
+            if k == addrs.len() {
+                break;
+            }
+            if misses == 0 {
+                // Overlap the host-memory latencies of the set metadata the
+                // rest of the batch may walk — the host-side analogue of the
+                // MLP this call models.
+                std::hint::black_box(self.prewarm_batch(core, &addrs[k..]));
+            }
+            missed += self.l1_missed_access(core, addrs[k], false);
+            misses += 1;
+            k += 1;
         }
-        total
+        let hits = addrs.len() as u64 - misses;
+        self.cores[ci].counters.bump(|c| {
+            c.l1_refs += hits;
+            c.l1_hits += hits;
+        });
+        missed + hits * self.cfg.lat_l1
     }
 
     /// Union of the L3 directory masks for a line over all sockets. Because

@@ -246,7 +246,7 @@ mod tests {
             for step in 0..4000 {
                 let addr = universe[rng.random_range(0..universe.len())]
                     + rng.random_range(0..crate::types::CACHE_LINE);
-                match rng.random_range(0..6u32) {
+                match rng.random_range(0..7u32) {
                     0 | 1 => {
                         let write = rng.random::<bool>();
                         let pres = rng.random::<u16>();
@@ -265,6 +265,20 @@ mod tests {
                         let a = live.hit_update(addr, write);
                         let b = spec.hit_update(addr, write);
                         assert_eq!(a, b, "hit_update diverged at step {step}");
+                    }
+                    6 => {
+                        // The run kernel against one `hit_update` per
+                        // address: same run length, then a miss that
+                        // leaves both untouched.
+                        let run: Vec<Addr> = (0..rng.random_range(1..12usize))
+                            .map(|_| {
+                                universe[rng.random_range(0..universe.len())]
+                                    + rng.random_range(0..crate::types::CACHE_LINE)
+                            })
+                            .collect();
+                        let n = live.hit_run(&run);
+                        let m = run.iter().take_while(|&&a| spec.hit_update(a, false)).count();
+                        assert_eq!(n, m, "hit_run diverged at step {step}");
                     }
                     3 => {
                         let mask = 1u64 << rng.random_range(0..4u32);

@@ -125,7 +125,7 @@ pub fn lines_covered(addr: Addr, len: u64) -> u64 {
 /// store buffer and do not stall the core for the full memory latency.
 ///
 /// `#[repr(u8)]` pins the discriminant so the `matches!` in the access path
-/// monomorphizes to a byte compare (PR-3 hot-path audit; see `ctx.rs`).
+/// compiles to a byte compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum AccessKind {

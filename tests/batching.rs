@@ -79,7 +79,7 @@ fn packet_batch_round_trips_through_a_graph() {
     let chk = g.add(Box::new(CheckIpHeader::new(cost)));
     let cnt = g.add(Box::new(Counter::default()));
     g.chain(&[chk, cnt]); // counter's port 0 unwired: packets exit in order
-    let pkts: Vec<_> = (0..5u16)
+    let mut pkts: Vec<_> = (0..5u16)
         .map(|i| {
             PacketBuilder::default().udp(
                 Ipv4Addr::new(10, 0, 0, 1),
@@ -90,7 +90,6 @@ fn packet_batch_round_trips_through_a_graph() {
             )
         })
         .collect();
-    let mut pkts: Vec<_> = PacketBatch::from_packets(pkts).into_iter().collect();
     let mut out = BatchOutcome::default();
     let mut ctx = m.ctx(CoreId(0));
     g.run_batch_into(&mut ctx, &mut pkts, &mut out);

@@ -393,12 +393,13 @@ proptest! {
         }
     }
 
-    /// `ExecCtx::read`'s inlined L1-hit fast path is charge-identical to
-    /// the plain hierarchy walk: two machines fed the same random access
-    /// trace — one via `read`/`write` (fast path engaged), one via
-    /// `read_batch` with MLP 1 chunks of one (which always takes the full
-    /// `demand_access` walk) — end with identical counters, cache
-    /// residency, and stats.
+    /// `ExecCtx::read`'s inlined L1-hit fast path (`l1_hit_fast`) and
+    /// `read_batch`'s run kernel (`Cache::hit_run` + the miss walk) are two
+    /// routes to the same cache events: two machines fed the same random
+    /// access trace — one via `read`/`write`, one via `read_batch` with
+    /// MLP 1 chunks of one — end with identical counters, cache residency,
+    /// and stats. (`read_batch` against the serial `demand_access` walk
+    /// itself is pinned inside pp-sim.)
     #[test]
     fn fast_path_matches_full_walk_on_random_traces(
         lines in proptest::collection::vec(0u64..4096, 100..600),
@@ -417,10 +418,9 @@ proptest! {
                 if write { ctx.write(addr); } else { ctx.read(addr); }
             }
             {
-                // One-element read_batch takes the demand_access walk for
-                // reads; writes have no batched variant, so use write()
-                // on both machines (its fast path is the code under test,
-                // exercised against the read-side divergence).
+                // Reads go through the run kernel one address at a time;
+                // writes have no batched variant, so use write() on both
+                // machines.
                 let mut ctx = slow.ctx(CoreId(0));
                 if write { ctx.write(addr); } else { ctx.read_batch(&[addr], 1); }
             }
