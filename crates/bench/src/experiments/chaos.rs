@@ -824,6 +824,7 @@ pub fn run(ctx: &RunCtx) -> Vec<ScenarioOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::results_json::render_document;
 
     #[test]
     fn chaos_sweep_holds_its_claims_at_test_scale() {
@@ -835,5 +836,11 @@ mod tests {
         ctx.out_dir = std::env::temp_dir();
         let outcomes = run(&ctx);
         assert_eq!(outcomes.len(), 7);
+        // Pinned against the previous commit, not just against `--jobs N`.
+        assert_eq!(
+            render_document("scenarios", &json_rows(&outcomes)),
+            include_str!("../../tests/golden/CHAOS_results.json"),
+            "CHAOS_results.json moved against the checked-in golden"
+        );
     }
 }

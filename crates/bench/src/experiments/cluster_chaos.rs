@@ -936,6 +936,7 @@ pub fn run(ctx: &RunCtx) -> Vec<ClusterOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::results_json::render_document;
 
     #[test]
     fn cluster_chaos_holds_its_claims_at_test_scale() {
@@ -945,5 +946,24 @@ mod tests {
         ctx.out_dir = std::env::temp_dir();
         let outcomes = run(&ctx);
         assert_eq!(outcomes.len(), 4);
+        // Pinned against the previous commit, not just against `--jobs N`.
+        assert_eq!(
+            render_document("tenants", &json_rows(&outcomes)),
+            include_str!("../../tests/golden/CLUSTER_CHAOS_results.json"),
+            "CLUSTER_CHAOS_results.json moved against the checked-in golden"
+        );
+        // Every placement core's clock and retired-packet count, per
+        // scenario — in the outcome but not in the JSON rows.
+        let digests: Vec<(&str, u64)> = outcomes.iter().map(|o| (o.name, o.digest)).collect();
+        assert_eq!(
+            digests,
+            [
+                ("machine-crash-restart", 0xc84a6731ee758420),
+                ("telemetry-blackout", 0xc54dcb2fd4010273),
+                ("cascading-overload", 0x3056c442ed6a1b3b),
+                ("cluster-empty-plan", 0xf23bb280372a8210),
+            ],
+            "a cluster scenario's core clocks / packet counters moved"
+        );
     }
 }

@@ -939,6 +939,7 @@ pub fn run(ctx: &RunCtx) -> Vec<FleetOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::results_json::render_document;
 
     #[test]
     fn fleet_chaos_holds_its_claims_at_test_scale() {
@@ -948,5 +949,11 @@ mod tests {
         ctx.out_dir = std::env::temp_dir();
         let outcomes = run(&ctx);
         assert_eq!(outcomes.len(), 4);
+        // Pinned against the previous commit, not just against `--jobs N`.
+        assert_eq!(
+            render_document("tenants", &json_rows(&outcomes)),
+            include_str!("../../tests/golden/FLEET_CHAOS_results.json"),
+            "FLEET_CHAOS_results.json moved against the checked-in golden"
+        );
     }
 }
