@@ -20,14 +20,10 @@
 //!   zero guard transitions, and an empty injector trace, running the
 //!   exact same datapath the pinned digest tests certify bit-for-bit.
 //!
-//! Ladder actuation maps guard levels onto the `TaskControls` knobs:
-//! shrink-batch re-sizes the live flow to the
-//! [`BatchController`]'s tight-budget choice, throttle paces admission to
-//! `THROTTLE_HEADROOM`× the calibrated cycles/packet (lossless, upstream
-//! backpressure), shed drops `SHED_PER_MILLE`‰ at the wire — explicit and
-//! counted. Self-inflicted degradation (shed drops, throttled throughput)
-//! is excluded from the guard's *loss* signal so the controller does not
-//! chase its own tail; it still appears in the conservation ledger.
+//! The window protocol, the ladder actuation and the loss signal are
+//! [`TenantRt`]'s (ARCHITECTURE.md § "Window protocol and tenant
+//! runtime"); the shrink-batch rung re-sizes the live flow to the
+//! [`BatchController`]'s tight-budget choice.
 //!
 //! Results land in `chaos.csv` and `CHAOS_results.json` (machine-readable,
 //! uploaded as a CI artifact).
@@ -37,13 +33,10 @@ use crate::RunCtx;
 use pp_click::pipelines::{build_pipeline, PipelineSpec};
 use pp_core::prelude::*;
 use pp_sim::config::MachineConfig;
-use pp_sim::engine::{CoreTask, Engine};
-use pp_sim::fault::{DropStats, FaultInjector, FaultKind, FaultPlan, TaskControls};
-use pp_sim::latency::LatencyHistogram;
+use pp_sim::engine::{CoreTask, Engine, Measurement};
+use pp_sim::fault::{DropStats, FaultInjector, FaultKind, FaultPlan};
 use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Windows allowed between the last fault clearing and the guard standing
 /// at Normal on a clean window (the deepest ladder walk — climbing back
@@ -55,22 +48,26 @@ const RECOVERY_TAIL: u32 = 15;
 const CALIB_WINDOWS: u32 = 3;
 /// Datapath batch size for the target flow (the PR-4/5 vectorized path).
 const FULL_BATCH: usize = 32;
-/// Admission pace at the Throttle rung, as a multiple of the calibrated
-/// cycles/packet (1.1 ⇒ admit ~91% of capacity nominally). Effective
-/// admission runs ~9% under the nominal target (poll overhead plus
-/// credit quantization, worse at short windows), so the constant leaves
-/// real margin: even with shed on top, degraded throughput stays above
-/// the 70% envelope floor and the guard can climb back.
-const THROTTLE_HEADROOM: f64 = 1.1;
-/// Wire-drop fraction at the Shed rung (50‰: with throttle's effective
-/// ~0.83 admission, 0.83 × 0.95 ≈ 0.79 > the 0.70 floor).
-const SHED_PER_MILLE: u16 = 50;
 
-/// One chaos scenario: a workload topology plus a fault timeline.
+/// What a scenario's timeline strikes.
+#[derive(Debug, Clone, Copy)]
+enum Topology {
+    /// One IP flow on core 0, every ladder rung live.
+    Flow,
+    /// IP split across two cores by a handoff ring (queue pressure).
+    Pipeline,
+}
+
+/// One chaos scenario: a workload topology plus a fault timeline. Plain
+/// config data (`Send`), so `run_roster` can shard scenarios across host
+/// threads; each worker builds its own `Machine`/`Engine` (engines are
+/// `Rc`-based and must never cross a thread boundary) from the
+/// scenario's derived seed.
 #[derive(Debug, Clone)]
-struct FlowScenario {
+struct Scenario {
     name: &'static str,
     plan: FaultPlan,
+    topology: Topology,
     /// Baseline offered load as a fraction of calibrated capacity
     /// (`None` = line rate, no pacing).
     offered_load: Option<f64>,
@@ -117,54 +114,13 @@ pub struct ScenarioOutcome {
     pub max_backlog: usize,
 }
 
-/// Summarize and reset a per-window latency histogram.
-fn drain_latency(lat: &Rc<RefCell<LatencyHistogram>>, freq_ghz: f64) -> LatencySummary {
-    let s = LatencySummary::from_histogram(&lat.borrow(), freq_ghz);
-    lat.borrow_mut().reset();
-    s
-}
-
-/// The guard's loss signal for one window: unchosen drops only — shed is
-/// the controller's own (counted) action, not evidence against the model.
-fn observed_loss(cur: &DropStats, prev: &DropStats) -> f64 {
-    let offered = cur.offered.saturating_sub(prev.offered);
-    let lost = cur.total_dropped().saturating_sub(prev.total_dropped());
-    let shed = cur.shed.saturating_sub(prev.shed);
-    lost.saturating_sub(shed) as f64 / offered.max(1) as f64
-}
-
-/// Map a ladder level onto the live knobs.
-///
-/// Shrink-batch and throttle deliberately do NOT stack: the batch shrinks
-/// only at its own rung. Shrinking trades throughput for tail latency; if
-/// the guard keeps descending, latency was not the problem — the throttle
-/// rung restores the full batch (full amortization, maximum capacity) and
-/// attacks throughput by cutting admission instead. Stacking them would
-/// deadlock: a throttle pace calibrated at the full batch over-admits a
-/// shrunk datapath, so the wire overflows forever and no window ever
-/// comes back clean.
-fn apply_ladder(
-    controls: &TaskControls,
-    level: DegradeLevel,
-    offered_pace: u64,
-    throttle_pace: u64,
-    shrink_batch: usize,
-) {
-    let pace = if level >= DegradeLevel::Throttle {
-        // Backpressure: admit no faster than the throttle pace (larger
-        // cycles-per-packet = slower), regardless of what the disturbance
-        // offers. Lossless by construction — unadmitted load stays
-        // upstream.
-        offered_pace.max(throttle_pace)
-    } else {
-        offered_pace
-    };
-    controls.pace_cycles.set(pace);
-    let batch = if level == DegradeLevel::ShrinkBatch { shrink_batch } else { FULL_BATCH };
-    controls.batch_override.set(batch);
-    controls
-        .shed_per_mille
-        .set(if level == DegradeLevel::Shed { SHED_PER_MILLE } else { 0 });
+/// Packets `core` retired inside one measured window. These scenarios sum
+/// `processed` over their windows rather than reading the tenant's
+/// counter-anchored ledger: the target is alone on its socket (or the
+/// slack bound already allows a boundary's worth of in-flight packets),
+/// and the pinned `churn` / `queue-pressure` slack is defined this way.
+fn window_packets(m: &Measurement, core: CoreId) -> u64 {
+    m.core(core).expect("target measured").counts.total.packets
 }
 
 /// Park or spawn the flash-crowd competitors (SYN_MAX on cores 1..=n,
@@ -189,22 +145,86 @@ fn set_churn(
                 );
                 Box::new(built.task)
             });
-            // Joining cores start at the fleet's clock — a flash crowd
-            // arrives now, it does not replay the past.
-            engine.machine.core_mut(core).clock = engine.machine.max_clock();
-            engine.set_task(core, task);
+            engine.join_task(core, task);
         } else if let Some(task) = engine.take_task(core) {
             *slot = Some(task);
         }
     }
 }
 
+/// The guard plus what a scenario reports about its walk.
+struct GuardRun {
+    guard: RuntimeGuard,
+    injector: FaultInjector,
+    /// Window of the last scripted fault transition.
+    last_fault: u32,
+    /// Main-loop windows to simulate.
+    total: u32,
+    peak: DegradeLevel,
+    reprobes: u32,
+    recovery: Option<u32>,
+}
+
+impl GuardRun {
+    fn new(envelope: GuardEnvelope, plan: &FaultPlan) -> Self {
+        let last_fault = plan.last_window();
+        GuardRun {
+            guard: RuntimeGuard::new(envelope, GuardConfig::default()),
+            injector: FaultInjector::new(plan.clone()),
+            last_fault,
+            total: last_fault + RECOVERY_TAIL.max(8),
+            peak: DegradeLevel::Normal,
+            reprobes: 0,
+            recovery: None,
+        }
+    }
+
+    /// Feed window `w`'s observation to the guard; returns the level to
+    /// enforce.
+    fn observe(&mut self, w: u32, obs: &WindowObservation) -> DegradeLevel {
+        let clean = self.guard.envelope().violation(obs).is_none();
+        let d = self.guard.observe(obs);
+        self.peak = self.peak.max(d.level);
+        if d.reprobe_now {
+            // A full system would re-run the probe and refit the envelope
+            // via `RuntimeGuard::set_envelope`; here the model is the
+            // ground truth, so a re-probe is a (counted) no-op.
+            self.reprobes += 1;
+        }
+        if self.recovery.is_none()
+            && w >= self.last_fault
+            && d.level == DegradeLevel::Normal
+            && clean
+        {
+            self.recovery = Some(w - self.last_fault);
+        }
+        d.level
+    }
+
+    /// The scenario's record, around the window-summed `processed`.
+    fn outcome(&self, name: &'static str, rt: &TenantRt, processed: u64) -> ScenarioOutcome {
+        let (drops, ..) = rt.ledger();
+        ScenarioOutcome {
+            name,
+            windows: self.total,
+            peak_level: self.peak,
+            final_level: self.guard.level(),
+            reprobes: self.reprobes,
+            transitions: self.guard.transitions().len(),
+            fault_events: self.injector.trace().len(),
+            drops,
+            processed,
+            calib_pps: rt.calib_pps(),
+            min_pps: rt.min_pps,
+            recovery_windows: self.recovery,
+            conservation_slack: conservation_slack(&drops, processed),
+            max_backlog: 0,
+        }
+    }
+}
+
 /// Run one single-flow chaos scenario end to end.
-fn run_flow_scenario(
-    ctx: &RunCtx,
-    sc: &FlowScenario,
-    controller: &BatchController,
-) -> ScenarioOutcome {
+fn run_flow_scenario(ctx: &RunCtx, sc: &Scenario, controller: &BatchController) -> ScenarioOutcome {
     let params = ctx.params;
     let seed = params.seed ^ 0xC4A05;
     let mut machine = Machine::new(MachineConfig::westmere());
@@ -217,86 +237,46 @@ fn run_flow_scenario(
         flow.structure_seed(seed),
         FULL_BATCH,
     );
-    let lat = built.task.latency_handle();
-    let drops = built.task.drop_handle();
-    let controls = built.task.controls_handle();
     let nic = built.task.nic_handle();
+    let mut rt = TenantRt::new(built.task);
     let mut engine = Engine::new(machine);
-    engine.set_task(CoreId(0), Box::new(built.task));
+    let core0 = CoreId(0);
+    rt.install(&mut engine, core0);
 
     let window = params.window_cycles(engine.machine.config());
-    let warmup = params.warmup_cycles(engine.machine.config());
-    let freq = engine.machine.config().freq_ghz;
-    engine.run_until(warmup);
-    lat.borrow_mut().reset();
-    drops.borrow_mut().reset();
+    engine.run_until(params.warmup_cycles(engine.machine.config()));
+    rt.anchor(&engine);
 
-    let mut processed: u64 = 0;
-    let core0 = CoreId(0);
-
-    // Capacity probe: one unpaced window fixes cycles/packet, from which
-    // the baseline pace (scenarios below line rate) and the throttle pace
-    // derive.
-    let cap = engine.measure(0, window);
-    let cap_pkts = cap.core(core0).expect("target measured").counts.total.packets.max(1);
-    processed += cap_pkts;
-    let cycles_per_pkt = window as f64 / cap_pkts as f64;
-    drain_latency(&lat, freq);
-    let throttle_pace = (cycles_per_pkt * THROTTLE_HEADROOM).max(1.0) as u64;
-    let baseline_pace = match sc.offered_load {
-        Some(load) => (cycles_per_pkt / load).max(1.0) as u64,
-        None => 0,
-    };
-    controls.pace_cycles.set(baseline_pace);
-
-    // Calibration: fit the envelope at the baseline operating point.
-    let (mut pps_sum, mut p99_max) = (0.0f64, 0.0f64);
+    let m = engine.measure(0, window);
+    let mut processed = window_packets(&m, core0);
+    rt.probe_capacity(&m, sc.offered_load);
     for _ in 0..CALIB_WINDOWS {
         let m = engine.measure(0, window);
-        let c = m.core(core0).expect("target measured");
-        processed += c.counts.total.packets;
-        pps_sum += c.metrics.pps;
-        p99_max = p99_max.max(drain_latency(&lat, freq).p99_us);
+        processed += window_packets(&m, core0);
+        rt.calibrate(&m);
     }
-    let calib_pps = pps_sum / CALIB_WINDOWS as f64;
-    let envelope = GuardEnvelope {
-        min_pps: sc.envelope_floor * calib_pps,
-        max_p99_us: (1.5 * p99_max).max(5.0),
-        max_loss_frac: 0.005,
-    };
     // The shrink rung's target: the largest batch the cost model predicts
     // to hold the *healthy* tail, clamped to [FULL/4, FULL/2] — strictly
     // below the full batch so the rung always changes something, but
     // never so small that the de-amortized fixed cost drops capacity
     // below the baseline admission rate (which would manufacture wire
     // overflow out of the rung itself).
-    let shrink_batch = controller
-        .choose(LatencyBudget::us(p99_max.max(1.0)))
+    rt.shrink_batch = controller
+        .choose(LatencyBudget::us(rt.calib_p99_us.max(1.0)))
         .batch
         .clamp(FULL_BATCH / 4, FULL_BATCH / 2);
 
-    let mut guard = RuntimeGuard::new(envelope, GuardConfig::default());
-    let mut injector = FaultInjector::new(sc.plan.clone());
-    let last_fault = sc.plan.last_window();
-    let total = last_fault + RECOVERY_TAIL.max(8);
-
+    let mut run = GuardRun::new(rt.envelope(sc.envelope_floor), &sc.plan);
     let mut parked: Vec<Option<Box<dyn CoreTask>>> = (0..5).map(|_| None).collect();
-    let mut offered_pace = baseline_pace;
-    let mut prev = *drops.borrow();
-    let mut peak = DegradeLevel::Normal;
-    let mut reprobes = 0u32;
-    let mut min_pps = f64::INFINITY;
-    let mut recovery: Option<u32> = None;
 
-    for w in 0..total {
-        let fired: Vec<_> = injector.advance(w).to_vec();
-        for t in fired {
+    for w in 0..run.total {
+        for t in run.injector.advance(w).to_vec() {
             match t.kind {
                 FaultKind::RateBurst { multiplier } => {
-                    offered_pace = if t.begin {
-                        (baseline_pace / multiplier.max(1) as u64).max(1)
+                    rt.offered_pace = if t.begin {
+                        (rt.baseline_pace / multiplier.max(1) as u64).max(1)
                     } else {
-                        baseline_pace
+                        rt.baseline_pace
                     };
                 }
                 FaultKind::CompetitorChurn { competitors } => {
@@ -310,7 +290,7 @@ fn run_flow_scenario(
                     );
                 }
                 FaultKind::FreqDerate { stall_cycles } => {
-                    controls.stall_cycles.set(if t.begin { stall_cycles as u64 } else { 0 });
+                    rt.controls.stall_cycles.set(if t.begin { stall_cycles as u64 } else { 0 });
                 }
                 FaultKind::PoolPressure { seize } => {
                     let mut n = nic.borrow_mut();
@@ -321,7 +301,7 @@ fn run_flow_scenario(
                     }
                 }
                 FaultKind::Corruption { per_mille } => {
-                    controls.corrupt_per_mille.set(if t.begin { per_mille } else { 0 });
+                    rt.controls.corrupt_per_mille.set(if t.begin { per_mille } else { 0 });
                 }
                 // Queue pressure targets the pipeline topology (below).
                 FaultKind::QueuePressure { .. } => {}
@@ -335,76 +315,26 @@ fn run_flow_scenario(
             }
             // A disturbance arriving mid-degradation must not undo the
             // ladder's pace decision.
-            apply_ladder(&controls, guard.level(), offered_pace, throttle_pace, shrink_batch);
+            rt.apply_ladder(run.guard.level());
         }
 
         let m = engine.measure(0, window);
-        let c = m.core(core0).expect("target measured");
-        processed += c.counts.total.packets;
-        min_pps = min_pps.min(c.metrics.pps);
-        let cur = *drops.borrow();
-        let obs = WindowObservation {
-            pps: c.metrics.pps,
-            p99_us: drain_latency(&lat, freq).p99_us,
-            loss_frac: observed_loss(&cur, &prev),
-        };
-        let clean = guard.envelope().violation(&obs).is_none();
-        if std::env::var_os("CHAOS_DEBUG").is_some() {
-            eprintln!(
-                "[{}] w{w}: pps {:.3e} p99 {:.1}us loss {:.3} viol {:?} level {}",
-                sc.name,
-                obs.pps,
-                obs.p99_us,
-                obs.loss_frac,
-                guard.envelope().violation(&obs),
-                guard.level()
-            );
-        }
-        let d = guard.observe(&obs);
-        prev = cur;
-        peak = peak.max(d.level);
-        if d.reprobe_now {
-            // A full system would re-run the probe and refit the envelope
-            // via `RuntimeGuard::set_envelope`; here the model is the
-            // ground truth, so a re-probe is a (counted) no-op.
-            reprobes += 1;
-        }
-        apply_ladder(&controls, d.level, offered_pace, throttle_pace, shrink_batch);
-        if recovery.is_none() && w >= last_fault && d.level == DegradeLevel::Normal && clean {
-            recovery = Some(w - last_fault);
-        }
+        processed += window_packets(&m, core0);
+        let level = run.observe(w, &rt.observe(&m));
+        rt.apply_ladder(level);
     }
     // Competitors left running would keep contending past their event's
     // end; the injector emits the matching end transition, so by here the
     // fleet must be back to the target alone.
     debug_assert_eq!(engine.active_cores(), vec![core0]);
 
-    let final_drops = *drops.borrow();
-    let slack = final_drops.offered as i64
-        - processed as i64
-        - final_drops.undelivered() as i64;
-    ScenarioOutcome {
-        name: sc.name,
-        windows: total,
-        peak_level: peak,
-        final_level: guard.level(),
-        reprobes,
-        transitions: guard.transitions().len(),
-        fault_events: injector.trace().len(),
-        drops: final_drops,
-        processed,
-        calib_pps,
-        min_pps,
-        recovery_windows: recovery,
-        conservation_slack: slack,
-        max_backlog: 0,
-    }
+    run.outcome(sc.name, &rt, processed)
 }
 
 /// The pipeline scenario: queue pressure on a two-core Ip pipeline. The
 /// guard here is an observer (the split stages expose no live knobs — the
 /// interesting claims are backpressure, bounded backlog, and recovery).
-fn run_pipeline_scenario(ctx: &RunCtx, name: &'static str, plan: FaultPlan) -> ScenarioOutcome {
+fn run_pipeline_scenario(ctx: &RunCtx, sc: &Scenario) -> ScenarioOutcome {
     let params = ctx.params;
     let seed = params.seed ^ 0x9199;
     const QUEUE_CAP: usize = 128;
@@ -414,50 +344,27 @@ fn run_pipeline_scenario(ctx: &RunCtx, name: &'static str, plan: FaultPlan) -> S
     let pipe = PipelineSpec { queue_domain: MemDomain(0), queue_capacity: QUEUE_CAP, burst: BURST };
     let (src, sink, queue) =
         build_pipeline(&mut machine, MemDomain(0), MemDomain(0), &spec, &pipe);
-    let drops = src.drop_handle();
-    let lat = sink.latency_handle();
+    let sink_core = CoreId(1);
+    let mut rt = TenantRt::watching(sink_core, sink.latency_handle(), src.drop_handle());
     let mut engine = Engine::new(machine);
     engine.set_task(CoreId(0), Box::new(src));
-    engine.set_task(CoreId(1), Box::new(sink));
+    engine.set_task(sink_core, Box::new(sink));
 
     let window = params.window_cycles(engine.machine.config());
-    let warmup = params.warmup_cycles(engine.machine.config());
-    let freq = engine.machine.config().freq_ghz;
-    engine.run_until(warmup);
-    lat.borrow_mut().reset();
-    drops.borrow_mut().reset();
+    engine.run_until(params.warmup_cycles(engine.machine.config()));
+    rt.anchor(&engine);
 
-    let sink_core = CoreId(1);
     let mut processed: u64 = 0;
-    let (mut pps_sum, mut p99_max) = (0.0f64, 0.0f64);
     for _ in 0..CALIB_WINDOWS {
         let m = engine.measure(0, window);
-        let c = m.core(sink_core).expect("sink measured");
-        processed += c.counts.total.packets;
-        pps_sum += c.metrics.pps;
-        p99_max = p99_max.max(drain_latency(&lat, freq).p99_us);
+        processed += window_packets(&m, sink_core);
+        rt.calibrate(&m);
     }
-    let calib_pps = pps_sum / CALIB_WINDOWS as f64;
-    let envelope = GuardEnvelope {
-        min_pps: 0.7 * calib_pps,
-        max_p99_us: (1.5 * p99_max).max(5.0),
-        max_loss_frac: 0.005,
-    };
-    let mut guard = RuntimeGuard::new(envelope, GuardConfig::default());
-    let mut injector = FaultInjector::new(plan.clone());
-    let last_fault = plan.last_window();
-    let total = last_fault + RECOVERY_TAIL.max(8);
-
-    let mut prev = *drops.borrow();
-    let mut peak = DegradeLevel::Normal;
-    let mut reprobes = 0u32;
-    let mut min_pps = f64::INFINITY;
+    let mut run = GuardRun::new(rt.envelope(sc.envelope_floor), &sc.plan);
     let mut max_backlog = 0usize;
-    let mut recovery: Option<u32> = None;
 
-    for w in 0..total {
-        let fired: Vec<_> = injector.advance(w).to_vec();
-        for t in fired {
+    for w in 0..run.total {
+        for t in run.injector.advance(w).to_vec() {
             if let FaultKind::QueuePressure { cap } = t.kind {
                 let mut q = queue.borrow_mut();
                 if t.begin {
@@ -468,60 +375,27 @@ fn run_pipeline_scenario(ctx: &RunCtx, name: &'static str, plan: FaultPlan) -> S
             }
         }
         let m = engine.measure(0, window);
-        let c = m.core(sink_core).expect("sink measured");
-        processed += c.counts.total.packets;
-        min_pps = min_pps.min(c.metrics.pps);
+        processed += window_packets(&m, sink_core);
         max_backlog = max_backlog.max(queue.borrow().len());
-        let cur = *drops.borrow();
-        let obs = WindowObservation {
-            pps: c.metrics.pps,
-            p99_us: drain_latency(&lat, freq).p99_us,
-            loss_frac: observed_loss(&cur, &prev),
-        };
-        let clean = guard.envelope().violation(&obs).is_none();
-        let d = guard.observe(&obs);
-        prev = cur;
-        peak = peak.max(d.level);
-        if d.reprobe_now {
-            reprobes += 1;
-        }
-        if recovery.is_none() && w >= last_fault && d.level == DegradeLevel::Normal && clean {
-            recovery = Some(w - last_fault);
-        }
+        run.observe(w, &rt.observe(&m));
     }
 
-    let final_drops = *drops.borrow();
+    let mut outcome = run.outcome(sc.name, &rt, processed);
     // Front-stage element drops never reach the sink, and up to a ring of
     // packets is legitimately in flight at any boundary.
-    let slack = final_drops.offered as i64
-        - processed as i64
-        - final_drops.undelivered() as i64
-        - final_drops.element_dropped as i64;
-    ScenarioOutcome {
-        name,
-        windows: total,
-        peak_level: peak,
-        final_level: guard.level(),
-        reprobes,
-        transitions: guard.transitions().len(),
-        fault_events: injector.trace().len(),
-        drops: final_drops,
-        processed,
-        calib_pps,
-        min_pps,
-        recovery_windows: recovery,
-        conservation_slack: slack,
-        max_backlog,
-    }
+    outcome.conservation_slack -= outcome.drops.element_dropped as i64;
+    outcome.max_backlog = max_backlog;
+    outcome
 }
 
 /// The scenario roster: one per fault family, plus the null plan. Every
 /// plan seed mixes the CLI master seed (`--seed`) so a failing timeline
 /// can be replayed exactly.
-fn flow_scenarios(seed: u64) -> Vec<FlowScenario> {
+fn roster(seed: u64) -> Vec<Scenario> {
     vec![
-        FlowScenario {
+        Scenario {
             name: "rate-burst",
+            topology: Topology::Flow,
             // 8× the baseline offered rate for 8 windows (±1 window of
             // seeded jitter): long enough for the ladder to reach the
             // throttle rung and prove it stops the loss mid-fault.
@@ -534,8 +408,9 @@ fn flow_scenarios(seed: u64) -> Vec<FlowScenario> {
             offered_load: Some(0.7),
             envelope_floor: 0.7,
         },
-        FlowScenario {
+        Scenario {
             name: "churn",
+            topology: Topology::Flow,
             // A flash crowd: four SYN_MAX aggressors appear on the
             // target's socket, then vanish.
             plan: FaultPlan::seeded(seed ^ 0xB0B)
@@ -543,8 +418,9 @@ fn flow_scenarios(seed: u64) -> Vec<FlowScenario> {
             offered_load: None,
             envelope_floor: 0.9,
         },
-        FlowScenario {
+        Scenario {
             name: "freq-derate",
+            topology: Topology::Flow,
             // Long enough (10 violating windows) to walk the full ladder
             // into Shed — nothing short of load shedding answers a core
             // that simply got slower.
@@ -553,8 +429,9 @@ fn flow_scenarios(seed: u64) -> Vec<FlowScenario> {
             offered_load: None,
             envelope_floor: 0.7,
         },
-        FlowScenario {
+        Scenario {
             name: "pool-pressure",
+            topology: Topology::Flow,
             // Seize 496 of the 512 NIC buffers: a 32-packet rx can fill
             // only half its batch — until the shrink rung fits the batch
             // to the starved pool.
@@ -562,72 +439,40 @@ fn flow_scenarios(seed: u64) -> Vec<FlowScenario> {
             offered_load: None,
             envelope_floor: 0.7,
         },
-        FlowScenario {
+        Scenario {
             name: "corruption",
+            topology: Topology::Flow,
             // 200‰ of frames arrive with a flipped checksum byte and must
             // die in CheckIpHeader — counted, not silent.
             plan: FaultPlan::seeded(seed ^ 0xC0DE).with(2, 6, FaultKind::Corruption { per_mille: 200 }),
             offered_load: None,
             envelope_floor: 0.7,
         },
-        FlowScenario {
+        Scenario {
             name: "empty-plan",
+            topology: Topology::Flow,
             plan: FaultPlan::empty(),
+            offered_load: None,
+            envelope_floor: 0.7,
+        },
+        Scenario {
+            name: "queue-pressure",
+            topology: Topology::Pipeline,
+            // Clamp the 128-slot ring to a single slot: partial-burst
+            // backpressure degenerates to one-packet handoffs, de-amortizing
+            // the per-burst fixed costs on both stages.
+            plan: FaultPlan::seeded(seed ^ 0x5EA)
+                .with(2, 6, FaultKind::QueuePressure { cap: 1 }),
             offered_load: None,
             envelope_floor: 0.7,
         },
     ]
 }
 
-/// One self-contained unit of parallel work: a scenario plus everything
-/// needed to run it. Jobs hold only plain config data (`Send`), so
-/// `run_many` can shard them across host threads; each worker builds its
-/// own `Machine`/`Engine` (engines are `Rc`-based and must never cross a
-/// thread boundary) from the scenario's derived seed.
-#[derive(Debug, Clone)]
-enum ChaosJob {
-    /// A single-flow scenario from [`flow_scenarios`].
-    Flow(FlowScenario),
-    /// The two-core pipeline scenario (queue pressure).
-    Pipeline { name: &'static str, plan: FaultPlan },
-}
-
-impl ChaosJob {
-    fn name(&self) -> &'static str {
-        match self {
-            ChaosJob::Flow(sc) => sc.name,
-            ChaosJob::Pipeline { name, .. } => name,
-        }
-    }
-
-    fn plan(&self) -> &FaultPlan {
-        match self {
-            ChaosJob::Flow(sc) => &sc.plan,
-            ChaosJob::Pipeline { plan, .. } => plan,
-        }
-    }
-}
-
-/// The full roster as parallel jobs, in canonical (reporting) order.
-fn roster(seed: u64) -> Vec<ChaosJob> {
-    flow_scenarios(seed)
-        .into_iter()
-        .map(ChaosJob::Flow)
-        .chain(std::iter::once(ChaosJob::Pipeline {
-            name: "queue-pressure",
-            // Clamp the 128-slot ring to a single slot: partial-burst
-            // backpressure degenerates to one-packet handoffs, de-amortizing
-            // the per-burst fixed costs on both stages.
-            plan: FaultPlan::seeded(seed ^ 0x5EA)
-                .with(2, 6, FaultKind::QueuePressure { cap: 1 }),
-        }))
-        .collect()
-}
-
 /// Canonical scenario names, in sweep order — the vocabulary accepted by
 /// [`measure_scenarios`].
 pub fn scenario_names() -> Vec<&'static str> {
-    roster(0).iter().map(ChaosJob::name).collect()
+    roster(0).iter().map(|s| s.name).collect()
 }
 
 /// Every scenario's fault plan under master seed `seed`, by name. Each
@@ -636,7 +481,7 @@ pub fn scenario_names() -> Vec<&'static str> {
 /// independent of which other scenarios run — the determinism proptests
 /// pin exactly that.
 pub fn scenario_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
-    roster(seed).iter().map(|j| (j.name(), j.plan().clone())).collect()
+    roster(seed).into_iter().map(|s| (s.name, s.plan)).collect()
 }
 
 /// Measure a subset of the roster (by name), sharded across `ctx.jobs`
@@ -647,14 +492,11 @@ pub fn scenario_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
 /// subset-independent.
 pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<ScenarioOutcome> {
     let controller = BatchController::calibrate(FlowType::Ip, ctx.params, ctx.jobs);
-    let jobs: Vec<ChaosJob> = roster(ctx.params.seed)
-        .into_iter()
-        .filter(|j| names.contains(&j.name()))
-        .collect();
-    run_many(jobs, ctx.jobs, |job| match job {
-        ChaosJob::Flow(sc) => run_flow_scenario(ctx, &sc, &controller),
-        ChaosJob::Pipeline { name, plan } => run_pipeline_scenario(ctx, name, plan),
-    })
+    let run = |sc: Scenario, _| match sc.topology {
+        Topology::Flow => run_flow_scenario(ctx, &sc, &controller),
+        Topology::Pipeline => run_pipeline_scenario(ctx, &sc),
+    };
+    run_roster(roster(ctx.params.seed), |s| s.name, names, None, ctx.jobs, run).0
 }
 
 /// The `CHAOS_results.json` records for a set of outcomes (one flat row

@@ -3,24 +3,15 @@
 //!
 //! `repro fleet-chaos` proved one machine's tenants survive sustained
 //! faults under a supervisor with perfect information. This sweep removes
-//! that luxury: a [`Cluster`] of independent [`Engine`] machines
+//! that luxury: a [`Cluster`] of independent
+//! [`Engine`](pp_sim::engine::Engine) machines
 //! advances on a shared measurement-window axis, and the
 //! [`FleetController`] sees the world only through heartbeats and a lossy,
-//! delayable [`TelemetryChannel`] per machine. The driver maps each
-//! [`FleetAction`] onto the mechanisms:
-//!
-//! * `ProbeMachine` — counted, free: probes are liveness traffic, not
-//!   placement decisions;
-//! * `DeclareDead` — the machine's residents are orphaned; the driver
-//!   already parked their tasks at the crash transition (in-flight pacing
-//!   credit forfeited through `on_migrate` as counted `drained` loss);
-//! * `Replace` — install the tenant's task on the first free placement
-//!   core of the destination machine, clock-aligned to that machine's
-//!   fleet clock, with the retired-packet counter re-anchored so the
-//!   conservation ledger stays exact across the move;
-//! * `Park` — no admitted machine (or none affordable): every parked
-//!   window refuses the tenant's expected offered load as counted
-//!   `drained` loss — loss, but chosen and ledgered, never silent.
+//! delayable [`TelemetryChannel`] per machine. Each [`FleetAction`] maps
+//! onto [`TenantRt`] calls on the engine of the machine concerned
+//! (ARCHITECTURE.md § "Window protocol and tenant runtime"); a crash
+//! parks the machine's residents at the transition, before the controller
+//! has noticed anything.
 //!
 //! Scenarios and the claims they assert:
 //!
@@ -47,10 +38,8 @@
 //!   when idle.
 //!
 //! Every scenario asserts the conservation law per tenant, fleet-wide and
-//! exactly: `offered = processed + undelivered`, with `processed` flushed
-//! from raw per-core counters anchored at every placement change — a
-//! tenant's packets may be spread across three machines by the end of a
-//! run, and the anchors are what let one ledger close over all of them.
+//! exactly: `offered = processed + undelivered` — a tenant's packets may
+//! be spread across three machines by the end of a run.
 //!
 //! Results land in `cluster_chaos.csv` and `CLUSTER_CHAOS_results.json`
 //! (machine-readable, uploaded as a CI artifact). Scenario seeds mix the
@@ -59,14 +48,11 @@
 use crate::experiments::results_json::{save_results_json, JsonRow};
 use crate::RunCtx;
 use pp_core::prelude::*;
+use pp_net::fivetuple::fnv1a;
 use pp_sim::cluster::{Cluster, MachineId, TelemetryChannel};
 use pp_sim::config::MachineConfig;
-use pp_sim::engine::{CoreTask, Engine};
-use pp_sim::fault::{DropStats, FaultInjector, FaultKind, FaultPlan, TaskControls};
-use pp_sim::latency::LatencyHistogram;
+use pp_sim::fault::{DropStats, FaultInjector, FaultKind, FaultPlan};
 use pp_sim::types::{CoreId, MemDomain};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Machines in the cluster.
 const MACHINES: usize = 3;
@@ -187,98 +173,27 @@ pub struct ClusterOutcome {
     pub digest: u64,
 }
 
-/// Driver-side runtime state for one tenant.
-struct TenantRt {
+/// One tenant: the shared runtime plus what only this driver tracks.
+struct Tenant {
+    rt: TenantRt,
     id: TenantId,
     flow: FlowType,
     priority: u8,
     home: usize,
-    /// Current placement (`None` = parked, task boxed in `parked`).
-    loc: Option<(usize, CoreId)>,
-    lat: Rc<RefCell<LatencyHistogram>>,
-    drops: Rc<RefCell<DropStats>>,
-    controls: Rc<TaskControls>,
-    parked: Option<Box<dyn CoreTask>>,
-    /// Cycles per packet under home contention (pacing reference).
-    cpp: f64,
-    offered_pace: u64,
-    calib_pps: f64,
-    min_pps: f64,
-    prev: DropStats,
-    /// Exact packets retired, flushed from the occupied core's raw
-    /// counter at every placement change (see the module docs).
-    processed: u64,
-    /// The occupied core's retired-packet total at (re-)installation —
-    /// the anchor `processed` flushes against.
-    counter_base: u64,
+    /// The machine whose engine `rt` occupies (stale while parked).
+    machine: MachineId,
 }
 
-/// Raw retired-packet total of one core (pending events included).
-fn core_packets(engine: &Engine, core: CoreId) -> u64 {
-    engine.machine.core(core).counters.total().packets
-}
-
-/// Summarize and reset a per-window latency histogram.
-fn drain_latency(lat: &Rc<RefCell<LatencyHistogram>>, freq_ghz: f64) -> LatencySummary {
-    let s = LatencySummary::from_histogram(&lat.borrow(), freq_ghz);
-    lat.borrow_mut().reset();
-    s
-}
-
-/// Unchosen loss fraction for one window (shed and drained are the
-/// control plane's own actions — excluded from the signal, fully counted
-/// in the conservation ledger).
-fn observed_loss(cur: &DropStats, prev: &DropStats) -> f64 {
-    let offered = cur.offered.saturating_sub(prev.offered);
-    let lost = cur.total_dropped().saturating_sub(prev.total_dropped());
-    let chosen = (cur.shed + cur.drained).saturating_sub(prev.shed + prev.drained);
-    lost.saturating_sub(chosen) as f64 / offered.max(1) as f64
-}
-
-/// Expected offered arrivals in one window for a parked tenant — what the
-/// wire would have delivered, refused and ledgered as `drained`.
-fn parked_arrivals(t: &TenantRt, window: u64) -> u64 {
-    window / t.offered_pace.max(1)
-}
-
-/// Flush the tenant's retired-packet delta from its occupied core into
-/// `processed` — called at every placement change and at the end of the
-/// run, so the ledger closes over every machine the tenant touched.
-fn flush_processed(t: &mut TenantRt, cluster: &Cluster) {
-    if let Some((m, core)) = t.loc {
-        let eng = cluster.engine(MachineId(m));
-        t.processed += core_packets(eng, core) - t.counter_base;
-        t.counter_base = core_packets(eng, core);
-    }
-}
-
-/// Remove the tenant's task from its engine through the counted drain
-/// path and park the carcass.
-fn park_tenant(t: &mut TenantRt, cluster: &mut Cluster) {
-    flush_processed(t, cluster);
-    if let Some((m, core)) = t.loc.take() {
-        let mut task =
-            cluster.engine_mut(MachineId(m)).take_task(core).expect("located tenant");
-        task.on_migrate();
-        t.parked = Some(task);
+impl Tenant {
+    /// Index of the hosting machine (`None` = parked).
+    fn loc(&self) -> Option<usize> {
+        (!self.rt.is_parked()).then_some(self.machine.index())
     }
 }
 
 /// First free placement core on machine `m`.
 fn free_slot(cluster: &Cluster, m: MachineId) -> Option<CoreId> {
     (0..SLOTS as u16).map(CoreId).find(|&c| !cluster.engine(m).has_task(c))
-}
-
-/// FNV-1a over a stream of words — the cross-run identity digest.
-fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// Shared planning state (profiled once, used by every scenario).
@@ -290,7 +205,6 @@ struct ClusterPlanCtx<'a> {
 /// Build the cluster and run one scenario end to end. `controlled =
 /// false` runs the identical measurement schedule without a fleet
 /// controller (the empty-plan twin).
-#[allow(clippy::needless_range_loop)]
 fn run_cluster_scenario(
     ctx: &RunCtx,
     sc: &ClusterScenario,
@@ -300,13 +214,14 @@ fn run_cluster_scenario(
     let params = ctx.params;
     let seed = params.seed ^ 0xC10577;
     let mut cluster = Cluster::new_uniform(MACHINES, &MachineConfig::westmere());
-    let mut tenants: Vec<TenantRt> = Vec::new();
+    let mut tenants: Vec<Tenant> = Vec::new();
     let mut next_core = [0u16; MACHINES];
     for (ti, &(flow, priority, home)) in sc.fleet.iter().enumerate() {
         assert!((next_core[home] as usize) < SLOTS, "fleet overfills machine {home}");
         let core = CoreId(next_core[home]);
         next_core[home] += 1;
-        let eng = cluster.engine_mut(MachineId(home));
+        let machine = MachineId(home);
+        let eng = cluster.engine_mut(machine);
         let built = flow.build_with_structure(
             &mut eng.machine,
             MemDomain(0),
@@ -315,65 +230,29 @@ fn run_cluster_scenario(
             flow.structure_seed(seed),
             BATCH,
         );
-        tenants.push(TenantRt {
-            id: TenantId(ti),
-            flow,
-            priority,
-            home,
-            loc: Some((home, core)),
-            lat: built.task.latency_handle(),
-            drops: built.task.drop_handle(),
-            controls: built.task.controls_handle(),
-            parked: None,
-            cpp: 1.0,
-            offered_pace: 1,
-            calib_pps: 0.0,
-            min_pps: f64::INFINITY,
-            prev: DropStats::default(),
-            processed: 0,
-            counter_base: 0,
-        });
-        eng.set_task(core, Box::new(built.task));
+        let mut rt = TenantRt::new(built.task);
+        rt.install(eng, core);
+        tenants.push(Tenant { rt, id: TenantId(ti), flow, priority, home, machine });
     }
 
     let cfg = cluster.engine(MachineId(0)).machine.config().clone();
     let window = params.window_cycles(&cfg);
-    let warmup = params.warmup_cycles(&cfg);
-    let freq = cfg.freq_ghz;
-    cluster.run_all_until(warmup);
+    cluster.run_all_until(params.warmup_cycles(&cfg));
     for t in tenants.iter_mut() {
-        t.lat.borrow_mut().reset();
-        t.drops.borrow_mut().reset();
-        let (m, core) = t.loc.expect("placed at home");
-        t.counter_base = core_packets(cluster.engine(MachineId(m)), core);
+        t.rt.anchor(cluster.engine(t.machine));
     }
 
-    // Capacity probe: one unpaced window under home contention fixes each
-    // tenant's cycles/packet, from which the offered pace derives.
+    // The capacity probe and the calibration run under home contention.
     let ms = cluster.measure_all(0, window);
     for t in tenants.iter_mut() {
-        let (m, core) = t.loc.expect("placed at home");
-        let cm = ms[m].as_ref().expect("machine up").core(core).expect("tenant measured");
-        t.cpp = window as f64 / cm.counts.total.packets.max(1) as f64;
-        t.offered_pace = (t.cpp / OFFERED_LOAD).max(1.0) as u64;
-        t.controls.pace_cycles.set(t.offered_pace);
-        drain_latency(&t.lat, freq);
+        let m = ms[t.machine.index()].as_ref().expect("machine up");
+        t.rt.probe_capacity(m, Some(OFFERED_LOAD));
     }
-
-    // Calibration: the paced operating point each floor derives from.
-    let mut pps_sum = vec![0.0f64; tenants.len()];
     for _ in 0..CALIB_WINDOWS {
         let ms = cluster.measure_all(0, window);
         for t in tenants.iter_mut() {
-            let (m, core) = t.loc.expect("placed at home");
-            pps_sum[t.id.0] +=
-                ms[m].as_ref().expect("machine up").core(core).expect("measured").metrics.pps;
-            drain_latency(&t.lat, freq);
+            t.rt.calibrate(ms[t.machine.index()].as_ref().expect("machine up"));
         }
-    }
-    for t in tenants.iter_mut() {
-        t.calib_pps = pps_sum[t.id.0] / CALIB_WINDOWS as f64;
-        t.prev = *t.drops.borrow();
     }
 
     let mut ctrl = controlled.then(|| {
@@ -387,7 +266,7 @@ fn run_cluster_scenario(
         for t in &tenants {
             let id = c.add_tenant(t.flow, t.priority, MachineId(t.home));
             assert_eq!(id, t.id, "controller ids mirror fleet order");
-            c.set_floor(id, FLOOR_FRAC * t.calib_pps);
+            c.set_floor(id, FLOOR_FRAC * t.rt.calib_pps());
         }
         c
     });
@@ -406,18 +285,15 @@ fn run_cluster_scenario(
 
     for w in 0..total {
         // 1. Scripted machine-scoped faults.
-        let fired: Vec<_> = injector.advance(w).to_vec();
-        for tr in &fired {
+        for tr in injector.advance(w).to_vec() {
             let m = tr.target.map(|j| j as usize).expect("cluster faults are targeted");
             match tr.kind {
                 FaultKind::MachineCrash { .. } => {
                     if tr.begin {
                         // Power loss: in-flight work on every resident is
                         // forfeited through the counted drain path.
-                        for t in tenants.iter_mut() {
-                            if t.loc.map(|(tm, _)| tm) == Some(m) {
-                                park_tenant(t, &mut cluster);
-                            }
+                        for t in tenants.iter_mut().filter(|t| t.loc() == Some(m)) {
+                            t.rt.park(cluster.engine_mut(t.machine));
                         }
                         cluster.set_up(MachineId(m), false);
                     } else {
@@ -438,8 +314,8 @@ fn run_cluster_scenario(
         }
         // Derates strike machines; the stall follows current placement.
         for t in &tenants {
-            if let Some((m, _)) = t.loc {
-                t.controls.stall_cycles.set(derate[m]);
+            if let Some(m) = t.loc() {
+                t.rt.controls.stall_cycles.set(derate[m]);
             }
         }
 
@@ -467,7 +343,7 @@ fn run_cluster_scenario(
         // re-admission against the machine's current residents.
         let actions = if let Some(ctrl) = ctrl.as_mut() {
             let placed: Vec<(FlowType, Option<usize>)> =
-                tenants.iter().map(|t| (t.flow, t.loc.map(|(m, _)| m))).collect();
+                tenants.iter().map(|t| (t.flow, t.loc())).collect();
             let mut gate = |m: MachineId, flow: FlowType| {
                 let resident: Vec<FlowType> = placed
                     .iter()
@@ -488,35 +364,19 @@ fn run_cluster_scenario(
                 }
                 FleetAction::Replace { tenant, to } => {
                     let t = &mut tenants[tenant.0];
-                    // From a refuge (return-home) or from the parked box.
-                    let task = if t.loc.is_some() {
-                        flush_processed(t, &cluster);
-                        let (m, core) = t.loc.take().expect("checked");
-                        let mut task = cluster
-                            .engine_mut(MachineId(m))
-                            .take_task(core)
-                            .expect("located tenant");
-                        task.on_migrate();
-                        task
-                    } else {
-                        t.parked.take().expect("parked task present")
-                    };
+                    // From a refuge (return-home) the task drains off its
+                    // engine first; an orphan is already in the box.
+                    t.rt.park(cluster.engine_mut(t.machine));
                     let dest = free_slot(&cluster, to)
                         .expect("controller capacity keeps a slot free");
-                    let eng = cluster.engine_mut(to);
-                    // Join at the destination's fleet clock, like a churn
-                    // join — machines share no clock, only the window axis.
-                    let now = eng.machine.max_clock();
-                    eng.machine.core_mut(dest).clock = now;
-                    eng.set_task(dest, task);
-                    t.loc = Some((to.index(), dest));
-                    t.counter_base = core_packets(cluster.engine(to), dest);
-                    t.controls.pace_cycles.set(t.offered_pace);
-                    t.controls.stall_cycles.set(derate[to.index()]);
+                    t.rt.install(cluster.engine_mut(to), dest);
+                    t.machine = to;
+                    t.rt.controls.stall_cycles.set(derate[to.index()]);
                     first_replacement_window.get_or_insert(w);
                 }
                 FleetAction::Park { tenant } => {
-                    park_tenant(&mut tenants[tenant.0], &mut cluster);
+                    let t = &mut tenants[tenant.0];
+                    t.rt.park(cluster.engine_mut(t.machine));
                     parked_tenants.push(tenant.0);
                 }
             }
@@ -535,49 +395,37 @@ fn run_cluster_scenario(
         // 5. One measured window per machine (down machines skip: their
         // clocks freeze). Each running tenant's report goes onto its
         // machine's telemetry channel — delivery is the channel's problem.
+        // Parked tenants refuse their offered load, counted.
         let ms = cluster.measure_all(0, window);
         for t in tenants.iter_mut() {
-            let Some((m, core)) = t.loc else { continue };
-            let cm = ms[m]
-                .as_ref()
-                .expect("located tenants ride up machines")
-                .core(core)
-                .expect("running tenant measured");
-            t.min_pps = t.min_pps.min(cm.metrics.pps);
-            let cur = *t.drops.borrow();
+            let Some(m) = t.loc() else {
+                t.rt.refuse_window(window);
+                continue;
+            };
+            let obs = t.rt.observe(ms[m].as_ref().expect("located tenants ride up machines"));
             let rep = TelemetryReport {
                 window: w,
-                pps: cm.metrics.pps,
-                p99_us: drain_latency(&t.lat, freq).p99_us,
-                loss_frac: observed_loss(&cur, &t.prev),
+                pps: obs.pps,
+                p99_us: obs.p99_us,
+                loss_frac: obs.loss_frac,
             };
-            t.prev = cur;
             channels[m].send(w, (t.id, rep));
-        }
-
-        // 6. Parked tenants refuse their offered load, counted.
-        for t in tenants.iter_mut() {
-            if t.loc.is_none() {
-                let refused = parked_arrivals(t, window);
-                let mut d = t.drops.borrow_mut();
-                d.offered += refused;
-                d.drained += refused;
-            }
         }
     }
 
     // Close the ledger: flush every running tenant from its final core
     // (parked tenants were flushed when they were taken off their engine).
     for t in tenants.iter_mut() {
-        flush_processed(t, &cluster);
+        t.rt.flush(cluster.engine(t.machine));
     }
-    let digest = fnv1a64((0..MACHINES).flat_map(|m| {
+    let words = (0..MACHINES).flat_map(|m| {
         let eng = cluster.engine(MachineId(m));
         (0..SLOTS as u16).flat_map(move |c| {
             let core = eng.machine.core(CoreId(c));
             [m as u64, c as u64, core.clock, core.counters.total().packets]
         })
-    }));
+    });
+    let digest = fnv1a(&words.flat_map(u64::to_le_bytes).collect::<Vec<u8>>());
 
     let (decisions, replacements) = match &ctrl {
         Some(c) => (c.decisions(), c.replacements_used()),
@@ -597,19 +445,17 @@ fn run_cluster_scenario(
         tenants: tenants
             .iter()
             .map(|t| {
-                let drops = *t.drops.borrow();
-                let slack =
-                    drops.offered as i64 - t.processed as i64 - drops.undelivered() as i64;
+                let (drops, processed, conservation_slack) = t.rt.ledger();
                 ClusterTenantOutcome {
                     flow: t.flow,
                     priority: t.priority,
                     home: t.home,
-                    final_machine: t.loc.map(|(m, _)| m),
-                    calib_pps: t.calib_pps,
-                    min_pps: t.min_pps,
+                    final_machine: t.loc(),
+                    calib_pps: t.rt.calib_pps(),
+                    min_pps: t.rt.min_pps,
                     drops,
-                    processed: t.processed,
-                    conservation_slack: slack,
+                    processed,
+                    conservation_slack,
                 }
             })
             .collect(),
@@ -680,12 +526,10 @@ pub fn scenario_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// Measure a subset of the roster (by name), sharded across `ctx.jobs`
-/// host threads, outcomes merged in canonical scenario order. Each job is
-/// plain `Send` config; the worker builds its own `Cluster` of engines
-/// from the scenario's derived seed. When `cluster-empty-plan` is
-/// selected, its controller-free twin rides along as one more parallel
-/// job and the bit-for-bit identity (FNV digest over every core's clock
-/// and retired-packet counter, plus per-tenant ledgers) is asserted here.
+/// host threads, outcomes merged in canonical scenario order. When
+/// `cluster-empty-plan` is selected, its controller-free twin rides along
+/// and the bit-for-bit identity (FNV digest over every core's clock and
+/// retired-packet counter, plus per-tenant ledgers) is asserted here.
 pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<ClusterOutcome> {
     let predictor = Predictor::profile(&PROFILE, ctx.levels.min(3), ctx.params, ctx.jobs);
     let admission = AdmissionController::new(&predictor);
@@ -693,21 +537,15 @@ pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<ClusterOutcome> {
         PROFILE.iter().map(|&f| Sla { flow: f, max_drop_pct: 40.0 }).collect();
     let plan_ctx = ClusterPlanCtx { admission, slas };
 
-    let selected: Vec<ClusterScenario> = scenarios(ctx.params.seed)
-        .into_iter()
-        .filter(|s| names.contains(&s.name))
-        .collect();
-    let mut work: Vec<(ClusterScenario, bool)> =
-        selected.iter().cloned().map(|s| (s, true)).collect();
-    let twin_idx = selected.iter().position(|s| s.name == "cluster-empty-plan");
-    if let Some(i) = twin_idx {
-        work.push((selected[i].clone(), false));
-    }
-    let mut results = run_many(work, ctx.jobs, |(sc, controlled)| {
-        run_cluster_scenario(ctx, &sc, &plan_ctx, controlled)
-    });
-    if let Some(i) = twin_idx {
-        let twin = results.pop().expect("twin job present");
+    let (results, twin) = run_roster(
+        scenarios(ctx.params.seed),
+        |s| s.name,
+        names,
+        Some("cluster-empty-plan"),
+        ctx.jobs,
+        |sc, controlled| run_cluster_scenario(ctx, &sc, &plan_ctx, controlled),
+    );
+    if let Some((i, twin)) = twin {
         let outcome = &results[i];
         // Bit-for-bit identity across N machines: same digest, same
         // per-tenant ledgers — an idle control plane is free.

@@ -6,25 +6,11 @@
 //! by [`plan_socket`] (admission + per-flow batch choice), admitted to a
 //! [`Supervisor`] built [`from_plan`](Supervisor::from_plan), and driven
 //! through seeded per-tenant fault timelines
-//! ([`FaultPlan::with_target`]). The driver maps each
-//! [`SupervisorAction`] onto the mechanisms:
-//!
-//! * `Continue` — enforce the ladder level on the tenant's `TaskControls`
-//!   (same non-stacking actuation as `repro chaos`);
-//! * `Migrate` — [`Engine::migrate_task`] to a healthy spare core: the
-//!   drain hook forfeits in-flight pacing credit as counted `drained`
-//!   loss, the next window re-probes the envelope on the new placement
-//!   (fresh `set_model`), and the planned batch is re-asserted;
-//! * `Evict` — take the task out of the engine (drain via the same
-//!   counted path) and, for every parked window, refuse the tenant's
-//!   expected offered load as counted `drained` loss — eviction is loss,
-//!   but *chosen and ledgered*, never silent;
-//! * `Probe` — re-install the tenant (clock-aligned, like the chaos
-//!   churn joins) for exactly one half-open trial window, after an
-//!   [`AdmissionController::readmit`] check that prediction still admits
-//!   the candidate next to the resident flows;
-//! * `Recalibrate` — re-fit the model from the measured window
-//!   ([`Supervisor::set_model`]) instead of degrading on a stale envelope.
+//! ([`FaultPlan::with_target`]). Each [`SupervisorAction`] maps onto
+//! [`TenantRt`] calls — the window protocol, the ladder actuation, the
+//! loss signal and the counter-anchored ledger are shared with `repro
+//! chaos` and `repro cluster-chaos` (ARCHITECTURE.md § "Window protocol
+//! and tenant runtime").
 //!
 //! Scenarios and the claims they assert:
 //!
@@ -47,23 +33,9 @@
 //!   bit-for-bit identical (clocks, counters, ledgers) to a
 //!   supervisor-free run: the control plane is free when idle.
 //!
-//! Every scenario additionally asserts the PR 6 conservation law per
-//! tenant: `offered = processed + undelivered`, exactly — the `drained`
-//! category keeps the ledger closed through migrations and evictions.
-//! `processed` is read from the raw core counters, anchored at every
-//! placement change — *not* by summing measurement windows. The windows
-//! cannot close a ledger on a multi-core socket: `Engine::measure`
-//! re-anchors each window at the fleet's max clock, so a core that lags
-//! it (every paced core lags the line-rate tenant's turn overshoot) first
-//! replays catch-up turns that land between the windows' snapshots.
-//! Those turns are real, counted work — only the raw counters see all of
-//! them.
-//!
-//! Loss-signal composition rule (extends PR 6's): shed drops *and*
-//! drained drops are excluded from the guard's loss signal — both are the
-//! control plane's own chosen actions, and a guard chasing its
-//! supervisor's drain would never converge. Both still appear in the
-//! conservation ledger.
+//! Every scenario additionally asserts the conservation law per tenant:
+//! `offered = processed + undelivered`, exactly — the `drained` category
+//! keeps the ledger closed through migrations and evictions.
 //!
 //! Results land in `fleet_chaos.csv` and `FLEET_CHAOS_results.json`
 //! (machine-readable, uploaded as a CI artifact).
@@ -72,13 +44,10 @@ use crate::experiments::results_json::{save_results_json, JsonRow};
 use crate::RunCtx;
 use pp_core::prelude::*;
 use pp_sim::config::MachineConfig;
-use pp_sim::engine::{CoreTask, Engine};
-use pp_sim::fault::{DropStats, FaultInjector, FaultKind, FaultPlan, TaskControls};
-use pp_sim::latency::LatencyHistogram;
+use pp_sim::engine::Engine;
+use pp_sim::fault::{DropStats, FaultInjector, FaultKind, FaultPlan};
 use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The fleet: one tenant per entry, resident on cores 0..N of socket 0.
 const FLEET: [FlowType; 3] = [FlowType::Ip, FlowType::Mon, FlowType::Fw];
@@ -92,10 +61,6 @@ const CALIB_WINDOWS: u32 = 3;
 const OFFERED_LOAD: f64 = 0.75;
 /// Envelope throughput floor as a fraction of calibrated pps.
 const ENVELOPE_FLOOR: f64 = 0.7;
-/// Admission pace at the Throttle rung (see `repro chaos` for margins).
-const THROTTLE_HEADROOM: f64 = 1.1;
-/// Wire-drop fraction at the Shed rung.
-const SHED_PER_MILLE: u16 = 50;
 /// Windows simulated past the last scripted event.
 const FLEET_TAIL: u32 = 18;
 /// Windows allowed between the last fault clearing (or the re-admission)
@@ -165,91 +130,26 @@ pub struct FleetOutcome {
     pub tenants: Vec<TenantOutcome>,
 }
 
-/// Driver-side runtime state for one tenant.
-struct TenantRt {
+/// One tenant: the shared runtime plus what only this driver tracks.
+struct Tenant {
+    rt: TenantRt,
     id: TenantId,
     flow: FlowType,
-    core: CoreId,
-    batch: usize,
-    lat: Rc<RefCell<LatencyHistogram>>,
-    drops: Rc<RefCell<DropStats>>,
-    controls: Rc<TaskControls>,
-    /// Boxed task while evicted (the engine owns it while running).
-    parked: Option<Box<dyn CoreTask>>,
-    /// Solo-probe cycles per packet (at the planned batch, under fleet
-    /// contention — the pacing and accounting reference).
-    cpp: f64,
-    baseline_pace: u64,
-    offered_pace: u64,
-    throttle_pace: u64,
     /// Persistent environment derate (drift scenario), cycles per turn.
     env_stall: u64,
     /// One-window envelope re-fit pending after a migration.
     reprobe_pending: bool,
-    calib_pps: f64,
-    min_pps: f64,
     peak: DegradeLevel,
-    prev: DropStats,
-    /// Exact packets retired by this tenant, flushed from the occupied
-    /// core's raw counter at every placement change (see the module docs:
-    /// windowed deltas cannot close the ledger on a multi-core socket).
-    processed: u64,
-    /// The occupied core's retired-packet total when this tenant was
-    /// (re-)installed on it — the anchor `processed` flushes against.
-    counter_base: u64,
     recovery: Option<u32>,
 }
 
-/// Raw retired-packet total of one core (pending events included).
-fn core_packets(engine: &Engine, core: CoreId) -> u64 {
-    engine.machine.core(core).counters.total().packets
-}
-
-/// Summarize and reset a per-window latency histogram.
-fn drain_latency(lat: &Rc<RefCell<LatencyHistogram>>, freq_ghz: f64) -> LatencySummary {
-    let s = LatencySummary::from_histogram(&lat.borrow(), freq_ghz);
-    lat.borrow_mut().reset();
-    s
-}
-
-/// The guard's loss signal: unchosen drops only. Shed (PR 6) *and*
-/// drained (PR 7) are the control plane's own actions — excluded here,
-/// fully counted in the conservation ledger.
-fn observed_loss(cur: &DropStats, prev: &DropStats) -> f64 {
-    let offered = cur.offered.saturating_sub(prev.offered);
-    let lost = cur.total_dropped().saturating_sub(prev.total_dropped());
-    let chosen = (cur.shed + cur.drained).saturating_sub(prev.shed + prev.drained);
-    lost.saturating_sub(chosen) as f64 / offered.max(1) as f64
-}
-
-/// Map a ladder level onto one tenant's live knobs. Identical
-/// non-stacking rules to `repro chaos`: shrink and throttle never stack,
-/// and the full planned batch returns at the throttle rung.
-fn apply_ladder(t: &TenantRt, level: DegradeLevel) {
-    let pace = if level >= DegradeLevel::Throttle {
-        t.offered_pace.max(t.throttle_pace)
-    } else {
-        t.offered_pace
-    };
-    t.controls.pace_cycles.set(pace);
-    let batch = if level == DegradeLevel::ShrinkBatch {
-        (t.batch / 2).max(4)
-    } else {
-        t.batch
-    };
-    t.controls.batch_override.set(batch);
-    t.controls
-        .shed_per_mille
-        .set(if level == DegradeLevel::Shed { SHED_PER_MILLE } else { 0 });
-}
-
-/// Re-apply every tenant's stall knob from core sickness + environment
-/// derate (placement-dependent: a migration away from a sick core cures
-/// the sickness term, the environment term follows the tenant).
-fn refresh_stalls(tenants: &[TenantRt], sick: &[u64; SOCKET_CORES]) {
-    for t in tenants {
-        if t.parked.is_none() {
-            t.controls.stall_cycles.set(sick[t.core.index()] + t.env_stall);
+impl Tenant {
+    /// Re-apply the stall knob from core sickness + environment derate
+    /// (placement-dependent: a migration away from a sick core cures the
+    /// sickness term, the environment term follows the tenant).
+    fn refresh_stall(&self, sick: &[u64; SOCKET_CORES]) {
+        if !self.rt.is_parked() {
+            self.rt.controls.stall_cycles.set(sick[self.rt.core.index()] + self.env_stall);
         }
     }
 }
@@ -259,14 +159,6 @@ fn healthy_spare(engine: &Engine, sick: &[u64; SOCKET_CORES]) -> Option<CoreId> 
     (0..SOCKET_CORES as u16)
         .map(CoreId)
         .find(|&c| !engine.has_task(c) && sick[c.index()] == 0)
-}
-
-/// Expected offered arrivals in one window for a parked tenant — what the
-/// wire would have delivered, refused and ledgered as `drained`.
-fn parked_arrivals(t: &TenantRt, window: u64) -> u64 {
-    window
-        .checked_div(t.offered_pace)
-        .unwrap_or((window as f64 / t.cpp) as u64)
 }
 
 /// Shared fleet planning state (built once, used by every scenario).
@@ -279,7 +171,6 @@ struct FleetPlanCtx<'a> {
 /// Build the fleet and run one scenario end to end. `supervised = false`
 /// runs the identical measurement schedule without a supervisor (the
 /// empty-plan twin).
-#[allow(clippy::needless_range_loop)]
 fn run_fleet_scenario(
     ctx: &RunCtx,
     sc: &FleetScenario,
@@ -289,8 +180,7 @@ fn run_fleet_scenario(
     let params = ctx.params;
     let seed = params.seed ^ 0xF1EE7;
     let mut machine = Machine::new(MachineConfig::westmere());
-    let mut tenants: Vec<TenantRt> = Vec::new();
-    let mut built_tasks = Vec::new();
+    let mut tenants: Vec<Tenant> = Vec::new();
     for (i, &(flow, choice)) in plan_ctx.plan.batches.iter().enumerate() {
         let built = flow.build_with_structure(
             &mut machine,
@@ -300,86 +190,41 @@ fn run_fleet_scenario(
             flow.structure_seed(seed),
             choice.batch,
         );
-        tenants.push(TenantRt {
+        tenants.push(Tenant {
+            rt: TenantRt::new(built.task),
             id: TenantId(i),
             flow,
-            core: CoreId(i as u16),
-            batch: choice.batch,
-            lat: built.task.latency_handle(),
-            drops: built.task.drop_handle(),
-            controls: built.task.controls_handle(),
-            parked: None,
-            cpp: 1.0,
-            baseline_pace: 0,
-            offered_pace: 0,
-            throttle_pace: 1,
             env_stall: 0,
             reprobe_pending: false,
-            calib_pps: 0.0,
-            min_pps: f64::INFINITY,
             peak: DegradeLevel::Normal,
-            prev: DropStats::default(),
-            processed: 0,
-            counter_base: 0,
             recovery: None,
         });
-        built_tasks.push(built.task);
     }
     let mut engine = Engine::new(machine);
-    for (i, task) in built_tasks.into_iter().enumerate() {
-        engine.set_task(CoreId(i as u16), Box::new(task));
+    for t in tenants.iter_mut() {
+        t.rt.install(&mut engine, CoreId(t.id.0 as u16));
     }
 
     let window = params.window_cycles(engine.machine.config());
-    let warmup = params.warmup_cycles(engine.machine.config());
-    let freq = engine.machine.config().freq_ghz;
-    engine.run_until(warmup);
+    engine.run_until(params.warmup_cycles(engine.machine.config()));
     for t in tenants.iter_mut() {
-        t.lat.borrow_mut().reset();
-        t.drops.borrow_mut().reset();
-        t.counter_base = core_packets(&engine, t.core);
+        t.rt.anchor(&engine);
     }
 
-    // Capacity probe: one unpaced window under full fleet contention fixes
-    // each tenant's cycles/packet, from which the paces derive. The last
+    // The capacity probe runs under full fleet contention. The last
     // tenant stays at line rate (capacity drift must show in pps).
     let cap = engine.measure(0, window);
     for t in tenants.iter_mut() {
-        let pkts = cap.core(t.core).expect("tenant measured").counts.total.packets.max(1);
-        t.cpp = window as f64 / pkts as f64;
-        t.throttle_pace = (t.cpp * THROTTLE_HEADROOM).max(1.0) as u64;
-        t.baseline_pace = if t.id.0 + 1 < FLEET.len() {
-            (t.cpp / OFFERED_LOAD).max(1.0) as u64
-        } else {
-            0
-        };
-        t.offered_pace = t.baseline_pace;
-        t.controls.pace_cycles.set(t.baseline_pace);
-        drain_latency(&t.lat, freq);
+        t.rt.probe_capacity(&cap, (t.id.0 + 1 < FLEET.len()).then_some(OFFERED_LOAD));
     }
-
-    // Calibration: fit each envelope at the fleet's operating point.
-    let mut pps_sum = vec![0.0f64; tenants.len()];
-    let mut p99_max = vec![0.0f64; tenants.len()];
     for _ in 0..CALIB_WINDOWS {
         let m = engine.measure(0, window);
         for t in tenants.iter_mut() {
-            let c = m.core(t.core).expect("tenant measured");
-            pps_sum[t.id.0] += c.metrics.pps;
-            p99_max[t.id.0] = p99_max[t.id.0].max(drain_latency(&t.lat, freq).p99_us);
+            t.rt.calibrate(&m);
         }
     }
-    let envelopes: Vec<GuardEnvelope> = tenants
-        .iter_mut()
-        .map(|t| {
-            t.calib_pps = pps_sum[t.id.0] / CALIB_WINDOWS as f64;
-            GuardEnvelope {
-                min_pps: ENVELOPE_FLOOR * t.calib_pps,
-                max_p99_us: (1.5 * p99_max[t.id.0]).max(5.0),
-                max_loss_frac: 0.005,
-            }
-        })
-        .collect();
+    let envelopes: Vec<GuardEnvelope> =
+        tenants.iter().map(|t| t.rt.envelope(ENVELOPE_FLOOR)).collect();
 
     // The supervisor: admitted from the socket plan with the *predicted*
     // envelopes, then immediately re-fitted from the measured calibration
@@ -388,7 +233,7 @@ fn run_fleet_scenario(
         let cfg = SupervisorConfig { seed, ..SupervisorConfig::default() };
         let mut s = Supervisor::from_plan(cfg, &plan_ctx.plan, |flow| {
             let t = tenants.iter().find(|t| t.flow == flow).expect("planned tenant");
-            let pred = t.calib_pps; // placeholder; refit below
+            let pred = t.rt.calib_pps(); // placeholder; refit below
             (
                 GuardEnvelope {
                     min_pps: ENVELOPE_FLOOR * pred,
@@ -400,7 +245,7 @@ fn run_fleet_scenario(
         })
         .expect("socket plan must be viable");
         for t in &tenants {
-            s.set_model(t.id, t.calib_pps, envelopes[t.id.0]);
+            s.set_model(t.id, t.rt.calib_pps(), envelopes[t.id.0]);
         }
         s
     });
@@ -413,42 +258,35 @@ fn run_fleet_scenario(
     // away cures the tenant, not the core.
     let mut sick = [0u64; SOCKET_CORES];
     let mut sick_core_of_event: Vec<Option<usize>> = vec![None; sc.plan.events.len()];
-    for t in tenants.iter_mut() {
-        t.prev = *t.drops.borrow();
-    }
     for t in &tenants {
-        apply_ladder(t, DegradeLevel::Normal);
+        t.rt.apply_ladder(DegradeLevel::Normal);
     }
 
     for w in 0..total {
         // 1. Scripted faults.
-        let fired: Vec<_> = injector.advance(w).to_vec();
-        for tr in &fired {
-            let target = tr.target.map(|j| j as usize);
-            match (tr.kind, target) {
-                (FaultKind::FreqDerate { stall_cycles }, Some(j)) => {
+        for tr in injector.advance(w).to_vec() {
+            let Some(j) = tr.target.map(|j| j as usize) else { continue };
+            let rt = &mut tenants[j].rt;
+            match tr.kind {
+                FaultKind::FreqDerate { stall_cycles } => {
                     if tr.begin {
-                        let core = tenants[j].core.index();
+                        let core = rt.core.index();
                         sick[core] = stall_cycles as u64;
                         sick_core_of_event[tr.event] = Some(core);
                     } else if let Some(core) = sick_core_of_event[tr.event].take() {
                         sick[core] = 0;
                     }
                 }
-                (FaultKind::Corruption { per_mille }, Some(j)) => {
+                FaultKind::Corruption { per_mille } => {
                     // A pathology in the tenant's own traffic: the knob
                     // travels with the task, so no placement cures it.
-                    tenants[j].controls.corrupt_per_mille.set(if tr.begin {
-                        per_mille
-                    } else {
-                        0
-                    });
+                    rt.controls.corrupt_per_mille.set(if tr.begin { per_mille } else { 0 });
                 }
-                (FaultKind::RateBurst { multiplier }, Some(j)) => {
-                    tenants[j].offered_pace = if tr.begin {
-                        (tenants[j].baseline_pace / multiplier.max(1) as u64).max(1)
+                FaultKind::RateBurst { multiplier } => {
+                    rt.offered_pace = if tr.begin {
+                        (rt.baseline_pace / multiplier.max(1) as u64).max(1)
                     } else {
-                        tenants[j].baseline_pace
+                        rt.baseline_pace
                     };
                 }
                 _ => {}
@@ -458,10 +296,12 @@ fn run_fleet_scenario(
         if let Some((j, frac, at)) = sc.env_change {
             if w == at {
                 let t = &mut tenants[j];
-                t.env_stall = (frac * t.batch as f64 * t.cpp) as u64;
+                t.env_stall = (frac * t.rt.batch as f64 * t.rt.cpp) as u64;
             }
         }
-        refresh_stalls(&tenants, &sick);
+        for t in &tenants {
+            t.refresh_stall(&sick);
+        }
 
         // 3. Parked tenants decide *before* the window runs: stay parked
         // (counted refusal) or re-enter for a half-open trial.
@@ -471,45 +311,29 @@ fn run_fleet_scenario(
                 if sup.is_running(id) {
                     continue;
                 }
-                let d = sup.tick_parked(id);
-                match d.action {
+                match sup.tick_parked(id).action {
                     SupervisorAction::Probe => {
                         // Prediction gate first: re-admitting next to the
                         // resident flows must keep every SLA.
                         let resident: Vec<FlowType> = tenants
                             .iter()
-                            .filter(|t| t.parked.is_none())
+                            .filter(|t| !t.rt.is_parked())
                             .map(|t| t.flow)
                             .collect();
-                        let verdict = plan_ctx.admission.readmit(
-                            &resident,
-                            &plan_ctx.slas,
-                            tenants[j].flow,
-                        );
+                        let t = &mut tenants[j];
+                        let verdict =
+                            plan_ctx.admission.readmit(&resident, &plan_ctx.slas, t.flow);
                         assert!(
                             verdict.admitted(),
                             "re-admission prediction must hold for this fleet"
                         );
                         let dest = healthy_spare(&engine, &sick)
                             .expect("a healthy core must be free for the trial");
-                        let task =
-                            tenants[j].parked.take().expect("parked task present");
-                        // Trial joins at the fleet clock, like a churn join.
-                        let now = engine.machine.max_clock();
-                        engine.machine.core_mut(dest).clock = now;
-                        engine.set_task(dest, task);
-                        tenants[j].core = dest;
-                        tenants[j].counter_base = core_packets(&engine, dest);
-                        apply_ladder(&tenants[j], DegradeLevel::Normal);
-                        refresh_stalls(&tenants, &sick);
+                        t.rt.install(&mut engine, dest);
+                        t.rt.apply_ladder(DegradeLevel::Normal);
+                        t.refresh_stall(&sick);
                     }
-                    SupervisorAction::Evict { .. } => {
-                        let t = &mut tenants[j];
-                        let refused = parked_arrivals(t, window);
-                        let mut d = t.drops.borrow_mut();
-                        d.offered += refused;
-                        d.drained += refused;
-                    }
+                    SupervisorAction::Evict { .. } => tenants[j].rt.refuse_window(window),
                     _ => {}
                 }
             }
@@ -519,95 +343,57 @@ fn run_fleet_scenario(
         let m = engine.measure(0, window);
 
         // 5. Running tenants observe and act.
-        for j in 0..tenants.len() {
-            if tenants[j].parked.is_some() {
+        for (t, envelope) in tenants.iter_mut().zip(&envelopes) {
+            if t.rt.is_parked() {
                 continue;
             }
-            let c = m.core(tenants[j].core).expect("running tenant measured");
-            tenants[j].min_pps = tenants[j].min_pps.min(c.metrics.pps);
-            let cur = *tenants[j].drops.borrow();
-            if std::env::var_os("FLEET_DEBUG").is_some() {
-                eprintln!(
-                    "[{}] w{w} t{j}: pkts {} offeredΔ {} lostΔ {} pps {:.3e}",
-                    sc.name,
-                    c.counts.total.packets,
-                    cur.offered - tenants[j].prev.offered,
-                    cur.total_dropped() - tenants[j].prev.total_dropped(),
-                    c.metrics.pps,
-                );
-            }
-            let obs = WindowObservation {
-                pps: c.metrics.pps,
-                p99_us: drain_latency(&tenants[j].lat, freq).p99_us,
-                loss_frac: observed_loss(&cur, &tenants[j].prev),
-            };
-            tenants[j].prev = cur;
+            let obs = t.rt.observe(&m);
             let Some(sup) = sup.as_mut() else { continue };
-            let id = tenants[j].id;
             // A migration's re-probe: first window on the new placement
-            // re-fits the envelope before it is judged.
-            if tenants[j].reprobe_pending {
-                tenants[j].reprobe_pending = false;
-                sup.set_model(
-                    id,
-                    obs.pps,
-                    GuardEnvelope { min_pps: ENVELOPE_FLOOR * obs.pps, ..envelopes[j] },
-                );
+            // re-fits the envelope before it is judged. A stale model on
+            // a healthy tenant (`Recalibrate`) is re-fitted the same way.
+            let refit = GuardEnvelope { min_pps: ENVELOPE_FLOOR * obs.pps, ..*envelope };
+            if t.reprobe_pending {
+                t.reprobe_pending = false;
+                sup.set_model(t.id, obs.pps, refit);
             }
-            let fault_active = injector.active_for(w, j as u8).next().is_some();
+            let fault_active = injector.active_for(w, t.id.0 as u8).next().is_some();
             let sibling = healthy_spare(&engine, &sick).is_some();
-            let d = sup.observe(id, &obs, sibling, fault_active);
-            tenants[j].peak = tenants[j].peak.max(d.level);
-            let clean = obs.pps >= ENVELOPE_FLOOR * tenants[j].calib_pps;
+            let d = sup.observe(t.id, &obs, sibling, fault_active);
+            t.peak = t.peak.max(d.level);
+            let clean = obs.pps >= ENVELOPE_FLOOR * t.rt.calib_pps();
             match d.action {
                 SupervisorAction::Continue | SupervisorAction::Readmit => {
-                    apply_ladder(&tenants[j], d.level);
+                    t.rt.apply_ladder(d.level);
                 }
                 SupervisorAction::Migrate => {
                     let dest = healthy_spare(&engine, &sick)
                         .expect("sibling availability was just checked");
-                    let from = tenants[j].core;
-                    tenants[j].processed +=
-                        core_packets(&engine, from) - tenants[j].counter_base;
-                    assert!(engine.migrate_task(from, dest), "legal migration");
-                    tenants[j].core = dest;
-                    tenants[j].counter_base = core_packets(&engine, dest);
-                    tenants[j].reprobe_pending = true;
+                    t.rt.migrate(&mut engine, dest);
+                    t.reprobe_pending = true;
                     // Re-assert the planned batch on the new placement and
                     // restore Normal knobs (the guard was reset).
-                    apply_ladder(&tenants[j], DegradeLevel::Normal);
-                    refresh_stalls(&tenants, &sick);
+                    t.rt.apply_ladder(DegradeLevel::Normal);
+                    t.refresh_stall(&sick);
                 }
                 SupervisorAction::Evict { .. } => {
-                    tenants[j].peak = DegradeLevel::Shed;
-                    tenants[j].processed +=
-                        core_packets(&engine, tenants[j].core) - tenants[j].counter_base;
-                    let mut task =
-                        engine.take_task(tenants[j].core).expect("running tenant");
-                    // Drain through the counted path (in-flight pacing
-                    // credit becomes `drained`), then park the carcass.
-                    task.on_migrate();
-                    tenants[j].parked = Some(task);
+                    t.peak = DegradeLevel::Shed;
+                    t.rt.park(&mut engine);
                 }
                 SupervisorAction::Recalibrate => {
-                    // The model is stale, the tenant is healthy: re-fit
-                    // from the measured window, do not degrade.
-                    sup.set_model(
-                        id,
-                        obs.pps,
-                        GuardEnvelope { min_pps: ENVELOPE_FLOOR * obs.pps, ..envelopes[j] },
-                    );
-                    apply_ladder(&tenants[j], d.level);
+                    // Re-fit from the measured window, do not degrade.
+                    sup.set_model(t.id, obs.pps, refit);
+                    t.rt.apply_ladder(d.level);
                 }
                 SupervisorAction::Probe => unreachable!("probe comes from tick_parked"),
             }
-            if tenants[j].recovery.is_none()
+            if t.recovery.is_none()
                 && w >= sc.last_event
-                && sup.is_running(id)
-                && sup.guard(id).level() == DegradeLevel::Normal
+                && sup.is_running(t.id)
+                && sup.guard(t.id).level() == DegradeLevel::Normal
                 && (clean || sc.env_change.is_some())
             {
-                tenants[j].recovery = Some(w - sc.last_event);
+                t.recovery = Some(w - sc.last_event);
             }
         }
     }
@@ -615,10 +401,7 @@ fn run_fleet_scenario(
     // Close the ledger: flush each running tenant's retired-packet count
     // from its occupied core (parked tenants were flushed at eviction).
     for t in tenants.iter_mut() {
-        if t.parked.is_none() {
-            t.processed += core_packets(&engine, t.core) - t.counter_base;
-            t.counter_base = core_packets(&engine, t.core);
-        }
+        t.rt.flush(&engine);
     }
     let clocks: Vec<u64> = (0..SOCKET_CORES as u16)
         .map(|c| engine.machine.core(CoreId(c)).clock)
@@ -629,9 +412,7 @@ fn run_fleet_scenario(
         tenants: tenants
             .iter()
             .map(|t| {
-                let drops = *t.drops.borrow();
-                let slack =
-                    drops.offered as i64 - t.processed as i64 - drops.undelivered() as i64;
+                let (drops, processed, conservation_slack) = t.rt.ledger();
                 let (stats, final_level, running, transitions) = match &sup {
                     Some(s) => (
                         s.stats(t.id),
@@ -648,11 +429,11 @@ fn run_fleet_scenario(
                     final_level,
                     final_running: running,
                     guard_transitions: transitions,
-                    calib_pps: t.calib_pps,
-                    min_pps: t.min_pps,
+                    calib_pps: t.rt.calib_pps(),
+                    min_pps: t.rt.min_pps,
                     drops,
-                    processed: t.processed,
-                    conservation_slack: slack,
+                    processed,
+                    conservation_slack,
                     recovery_windows: t.recovery,
                 }
             })
@@ -715,11 +496,10 @@ pub fn scenario_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
 }
 
 /// Measure a subset of the roster (by name), sharded across `ctx.jobs`
-/// host threads, outcomes merged in canonical scenario order. Each job is
-/// plain `Send` config; the worker builds its own `Machine`/`Engine` from
-/// the scenario's derived seed. When `fleet-empty-plan` is selected, its
-/// supervisor-free twin rides along as one more parallel job and the
-/// bit-for-bit identity (core clocks, packets, ledgers) is asserted here.
+/// host threads, outcomes merged in canonical scenario order. When
+/// `fleet-empty-plan` is selected, its supervisor-free twin rides along
+/// and the bit-for-bit identity (core clocks, packets, ledgers) is
+/// asserted here.
 pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<FleetOutcome> {
     let controllers: Vec<BatchController> = FLEET
         .iter()
@@ -733,21 +513,15 @@ pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<FleetOutcome> {
     assert!(plan.viable(), "the fleet must be admissible before supervision");
     let plan_ctx = FleetPlanCtx { plan, admission, slas };
 
-    let selected: Vec<FleetScenario> = scenarios(ctx.params.seed)
-        .into_iter()
-        .filter(|s| names.contains(&s.name))
-        .collect();
-    let mut work: Vec<(FleetScenario, bool)> =
-        selected.iter().cloned().map(|s| (s, true)).collect();
-    let twin_idx = selected.iter().position(|s| s.name == "fleet-empty-plan");
-    if let Some(i) = twin_idx {
-        work.push((selected[i].clone(), false));
-    }
-    let mut results = run_many(work, ctx.jobs, |(sc, supervised)| {
-        run_fleet_scenario(ctx, &sc, &plan_ctx, supervised)
-    });
-    if let Some(i) = twin_idx {
-        let (twin, twin_clocks) = results.pop().expect("twin job present");
+    let (results, twin) = run_roster(
+        scenarios(ctx.params.seed),
+        |s| s.name,
+        names,
+        Some("fleet-empty-plan"),
+        ctx.jobs,
+        |sc, supervised| run_fleet_scenario(ctx, &sc, &plan_ctx, supervised),
+    );
+    if let Some((i, (twin, twin_clocks))) = twin {
         let (outcome, clocks) = &results[i];
         // Bit-for-bit identity: same clocks, same packets, same ledgers —
         // an idle control plane is free.

@@ -2,8 +2,9 @@
 //!
 //! One module per table/figure of the paper's evaluation (run them through
 //! the `repro` binary: `cargo run --release -p pp-bench --bin repro -- all`),
-//! plus criterion microbenchmarks of the substrate and applications under
-//! `benches/`.
+//! plus criterion microbenchmarks of the applications and the prediction
+//! arithmetic under `benches/` (the simulator's own layers are measured
+//! by the `benchmark/` package at the repository root).
 //!
 //! Every experiment prints the same rows/series the paper reports, writes a
 //! CSV under `results/`, and — where the paper gives concrete numbers —

@@ -444,6 +444,38 @@ where
     slots.into_iter().map(|o| o.expect("worker died")).collect()
 }
 
+/// Run the members of `roster` that `names` selects, in roster order, on
+/// `threads` workers. When `twin_of` names a selected scenario, that
+/// scenario runs a second time with `controlled = false` as one more
+/// parallel job — the controller-free twin an empty-plan identity check
+/// compares against — and comes back beside its counterpart's index.
+pub fn run_roster<S, O, F>(
+    roster: Vec<S>,
+    name_of: fn(&S) -> &'static str,
+    names: &[&str],
+    twin_of: Option<&str>,
+    threads: usize,
+    run: F,
+) -> (Vec<O>, Option<(usize, O)>)
+where
+    S: Clone + Send,
+    O: Send,
+    F: Fn(S, bool) -> O + Sync,
+{
+    let mut work: Vec<(S, bool)> = roster
+        .into_iter()
+        .filter(|s| names.contains(&name_of(s)))
+        .map(|s| (s, true))
+        .collect();
+    let twin_idx = twin_of.and_then(|n| work.iter().position(|(s, _)| name_of(s) == n));
+    if let Some(i) = twin_idx {
+        work.push((work[i].0.clone(), false));
+    }
+    let mut results = run_many(work, threads, |(s, controlled)| run(s, controlled));
+    let twin = twin_idx.map(|i| (i, results.pop().expect("twin job present")));
+    (results, twin)
+}
+
 /// Default worker-thread count for sweeps.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

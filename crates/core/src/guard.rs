@@ -30,10 +30,11 @@
 //! down a rung and [`GuardConfig::clean_to_recover`] consecutive good ones
 //! to step back up, so a single noisy window can neither trigger
 //! degradation nor abort it. The guard itself is pure decision logic — it
-//! never touches the machine; the chaos driver (pp-bench `repro chaos`)
-//! maps each level onto the mechanism (`TaskControls`, the controller's
-//! `choose`, the pace knob). That separation keeps it unit-testable as a
-//! state machine and reusable by the ROADMAP's fleet controller.
+//! never touches the machine;
+//! [`TenantRt::apply_ladder`](crate::tenant::TenantRt::apply_ladder) maps
+//! each level onto the task's live knobs. That separation keeps it
+//! unit-testable as a state machine and reusable by the supervisor and
+//! the fleet controller.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -41,6 +41,10 @@
 //!   staleness-decayed confidence, heartbeat-timeout machine-death
 //!   detection with capped probe backoff, and budgeted admission-gated
 //!   re-placement across survivors (`repro cluster-chaos`).
+//! * **Tenant runtime** ([`tenant`]) — the mechanism side of those three
+//!   controllers, shared by their drivers: the measurement-window
+//!   protocol, the ladder's knob writes, and the placement-anchored
+//!   conservation ledger.
 //!
 //! The measurement substrate is `pp-sim` (a deterministic multicore
 //! simulator) with workloads from `pp-click`; see ARCHITECTURE.md at the
@@ -84,6 +88,7 @@ pub mod report;
 pub mod sensitivity;
 pub mod supervisor;
 pub mod telemetry;
+pub mod tenant;
 pub mod throttle;
 pub mod workload;
 
@@ -97,7 +102,7 @@ pub mod prelude {
     };
     pub use crate::experiment::{
         corun_against_solo, corun_scenario, default_threads, run_corun, run_many,
-        run_scenario, solo_scenario, ContentionConfig, CoRunOutcome, ExpParams,
+        run_roster, run_scenario, solo_scenario, ContentionConfig, CoRunOutcome, ExpParams,
         FlowPlacement, FlowResult, LatencySummary, Scenario, ScenarioResult,
     };
     pub use crate::fleet::{FleetAction, FleetConfig, FleetController, MachineState};
@@ -122,6 +127,7 @@ pub mod prelude {
         TenantState, TenantStats,
     };
     pub use crate::telemetry::{EwmaTracker, TelemetryReport, TenantTelemetry};
+    pub use crate::tenant::{conservation_slack, observed_loss, TenantRt, SHED_PER_MILLE};
     pub use crate::throttle::{
         run_containment_demo, ContainmentResult, ContainmentSample, ThrottleController,
     };

@@ -10,9 +10,9 @@
 //! stale looks violated when the world merely changed. The supervisor
 //! owns one guard per admitted tenant and closes the loop across them
 //! with three mechanisms, all pure decision logic (the fleet-chaos driver
-//! in pp-bench maps decisions onto `TaskControls`, `Engine::migrate_task`,
-//! and the batch controller — the same schedule/mechanism split as the
-//! guard and the fault injector):
+//! in pp-bench maps decisions onto [`TenantRt`](crate::tenant::TenantRt)
+//! calls — the same schedule/mechanism split as the guard and the fault
+//! injector):
 //!
 //! 1. **Circuit-breaker admission.** A tenant whose guard bottoms out at
 //!    [`DegradeLevel::Shed`] for [`SupervisorConfig::shed_windows_to_trip`]

@@ -135,15 +135,23 @@ impl Engine {
         self.tasks[core.index()].take()
     }
 
+    /// Bind a task to a core that has been sitting idle: the core's clock
+    /// is first advanced to the machine's current maximum — a flash-crowd
+    /// competitor, a re-admitted tenant or a migrated task arrives *now*;
+    /// it does not replay the simulated past on its new core.
+    pub fn join_task(&mut self, core: CoreId, task: Box<dyn CoreTask>) {
+        self.machine.core_mut(core).clock = self.machine.max_clock();
+        self.set_task(core, task);
+    }
+
     /// Move the task on `from` to the empty core `to`: the live
     /// re-placement primitive behind the supervisor's core failover.
     ///
     /// The task's [`CoreTask::on_migrate`] hook runs in between so
-    /// in-flight state drains through counted drop paths, and the
-    /// destination core's clock is advanced to the fleet's current maximum
-    /// — a migrated task joins *now*; it does not replay the simulated
-    /// past on its new core. Returns `false` (and moves nothing) if `from`
-    /// has no task or `to` already has one.
+    /// in-flight state drains through counted drop paths, and the task
+    /// [joins](Self::join_task) the destination at the machine's clock.
+    /// Returns `false` (and moves nothing) if `from` has no task or `to`
+    /// already has one.
     pub fn migrate_task(&mut self, from: CoreId, to: CoreId) -> bool {
         if from == to || self.tasks[to.index()].is_some() {
             return false;
@@ -152,10 +160,7 @@ impl Engine {
             return false;
         };
         task.on_migrate();
-        let now = self.machine.max_clock();
-        let dst = self.machine.core_mut(to);
-        dst.clock = dst.clock.max(now);
-        self.tasks[to.index()] = Some(task);
+        self.join_task(to, task);
         true
     }
 
@@ -355,6 +360,41 @@ mod tests {
         let pkts_before = e.machine.core(CoreId(3)).counters.total().packets;
         e.run_until(fleet + 100_000);
         assert!(e.machine.core(CoreId(3)).counters.total().packets > pkts_before);
+    }
+
+    #[test]
+    fn join_task_is_the_two_line_idiom_and_migrate_joins_through_it() {
+        let striding =
+            || Box::new(Striding { base: MemDomain(0).base(), i: 0, stride: 64, span: 1 << 16 });
+        let build = || {
+            let mut e = Engine::new(Machine::new(MachineConfig::westmere()));
+            e.set_task(CoreId(0), striding());
+            e.run_until(100_000);
+            e
+        };
+        let state = |e: &Engine| {
+            let clocks: Vec<Cycles> =
+                (0..12u16).map(|c| e.machine.core(CoreId(c)).clock).collect();
+            (clocks, e.active_cores())
+        };
+        // Joining: what the drivers used to write by hand.
+        let (mut by_hand, mut joined) = (build(), build());
+        by_hand.machine.core_mut(CoreId(4)).clock = by_hand.machine.max_clock();
+        by_hand.set_task(CoreId(4), striding());
+        joined.join_task(CoreId(4), striding());
+        assert_eq!(state(&joined), state(&by_hand));
+        assert_eq!(joined.machine.core(CoreId(4)).clock, joined.machine.max_clock());
+        // Migrating: take, drain, join — clock and slots as before.
+        let (mut by_hand, mut migrated) = (build(), build());
+        let mut task = by_hand.take_task(CoreId(0)).expect("source task");
+        task.on_migrate();
+        let now = by_hand.machine.max_clock();
+        let dst = by_hand.machine.core_mut(CoreId(3));
+        dst.clock = dst.clock.max(now);
+        by_hand.set_task(CoreId(3), task);
+        assert!(migrated.migrate_task(CoreId(0), CoreId(3)));
+        assert_eq!(state(&migrated), state(&by_hand));
+        assert_eq!(state(&migrated).1, vec![CoreId(3)]);
     }
 
     #[test]
