@@ -232,9 +232,11 @@ mod tests {
     /// per-packet turn (`batch_size == 0` selected it) before it was
     /// deleted: equal pairs, which now say that 0 is accepted and means 1,
     /// and that a one-packet vector is the paper's per-packet platform.
+    /// The NAT row was captured at PR 17's parent, before `translate` and
+    /// `allocate` were rewritten over the one remaining binding store.
     #[test]
     fn fast_path_leaves_batch_output_digests_unchanged() {
-        let expected: [(FlowType, usize, u64); 12] = [
+        let expected: [(FlowType, usize, u64); 13] = [
             (FlowType::Ip, 0, 0xf4de_a8f3_7a4c_8a14),
             (FlowType::Ip, 1, 0xf4de_a8f3_7a4c_8a14),
             (FlowType::Ip, 8, 0xd188_364e_af20_fc15),
@@ -247,6 +249,7 @@ mod tests {
             (FlowType::Re, 1, 0xe42a_455c_ba1f_812c),
             (FlowType::Vpn, 0, 0x6108_578e_9aba_b023),
             (FlowType::Vpn, 1, 0x6108_578e_9aba_b023),
+            (FlowType::Nat, 1, 0xb8f2_da4a_98ed_7a4e),
         ];
         for (flow, batch, want) in expected {
             let p = measure_point(flow, batch, ExpParams::quick());

@@ -632,6 +632,28 @@ mod tests {
             assert_eq!(n.process(&mut ctx, &mut pkt), Action::Out(0));
         }
         assert!(n.port_steals > 0, "16 ports for 64 flows must steal");
+        // The steal arm is never reached at sweep load, so no workload
+        // digest sees it: pin its exact charges here.
+        let clock = ctx.now();
+        assert_eq!((n.port_steals, n.bindings_created, n.bindings_evicted), (48, 64, 0));
+        assert_eq!(clock, 18_743, "core clock after 64 flows through 16 ports");
+        assert_eq!(
+            m.core(CoreId(0)).counters.total(),
+            pp_sim::counters::Counts {
+                instructions: 4570,
+                compute_cycles: 3520,
+                stall_cycles: 15_223,
+                l1_refs: 1370,
+                l1_hits: 1303,
+                l2_refs: 67,
+                l2_hits: 0,
+                l3_refs: 67,
+                l3_hits: 0,
+                l3_misses: 67,
+                remote_accesses: 0,
+                packets: 0,
+            }
+        );
         // Invariant: every live binding's endpoint maps back to it.
         let mut live = 0;
         for i in 0..64u16 {

@@ -523,6 +523,28 @@ mod tests {
         }
         assert!(nf.evicted > 0 || nf.inserted <= 2);
         assert_eq!(nf.occupancy(), 1);
+        // The evict arm is never reached at sweep load, so no workload
+        // digest sees it: pin its exact charges here.
+        let clock = ctx.now();
+        assert_eq!((nf.inserted, nf.updated, nf.evicted, nf.probes), (1, 0, 99, 793));
+        assert_eq!(clock, 10_428, "core clock after 50 packets through a 1-slot table");
+        assert_eq!(
+            m.core(CoreId(0)).counters.total(),
+            pp_sim::counters::Counts {
+                instructions: 6893,
+                compute_cycles: 7000,
+                stall_cycles: 3428,
+                l1_refs: 893,
+                l1_hits: 892,
+                l2_refs: 1,
+                l2_hits: 0,
+                l3_refs: 1,
+                l3_hits: 0,
+                l3_misses: 1,
+                remote_accesses: 0,
+                packets: 0,
+            }
+        );
     }
 
     #[test]
