@@ -1,22 +1,18 @@
 //! Property tests for the PR 10 internet-scale tables: the DIR-24-8
-//! compressed LPM and the cache-conscious flow table must agree
-//! route-for-route / entry-for-entry with their reference structures on
-//! random inputs — including the batched paths, which must be lane-wise
-//! identical to per-lane scalar lookups (batching may only overlap
-//! charges, never change results).
+//! compressed LPM and both tries must agree route-for-route with the
+//! linear LPM oracle on random inputs — including the batched paths, which
+//! must be lane-wise identical to per-lane scalar lookups (batching may
+//! only overlap charges, never change results).
 
 use pp_click::elements::lpm::{Dir248Scratch, Dir248Table};
 use pp_click::elements::radix::{
     BinaryRadixTrie, LookupScratch, MultibitScratch, MultibitTrie,
 };
 use pp_net::gen::prefixes::{linear_lpm, PrefixEntry};
-use pp_net::prelude::{FlowKey, FlowTable, Probe, Touch};
 use pp_sim::config::MachineConfig;
 use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
 
 /// A random routing table: canonicalized, deduplicated prefixes with
 /// lengths across the whole /8../32 band (>24 exercises the DIR-24-8
@@ -114,84 +110,6 @@ proptest! {
             multibit
                 .lookup_batch_into(&mut ctx, batch, 4, &mut MultibitScratch::default(), &mut out);
             prop_assert_eq!(&out, &scalar, "multibit batch of {}", batch.len());
-        }
-    }
-}
-
-/// Build a 5-tuple from raw random parts.
-fn key(src: u32, dst: u32, ports: u32, proto: u8) -> FlowKey {
-    FlowKey {
-        src: Ipv4Addr::from(src),
-        dst: Ipv4Addr::from(dst),
-        protocol: proto,
-        src_port: (ports >> 16) as u16,
-        dst_port: ports as u16,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The cache-conscious flow table tracks a `HashMap` oracle through a
-    /// random insert/update/remove workload. Evictions (bucket window
-    /// full) are mirrored into the oracle, so every surviving entry must
-    /// agree, and duplicate-key re-insertions must update in place.
-    #[test]
-    fn flow_table_matches_hashmap_oracle(
-        ops in proptest::collection::vec(
-            (any::<u8>(), 0u32..96, any::<u32>(), any::<u32>(), any::<u8>()),
-            1..300,
-        ),
-    ) {
-        // 16 buckets × 8 slots: small enough that random workloads hit
-        // collision, overflow, and eviction paths.
-        let mut tab: FlowTable<FlowKey, u64> = FlowTable::new(4);
-        let mut oracle: HashMap<FlowKey, u64> = HashMap::new();
-        let mut touched: Vec<Touch> = Vec::new();
-
-        for (op, kid, a, b, proto) in ops {
-            // A small key universe (96 ids) forces repeats/duplicates.
-            let k = key(kid, kid.rotate_left(7) ^ 0xABCD, kid.wrapping_mul(31), proto % 3);
-            match op % 3 {
-                0 | 1 => {
-                    // Upsert value a^b.
-                    let v = ((a as u64) << 32) | b as u64;
-                    touched.clear();
-                    match tab.probe(&k, &mut touched) {
-                        Probe::Hit { bucket, slot } => {
-                            tab.update_slot(bucket, slot, |old| *old = v, &mut touched);
-                            prop_assert!(oracle.contains_key(&k));
-                            oracle.insert(k, v);
-                        }
-                        Probe::Empty { bucket, slot } => {
-                            tab.insert_at(bucket, slot, k, v, &mut touched);
-                            oracle.insert(k, v);
-                        }
-                        Probe::Full { bucket, slot } => {
-                            let (victim, _) =
-                                *tab.entry_at(bucket, slot).expect("full slot occupied");
-                            oracle.remove(&victim);
-                            tab.clear_slot(bucket, slot, &mut touched);
-                            tab.insert_at(bucket, slot, k, v, &mut touched);
-                            oracle.insert(k, v);
-                        }
-                    }
-                }
-                _ => {
-                    touched.clear();
-                    prop_assert_eq!(tab.remove(&k, &mut touched), oracle.remove(&k).is_some());
-                }
-            }
-        }
-
-        // Every oracle entry is reachable with the right value, and the
-        // table holds nothing else.
-        for (k, v) in &oracle {
-            prop_assert_eq!(tab.get(k), Some(v), "missing key {:?}", k);
-        }
-        prop_assert_eq!(tab.occupancy(), oracle.len());
-        for (k, v) in tab.iter() {
-            prop_assert_eq!(oracle.get(k), Some(v), "stray entry {:?}", k);
         }
     }
 }

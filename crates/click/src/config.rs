@@ -16,7 +16,8 @@
 //!
 //! Output ports select branches: `cl [1] -> drop;` wires `cl`'s port 1.
 //! Line (`//`) and block (`/* */`) comments are supported. Arguments are
-//! `KEYWORD value` pairs, as in Click.
+//! `KEYWORD value` pairs, as in Click; a keyword the class does not read is
+//! a [`ConfigError::BadArgument`], not a silent default.
 
 use crate::cost::CostModel;
 use crate::element::Element;
@@ -431,16 +432,41 @@ fn construct(
     let cost = ctx.cost;
     let a = &decl.args;
     let seed = arg(a, "SEED").map(|s| s as u64).unwrap_or(ctx.seed);
+    // Each class names the keys it reads (`SEED` where `seed` is used); any
+    // other key is a typo or a removed knob, never a silent default.
+    let keys = |accepted: &[&str]| {
+        match a.iter().find(|(k, _)| !accepted.contains(&k.as_str())) {
+            Some((k, _)) => Err(ConfigError::BadArgument {
+                class: decl.class.clone(),
+                message: format!("unknown argument {k}"),
+            }),
+            None => Ok(()),
+        }
+    };
     Ok(match decl.class.as_str() {
-        "CheckIPHeader" => Box::new(CheckIpHeader::new(cost)),
-        "DecIPTTL" => Box::new(DecIpTtl::new(cost)),
+        "CheckIPHeader" => {
+            keys(&[])?;
+            Box::new(CheckIpHeader::new(cost))
+        }
+        "DecIPTTL" => {
+            keys(&[])?;
+            Box::new(DecIpTtl::new(cost))
+        }
         "ToDevice" => {
+            keys(&["SHARED"])?;
             let shared = arg(a, "SHARED").unwrap_or(0) != 0;
             Box::new(ToDevice::new(ctx.nic.clone(), shared))
         }
-        "Discard" => Box::new(Discard::default()),
-        "Counter" => Box::new(Counter::default()),
+        "Discard" => {
+            keys(&[])?;
+            Box::new(Discard::default())
+        }
+        "Counter" => {
+            keys(&[])?;
+            Box::new(Counter::default())
+        }
         "RadixIPLookup" | "MultibitIPLookup" | "Dir248IPLookup" => {
+            keys(&["PREFIXES", "SEED"])?;
             let n = arg(a, "PREFIXES").unwrap_or(128_000);
             if n <= 0 {
                 return Err(ConfigError::BadArgument {
@@ -457,6 +483,7 @@ fn construct(
             }
         }
         "NetFlow" => {
+            keys(&["CAPACITY_LOG2", "BIDIRECTIONAL"])?;
             let log2 = arg(a, "CAPACITY_LOG2").unwrap_or(18);
             if !(1..=28).contains(&log2) {
                 return Err(ConfigError::BadArgument {
@@ -465,17 +492,12 @@ fn construct(
                 });
             }
             let alloc = ctx.machine.allocator(ctx.domain);
-            // BUCKETED 1 selects the PR 10 cache-conscious layout at the
-            // same slot capacity (CAPACITY_LOG2 − 3 buckets of 8 slots).
-            let mut nf = if arg(a, "BUCKETED").unwrap_or(0) != 0 {
-                NetFlow::new_bucketed(alloc, (log2 as u32).saturating_sub(3), cost)
-            } else {
-                NetFlow::new(alloc, log2 as u32, cost)
-            };
+            let mut nf = NetFlow::new(alloc, log2 as u32, cost);
             nf.bidirectional = arg(a, "BIDIRECTIONAL").unwrap_or(1) != 0;
             Box::new(nf)
         }
         "Firewall" => {
+            keys(&["RULES", "SEED"])?;
             let n = arg(a, "RULES").unwrap_or(1000);
             if n <= 0 {
                 return Err(ConfigError::BadArgument {
@@ -488,6 +510,7 @@ fn construct(
             Box::new(Firewall::new(alloc, &rules, cost))
         }
         "RedundancyElim" => {
+            keys(&["FP_LOG2", "STORE_MB", "SAMPLE_MOD"])?;
             let cfg = ReConfig {
                 log2_fp_slots: arg(a, "FP_LOG2").unwrap_or(21) as u32,
                 store_bytes: (arg(a, "STORE_MB").unwrap_or(32) as u64) << 20,
@@ -497,6 +520,7 @@ fn construct(
             Box::new(RedundancyElim::new(alloc, cfg, cost))
         }
         "VPNEncrypt" => {
+            keys(&["SEED"])?;
             let mut key = [0u8; 16];
             key[..8].copy_from_slice(&seed.to_le_bytes());
             key[8..].copy_from_slice(&seed.rotate_left(32).to_le_bytes());
@@ -504,6 +528,7 @@ fn construct(
             Box::new(VpnEncrypt::new(alloc, key, seed, cost))
         }
         "Synthetic" => {
+            keys(&["OPS", "READS", "WS_MB", "MLP", "SEED"])?;
             let params = SynParams {
                 ops_per_packet: arg(a, "OPS").unwrap_or(0).max(0) as u64,
                 reads_per_packet: arg(a, "READS").unwrap_or(64).max(0) as u32,
@@ -515,12 +540,14 @@ fn construct(
             Box::new(Synthetic::new(alloc, params, cost))
         }
         "Control" => {
+            keys(&["OPS"])?;
             let handle = ControlHandle::new();
             handle.set(arg(a, "OPS").unwrap_or(0).max(0) as u64);
             controls.insert(decl.name.clone(), handle.clone());
             Box::new(Control::new(handle, cost))
         }
         "DPI" => {
+            keys(&["SIGNATURES", "PREVENT", "SEED"])?;
             let n = arg(a, "SIGNATURES").unwrap_or(1500);
             if n <= 0 {
                 return Err(ConfigError::BadArgument {
@@ -538,6 +565,7 @@ fn construct(
             Box::new(crate::elements::dpi::Dpi::new(alloc, &sigs, mode, cost))
         }
         "NAT" => {
+            keys(&["PUBLIC_IPS", "BINDINGS_LOG2"])?;
             let mut cfg = crate::elements::nat::NatConfig::default();
             if let Some(ips) = arg(a, "PUBLIC_IPS") {
                 if !(1..=256).contains(&ips) {
@@ -558,13 +586,10 @@ fn construct(
                 cfg.log2_bindings = l2 as u32;
             }
             let alloc = ctx.machine.allocator(ctx.domain);
-            if arg(a, "BUCKETED").unwrap_or(0) != 0 {
-                Box::new(crate::elements::nat::Nat::new_bucketed(alloc, cfg, cost))
-            } else {
-                Box::new(crate::elements::nat::Nat::new(alloc, cfg, cost))
-            }
+            Box::new(crate::elements::nat::Nat::new(alloc, cfg, cost))
         }
         "TupleSpaceClassifier" => {
+            keys(&["RULES", "SEED"])?;
             let n = arg(a, "RULES").unwrap_or(16_000);
             if !(1..=65_535).contains(&n) {
                 return Err(ConfigError::BadArgument {
@@ -743,39 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_variants_build_and_forward() {
-        let cfg = r#"
-            chk :: CheckIPHeader;
-            nf  :: NetFlow(CAPACITY_LOG2 14, BUCKETED 1);
-            nat :: NAT(BUCKETED 1);
-            out :: ToDevice;
-            chk -> nf -> nat -> out;
-        "#;
-        let (mut m, nic) = ctx_parts();
-        let built = {
-            let mut ctx = BuildCtx {
-                machine: &mut m,
-                domain: MemDomain(0),
-                nic: nic.clone(),
-                cost: CostModel::default(),
-                seed: 11,
-            };
-            build_config(cfg, &mut ctx).unwrap()
-        };
-        let task = crate::flow::FlowTask::new(
-            "config-bucketed",
-            TrafficGen::new(TrafficSpec::flow_population(64, 1_000, 3)),
-            nic,
-            built.graph,
-            CostModel::default(),
-        );
-        let mut e = Engine::new(m);
-        e.set_task(CoreId(0), Box::new(task));
-        let meas = e.measure(1_000_000, 5_600_000);
-        assert!(meas.core(CoreId(0)).unwrap().metrics.pps > 50_000.0);
-    }
-
-    #[test]
     fn control_handles_are_exposed() {
         let (mut m, nic) = ctx_parts();
         let mut ctx = BuildCtx {
@@ -808,6 +800,40 @@ mod tests {
         let err =
             build_config("rt :: RadixIPLookup(PREFIXES -5); rt -> rt;", &mut ctx).err().unwrap();
         assert!(matches!(err, ConfigError::BadArgument { .. }));
+        // A key the class does not read is an error, not a silent default:
+        // one misspelt key per class that takes arguments, a key on a class
+        // that takes none, a `SEED` where no seed is read, and the removed
+        // `BUCKETED` knob.
+        for (decl, key) in [
+            ("ToDevice(SHARD 1)", "SHARD"),
+            ("RadixIPLookup(PREFIXS 100)", "PREFIXS"),
+            ("MultibitIPLookup(PREFIXES 100, SEAD 1)", "SEAD"),
+            ("Dir248IPLookup(PREFIX 100)", "PREFIX"),
+            ("NetFlow(CAPACTY_LOG2 14)", "CAPACTY_LOG2"),
+            ("NetFlow(CAPACITY_LOG2 14, BUCKETED 1)", "BUCKETED"),
+            ("NetFlow(SEED 3)", "SEED"),
+            ("Firewall(RULE 10)", "RULE"),
+            ("RedundancyElim(STORE_MBS 8)", "STORE_MBS"),
+            ("VPNEncrypt(KEY 1)", "KEY"),
+            ("Synthetic(READ 4)", "READ"),
+            ("Control(OP 5)", "OP"),
+            ("DPI(SIGNATURE 10)", "SIGNATURE"),
+            ("NAT(PUBLIC_IP 2)", "PUBLIC_IP"),
+            ("NAT(BUCKETED 1)", "BUCKETED"),
+            ("TupleSpaceClassifier(RULEZ 10)", "RULEZ"),
+            ("Counter(X 1)", "X"),
+        ] {
+            let class = decl.split('(').next().unwrap();
+            let err = build_config(&format!("e :: {decl}; e -> e;"), &mut ctx).err().unwrap();
+            assert_eq!(
+                err,
+                ConfigError::BadArgument {
+                    class: class.into(),
+                    message: format!("unknown argument {key}"),
+                },
+                "{decl}"
+            );
+        }
     }
 
     #[test]

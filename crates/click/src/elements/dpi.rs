@@ -537,7 +537,6 @@ mod tests {
                     full_match_per_mille: 400,
                 },
                 seed: 3,
-                zipf: None,
             },
         );
         let mut ctx = m.ctx(CoreId(0));

@@ -20,11 +20,9 @@
 use crate::cost::CostModel;
 use crate::element::{Action, Element};
 use pp_net::fivetuple::{fnv1a, FlowKey};
-use pp_net::flowtab::{FlowTable, Probe, TabKey, Touch};
 use pp_net::packet::Packet;
 use pp_sim::arena::{DomainAllocator, SimVec};
 use pp_sim::ctx::ExecCtx;
-use pp_sim::types::Addr;
 use std::net::Ipv4Addr;
 
 /// NAT pool and table sizing.
@@ -45,8 +43,8 @@ pub struct NatConfig {
 impl Default for NatConfig {
     fn default() -> Self {
         // 4 public IPs × 64512 ports ≈ 258 k bindings: comfortably holds
-        // the paper's 100 k-flow population. Outbound table 2^18 × 32 B =
-        // 8 MB; session array 258 k × 16 B ≈ 4 MB.
+        // the paper's 100 k-flow population. Outbound table 2^18 × 40 B =
+        // 10 MB; session array 258 k × 16 B ≈ 4 MB.
         NatConfig {
             base_ip: Ipv4Addr::new(203, 0, 113, 1),
             n_public_ips: 4,
@@ -74,7 +72,9 @@ impl NatConfig {
     }
 }
 
-/// Outbound binding record: 32 bytes, two per cache line.
+/// Outbound binding record: 40 bytes (`session` pads to the `u64`s'
+/// alignment), so records straddle cache lines. Shrinking it to 32 B — two
+/// per line — would move every pinned NAT number and is its own re-pin.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[repr(C)]
 struct Binding {
@@ -119,54 +119,11 @@ const MAX_PROBES: usize = 8;
 /// Session-array slots examined per allocation before stealing one.
 const MAX_ALLOC_SCAN: u32 = 16;
 
-/// The inside `(address, port, protocol)` the outbound table is keyed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NatKey {
-    ip: u32,
-    port: u16,
-    proto: u8,
-}
-
-impl NatKey {
-    fn of(key: &FlowKey) -> Self {
-        NatKey { ip: u32::from(key.src), port: key.src_port, proto: key.protocol }
-    }
-}
-
-impl TabKey for NatKey {
-    /// Same FNV-1a over the same 7 bytes as [`Nat::hash`], so the flat and
-    /// bucketed layouts distribute flows identically.
-    fn tab_hash(&self) -> u64 {
-        let mut b = [0u8; 7];
-        b[0..4].copy_from_slice(&self.ip.to_be_bytes());
-        b[4..6].copy_from_slice(&self.port.to_be_bytes());
-        b[6] = self.proto;
-        fnv1a(&b)
-    }
-}
-
-/// Outbound-binding storage: the flat open-addressed array (default), or the
-/// PR 10 cache-conscious bucketed table (see `elements::netflow` module docs).
-enum BindStore {
-    Flat { table: SimVec<Binding>, mask: usize },
-    Bucketed { tab: FlowTable<NatKey, Binding>, base: Addr },
-}
-
-/// Replay recorded table touches against the simulated region at `base`.
-fn replay(ctx: &mut ExecCtx<'_>, base: Addr, touches: &[Touch]) {
-    for t in touches {
-        if t.write {
-            ctx.write_struct(base + t.offset, t.len);
-        } else {
-            ctx.read_struct(base + t.offset, t.len);
-        }
-    }
-}
-
 /// The source-NAT element. See the module docs.
 pub struct Nat {
     cfg: NatConfig,
-    bindings: BindStore,
+    bindings: SimVec<Binding>,
+    mask: usize,
     sessions: SimVec<Session>,
     /// Allocation cursor into the session array.
     cursor: u32,
@@ -181,20 +138,16 @@ pub struct Nat {
     pub port_steals: u64,
     /// Packets dropped (unparseable).
     pub dropped: u64,
-    /// Scratch: touch spans replayed against the simulated region.
-    touched: Vec<Touch>,
 }
 
 impl Nat {
-    fn with_bindings(
-        alloc: &mut DomainAllocator,
-        cfg: NatConfig,
-        bindings: BindStore,
-        cost: CostModel,
-    ) -> Self {
+    /// Build both tables in `alloc`'s domain.
+    pub fn new(alloc: &mut DomainAllocator, cfg: NatConfig, cost: CostModel) -> Self {
+        let slots = 1usize << cfg.log2_bindings;
         Nat {
             cfg,
-            bindings,
+            bindings: SimVec::new(alloc, slots, Binding::default()),
+            mask: slots - 1,
             sessions: SimVec::new(alloc, cfg.pool_size() as usize, Session::default()),
             cursor: 0,
             cost,
@@ -203,33 +156,7 @@ impl Nat {
             bindings_evicted: 0,
             port_steals: 0,
             dropped: 0,
-            touched: Vec::new(),
         }
-    }
-
-    /// Build the tables in `alloc`'s domain (flat outbound table — the
-    /// paper's layout and the repro-digest default).
-    pub fn new(alloc: &mut DomainAllocator, cfg: NatConfig, cost: CostModel) -> Self {
-        let slots = 1usize << cfg.log2_bindings;
-        let bindings = BindStore::Flat {
-            table: SimVec::new(alloc, slots, Binding::default()),
-            mask: slots - 1,
-        };
-        Self::with_bindings(alloc, cfg, bindings, cost)
-    }
-
-    /// Build with the cache-conscious bucketed outbound table instead: the
-    /// same `2^log2_bindings` slot capacity arranged as 8-slot tag-byte
-    /// buckets ([`pp_net::flowtab`]).
-    pub fn new_bucketed(alloc: &mut DomainAllocator, cfg: NatConfig, cost: CostModel) -> Self {
-        let tab: FlowTable<NatKey, Binding> = FlowTable::new(cfg.log2_bindings.saturating_sub(3));
-        let base = alloc.alloc_lines(tab.footprint());
-        Self::with_bindings(alloc, cfg, BindStore::Bucketed { tab, base }, cost)
-    }
-
-    /// Whether this instance uses the bucketed outbound table.
-    pub fn is_bucketed(&self) -> bool {
-        matches!(self.bindings, BindStore::Bucketed { .. })
     }
 
     /// The configuration in use.
@@ -239,11 +166,7 @@ impl Nat {
 
     /// Simulated footprint of both tables.
     pub fn footprint(&self) -> u64 {
-        let bindings = match &self.bindings {
-            BindStore::Flat { table, .. } => table.footprint(),
-            BindStore::Bucketed { tab, .. } => tab.footprint(),
-        };
-        bindings + self.sessions.footprint()
+        self.bindings.footprint() + self.sessions.footprint()
     }
 
     /// Public endpoint for session-array index `i`.
@@ -267,24 +190,17 @@ impl Nat {
     /// Host-side query: the public endpoint currently bound to an inside
     /// source, if any (diagnostics and tests).
     pub fn binding_for(&self, key: &FlowKey) -> Option<(Ipv4Addr, u16)> {
-        match &self.bindings {
-            BindStore::Flat { table, mask } => {
-                let h = Self::hash(key);
-                for p in 0..MAX_PROBES {
-                    let b = table.peek((h + p) & mask);
-                    if b.matches(key) {
-                        return Some(self.endpoint(b.session));
-                    }
-                    if b.flags & OCCUPIED == 0 {
-                        return None;
-                    }
-                }
-                None
+        let h = Self::hash(key);
+        for p in 0..MAX_PROBES {
+            let b = self.bindings.peek((h + p) & self.mask);
+            if b.matches(key) {
+                return Some(self.endpoint(b.session));
             }
-            BindStore::Bucketed { tab, .. } => {
-                tab.get(&NatKey::of(key)).map(|b| self.endpoint(b.session))
+            if b.flags & OCCUPIED == 0 {
+                return None;
             }
         }
+        None
     }
 
     /// Host-side query: the inside endpoint owning a public port, if any.
@@ -332,30 +248,13 @@ impl Nat {
             src_port: old.inside_port,
             dst_port: 0,
         };
-        match &mut self.bindings {
-            BindStore::Flat { table, mask } => {
-                let h = Self::hash(&old_key);
-                for p in 0..MAX_PROBES {
-                    let idx = (h + p) & *mask;
-                    let b = table.read(ctx, idx);
-                    if b.matches(&old_key) && b.session == victim {
-                        table.update(ctx, idx, |b| b.flags = 0);
-                        break;
-                    }
-                }
-            }
-            BindStore::Bucketed { tab, base } => {
-                let nk = NatKey::of(&old_key);
-                self.touched.clear();
-                if let Probe::Hit { bucket, slot } = tab.probe(&nk, &mut self.touched) {
-                    let owns = tab
-                        .entry_at(bucket, slot)
-                        .is_some_and(|(_, b)| b.session == victim);
-                    if owns {
-                        tab.clear_slot(bucket, slot, &mut self.touched);
-                    }
-                }
-                replay(ctx, *base, &self.touched);
+        let h = Self::hash(&old_key);
+        for p in 0..MAX_PROBES {
+            let idx = (h + p) & self.mask;
+            let b = self.bindings.read(ctx, idx);
+            if b.matches(&old_key) && b.session == victim {
+                self.bindings.update(ctx, idx, |b| b.flags = 0);
+                break;
             }
         }
         self.write_session(ctx, victim, key, now);
@@ -379,57 +278,35 @@ impl Nat {
 
     /// Find or create the binding for `key`; returns the public endpoint.
     fn translate(&mut self, ctx: &mut ExecCtx<'_>, key: &FlowKey) -> (Ipv4Addr, u16) {
-        match self.bindings {
-            BindStore::Flat { .. } => self.translate_flat(ctx, key),
-            BindStore::Bucketed { .. } => self.translate_bucketed(ctx, key),
-        }
-    }
-
-    fn translate_flat(&mut self, ctx: &mut ExecCtx<'_>, key: &FlowKey) -> (Ipv4Addr, u16) {
         let h = Self::hash(key);
         let now = ctx.now();
         for p in 0..MAX_PROBES {
-            let idx = {
-                let BindStore::Flat { mask, .. } = &self.bindings else { unreachable!() };
-                (h + p) & *mask
-            };
-            let b = {
-                let BindStore::Flat { table, .. } = &mut self.bindings else { unreachable!() };
-                table.read(ctx, idx)
-            };
+            let idx = (h + p) & self.mask;
+            let b = self.bindings.read(ctx, idx);
             if b.matches(key) {
-                let BindStore::Flat { table, .. } = &mut self.bindings else { unreachable!() };
-                table.update(ctx, idx, |b| b.last_used = now);
+                self.bindings.update(ctx, idx, |b| b.last_used = now);
                 return self.endpoint(b.session);
             }
             if b.flags & OCCUPIED == 0 {
-                let session = self.allocate(ctx, key, now);
-                let BindStore::Flat { table, .. } = &mut self.bindings else { unreachable!() };
-                table.write(
-                    ctx,
-                    idx,
-                    Binding {
-                        inside_ip: u32::from(key.src),
-                        inside_port: key.src_port,
-                        proto: key.protocol,
-                        flags: OCCUPIED,
-                        session,
-                        last_used: now,
-                        created: now,
-                        _pad: 0,
-                    },
-                );
-                self.bindings_created += 1;
-                return self.endpoint(session);
+                return self.bind(ctx, idx, key, now);
             }
         }
         // Probe budget exhausted: evict the home slot (bounded per-packet
         // work, like the NetFlow element).
         self.bindings_evicted += 1;
+        self.bind(ctx, h & self.mask, key, now)
+    }
+
+    /// Allocate a session for `key` and install its binding in slot `idx`.
+    fn bind(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        idx: usize,
+        key: &FlowKey,
+        now: u64,
+    ) -> (Ipv4Addr, u16) {
         let session = self.allocate(ctx, key, now);
-        let BindStore::Flat { table, mask } = &mut self.bindings else { unreachable!() };
-        let idx = h & *mask;
-        table.write(
+        self.bindings.write(
             ctx,
             idx,
             Binding {
@@ -443,66 +320,6 @@ impl Nat {
                 _pad: 0,
             },
         );
-        self.bindings_created += 1;
-        self.endpoint(session)
-    }
-
-    /// Bucketed-table translate: tag-byte probe, then replay the recorded
-    /// cache touches against the simulated region (dependent order is
-    /// preserved — probe reads, session-array work, then the install
-    /// writes).
-    fn translate_bucketed(&mut self, ctx: &mut ExecCtx<'_>, key: &FlowKey) -> (Ipv4Addr, u16) {
-        let nk = NatKey::of(key);
-        let now = ctx.now();
-        let (pr, base) = {
-            let BindStore::Bucketed { tab, base } = &mut self.bindings else { unreachable!() };
-            self.touched.clear();
-            (tab.probe(&nk, &mut self.touched), *base)
-        };
-        if let Probe::Hit { bucket, slot } = pr {
-            let mut session = 0;
-            let BindStore::Bucketed { tab, .. } = &mut self.bindings else { unreachable!() };
-            tab.update_slot(
-                bucket,
-                slot,
-                |b| {
-                    b.last_used = now;
-                    session = b.session;
-                },
-                &mut self.touched,
-            );
-            replay(ctx, base, &self.touched);
-            return self.endpoint(session);
-        }
-        // Miss: charge the probe walk, allocate a session (charges its own
-        // session-array accesses), then install the binding.
-        replay(ctx, base, &self.touched);
-        if matches!(pr, Probe::Full { .. }) {
-            self.bindings_evicted += 1;
-        }
-        let session = self.allocate(ctx, key, now);
-        let (bucket, slot) = pr.target();
-        {
-            let BindStore::Bucketed { tab, .. } = &mut self.bindings else { unreachable!() };
-            self.touched.clear();
-            tab.insert_at(
-                bucket,
-                slot,
-                nk,
-                Binding {
-                    inside_ip: u32::from(key.src),
-                    inside_port: key.src_port,
-                    proto: key.protocol,
-                    flags: OCCUPIED,
-                    session,
-                    last_used: now,
-                    created: now,
-                    _pad: 0,
-                },
-                &mut self.touched,
-            );
-        }
-        replay(ctx, base, &self.touched);
         self.bindings_created += 1;
         self.endpoint(session)
     }
@@ -693,80 +510,12 @@ mod tests {
     #[test]
     fn footprint_is_multi_megabyte_at_default_scale() {
         let (_m, n) = nat(NatConfig::default());
+        assert_eq!(std::mem::size_of::<Binding>(), 40, "shrinking it is a NAT re-pin");
         assert!(
             n.footprint() > 8 << 20,
             "NAT state should pressure the L3 ({} B)",
             n.footprint()
         );
-    }
-
-    fn nat_bucketed(cfg: NatConfig) -> (pp_sim::machine::Machine, Nat) {
-        let mut m = machine();
-        let n = Nat::new_bucketed(m.allocator(MemDomain(0)), cfg, CostModel::default());
-        (m, n)
-    }
-
-    #[test]
-    fn bucketed_translates_and_inverts_like_flat() {
-        let (mut m, mut n) = nat_bucketed(NatConfig::default());
-        assert!(n.is_bucketed());
-        let mut ctx = m.ctx(CoreId(0));
-        let mut endpoints = std::collections::HashSet::new();
-        for i in 0..200u16 {
-            let mut pkt = udp_from([10, 3, (i >> 8) as u8, i as u8], 1000 + i);
-            let inside = pkt.flow_key().unwrap();
-            assert_eq!(n.process(&mut ctx, &mut pkt), Action::Out(0));
-            let (pub_ip, pub_port) = n.binding_for(&inside).expect("binding exists");
-            assert_eq!(
-                n.reverse_of(pub_ip, pub_port),
-                Some((inside.src, inside.src_port)),
-                "session array must invert the binding"
-            );
-            endpoints.insert((pub_ip, pub_port));
-        }
-        assert_eq!(endpoints.len(), 200, "no two flows may share a public endpoint");
-        assert_eq!(n.bindings_created, 200);
-        // Repeat traffic reuses the bindings.
-        for i in 0..200u16 {
-            let mut pkt = udp_from([10, 3, (i >> 8) as u8, i as u8], 1000 + i);
-            n.process(&mut ctx, &mut pkt);
-        }
-        assert_eq!(n.bindings_created, 200, "no new bindings on repeat traffic");
-    }
-
-    #[test]
-    fn bucketed_port_exhaustion_steals_and_stays_consistent() {
-        let (mut m, mut n) = nat_bucketed(NatConfig::tiny(16));
-        let mut ctx = m.ctx(CoreId(0));
-        for i in 0..64u16 {
-            let mut pkt = udp_from([10, 4, 0, i as u8], 3000 + i);
-            assert_eq!(n.process(&mut ctx, &mut pkt), Action::Out(0));
-        }
-        assert!(n.port_steals > 0, "16 ports for 64 flows must steal");
-        let mut live = 0;
-        for i in 0..64u16 {
-            let key = udp_from([10, 4, 0, i as u8], 3000 + i).flow_key().unwrap();
-            if let Some((ip, port)) = n.binding_for(&key) {
-                assert_eq!(
-                    n.reverse_of(ip, port),
-                    Some((key.src, key.src_port)),
-                    "stale binding for flow {i}"
-                );
-                live += 1;
-            }
-        }
-        assert!(live <= 16, "cannot have more live bindings than ports");
-        assert!(live > 0);
-    }
-
-    #[test]
-    fn bucketed_capacity_matches_flat_slots() {
-        let cfg = NatConfig::default();
-        let (_m, n) = nat_bucketed(cfg);
-        // 2^18 slots as 2^15 buckets × 8; bucket = 64 B header + 8 records.
-        let rec = std::mem::size_of::<Binding>() as u64;
-        let bindings = n.footprint() - (cfg.pool_size() as u64) * 16;
-        assert_eq!(bindings, (1u64 << 15) * (64 + 8 * rec));
     }
 
     #[test]

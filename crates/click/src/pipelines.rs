@@ -36,7 +36,7 @@ use pp_net::gen::signatures::generate_signatures;
 use pp_net::gen::traffic::{TrafficGen, TrafficSpec};
 use pp_sim::machine::Machine;
 use pp_sim::nic::NicQueue;
-use pp_sim::types::{CoreId, MemDomain};
+use pp_sim::types::MemDomain;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -432,29 +432,6 @@ pub fn build_pipeline(
     (src.with_batch_size(pipe.burst), sink.with_batch_size(pipe.burst), queue)
 }
 
-/// Live re-placement for a two-stage pipeline: move both stages to a new
-/// core pair in one step (the supervisor's core-failover path for
-/// pipelined tenants). The SPSC queue, NIC, and carcass pool are shared
-/// handles that travel with the tasks — packets already queued between the
-/// stages stay queued and the sink keeps draining them on its new core, so
-/// nothing in flight is lost (the conservation ledger holds across the
-/// move). Both moves must succeed; on a half-legal request the function
-/// refuses up front and moves nothing. Returns `true` on success.
-pub fn migrate_pipeline(
-    engine: &mut pp_sim::engine::Engine,
-    from: (CoreId, CoreId),
-    to: (CoreId, CoreId),
-) -> bool {
-    let legal = |f: CoreId, t: CoreId| f != t && engine.has_task(f) && !engine.has_task(t);
-    if !(legal(from.0, to.0) && legal(from.1, to.1)) || to.0 == to.1 {
-        return false;
-    }
-    let a = engine.migrate_task(from.0, to.0);
-    let b = engine.migrate_task(from.1, to.1);
-    debug_assert!(a && b, "legality pre-checked");
-    a && b
-}
-
 /// The §2.2 crafted two-phase synthetic workload: each packet triggers
 /// `reads_per_phase` random reads into each of two structures that together
 /// are "exactly double the size of an L3 cache". In the parallel
@@ -682,36 +659,6 @@ mod tests {
             burst > burst1 * 1.02,
             "burst-32 handoff should lift MON pipeline throughput: {burst1:.0} -> {burst:.0}"
         );
-    }
-
-    #[test]
-    fn live_pipeline_migrates_without_losing_queued_packets() {
-        let mut m = Machine::new(MachineConfig::westmere());
-        let spec = FlowSpec::small(ChainKind::Mon, 33);
-        let pipe = PipelineSpec::new(MemDomain(0)).with_capacity(64);
-        let (src, sink, q) = build_pipeline(&mut m, MemDomain(0), MemDomain(0), &spec, &pipe);
-        let drops = src.drop_handle();
-        let mut e = Engine::new(m);
-        e.set_task(CoreId(0), Box::new(src));
-        e.set_task(CoreId(1), Box::new(sink));
-        e.measure(1_000_000, 2_800_000);
-        drops.borrow_mut().reset();
-        // Half-legal requests are refused atomically: nothing moves.
-        assert!(!migrate_pipeline(&mut e, (CoreId(0), CoreId(1)), (CoreId(1), CoreId(3))));
-        assert!(e.has_task(CoreId(0)) && e.has_task(CoreId(1)));
-        // A legal move relocates both stages; the queue travels with them
-        // and the pipeline keeps forwarding on the new cores.
-        let dequeued_before = q.borrow().dequeued;
-        assert!(migrate_pipeline(&mut e, (CoreId(0), CoreId(1)), (CoreId(2), CoreId(3))));
-        assert!(!e.has_task(CoreId(0)) && !e.has_task(CoreId(1)));
-        let meas = e.measure(0, 2_800_000);
-        let pps = meas.core(CoreId(3)).unwrap().metrics.pps;
-        assert!(pps > 10_000.0, "post-migration pps = {pps}");
-        assert!(q.borrow().dequeued > dequeued_before, "sink kept draining the queue");
-        // The move itself loses nothing: unpaced stages carry no in-flight
-        // credit, and queued packets drained normally (any queue_full drops
-        // here are ordinary backpressure, counted as always).
-        assert_eq!(drops.borrow().drained, 0, "no in-flight credit to forfeit");
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //! regression tripwire; see ROADMAP for the paths to tighten it.
 //!
 //! When even batch 1 cannot meet a budget, batching is the wrong lever:
-//! [`ControlAction::Throttle`] points at the §4 containment loop
+//! the choice comes back with [`BatchChoice::feasible`] `false`, and what
+//! remains is the §4 containment loop
 //! ([`ThrottleController`](crate::throttle::ThrottleController)) — slowing
 //! the *co-runners* is the only remaining way to win back latency. And for
 //! placement-time decisions, [`plan_socket`] combines this controller's
@@ -61,7 +62,7 @@ use crate::admission::{AdmissionController, AdmissionDecision, Sla};
 use crate::experiment::{
     corun_against_solo, run_many, ContentionConfig, ExpParams, LatencySummary,
 };
-use crate::model::{BatchAmortization, CrossCoreHandoff};
+use crate::model::BatchAmortization;
 use crate::predictor::{PredictionError, Predictor};
 use crate::profiler::SoloProfile;
 use crate::workload::FlowType;
@@ -112,18 +113,6 @@ pub struct BatchChoice {
     /// Whether the prediction fits the budget. `false` means even batch 1
     /// is predicted to miss — the choice is then the least-bad size (1).
     pub feasible: bool,
-}
-
-/// What the control plane should do about one (flow, budget) pair.
-#[derive(Debug, Clone, Copy)]
-pub enum ControlAction {
-    /// Run at the chosen batch; the budget is predicted to hold.
-    UseBatch(BatchChoice),
-    /// No batch meets the budget — batching is the wrong lever. The
-    /// remaining one is the §4 containment loop: throttle the co-runners
-    /// (see [`ThrottleController`](crate::throttle::ThrottleController))
-    /// or re-place the flow. Carries the least-bad choice (batch 1).
-    Throttle(BatchChoice),
 }
 
 /// A verified decision: the choice plus the measured outcome at that size.
@@ -246,76 +235,23 @@ impl BatchController {
         self.freq_ghz * 1e9 / self.model.cycles_per_packet(batch as f64)
     }
 
-    /// Shared decision core: descending scan over the candidate ladder
-    /// with the given p99 and cycles/packet predictors; falls back to the
-    /// least-bad size (1), marked infeasible, when nothing fits.
-    fn choose_by(
-        &self,
-        p99_us: impl Fn(usize) -> f64,
-        cycles_per_packet: impl Fn(f64) -> f64,
-        budget: LatencyBudget,
-    ) -> BatchChoice {
-        for &b in CANDIDATE_BATCHES.iter().rev() {
-            if p99_us(b) <= budget.p99_us {
-                return BatchChoice {
-                    batch: b,
-                    predicted_p99_us: p99_us(b),
-                    predicted_cycles_per_packet: cycles_per_packet(b as f64),
-                    feasible: true,
-                };
-            }
-        }
-        BatchChoice {
-            batch: 1,
-            predicted_p99_us: p99_us(1),
-            predicted_cycles_per_packet: cycles_per_packet(1.0),
-            feasible: false,
-        }
-    }
-
     /// Pick the largest candidate batch whose predicted p99 fits `budget`.
     /// Monotonicity makes this optimal: turn time rises with `b`, so the
     /// largest feasible size is unique, and cycles/packet falls with `b`,
-    /// so it is also the feasible throughput maximum.
+    /// so it is also the feasible throughput maximum. When nothing fits,
+    /// falls back to the least-bad size (1), marked infeasible.
     pub fn choose(&self, budget: LatencyBudget) -> BatchChoice {
-        self.choose_by(
-            |b| self.predicted_p99_us(b),
-            |b| self.model.cycles_per_packet(b),
-            budget,
-        )
-    }
-
-    /// [`choose`](Self::choose), expressed as a control action: an
-    /// infeasible budget escalates to the throttle/re-place path instead
-    /// of silently running a flow that will breach its SLA.
-    pub fn recommend(&self, budget: LatencyBudget) -> ControlAction {
-        let choice = self.choose(budget);
-        if choice.feasible {
-            ControlAction::UseBatch(choice)
-        } else {
-            ControlAction::Throttle(choice)
+        let feasible = CANDIDATE_BATCHES
+            .iter()
+            .rev()
+            .find(|&&b| self.predicted_p99_us(b) <= budget.p99_us);
+        let batch = feasible.copied().unwrap_or(1);
+        BatchChoice {
+            batch,
+            predicted_p99_us: self.predicted_p99_us(batch),
+            predicted_cycles_per_packet: self.model.cycles_per_packet(batch as f64),
+            feasible: feasible.is_some(),
         }
-    }
-
-    /// Pipeline variant: pick the burst size for a two-stage pipeline from
-    /// the combined `F/b + p + C/b + S·ceil(b/L)/b` model. The residence
-    /// model adds the handoff term to each turn; queue wait is folded into
-    /// the tail factor (calibrated on measured residence, which includes
-    /// it at the probe sizes).
-    pub fn choose_pipeline(
-        &self,
-        handoff: &CrossCoreHandoff,
-        budget: LatencyBudget,
-    ) -> BatchChoice {
-        self.choose_by(
-            |b| {
-                let turn =
-                    b as f64 * self.model.pipeline_cycles_per_packet(handoff, b as f64);
-                self.tail_at(b) * turn / (self.freq_ghz * 1e3)
-            },
-            |b| self.model.pipeline_cycles_per_packet(handoff, b),
-            budget,
-        )
     }
 
     /// Close the loop with a **solo** run: measure the flow alone at the
@@ -573,10 +509,6 @@ mod tests {
         let tight = c.choose(LatencyBudget::us(c.predicted_p99_us(1) * 0.5));
         assert_eq!(tight.batch, 1);
         assert!(!tight.feasible);
-        match c.recommend(LatencyBudget::us(c.predicted_p99_us(1) * 0.5)) {
-            ControlAction::Throttle(ch) => assert_eq!(ch.batch, 1),
-            ControlAction::UseBatch(_) => panic!("infeasible budget must escalate"),
-        }
     }
 
     #[test]
@@ -605,28 +537,6 @@ mod tests {
             v.met_budget,
             "chosen batch {} achieved p99 {:.2}us over budget {:.2}us",
             choice.batch, v.achieved.latency.p99_us, budget.p99_us
-        );
-    }
-
-    #[test]
-    fn pipeline_choice_shrinks_under_heavy_handoff() {
-        let c = controller();
-        let light = CrossCoreHandoff {
-            control_cycles_per_burst: 10.0,
-            slot_line_cycles: 5.0,
-            slots_per_line: 4.0,
-        };
-        let heavy = CrossCoreHandoff {
-            control_cycles_per_burst: 10_000.0,
-            slot_line_cycles: 5_000.0,
-            slots_per_line: 4.0,
-        };
-        let budget = LatencyBudget::us(c.predicted_p99_us(16));
-        let b_light = c.choose_pipeline(&light, budget).batch;
-        let b_heavy = c.choose_pipeline(&heavy, budget).batch;
-        assert!(
-            b_heavy <= b_light,
-            "a costlier handoff cannot afford a larger burst: {b_heavy} > {b_light}"
         );
     }
 

@@ -18,9 +18,9 @@
 //!    re-sizing the live flow down the
 //!    [`BatchController`](crate::batch_control)'s candidate ladder;
 //! 3. [`DegradeLevel::Throttle`] — pace the offered load below capacity
-//!    (lossless backpressure, the
-//!    [`ControlAction::Throttle`](crate::batch_control::ControlAction)
-//!    admission outcome applied at run time);
+//!    (lossless backpressure: what is left when
+//!    [`BatchChoice::feasible`](crate::batch_control::BatchChoice::feasible)
+//!    is `false` and no batch size can meet the budget);
 //! 4. [`DegradeLevel::Shed`] — explicitly drop a fraction of arrivals at
 //!    the wire, the last resort: loss, but *counted, bounded, and chosen*,
 //!    never silent.

@@ -97,8 +97,7 @@ pub mod prelude {
     pub use crate::admission::{AdmissionController, AdmissionDecision, FlowVerdict, Sla};
     pub use crate::batch_control::{
         plan_socket, revalidate_predictor, BatchChoice, BatchController, BatchProbe,
-        ControlAction, LatencyBudget, Revalidation, SocketPlan, VerifiedChoice,
-        CANDIDATE_BATCHES,
+        LatencyBudget, Revalidation, SocketPlan, VerifiedChoice, CANDIDATE_BATCHES,
     };
     pub use crate::experiment::{
         corun_against_solo, corun_scenario, default_threads, run_corun, run_many,

@@ -61,11 +61,6 @@ pub struct TrafficSpec {
     /// `None`: a fresh random 5-tuple per packet (the paper's IP setup —
     /// "random destination addresses").
     pub n_flows: Option<u32>,
-    /// `Some(s)`: skew the flow-population draw Zipf(s) instead of uniform
-    /// — flow `i` (0-based) is drawn with weight `1/(i+1)^s`, the shape of
-    /// measured Internet flow-size distributions (s ≈ 1). Ignored when
-    /// `n_flows` is `None`.
-    pub zipf: Option<f64>,
     /// Payload generation mode.
     pub payload: PayloadKind,
     /// RNG seed (same seed ⇒ identical stream).
@@ -75,26 +70,12 @@ pub struct TrafficSpec {
 impl TrafficSpec {
     /// Random-destination traffic at the given frame length (IP workload).
     pub fn random_dst(frame_len: usize, seed: u64) -> Self {
-        TrafficSpec { frame_len, n_flows: None, zipf: None, payload: PayloadKind::Random, seed }
+        TrafficSpec { frame_len, n_flows: None, payload: PayloadKind::Random, seed }
     }
 
     /// Traffic drawn from a fixed flow population (MON/FW/RE/VPN workloads).
     pub fn flow_population(frame_len: usize, n_flows: u32, seed: u64) -> Self {
-        TrafficSpec { frame_len, n_flows: Some(n_flows), zipf: None, payload: PayloadKind::Random, seed }
-    }
-
-    /// A Zipf(s)-skewed flow population: a few heavy hitters and a long
-    /// tail, the shape of measured Internet traffic. With s ≈ 1 and 1M+
-    /// flows this is the PR 10 DRAM-resident flow-table workload — the hot
-    /// head stays cached while the tail forces memory traffic.
-    pub fn zipf_population(frame_len: usize, n_flows: u32, s: f64, seed: u64) -> Self {
-        TrafficSpec {
-            frame_len,
-            n_flows: Some(n_flows),
-            zipf: Some(s),
-            payload: PayloadKind::Random,
-            seed,
-        }
+        TrafficSpec { frame_len, n_flows: Some(n_flows), payload: PayloadKind::Random, seed }
     }
 
     /// Flow-population traffic whose payloads tease a DPI signature corpus
@@ -109,7 +90,6 @@ impl TrafficSpec {
         TrafficSpec {
             frame_len,
             n_flows: Some(n_flows),
-            zipf: None,
             payload: PayloadKind::SignatureTease {
                 n_signatures,
                 corpus_seed,
@@ -154,9 +134,6 @@ pub struct TrafficGen {
     history: VecDeque<Vec<u8>>,
     /// Signature corpus for `PayloadKind::SignatureTease`.
     corpus: Vec<Vec<u8>>,
-    /// Normalized cumulative Zipf weights over the flow population (empty
-    /// for uniform draws). `zipf_cdf[i]` = P(flow index ≤ i).
-    zipf_cdf: Vec<f64>,
     /// Packets generated so far.
     pub generated: u64,
 }
@@ -186,22 +163,6 @@ impl TrafficGen {
             }
             _ => Vec::new(),
         };
-        let zipf_cdf = match (spec.zipf, flows.len()) {
-            (Some(s), n) if n > 0 => {
-                let mut cdf = Vec::with_capacity(n);
-                let mut acc = 0.0f64;
-                for i in 0..n {
-                    acc += 1.0 / ((i + 1) as f64).powf(s);
-                    cdf.push(acc);
-                }
-                let total = acc;
-                for c in &mut cdf {
-                    *c /= total;
-                }
-                cdf
-            }
-            _ => Vec::new(),
-        };
         TrafficGen {
             spec,
             rng,
@@ -211,7 +172,6 @@ impl TrafficGen {
             template: None,
             history: VecDeque::new(),
             corpus,
-            zipf_cdf,
             generated: 0,
         }
     }
@@ -316,15 +276,8 @@ impl TrafficGen {
                 src_port: self.rng.random_range(1024..=u16::MAX),
                 dst_port: self.rng.random_range(1..1024),
             }
-        } else if self.zipf_cdf.is_empty() {
-            let i = self.rng.random_range(0..self.flows.len());
-            self.flows[i]
         } else {
-            // Inverse-CDF Zipf draw: one uniform, one binary search. The
-            // uniform-population RNG sequence above is untouched, so
-            // existing (non-Zipf) streams stay byte-for-byte identical.
-            let u: f64 = self.rng.random();
-            let i = self.zipf_cdf.partition_point(|&c| c < u).min(self.flows.len() - 1);
+            let i = self.rng.random_range(0..self.flows.len());
             self.flows[i]
         };
         self.next_payload();
@@ -507,7 +460,6 @@ mod tests {
         let spec = TrafficSpec {
             frame_len: 256,
             n_flows: Some(10),
-            zipf: None,
             payload: PayloadKind::Redundant { ratio: 0.8 },
             seed: 9,
         };
@@ -555,7 +507,6 @@ mod tests {
         let spec = TrafficSpec {
             frame_len: 512,
             n_flows: Some(10),
-            zipf: None,
             payload: PayloadKind::SignatureTease {
                 n_signatures: 100,
                 corpus_seed: 5,
@@ -581,50 +532,10 @@ mod tests {
     }
 
     #[test]
-    fn zipf_population_skews_toward_head() {
-        let mut g = TrafficGen::new(TrafficSpec::zipf_population(64, 10_000, 1.0, 17));
-        let head: HashSet<FlowKey> = g.flows()[..10].iter().copied().collect();
-        let mut head_hits = 0usize;
-        let mut seen = HashSet::new();
-        const N: usize = 5000;
-        for _ in 0..N {
-            let key = g.next_packet().flow_key().unwrap();
-            if head.contains(&key) {
-                head_hits += 1;
-            }
-            seen.insert(key);
-        }
-        // Zipf(1) over 10k flows: the top-10 flows carry ≈ Σ1/i / H(10k)
-        // ≈ 30% of packets; uniform would give them 0.1%.
-        assert!(
-            head_hits * 100 / N >= 15,
-            "head flows must dominate, got {head_hits}/{N}"
-        );
-        assert!(seen.len() > 500, "the tail must still appear, got {}", seen.len());
-    }
-
-    #[test]
-    fn zipf_stream_is_deterministic_and_distinct_from_uniform() {
-        let mut a = TrafficGen::new(TrafficSpec::zipf_population(64, 1000, 1.0, 9));
-        let mut b = TrafficGen::new(TrafficSpec::zipf_population(64, 1000, 1.0, 9));
-        let mut u = TrafficGen::new(TrafficSpec::flow_population(64, 1000, 9));
-        let mut diverged = false;
-        for _ in 0..100 {
-            let pa = a.next_packet();
-            assert_eq!(pa.data, b.next_packet().data);
-            if pa.data != u.next_packet().data {
-                diverged = true;
-            }
-        }
-        assert!(diverged, "zipf and uniform draws must differ");
-    }
-
-    #[test]
     fn zero_payload_mode() {
         let spec = TrafficSpec {
             frame_len: 128,
             n_flows: None,
-            zipf: None,
             payload: PayloadKind::Zeros,
             seed: 1,
         };

@@ -16,18 +16,15 @@
 pub mod checksum;
 pub mod error;
 pub mod fivetuple;
-pub mod flowtab;
 pub mod gen;
 pub mod headers;
 pub mod packet;
-pub mod pcap;
 pub mod pool;
 
 /// Glob-import of the commonly used names.
 pub mod prelude {
     pub use crate::error::ParseError;
     pub use crate::fivetuple::{fnv1a, FlowKey};
-    pub use crate::flowtab::{FlowTable, Probe, TabKey, Touch, BUCKET_SLOTS, PROBE_BUCKETS};
     pub use crate::gen::prefixes::{generate_bgp_table, generate_prefixes, linear_lpm, PrefixEntry};
     pub use crate::gen::rules::{
         generate_classifier_rules, generate_port_rules, generate_unmatchable_rules, Rule,
@@ -38,6 +35,5 @@ pub mod prelude {
         ethertype, ip_proto, EthernetHeader, Ipv4Header, MacAddr, TcpHeader, UdpHeader,
     };
     pub use crate::packet::{Packet, PacketBuilder};
-    pub use crate::pcap::PcapWriter;
     pub use crate::pool::PacketPool;
 }
