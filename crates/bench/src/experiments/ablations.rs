@@ -248,3 +248,17 @@ fn solo_pps_under(cfg: MachineConfig, kind: ChainKind, ctx: &RunCtx) -> f64 {
     let win = ctx.params.window_cycles(e.machine.config());
     e.measure(warm, win).core(CoreId(0)).unwrap().metrics.pps
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pin taken before the engine lifecycles went to `measure_window`:
+    /// solo and contended MON on the default machine, as pps / drop bits.
+    #[test]
+    fn mon_drop_on_westmere_is_pinned() {
+        let (solo, drop) = mon_drop_under(MachineConfig::westmere(), &RunCtx::quick());
+        assert_eq!(solo.to_bits(), 0x4131_db9d_5555_5555, "solo pps {solo}");
+        assert_eq!(drop.to_bits(), 0x4043_2ebc_d8b3_1377, "drop {drop} %");
+    }
+}

@@ -188,3 +188,18 @@ pub fn run(ctx: &RunCtx) -> Vec<PipelineRow> {
     );
     rows
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pin taken before the two-phase builders shared their wiring with
+    /// `build_pipeline` and the engine lifecycles went to `measure_window`:
+    /// every allocation and charge of the crafted comparison, as pps bits.
+    #[test]
+    fn crafted_comparison_is_pinned() {
+        let (parallel, pipeline) = crafted(&RunCtx::quick());
+        assert_eq!(parallel.to_bits(), 0x4127_dd60_0000_0000, "parallel {parallel}");
+        assert_eq!(pipeline.to_bits(), 0x412b_4afa_aaaa_aaab, "pipeline {pipeline}");
+    }
+}

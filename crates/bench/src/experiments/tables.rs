@@ -597,6 +597,35 @@ mod tests {
         );
     }
 
+    /// Pin taken before the config-text flow assembly moved to pp-click and
+    /// the engine lifecycle to `measure_window`: each class at the smallest
+    /// quick-scale table, solo, batch 1 and 64 — exact pps and L3 refs per
+    /// packet (the only pin on `MultibitIPLookup` / `Dir248IPLookup` inside
+    /// a whole flow besides CSV text).
+    #[test]
+    fn solo_points_are_pinned_per_class() {
+        let params = ExpParams::quick();
+        let n = prefix_scales(params.scale)[0];
+        let pins: [(&str, usize, u64, u64); 6] = [
+            ("RadixIPLookup", 1, 0x4141_fec5_5555_5555, 0x4009_1bee_0e2e_991c),
+            ("RadixIPLookup", 64, 0x4156_b480_0000_0000, 0x4003_2529_4a52_94a5),
+            ("MultibitIPLookup", 1, 0x4147_29b0_0000_0000, 0x3ff9_1c38_36dd_7c02),
+            ("MultibitIPLookup", 64, 0x415f_4000_0000_0000, 0x3ff9_9000_0000_0000),
+            ("Dir248IPLookup", 1, 0x4144_d408_0000_0000, 0x3fff_fd7f_d7fd_7fd8),
+            ("Dir248IPLookup", 64, 0x415c_9080_0000_0000, 0x4002_081d_2c7d_7282),
+        ];
+        for (class, batch, pps, refs) in pins {
+            let m = measure_point(class, n, batch, &Load::Solo, params);
+            assert_eq!(m.pps.to_bits(), pps, "{class} b{batch}: {} pps", m.pps);
+            assert_eq!(
+                m.l3_refs_per_packet.to_bits(),
+                refs,
+                "{class} b{batch}: {} refs/pkt",
+                m.l3_refs_per_packet
+            );
+        }
+    }
+
     /// Contention bites: the co-run against 5 SYN_MAX never *gains*
     /// throughput, and the measured competing refs/sec is nonzero.
     #[test]

@@ -369,9 +369,9 @@ impl Element for Dir248IpLookup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::test_util::machine;
+    use crate::element::test_util::{bgp_with_long, lpm_pin_run, machine};
     use crate::elements::radix::BinaryRadixTrie;
-    use pp_net::gen::prefixes::{generate_bgp_table, generate_prefixes, linear_lpm};
+    use pp_net::gen::prefixes::{generate_prefixes, linear_lpm};
     use pp_sim::types::{CoreId, MemDomain};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -380,23 +380,6 @@ mod tests {
         let mut m = machine();
         let t = Dir248Table::build(m.allocator(MemDomain(0)), prefixes);
         (m, t)
-    }
-
-    /// A BGP-shaped table with extra /25–/32 prefixes layered under its
-    /// /24s, so the spill path is exercised.
-    fn bgp_with_long(n: usize, seed: u64) -> Vec<PrefixEntry> {
-        let mut t = generate_bgp_table(n, seed);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD128);
-        let slashes24: Vec<u32> =
-            t.iter().filter(|e| e.len == 24).map(|e| e.addr).take(64).collect();
-        for (i, &base) in slashes24.iter().enumerate() {
-            let len = 25 + (i % 8) as u8;
-            let shift = 32 - len as u32;
-            // Random low byte under the /24, canonicalized to `len` bits.
-            let addr = ((base | (rng.random::<u32>() & 0xFF)) >> shift) << shift;
-            t.push(PrefixEntry { addr, len, next_hop: rng.random_range(0..64) });
-        }
-        t
     }
 
     #[test]
@@ -552,6 +535,15 @@ mod tests {
             mb.core(CoreId(0)).clock,
             ms.core(CoreId(0)).clock
         );
+        // Pin, taken from the per-table element before the three became one
+        // `IpLookup<T>`: the fixed 256-packet stream in vectors of 64.
+        let (el, counts, clock) = lpm_pin_run(Dir248IpLookup::new, 64);
+        assert_eq!((el.found, el.no_route), (245, 9));
+        assert_eq!((el.avg_depth() * 254.0).round(), 286.0, "reads over the 254 lookups");
+        assert_eq!(clock, 24_487);
+        // Same accesses as the one-packet vectors; only the stall overlaps.
+        let (_, scalar_counts, _) = lpm_pin_run(Dir248IpLookup::new, 1);
+        assert_eq!(counts, pp_sim::counters::Counts { stall_cycles: 22_485, ..scalar_counts });
     }
 
     #[test]
@@ -579,6 +571,29 @@ mod tests {
         assert_eq!(
             ms.core(CoreId(0)).counters.total(),
             mb.core(CoreId(0)).counters.total()
+        );
+        // Pin, taken from the per-table element before the three became one
+        // `IpLookup<T>`: the fixed 256-packet stream in vectors of 1.
+        let (el, counts, clock) = lpm_pin_run(Dir248IpLookup::new, 1);
+        assert_eq!((el.found, el.no_route), (245, 9));
+        assert_eq!((el.avg_depth() * 254.0).round(), 286.0, "reads over the 254 lookups");
+        assert_eq!(clock, 88_570);
+        assert_eq!(
+            counts,
+            pp_sim::counters::Counts {
+                instructions: 2830,
+                compute_cycles: 2002,
+                stall_cycles: 86_568,
+                l1_refs: 542,
+                l1_hits: 1,
+                l2_refs: 541,
+                l2_hits: 0,
+                l3_refs: 541,
+                l3_hits: 0,
+                l3_misses: 541,
+                remote_accesses: 0,
+                packets: 0,
+            }
         );
     }
 

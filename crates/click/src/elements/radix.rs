@@ -811,7 +811,7 @@ impl Element for MultibitIpLookup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::test_util::machine;
+    use crate::element::test_util::{lpm_pin_run, machine};
     use pp_net::gen::prefixes::{generate_prefixes, linear_lpm};
     use pp_sim::types::{CoreId, MemDomain};
     use rand::rngs::SmallRng;
@@ -1033,6 +1033,28 @@ mod tests {
             ms.core(CoreId(0)).counters.total(),
             mb.core(CoreId(0)).counters.total()
         );
+        // Pin, taken from the per-table element before the three became one
+        // `IpLookup<T>`: the fixed 256-packet stream in vectors of 1.
+        let (el, counts, clock) = lpm_pin_run(MultibitIpLookup::new, 1);
+        assert_eq!((el.found, el.no_route), (245, 9));
+        assert_eq!(clock, 97_575);
+        assert_eq!(
+            counts,
+            pp_sim::counters::Counts {
+                instructions: 3433,
+                compute_cycles: 2471,
+                stall_cycles: 95_104,
+                l1_refs: 609,
+                l1_hits: 15,
+                l2_refs: 594,
+                l2_hits: 0,
+                l3_refs: 594,
+                l3_hits: 0,
+                l3_misses: 594,
+                remote_accesses: 0,
+                packets: 0,
+            }
+        );
     }
 
     #[test]
@@ -1078,6 +1100,14 @@ mod tests {
             mb.core(CoreId(0)).clock,
             ms.core(CoreId(0)).clock
         );
+        // Pin, taken from the per-table element before the three became one
+        // `IpLookup<T>`: the fixed 256-packet stream in vectors of 64.
+        let (el, counts, clock) = lpm_pin_run(MultibitIpLookup::new, 64);
+        assert_eq!((el.found, el.no_route), (245, 9));
+        assert_eq!(clock, 27_113);
+        // Same accesses as the one-packet vectors; only the stall overlaps.
+        let (_, scalar_counts, _) = lpm_pin_run(MultibitIpLookup::new, 1);
+        assert_eq!(counts, pp_sim::counters::Counts { stall_cycles: 24_642, ..scalar_counts });
     }
 
     #[test]
