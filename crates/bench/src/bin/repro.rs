@@ -1,50 +1,18 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro <subcommand> [--quick] [--jobs N] [--levels N] [--out DIR] [--seed N]
-//!
-//! subcommands:
-//!   table1     Table 1  — solo-run characteristics
-//!   fig2       Fig. 2   — 25-pair contention matrix + averages
-//!   fig4       Fig. 4   — cache vs memctrl contention (SYN ramps)
-//!   fig5       Fig. 5   — SYN curves vs realistic competitors
-//!   fig6       Fig. 6   — Eq. 1 worst-case bound
-//!   fig7       Fig. 7   — hit→miss conversion, measured vs model
-//!   fig8       Fig. 8   — prediction errors (25 pairs)
-//!   fig9       Fig. 9   — prediction for the mixed workload
-//!   fig10      Fig. 10  — best/worst placement study
-//!   pipeline   §2.2     — pipeline vs parallel
-//!   pipeline-batch extras — burst-mode cross-core handoff sweep (throughput + latency)
-//!   throttle   §4       — containing hidden aggressiveness
-//!   ablate     extras   — DCA / associativity / lookup-structure / prefetch ablations
-//!   extended   extras   — prediction generality on DPI / NAT / CLASS
-//!   cat        extras   — L3 way-partitioning (isolation vs prediction)
-//!   mixes      extras   — error distribution over random 6-flow mixes
-//!   batch      extras   — vectorized-execution batch-size sweep
-//!   adaptive   extras   — adaptive batch control: latency-budgeted batch
-//!                         choice (model-driven, measurement-verified) +
-//!                         predictor re-validation at batch 64
-//!   tables     extras   — internet-scale lookup structures (binary radix
-//!                         vs multibit vs DIR-24-8) in the DRAM-resident
-//!                         regime: F/b + p re-fit, sensitivity curves,
-//!                         held-out predictor check (TABLES_results.json)
-//!   chaos      extras   — fault injection + graceful degradation: seeded
-//!                         disturbance timelines vs the runtime guard's
-//!                         ladder (CHAOS_results.json)
-//!   fleet-chaos extras  — the tenant supervisor under sustained faults:
-//!                         circuit-breaker admission, core failover,
-//!                         drift re-calibration (FLEET_CHAOS_results.json)
-//!   cluster-chaos extras — the fleet controller over N machines: crash
-//!                         detection + re-placement, telemetry blackout,
-//!                         SLA-priority shedding (CLUSTER_CHAOS_results.json)
-//!   all        everything above, in order
+//! repro <subcommand> [--quick] [--packets N] [--jobs N] [--levels N] [--out DIR] [--seed N]
 //! ```
+//!
+//! The subcommands are the rows of [`SWEEPS`] plus `all` (every row, in
+//! order); `repro` with no arguments lists them.
 //!
 //! `--quick` runs test-scale structures with short windows (for smoke
 //! runs); default is paper scale. `--packets N` sizes the measurement
 //! window so a batch-1 flow covers roughly N packets — one knob for
 //! simulation size shared by every sweep (it overrides the base window
-//! regardless of flag order). `--jobs N` shards each sweep's independent
+//! regardless of flag order). `--levels N` (≥ 1) is the SYN ramp length
+//! behind every sensitivity curve. `--jobs N` shards each sweep's independent
 //! scenario points across N host threads (default: available cores;
 //! `--jobs 1` is the exact serial path). Results are bit-for-bit identical
 //! at any job count — each point builds its own engine from its own
@@ -58,12 +26,75 @@ use pp_bench::experiments;
 use pp_bench::RunCtx;
 use std::time::Instant;
 
+/// A sweep: subcommand, one-line description, runner.
+type Sweep = (&'static str, &'static str, fn(&RunCtx));
+
+/// One [`SWEEPS`] row, given the experiment module whose `run` it calls
+/// (the report `run` returns, where it returns one, is for library callers).
+macro_rules! sweep {
+    ($name:literal, $what:literal, $module:ident) => {
+        ($name, $what, |ctx| {
+            experiments::$module::run(ctx);
+        })
+    };
+}
+
+/// Every sweep. Drives the dispatch, `all` (which runs the rows in this
+/// order) and the usage text.
+const SWEEPS: [Sweep; 22] = [
+    sweep!("table1", "Table 1  — solo-run characteristics", table1),
+    sweep!("fig2", "Fig. 2   — 25-pair contention matrix + averages", fig2),
+    sweep!("fig4", "Fig. 4   — cache vs memctrl contention (SYN ramps)", fig4),
+    sweep!("fig5", "Fig. 5   — SYN curves vs realistic competitors", fig5),
+    sweep!("fig6", "Fig. 6   — Eq. 1 worst-case bound", fig6),
+    sweep!("fig7", "Fig. 7   — hit→miss conversion, measured vs model", fig7),
+    sweep!("fig8", "Fig. 8   — prediction errors (25 pairs)", fig8),
+    sweep!("fig9", "Fig. 9   — prediction for the mixed workload", fig9),
+    sweep!("fig10", "Fig. 10  — best/worst placement study", fig10),
+    sweep!("pipeline", "§2.2     — pipeline vs parallel", pipeline),
+    sweep!("pipeline-batch", "extras   — burst-mode cross-core handoff sweep", pipeline_batch),
+    sweep!("throttle", "§4       — containing hidden aggressiveness", throttle),
+    sweep!("ablate", "extras   — DCA / associativity / lookup-structure / prefetch", ablations),
+    sweep!("extended", "extras   — prediction generality on DPI / NAT / CLASS", extended),
+    sweep!("mixes", "extras   — error distribution over random 6-flow mixes", mixes),
+    sweep!("cat", "extras   — L3 way-partitioning (isolation vs prediction)", partition),
+    sweep!("batch", "extras   — vectorized-execution batch-size sweep", batch),
+    sweep!("adaptive", "extras   — latency-budgeted batch choice, predictor at batch 64", adaptive),
+    sweep!("tables", "extras   — internet-scale lookup structures, DRAM-resident", tables),
+    sweep!("chaos", "extras   — fault injection vs the runtime guard's ladder", chaos),
+    sweep!("fleet-chaos", "extras   — the tenant supervisor under sustained faults", fleet_chaos),
+    sweep!("cluster-chaos", "extras   — the fleet controller over N machines", cluster_chaos),
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <table1|fig2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|pipeline|pipeline-batch|throttle|ablate|extended|cat|mixes|batch|adaptive|tables|chaos|fleet-chaos|cluster-chaos|all> \
-         [--quick] [--packets N] [--jobs N] [--levels N] [--out DIR] [--seed N]"
+        "usage: repro <subcommand> [--quick] [--packets N] [--jobs N] [--levels N] [--out DIR] \
+         [--seed N]\n\nsubcommands:"
     );
+    for (name, what, _) in SWEEPS {
+        eprintln!("  {name:<14} {what}");
+    }
+    eprintln!("  {:<14} everything above, in order", "all");
     std::process::exit(2);
+}
+
+/// Every sweep in order; the two that profile a predictor hand it to the
+/// sweep that would otherwise re-profile the same types.
+fn run_all(ctx: &RunCtx) {
+    let (mut fig8, mut extended) = (None, None);
+    for (name, _, run) in SWEEPS {
+        match name {
+            "fig8" => fig8 = Some(experiments::fig8::run(ctx)),
+            "fig9" => {
+                experiments::fig9::run_with(ctx, fig8.as_ref().map(|o| &o.predictor));
+            }
+            "extended" => extended = Some(experiments::extended::run(ctx)),
+            "mixes" => {
+                experiments::mixes::run_with(ctx, extended.as_ref().map(|o| &o.predictor));
+            }
+            _ => run(ctx),
+        }
+    }
 }
 
 fn main() {
@@ -97,8 +128,10 @@ fn main() {
             }
             "--levels" => {
                 i += 1;
-                levels =
-                    Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
+                // A zero-level ramp is the lone (0, 0) anchor: every predicted
+                // drop would read 0 %.
+                let n = args.get(i).and_then(|s| s.parse().ok()).filter(|&n: &u8| n >= 1);
+                levels = Some(n.unwrap_or_else(|| usage()));
             }
             "--out" => {
                 i += 1;
@@ -138,98 +171,10 @@ fn main() {
         cmd, ctx.params.scale, ctx.params.warmup_ms, ctx.params.window_ms, ctx.jobs, ctx.levels
     );
     let t0 = Instant::now();
-    match cmd.as_str() {
-        "table1" => {
-            experiments::table1::run(&ctx);
-        }
-        "fig2" => {
-            experiments::fig2::run(&ctx);
-        }
-        "fig4" => {
-            experiments::fig4::run(&ctx);
-        }
-        "fig5" => {
-            experiments::fig5::run(&ctx);
-        }
-        "fig6" => {
-            experiments::fig6::run(&ctx);
-        }
-        "fig7" => {
-            experiments::fig7::run(&ctx);
-        }
-        "fig8" => {
-            experiments::fig8::run(&ctx);
-        }
-        "fig9" => {
-            experiments::fig9::run(&ctx);
-        }
-        "fig10" => {
-            experiments::fig10::run(&ctx);
-        }
-        "pipeline" => {
-            experiments::pipeline::run(&ctx);
-        }
-        "pipeline-batch" => {
-            experiments::pipeline_batch::run(&ctx);
-        }
-        "throttle" => {
-            experiments::throttle::run(&ctx);
-        }
-        "ablate" => {
-            experiments::ablations::run(&ctx);
-        }
-        "extended" => {
-            experiments::extended::run(&ctx);
-        }
-        "cat" => {
-            experiments::partition::run(&ctx);
-        }
-        "mixes" => {
-            experiments::mixes::run(&ctx);
-        }
-        "batch" => {
-            experiments::batch::run(&ctx);
-        }
-        "adaptive" => {
-            experiments::adaptive::run(&ctx);
-        }
-        "tables" => {
-            experiments::tables::run(&ctx);
-        }
-        "chaos" => {
-            experiments::chaos::run(&ctx);
-        }
-        "fleet-chaos" => {
-            experiments::fleet_chaos::run(&ctx);
-        }
-        "cluster-chaos" => {
-            experiments::cluster_chaos::run(&ctx);
-        }
-        "all" => {
-            experiments::table1::run(&ctx);
-            experiments::fig2::run(&ctx);
-            experiments::fig4::run(&ctx);
-            experiments::fig5::run(&ctx);
-            experiments::fig6::run(&ctx);
-            experiments::fig7::run(&ctx);
-            let f8 = experiments::fig8::run(&ctx);
-            experiments::fig9::run_with(&ctx, Some(&f8.predictor));
-            experiments::fig10::run(&ctx);
-            experiments::pipeline::run(&ctx);
-            experiments::pipeline_batch::run(&ctx);
-            experiments::throttle::run(&ctx);
-            experiments::ablations::run(&ctx);
-            let ext = experiments::extended::run(&ctx);
-            experiments::mixes::run_with(&ctx, Some(&ext.predictor));
-            experiments::partition::run(&ctx);
-            experiments::batch::run(&ctx);
-            experiments::adaptive::run(&ctx);
-            experiments::tables::run(&ctx);
-            experiments::chaos::run(&ctx);
-            experiments::fleet_chaos::run(&ctx);
-            experiments::cluster_chaos::run(&ctx);
-        }
-        _ => usage(),
+    match SWEEPS.iter().find(|(name, ..)| *name == cmd) {
+        Some((_, _, run)) => run(&ctx),
+        None if cmd == "all" => run_all(&ctx),
+        None => usage(),
     }
     println!("\n[done in {:.1}s]", t0.elapsed().as_secs_f64());
 }

@@ -14,55 +14,35 @@
 //! * **SYN memory-level parallelism** — how the competitors' MLP changes
 //!   the pressure they exert at equal refs/sec.
 
+use crate::experiments::{measure_window, seat, seat_flow, seat_syn};
 use crate::RunCtx;
-use pp_click::pipelines::{build_flow, ChainKind, FlowSpec};
+use pp_click::elements::synthetic::SynParams;
+use pp_click::pipelines::{build_config_flow, ChainKind};
 use pp_core::prelude::*;
+use pp_net::gen::traffic::TrafficSpec;
 use pp_sim::config::MachineConfig;
-use pp_sim::engine::Engine;
-use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
 
 /// Measured drop of a MON-vs-5-SYN_MAX co-run under a given machine config.
 /// Returns `(solo pps, drop %)`. Shared with the partitioning experiment.
 pub(crate) fn mon_drop_under(cfg: MachineConfig, ctx: &RunCtx) -> (f64, f64) {
     let scale = ctx.params.scale;
-    let build = |machine: &mut Machine, core: u16, kind: ChainKind, seed: u64| {
-        let mut spec = match scale {
-            Scale::Paper => FlowSpec::new(kind, seed),
-            Scale::Test => FlowSpec::small(kind, seed),
-        };
-        spec.structure_seed = 0xFEED;
-        let b = build_flow(machine, MemDomain(0), &spec);
-        (CoreId(core), b.task)
+    // MON on core 0, alone or beside SYN_MAX on cores 1..=5.
+    let mon_pps = |cfg: MachineConfig, competitors: u16| {
+        measure_window(cfg, ctx.params, |machine| {
+            let mut seats = vec![seat_flow(machine, scale, 0, ChainKind::Mon, 1, 0xFEED)];
+            for i in 1..=competitors {
+                seats.push(seat_syn(machine, scale, i, SynParams::max(i as u64)));
+            }
+            seats
+        })
+        .core(CoreId(0))
+        .unwrap()
+        .metrics
+        .pps
     };
-
-    // Solo.
-    let mut machine = Machine::new(cfg.clone());
-    let (c, t) = build(&mut machine, 0, ChainKind::Mon, 1);
-    let mut e = Engine::new(machine);
-    e.set_task(c, Box::new(t));
-    let warm = ctx.params.warmup_cycles(e.machine.config());
-    let win = ctx.params.window_cycles(e.machine.config());
-    let solo = e.measure(warm, win).core(CoreId(0)).unwrap().metrics.pps;
-
-    // Contended.
-    let mut machine = Machine::new(cfg);
-    let (c, t) = build(&mut machine, 0, ChainKind::Mon, 1);
-    let mut tasks = vec![(c, t)];
-    for i in 1..=5u16 {
-        let (c, t) = build(
-            &mut machine,
-            i,
-            ChainKind::Syn(pp_click::elements::synthetic::SynParams::max(i as u64)),
-            100 + i as u64,
-        );
-        tasks.push((c, t));
-    }
-    let mut e = Engine::new(machine);
-    for (c, t) in tasks {
-        e.set_task(c, Box::new(t));
-    }
-    let co = e.measure(warm, win).core(CoreId(0)).unwrap().metrics.pps;
+    let solo = mon_pps(cfg.clone(), 0);
+    let co = mon_pps(cfg, 5);
     (solo, (solo - co) / solo * 100.0)
 }
 
@@ -102,88 +82,32 @@ pub fn run(ctx: &RunCtx) {
         "Lookup structure: Click-style binary radix trie vs leaf-pushed multibit trie (IP flow)",
         &["structure", "solo Mpps", "drop vs 5 SYN_MAX (%)", "L3 refs/pkt solo"],
     );
-    for (label, config_text) in [
-        ("binary radix", "RADIX"),
-        ("multibit", "MULTIBIT"),
-    ] {
+    for (label, class) in [("binary radix", "RadixIPLookup"), ("multibit", "MultibitIPLookup")] {
         let scale = ctx.params.scale;
         let n_prefixes = match scale {
             Scale::Paper => 128_000,
             Scale::Test => 32_000,
         };
-        let cfg_text = |seed: u64| {
-            let class =
-                if config_text == "RADIX" { "RadixIPLookup" } else { "MultibitIPLookup" };
-            format!(
-                "chk :: CheckIPHeader; rt :: {class}(PREFIXES {n_prefixes}, SEED {seed}); \
-                 ttl :: DecIPTTL; out :: ToDevice; chk -> rt -> ttl -> out;"
-            )
-        };
+        let config = format!(
+            "chk :: CheckIPHeader; rt :: {class}(PREFIXES {n_prefixes}, SEED {seed}); \
+             ttl :: DecIPTTL; out :: ToDevice; chk -> rt -> ttl -> out;",
+            seed = 0xFEED
+        );
+        // The config-text IP flow on core 0, alone or beside 5 SYN_MAX.
         let run_one = |with_syn: bool| -> (f64, f64) {
-            use pp_click::config::{build_config, BuildCtx};
-            use pp_click::cost::CostModel;
-            use pp_click::flow::{FlowTask, FrameworkChurn};
-            use pp_net::gen::traffic::{TrafficGen, TrafficSpec};
-            use pp_sim::nic::NicQueue;
-            use std::cell::RefCell;
-            use std::rc::Rc;
-            let mut machine = Machine::new(MachineConfig::westmere());
-            let cost = CostModel::default();
-            let nic = Rc::new(RefCell::new(NicQueue::new(
-                machine.allocator(MemDomain(0)),
-                256,
-                512,
-                2048,
-            )));
-            let built = {
-                let mut bctx = BuildCtx {
-                    machine: &mut machine,
-                    domain: MemDomain(0),
-                    nic: nic.clone(),
-                    cost,
-                    seed: 0xFEED,
-                };
-                build_config(&cfg_text(0xFEED), &mut bctx).expect("valid config")
-            };
-            let churn = FrameworkChurn::new(machine.allocator(MemDomain(0)), &cost);
-            let task = FlowTask::new(
-                label,
-                TrafficGen::new(TrafficSpec::random_dst(64, 5)),
-                nic,
-                built.graph,
-                cost,
-            )
-            .with_churn(churn);
-            let mut syn_tasks = Vec::new();
-            if with_syn {
-                for i in 1..=5u16 {
-                    let mut spec = match scale {
-                        Scale::Paper => FlowSpec::new(
-                            ChainKind::Syn(
-                                pp_click::elements::synthetic::SynParams::max(i as u64),
-                            ),
-                            100 + i as u64,
-                        ),
-                        Scale::Test => FlowSpec::small(
-                            ChainKind::Syn(
-                                pp_click::elements::synthetic::SynParams::max(i as u64),
-                            ),
-                            100 + i as u64,
-                        ),
-                    };
-                    spec.structure_seed = 0xFEED;
-                    let b = build_flow(&mut machine, MemDomain(0), &spec);
-                    syn_tasks.push((CoreId(i), b.task));
+            let m = measure_window(MachineConfig::westmere(), ctx.params, |machine| {
+                let traffic = TrafficSpec::random_dst(64, 5);
+                let flow =
+                    build_config_flow(machine, MemDomain(0), label, &config, traffic, true)
+                        .expect("valid config");
+                let mut seats = vec![seat(0, flow.task)];
+                if with_syn {
+                    for i in 1..=5u16 {
+                        seats.push(seat_syn(machine, scale, i, SynParams::max(i as u64)));
+                    }
                 }
-            }
-            let mut e = Engine::new(machine);
-            e.set_task(CoreId(0), Box::new(task));
-            for (c, t) in syn_tasks {
-                e.set_task(c, Box::new(t));
-            }
-            let warm = ctx.params.warmup_cycles(e.machine.config());
-            let win = ctx.params.window_cycles(e.machine.config());
-            let m = e.measure(warm, win);
+                seats
+            });
             let cm = m.core(CoreId(0)).unwrap();
             (cm.metrics.pps, cm.metrics.l3_refs_per_packet)
         };
@@ -235,18 +159,13 @@ pub fn run(ctx: &RunCtx) {
 
 /// Solo throughput of one flow kind under a machine config.
 fn solo_pps_under(cfg: MachineConfig, kind: ChainKind, ctx: &RunCtx) -> f64 {
-    let mut spec = match ctx.params.scale {
-        Scale::Paper => FlowSpec::new(kind, 1),
-        Scale::Test => FlowSpec::small(kind, 1),
-    };
-    spec.structure_seed = 0xFEED;
-    let mut machine = Machine::new(cfg);
-    let b = build_flow(&mut machine, MemDomain(0), &spec);
-    let mut e = Engine::new(machine);
-    e.set_task(CoreId(0), Box::new(b.task));
-    let warm = ctx.params.warmup_cycles(e.machine.config());
-    let win = ctx.params.window_cycles(e.machine.config());
-    e.measure(warm, win).core(CoreId(0)).unwrap().metrics.pps
+    measure_window(cfg, ctx.params, |machine| {
+        vec![seat_flow(machine, ctx.params.scale, 0, kind, 1, 0xFEED)]
+    })
+    .core(CoreId(0))
+    .unwrap()
+    .metrics
+    .pps
 }
 
 #[cfg(test)]

@@ -26,3 +26,63 @@ pub mod pipeline_batch;
 pub mod table1;
 pub mod tables;
 pub mod throttle;
+
+use pp_click::elements::synthetic::SynParams;
+use pp_click::pipelines::{build_flow, ChainKind, FlowSpec};
+use pp_core::prelude::{ExpParams, Scale};
+use pp_sim::config::MachineConfig;
+use pp_sim::engine::{CoreTask, Engine, Measurement};
+use pp_sim::machine::Machine;
+use pp_sim::types::{CoreId, MemDomain};
+
+/// A task and the core it sits on, as [`measure_window`] installs them.
+pub(crate) type Seat = (CoreId, Box<dyn CoreTask>);
+
+/// The one measure lifecycle: a fresh machine under `cfg`, the tasks
+/// `build` stands up on it installed on their cores, `params`' warm-up,
+/// then one window.
+pub(crate) fn measure_window(
+    cfg: MachineConfig,
+    params: ExpParams,
+    build: impl FnOnce(&mut Machine) -> Vec<Seat>,
+) -> Measurement {
+    let (warmup, window) = (params.warmup_cycles(&cfg), params.window_cycles(&cfg));
+    let mut machine = Machine::new(cfg);
+    let seats = build(&mut machine);
+    let mut engine = Engine::new(machine);
+    for (core, task) in seats {
+        engine.set_task(core, task);
+    }
+    engine.measure(warmup, window)
+}
+
+/// `task` seated on `core`.
+pub(crate) fn seat(core: u16, task: impl CoreTask + 'static) -> Seat {
+    (CoreId(core), Box::new(task))
+}
+
+/// A standard chain seated on `core`: `kind` at `scale`, ring and structures
+/// local to socket 0, traffic from `seed`, structures from
+/// `structure_seed`.
+pub(crate) fn seat_flow(
+    machine: &mut Machine,
+    scale: Scale,
+    core: u16,
+    kind: ChainKind,
+    seed: u64,
+    structure_seed: u64,
+) -> Seat {
+    let mut spec = match scale {
+        Scale::Paper => FlowSpec::new(kind, seed),
+        Scale::Test => FlowSpec::small(kind, seed),
+    };
+    spec.structure_seed = structure_seed;
+    seat(core, build_flow(machine, MemDomain(0), &spec).task)
+}
+
+/// The SYN competitor the co-run experiments seat beside their target:
+/// `syn` on `core` with traffic seed `100 + core` (a SYN chain builds
+/// nothing from a structure seed).
+pub(crate) fn seat_syn(machine: &mut Machine, scale: Scale, core: u16, syn: SynParams) -> Seat {
+    seat_flow(machine, scale, core, ChainKind::Syn(syn), 100 + core as u64, 0)
+}

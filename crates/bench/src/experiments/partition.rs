@@ -21,50 +21,30 @@
 //! construction.
 
 use crate::experiments::ablations::mon_drop_under;
+use crate::experiments::{measure_window, seat_flow};
 use crate::RunCtx;
-use pp_click::pipelines::{build_flow, ChainKind, FlowSpec};
+use pp_click::pipelines::ChainKind;
 use pp_core::prelude::*;
 use pp_sim::config::MachineConfig;
-use pp_sim::engine::Engine;
-use pp_sim::machine::Machine;
-use pp_sim::types::{CoreId, MemDomain};
+use pp_sim::types::CoreId;
 
 /// Per-flow drops of six MON flows sharing one socket under a config.
 /// Returns (per-flow drop %, average drop %). The solo baseline uses the
 /// *same* config, so CAT's static capacity cost is separated from its
 /// contention protection.
 fn six_mon_drops(cfg: MachineConfig, ctx: &RunCtx) -> (Vec<f64>, f64) {
-    let scale = ctx.params.scale;
-    let mk_spec = |seed: u64| {
-        let mut spec = match scale {
-            Scale::Paper => FlowSpec::new(ChainKind::Mon, seed),
-            Scale::Test => FlowSpec::small(ChainKind::Mon, seed),
-        };
-        spec.structure_seed = 0xFEED;
-        spec
+    // `n` MON flows on cores 0..n, one traffic seed each, one shared table.
+    let mons = |cfg: MachineConfig, n: u16| {
+        measure_window(cfg, ctx.params, |machine| {
+            (0..n)
+                .map(|i| {
+                    seat_flow(machine, ctx.params.scale, i, ChainKind::Mon, 1 + i as u64, 0xFEED)
+                })
+                .collect()
+        })
     };
-
-    // Solo baseline (one MON alone on core 0).
-    let mut machine = Machine::new(cfg.clone());
-    let b = build_flow(&mut machine, MemDomain(0), &mk_spec(1));
-    let mut e = Engine::new(machine);
-    e.set_task(CoreId(0), Box::new(b.task));
-    let warm = ctx.params.warmup_cycles(e.machine.config());
-    let win = ctx.params.window_cycles(e.machine.config());
-    let solo = e.measure(warm, win).core(CoreId(0)).unwrap().metrics.pps;
-
-    // Six MON flows on cores 0..5.
-    let mut machine = Machine::new(cfg);
-    let mut tasks = Vec::new();
-    for i in 0..6u16 {
-        let b = build_flow(&mut machine, MemDomain(0), &mk_spec(1 + i as u64));
-        tasks.push((CoreId(i), b.task));
-    }
-    let mut e = Engine::new(machine);
-    for (c, t) in tasks {
-        e.set_task(c, Box::new(t));
-    }
-    let meas = e.measure(warm, win);
+    let solo = mons(cfg.clone(), 1).core(CoreId(0)).unwrap().metrics.pps;
+    let meas = mons(cfg, 6);
     let drops: Vec<f64> = (0..6u16)
         .map(|i| {
             let pps = meas.core(CoreId(i)).unwrap().metrics.pps;

@@ -7,6 +7,7 @@
 //! packet into a structure twice the L3 size — can favor pipelining, by
 //! giving each pipeline stage a private-L3-resident working set.
 
+use crate::experiments::{measure_window, seat};
 use crate::RunCtx;
 use pp_core::prelude::*;
 use pp_click::cost::CostModel;
@@ -14,8 +15,6 @@ use pp_click::pipelines::{
     build_pipeline, two_phase_parallel, two_phase_pipeline, PipelineSpec, TwoPhaseParams,
 };
 use pp_sim::config::MachineConfig;
-use pp_sim::engine::Engine;
-use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
 
 /// One workload's parallel-vs-pipeline comparison.
@@ -66,30 +65,18 @@ fn measure_parallel_pair(ctx: &RunCtx, flow: FlowType) -> (f64, f64) {
 }
 
 fn measure_pipeline_pair(ctx: &RunCtx, flow: FlowType) -> (f64, f64) {
-    let mut machine = Machine::new(MachineConfig::westmere());
-    let spec = flow.spec(scale_of(ctx), 0xBEEF);
-    let (src, sink, _q) = build_pipeline(
-        &mut machine,
-        MemDomain(0),
-        MemDomain(0),
-        &spec,
-        &PipelineSpec::new(MemDomain(0)),
-    );
-    let mut engine = Engine::new(machine);
-    engine.set_task(CoreId(0), Box::new(src));
-    engine.set_task(CoreId(1), Box::new(sink));
-    let warmup = ctx.params.warmup_cycles(engine.machine.config());
-    let window = ctx.params.window_cycles(engine.machine.config());
-    let meas = engine.measure(warmup, window);
+    // The chain split across cores 0 and 1 (same socket, local data).
+    let meas = measure_window(MachineConfig::westmere(), ctx.params, |machine| {
+        let spec = flow.spec(ctx.params.scale, 0xBEEF);
+        let pipe = PipelineSpec::new(MemDomain(0));
+        let (src, sink, _q) = build_pipeline(machine, MemDomain(0), MemDomain(0), &spec, &pipe);
+        vec![seat(0, src), seat(1, sink)]
+    });
     let back = meas.core(CoreId(1)).expect("sink measured");
     let front = meas.core(CoreId(0)).expect("source measured");
     let packets = back.counts.total.packets.max(1);
     let refs = back.counts.total.l3_refs + front.counts.total.l3_refs;
     (back.metrics.pps, refs as f64 / packets as f64)
-}
-
-fn scale_of(ctx: &RunCtx) -> Scale {
-    ctx.params.scale
 }
 
 /// The crafted two-phase comparison: `(parallel_pps, pipeline_pps)`.
@@ -99,36 +86,23 @@ pub fn crafted(ctx: &RunCtx) -> (f64, f64) {
 
     // Parallel: both phases on each of two cores, one per socket, each
     // core's structures local — every core touches 2× L3 worth of data.
-    let mut machine = Machine::new(MachineConfig::westmere());
-    let f0 = two_phase_parallel(&mut machine, MemDomain(0), &p, cost);
-    let f1 = two_phase_parallel(&mut machine, MemDomain(1), &p, cost);
-    let mut engine = Engine::new(machine);
-    engine.set_task(CoreId(0), Box::new(f0));
-    engine.set_task(CoreId(6), Box::new(f1));
-    let warmup = ctx.params.warmup_cycles(engine.machine.config());
-    let window = ctx.params.window_cycles(engine.machine.config());
-    let meas = engine.measure(warmup, window);
-    let parallel_pps = meas.total_pps();
+    let parallel = measure_window(MachineConfig::westmere(), ctx.params, |machine| {
+        let f0 = two_phase_parallel(machine, MemDomain(0), &p, cost);
+        let f1 = two_phase_parallel(machine, MemDomain(1), &p, cost);
+        vec![seat(0, f0), seat(6, f1)]
+    });
 
     // Pipeline: phase 1 on socket 0, phase 2 on socket 1 — each phase's
     // structure fits its own L3.
-    let mut machine = Machine::new(MachineConfig::westmere());
-    let (src, sink, _q) = two_phase_pipeline(
-        &mut machine,
-        MemDomain(0),
-        MemDomain(1),
-        &p,
-        cost,
-        &PipelineSpec::new(MemDomain(0)),
-    );
-    let mut engine = Engine::new(machine);
-    engine.set_task(CoreId(0), Box::new(src));
-    engine.set_task(CoreId(6), Box::new(sink));
-    let meas = engine.measure(warmup, window);
-    let pipeline_pps =
-        meas.core(CoreId(6)).map(|c| c.metrics.pps).unwrap_or(0.0);
+    let pipeline = measure_window(MachineConfig::westmere(), ctx.params, |machine| {
+        let pipe = PipelineSpec::new(MemDomain(0));
+        let (src, sink, _q) =
+            two_phase_pipeline(machine, MemDomain(0), MemDomain(1), &p, cost, &pipe);
+        vec![seat(0, src), seat(6, sink)]
+    });
+    let pipeline_pps = pipeline.core(CoreId(6)).map(|c| c.metrics.pps).unwrap_or(0.0);
 
-    (parallel_pps, pipeline_pps)
+    (parallel.total_pps(), pipeline_pps)
 }
 
 /// Run and report the §2.2 experiment.

@@ -24,21 +24,14 @@
 //! state.
 
 use crate::experiments::results_json::{save_results_json, JsonRow};
+use crate::experiments::{measure_window, seat, seat_syn};
 use crate::RunCtx;
-use pp_click::config::{build_config, BuildCtx};
-use pp_click::cost::CostModel;
 use pp_click::elements::synthetic::SynParams;
-use pp_click::flow::{FlowTask, FrameworkChurn};
-use pp_click::pipelines::{build_flow, ChainKind, FlowSpec};
+use pp_click::pipelines::build_config_flow;
 use pp_core::prelude::*;
-use pp_net::gen::traffic::{TrafficGen, TrafficSpec};
+use pp_net::gen::traffic::TrafficSpec;
 use pp_sim::config::MachineConfig;
-use pp_sim::engine::Engine;
-use pp_sim::machine::Machine;
-use pp_sim::nic::NicQueue;
 use pp_sim::types::{CoreId, MemDomain};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// The structures swept: display label, config-registry class.
 pub const STRUCTURES: [(&str, &str); 3] = [
@@ -96,69 +89,29 @@ fn measure_point(
     load: &Load,
     params: ExpParams,
 ) -> Measured {
-    let mut machine = Machine::new(MachineConfig::westmere());
-    let cost = CostModel::default();
-    let nic = Rc::new(RefCell::new(NicQueue::new(
-        machine.allocator(MemDomain(0)),
-        256,
-        512,
-        2048,
-    )));
     let structure_seed = params.seed ^ 0xFEED;
     // A minimal forwarding chain — lookup straight to the device. The
     // sweep isolates the *table structure*; the full-pipeline IP chain
     // (CheckIPHeader + DecIPTTL) is the ablations experiment's subject.
-    let cfg_text = format!(
+    let config = format!(
         "rt :: {class}(PREFIXES {n_prefixes}, SEED {structure_seed}); \
          out :: ToDevice; rt -> out;"
     );
-    let built = {
-        let mut bctx = BuildCtx {
-            machine: &mut machine,
-            domain: MemDomain(0),
-            nic: nic.clone(),
-            cost,
-            seed: structure_seed,
-        };
-        build_config(&cfg_text, &mut bctx).expect("valid config")
-    };
-    let churn = FrameworkChurn::new(machine.allocator(MemDomain(0)), &cost);
-    // Random destinations: maximal structure traffic, as in the paper's IP
-    // sensitivity experiments.
-    let mut task = FlowTask::new(
-        "tables",
-        TrafficGen::new(TrafficSpec::random_dst(64, params.seed ^ 0xA5A5)),
-        nic,
-        built.graph,
-        cost,
-    )
-    .with_churn(churn);
-    if batch > 1 {
-        task = task.with_batch_size(batch);
-    }
-
-    let mut syn_tasks = Vec::new();
-    if let Load::Syn(comps) = load {
-        for (i, sp) in comps.iter().enumerate() {
-            let core = (i + 1) as u16;
-            let mut spec = match params.scale {
-                Scale::Paper => FlowSpec::new(ChainKind::Syn(*sp), 100 + core as u64),
-                Scale::Test => FlowSpec::small(ChainKind::Syn(*sp), 100 + core as u64),
-            };
-            spec.structure_seed = structure_seed;
-            let b = build_flow(&mut machine, MemDomain(0), &spec);
-            syn_tasks.push((CoreId(core), b.task));
+    // The lookup flow on core 0, the load's competitors on cores 1..
+    let m = measure_window(MachineConfig::westmere(), params, |machine| {
+        // Random destinations: maximal structure traffic, as in the paper's
+        // IP sensitivity experiments.
+        let traffic = TrafficSpec::random_dst(64, params.seed ^ 0xA5A5);
+        let flow = build_config_flow(machine, MemDomain(0), "tables", &config, traffic, true)
+            .expect("valid config");
+        let mut seats = vec![seat(0, flow.task.with_batch_size(batch))];
+        if let Load::Syn(comps) = load {
+            for (i, sp) in comps.iter().enumerate() {
+                seats.push(seat_syn(machine, params.scale, (i + 1) as u16, *sp));
+            }
         }
-    }
-
-    let mut e = Engine::new(machine);
-    e.set_task(CoreId(0), Box::new(task));
-    for (c, t) in syn_tasks {
-        e.set_task(c, Box::new(t));
-    }
-    let warm = params.warmup_cycles(e.machine.config());
-    let win = params.window_cycles(e.machine.config());
-    let m = e.measure(warm, win);
+        seats
+    });
     let cm = m.core(CoreId(0)).expect("lookup core measured");
     let competing: f64 = (1..=5u16)
         .filter_map(|i| m.core(CoreId(i)))

@@ -6,7 +6,7 @@
 
 use pp_click::elements::lpm::{Dir248Scratch, Dir248Table};
 use pp_click::elements::radix::{
-    BinaryRadixTrie, LookupScratch, MultibitScratch, MultibitTrie,
+    BinaryRadixTrie, LookupScratch, LpmTable, MultibitScratch, MultibitTrie,
 };
 use pp_net::gen::prefixes::{linear_lpm, PrefixEntry};
 use pp_sim::config::MachineConfig;

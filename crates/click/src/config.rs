@@ -664,12 +664,7 @@ mod tests {
 
     fn ctx_parts() -> (Machine, Rc<RefCell<NicQueue>>) {
         let mut m = Machine::new(MachineConfig::westmere());
-        let nic = Rc::new(RefCell::new(NicQueue::new(
-            m.allocator(MemDomain(0)),
-            256,
-            512,
-            2048,
-        )));
+        let nic = crate::pipelines::nic_queue(&mut m, MemDomain(0));
         (m, nic)
     }
 

@@ -44,8 +44,6 @@ pub struct AhoCorasick {
     out_list: Vec<u32>,
     /// Trie depth of each state (root = 0).
     depth: Vec<u16>,
-    /// Pattern lengths (for reporting match start offsets).
-    pattern_lens: Vec<u32>,
 }
 
 impl AhoCorasick {
@@ -131,13 +129,7 @@ impl AhoCorasick {
             }
         }
 
-        AhoCorasick {
-            dfa,
-            out_spans,
-            out_list,
-            depth,
-            pattern_lens: patterns.iter().map(|p| p.len() as u32).collect(),
-        }
+        AhoCorasick { dfa, out_spans, out_list, depth }
     }
 
     /// Number of automaton states.
@@ -186,11 +178,6 @@ impl AhoCorasick {
             sum += d as u64;
         }
         (max, if hay.is_empty() { 0.0 } else { sum as f64 / hay.len() as f64 })
-    }
-
-    /// Length of pattern `id` in bytes.
-    pub fn pattern_len(&self, id: u32) -> u32 {
-        self.pattern_lens[id as usize]
     }
 }
 

@@ -22,15 +22,13 @@
 //!
 //! Route-for-route equivalence with [`BinaryRadixTrie`] (the executable
 //! spec) is pinned by the tests here and the proptests in
-//! `crates/bench/tests/tables_equiv.rs`.
+//! `crates/bench/tests/tables_equiv.rs`. The element over this table is
+//! the shared [`IpLookup`].
 //!
 //! [`BinaryRadixTrie`]: crate::elements::radix::BinaryRadixTrie
 
-use crate::cost::CostModel;
-use crate::element::{Action, Element, BATCH_MLP};
-use crate::elements::radix::push_covering_lines;
+use crate::elements::radix::{push_covering_lines, IpLookup, LpmTable};
 use pp_net::gen::prefixes::PrefixEntry;
-use pp_net::packet::Packet;
 use pp_sim::arena::{DomainAllocator, SimVec};
 use pp_sim::ctx::ExecCtx;
 
@@ -92,15 +90,34 @@ pub struct Dir248Scratch {
 }
 
 impl Dir248Table {
-    /// Build from a prefix table in `alloc`'s domain.
-    ///
+    /// Number of second-stage spill blocks (= /24s containing a /25–/32).
+    pub fn block_count(&self) -> usize {
+        self.n_blocks
+    }
+
+    /// Host-only lookup (no simulated cost) — the test-oracle interface.
+    pub fn lookup_host(&self, dst: u32) -> Option<u32> {
+        let e = *self.stage1.peek((dst >> 8) as usize);
+        if e & SPILL != 0 {
+            let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
+            decode(*self.stage2.peek(idx))
+        } else {
+            decode(e)
+        }
+    }
+}
+
+impl LpmTable for Dir248Table {
+    const CLASS: &'static str = "Dir248IPLookup";
+    type Scratch = Dir248Scratch;
+
     /// Two leaf-pushing phases, each in ascending prefix-length order
     /// (stable, so a duplicated `(addr, len)` resolves to the later table
     /// entry — the same tie-break as both radix tries): first every
     /// prefix of length ≤ 24 expands over its covered first-stage range,
     /// then every longer prefix spills its /24 into a block initialized
     /// from the finished first stage and overwrites its covered slots.
-    pub fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
+    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
         let mut stage1 = vec![0u32; STAGE1_ENTRIES];
         let mut short: Vec<&PrefixEntry> = prefixes.iter().filter(|p| p.len <= 24).collect();
         short.sort_by_key(|p| p.len);
@@ -140,25 +157,18 @@ impl Dir248Table {
         }
     }
 
-    /// Number of prefixes inserted.
-    pub fn prefix_count(&self) -> usize {
+    fn prefix_count(&self) -> usize {
         self.n_prefixes
     }
 
-    /// Number of second-stage spill blocks (= /24s containing a /25–/32).
-    pub fn block_count(&self) -> usize {
-        self.n_blocks
-    }
-
-    /// Total simulated footprint in bytes (first stage + spill blocks).
-    pub fn footprint(&self) -> u64 {
+    /// First stage + spill blocks.
+    fn footprint(&self) -> u64 {
         self.stage1.footprint() + self.stage2.footprint()
     }
 
-    /// Longest-prefix match with simulated charging: one direct-indexed
-    /// read, plus one dependent block read when the /24 is spilled.
-    /// Returns `(next_hop, reads)` — `reads` ∈ {1, 2}.
-    pub fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
+    /// One direct-indexed read, plus one dependent block read when the /24
+    /// is spilled: `steps` ∈ {1, 2}.
+    fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
         let e = self.stage1.read(ctx, (dst >> 8) as usize);
         if e & SPILL != 0 {
             let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
@@ -168,25 +178,12 @@ impl Dir248Table {
         }
     }
 
-    /// Host-only lookup (no simulated cost) — the test-oracle interface.
-    pub fn lookup_host(&self, dst: u32) -> Option<u32> {
-        let e = *self.stage1.peek((dst >> 8) as usize);
-        if e & SPILL != 0 {
-            let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
-            decode(*self.stage2.peek(idx))
-        } else {
-            decode(e)
-        }
-    }
-
-    /// Batched lookup: gathers every lane's first-stage line as one
-    /// overlapped [`read_batch`](ExecCtx::read_batch) (the lanes are fully
+    /// Gathers every lane's first-stage line as one overlapped
+    /// [`read_batch`](ExecCtx::read_batch) (the lanes are fully
     /// independent — there is no level synchronization to speak of), then
     /// visits the spilled lanes' second-stage lines **sorted by address**
-    /// in a second overlapped gather. Returns the same `(next_hop, reads)`
-    /// per lane as per-lane [`lookup`](Self::lookup) calls; only the
-    /// core-visible stall shrinks.
-    pub fn lookup_batch_into(
+    /// in a second overlapped gather.
+    fn lookup_batch_into(
         &self,
         ctx: &mut ExecCtx<'_>,
         dsts: &[u32],
@@ -231,146 +228,14 @@ impl Dir248Table {
 
 /// `Dir248IPLookup`: longest-prefix match through the DIR-24-8 table —
 /// computes the same routes as `RadixIPLookup` in 1–2 reads instead of
-/// 12–20. Packets with no route are dropped.
-pub struct Dir248IpLookup {
-    table: Dir248Table,
-    cost: CostModel,
-    /// Batched-walk scratch (reused every batch).
-    scratch: Dir248Scratch,
-    /// Scratch header addresses (reused every batch).
-    hdrs: Vec<u64>,
-    /// Scratch destinations / lane maps / results (reused every batch).
-    dsts: Vec<u32>,
-    lanes: Vec<usize>,
-    results: Vec<(Option<u32>, u32)>,
-    /// Successful lookups.
-    pub found: u64,
-    /// Lookups with no matching route (packet dropped).
-    pub no_route: u64,
-    /// Sum of reads issued (for average-depth diagnostics).
-    pub reads_total: u64,
-}
-
-impl Dir248IpLookup {
-    /// Build the element (and its table) in `alloc`'s domain.
-    pub fn new(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry], cost: CostModel) -> Self {
-        Dir248IpLookup {
-            table: Dir248Table::build(alloc, prefixes),
-            cost,
-            scratch: Dir248Scratch::default(),
-            hdrs: Vec::new(),
-            dsts: Vec::new(),
-            lanes: Vec::new(),
-            results: Vec::new(),
-            found: 0,
-            no_route: 0,
-            reads_total: 0,
-        }
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &Dir248Table {
-        &self.table
-    }
-
-    /// Average reads per lookup so far (diagnostics; 1.0–2.0).
-    pub fn avg_depth(&self) -> f64 {
-        let n = self.found + self.no_route;
-        if n == 0 {
-            0.0
-        } else {
-            self.reads_total as f64 / n as f64
-        }
-    }
-}
-
-impl Element for Dir248IpLookup {
-    fn class_name(&self) -> &'static str {
-        "Dir248IPLookup"
-    }
-
-    fn tag(&self) -> &'static str {
-        // Same function tag as the radix lookups so per-function cost
-        // splits line up across the three structures.
-        "radix_ip_lookup"
-    }
-
-    fn process(&mut self, ctx: &mut ExecCtx<'_>, pkt: &mut Packet) -> Action {
-        if pkt.buf_addr != 0 {
-            ctx.read(pkt.buf_addr + pkt.l3_offset() as u64 + 16);
-        }
-        let Ok(ip) = pkt.ipv4() else { return Action::Drop };
-        let (hop, reads) = self.table.lookup(ctx, u32::from(ip.dst));
-        CostModel::charge(ctx, (self.cost.lookup_step.0 * reads as u64,
-                                self.cost.lookup_step.1 * reads as u64));
-        self.reads_total += reads as u64;
-        match hop {
-            Some(_) => {
-                self.found += 1;
-                Action::Out(0)
-            }
-            None => {
-                self.no_route += 1;
-                Action::Drop
-            }
-        }
-    }
-
-    fn process_batch(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        pkts: &mut [Packet],
-        actions: &mut Vec<Action>,
-    ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
-        }
-        // Header touches for the whole vector, overlapped.
-        self.hdrs.clear();
-        self.hdrs.extend(
-            pkts.iter().filter(|p| p.buf_addr != 0).map(|p| p.buf_addr + p.l3_offset() as u64 + 16),
-        );
-        ctx.read_batch(&self.hdrs, BATCH_MLP);
-        self.dsts.clear();
-        self.lanes.clear();
-        for (i, pkt) in pkts.iter().enumerate() {
-            if let Ok(ip) = pkt.ipv4() {
-                self.dsts.push(u32::from(ip.dst));
-                self.lanes.push(i);
-            }
-        }
-        self.table
-            .lookup_batch_into(ctx, &self.dsts, BATCH_MLP, &mut self.scratch, &mut self.results);
-        let mut total_reads = 0u64;
-        let verdict_base = actions.len();
-        actions.resize(verdict_base + pkts.len(), Action::Drop);
-        for (&lane, &(hop, reads)) in self.lanes.iter().zip(self.results.iter()) {
-            total_reads += reads as u64;
-            self.reads_total += reads as u64;
-            actions[verdict_base + lane] = match hop {
-                Some(_) => {
-                    self.found += 1;
-                    Action::Out(0)
-                }
-                None => {
-                    self.no_route += 1;
-                    Action::Drop
-                }
-            };
-        }
-        CostModel::charge(ctx, (self.cost.lookup_step.0 * total_reads,
-                                self.cost.lookup_step.1 * total_reads));
-    }
-}
+/// 12–20.
+pub type Dir248IpLookup = IpLookup<Dir248Table>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::element::test_util::{bgp_with_long, lpm_pin_run, machine};
-    use crate::elements::radix::BinaryRadixTrie;
+    use crate::elements::radix::{checks, BinaryRadixTrie};
     use pp_net::gen::prefixes::{generate_prefixes, linear_lpm};
     use pp_sim::types::{CoreId, MemDomain};
     use rand::rngs::SmallRng;
@@ -477,64 +342,12 @@ mod tests {
 
     #[test]
     fn batch_results_equal_scalar_results() {
-        let prefixes = bgp_with_long(2000, 5);
-        let (mut m, t) = build(&prefixes);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut dsts: Vec<u32> = (0..200).map(|_| rng.random()).collect();
-        // Duplicate destinations must behave identically per lane.
-        dsts.extend_from_slice(&dsts.clone()[..50]);
-        let mut ctx = m.ctx(CoreId(0));
-        let scalar: Vec<(Option<u32>, u32)> =
-            dsts.iter().map(|&d| t.lookup(&mut ctx, d)).collect();
-        let mut scratch = Dir248Scratch::default();
-        let mut out = Vec::new();
-        t.lookup_batch_into(&mut ctx, &dsts, BATCH_MLP, &mut scratch, &mut out);
-        assert_eq!(scalar, out);
+        checks::batch_results_equal_scalar_results::<Dir248Table>();
     }
 
     #[test]
     fn batched_element_charges_less_than_scalar() {
-        // The point of the structure + batching: fewer dependent stalls.
-        let prefixes = bgp_with_long(2000, 11);
-        let mut ms = machine();
-        let mut el_s =
-            Dir248IpLookup::new(ms.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut mb = machine();
-        let mut el_b =
-            Dir248IpLookup::new(mb.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut rng = SmallRng::seed_from_u64(17);
-        let mut pkts: Vec<Packet> = (0..64)
-            .map(|_| {
-                pp_net::packet::PacketBuilder::default().udp(
-                    std::net::Ipv4Addr::new(1, 2, 3, 4),
-                    std::net::Ipv4Addr::from(rng.random::<u32>()),
-                    1000,
-                    53,
-                    b"x",
-                )
-            })
-            .collect();
-        let mut pkts2 = pkts.clone();
-        let mut scalar_actions = Vec::new();
-        {
-            let mut ctx = ms.ctx(CoreId(0));
-            for p in pkts.iter_mut() {
-                scalar_actions.push(el_s.process(&mut ctx, p));
-            }
-        }
-        let mut batch_actions = Vec::new();
-        {
-            let mut ctx = mb.ctx(CoreId(0));
-            el_b.process_batch(&mut ctx, &mut pkts2, &mut batch_actions);
-        }
-        assert_eq!(scalar_actions, batch_actions);
-        assert_eq!((el_s.found, el_s.no_route), (el_b.found, el_b.no_route));
-        assert!(
-            mb.core(CoreId(0)).clock < ms.core(CoreId(0)).clock,
-            "batched walk must be cheaper: batch {} vs scalar {}",
-            mb.core(CoreId(0)).clock,
-            ms.core(CoreId(0)).clock
-        );
+        checks::batched_element_charges_less_than_scalar::<Dir248Table>();
         // Pin, taken from the per-table element before the three became one
         // `IpLookup<T>`: the fixed 256-packet stream in vectors of 64.
         let (el, counts, clock) = lpm_pin_run(Dir248IpLookup::new, 64);
@@ -548,30 +361,7 @@ mod tests {
 
     #[test]
     fn batch_of_one_is_charge_identical_to_scalar() {
-        let prefixes = bgp_with_long(500, 13);
-        let mut ms = machine();
-        let mut el_s =
-            Dir248IpLookup::new(ms.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut mb = machine();
-        let mut el_b =
-            Dir248IpLookup::new(mb.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut pkt = crate::element::test_util::packet();
-        let mut pkt2 = pkt.clone();
-        let a = {
-            let mut ctx = ms.ctx(CoreId(0));
-            el_s.process(&mut ctx, &mut pkt)
-        };
-        let mut actions = Vec::new();
-        {
-            let mut ctx = mb.ctx(CoreId(0));
-            el_b.process_batch(&mut ctx, std::slice::from_mut(&mut pkt2), &mut actions);
-        }
-        assert_eq!(vec![a], actions);
-        assert_eq!(ms.core(CoreId(0)).clock, mb.core(CoreId(0)).clock);
-        assert_eq!(
-            ms.core(CoreId(0)).counters.total(),
-            mb.core(CoreId(0)).counters.total()
-        );
+        checks::batch_of_one_is_charge_identical_to_scalar::<Dir248Table>();
         // Pin, taken from the per-table element before the three became one
         // `IpLookup<T>`: the fixed 256-packet stream in vectors of 1.
         let (el, counts, clock) = lpm_pin_run(Dir248IpLookup::new, 1);
@@ -612,24 +402,6 @@ mod tests {
 
     #[test]
     fn element_routes_and_drops() {
-        let table = vec![PrefixEntry { addr: 0x0a00_0000, len: 8, next_hop: 1 }];
-        let mut m = machine();
-        let mut el =
-            Dir248IpLookup::new(m.allocator(MemDomain(0)), &table, CostModel::default());
-        let mut ctx = m.ctx(CoreId(0));
-        // 93.184.216.34 is not under 10/8.
-        let mut pkt = crate::element::test_util::packet();
-        assert_eq!(el.process(&mut ctx, &mut pkt), Action::Drop);
-        assert_eq!(el.no_route, 1);
-        let mut pkt = pp_net::packet::PacketBuilder::default().udp(
-            std::net::Ipv4Addr::new(1, 2, 3, 4),
-            std::net::Ipv4Addr::new(10, 9, 9, 9),
-            1,
-            2,
-            b"x",
-        );
-        assert_eq!(el.process(&mut ctx, &mut pkt), Action::Out(0));
-        assert_eq!(el.found, 1);
-        assert!((1.0..=2.0).contains(&el.avg_depth()));
+        checks::element_routes_and_drops::<Dir248Table>(2.0);
     }
 }

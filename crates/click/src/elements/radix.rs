@@ -1,6 +1,7 @@
 //! Longest-prefix-match routing.
 //!
-//! Two implementations are provided:
+//! One element, [`IpLookup`], over any [`LpmTable`] — the trait hides the
+//! table algorithm. Three tables implement it and compute identical routes:
 //!
 //! * [`BinaryRadixTrie`] — a bit-at-a-time radix trie with best-match
 //!   tracking, the shape of Click's `RadixTrie` that the paper's IP
@@ -8,12 +9,15 @@
 //!   *dependent* node reads (~12–20 levels): the hot top levels live in
 //!   L1/L2 ("hot spots", Fig. 7), the deep levels spread over megabytes and
 //!   produce the L3 references that make IP sensitive to contention. This
-//!   is the default used by [`RadixIpLookup`].
+//!   is the table under [`RadixIpLookup`], which every standard chain runs.
 //!
 //! * [`MultibitTrie`] — a leaf-pushed stride-16/4 multibit trie, the
 //!   modern alternative with 3–5 reads per lookup. Kept as an ablation
-//!   (`MultibitIpLookup`): it shows how implementation choices change a
-//!   flow's contention profile while computing identical routes.
+//!   ([`MultibitIpLookup`]): it shows how implementation choices change a
+//!   flow's contention profile.
+//!
+//! * [`Dir248Table`](crate::elements::lpm::Dir248Table) — the DIR-24-8
+//!   flat table, 1–2 reads per lookup, in its own module.
 //!
 //! Every node access is a dependent read, so each converted miss costs a
 //! full δ — the paper's sensitivity mechanism.
@@ -37,6 +41,47 @@ pub(crate) fn push_covering_lines(out: &mut Vec<u64>, addr: u64, len: u64) {
         out.push(line);
         line += CACHE_LINE;
     }
+}
+
+/// A longest-prefix-match table held in simulated memory — the algorithm
+/// behind [`IpLookup`]. `lookup` and `lookup_batch_into` return
+/// `(next_hop, steps)` per destination, `steps` being the dependent reads
+/// the walk issued (the element charges `lookup_step` compute per step);
+/// the batched form must visit the same entries and return the same pairs
+/// as per-lane `lookup` calls — only the core-visible stall may shrink.
+pub trait LpmTable {
+    /// Click class name of the element over this table.
+    const CLASS: &'static str;
+
+    /// Reusable per-batch walk state (host-side only; the element holds one
+    /// so steady-state batched lookups allocate nothing).
+    type Scratch: Default;
+
+    /// Build from a prefix table, allocating the structure in `alloc`'s
+    /// NUMA domain. Host-side: construction costs no simulated time.
+    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self;
+
+    /// Number of prefixes inserted.
+    fn prefix_count(&self) -> usize;
+
+    /// Total simulated footprint in bytes.
+    fn footprint(&self) -> u64;
+
+    /// Longest-prefix match for one destination, charging its reads.
+    fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32);
+
+    /// Longest-prefix match for a vector of destinations, overlapping the
+    /// lanes' independent reads through
+    /// [`read_batch`](ExecCtx::read_batch) at parallelism `mlp`. Results
+    /// replace the contents of `out`.
+    fn lookup_batch_into(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        dsts: &[u32],
+        mlp: u32,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<(Option<u32>, u32)>,
+    );
 }
 
 /// Packed trie entry.
@@ -173,55 +218,9 @@ impl Builder {
 }
 
 impl MultibitTrie {
-    /// Build from a prefix table, allocating the structure in `alloc`'s
-    /// NUMA domain.
-    pub fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
-        let mut b = Builder::new();
-        for p in prefixes {
-            b.insert(p);
-        }
-        MultibitTrie {
-            root: SimVec::from_vec(alloc, b.root),
-            nodes: SimVec::from_vec(alloc, b.nodes),
-            n_prefixes: prefixes.len(),
-        }
-    }
-
     /// Number of interior nodes (diagnostics; footprint = nodes × 64 B).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of prefixes inserted.
-    pub fn prefix_count(&self) -> usize {
-        self.n_prefixes
-    }
-
-    /// Total simulated footprint in bytes (root array + nodes).
-    pub fn footprint(&self) -> u64 {
-        self.root.footprint() + self.nodes.footprint()
-    }
-
-    /// Longest-prefix match, charging simulated accesses: one read in the
-    /// root array, then one dependent 64-byte node read per level. Returns
-    /// `(next_hop, levels_visited)`.
-    pub fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
-        let mut levels = 1;
-        let mut e = self.root.read(ctx, (dst >> 16) as usize);
-        let mut consumed = 16u32;
-        while e & INTERNAL != 0 {
-            let node_idx = (e & !INTERNAL) as usize;
-            let node = self.nodes.read(ctx, node_idx);
-            let nib = ((dst >> (32 - consumed - 4)) & 0xF) as usize;
-            e = node[nib];
-            consumed += 4;
-            levels += 1;
-        }
-        if e & LEAF != 0 {
-            (Some(leaf_hop(e)), levels)
-        } else {
-            (None, levels)
-        }
     }
 
     /// Host-only lookup (no simulated cost): the oracle interface for tests
@@ -240,14 +239,58 @@ impl MultibitTrie {
             None
         }
     }
+}
 
-    /// Batched level-synchronous lookup, mirroring
-    /// [`BinaryRadixTrie::lookup_batch_into`]: each level's node reads are
-    /// independent across lanes and issue as one overlapped
-    /// [`read_batch`](ExecCtx::read_batch). Visits the same entries and
-    /// returns the same `(next_hop, levels)` per lane as per-lane
-    /// [`lookup`](Self::lookup).
-    pub fn lookup_batch_into(
+impl LpmTable for MultibitTrie {
+    const CLASS: &'static str = "MultibitIPLookup";
+    type Scratch = MultibitScratch;
+
+    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
+        let mut b = Builder::new();
+        for p in prefixes {
+            b.insert(p);
+        }
+        MultibitTrie {
+            root: SimVec::from_vec(alloc, b.root),
+            nodes: SimVec::from_vec(alloc, b.nodes),
+            n_prefixes: prefixes.len(),
+        }
+    }
+
+    fn prefix_count(&self) -> usize {
+        self.n_prefixes
+    }
+
+    /// Root array + nodes.
+    fn footprint(&self) -> u64 {
+        self.root.footprint() + self.nodes.footprint()
+    }
+
+    /// One read in the root array, then one dependent 64-byte node read
+    /// per level; `steps` = levels visited.
+    fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
+        let mut levels = 1;
+        let mut e = self.root.read(ctx, (dst >> 16) as usize);
+        let mut consumed = 16u32;
+        while e & INTERNAL != 0 {
+            let node_idx = (e & !INTERNAL) as usize;
+            let node = self.nodes.read(ctx, node_idx);
+            let nib = ((dst >> (32 - consumed - 4)) & 0xF) as usize;
+            e = node[nib];
+            consumed += 4;
+            levels += 1;
+        }
+        if e & LEAF != 0 {
+            (Some(leaf_hop(e)), levels)
+        } else {
+            (None, levels)
+        }
+    }
+
+    /// Level-synchronous, like [`BinaryRadixTrie`]'s: each level's node
+    /// reads are independent across lanes and issue as one overlapped
+    /// [`read_batch`](ExecCtx::read_batch).
+    fn lookup_batch_into(
         &self,
         ctx: &mut ExecCtx<'_>,
         dsts: &[u32],
@@ -342,8 +385,42 @@ fn new_node() -> [u32; 6] {
 }
 
 impl BinaryRadixTrie {
-    /// Build from a prefix table in `alloc`'s domain.
-    pub fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
+    /// Number of trie nodes (footprint = nodes × 24 B).
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Host-only lookup (no simulated cost) — the test oracle interface.
+    pub fn lookup_host(&self, dst: u32) -> Option<u32> {
+        let mut cur = 0usize;
+        let mut best: u32 = 0;
+        for i in 0..=32u32 {
+            let node = self.nodes.peek(cur);
+            if node[2] != 0 {
+                best = node[2];
+            }
+            if i == 32 {
+                break;
+            }
+            let bit = ((dst >> (31 - i)) & 1) as usize;
+            if node[bit] == NO_CHILD {
+                break;
+            }
+            cur = node[bit] as usize;
+        }
+        if best != 0 {
+            Some(self.routes.peek(leaf_hop(best) as usize)[0])
+        } else {
+            None
+        }
+    }
+}
+
+impl LpmTable for BinaryRadixTrie {
+    const CLASS: &'static str = "RadixIPLookup";
+    type Scratch = LookupScratch;
+
+    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
         let mut nodes: Vec<[u32; 6]> = vec![new_node()];
         let mut routes: Vec<[u32; 4]> = Vec::with_capacity(prefixes.len());
         for (pi, p) in prefixes.iter().enumerate() {
@@ -374,45 +451,52 @@ impl BinaryRadixTrie {
         }
     }
 
-    /// Number of trie nodes (footprint = nodes × 24 B).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of prefixes inserted.
-    pub fn prefix_count(&self) -> usize {
+    fn prefix_count(&self) -> usize {
         self.n_prefixes
     }
 
-    /// Total simulated footprint in bytes (nodes + route entries).
-    pub fn footprint(&self) -> u64 {
+    /// Nodes + route entries.
+    fn footprint(&self) -> u64 {
         self.nodes.footprint() + self.routes.footprint()
     }
 
-    /// Batched longest-prefix match: walks all lanes level-synchronously,
-    /// issuing each level's node reads as one overlapped
-    /// [`read_batch`](ExecCtx::read_batch) (the lanes' reads are
-    /// independent of each other, dependent only within a lane — exactly
-    /// the G-opt/"software lookahead" structure). Visits the same nodes and
-    /// returns the same `(next_hop, levels)` per lane as per-lane
-    /// [`lookup`](Self::lookup) calls; only the core-visible stall shrinks.
-    pub fn lookup_batch(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        dsts: &[u32],
-        mlp: u32,
-    ) -> Vec<(Option<u32>, u32)> {
-        let mut scratch = LookupScratch::default();
-        let mut out = Vec::with_capacity(dsts.len());
-        self.lookup_batch_into(ctx, dsts, mlp, &mut scratch, &mut out);
-        out
+    /// One dependent node read per level, then the matched route entry;
+    /// `steps` counts both.
+    fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
+        let mut cur = 0usize;
+        let mut best: u32 = 0;
+        let mut levels = 0u32;
+        for i in 0..=32u32 {
+            let node = self.nodes.read(ctx, cur);
+            levels += 1;
+            if node[2] != 0 {
+                best = node[2];
+            }
+            if i == 32 {
+                break;
+            }
+            let bit = ((dst >> (31 - i)) & 1) as usize;
+            let child = node[bit];
+            if child == NO_CHILD {
+                break;
+            }
+            cur = child as usize;
+        }
+        if best != 0 {
+            // Final dependent read: the matched route entry.
+            let route = self.routes.read(ctx, leaf_hop(best) as usize);
+            (Some(route[0]), levels + 1)
+        } else {
+            (None, levels)
+        }
     }
 
-    /// [`lookup_batch`](Self::lookup_batch) with caller-owned scratch and
-    /// output buffers, so a steady-state element walks whole vectors with
-    /// zero heap allocation (the allocating wrapper above is for one-off
-    /// callers and tests). Results are appended to `out` (cleared first).
-    pub fn lookup_batch_into(
+    /// Walks all lanes level-synchronously, issuing each level's node reads
+    /// as one overlapped [`read_batch`](ExecCtx::read_batch) (the lanes'
+    /// reads are independent of each other, dependent only within a lane —
+    /// exactly the G-opt/"software lookahead" structure), then the matched
+    /// route entries as one more.
+    fn lookup_batch_into(
         &self,
         ctx: &mut ExecCtx<'_>,
         dsts: &[u32],
@@ -482,70 +566,10 @@ impl BinaryRadixTrie {
             }
         }));
     }
-
-    /// Longest-prefix match with simulated charging: one dependent node
-    /// read per level. Returns `(next_hop, levels_visited)`.
-    pub fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
-        let mut cur = 0usize;
-        let mut best: u32 = 0;
-        let mut levels = 0u32;
-        for i in 0..=32u32 {
-            let node = self.nodes.read(ctx, cur);
-            levels += 1;
-            if node[2] != 0 {
-                best = node[2];
-            }
-            if i == 32 {
-                break;
-            }
-            let bit = ((dst >> (31 - i)) & 1) as usize;
-            let child = node[bit];
-            if child == NO_CHILD {
-                break;
-            }
-            cur = child as usize;
-        }
-        if best != 0 {
-            // Final dependent read: the matched route entry.
-            let route = self.routes.read(ctx, leaf_hop(best) as usize);
-            (Some(route[0]), levels + 1)
-        } else {
-            (None, levels)
-        }
-    }
-
-    /// Host-only lookup (no simulated cost) — the test oracle interface.
-    pub fn lookup_host(&self, dst: u32) -> Option<u32> {
-        let mut cur = 0usize;
-        let mut best: u32 = 0;
-        for i in 0..=32u32 {
-            let node = self.nodes.peek(cur);
-            if node[2] != 0 {
-                best = node[2];
-            }
-            if i == 32 {
-                break;
-            }
-            let bit = ((dst >> (31 - i)) & 1) as usize;
-            if node[bit] == NO_CHILD {
-                break;
-            }
-            cur = node[bit] as usize;
-        }
-        if best != 0 {
-            Some(self.routes.peek(leaf_hop(best) as usize)[0])
-        } else {
-            None
-        }
-    }
 }
 
-/// The `RadixIPLookup` element: full longest-prefix-match per packet using
-/// the binary radix trie (Click-faithful). Packets with no route are
-/// dropped.
 /// Reusable per-lane walk state for
-/// [`BinaryRadixTrie::lookup_batch_into`] (host-side only; holding it in
-/// the element makes steady-state batched lookups allocation-free).
+/// [`BinaryRadixTrie::lookup_batch_into`] (host-side only).
 #[derive(Debug, Default)]
 pub struct LookupScratch {
     cur: Vec<usize>,
@@ -556,13 +580,15 @@ pub struct LookupScratch {
     addrs: Vec<u64>,
 }
 
-/// `RadixIPLookup`: longest-prefix match through the binary radix trie
-/// (the paper's IP workload core; Fig. 7's `radix_ip_lookup` function).
-pub struct RadixIpLookup {
-    trie: BinaryRadixTrie,
+/// The IP-lookup element: full longest-prefix match per packet through
+/// table `T`; packets with no route are dropped. All three classes share
+/// Fig. 7's `radix_ip_lookup` function tag, so per-function cost splits
+/// line up across the structures.
+pub struct IpLookup<T: LpmTable> {
+    table: T,
     cost: CostModel,
     /// Batched-walk scratch (reused every batch).
-    scratch: LookupScratch,
+    scratch: T::Scratch,
     /// Scratch header addresses (reused every batch).
     hdrs: Vec<u64>,
     /// Scratch destinations / lane maps / results (reused every batch).
@@ -573,46 +599,53 @@ pub struct RadixIpLookup {
     pub found: u64,
     /// Lookups with no matching route (packet dropped).
     pub no_route: u64,
-    /// Sum of levels visited (for average-depth diagnostics).
-    pub levels_total: u64,
+    /// Sum of the walks' steps (for average-depth diagnostics).
+    pub steps_total: u64,
 }
 
-impl RadixIpLookup {
-    /// Build the element (and its trie) in `alloc`'s domain.
+/// `RadixIPLookup`: the binary radix trie (the paper's IP workload core).
+pub type RadixIpLookup = IpLookup<BinaryRadixTrie>;
+
+/// `MultibitIPLookup`, the ablation: the same routes in 3–5 reads instead
+/// of ~15. Routes identically; contends differently.
+pub type MultibitIpLookup = IpLookup<MultibitTrie>;
+
+impl<T: LpmTable> IpLookup<T> {
+    /// Build the element (and its table) in `alloc`'s domain.
     pub fn new(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry], cost: CostModel) -> Self {
-        RadixIpLookup {
-            trie: BinaryRadixTrie::build(alloc, prefixes),
+        IpLookup {
+            table: T::build(alloc, prefixes),
             cost,
-            scratch: LookupScratch::default(),
+            scratch: T::Scratch::default(),
             hdrs: Vec::new(),
             dsts: Vec::new(),
             lanes: Vec::new(),
             results: Vec::new(),
             found: 0,
             no_route: 0,
-            levels_total: 0,
+            steps_total: 0,
         }
     }
 
-    /// The underlying trie.
-    pub fn trie(&self) -> &BinaryRadixTrie {
-        &self.trie
+    /// The underlying table.
+    pub fn table(&self) -> &T {
+        &self.table
     }
 
-    /// Average lookup depth so far (diagnostics).
+    /// Average steps per lookup so far (diagnostics).
     pub fn avg_depth(&self) -> f64 {
         let n = self.found + self.no_route;
         if n == 0 {
             0.0
         } else {
-            self.levels_total as f64 / n as f64
+            self.steps_total as f64 / n as f64
         }
     }
 }
 
-impl Element for RadixIpLookup {
+impl<T: LpmTable> Element for IpLookup<T> {
     fn class_name(&self) -> &'static str {
-        "RadixIPLookup"
+        T::CLASS
     }
 
     fn tag(&self) -> &'static str {
@@ -626,20 +659,16 @@ impl Element for RadixIpLookup {
             ctx.read(pkt.buf_addr + pkt.l3_offset() as u64 + 16);
         }
         let Ok(ip) = pkt.ipv4() else { return Action::Drop };
-        let dst = u32::from(ip.dst);
-        let (hop, levels) = self.trie.lookup(ctx, dst);
-        CostModel::charge(ctx, (self.cost.lookup_step.0 * levels as u64,
-                                self.cost.lookup_step.1 * levels as u64));
-        self.levels_total += levels as u64;
-        match hop {
-            Some(_) => {
-                self.found += 1;
-                Action::Out(0)
-            }
-            None => {
-                self.no_route += 1;
-                Action::Drop
-            }
+        let (hop, steps) = self.table.lookup(ctx, u32::from(ip.dst));
+        CostModel::charge(ctx, (self.cost.lookup_step.0 * steps as u64,
+                                self.cost.lookup_step.1 * steps as u64));
+        self.steps_total += steps as u64;
+        if hop.is_some() {
+            self.found += 1;
+            Action::Out(0)
+        } else {
+            self.no_route += 1;
+            Action::Drop
         }
     }
 
@@ -662,7 +691,7 @@ impl Element for RadixIpLookup {
         );
         ctx.read_batch(&self.hdrs, BATCH_MLP);
         // Parse destinations host-side; unparsable packets drop as in the
-        // scalar path, the rest walk the trie level-synchronously.
+        // scalar path, the rest walk the table together.
         self.dsts.clear();
         self.lanes.clear();
         for (i, pkt) in pkts.iter().enumerate() {
@@ -671,140 +700,154 @@ impl Element for RadixIpLookup {
                 self.lanes.push(i);
             }
         }
-        self.trie
+        self.table
             .lookup_batch_into(ctx, &self.dsts, BATCH_MLP, &mut self.scratch, &mut self.results);
-        let mut total_levels = 0u64;
+        let mut total_steps = 0u64;
         let verdict_base = actions.len();
         actions.resize(verdict_base + pkts.len(), Action::Drop);
-        for (&lane, &(hop, levels)) in self.lanes.iter().zip(self.results.iter()) {
-            total_levels += levels as u64;
-            self.levels_total += levels as u64;
-            actions[verdict_base + lane] = match hop {
-                Some(_) => {
-                    self.found += 1;
-                    Action::Out(0)
-                }
-                None => {
-                    self.no_route += 1;
-                    Action::Drop
-                }
-            };
-        }
-        CostModel::charge(ctx, (self.cost.lookup_step.0 * total_levels,
-                                self.cost.lookup_step.1 * total_levels));
-    }
-}
-
-/// Ablation element: the same lookup function implemented with the
-/// multibit trie (3–5 reads instead of ~15). Routes identically; contends
-/// differently.
-pub struct MultibitIpLookup {
-    trie: MultibitTrie,
-    cost: CostModel,
-    /// Batched-walk scratch (reused every batch).
-    scratch: MultibitScratch,
-    /// Scratch header addresses / lanes / results (reused every batch).
-    hdrs: Vec<u64>,
-    dsts: Vec<u32>,
-    lanes: Vec<usize>,
-    results: Vec<(Option<u32>, u32)>,
-    /// Successful lookups.
-    pub found: u64,
-    /// Lookups with no matching route.
-    pub no_route: u64,
-}
-
-impl MultibitIpLookup {
-    /// Build the element (and its trie) in `alloc`'s domain.
-    pub fn new(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry], cost: CostModel) -> Self {
-        MultibitIpLookup {
-            trie: MultibitTrie::build(alloc, prefixes),
-            cost,
-            scratch: MultibitScratch::default(),
-            hdrs: Vec::new(),
-            dsts: Vec::new(),
-            lanes: Vec::new(),
-            results: Vec::new(),
-            found: 0,
-            no_route: 0,
-        }
-    }
-}
-
-impl Element for MultibitIpLookup {
-    fn class_name(&self) -> &'static str {
-        "MultibitIPLookup"
-    }
-
-    fn tag(&self) -> &'static str {
-        "radix_ip_lookup"
-    }
-
-    fn process(&mut self, ctx: &mut ExecCtx<'_>, pkt: &mut Packet) -> Action {
-        if pkt.buf_addr != 0 {
-            ctx.read(pkt.buf_addr + pkt.l3_offset() as u64 + 16);
-        }
-        let Ok(ip) = pkt.ipv4() else { return Action::Drop };
-        let (hop, levels) = self.trie.lookup(ctx, u32::from(ip.dst));
-        CostModel::charge(ctx, (self.cost.lookup_step.0 * levels as u64,
-                                self.cost.lookup_step.1 * levels as u64));
-        match hop {
-            Some(_) => {
+        for (&lane, &(hop, steps)) in self.lanes.iter().zip(self.results.iter()) {
+            total_steps += steps as u64;
+            if hop.is_some() {
                 self.found += 1;
-                Action::Out(0)
-            }
-            None => {
+                actions[verdict_base + lane] = Action::Out(0);
+            } else {
                 self.no_route += 1;
-                Action::Drop
             }
         }
+        self.steps_total += total_steps;
+        CostModel::charge(ctx, (self.cost.lookup_step.0 * total_steps,
+                                self.cost.lookup_step.1 * total_steps));
+    }
+}
+
+/// The checks every [`LpmTable`] and the element over it must pass, generic
+/// so each table's test module instantiates them.
+#[cfg(test)]
+pub(crate) mod checks {
+    use super::*;
+    use crate::element::test_util::{bgp_with_long, machine, packet};
+    use pp_net::packet::PacketBuilder;
+    use pp_sim::machine::Machine;
+    use pp_sim::types::{CoreId, MemDomain};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::net::Ipv4Addr;
+
+    fn element<T: LpmTable>(prefixes: &[PrefixEntry]) -> (Machine, IpLookup<T>) {
+        let mut m = machine();
+        let el = IpLookup::new(m.allocator(MemDomain(0)), prefixes, CostModel::default());
+        (m, el)
     }
 
-    fn process_batch(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        pkts: &mut [Packet],
-        actions: &mut Vec<Action>,
-    ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
+    pub fn batch_results_equal_scalar_results<T: LpmTable>() {
+        let prefixes = bgp_with_long(2000, 5);
+        let mut m = machine();
+        let t = T::build(m.allocator(MemDomain(0)), &prefixes);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut dsts: Vec<u32> = (0..200).map(|_| rng.random()).collect();
+        // Duplicate destinations must behave identically per lane.
+        dsts.extend_from_slice(&dsts.clone()[..50]);
+        let mut ctx = m.ctx(CoreId(0));
+        let scalar: Vec<(Option<u32>, u32)> =
+            dsts.iter().map(|&d| t.lookup(&mut ctx, d)).collect();
+        let mut out = Vec::new();
+        t.lookup_batch_into(&mut ctx, &dsts, BATCH_MLP, &mut T::Scratch::default(), &mut out);
+        assert_eq!(scalar, out, "{}", T::CLASS);
+    }
+
+    pub fn batch_of_one_is_charge_identical_to_scalar<T: LpmTable>() {
+        let prefixes = bgp_with_long(500, 13);
+        let (mut ms, mut el_s) = element::<T>(&prefixes);
+        let (mut mb, mut el_b) = element::<T>(&prefixes);
+        let mut pkt = packet();
+        let mut pkt2 = pkt.clone();
+        let a = {
+            let mut ctx = ms.ctx(CoreId(0));
+            el_s.process(&mut ctx, &mut pkt)
+        };
+        let mut actions = Vec::new();
+        {
+            let mut ctx = mb.ctx(CoreId(0));
+            el_b.process_batch(&mut ctx, std::slice::from_mut(&mut pkt2), &mut actions);
         }
-        self.hdrs.clear();
-        self.hdrs.extend(
-            pkts.iter().filter(|p| p.buf_addr != 0).map(|p| p.buf_addr + p.l3_offset() as u64 + 16),
+        assert_eq!(vec![a], actions, "{}", T::CLASS);
+        assert_eq!(ms.core(CoreId(0)).clock, mb.core(CoreId(0)).clock, "{}", T::CLASS);
+        assert_eq!(
+            ms.core(CoreId(0)).counters.total(),
+            mb.core(CoreId(0)).counters.total(),
+            "{}",
+            T::CLASS
         );
-        ctx.read_batch(&self.hdrs, BATCH_MLP);
-        self.dsts.clear();
-        self.lanes.clear();
-        for (i, pkt) in pkts.iter().enumerate() {
-            if let Ok(ip) = pkt.ipv4() {
-                self.dsts.push(u32::from(ip.dst));
-                self.lanes.push(i);
+    }
+
+    /// The point of batching the walk: fewer dependent stalls.
+    pub fn batched_element_charges_less_than_scalar<T: LpmTable>() {
+        let prefixes = bgp_with_long(2000, 11);
+        let (mut ms, mut el_s) = element::<T>(&prefixes);
+        let (mut mb, mut el_b) = element::<T>(&prefixes);
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut pkts: Vec<Packet> = (0..64)
+            .map(|_| {
+                PacketBuilder::default().udp(
+                    Ipv4Addr::new(1, 2, 3, 4),
+                    Ipv4Addr::from(rng.random::<u32>()),
+                    1000,
+                    53,
+                    b"x",
+                )
+            })
+            .collect();
+        let mut pkts2 = pkts.clone();
+        let mut scalar_actions = Vec::new();
+        {
+            let mut ctx = ms.ctx(CoreId(0));
+            for p in pkts.iter_mut() {
+                scalar_actions.push(el_s.process(&mut ctx, p));
             }
         }
-        self.trie
-            .lookup_batch_into(ctx, &self.dsts, BATCH_MLP, &mut self.scratch, &mut self.results);
-        let mut total_levels = 0u64;
-        let verdict_base = actions.len();
-        actions.resize(verdict_base + pkts.len(), Action::Drop);
-        for (&lane, &(hop, levels)) in self.lanes.iter().zip(self.results.iter()) {
-            total_levels += levels as u64;
-            actions[verdict_base + lane] = match hop {
-                Some(_) => {
-                    self.found += 1;
-                    Action::Out(0)
-                }
-                None => {
-                    self.no_route += 1;
-                    Action::Drop
-                }
-            };
+        let mut batch_actions = Vec::new();
+        {
+            let mut ctx = mb.ctx(CoreId(0));
+            el_b.process_batch(&mut ctx, &mut pkts2, &mut batch_actions);
         }
-        CostModel::charge(ctx, (self.cost.lookup_step.0 * total_levels,
-                                self.cost.lookup_step.1 * total_levels));
+        assert_eq!(scalar_actions, batch_actions, "{}", T::CLASS);
+        assert_eq!(
+            (el_s.found, el_s.no_route, el_s.steps_total),
+            (el_b.found, el_b.no_route, el_b.steps_total),
+            "{}",
+            T::CLASS
+        );
+        assert!(
+            mb.core(CoreId(0)).clock < ms.core(CoreId(0)).clock,
+            "batched {} walk must be cheaper: batch {} vs scalar {}",
+            T::CLASS,
+            mb.core(CoreId(0)).clock,
+            ms.core(CoreId(0)).clock
+        );
+    }
+
+    /// Routes under the one prefix, drops everything else; the walks stay
+    /// within the table's `max_depth` steps.
+    pub fn element_routes_and_drops<T: LpmTable>(max_depth: f64) {
+        let table = vec![PrefixEntry { addr: 0x0a00_0000, len: 8, next_hop: 1 }];
+        let (mut m, mut el) = element::<T>(&table);
+        assert_eq!(el.class_name(), T::CLASS);
+        let mut ctx = m.ctx(CoreId(0));
+        // 93.184.216.34 is not under 10/8.
+        let mut pkt = packet();
+        assert_eq!(el.process(&mut ctx, &mut pkt), Action::Drop);
+        assert_eq!(el.no_route, 1);
+        // A 10/8 destination is found.
+        let mut pkt = PacketBuilder::default().udp(
+            Ipv4Addr::new(1, 2, 3, 4),
+            Ipv4Addr::new(10, 9, 9, 9),
+            1,
+            2,
+            b"x",
+        );
+        assert_eq!(el.process(&mut ctx, &mut pkt), Action::Out(0));
+        assert_eq!(el.found, 1);
+        assert!((1.0..=max_depth).contains(&el.avg_depth()), "{}", el.avg_depth());
     }
 }
 
@@ -990,49 +1033,15 @@ mod tests {
     }
 
     #[test]
-    fn multibit_batch_results_equal_scalar_results() {
-        use pp_net::gen::prefixes::generate_bgp_table;
-        let prefixes = generate_bgp_table(2000, 13);
-        let (mut m, trie) = build(&prefixes);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut dsts: Vec<u32> = (0..150).map(|_| rng.random()).collect();
-        dsts.extend_from_slice(&dsts.clone()[..30]); // duplicate lanes
-        let mut ctx = m.ctx(CoreId(0));
-        let scalar: Vec<(Option<u32>, u32)> =
-            dsts.iter().map(|&d| trie.lookup(&mut ctx, d)).collect();
-        let mut scratch = MultibitScratch::default();
-        let mut out = Vec::new();
-        trie.lookup_batch_into(&mut ctx, &dsts, BATCH_MLP, &mut scratch, &mut out);
-        assert_eq!(scalar, out);
+    fn batch_results_equal_scalar_results() {
+        checks::batch_results_equal_scalar_results::<BinaryRadixTrie>();
+        checks::batch_results_equal_scalar_results::<MultibitTrie>();
     }
 
     #[test]
-    fn multibit_batch_of_one_is_charge_identical_to_scalar() {
-        use pp_net::gen::prefixes::generate_bgp_table;
-        let prefixes = generate_bgp_table(500, 3);
-        let mut ms = machine();
-        let mut el_s =
-            MultibitIpLookup::new(ms.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut mb = machine();
-        let mut el_b =
-            MultibitIpLookup::new(mb.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut pkt = crate::element::test_util::packet();
-        let mut pkt2 = pkt.clone();
-        let a = {
-            let mut ctx = ms.ctx(CoreId(0));
-            el_s.process(&mut ctx, &mut pkt)
-        };
-        let mut actions = Vec::new();
-        {
-            let mut ctx = mb.ctx(CoreId(0));
-            el_b.process_batch(&mut ctx, std::slice::from_mut(&mut pkt2), &mut actions);
-        }
-        assert_eq!(vec![a], actions);
-        assert_eq!(ms.core(CoreId(0)).clock, mb.core(CoreId(0)).clock);
-        assert_eq!(
-            ms.core(CoreId(0)).counters.total(),
-            mb.core(CoreId(0)).counters.total()
-        );
+    fn batch_of_one_is_charge_identical_to_scalar() {
+        checks::batch_of_one_is_charge_identical_to_scalar::<BinaryRadixTrie>();
+        checks::batch_of_one_is_charge_identical_to_scalar::<MultibitTrie>();
         // Pin, taken from the per-table element before the three became one
         // `IpLookup<T>`: the fixed 256-packet stream in vectors of 1.
         let (el, counts, clock) = lpm_pin_run(MultibitIpLookup::new, 1);
@@ -1058,48 +1067,9 @@ mod tests {
     }
 
     #[test]
-    fn multibit_batched_element_charges_less_than_scalar() {
-        use pp_net::gen::prefixes::generate_bgp_table;
-        let prefixes = generate_bgp_table(5000, 7);
-        let mut ms = machine();
-        let mut el_s =
-            MultibitIpLookup::new(ms.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut mb = machine();
-        let mut el_b =
-            MultibitIpLookup::new(mb.allocator(MemDomain(0)), &prefixes, CostModel::default());
-        let mut rng = SmallRng::seed_from_u64(31);
-        let mut pkts: Vec<pp_net::packet::Packet> = (0..64)
-            .map(|_| {
-                pp_net::packet::PacketBuilder::default().udp(
-                    std::net::Ipv4Addr::new(1, 2, 3, 4),
-                    std::net::Ipv4Addr::from(rng.random::<u32>()),
-                    1000,
-                    53,
-                    b"x",
-                )
-            })
-            .collect();
-        let mut pkts2 = pkts.clone();
-        let mut scalar_actions = Vec::new();
-        {
-            let mut ctx = ms.ctx(CoreId(0));
-            for p in pkts.iter_mut() {
-                scalar_actions.push(el_s.process(&mut ctx, p));
-            }
-        }
-        let mut batch_actions = Vec::new();
-        {
-            let mut ctx = mb.ctx(CoreId(0));
-            el_b.process_batch(&mut ctx, &mut pkts2, &mut batch_actions);
-        }
-        assert_eq!(scalar_actions, batch_actions);
-        assert_eq!((el_s.found, el_s.no_route), (el_b.found, el_b.no_route));
-        assert!(
-            mb.core(CoreId(0)).clock < ms.core(CoreId(0)).clock,
-            "batched multibit walk must be cheaper: batch {} vs scalar {}",
-            mb.core(CoreId(0)).clock,
-            ms.core(CoreId(0)).clock
-        );
+    fn batched_element_charges_less_than_scalar() {
+        checks::batched_element_charges_less_than_scalar::<BinaryRadixTrie>();
+        checks::batched_element_charges_less_than_scalar::<MultibitTrie>();
         // Pin, taken from the per-table element before the three became one
         // `IpLookup<T>`: the fixed 256-packet stream in vectors of 64.
         let (el, counts, clock) = lpm_pin_run(MultibitIpLookup::new, 64);
@@ -1111,25 +1081,8 @@ mod tests {
     }
 
     #[test]
-    fn element_drops_on_no_route() {
-        let table = vec![PrefixEntry { addr: 0x0a00_0000, len: 8, next_hop: 1 }];
-        let mut m = machine();
-        let mut el =
-            RadixIpLookup::new(m.allocator(MemDomain(0)), &table, CostModel::default());
-        let mut ctx = m.ctx(CoreId(0));
-        // 93.184.216.34 is not under 10/8.
-        let mut pkt = crate::element::test_util::packet();
-        assert_eq!(el.process(&mut ctx, &mut pkt), Action::Drop);
-        assert_eq!(el.no_route, 1);
-        // A 10/8 destination is found.
-        let mut pkt = pp_net::packet::PacketBuilder::default().udp(
-            std::net::Ipv4Addr::new(1, 2, 3, 4),
-            std::net::Ipv4Addr::new(10, 9, 9, 9),
-            1,
-            2,
-            b"x",
-        );
-        assert_eq!(el.process(&mut ctx, &mut pkt), Action::Out(0));
-        assert_eq!(el.found, 1);
+    fn element_routes_and_drops() {
+        checks::element_routes_and_drops::<BinaryRadixTrie>(34.0);
+        checks::element_routes_and_drops::<MultibitTrie>(5.0);
     }
 }

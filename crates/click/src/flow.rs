@@ -181,12 +181,6 @@ impl FlowTask {
         }
     }
 
-    /// Carcasses recycled through the host-side packet pool so far
-    /// (diagnostic: a warmed-up flow should reuse nearly every take).
-    pub fn pool_reuses(&self) -> u64 {
-        self.pool.reuses
-    }
-
     /// Shared handle to the per-packet latency histogram (clone it before
     /// boxing the task into the engine; reset it after warmup).
     pub fn latency_handle(&self) -> Rc<RefCell<LatencyHistogram>> {
@@ -281,11 +275,6 @@ impl FlowTask {
     /// The element graph (for inspection / run-time reconfiguration).
     pub fn graph(&self) -> &ElementGraph {
         &self.graph
-    }
-
-    /// Mutable access to the element graph.
-    pub fn graph_mut(&mut self) -> &mut ElementGraph {
-        &mut self.graph
     }
 }
 

@@ -159,11 +159,6 @@ impl ElementGraph {
         self.elements[id].as_ref()
     }
 
-    /// Mutable access to an element (reconfiguration, e.g. throttling).
-    pub fn element_mut(&mut self, id: ElementId) -> &mut dyn Element {
-        self.elements[id].as_mut()
-    }
-
     /// Notify all elements of an epoch boundary.
     pub fn epoch(&mut self) {
         for e in &mut self.elements {

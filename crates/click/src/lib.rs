@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::elements::netflow::NetFlow;
     pub use crate::elements::queue::{SpscQueue, HANDOFF_TAG, SLOTS_PER_LINE};
     pub use crate::elements::radix::{
-        BinaryRadixTrie, MultibitIpLookup, MultibitScratch, MultibitTrie, RadixIpLookup,
+        BinaryRadixTrie, IpLookup, LpmTable, MultibitIpLookup, MultibitTrie, RadixIpLookup,
     };
     pub use crate::elements::re::{ReConfig, RedundancyElim, RollingHash};
     pub use crate::elements::synthetic::{SynParams, Synthetic};
@@ -106,7 +106,7 @@ pub mod prelude {
     pub use crate::flow::{FlowTask, SinkStage, SourceStage};
     pub use crate::graph::{BatchOutcome, ElementGraph, ElementId};
     pub use crate::pipelines::{
-        build_flow, build_pipeline, two_phase_parallel, two_phase_pipeline, BuiltFlow,
-        ChainKind, FlowSpec, PipelineSpec, TwoPhaseParams,
+        build_config_flow, build_flow, build_pipeline, two_phase_parallel, two_phase_pipeline,
+        BuiltFlow, ChainKind, ConfigFlow, FlowSpec, PipelineSpec, TwoPhaseParams,
     };
 }

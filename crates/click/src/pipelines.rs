@@ -15,6 +15,7 @@
 //! an explicitly chosen NUMA domain — the lever the Fig. 3 configurations
 //! use to isolate cache vs. memory-controller contention.
 
+use crate::config::{build_config, BuildCtx, ConfigError};
 use crate::cost::CostModel;
 use crate::elements::basic::{CheckIpHeader, DecIpTtl, ToDevice};
 use crate::elements::classifier::TupleSpaceClassifier;
@@ -38,6 +39,7 @@ use pp_sim::machine::Machine;
 use pp_sim::nic::NicQueue;
 use pp_sim::types::MemDomain;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Which workload a flow runs.
@@ -211,10 +213,14 @@ impl FlowSpec {
     }
 }
 
-/// NIC sizing shared by all flows.
-const NIC_DESCS: u64 = 256;
-const NIC_BUFFERS: usize = 512;
-const NIC_BUF_BYTES: u64 = 2048;
+/// The NIC queue every flow is stood up with — 256 descriptors over 512
+/// buffers of 2 KB — allocated in `domain`. The one place the sizing is
+/// written; a flow's ring comes first in its domain's allocation order
+/// (ring, then the graph's structures, then framework churn), which fixes
+/// every simulated address downstream.
+pub fn nic_queue(machine: &mut Machine, domain: MemDomain) -> Rc<RefCell<NicQueue>> {
+    Rc::new(RefCell::new(NicQueue::new(machine.allocator(domain), 256, 512, 2048)))
+}
 
 /// Result of building a flow: the task plus optional control handle.
 pub struct BuiltFlow {
@@ -315,12 +321,7 @@ fn build_graph(
 /// Build a complete run-to-completion flow whose data structures (and NIC
 /// rings/buffers) live in `domain`.
 pub fn build_flow(machine: &mut Machine, domain: MemDomain, spec: &FlowSpec) -> BuiltFlow {
-    let nic = Rc::new(RefCell::new(NicQueue::new(
-        machine.allocator(domain),
-        NIC_DESCS,
-        NIC_BUFFERS,
-        NIC_BUF_BYTES,
-    )));
+    let nic = nic_queue(machine, domain);
     let (graph, control) = build_graph(machine, domain, &nic, spec, false);
     let churn = FrameworkChurn::new(machine.allocator(domain), &spec.cost);
     let gen = TrafficGen::new(spec.traffic());
@@ -328,6 +329,40 @@ pub fn build_flow(machine: &mut Machine, domain: MemDomain, spec: &FlowSpec) -> 
         .with_churn(churn)
         .with_batch_size(spec.batch_size);
     BuiltFlow { task, control }
+}
+
+/// A flow built from Click-style configuration text.
+pub struct ConfigFlow {
+    /// The schedulable task.
+    pub task: FlowTask,
+    /// Control handles by element name (from `Control` declarations).
+    pub controls: HashMap<String, ControlHandle>,
+}
+
+/// Stand up a run-to-completion flow whose graph is `config` (see
+/// [`crate::config`]) with its ring and structures in `domain`, fed by
+/// `traffic`, at the default [`CostModel`]. Seeded elements take their
+/// `SEED` from the text. `churn` attaches the framework's own footprint
+/// ([`FrameworkChurn`]) as the standard builders do; `false` leaves the
+/// minimal flow. Allocation order is [`build_flow`]'s: ring, the graph's
+/// structures in declaration order, churn.
+pub fn build_config_flow(
+    machine: &mut Machine,
+    domain: MemDomain,
+    label: &str,
+    config: &str,
+    traffic: TrafficSpec,
+    churn: bool,
+) -> Result<ConfigFlow, ConfigError> {
+    let cost = CostModel::default();
+    let nic = nic_queue(machine, domain);
+    let mut ctx = BuildCtx { machine, domain, nic: nic.clone(), cost, seed: 0 };
+    let built = build_config(config, &mut ctx)?;
+    let mut task = FlowTask::new(label, TrafficGen::new(traffic), nic, built.graph, cost);
+    if churn {
+        task = task.with_churn(FrameworkChurn::new(machine.allocator(domain), &cost));
+    }
+    Ok(ConfigFlow { task, controls: built.controls })
 }
 
 /// Placement and sizing of a pipeline's cross-core handoff queue — the
@@ -367,6 +402,51 @@ impl PipelineSpec {
     }
 }
 
+/// A stage's graph plus the framework churn it runs with, if any.
+type StageParts = (ElementGraph, Option<FrameworkChurn>);
+
+/// The one pipeline wiring: NIC ring in `front_domain`, then the handoff
+/// queue per `pipe`, then whatever `stages` allocates while building the
+/// front and back halves (it gets the ring for the back half's
+/// `ToDevice`). The sink returns completed packets' frame allocations to
+/// the source's generator pool — closing the host-side carcass loop — and
+/// the two stages share one loss ledger and one handoff burst.
+fn wire_pipeline(
+    machine: &mut Machine,
+    front_domain: MemDomain,
+    pipe: &PipelineSpec,
+    cost: CostModel,
+    label: &str,
+    traffic: TrafficSpec,
+    stages: impl FnOnce(&mut Machine, &Rc<RefCell<NicQueue>>) -> [StageParts; 2],
+) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
+    let nic = nic_queue(machine, front_domain);
+    let queue = Rc::new(RefCell::new(SpscQueue::new(
+        machine.allocator(pipe.queue_domain),
+        pipe.queue_capacity,
+        cost,
+    )));
+    let [(front, front_churn), (back, back_churn)] = stages(machine, &nic);
+    let mut src = SourceStage::new(
+        format!("{label}-front"),
+        TrafficGen::new(traffic),
+        nic.clone(),
+        front,
+        queue.clone(),
+        cost,
+    );
+    let mut sink = SinkStage::new(format!("{label}-back"), queue.clone(), back, nic);
+    if let Some(churn) = front_churn {
+        src = src.with_churn(churn);
+    }
+    if let Some(churn) = back_churn {
+        sink = sink.with_churn(churn);
+    }
+    sink.share_pool(src.pool_handle());
+    sink.share_drops(src.drop_handle());
+    (src.with_batch_size(pipe.burst), sink.with_batch_size(pipe.burst), queue)
+}
+
 /// Build the same workload as a two-stage pipeline: stage 1 receives and
 /// validates, stage 2 does the heavy processing and transmits. Returns
 /// `(front, back, queue)`; bind `front` and `back` to different cores.
@@ -379,57 +459,24 @@ pub fn build_pipeline(
     pipe: &PipelineSpec,
 ) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
     let cost = spec.cost;
-    let nic = Rc::new(RefCell::new(NicQueue::new(
-        machine.allocator(front_domain),
-        NIC_DESCS,
-        NIC_BUFFERS,
-        NIC_BUF_BYTES,
-    )));
-    let queue = Rc::new(RefCell::new(SpscQueue::new(
-        machine.allocator(pipe.queue_domain),
-        pipe.queue_capacity,
-        cost,
-    )));
-
-    // Front: CheckIPHeader only (classic RX stage).
-    let mut front = ElementGraph::new(cost);
-    if !matches!(spec.kind, ChainKind::Syn(_)) {
-        front.add(Box::new(CheckIpHeader::new(cost)));
-    }
-    let src = SourceStage::new(
-        format!("{}-front", spec.kind.name()),
-        TrafficGen::new(spec.traffic()),
-        nic.clone(),
-        front,
-        queue.clone(),
-        cost,
-    )
-    .with_churn(FrameworkChurn::new(machine.allocator(front_domain), &cost));
-
-    // Back: everything else. Reuse build_graph minus the leading check by
-    // building the full graph in the back domain — the duplicated
-    // CheckIPHeader is removed by constructing a back-specific spec.
-    let (mut back_graph, _) = build_graph(machine, back_domain, &nic, spec, true);
-    // Skip the front's CheckIPHeader stage in the back graph by entering
-    // one element further in (element 0 is CheckIPHeader for IP-family
-    // chains; the graph entry is adjusted instead of rebuilding).
-    if !matches!(spec.kind, ChainKind::Syn(_)) && back_graph.len() > 1 {
-        back_graph.set_entry(1);
-    }
-    let churn = FrameworkChurn::new(machine.allocator(back_domain), &cost);
-    let mut sink = SinkStage::new(
-        format!("{}-back", spec.kind.name()),
-        queue.clone(),
-        back_graph,
-        nic,
-    )
-    .with_churn(churn);
-    // Close the host-side carcass loop: the sink returns completed
-    // packets' frame allocations to the source's generator pool. The two
-    // stages also share one loss ledger.
-    sink.share_pool(src.pool_handle());
-    sink.share_drops(src.drop_handle());
-    (src.with_batch_size(pipe.burst), sink.with_batch_size(pipe.burst), queue)
+    let ip_family = !matches!(spec.kind, ChainKind::Syn(_));
+    wire_pipeline(machine, front_domain, pipe, cost, spec.kind.name(), spec.traffic(), |machine, nic| {
+        // Front: CheckIPHeader only (classic RX stage).
+        let mut front = ElementGraph::new(cost);
+        if ip_family {
+            front.add(Box::new(CheckIpHeader::new(cost)));
+        }
+        let front_churn = FrameworkChurn::new(machine.allocator(front_domain), &cost);
+        // Back: everything else — the full graph built in the back domain,
+        // entered one element further in (element 0 is the CheckIPHeader
+        // the front already ran for IP-family chains).
+        let (mut back, _) = build_graph(machine, back_domain, nic, spec, true);
+        if ip_family && back.len() > 1 {
+            back.set_entry(1);
+        }
+        let back_churn = FrameworkChurn::new(machine.allocator(back_domain), &cost);
+        [(front, Some(front_churn)), (back, Some(back_churn))]
+    })
 }
 
 /// The §2.2 crafted two-phase synthetic workload: each packet triggers
@@ -453,6 +500,21 @@ impl Default for TwoPhaseParams {
     }
 }
 
+impl TwoPhaseParams {
+    /// One phase's element: 50 ops plus the phase's reads over its own
+    /// structure, allocated in `domain`.
+    fn phase(&self, machine: &mut Machine, domain: MemDomain, seed: u64, cost: CostModel) -> Synthetic {
+        let params = SynParams {
+            ops_per_packet: 50,
+            reads_per_packet: self.reads_per_phase,
+            working_set_bytes: self.phase_bytes,
+            mlp: 4,
+            seed,
+        };
+        Synthetic::new(machine.allocator(domain), params, cost)
+    }
+}
+
 /// Parallel variant: both phases on one core, both structures in `domain`.
 pub fn two_phase_parallel(
     machine: &mut Machine,
@@ -460,28 +522,10 @@ pub fn two_phase_parallel(
     p: &TwoPhaseParams,
     cost: CostModel,
 ) -> FlowTask {
-    let nic = Rc::new(RefCell::new(NicQueue::new(
-        machine.allocator(domain),
-        NIC_DESCS,
-        NIC_BUFFERS,
-        NIC_BUF_BYTES,
-    )));
-    let mk = |seed| SynParams {
-        ops_per_packet: 50,
-        reads_per_packet: p.reads_per_phase,
-        working_set_bytes: p.phase_bytes,
-        mlp: 4,
-        seed,
-    };
+    let nic = nic_queue(machine, domain);
     let mut g = ElementGraph::new(cost);
-    let a = {
-        let alloc = machine.allocator(domain);
-        g.add(Box::new(Synthetic::new(alloc, mk(p.seed), cost)))
-    };
-    let b = {
-        let alloc = machine.allocator(domain);
-        g.add(Box::new(Synthetic::new(alloc, mk(p.seed ^ 1), cost)))
-    };
+    let a = g.add(Box::new(p.phase(machine, domain, p.seed, cost)));
+    let b = g.add(Box::new(p.phase(machine, domain, p.seed ^ 1, cost)));
     let t = g.add(Box::new(ToDevice::new(nic.clone(), false)));
     g.chain(&[a, b, t]);
     FlowTask::new(
@@ -505,48 +549,16 @@ pub fn two_phase_pipeline(
     cost: CostModel,
     pipe: &PipelineSpec,
 ) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
-    let nic = Rc::new(RefCell::new(NicQueue::new(
-        machine.allocator(front_domain),
-        NIC_DESCS,
-        NIC_BUFFERS,
-        NIC_BUF_BYTES,
-    )));
-    let queue = Rc::new(RefCell::new(SpscQueue::new(
-        machine.allocator(pipe.queue_domain),
-        pipe.queue_capacity,
-        cost,
-    )));
-    let mk = |seed| SynParams {
-        ops_per_packet: 50,
-        reads_per_packet: p.reads_per_phase,
-        working_set_bytes: p.phase_bytes,
-        mlp: 4,
-        seed,
-    };
-    let mut front = ElementGraph::new(cost);
-    {
-        let alloc = machine.allocator(front_domain);
-        front.add(Box::new(Synthetic::new(alloc, mk(p.seed), cost)));
-    }
-    let src = SourceStage::new(
-        "2phase-front",
-        TrafficGen::new(TrafficSpec::random_dst(64, p.seed)),
-        nic.clone(),
-        front,
-        queue.clone(),
-        cost,
-    );
-    let mut back = ElementGraph::new(cost);
-    let b = {
-        let alloc = machine.allocator(back_domain);
-        back.add(Box::new(Synthetic::new(alloc, mk(p.seed ^ 1), cost)))
-    };
-    let t = back.add(Box::new(ToDevice::new(nic.clone(), true)));
-    back.chain(&[b, t]);
-    let mut sink = SinkStage::new("2phase-back", queue.clone(), back, nic);
-    sink.share_pool(src.pool_handle());
-    sink.share_drops(src.drop_handle());
-    (src.with_batch_size(pipe.burst), sink.with_batch_size(pipe.burst), queue)
+    let traffic = TrafficSpec::random_dst(64, p.seed);
+    wire_pipeline(machine, front_domain, pipe, cost, "2phase", traffic, |machine, nic| {
+        let mut front = ElementGraph::new(cost);
+        front.add(Box::new(p.phase(machine, front_domain, p.seed, cost)));
+        let mut back = ElementGraph::new(cost);
+        let b = back.add(Box::new(p.phase(machine, back_domain, p.seed ^ 1, cost)));
+        let t = back.add(Box::new(ToDevice::new(nic.clone(), true)));
+        back.chain(&[b, t]);
+        [(front, None), (back, None)]
+    })
 }
 
 #[cfg(test)]
@@ -619,6 +631,34 @@ mod tests {
         spec.with_control = true;
         let built = build_flow(&mut m, MemDomain(0), &spec);
         assert!(built.control.is_some());
+    }
+
+    /// The two element factories agree on generator seeds: the IP chain
+    /// written as config text with `SEED = structure_seed` is, charge for
+    /// charge, the flow `build_flow` stands up.
+    #[test]
+    fn config_text_ip_flow_is_build_flow() {
+        use pp_sim::engine::CoreTask;
+        let spec = FlowSpec::small(ChainKind::Ip, 11);
+        let after_2000_packets = |mut m: Machine, mut task: FlowTask| {
+            for _ in 0..2000 {
+                task.run_turn(&mut m.ctx(CoreId(0)));
+            }
+            assert_eq!(task.processed, 2000);
+            (m.core(CoreId(0)).counters.total(), m.core(CoreId(0)).clock)
+        };
+        let mut m = Machine::new(MachineConfig::westmere());
+        let task = build_flow(&mut m, MemDomain(0), &spec).task;
+        let want = after_2000_packets(m, task);
+        let mut m = Machine::new(MachineConfig::westmere());
+        let config = format!(
+            "chk :: CheckIPHeader; rt :: RadixIPLookup(PREFIXES {}, SEED {}); \
+             ttl :: DecIPTTL; out :: ToDevice; chk -> rt -> ttl -> out;",
+            spec.n_prefixes, spec.structure_seed
+        );
+        let flow = build_config_flow(&mut m, MemDomain(0), "IP", &config, spec.traffic(), true)
+            .expect("valid config");
+        assert_eq!(after_2000_packets(m, flow.task), want);
     }
 
     #[test]

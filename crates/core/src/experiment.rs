@@ -190,11 +190,6 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// Result for the flow on `core`.
-    pub fn on_core(&self, core: CoreId) -> Option<&FlowResult> {
-        self.flows.iter().find(|f| f.core == core)
-    }
-
     /// Sum of L3 refs/sec over all flows except the one on `excluding`.
     pub fn competing_refs_per_sec(&self, excluding: CoreId) -> f64 {
         self.flows

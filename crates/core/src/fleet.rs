@@ -524,11 +524,6 @@ impl FleetController {
         )
     }
 
-    /// Number of registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Tenants currently parked (no placement).
     pub fn parked_count(&self) -> usize {
         self.tenants.iter().filter(|t| t.placed.is_none()).count()

@@ -22,16 +22,14 @@ use pp_click::elements::netflow::NetFlow;
 use pp_click::elements::radix::RadixIpLookup;
 use pp_click::flow::FlowTask;
 use pp_click::graph::ElementGraph;
+use pp_click::pipelines::nic_queue;
 use pp_net::gen::prefixes::generate_bgp_table;
 use pp_net::gen::rules::generate_unmatchable_rules;
 use pp_net::gen::traffic::{TrafficGen, TrafficSpec};
 use pp_sim::config::MachineConfig;
 use pp_sim::engine::Engine;
 use pp_sim::machine::Machine;
-use pp_sim::nic::NicQueue;
 use pp_sim::types::{CoreId, MemDomain};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Feedback controller that keeps a flow's L3 refs/sec at or below its
 /// profiled value by tuning its control element.
@@ -123,12 +121,7 @@ fn build_trojan_flow(
         Scale::Paper => (128_000usize, 17u32, 1000usize, 12u64 << 20),
         Scale::Test => (8_000, 13, 1000, 2 << 20),
     };
-    let nic = Rc::new(RefCell::new(NicQueue::new(
-        machine.allocator(domain),
-        256,
-        512,
-        2048,
-    )));
+    let nic = nic_queue(machine, domain);
     let control = ControlHandle::new();
     let trigger = AggressorHandle::new();
     let mut g = ElementGraph::new(cost);

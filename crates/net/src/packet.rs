@@ -175,14 +175,6 @@ impl Packet {
         Ok(())
     }
 
-    /// Rewrite the destination address and port in place (destination NAT /
-    /// the inbound path of a source NAT), patching checksums incrementally.
-    pub fn rewrite_dst(&mut self, ip: Ipv4Addr, port: u16) -> Result<(), ParseError> {
-        self.ipv4()?;
-        self.rewrite_endpoint(Ipv4Header::DST_OFFSET, 2, ip, port);
-        Ok(())
-    }
-
     /// Verify the L4 (UDP/TCP) checksum against the pseudo-header. A UDP
     /// checksum of 0 counts as valid ("not computed").
     pub fn verify_l4_checksum(&self) -> Result<bool, ParseError> {
@@ -516,9 +508,9 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_dst_inverts_rewrite_src() {
-        // Outbound SNAT then the inbound DNAT with the original values
-        // restores the original bytes exactly.
+    fn rewrite_src_is_exactly_invertible() {
+        // Rewriting to new values and back to the original ones restores
+        // the original bytes exactly.
         let orig = PacketBuilder::default().udp_checksummed(
             Ipv4Addr::new(10, 0, 0, 7),
             Ipv4Addr::new(93, 184, 216, 34),

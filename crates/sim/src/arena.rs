@@ -141,11 +141,6 @@ impl<T: Copy> SimVec<T> {
     pub fn peek(&self, i: usize) -> &T {
         &self.data[i]
     }
-
-    /// Host-side mutable view without simulated cost (setup code only).
-    pub fn peek_mut(&mut self, i: usize) -> &mut T {
-        &mut self.data[i]
-    }
 }
 
 /// A byte ring in simulated memory — the shape of the paper's RE "packet

@@ -348,11 +348,6 @@ impl CoreCounters {
         })
     }
 
-    /// All tags seen so far, in first-use order.
-    pub fn tag_names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.tags.iter().map(|(n, _)| *n)
-    }
-
     /// Snapshot the full state (totals and per-tag bundles, pending events
     /// included).
     pub fn snapshot(&self) -> CounterSnapshot {

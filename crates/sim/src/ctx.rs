@@ -239,12 +239,6 @@ impl<'a> ExecCtx<'a> {
         let now = self.now();
         self.machine.dma_deliver(socket, addr, len, now);
     }
-
-    /// Reborrow the underlying machine mutably (for composite operations
-    /// that need other machine APIs mid-flight; use sparingly).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        self.machine
-    }
 }
 
 #[cfg(test)]

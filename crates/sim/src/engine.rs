@@ -96,11 +96,6 @@ impl Measurement {
     pub fn total_pps(&self) -> f64 {
         self.cores.iter().map(|c| c.metrics.pps).sum()
     }
-
-    /// Sum of L3 refs/sec across all measured cores.
-    pub fn total_l3_refs_per_sec(&self) -> f64 {
-        self.cores.iter().map(|c| c.metrics.l3_refs_per_sec).sum()
-    }
 }
 
 /// The engine; owns the machine and the per-core tasks.

@@ -335,20 +335,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a jittered event targeting tenant slot `target` only.
-    pub fn with_jittered_target(
-        mut self,
-        at: u32,
-        until: u32,
-        jitter: u32,
-        target: u8,
-        kind: FaultKind,
-    ) -> Self {
-        assert!(until > at, "fault interval must be non-empty");
-        self.events.push(FaultEvent { at, until, jitter, kind, target: Some(target) });
-        self
-    }
-
     /// Add a machine crash beginning at window `at` on machine `machine`,
     /// restarting `restart_after` windows later. The event interval and
     /// the [`FaultKind::MachineCrash`] field are derived from the same

@@ -160,11 +160,6 @@ impl Machine {
         self.l3[socket.index()].probe(addr)
     }
 
-    /// Smallest core clock (the engine's notion of "now").
-    pub fn min_clock(&self) -> Cycles {
-        self.cores.iter().map(|c| c.clock).min().unwrap_or(0)
-    }
-
     /// Largest core clock.
     pub fn max_clock(&self) -> Cycles {
         self.cores.iter().map(|c| c.clock).max().unwrap_or(0)

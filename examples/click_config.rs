@@ -8,8 +8,6 @@
 //! ```
 
 use predictable_pp::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 const CONFIG: &str = r#"
     // A firewalled monitoring pipeline with a run-time throttle.
@@ -31,33 +29,15 @@ fn main() {
     use predictable_pp::sim::types::{CoreId, MemDomain};
 
     let mut machine = Machine::new(MachineConfig::westmere());
-    let cost = CostModel::default();
-    let nic = Rc::new(RefCell::new(
-        predictable_pp::sim::nic::NicQueue::new(machine.allocator(MemDomain(0)), 256, 512, 2048),
-    ));
 
     println!("Parsing and building the Click config...\n{CONFIG}");
-    let built = {
-        let mut ctx = BuildCtx {
-            machine: &mut machine,
-            domain: MemDomain(0),
-            nic: nic.clone(),
-            cost,
-            seed: 42,
-        };
-        build_config(CONFIG, &mut ctx).expect("config is valid")
-    };
-    let throttle = built.controls["ctl"].clone();
+    let traffic = TrafficSpec::flow_population(64, 40_000, 7);
+    let flow = build_config_flow(&mut machine, MemDomain(0), "config-flow", CONFIG, traffic, false)
+        .expect("config is valid");
+    let throttle = flow.controls["ctl"].clone();
 
-    let task = FlowTask::new(
-        "config-flow",
-        TrafficGen::new(TrafficSpec::flow_population(64, 40_000, 7)),
-        nic,
-        built.graph,
-        cost,
-    );
     let mut engine = Engine::new(machine);
-    engine.set_task(CoreId(0), Box::new(task));
+    engine.set_task(CoreId(0), Box::new(flow.task));
 
     // Run untouched, then throttled via the Control element's handle.
     let m1 = engine.measure(2_800_000, 14_000_000);
