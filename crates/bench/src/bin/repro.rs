@@ -178,3 +178,18 @@ fn main() {
     }
     println!("\n[done in {:.1}s]", t0.elapsed().as_secs_f64());
 }
+
+#[cfg(test)]
+mod tests {
+    use super::SWEEPS;
+
+    /// `run_all` matches these four rows by name: a renamed row fails here
+    /// instead of silently re-profiling, and each profiler precedes the
+    /// sweep it hands its predictor to.
+    #[test]
+    fn hand_off_rows_follow_their_profilers() {
+        let at = |name| SWEEPS.iter().position(|(n, ..)| *n == name).expect(name);
+        assert!(at("fig8") < at("fig9"));
+        assert!(at("extended") < at("mixes"));
+    }
+}

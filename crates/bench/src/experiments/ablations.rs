@@ -16,7 +16,9 @@
 
 use crate::experiments::{measure_window, seat, seat_flow, seat_syn};
 use crate::RunCtx;
+use pp_click::cost::CostModel;
 use pp_click::elements::synthetic::SynParams;
+use pp_click::flow::FrameworkChurn;
 use pp_click::pipelines::{build_config_flow, ChainKind};
 use pp_core::prelude::*;
 use pp_net::gen::traffic::TrafficSpec;
@@ -97,10 +99,11 @@ pub fn run(ctx: &RunCtx) {
         let run_one = |with_syn: bool| -> (f64, f64) {
             let m = measure_window(MachineConfig::westmere(), ctx.params, |machine| {
                 let traffic = TrafficSpec::random_dst(64, 5);
-                let flow =
-                    build_config_flow(machine, MemDomain(0), label, &config, traffic, true)
-                        .expect("valid config");
-                let mut seats = vec![seat(0, flow.task)];
+                let flow = build_config_flow(machine, MemDomain(0), label, &config, traffic)
+                    .expect("valid config");
+                let churn =
+                    FrameworkChurn::new(machine.allocator(MemDomain(0)), &CostModel::default());
+                let mut seats = vec![seat(0, flow.task.with_churn(churn))];
                 if with_syn {
                     for i in 1..=5u16 {
                         seats.push(seat_syn(machine, scale, i, SynParams::max(i as u64)));

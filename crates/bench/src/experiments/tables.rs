@@ -26,7 +26,9 @@
 use crate::experiments::results_json::{save_results_json, JsonRow};
 use crate::experiments::{measure_window, seat, seat_syn};
 use crate::RunCtx;
+use pp_click::cost::CostModel;
 use pp_click::elements::synthetic::SynParams;
+use pp_click::flow::FrameworkChurn;
 use pp_click::pipelines::build_config_flow;
 use pp_core::prelude::*;
 use pp_net::gen::traffic::TrafficSpec;
@@ -102,9 +104,10 @@ fn measure_point(
         // Random destinations: maximal structure traffic, as in the paper's
         // IP sensitivity experiments.
         let traffic = TrafficSpec::random_dst(64, params.seed ^ 0xA5A5);
-        let flow = build_config_flow(machine, MemDomain(0), "tables", &config, traffic, true)
+        let flow = build_config_flow(machine, MemDomain(0), "tables", &config, traffic)
             .expect("valid config");
-        let mut seats = vec![seat(0, flow.task.with_batch_size(batch))];
+        let churn = FrameworkChurn::new(machine.allocator(MemDomain(0)), &CostModel::default());
+        let mut seats = vec![seat(0, flow.task.with_churn(churn).with_batch_size(batch))];
         if let Load::Syn(comps) = load {
             for (i, sp) in comps.iter().enumerate() {
                 seats.push(seat_syn(machine, params.scale, (i + 1) as u16, *sp));

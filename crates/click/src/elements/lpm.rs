@@ -90,6 +90,16 @@ pub struct Dir248Scratch {
 }
 
 impl Dir248Table {
+    /// Number of prefixes inserted.
+    pub fn prefix_count(&self) -> usize {
+        self.n_prefixes
+    }
+
+    /// Total simulated footprint in bytes (first stage + spill blocks).
+    pub fn footprint(&self) -> u64 {
+        self.stage1.footprint() + self.stage2.footprint()
+    }
+
     /// Number of second-stage spill blocks (= /24s containing a /25–/32).
     pub fn block_count(&self) -> usize {
         self.n_blocks
@@ -155,15 +165,6 @@ impl LpmTable for Dir248Table {
             n_prefixes: prefixes.len(),
             n_blocks,
         }
-    }
-
-    fn prefix_count(&self) -> usize {
-        self.n_prefixes
-    }
-
-    /// First stage + spill blocks.
-    fn footprint(&self) -> u64 {
-        self.stage1.footprint() + self.stage2.footprint()
     }
 
     /// One direct-indexed read, plus one dependent block read when the /24

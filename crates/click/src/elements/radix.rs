@@ -61,12 +61,6 @@ pub trait LpmTable {
     /// NUMA domain. Host-side: construction costs no simulated time.
     fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self;
 
-    /// Number of prefixes inserted.
-    fn prefix_count(&self) -> usize;
-
-    /// Total simulated footprint in bytes.
-    fn footprint(&self) -> u64;
-
     /// Longest-prefix match for one destination, charging its reads.
     fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32);
 
@@ -218,6 +212,16 @@ impl Builder {
 }
 
 impl MultibitTrie {
+    /// Number of prefixes inserted.
+    pub fn prefix_count(&self) -> usize {
+        self.n_prefixes
+    }
+
+    /// Total simulated footprint in bytes (root array + nodes).
+    pub fn footprint(&self) -> u64 {
+        self.root.footprint() + self.nodes.footprint()
+    }
+
     /// Number of interior nodes (diagnostics; footprint = nodes × 64 B).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -255,15 +259,6 @@ impl LpmTable for MultibitTrie {
             nodes: SimVec::from_vec(alloc, b.nodes),
             n_prefixes: prefixes.len(),
         }
-    }
-
-    fn prefix_count(&self) -> usize {
-        self.n_prefixes
-    }
-
-    /// Root array + nodes.
-    fn footprint(&self) -> u64 {
-        self.root.footprint() + self.nodes.footprint()
     }
 
     /// One read in the root array, then one dependent 64-byte node read
@@ -385,6 +380,16 @@ fn new_node() -> [u32; 6] {
 }
 
 impl BinaryRadixTrie {
+    /// Number of prefixes inserted.
+    pub fn prefix_count(&self) -> usize {
+        self.n_prefixes
+    }
+
+    /// Total simulated footprint in bytes (nodes + route entries).
+    pub fn footprint(&self) -> u64 {
+        self.nodes.footprint() + self.routes.footprint()
+    }
+
     /// Number of trie nodes (footprint = nodes × 24 B).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -449,15 +454,6 @@ impl LpmTable for BinaryRadixTrie {
             routes: SimVec::from_vec(alloc, routes),
             n_prefixes: prefixes.len(),
         }
-    }
-
-    fn prefix_count(&self) -> usize {
-        self.n_prefixes
-    }
-
-    /// Nodes + route entries.
-    fn footprint(&self) -> u64 {
-        self.nodes.footprint() + self.routes.footprint()
     }
 
     /// One dependent node read per level, then the matched route entry;

@@ -342,26 +342,23 @@ pub struct ConfigFlow {
 /// Stand up a run-to-completion flow whose graph is `config` (see
 /// [`crate::config`]) with its ring and structures in `domain`, fed by
 /// `traffic`, at the default [`CostModel`]. Seeded elements take their
-/// `SEED` from the text. `churn` attaches the framework's own footprint
-/// ([`FrameworkChurn`]) as the standard builders do; `false` leaves the
-/// minimal flow. Allocation order is [`build_flow`]'s: ring, the graph's
-/// structures in declaration order, churn.
+/// `SEED` from the text. The flow is the minimal one — no
+/// [`FrameworkChurn`]; a caller that wants the standard builders'
+/// footprint appends [`FlowTask::with_churn`] next, which keeps
+/// [`build_flow`]'s allocation order: ring, the graph's structures in
+/// declaration order, churn.
 pub fn build_config_flow(
     machine: &mut Machine,
     domain: MemDomain,
     label: &str,
     config: &str,
     traffic: TrafficSpec,
-    churn: bool,
 ) -> Result<ConfigFlow, ConfigError> {
     let cost = CostModel::default();
     let nic = nic_queue(machine, domain);
     let mut ctx = BuildCtx { machine, domain, nic: nic.clone(), cost, seed: 0 };
     let built = build_config(config, &mut ctx)?;
-    let mut task = FlowTask::new(label, TrafficGen::new(traffic), nic, built.graph, cost);
-    if churn {
-        task = task.with_churn(FrameworkChurn::new(machine.allocator(domain), &cost));
-    }
+    let task = FlowTask::new(label, TrafficGen::new(traffic), nic, built.graph, cost);
     Ok(ConfigFlow { task, controls: built.controls })
 }
 
@@ -402,32 +399,33 @@ impl PipelineSpec {
     }
 }
 
-/// A stage's graph plus the framework churn it runs with, if any.
-type StageParts = (ElementGraph, Option<FrameworkChurn>);
-
-/// The one pipeline wiring: NIC ring in `front_domain`, then the handoff
-/// queue per `pipe`, then whatever `stages` allocates while building the
-/// front and back halves (it gets the ring for the back half's
-/// `ToDevice`). The sink returns completed packets' frame allocations to
-/// the source's generator pool — closing the host-side carcass loop — and
-/// the two stages share one loss ledger and one handoff burst.
-fn wire_pipeline(
+/// A pipeline's first two allocations: the NIC ring in `front_domain`,
+/// then the handoff queue per `pipe`. The stages' graphs come next.
+fn ring_and_queue(
     machine: &mut Machine,
     front_domain: MemDomain,
     pipe: &PipelineSpec,
     cost: CostModel,
+) -> (Rc<RefCell<NicQueue>>, Rc<RefCell<SpscQueue>>) {
+    let nic = nic_queue(machine, front_domain);
+    let queue = SpscQueue::new(machine.allocator(pipe.queue_domain), pipe.queue_capacity, cost);
+    (nic, Rc::new(RefCell::new(queue)))
+}
+
+/// The one pipeline wiring, over [`ring_and_queue`]'s pair and the two
+/// halves' graphs: the sink returns completed packets' frame allocations
+/// to the source's generator pool — closing the host-side carcass loop —
+/// and the two stages share one loss ledger and one handoff burst.
+fn wire_stages(
     label: &str,
     traffic: TrafficSpec,
-    stages: impl FnOnce(&mut Machine, &Rc<RefCell<NicQueue>>) -> [StageParts; 2],
-) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
-    let nic = nic_queue(machine, front_domain);
-    let queue = Rc::new(RefCell::new(SpscQueue::new(
-        machine.allocator(pipe.queue_domain),
-        pipe.queue_capacity,
-        cost,
-    )));
-    let [(front, front_churn), (back, back_churn)] = stages(machine, &nic);
-    let mut src = SourceStage::new(
+    nic: Rc<RefCell<NicQueue>>,
+    queue: &Rc<RefCell<SpscQueue>>,
+    [front, back]: [ElementGraph; 2],
+    burst: usize,
+    cost: CostModel,
+) -> (SourceStage, SinkStage) {
+    let src = SourceStage::new(
         format!("{label}-front"),
         TrafficGen::new(traffic),
         nic.clone(),
@@ -436,15 +434,9 @@ fn wire_pipeline(
         cost,
     );
     let mut sink = SinkStage::new(format!("{label}-back"), queue.clone(), back, nic);
-    if let Some(churn) = front_churn {
-        src = src.with_churn(churn);
-    }
-    if let Some(churn) = back_churn {
-        sink = sink.with_churn(churn);
-    }
     sink.share_pool(src.pool_handle());
     sink.share_drops(src.drop_handle());
-    (src.with_batch_size(pipe.burst), sink.with_batch_size(pipe.burst), queue)
+    (src.with_batch_size(burst), sink.with_batch_size(burst))
 }
 
 /// Build the same workload as a two-stage pipeline: stage 1 receives and
@@ -460,23 +452,24 @@ pub fn build_pipeline(
 ) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
     let cost = spec.cost;
     let ip_family = !matches!(spec.kind, ChainKind::Syn(_));
-    wire_pipeline(machine, front_domain, pipe, cost, spec.kind.name(), spec.traffic(), |machine, nic| {
-        // Front: CheckIPHeader only (classic RX stage).
-        let mut front = ElementGraph::new(cost);
-        if ip_family {
-            front.add(Box::new(CheckIpHeader::new(cost)));
-        }
-        let front_churn = FrameworkChurn::new(machine.allocator(front_domain), &cost);
-        // Back: everything else — the full graph built in the back domain,
-        // entered one element further in (element 0 is the CheckIPHeader
-        // the front already ran for IP-family chains).
-        let (mut back, _) = build_graph(machine, back_domain, nic, spec, true);
-        if ip_family && back.len() > 1 {
-            back.set_entry(1);
-        }
-        let back_churn = FrameworkChurn::new(machine.allocator(back_domain), &cost);
-        [(front, Some(front_churn)), (back, Some(back_churn))]
-    })
+    let (nic, queue) = ring_and_queue(machine, front_domain, pipe, cost);
+    // Front: CheckIPHeader only (classic RX stage).
+    let mut front = ElementGraph::new(cost);
+    if ip_family {
+        front.add(Box::new(CheckIpHeader::new(cost)));
+    }
+    let front_churn = FrameworkChurn::new(machine.allocator(front_domain), &cost);
+    // Back: everything else — the full graph built in the back domain,
+    // entered one element further in (element 0 is the CheckIPHeader
+    // the front already ran for IP-family chains).
+    let (mut back, _) = build_graph(machine, back_domain, &nic, spec, true);
+    if ip_family && back.len() > 1 {
+        back.set_entry(1);
+    }
+    let back_churn = FrameworkChurn::new(machine.allocator(back_domain), &cost);
+    let (src, sink) =
+        wire_stages(spec.kind.name(), spec.traffic(), nic, &queue, [front, back], pipe.burst, cost);
+    (src.with_churn(front_churn), sink.with_churn(back_churn), queue)
 }
 
 /// The §2.2 crafted two-phase synthetic workload: each packet triggers
@@ -549,16 +542,16 @@ pub fn two_phase_pipeline(
     cost: CostModel,
     pipe: &PipelineSpec,
 ) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
+    let (nic, queue) = ring_and_queue(machine, front_domain, pipe, cost);
+    let mut front = ElementGraph::new(cost);
+    front.add(Box::new(p.phase(machine, front_domain, p.seed, cost)));
+    let mut back = ElementGraph::new(cost);
+    let b = back.add(Box::new(p.phase(machine, back_domain, p.seed ^ 1, cost)));
+    let t = back.add(Box::new(ToDevice::new(nic.clone(), true)));
+    back.chain(&[b, t]);
     let traffic = TrafficSpec::random_dst(64, p.seed);
-    wire_pipeline(machine, front_domain, pipe, cost, "2phase", traffic, |machine, nic| {
-        let mut front = ElementGraph::new(cost);
-        front.add(Box::new(p.phase(machine, front_domain, p.seed, cost)));
-        let mut back = ElementGraph::new(cost);
-        let b = back.add(Box::new(p.phase(machine, back_domain, p.seed ^ 1, cost)));
-        let t = back.add(Box::new(ToDevice::new(nic.clone(), true)));
-        back.chain(&[b, t]);
-        [(front, None), (back, None)]
-    })
+    let (src, sink) = wire_stages("2phase", traffic, nic, &queue, [front, back], pipe.burst, cost);
+    (src, sink, queue)
 }
 
 #[cfg(test)]
@@ -656,9 +649,10 @@ mod tests {
              ttl :: DecIPTTL; out :: ToDevice; chk -> rt -> ttl -> out;",
             spec.n_prefixes, spec.structure_seed
         );
-        let flow = build_config_flow(&mut m, MemDomain(0), "IP", &config, spec.traffic(), true)
+        let flow = build_config_flow(&mut m, MemDomain(0), "IP", &config, spec.traffic())
             .expect("valid config");
-        assert_eq!(after_2000_packets(m, flow.task), want);
+        let churn = FrameworkChurn::new(m.allocator(MemDomain(0)), &spec.cost);
+        assert_eq!(after_2000_packets(m, flow.task.with_churn(churn)), want);
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() {
 
     println!("Parsing and building the Click config...\n{CONFIG}");
     let traffic = TrafficSpec::flow_population(64, 40_000, 7);
-    let flow = build_config_flow(&mut machine, MemDomain(0), "config-flow", CONFIG, traffic, false)
+    let flow = build_config_flow(&mut machine, MemDomain(0), "config-flow", CONFIG, traffic)
         .expect("config is valid");
     let throttle = flow.controls["ctl"].clone();
 
