@@ -381,7 +381,8 @@ impl Element for Classifier {
 mod tests {
     use super::*;
     use crate::element::test_util::{machine, packet};
-    use pp_sim::types::{CoreId, MemDomain};
+    use pp_sim::counters::Counts;
+    use pp_sim::types::{CoreId, Cycles, MemDomain};
 
     #[test]
     fn check_ip_header_accepts_valid() {
@@ -449,6 +450,62 @@ mod tests {
         assert_eq!(el.sent, 1);
         assert_eq!(pkt.buf_addr, 0);
         assert_eq!(nic.borrow().free_buffers(), 4);
+    }
+
+    /// Core 0 receives an 8-buffer pool as one batch, then `ToDevice` on
+    /// `core` takes the eight packets one `process` call at a time:
+    /// `core`'s total counts and clock.
+    fn to_device_one_at_a_time(core: u16, shared: bool) -> (Counts, Cycles) {
+        let mut m = machine();
+        let nic =
+            Rc::new(RefCell::new(NicQueue::new(m.allocator(MemDomain(0)), 64, 8, 2048)));
+        let mut bufs = Vec::new();
+        {
+            let mut ctx = m.ctx(CoreId(0));
+            assert_eq!(nic.borrow_mut().rx_batch(&mut ctx, &[64; 8], &mut bufs), 8);
+        }
+        let mut el = ToDevice::new(nic.clone(), shared);
+        {
+            let mut ctx = m.ctx(CoreId(core));
+            for &b in &bufs {
+                let mut pkt = packet();
+                pkt.buf_addr = b;
+                assert_eq!(el.process(&mut ctx, &mut pkt), Action::Consumed);
+                assert_eq!(pkt.buf_addr, 0);
+            }
+        }
+        assert_eq!((el.sent, nic.borrow().free_buffers()), (8, 8));
+        let c = m.core(CoreId(core));
+        (c.counters.total(), c.clock)
+    }
+
+    #[test]
+    fn to_device_one_packet_charges_are_pinned() {
+        // The same charges `NicQueue`'s `one_packet_tx_charges_are_pinned`
+        // holds: the element adds none of its own.
+        let local = Counts {
+            instructions: 30,
+            stall_cycles: 533,
+            l1_refs: 30,
+            l1_hits: 25,
+            l2_refs: 5,
+            l3_refs: 5,
+            l3_misses: 5,
+            ..Counts::default()
+        };
+        assert_eq!(to_device_one_at_a_time(0, false), (local, 533));
+        let shared = Counts {
+            instructions: 24,
+            stall_cycles: 120,
+            l1_refs: 24,
+            l1_hits: 21,
+            l2_refs: 3,
+            l3_refs: 3,
+            l3_hits: 1,
+            l3_misses: 2,
+            ..Counts::default()
+        };
+        assert_eq!(to_device_one_at_a_time(1, true), (shared, 120));
     }
 
     #[test]

@@ -232,7 +232,11 @@ impl PredictionError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::run_corun;
+    use crate::admission::AdmissionController;
+    use crate::experiment::{run_corun, FlowResult, LatencySummary};
+    use crate::placement::{evaluate_predicted, Placement};
+    use pp_sim::counters::{Counts, DerivedMetrics};
+    use pp_sim::types::CoreId;
 
     fn quick_predictor() -> Predictor {
         Predictor::profile(
@@ -241,6 +245,111 @@ mod tests {
             ExpParams::quick(),
             2,
         )
+    }
+
+    /// A solo profile with hand-written rates: `packets`, `l3_refs` and
+    /// `l3_hits` counted over a 1 ms window at 2.8 GHz.
+    fn hand_profile(flow: FlowType, packets: u64, l3_refs: u64, l3_hits: u64) -> SoloProfile {
+        let counts = Counts {
+            packets,
+            l3_refs,
+            l3_hits,
+            l3_misses: l3_refs - l3_hits,
+            ..Counts::default()
+        };
+        SoloProfile::from_result(&FlowResult {
+            core: CoreId(0),
+            flow,
+            metrics: DerivedMetrics::from_counts(&counts, 2_800_000, 2.8),
+            counts,
+            tags: Vec::new(),
+            working_set_bytes: 0,
+            latency: LatencySummary::default(),
+            drops: Default::default(),
+        })
+    }
+
+    /// A predictor over MON, FW and RE written out by hand — no simulation.
+    fn hand_predictor() -> Predictor {
+        let curve = |pts: &[(f64, f64)]| SensitivityCurve::from_points(pts.to_vec());
+        Predictor::from_parts(
+            vec![
+                hand_profile(FlowType::Mon, 1_229, 27_263, 21_317),
+                hand_profile(FlowType::Fw, 117, 2_711, 2_129),
+                hand_profile(FlowType::Re, 102, 18_181, 5_519),
+            ],
+            vec![
+                (FlowType::Mon, curve(&[(21.3e6, 4.7), (64.9e6, 13.1), (139.7e6, 24.3)])),
+                (FlowType::Fw, curve(&[(19.9e6, 0.9), (71.3e6, 2.7), (141.1e6, 4.9)])),
+                (FlowType::Re, curve(&[(23.1e6, 2.3), (67.7e6, 6.1), (137.3e6, 9.7)])),
+            ],
+            3,
+        )
+        .with_fill_curves(vec![
+            (FlowType::Mon, curve(&[(6.1e6, 5.3), (27.9e6, 12.7), (61.3e6, 25.1)])),
+            (FlowType::Fw, curve(&[(5.3e6, 0.7), (29.1e6, 2.9), (63.7e6, 4.3)])),
+            (FlowType::Re, curve(&[(7.7e6, 2.9), (28.7e6, 5.9), (59.1e6, 10.3)])),
+        ])
+    }
+
+    /// The pinned mix, and per flow its predicted drop by refs/sec and by
+    /// fills/sec, as `f64::to_bits`.
+    const PIN_MIX: [FlowType; 6] = [
+        FlowType::Mon,
+        FlowType::Re,
+        FlowType::Fw,
+        FlowType::Mon,
+        FlowType::Re,
+        FlowType::Re,
+    ];
+    const PIN_REFS: [u64; 6] = [
+        0x4030098ccee71b3d,
+        0x401dc227680636f1,
+        0x400f1f98280b6864,
+        0x4030098ccee71b3d,
+        0x401dc227680636f1,
+        0x401dc227680636f1,
+    ];
+    const PIN_FILLS: [u64; 6] = [
+        0x4032de39f509551f,
+        0x401cde04f5542f00,
+        0x400ded02f8ac1450,
+        0x4032de39f509551f,
+        0x401cde04f5542f00,
+        0x401cde04f5542f00,
+    ];
+
+    #[test]
+    fn mix_predictions_are_pinned_per_flow() {
+        use FlowType::{Fw, Mon, Re};
+        let p = hand_predictor();
+        // Each flow's competitors are the mix minus that flow, in mix order.
+        let by_hand: [(FlowType, [FlowType; 5]); 6] = [
+            (Mon, [Re, Fw, Mon, Re, Re]),
+            (Re, [Mon, Fw, Mon, Re, Re]),
+            (Fw, [Mon, Re, Mon, Re, Re]),
+            (Mon, [Mon, Re, Fw, Re, Re]),
+            (Re, [Mon, Re, Fw, Mon, Re]),
+            (Re, [Mon, Re, Fw, Mon, Re]),
+        ];
+        for (i, (target, competitors)) in by_hand.iter().enumerate() {
+            assert_eq!(*target, PIN_MIX[i]);
+            assert_eq!(p.predict_drop(*target, competitors).to_bits(), PIN_REFS[i], "refs {i}");
+            assert_eq!(
+                p.predict_drop_fillrate(*target, competitors).to_bits(),
+                PIN_FILLS[i],
+                "fills {i}"
+            );
+        }
+        let verdicts = AdmissionController::new(&p).evaluate(&PIN_MIX, &[]).verdicts;
+        let admitted: Vec<u64> = verdicts.iter().map(|v| v.predicted_drop_pct.to_bits()).collect();
+        assert_eq!(admitted, PIN_REFS);
+        let placement = Placement { socket0: PIN_MIX.to_vec(), socket1: PIN_MIX.to_vec() };
+        let eval = evaluate_predicted(&placement, &p);
+        let placed: Vec<(FlowType, u64)> =
+            eval.per_flow.iter().map(|&(f, d)| (f, d.to_bits())).collect();
+        let per_socket: Vec<(FlowType, u64)> = PIN_MIX.iter().copied().zip(PIN_REFS).collect();
+        assert_eq!(placed, [per_socket.clone(), per_socket].concat());
     }
 
     #[test]

@@ -490,8 +490,9 @@ impl NicQueue {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
+    use crate::counters::Counts;
     use crate::machine::Machine;
-    use crate::types::{CoreId, MemDomain, SocketId};
+    use crate::types::{CoreId, Cycles, MemDomain, SocketId};
 
     fn setup() -> (Machine, NicQueue) {
         let mut m = Machine::new(MachineConfig::westmere());
@@ -680,6 +681,69 @@ mod tests {
         assert_eq!(batch_free, 8, "all buffers recycled either way");
         assert_eq!(scalar_refs, 16, "scalar: shared read+write per packet");
         assert_eq!(batch_refs, 2, "batch: shared read+write per burst");
+    }
+
+    /// Core 0 receives the pool's eight buffers as one batch, then `core`
+    /// hands them back one at a time through `send`: `core`'s total counts
+    /// and clock.
+    fn one_at_a_time(
+        core: u16,
+        send: impl Fn(&mut NicQueue, &mut ExecCtx<'_>, Addr),
+    ) -> (Counts, Cycles) {
+        let (mut m, mut q) = setup();
+        let mut bufs = Vec::new();
+        {
+            let mut ctx = m.ctx(CoreId(0));
+            assert_eq!(q.rx_batch(&mut ctx, &[64; 8], &mut bufs), 8);
+        }
+        {
+            let mut ctx = m.ctx(CoreId(core));
+            for &b in &bufs {
+                send(&mut q, &mut ctx, b);
+            }
+        }
+        assert_eq!((q.free_buffers(), q.tx_count), (8, 8));
+        let c = m.core(CoreId(core));
+        (c.counters.total(), c.clock)
+    }
+
+    #[test]
+    fn one_packet_tx_charges_are_pinned() {
+        // Local: the batched receive's 6 accesses, then per buffer one
+        // descriptor write and the free-list read/write pair.
+        let local = Counts {
+            instructions: 30,
+            stall_cycles: 533,
+            l1_refs: 30,
+            l1_hits: 25,
+            l2_refs: 5,
+            l3_refs: 5,
+            l3_misses: 5,
+            ..Counts::default()
+        };
+        assert_eq!(one_at_a_time(0, |q, ctx, b| q.tx(ctx, b)), (local, 533));
+        // Shared, from core 1: the same three accesses per buffer, the
+        // free-list pair as cross-core shared data.
+        let shared = Counts {
+            instructions: 24,
+            stall_cycles: 120,
+            l1_refs: 24,
+            l1_hits: 21,
+            l2_refs: 3,
+            l3_refs: 3,
+            l3_hits: 1,
+            l3_misses: 2,
+            ..Counts::default()
+        };
+        assert_eq!(one_at_a_time(1, |q, ctx, b| q.tx_shared(ctx, b)), (shared, 120));
+    }
+
+    #[test]
+    fn tx_batch_of_one_charges_exactly_like_tx() {
+        assert_eq!(
+            one_at_a_time(0, |q, ctx, b| q.tx_batch(ctx, &[b])),
+            one_at_a_time(0, |q, ctx, b| q.tx(ctx, b))
+        );
     }
 
     #[test]
