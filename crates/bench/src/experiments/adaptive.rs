@@ -327,7 +327,7 @@ pub fn run(ctx: &RunCtx) {
             format!("5x {}", e.competitors[0].name()),
             fmt_f(e.measured, 2),
             fmt_f(e.predicted, 2),
-            fmt_f(reval.predictor.predict_drop_fillrate(e.target, &e.competitors), 2),
+            fmt_f(e.predicted_fillrate, 2),
             fmt_f(e.predicted_perfect, 2),
             fmt_f(e.error(), 2),
         ]);

@@ -20,9 +20,9 @@
 //! band as Figs. 8/9 — evidence the method keys on the right quantity
 //! (competing refs/sec), not on anything specific to the original five.
 
+use crate::experiments::{five_of_each, table1};
 use crate::RunCtx;
 use pp_core::prelude::*;
-use std::collections::BTreeMap;
 
 /// All eight types: the paper's five plus the three extensions.
 pub fn all_types() -> Vec<FlowType> {
@@ -43,10 +43,8 @@ pub const MIX: [FlowType; 6] = [
 pub struct ExtendedOutput {
     /// Solo profiles of all 8 types.
     pub profiles: Vec<SoloProfile>,
-    /// Pairwise prediction comparisons (39 mixes), paper's method.
+    /// Pairwise prediction comparisons (39 mixes), both methods.
     pub errors: Vec<PredictionError>,
-    /// Fill-rate-method predictions, aligned with `errors`.
-    pub fill_predictions: Vec<f64>,
     /// Mixed-workload rows: `(flow, measured, paper pred, fill-rate pred)`.
     pub mix_rows: Vec<(FlowType, f64, f64, f64)>,
     /// The predictor (8 solos + 8 SYN ramps).
@@ -56,47 +54,30 @@ pub struct ExtendedOutput {
 impl ExtendedOutput {
     /// Worst pairwise |error| of the paper's method.
     pub fn worst_pair_error(&self) -> f64 {
-        self.errors.iter().map(|e| e.error().abs()).fold(0.0, f64::max)
+        ErrorStats::of(self.errors.iter().map(PredictionError::error)).max
     }
 
     /// Worst pairwise |error| of the fill-rate refinement.
     pub fn worst_pair_error_fillrate(&self) -> f64 {
-        self.errors
-            .iter()
-            .zip(&self.fill_predictions)
-            .map(|(e, &fp)| (fp - e.measured).abs())
-            .fold(0.0, f64::max)
+        ErrorStats::of(self.errors.iter().map(PredictionError::error_fillrate)).max
     }
 
     /// Worst mixed-workload |error| (paper's Fig. 9 band: 1.26 pp) for
     /// `(paper method, fill-rate method)`.
     pub fn worst_mix_error(&self) -> (f64, f64) {
-        let paper = self
-            .mix_rows
-            .iter()
-            .map(|(_, m, p, _)| (p - m).abs())
-            .fold(0.0, f64::max);
-        let fills = self
-            .mix_rows
-            .iter()
-            .map(|(_, m, _, f)| (f - m).abs())
-            .fold(0.0, f64::max);
-        (paper, fills)
+        (
+            ErrorStats::of(self.mix_rows.iter().map(|(_, m, p, _)| p - m)).max,
+            ErrorStats::of(self.mix_rows.iter().map(|(_, m, _, f)| f - m)).max,
+        )
     }
 
     /// Average |error| over pairs with the given target:
     /// `(paper method, fill-rate method)`.
     pub fn avg_abs_error(&self, target: FlowType) -> (f64, f64) {
-        let mut paper = Vec::new();
-        let mut fills = Vec::new();
-        for (e, &fp) in self.errors.iter().zip(&self.fill_predictions) {
-            if e.target == target {
-                paper.push(e.error().abs());
-                fills.push((fp - e.measured).abs());
-            }
-        }
-        let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        (avg(&paper), avg(&fills))
+        let of = |kind: fn(&PredictionError) -> f64| {
+            ErrorStats::of(self.errors.iter().filter(|e| e.target == target).map(kind)).mean
+        };
+        (of(PredictionError::error), of(PredictionError::error_fillrate))
     }
 }
 
@@ -110,72 +91,14 @@ pub fn run(ctx: &RunCtx) -> ExtendedOutput {
     let predictor = Predictor::profile(&types, ctx.levels, ctx.params, ctx.jobs);
     let profiles: Vec<SoloProfile> =
         types.iter().map(|&t| predictor.solo(t).unwrap().clone()).collect();
-
-    let mut t1 = Table::new(
-        "Table 1 (extended): solo characteristics of all 8 types",
-        &[
-            "flow",
-            "CPI",
-            "L3 refs/s (M)",
-            "L3 hits/s (M)",
-            "cycles/pkt",
-            "L3 refs/pkt",
-            "L3 miss/pkt",
-            "L2 hits/pkt",
-            "Mpps",
-            "WS (MB)",
-        ],
-    );
-    for p in &profiles {
-        t1.row(vec![
-            p.flow.name(),
-            fmt_f(p.cpi, 2),
-            millions(p.l3_refs_per_sec),
-            millions(p.l3_hits_per_sec),
-            fmt_f(p.cycles_per_packet, 0),
-            fmt_f(p.l3_refs_per_packet, 2),
-            fmt_f(p.l3_misses_per_packet, 2),
-            fmt_f(p.l2_hits_per_packet, 2),
-            fmt_f(p.pps / 1e6, 3),
-            fmt_f(p.working_set_bytes as f64 / (1 << 20) as f64, 1),
-        ]);
-    }
+    let t1 =
+        table1::solo_table("Table 1 (extended): solo characteristics of all 8 types", &profiles);
     ctx.emit("ext_table1", &t1);
 
     // 2. Pairwise prediction on never-measured mixes. Extended targets face
     // all 8 competitor types; original targets face the 3 new competitors.
-    let mut pairs: Vec<(FlowType, FlowType)> = Vec::new();
-    for &t in &EXTENDED {
-        for &c in &types {
-            pairs.push((t, c));
-        }
-    }
-    for &t in &REALISTIC {
-        for &c in &EXTENDED {
-            pairs.push((t, c));
-        }
-    }
-    let params = ctx.params;
-    let solos: BTreeMap<FlowType, FlowResult> = types
-        .iter()
-        .map(|&t| (t, predictor.solo(t).unwrap().raw.clone()))
-        .collect();
-    let outcomes = run_many(pairs.clone(), ctx.jobs, |(t, c)| {
-        corun_against_solo(&solos[&t], t, &[c; 5], ContentionConfig::Both, params)
-    });
-    let errors: Vec<PredictionError> = pairs
-        .iter()
-        .zip(&outcomes)
-        .map(|(&(t, c), o)| PredictionError {
-            target: t,
-            predicted: predictor.predict_drop(t, &[c; 5]),
-            predicted_perfect: predictor.predict_drop_perfect(t, o.competing_refs_per_sec),
-            measured: o.drop_pct,
-            competitors: vec![c; 5],
-        })
-        .collect();
-    let fill_predictions: Vec<f64> =
-        pairs.iter().map(|&(t, c)| predictor.predict_drop_fillrate(t, &[c; 5])).collect();
+    let pairs = [five_of_each(&EXTENDED, &types), five_of_each(&REALISTIC, &EXTENDED)].concat();
+    let errors = predictor.validate(&pairs, ctx.params, ctx.jobs);
 
     let mut pt = Table::new(
         "Pairwise prediction on never-measured mixes (target vs 5 co-runners)",
@@ -189,32 +112,37 @@ pub fn run(ctx: &RunCtx) -> ExtendedOutput {
             "|err| (pp)",
         ],
     );
-    for (e, &fp) in errors.iter().zip(&fill_predictions) {
+    for e in &errors {
         pt.row(vec![
             e.target.name(),
             format!("5x {}", e.competitors[0].name()),
             fmt_f(e.measured, 2),
             fmt_f(e.predicted, 2),
             fmt_f(e.error().abs(), 2),
-            fmt_f(fp, 2),
-            fmt_f((fp - e.measured).abs(), 2),
+            fmt_f(e.predicted_fillrate, 2),
+            fmt_f(e.error_fillrate().abs(), 2),
         ]);
     }
     ctx.emit("ext_pairs", &pt);
 
-    let tmp = ExtendedOutput {
-        profiles: profiles.clone(),
-        errors: errors.clone(),
-        fill_predictions: fill_predictions.clone(),
-        mix_rows: Vec::new(),
-        predictor,
-    };
+    // 3. Mixed workload with the new types on both sockets.
+    let placement = Placement { socket0: MIX.to_vec(), socket1: MIX.to_vec() };
+    let eval = evaluate_measured(&placement, &predictor.solo_pps(), ctx.params);
+    let predicted = predictor.predict_mix(&MIX);
+    let mix_rows: Vec<(FlowType, f64, f64, f64)> = eval
+        .per_flow
+        .iter()
+        .zip(predicted.iter().cycle())
+        .map(|(&(flow, measured), m)| (flow, measured, m.predicted, m.predicted_fillrate))
+        .collect();
+    let out = ExtendedOutput { profiles, errors, mix_rows, predictor };
+
     let mut avg = Table::new(
         "Average |error| per target (Fig. 8(c) analogue)",
         &["target", "paper method (pp)", "fill-rate method (pp)", "solo L3 hits/s (M)"],
     );
-    for p in &profiles {
-        let (paper, fills) = tmp.avg_abs_error(p.flow);
+    for p in &out.profiles {
+        let (paper, fills) = out.avg_abs_error(p.flow);
         avg.row(vec![
             p.flow.name(),
             fmt_f(paper, 2),
@@ -223,33 +151,6 @@ pub fn run(ctx: &RunCtx) -> ExtendedOutput {
         ]);
     }
     ctx.emit("ext_avg_error", &avg);
-    let ExtendedOutput { profiles, errors, fill_predictions, predictor, .. } = tmp;
-
-    // 3. Mixed workload with the new types on both sockets.
-    let placement = Placement { socket0: MIX.to_vec(), socket1: MIX.to_vec() };
-    let solo_pps: BTreeMap<FlowType, f64> =
-        MIX.iter().map(|&t| (t, predictor.solo(t).unwrap().pps)).collect();
-    let eval = evaluate_measured(&placement, &solo_pps, ctx.params);
-    let mix_rows: Vec<(FlowType, f64, f64, f64)> = eval
-        .per_flow
-        .iter()
-        .enumerate()
-        .map(|(i, &(flow, measured))| {
-            let idx = i % MIX.len();
-            let competitors: Vec<FlowType> = MIX
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != idx)
-                .map(|(_, &c)| c)
-                .collect();
-            (
-                flow,
-                measured,
-                predictor.predict_drop(flow, &competitors),
-                predictor.predict_drop_fillrate(flow, &competitors),
-            )
-        })
-        .collect();
 
     let mut mt = Table::new(
         "Mixed workload (DPI, NAT, CLASS, MON, RE, VPN per socket)",
@@ -263,7 +164,7 @@ pub fn run(ctx: &RunCtx) -> ExtendedOutput {
             "|err| (pp)",
         ],
     );
-    for (i, (flow, measured, paper, fills)) in mix_rows.iter().enumerate() {
+    for (i, (flow, measured, paper, fills)) in out.mix_rows.iter().enumerate() {
         mt.row(vec![
             format!("{}#{}", flow.name(), i % MIX.len()),
             format!("{}", i / MIX.len()),
@@ -276,7 +177,6 @@ pub fn run(ctx: &RunCtx) -> ExtendedOutput {
     }
     ctx.emit("ext_mix", &mt);
 
-    let out = ExtendedOutput { profiles, errors, fill_predictions, mix_rows, predictor };
     let (mix_paper, mix_fills) = out.worst_mix_error();
     println!(
         "worst pairwise |error| over {} mixes: paper method {:.2} pp, fill-rate method {:.2} pp\n\

@@ -2,6 +2,7 @@
 //! co-run with 5 flows of each realistic type (25 pairs), plus the per-
 //! target averages.
 
+use crate::experiments::{five_of_each, pair_matrix};
 use crate::RunCtx;
 use pp_core::prelude::*;
 
@@ -14,7 +15,7 @@ pub struct Fig2Output {
     /// row-major `REALISTIC × REALISTIC` order.
     pub outcomes: Vec<CoRunOutcome>,
     /// Measured solos, in `REALISTIC` order.
-    pub solos: Vec<FlowResult>,
+    pub solos: Vec<SoloProfile>,
 }
 
 impl Fig2Output {
@@ -39,23 +40,10 @@ impl Fig2Output {
 
 /// Measure the 25-pair matrix (solos computed once per target).
 pub fn measure(ctx: &RunCtx) -> Fig2Output {
-    let solo_results: Vec<FlowResult> = run_many(REALISTIC.to_vec(), ctx.jobs, |t| {
-        run_scenario(&solo_scenario(t, ctx.params)).flows[0].clone()
-    });
-    let pairs: Vec<(usize, usize)> = (0..REALISTIC.len())
-        .flat_map(|t| (0..REALISTIC.len()).map(move |c| (t, c)))
-        .collect();
-    let solos = solo_results.clone();
-    let params = ctx.params;
-    let outcomes = run_many(pairs, ctx.jobs, move |(ti, ci)| {
-        corun_against_solo(
-            &solo_results[ti],
-            REALISTIC[ti],
-            &[REALISTIC[ci]; 5],
-            ContentionConfig::Both,
-            params,
-        )
-    });
+    let solos = SoloProfile::measure_all(&REALISTIC, ctx.params, ctx.jobs);
+    let solo = |t| &solos[REALISTIC.iter().position(|&r| r == t).unwrap()].raw;
+    let mixes = five_of_each(&REALISTIC, &REALISTIC);
+    let outcomes = corun_mixes(solo, &mixes, ctx.params, ctx.jobs);
     Fig2Output { outcomes, solos }
 }
 
@@ -64,17 +52,9 @@ pub fn run(ctx: &RunCtx) -> Fig2Output {
     ctx.heading("Figure 2 — contention-induced drop for every pair of types");
     let out = measure(ctx);
 
-    let mut headers = vec!["target".to_string()];
-    headers.extend(REALISTIC.iter().map(|c| format!("5x {} (%)", c.name())));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut a = Table::new("Fig 2(a): drop of target vs 5 co-runners of each type", &header_refs);
-    for &t in &REALISTIC {
-        let mut row = vec![t.name()];
-        for &c in &REALISTIC {
-            row.push(fmt_f(out.drop(t, c), 2));
-        }
-        a.row(row);
-    }
+    let a = pair_matrix("Fig 2(a): drop of target vs 5 co-runners of each type", " (%)", |i| {
+        out.outcomes[i].drop_pct
+    });
     ctx.emit("fig2a", &a);
 
     let mut b = Table::new(

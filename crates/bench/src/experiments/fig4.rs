@@ -41,9 +41,7 @@ impl Fig4Output {
 /// Measure all Fig. 4 curves.
 pub fn measure(ctx: &RunCtx) -> Fig4Output {
     // Solo once per target, reused across all three configurations.
-    let solos: Vec<FlowResult> = run_many(REALISTIC.to_vec(), ctx.jobs, |t| {
-        run_scenario(&solo_scenario(t, ctx.params)).flows[0].clone()
-    });
+    let solos = SoloProfile::measure_all(&REALISTIC, ctx.params, ctx.jobs);
     let mut curves = Vec::new();
     for config in [
         ContentionConfig::CacheOnly,
@@ -52,7 +50,7 @@ pub fn measure(ctx: &RunCtx) -> Fig4Output {
     ] {
         for (i, &target) in REALISTIC.iter().enumerate() {
             let (curve, _) = SensitivityCurve::measure_with_solo(
-                &solos[i],
+                &solos[i].raw,
                 target,
                 config,
                 ctx.levels,

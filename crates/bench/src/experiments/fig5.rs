@@ -2,7 +2,7 @@
 //! with realistic-competitor points, demonstrating that a workload's
 //! aggressiveness is determined by its refs/sec, not by what it computes.
 
-use crate::experiments::fig2;
+use crate::experiments::{fig2, five_of_each};
 use crate::RunCtx;
 use pp_core::prelude::*;
 
@@ -35,14 +35,20 @@ impl Fig5Output {
 pub fn run(ctx: &RunCtx) -> Fig5Output {
     ctx.heading("Figure 5 — SYN curves vs realistic competitors (aggressiveness ≡ refs/sec)");
 
+    // Realistic points, and the solos they were measured against, from the
+    // Fig. 2 measurement.
+    let f2 = fig2::measure(ctx);
+    let realistic_points = five_of_each(&REALISTIC, &REALISTIC)
+        .iter()
+        .zip(&f2.outcomes)
+        .map(|((t, c), o)| (*t, c[0], o.competing_refs_per_sec, o.drop_pct))
+        .collect();
+
     // SYN curves in the realistic (Both) configuration.
-    let solos: Vec<FlowResult> = run_many(REALISTIC.to_vec(), ctx.jobs, |t| {
-        run_scenario(&solo_scenario(t, ctx.params)).flows[0].clone()
-    });
     let mut syn_curves = Vec::new();
-    for (i, &t) in REALISTIC.iter().enumerate() {
+    for (solo, &t) in f2.solos.iter().zip(&REALISTIC) {
         let (curve, _) = SensitivityCurve::measure_with_solo(
-            &solos[i],
+            &solo.raw,
             t,
             ContentionConfig::Both,
             ctx.levels,
@@ -50,18 +56,6 @@ pub fn run(ctx: &RunCtx) -> Fig5Output {
             ctx.jobs,
         );
         syn_curves.push((t, curve));
-    }
-
-    // Realistic points from the Fig. 2 measurement.
-    let f2 = fig2::measure(ctx);
-    let mut realistic_points = Vec::new();
-    for &t in &REALISTIC {
-        for &c in &REALISTIC {
-            let ti = REALISTIC.iter().position(|&x| x == t).unwrap();
-            let ci = REALISTIC.iter().position(|&x| x == c).unwrap();
-            let o = &f2.outcomes[ti * REALISTIC.len() + ci];
-            realistic_points.push((t, c, o.competing_refs_per_sec, o.drop_pct));
-        }
     }
     let out = Fig5Output { syn_curves, realistic_points };
 

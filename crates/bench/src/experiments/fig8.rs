@@ -2,6 +2,7 @@
 //! prediction (solo-profiled competition) and the perfect-knowledge variant
 //! (actual competing refs/sec).
 
+use crate::experiments::{five_of_each, pair_matrix};
 use crate::RunCtx;
 use pp_core::prelude::*;
 
@@ -19,31 +20,24 @@ pub struct Fig8Output {
 }
 
 impl Fig8Output {
+    /// `kind` of error (ours or perfect-knowledge) over one target's pairs.
+    fn stats(&self, target: FlowType, kind: fn(&PredictionError) -> f64) -> ErrorStats {
+        ErrorStats::of(self.errors.iter().filter(|e| e.target == target).map(kind))
+    }
+
     /// Average absolute error of our prediction for one target.
     pub fn avg_abs_error(&self, target: FlowType) -> f64 {
-        let errs: Vec<f64> = self
-            .errors
-            .iter()
-            .filter(|e| e.target == target)
-            .map(|e| e.error().abs())
-            .collect();
-        errs.iter().sum::<f64>() / errs.len() as f64
+        self.stats(target, PredictionError::error).mean
     }
 
     /// Average absolute error of the perfect-knowledge prediction.
     pub fn avg_abs_error_perfect(&self, target: FlowType) -> f64 {
-        let errs: Vec<f64> = self
-            .errors
-            .iter()
-            .filter(|e| e.target == target)
-            .map(|e| e.error_perfect().abs())
-            .collect();
-        errs.iter().sum::<f64>() / errs.len() as f64
+        self.stats(target, PredictionError::error_perfect).mean
     }
 
     /// Worst absolute error of our prediction (the paper claims < 3%).
     pub fn worst_abs_error(&self) -> f64 {
-        self.errors.iter().map(|e| e.error().abs()).fold(0.0, f64::max)
+        ErrorStats::of(self.errors.iter().map(PredictionError::error)).max
     }
 }
 
@@ -53,59 +47,14 @@ pub fn run(ctx: &RunCtx) -> Fig8Output {
 
     println!("[profiling: 5 solos + 5 SYN ramps of {} levels]", ctx.levels);
     let predictor = Predictor::profile(&REALISTIC, ctx.levels, ctx.params, ctx.jobs);
-
-    // Measure the 25 pairs (reusing the predictor's solo profiles).
-    let pairs: Vec<(usize, usize)> = (0..REALISTIC.len())
-        .flat_map(|t| (0..REALISTIC.len()).map(move |c| (t, c)))
-        .collect();
-    let params = ctx.params;
-    let solos: Vec<FlowResult> =
-        REALISTIC.iter().map(|&t| predictor.solo(t).unwrap().raw.clone()).collect();
-    let outcomes = run_many(pairs.clone(), ctx.jobs, move |(ti, ci)| {
-        corun_against_solo(
-            &solos[ti],
-            REALISTIC[ti],
-            &[REALISTIC[ci]; 5],
-            ContentionConfig::Both,
-            params,
-        )
-    });
-
-    let errors: Vec<PredictionError> = pairs
-        .iter()
-        .zip(&outcomes)
-        .map(|(&(ti, ci), o)| {
-            let target = REALISTIC[ti];
-            let competitors = vec![REALISTIC[ci]; 5];
-            PredictionError {
-                target,
-                predicted: predictor.predict_drop(target, &competitors),
-                predicted_perfect: predictor
-                    .predict_drop_perfect(target, o.competing_refs_per_sec),
-                measured: o.drop_pct,
-                competitors,
-            }
-        })
-        .collect();
+    let errors =
+        predictor.validate(&five_of_each(&REALISTIC, &REALISTIC), ctx.params, ctx.jobs);
     let out = Fig8Output { errors, predictor };
 
-    // Fig 8(a): signed errors of our prediction.
-    let mut headers = vec!["target".to_string()];
-    headers.extend(REALISTIC.iter().map(|c| format!("5x {}", c.name())));
-    let href: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut a = Table::new("Fig 8(a): our prediction error (pp)", &href);
-    let mut b = Table::new("Fig 8(b): perfect-knowledge error (pp)", &href);
-    for (ti, &t) in REALISTIC.iter().enumerate() {
-        let mut ra = vec![t.name()];
-        let mut rb = vec![t.name()];
-        for ci in 0..REALISTIC.len() {
-            let e = &out.errors[ti * REALISTIC.len() + ci];
-            ra.push(fmt_f(e.error(), 2));
-            rb.push(fmt_f(e.error_perfect(), 2));
-        }
-        a.row(ra);
-        b.row(rb);
-    }
+    let a = pair_matrix("Fig 8(a): our prediction error (pp)", "", |i| out.errors[i].error());
+    let b = pair_matrix("Fig 8(b): perfect-knowledge error (pp)", "", |i| {
+        out.errors[i].error_perfect()
+    });
     ctx.emit("fig8a", &a);
     ctx.emit("fig8b", &b);
 

@@ -3,7 +3,6 @@
 
 use crate::RunCtx;
 use pp_core::prelude::*;
-use std::collections::BTreeMap;
 
 /// The per-socket mix (the paper's "2 MON, 2 VPN, 1 FW and 1 RE flow per
 /// processor").
@@ -35,10 +34,7 @@ pub struct Fig9Output {
 impl Fig9Output {
     /// Maximum absolute prediction error (paper: 1.26 pp).
     pub fn max_abs_error(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| (r.predicted - r.measured).abs())
-            .fold(0.0, f64::max)
+        ErrorStats::of(self.rows.iter().map(|r| r.predicted - r.measured)).max
     }
 }
 
@@ -63,27 +59,13 @@ pub fn run_with(ctx: &RunCtx, predictor: Option<&Predictor>) -> Fig9Output {
 
     // Both sockets carry the same mix (12 flows total).
     let placement = Placement { socket0: MIX.to_vec(), socket1: MIX.to_vec() };
-    let solo_pps: BTreeMap<FlowType, f64> = MIX
-        .iter()
-        .map(|&t| (t, predictor.solo(t).expect("profiled").pps))
-        .collect();
-    let eval = evaluate_measured(&placement, &solo_pps, ctx.params);
+    let eval = evaluate_measured(&placement, &predictor.solo_pps(), ctx.params);
 
     let rows: Vec<Fig9Row> = eval
         .per_flow
         .iter()
-        .enumerate()
-        .map(|(i, &(flow, measured))| {
-            let side = if i < MIX.len() { &placement.socket0 } else { &placement.socket1 };
-            let idx = i % MIX.len();
-            let competitors: Vec<FlowType> = side
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != idx)
-                .map(|(_, &c)| c)
-                .collect();
-            Fig9Row { flow, measured, predicted: predictor.predict_drop(flow, &competitors) }
-        })
+        .zip(evaluate_predicted(&placement, predictor).per_flow)
+        .map(|(&(flow, measured), (_, predicted))| Fig9Row { flow, measured, predicted })
         .collect();
     let out = Fig9Output { rows };
 

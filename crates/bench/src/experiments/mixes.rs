@@ -35,45 +35,15 @@ pub struct MixesOutput {
     pub rows: Vec<MixRow>,
 }
 
-/// Distribution summary of absolute errors.
-#[derive(Debug, Clone, Copy)]
-pub struct ErrorStats {
-    /// Mean absolute error (pp).
-    pub mean: f64,
-    /// Median (pp).
-    pub p50: f64,
-    /// 95th percentile (pp).
-    pub p95: f64,
-    /// Maximum (pp).
-    pub max: f64,
-}
-
-fn stats(mut errs: Vec<f64>) -> ErrorStats {
-    errs.sort_by(f64::total_cmp);
-    let n = errs.len().max(1);
-    let q = |p: f64| errs[(((n - 1) as f64) * p).round() as usize];
-    ErrorStats {
-        mean: errs.iter().sum::<f64>() / n as f64,
-        p50: q(0.50),
-        p95: q(0.95),
-        max: errs.last().copied().unwrap_or(0.0),
-    }
-}
-
 impl MixesOutput {
     /// Error distribution of the paper's method.
     pub fn paper_stats(&self) -> ErrorStats {
-        stats(self.rows.iter().map(|r| (r.predicted - r.measured).abs()).collect())
+        ErrorStats::of(self.rows.iter().map(|r| r.predicted - r.measured))
     }
 
     /// Error distribution of the fill-rate refinement.
     pub fn fillrate_stats(&self) -> ErrorStats {
-        stats(
-            self.rows
-                .iter()
-                .map(|r| (r.predicted_fillrate - r.measured).abs())
-                .collect(),
-        )
+        ErrorStats::of(self.rows.iter().map(|r| r.predicted_fillrate - r.measured))
     }
 }
 
@@ -107,39 +77,20 @@ pub fn run_with(ctx: &RunCtx, predictor: Option<&Predictor>) -> MixesOutput {
 
     // Measure every mix (6 flows on socket 0, NUMA-local, as in §2.2).
     let params = ctx.params;
-    let results = run_many(mixes.clone(), ctx.jobs, |mix| {
-        let scenario = Scenario {
-            flows: mix
-                .iter()
-                .enumerate()
-                .map(|(i, &flow)| FlowPlacement {
-                    core: pp_sim::types::CoreId(i as u16),
-                    flow,
-                    domain: pp_sim::types::MemDomain(0),
-                })
-                .collect(),
-            params,
-        };
-        run_scenario(&scenario)
+    let solo_pps = predictor.solo_pps();
+    let evals = run_many(mixes.clone(), ctx.jobs, |mix| {
+        evaluate_measured(&Placement { socket0: mix, socket1: Vec::new() }, &solo_pps, params)
     });
 
     let mut rows = Vec::new();
-    for (mi, (mix, res)) in mixes.iter().zip(&results).enumerate() {
-        for (i, &flow) in mix.iter().enumerate() {
-            let solo = predictor.solo(flow).expect("profiled").pps;
-            let measured = (solo - res.flows[i].metrics.pps) / solo * 100.0;
-            let competitors: Vec<FlowType> = mix
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, &c)| c)
-                .collect();
+    for (mi, (mix, eval)) in mixes.iter().zip(&evals).enumerate() {
+        for (m, &(_, measured)) in predictor.predict_mix(mix).iter().zip(&eval.per_flow) {
             rows.push(MixRow {
                 mix: mi,
-                flow,
+                flow: m.flow,
                 measured,
-                predicted: predictor.predict_drop(flow, &competitors),
-                predicted_fillrate: predictor.predict_drop_fillrate(flow, &competitors),
+                predicted: m.predicted,
+                predicted_fillrate: m.predicted_fillrate,
             });
         }
     }
@@ -170,26 +121,22 @@ pub fn run_with(ctx: &RunCtx, predictor: Option<&Predictor>) -> MixesOutput {
     }
     ctx.emit("mixes", &t);
 
-    let ps = out.paper_stats();
-    let fs = out.fillrate_stats();
     let mut s = Table::new(
         "Absolute-error distribution (pp)",
         &["method", "mean", "p50", "p95", "max"],
     );
-    s.row(vec![
-        "paper (refs/sec)".into(),
-        fmt_f(ps.mean, 2),
-        fmt_f(ps.p50, 2),
-        fmt_f(ps.p95, 2),
-        fmt_f(ps.max, 2),
-    ]);
-    s.row(vec![
-        "fill-rate (misses/sec)".into(),
-        fmt_f(fs.mean, 2),
-        fmt_f(fs.p50, 2),
-        fmt_f(fs.p95, 2),
-        fmt_f(fs.max, 2),
-    ]);
+    for (method, st) in [
+        ("paper (refs/sec)", out.paper_stats()),
+        ("fill-rate (misses/sec)", out.fillrate_stats()),
+    ] {
+        s.row(vec![
+            method.into(),
+            fmt_f(st.mean, 2),
+            fmt_f(st.p50, 2),
+            fmt_f(st.p95, 2),
+            fmt_f(st.max, 2),
+        ]);
+    }
     ctx.emit("mixes_summary", &s);
     out
 }

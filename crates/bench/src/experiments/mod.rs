@@ -29,11 +29,35 @@ pub mod throttle;
 
 use pp_click::elements::synthetic::SynParams;
 use pp_click::pipelines::{build_flow, ChainKind, FlowSpec};
-use pp_core::prelude::{ExpParams, Scale};
+use pp_core::prelude::{fmt_f, ExpParams, FlowType, Scale, Table, REALISTIC};
 use pp_sim::config::MachineConfig;
 use pp_sim::engine::{CoreTask, Engine, Measurement};
 use pp_sim::machine::Machine;
 use pp_sim::types::{CoreId, MemDomain};
+
+/// Every `target` against five co-runners of each `competitors` type,
+/// target-major: the homogeneous mixes of Figs. 2 and 8.
+pub(crate) fn five_of_each(
+    targets: &[FlowType],
+    competitors: &[FlowType],
+) -> Vec<(FlowType, Vec<FlowType>)> {
+    targets.iter().flat_map(|&t| competitors.iter().map(move |&c| (t, vec![c; 5]))).collect()
+}
+
+/// The `REALISTIC × REALISTIC` matrix table of Figs. 2(a), 8(a) and 8(b):
+/// a row per target, a `5x NAME<unit>` column per competitor type, filled
+/// from `cell(index into five_of_each(&REALISTIC, &REALISTIC))`.
+pub(crate) fn pair_matrix(title: &str, unit: &str, cell: impl Fn(usize) -> f64) -> Table {
+    let mut headers = vec!["target".to_string()];
+    headers.extend(REALISTIC.iter().map(|c| format!("5x {}{unit}", c.name())));
+    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
+    let mut table = Table::new(title, &header_refs);
+    for (ti, t) in REALISTIC.iter().enumerate() {
+        let cells = (0..REALISTIC.len()).map(|ci| fmt_f(cell(ti * REALISTIC.len() + ci), 2));
+        table.row(std::iter::once(t.name()).chain(cells).collect());
+    }
+    table
+}
 
 /// A task and the core it sits on, as [`measure_window`] installs them.
 pub(crate) type Seat = (CoreId, Box<dyn CoreTask>);

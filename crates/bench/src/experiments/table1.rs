@@ -15,13 +15,11 @@ pub const PAPER_TABLE1: [(&str, f64, f64, f64, f64, f64, f64, f64); 5] = [
     ("VPN", 0.56, 9.45, 7.08, 8679.0, 25.63, 6.41, 30.71),
 ];
 
-/// Run the Table 1 reproduction; returns the measured profiles.
-pub fn run(ctx: &RunCtx) -> Vec<SoloProfile> {
-    ctx.heading("Table 1 — solo-run characteristics");
-    let profiles = SoloProfile::measure_all(&REALISTIC, ctx.params, ctx.jobs);
-
-    let mut ours = Table::new(
-        "Measured (this reproduction)",
+/// The solo-characteristics table (Table 1's columns plus Mpps and working
+/// set), one row per profile.
+pub fn solo_table(title: &str, profiles: &[SoloProfile]) -> Table {
+    let mut t = Table::new(
+        title,
         &[
             "flow",
             "CPI",
@@ -35,8 +33,8 @@ pub fn run(ctx: &RunCtx) -> Vec<SoloProfile> {
             "WS (MB)",
         ],
     );
-    for p in &profiles {
-        ours.row(vec![
+    for p in profiles {
+        t.row(vec![
             p.flow.name(),
             fmt_f(p.cpi, 2),
             millions(p.l3_refs_per_sec),
@@ -49,7 +47,14 @@ pub fn run(ctx: &RunCtx) -> Vec<SoloProfile> {
             fmt_f(p.working_set_bytes as f64 / (1 << 20) as f64, 1),
         ]);
     }
-    ctx.emit("table1", &ours);
+    t
+}
+
+/// Run the Table 1 reproduction; returns the measured profiles.
+pub fn run(ctx: &RunCtx) -> Vec<SoloProfile> {
+    ctx.heading("Table 1 — solo-run characteristics");
+    let profiles = SoloProfile::measure_all(&REALISTIC, ctx.params, ctx.jobs);
+    ctx.emit("table1", &solo_table("Measured (this reproduction)", &profiles));
 
     let mut paper = Table::new(
         "Paper (Table 1, for comparison)",

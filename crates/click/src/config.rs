@@ -511,10 +511,23 @@ fn construct(
         }
         "RedundancyElim" => {
             keys(&["FP_LOG2", "STORE_MB", "SAMPLE_MOD"])?;
+            // Unchecked, these overflow the slot-count shift, ask for a
+            // 2^64-byte store, or divide by zero at the first sampled packet.
+            let ranged = |key: &str, default: i64, range: std::ops::RangeInclusive<i64>| {
+                let v = arg(a, key).unwrap_or(default);
+                if range.contains(&v) {
+                    Ok(v)
+                } else {
+                    Err(ConfigError::BadArgument {
+                        class: decl.class.clone(),
+                        message: format!("{key} out of range: {v}"),
+                    })
+                }
+            };
             let cfg = ReConfig {
-                log2_fp_slots: arg(a, "FP_LOG2").unwrap_or(21) as u32,
-                store_bytes: (arg(a, "STORE_MB").unwrap_or(32) as u64) << 20,
-                sample_mod: arg(a, "SAMPLE_MOD").unwrap_or(6) as u64,
+                log2_fp_slots: ranged("FP_LOG2", 21, 4..=28)? as u32,
+                store_bytes: (ranged("STORE_MB", 32, 1..=4096)? as u64) << 20,
+                sample_mod: ranged("SAMPLE_MOD", 6, 1..=i64::MAX)? as u64,
             };
             let alloc = ctx.machine.allocator(ctx.domain);
             Box::new(RedundancyElim::new(alloc, cfg, cost))
@@ -871,6 +884,11 @@ mod tests {
             "n :: NAT(PUBLIC_IPS 0); n -> n;",
             "n :: NAT(BINDINGS_LOG2 30); n -> n;",
             "c :: TupleSpaceClassifier(RULES 0); c -> c;",
+            "r :: RedundancyElim(SAMPLE_MOD 0); r -> r;",
+            "r :: RedundancyElim(FP_LOG2 64); r -> r;",
+            "r :: RedundancyElim(FP_LOG2 -1); r -> r;",
+            "r :: RedundancyElim(STORE_MB -1); r -> r;",
+            "r :: RedundancyElim(STORE_MB 0); r -> r;",
         ] {
             let (mut m, nic) = ctx_parts();
             let mut ctx = BuildCtx {

@@ -71,10 +71,6 @@ pub trait Element {
             actions.push(self.process(ctx, pkt));
         }
     }
-
-    /// Called once when the flow's measurement interval resets (optional;
-    /// elements with epoch state hook this).
-    fn on_epoch(&mut self) {}
 }
 
 #[cfg(test)]

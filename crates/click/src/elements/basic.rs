@@ -1,12 +1,13 @@
 //! Small per-packet elements: header validation, TTL decrement, transmit
-//! and discard sinks, counters, and a protocol/port classifier.
+//! and discard sinks, and a counter.
 //!
 //! `CheckIPHeader`, `DecIPTTL`, and `ToDevice` override
 //! [`Element::process_batch`]: header-line loads are overlapped across the
 //! vector ([`ExecCtx::read_batch`] with [`BATCH_MLP`] lookahead), per-packet
 //! compute is charged in one hoisted call, and `ToDevice` transmits the
-//! whole vector through one amortized `tx_batch`. One-packet batches take
-//! the scalar path, keeping batch size 1 charge-identical.
+//! whole vector through one amortized `tx_batch`. One-packet batches of the
+//! first two take the scalar path, keeping batch size 1 charge-identical
+//! (`ToDevice` issues no `read_batch`, so its one body serves both).
 
 use crate::cost::CostModel;
 use crate::element::{Action, Element, BATCH_MLP};
@@ -206,6 +207,18 @@ impl ToDevice {
     pub fn new(nic: Rc<RefCell<NicQueue>>, shared: bool) -> Self {
         ToDevice { nic, shared, bufs: Vec::new(), sent: 0 }
     }
+
+    /// One descriptor+free-list transaction for `bufs`, and one NIC borrow.
+    /// In pipeline mode the free list is cross-core shared data, its
+    /// ping-pong paid once per burst (`tx_shared_batch`).
+    fn transmit(&self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
+        let mut nic = self.nic.borrow_mut();
+        if self.shared {
+            nic.tx_shared_batch(ctx, bufs);
+        } else {
+            nic.tx_batch(ctx, bufs);
+        }
+    }
 }
 
 impl Element for ToDevice {
@@ -220,12 +233,7 @@ impl Element for ToDevice {
     fn process(&mut self, ctx: &mut ExecCtx<'_>, pkt: &mut Packet) -> Action {
         self.sent += 1;
         if pkt.buf_addr != 0 {
-            let mut nic = self.nic.borrow_mut();
-            if self.shared {
-                nic.tx_shared(ctx, pkt.buf_addr);
-            } else {
-                nic.tx(ctx, pkt.buf_addr);
-            }
+            self.transmit(ctx, &[pkt.buf_addr]);
             pkt.buf_addr = 0;
         }
         Action::Consumed
@@ -237,26 +245,12 @@ impl Element for ToDevice {
         pkts: &mut [Packet],
         actions: &mut Vec<Action>,
     ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
-        }
-        // One amortized descriptor+free-list transaction for the vector,
-        // and one NIC borrow per batch instead of one per packet. In
-        // pipeline mode the free list is still cross-core shared data, but
-        // the ping-pong is paid once per burst (`tx_shared_batch`).
+        // No `read_batch` here, so unlike the other vectorised elements a
+        // one-packet vector needs no fallback: `tx_batch(&[buf])` is the
+        // per-packet transmit.
         self.bufs.clear();
         self.bufs.extend(pkts.iter().filter(|p| p.buf_addr != 0).map(|p| p.buf_addr));
-        if !self.bufs.is_empty() {
-            let mut nic = self.nic.borrow_mut();
-            if self.shared {
-                nic.tx_shared_batch(ctx, &self.bufs);
-            } else {
-                nic.tx_batch(ctx, &self.bufs);
-            }
-        }
+        self.transmit(ctx, &self.bufs);
         for pkt in pkts.iter_mut() {
             self.sent += 1;
             pkt.buf_addr = 0;
@@ -310,70 +304,6 @@ impl Element for Counter {
         self.packets += 1;
         self.bytes += pkt.len() as u64;
         Action::Out(0)
-    }
-}
-
-/// One classification case for [`Classifier`].
-#[derive(Debug, Clone, Copy)]
-pub struct ClassRule {
-    /// Match this IP protocol (`None` = any).
-    pub protocol: Option<u8>,
-    /// Match destination ports in this inclusive range (`None` = any).
-    pub dst_ports: Option<(u16, u16)>,
-    /// Output port when matched.
-    pub out: u8,
-}
-
-/// `Classifier`: route packets to output ports by protocol / destination
-/// port; first matching case wins, otherwise `default_out`.
-pub struct Classifier {
-    rules: Vec<ClassRule>,
-    default_out: u8,
-    /// Per-output-port packet counts (indexed by output port).
-    pub dispatched: Vec<u64>,
-}
-
-impl Classifier {
-    /// Build from cases and a default output.
-    pub fn new(rules: Vec<ClassRule>, default_out: u8, _cost: CostModel) -> Self {
-        let max_port = rules
-            .iter()
-            .map(|r| r.out)
-            .chain(std::iter::once(default_out))
-            .max()
-            .unwrap_or(0);
-        Classifier { rules, default_out, dispatched: vec![0; max_port as usize + 1] }
-    }
-}
-
-impl Element for Classifier {
-    fn class_name(&self) -> &'static str {
-        "Classifier"
-    }
-
-    fn tag(&self) -> &'static str {
-        "classifier"
-    }
-
-    fn process(&mut self, ctx: &mut ExecCtx<'_>, pkt: &mut Packet) -> Action {
-        if pkt.buf_addr != 0 {
-            ctx.read(pkt.buf_addr + pkt.l3_offset() as u64);
-        }
-        let Ok(key) = pkt.flow_key() else { return Action::Drop };
-        for r in &self.rules {
-            CostModel::charge(ctx, (3, 3));
-            let proto_ok = r.protocol.map(|p| p == key.protocol).unwrap_or(true);
-            let port_ok = r
-                .dst_ports
-                .map(|(lo, hi)| (lo..=hi).contains(&key.dst_port))
-                .unwrap_or(true);
-            if proto_ok && port_ok {
-                self.dispatched[r.out as usize] += 1;
-                return Action::Out(r.out);
-            }
-        }
-        self.dispatched[self.default_out as usize] += 1;
-        Action::Out(self.default_out)
     }
 }
 
@@ -506,23 +436,6 @@ mod tests {
             ..Counts::default()
         };
         assert_eq!(to_device_one_at_a_time(1, true), (shared, 120));
-    }
-
-    #[test]
-    fn classifier_dispatches_by_port() {
-        let mut m = machine();
-        let mut cl = Classifier::new(
-            vec![
-                ClassRule { protocol: Some(6), dst_ports: None, out: 1 },
-                ClassRule { protocol: None, dst_ports: Some((0, 1023)), out: 2 },
-            ],
-            0,
-            CostModel::default(),
-        );
-        let mut ctx = m.ctx(CoreId(0));
-        let mut pkt = packet(); // UDP, dst port 53
-        assert_eq!(cl.process(&mut ctx, &mut pkt), Action::Out(2));
-        assert_eq!(cl.dispatched[2], 1);
     }
 
     #[test]

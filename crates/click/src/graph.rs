@@ -159,11 +159,14 @@ impl ElementGraph {
         self.elements[id].as_ref()
     }
 
-    /// Notify all elements of an epoch boundary.
-    pub fn epoch(&mut self) {
-        for e in &mut self.elements {
-            e.on_epoch();
-        }
+    /// The element wired to the one port every action of the current visit
+    /// (`self.actions`) left on, if there is such a port and it is wired.
+    #[inline]
+    fn sole_successor(&self, cur: ElementId) -> Option<ElementId> {
+        let &first = self.actions.first()?;
+        let Action::Out(port) = first else { return None };
+        let next = self.edges[cur].get(port as usize).copied().flatten()?;
+        self.actions.iter().all(|&a| a == first).then_some(next)
     }
 
     /// Push a batch through the graph starting at the entry element,
@@ -179,28 +182,6 @@ impl ElementGraph {
         outcome: &mut BatchOutcome,
     ) {
         let entry = self.entry.expect("graph has no entry element");
-        self.run_batch_from_into(ctx, entry, pkts, outcome);
-    }
-
-    /// The element wired to the one port every action of the current visit
-    /// (`self.actions`) left on, if there is such a port and it is wired.
-    #[inline]
-    fn sole_successor(&self, cur: ElementId) -> Option<ElementId> {
-        let &first = self.actions.first()?;
-        let Action::Out(port) = first else { return None };
-        let next = self.edges[cur].get(port as usize).copied().flatten()?;
-        self.actions.iter().all(|&a| a == first).then_some(next)
-    }
-
-    /// [`run_batch_into`](Self::run_batch_into) starting at a specific
-    /// element (pipeline stages that enter mid-graph).
-    pub fn run_batch_from_into(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        start: ElementId,
-        pkts: &mut Vec<Packet>,
-        outcome: &mut BatchOutcome,
-    ) {
         outcome.reset();
         if pkts.is_empty() {
             return;
@@ -211,7 +192,7 @@ impl ElementGraph {
         debug_assert!(self.work.is_empty());
         let mut entry_vec = self.spare.pop().unwrap_or_default();
         entry_vec.append(pkts);
-        self.work.push_back((start, entry_vec));
+        self.work.push_back((entry, entry_vec));
         while let Some((cur, mut batch)) = self.work.pop_front() {
             // Framework dispatch: once per element per batch (amortized).
             CostModel::charge(ctx, self.cost.element_hop);

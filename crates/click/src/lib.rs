@@ -86,9 +86,7 @@ pub mod prelude {
     pub use crate::cost::CostModel;
     pub use crate::element::{Action, Element, BATCH_MLP};
     pub use crate::elements::aes::Aes128;
-    pub use crate::elements::basic::{
-        CheckIpHeader, ClassRule, Classifier, Counter, DecIpTtl, Discard, ToDevice,
-    };
+    pub use crate::elements::basic::{CheckIpHeader, Counter, DecIpTtl, Discard, ToDevice};
     pub use crate::elements::classifier::{TupleSpaceClassifier, Verdict};
     pub use crate::elements::control::{Control, ControlHandle};
     pub use crate::elements::dpi::{AhoCorasick, Dpi, DpiMode};

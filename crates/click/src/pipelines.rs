@@ -104,8 +104,6 @@ impl ChainKind {
 pub struct FlowSpec {
     /// The workload.
     pub kind: ChainKind,
-    /// Ethernet frame length (`None` = workload default).
-    pub frame_len: Option<usize>,
     /// Seed for this flow instance's traffic and access patterns.
     pub seed: u64,
     /// Seed for the flow's *data structures* (routing table, rules, keys).
@@ -143,7 +141,6 @@ impl FlowSpec {
     pub fn new(kind: ChainKind, seed: u64) -> Self {
         FlowSpec {
             kind,
-            frame_len: None,
             seed,
             structure_seed: seed,
             cost: CostModel::default(),
@@ -183,9 +180,9 @@ impl FlowSpec {
         }
     }
 
-    /// The frame length this spec will generate.
+    /// The frame length this spec will generate: its workload's.
     pub fn frame_len(&self) -> usize {
-        self.frame_len.unwrap_or_else(|| self.kind.default_frame_len())
+        self.kind.default_frame_len()
     }
 
     fn traffic(&self) -> TrafficSpec {

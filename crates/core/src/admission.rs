@@ -21,9 +21,8 @@
 //! where `r_j` is flow `j`'s solo refs/sec — the predictor's formula
 //! applied once per flow, with the rest of the socket as its competitors.
 //!
-//! Prediction uses the paper's refs/sec method by default; switch to the
-//! fill-rate refinement (see [`Predictor`]) when hot-spot workloads (DPI,
-//! CLASS) are in the mix. Throughput SLAs are one half of a viable
+//! Prediction is the paper's refs/sec method
+//! ([`Predictor::predict_mix`]). Throughput SLAs are one half of a viable
 //! placement; the other half — per-flow latency budgets resolved to batch
 //! sizes — is [`plan_socket`](crate::batch_control::plan_socket), which
 //! combines this controller with the adaptive batch controller.
@@ -81,28 +80,12 @@ impl AdmissionDecision {
 /// Prediction-backed admission control. See the module docs.
 pub struct AdmissionController<'a> {
     predictor: &'a Predictor,
-    use_fillrate: bool,
 }
 
 impl<'a> AdmissionController<'a> {
-    /// A controller using the paper's refs/sec prediction.
+    /// A controller over `predictor`'s refs/sec prediction.
     pub fn new(predictor: &'a Predictor) -> Self {
-        AdmissionController { predictor, use_fillrate: false }
-    }
-
-    /// Switch to the fill-rate refinement (recommended when hot-spot
-    /// workloads appear as competitors).
-    pub fn with_fillrate(mut self) -> Self {
-        self.use_fillrate = true;
-        self
-    }
-
-    fn predict(&self, target: FlowType, competitors: &[FlowType]) -> f64 {
-        if self.use_fillrate {
-            self.predictor.predict_drop_fillrate(target, competitors)
-        } else {
-            self.predictor.predict_drop(target, competitors)
-        }
+        AdmissionController { predictor }
     }
 
     /// Evaluate a candidate socket placement against a set of SLAs. Flows
@@ -115,21 +98,14 @@ impl<'a> AdmissionController<'a> {
                 .map(|s| s.max_drop_pct)
                 .fold(None, |acc: Option<f64>, l| Some(acc.map_or(l, |a| a.min(l))))
         };
-        let verdicts = socket
-            .iter()
-            .enumerate()
-            .map(|(i, &flow)| {
-                let competitors: Vec<FlowType> = socket
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, &c)| c)
-                    .collect();
-                FlowVerdict {
-                    flow,
-                    predicted_drop_pct: self.predict(flow, &competitors),
-                    limit_pct: limit_for(flow),
-                }
+        let verdicts = self
+            .predictor
+            .predict_mix(socket)
+            .into_iter()
+            .map(|m| FlowVerdict {
+                flow: m.flow,
+                predicted_drop_pct: m.predicted,
+                limit_pct: limit_for(m.flow),
             })
             .collect();
         AdmissionDecision { verdicts }
@@ -260,28 +236,5 @@ mod tests {
         // ...a hostile one predicts the SLA still breaks: don't probe yet.
         let hostile = [FlowType::SynMax; 5];
         assert!(!ac.readmit(&hostile, &slas, FlowType::Mon).admitted());
-    }
-
-    #[test]
-    fn fillrate_controller_uses_refinement() {
-        let p = predictor();
-        let refs = AdmissionController::new(&p);
-        let fills = AdmissionController::new(&p).with_fillrate();
-        let socket = [FlowType::Mon, FlowType::Fw, FlowType::Fw];
-        let a = refs.evaluate(&socket, &[]).verdicts[0].predicted_drop_pct;
-        let b = fills.evaluate(&socket, &[]).verdicts[0].predicted_drop_pct;
-        // Both are valid predictions; the fill-rate one can never estimate
-        // *more* competition than refs/sec.
-        assert!(b <= a + 1.0, "fillrate {b:.2} vs refs {a:.2}");
-    }
-
-    #[test]
-    fn admission_matches_direct_prediction() {
-        let p = predictor();
-        let ac = AdmissionController::new(&p);
-        let socket = [FlowType::Mon, FlowType::Fw, FlowType::Fw];
-        let d = ac.evaluate(&socket, &[]);
-        let direct = p.predict_drop(FlowType::Mon, &[FlowType::Fw, FlowType::Fw]);
-        assert!((d.verdicts[0].predicted_drop_pct - direct).abs() < 1e-9);
     }
 }

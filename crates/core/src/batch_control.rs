@@ -59,12 +59,11 @@
 //! feasible batch.
 
 use crate::admission::{AdmissionController, AdmissionDecision, Sla};
-use crate::experiment::{
-    corun_against_solo, run_many, ContentionConfig, ExpParams, LatencySummary,
-};
+use crate::experiment::{corun_mixes, run_many, ExpParams, LatencySummary};
 use crate::model::BatchAmortization;
-use crate::predictor::{PredictionError, Predictor};
+use crate::predictor::{ErrorStats, PredictionError, Predictor};
 use crate::profiler::SoloProfile;
+use crate::sensitivity::SensitivityCurve;
 use crate::workload::FlowType;
 use pp_sim::config::MachineConfig;
 
@@ -305,7 +304,7 @@ impl Revalidation {
     /// Worst absolute prediction error (pp) over all mixes — the batched
     /// analogue of the paper's "<3%" claim.
     pub fn worst_abs_error(&self) -> f64 {
-        self.errors.iter().map(|e| e.error().abs()).fold(0.0, f64::max)
+        ErrorStats::of(self.errors.iter().map(PredictionError::error)).max
     }
 }
 
@@ -334,68 +333,36 @@ pub fn revalidate_predictor(
     threads: usize,
 ) -> Revalidation {
     let batched = params.with_batch(batch);
-    let predictor = Predictor::profile(types, levels, batched, threads);
-    let solos: std::collections::HashMap<FlowType, crate::experiment::FlowResult> = types
-        .iter()
-        .map(|&t| (t, predictor.solo(t).expect("profiled").raw.clone()))
-        .collect();
+    let profiled = Predictor::profile(types, levels, batched, threads);
 
     // Low-competition densification (see the doc comment above).
     let gentlest = FlowType::Syn { level: 0, levels };
-    let low_runs: Vec<(FlowType, usize)> =
-        types.iter().flat_map(|&t| [1usize, 2, 3].map(|n| (t, n))).collect();
-    let low_solos = solos.clone();
-    let low_outcomes = run_many(low_runs, threads, move |(t, n)| {
-        let o = corun_against_solo(
-            &low_solos[&t],
-            t,
-            &vec![gentlest; n],
-            ContentionConfig::Both,
-            batched,
-        );
-        (t, o)
-    });
+    let low_mixes: Vec<(FlowType, Vec<FlowType>)> =
+        types.iter().flat_map(|&t| [1usize, 2, 3].map(|n| (t, vec![gentlest; n]))).collect();
+    let solo = |t| &profiled.solo(t).expect("profiled").raw;
+    let low_outcomes = corun_mixes(solo, &low_mixes, batched, threads);
     let augment = |t: FlowType, pts: &[(f64, f64)], by_fills: bool| {
         let mut pts = pts.to_vec();
-        pts.extend(low_outcomes.iter().filter(|(lt, _)| *lt == t).map(|(_, o)| {
+        pts.extend(low_outcomes.iter().filter(|o| o.target == t).map(|o| {
             let x =
                 if by_fills { o.competing_fills_per_sec } else { o.competing_refs_per_sec };
             (x, o.drop_pct)
         }));
-        crate::sensitivity::SensitivityCurve::from_points(pts)
+        SensitivityCurve::from_points(pts)
     };
-    let curves: Vec<(FlowType, crate::sensitivity::SensitivityCurve)> = types
+    let curves = types
         .iter()
-        .map(|&t| (t, augment(t, predictor.curve(t).expect("profiled").points(), false)))
+        .map(|&t| (t, augment(t, profiled.curve(t).expect("profiled").points(), false)))
         .collect();
-    let fill_curves: Vec<(FlowType, crate::sensitivity::SensitivityCurve)> = types
+    let fill_curves = types
         .iter()
-        .map(|&t| (t, augment(t, predictor.fill_curve(t).expect("profiled").points(), true)))
+        .map(|&t| (t, augment(t, profiled.fill_curve(t).expect("profiled").points(), true)))
         .collect();
     let solo_profiles: Vec<SoloProfile> =
-        types.iter().map(|&t| predictor.solo(t).expect("profiled").clone()).collect();
+        types.iter().map(|&t| profiled.solo(t).expect("profiled").clone()).collect();
     let predictor =
         Predictor::from_parts(solo_profiles, curves, levels).with_fill_curves(fill_curves);
-    let outcomes = run_many(mixes.to_vec(), threads, move |(target, competitors)| {
-        let o = corun_against_solo(
-            &solos[&target],
-            target,
-            &competitors,
-            ContentionConfig::Both,
-            batched,
-        );
-        (target, competitors, o)
-    });
-    let errors = outcomes
-        .into_iter()
-        .map(|(target, competitors, o)| PredictionError {
-            target,
-            predicted: predictor.predict_drop(target, &competitors),
-            predicted_perfect: predictor.predict_drop_perfect(target, o.competing_refs_per_sec),
-            measured: o.drop_pct,
-            competitors,
-        })
-        .collect();
+    let errors = predictor.validate(mixes, batched, threads);
     Revalidation { batch, predictor, errors }
 }
 

@@ -400,6 +400,20 @@ pub fn corun_against_solo(
     }
 }
 
+/// Co-run each `(target, competitors)` mix against `solo(target)` in the
+/// realistic co-location ([`ContentionConfig::Both`]), on `threads`
+/// workers, in input order.
+pub fn corun_mixes<'a>(
+    solo: impl Fn(FlowType) -> &'a FlowResult + Sync,
+    mixes: &[(FlowType, Vec<FlowType>)],
+    params: ExpParams,
+    threads: usize,
+) -> Vec<CoRunOutcome> {
+    run_many(mixes.iter().collect(), threads, |(target, competitors)| {
+        corun_against_solo(solo(*target), *target, competitors, ContentionConfig::Both, params)
+    })
+}
+
 /// Run `f` over `items` on `threads` worker threads, preserving order.
 /// Each item is an independent simulation, so results are identical to a
 /// sequential run.

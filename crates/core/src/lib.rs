@@ -100,9 +100,9 @@ pub mod prelude {
         LatencyBudget, Revalidation, SocketPlan, VerifiedChoice, CANDIDATE_BATCHES,
     };
     pub use crate::experiment::{
-        corun_against_solo, corun_scenario, default_threads, run_corun, run_many,
-        run_roster, run_scenario, solo_scenario, ContentionConfig, CoRunOutcome, ExpParams,
-        FlowPlacement, FlowResult, LatencySummary, Scenario, ScenarioResult,
+        corun_against_solo, corun_mixes, corun_scenario, default_threads, run_corun,
+        run_many, run_roster, run_scenario, solo_scenario, ContentionConfig, CoRunOutcome,
+        ExpParams, FlowPlacement, FlowResult, LatencySummary, Scenario, ScenarioResult,
     };
     pub use crate::fleet::{FleetAction, FleetConfig, FleetController, MachineState};
     pub use crate::guard::{
@@ -117,7 +117,7 @@ pub mod prelude {
         enumerate_placements, evaluate_measured, evaluate_predicted, study_measured,
         study_predicted, Placement, PlacementEval,
     };
-    pub use crate::predictor::{PredictionError, Predictor};
+    pub use crate::predictor::{ErrorStats, MixPrediction, PredictionError, Predictor};
     pub use crate::profiler::SoloProfile;
     pub use crate::report::{f as fmt_f, millions, Table};
     pub use crate::sensitivity::SensitivityCurve;

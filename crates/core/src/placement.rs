@@ -167,21 +167,14 @@ pub fn evaluate_measured(
     PlacementEval::from_drops(placement.clone(), per_flow)
 }
 
-/// Evaluate a placement through the predictor (no simulation of the mix).
+/// Evaluate a placement through the predictor (no simulation of the mix):
+/// each socket is one co-located mix.
 pub fn evaluate_predicted(placement: &Placement, predictor: &Predictor) -> PlacementEval {
-    let mut per_flow = Vec::new();
-    for (side_idx, side) in [&placement.socket0, &placement.socket1].iter().enumerate() {
-        let _ = side_idx;
-        for (i, &f) in side.iter().enumerate() {
-            let competitors: Vec<FlowType> = side
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, &c)| c)
-                .collect();
-            per_flow.push((f, predictor.predict_drop(f, &competitors)));
-        }
-    }
+    let per_flow = [&placement.socket0, &placement.socket1]
+        .into_iter()
+        .flat_map(|side| predictor.predict_mix(side))
+        .map(|m| (m.flow, m.predicted))
+        .collect();
     PlacementEval::from_drops(placement.clone(), per_flow)
 }
 

@@ -48,11 +48,11 @@
 //! the two methods agree (SYN references nearly all miss); for hot-spot
 //! workloads the fill-rate method is strictly better. See `repro extended`.
 
-use crate::experiment::{ContentionConfig, ExpParams};
+use crate::experiment::{corun_mixes, ContentionConfig, ExpParams};
 use crate::profiler::SoloProfile;
 use crate::sensitivity::SensitivityCurve;
 use crate::workload::FlowType;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A profiled predictor over a set of flow types.
 pub struct Predictor {
@@ -128,6 +128,13 @@ impl Predictor {
         self.solo.get(&t)
     }
 
+    /// Every profiled type's solo packets/sec — the baseline
+    /// [`evaluate_measured`](crate::placement::evaluate_measured) takes a
+    /// placement's drops against.
+    pub fn solo_pps(&self) -> BTreeMap<FlowType, f64> {
+        self.solo.iter().map(|(&t, p)| (t, p.pps)).collect()
+    }
+
     /// The sensitivity curve of a type.
     pub fn curve(&self, t: FlowType) -> Option<&SensitivityCurve> {
         self.curves.get(&t)
@@ -194,12 +201,74 @@ impl Predictor {
         solo.pps * (1.0 - self.predict_drop(target, competitors) / 100.0)
     }
 
+    /// Predict every flow of a co-located `mix` (one socket's flows): a
+    /// flow's competitors are the mix minus that flow, in mix order. This
+    /// is the one place that rule is written.
+    pub fn predict_mix(&self, mix: &[FlowType]) -> Vec<MixPrediction> {
+        (0..mix.len())
+            .map(|i| {
+                let competitors: Vec<FlowType> = mix
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .map(|(_, &c)| c)
+                    .collect();
+                MixPrediction {
+                    flow: mix[i],
+                    predicted: self.predict_drop(mix[i], &competitors),
+                    predicted_fillrate: self.predict_drop_fillrate(mix[i], &competitors),
+                    competitors,
+                }
+            })
+            .collect()
+    }
+
+    /// The method's validation: co-run each `(target, competitors)` mix
+    /// against this predictor's own solo baseline ([`corun_mixes`]) and
+    /// set the measured drop beside the predictions, in input order. No
+    /// mix is used for fitting — the predictor only ever saw solos and SYN
+    /// ramps.
+    pub fn validate(
+        &self,
+        mixes: &[(FlowType, Vec<FlowType>)],
+        params: ExpParams,
+        threads: usize,
+    ) -> Vec<PredictionError> {
+        let solo = |t| &self.solo(t).expect("target type was not profiled").raw;
+        let outcomes = corun_mixes(solo, mixes, params, threads);
+        mixes
+            .iter()
+            .zip(outcomes)
+            .map(|((target, competitors), o)| PredictionError {
+                target: *target,
+                competitors: competitors.clone(),
+                measured: o.drop_pct,
+                predicted: self.predict_drop(*target, competitors),
+                predicted_fillrate: self.predict_drop_fillrate(*target, competitors),
+                predicted_perfect: self.predict_drop_perfect(*target, o.competing_refs_per_sec),
+            })
+            .collect()
+    }
+
     /// All profiled types.
     pub fn types(&self) -> Vec<FlowType> {
         let mut t: Vec<FlowType> = self.solo.keys().copied().collect();
         t.sort();
         t
     }
+}
+
+/// One flow of a co-located mix as [`Predictor::predict_mix`] sees it.
+#[derive(Debug, Clone)]
+pub struct MixPrediction {
+    /// The flow.
+    pub flow: FlowType,
+    /// Its competitors: the mix minus this flow.
+    pub competitors: Vec<FlowType>,
+    /// Predicted drop (%), the paper's refs/sec method.
+    pub predicted: f64,
+    /// Predicted drop (%), the fill-rate refinement.
+    pub predicted_fillrate: f64,
 }
 
 /// One prediction-vs-measurement comparison (a bar of Fig. 8/9).
@@ -213,6 +282,8 @@ pub struct PredictionError {
     pub measured: f64,
     /// Our prediction (%).
     pub predicted: f64,
+    /// Fill-rate-refinement prediction (%).
+    pub predicted_fillrate: f64,
     /// Perfect-knowledge prediction (%).
     pub predicted_perfect: f64,
 }
@@ -223,9 +294,40 @@ impl PredictionError {
         self.predicted - self.measured
     }
 
+    /// Signed error of the fill-rate refinement.
+    pub fn error_fillrate(&self) -> f64 {
+        self.predicted_fillrate - self.measured
+    }
+
     /// Signed error of the perfect-knowledge prediction.
     pub fn error_perfect(&self) -> f64 {
         self.predicted_perfect - self.measured
+    }
+}
+
+/// Distribution of a set of absolute prediction errors (pp) — the one fold
+/// behind every worst / mean / percentile a figure reports.
+#[derive(Debug, Clone, Copy)]
+pub struct ErrorStats {
+    /// Mean absolute error (pp), summed in input order.
+    pub mean: f64,
+    /// Median (pp).
+    pub p50: f64,
+    /// 95th percentile (pp).
+    pub p95: f64,
+    /// Maximum (pp).
+    pub max: f64,
+}
+
+impl ErrorStats {
+    /// Fold signed `errors` by absolute value; all zero when there are none.
+    pub fn of(errors: impl IntoIterator<Item = f64>) -> Self {
+        let mut errs: Vec<f64> = errors.into_iter().map(f64::abs).collect();
+        let n = errs.len().max(1);
+        let mean = errs.iter().sum::<f64>() / n as f64;
+        errs.sort_by(f64::total_cmp);
+        let q = |p: f64| errs.get((((n - 1) as f64) * p).round() as usize).copied().unwrap_or(0.0);
+        ErrorStats { mean, p50: q(0.50), p95: q(0.95), max: q(1.0) }
     }
 }
 
@@ -233,7 +335,7 @@ impl PredictionError {
 mod tests {
     use super::*;
     use crate::admission::AdmissionController;
-    use crate::experiment::{run_corun, FlowResult, LatencySummary};
+    use crate::experiment::{corun_against_solo, run_corun, FlowResult, LatencySummary};
     use crate::placement::{evaluate_predicted, Placement};
     use pp_sim::counters::{Counts, DerivedMetrics};
     use pp_sim::types::CoreId;
@@ -350,6 +452,59 @@ mod tests {
             eval.per_flow.iter().map(|&(f, d)| (f, d.to_bits())).collect();
         let per_socket: Vec<(FlowType, u64)> = PIN_MIX.iter().copied().zip(PIN_REFS).collect();
         assert_eq!(placed, [per_socket.clone(), per_socket].concat());
+    }
+
+    #[test]
+    fn predict_mix_reaches_the_pinned_constants() {
+        let predictions = hand_predictor().predict_mix(&PIN_MIX);
+        let flows: Vec<FlowType> = predictions.iter().map(|m| m.flow).collect();
+        let refs: Vec<u64> = predictions.iter().map(|m| m.predicted.to_bits()).collect();
+        let fills: Vec<u64> =
+            predictions.iter().map(|m| m.predicted_fillrate.to_bits()).collect();
+        assert_eq!((flows, refs, fills), (PIN_MIX.to_vec(), PIN_REFS.to_vec(), PIN_FILLS.to_vec()));
+        use FlowType::{Mon, Re};
+        assert_eq!(predictions[2].competitors, [Mon, Re, Mon, Re, Re]);
+    }
+
+    #[test]
+    fn validate_is_corun_against_solo_per_mix() {
+        // The contract the figure modules each used to implement by hand.
+        let p = quick_predictor();
+        let mixes = vec![
+            (FlowType::Mon, vec![FlowType::Fw; 5]),
+            (FlowType::Fw, vec![FlowType::Mon, FlowType::Mon, FlowType::Fw]),
+            (FlowType::Mon, vec![FlowType::Mon]),
+        ];
+        let errors = p.validate(&mixes, ExpParams::quick(), 2);
+        assert_eq!(errors.len(), mixes.len());
+        for (e, (target, competitors)) in errors.iter().zip(&mixes) {
+            let o = corun_against_solo(
+                &p.solo(*target).unwrap().raw,
+                *target,
+                competitors,
+                ContentionConfig::Both,
+                ExpParams::quick(),
+            );
+            assert_eq!((e.target, &e.competitors), (*target, competitors));
+            assert_eq!(e.measured.to_bits(), o.drop_pct.to_bits());
+            assert_eq!(e.predicted.to_bits(), p.predict_drop(*target, competitors).to_bits());
+            assert_eq!(
+                e.predicted_fillrate.to_bits(),
+                p.predict_drop_fillrate(*target, competitors).to_bits()
+            );
+            assert_eq!(
+                e.predicted_perfect.to_bits(),
+                p.predict_drop_perfect(*target, o.competing_refs_per_sec).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn error_stats_fold_absolute_errors() {
+        let s = ErrorStats::of([-3.0, 1.0, 2.0, -0.5]);
+        assert_eq!((s.mean, s.p50, s.p95, s.max), (1.625, 2.0, 3.0, 3.0));
+        let none = ErrorStats::of([]);
+        assert_eq!((none.mean, none.max), (0.0, 0.0));
     }
 
     #[test]

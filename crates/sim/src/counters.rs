@@ -69,7 +69,6 @@ const KNOWN_TAGS: &[&str] = &[
     "to_device",
     "discard",
     "counter",
-    "classifier",
     "classify_tuples",
     "flow_statistics",
     "firewall_filter",

@@ -38,7 +38,7 @@ pub struct NicQueue {
     buf_bytes: u64,
     /// Packets delivered via [`rx`](Self::rx).
     pub rx_count: u64,
-    /// Packets completed via [`tx`](Self::tx).
+    /// Packets completed via [`tx_batch`](Self::tx_batch) and its shared twin.
     pub tx_count: u64,
     /// RX attempts that failed because the pool was empty.
     pub alloc_failures: u64,
@@ -292,10 +292,36 @@ impl NicQueue {
     /// Transmit a batch of packets and recycle their buffers: TX descriptor
     /// writes charged once per descriptor cache line, the free-list head
     /// read/written once per batch. Buffers are pushed back in order, so a
-    /// subsequent `rx` reuses the *last* transmitted buffer first (LIFO, as
-    /// in the scalar path). With one buffer the charges equal
-    /// [`tx`](Self::tx).
+    /// subsequent `rx` reuses the *last* transmitted buffer first (LIFO).
     pub fn tx_batch(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
+        self.tx_burst(ctx, bufs, false);
+    }
+
+    /// Transmit and recycle a whole burst from a core that does **not** own
+    /// this queue (pipeline mode: "the transmitting core must recycle the
+    /// buffer into the receiving core's pool", §2.2): as
+    /// [`tx_batch`](Self::tx_batch), with the free-list head touched as
+    /// cross-core shared data, so it ping-pongs between the two cores once
+    /// per *burst*.
+    pub fn tx_shared_batch(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
+        self.tx_burst(ctx, bufs, true);
+    }
+
+    /// Recycle a batch of buffers without transmitting (batched drop path):
+    /// the free-list head is touched once per batch.
+    pub fn recycle_batch(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
+        self.recycle_burst(ctx, bufs, false);
+    }
+
+    /// Recycle a burst without transmitting, as cross-core shared data
+    /// (pipeline-mode batched drop path): the free-list head ping-pongs once
+    /// per burst.
+    pub fn recycle_shared_batch(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
+        self.recycle_burst(ctx, bufs, true);
+    }
+
+    #[inline]
+    fn tx_burst(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr], shared: bool) {
         if bufs.is_empty() {
             return;
         }
@@ -309,34 +335,46 @@ impl NicQueue {
                 });
                 last_desc_line = Some(desc_line);
             }
-            let idx = self.index_of(buf, "tx of a buffer this queue does not own");
-            debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-            self.free.push(idx);
+            self.free_push(buf, "tx of a buffer this queue does not own");
             self.next_tx += 1;
             self.tx_count += 1;
         }
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.read(self.freelist_addr);
-            ctx.write(self.freelist_addr);
-        });
+        self.touch_freelist(ctx, shared);
     }
 
-    /// Recycle a batch of buffers without transmitting (batched drop path):
-    /// the free-list head is touched once per batch. With one buffer the
-    /// charges equal [`recycle`](Self::recycle).
-    pub fn recycle_batch(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
+    #[inline]
+    fn recycle_burst(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr], shared: bool) {
         if bufs.is_empty() {
             return;
         }
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.read(self.freelist_addr);
-            ctx.write(self.freelist_addr);
-        });
+        self.touch_freelist(ctx, shared);
         for &buf in bufs {
-            let idx = self.index_of(buf, "recycle of a buffer this queue does not own");
-            debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-            self.free.push(idx);
+            self.free_push(buf, "recycle of a buffer this queue does not own");
         }
+    }
+
+    /// The recycle side's one free-list transaction: the head line read and
+    /// written back, as the owning core's private data or (`shared`) as
+    /// cross-core shared data.
+    #[inline]
+    fn touch_freelist(&self, ctx: &mut ExecCtx<'_>, shared: bool) {
+        ctx.scoped_id(self.t_skb_recycle, |ctx| {
+            if shared {
+                ctx.shared_read(self.freelist_addr);
+                ctx.shared_write(self.freelist_addr);
+            } else {
+                ctx.read(self.freelist_addr);
+                ctx.write(self.freelist_addr);
+            }
+        });
+    }
+
+    /// Push `buf` back on the host-side free stack (no simulated charge).
+    #[inline]
+    fn free_push(&mut self, buf: Addr, foreign: &str) {
+        let idx = self.index_of(buf, foreign);
+        debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
+        self.free.push(idx);
     }
 
     /// Host-side index of `buf` in the pool (panics with `msg` when the
@@ -365,125 +403,6 @@ impl NicQueue {
         }
         self.buffers.iter().position(|&b| b == buf).expect(msg) as u32
     }
-
-    /// Transmit a packet and recycle its buffer into the pool: write the TX
-    /// descriptor, then push the buffer back on the free stack.
-    #[inline]
-    pub fn tx(&mut self, ctx: &mut ExecCtx<'_>, buf: Addr) {
-        let desc = self.tx_ring + (self.next_tx % self.n_desc) * DESC_BYTES;
-        ctx.scoped_id(self.t_tx_desc, |ctx| {
-            ctx.write(desc);
-        });
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.read(self.freelist_addr);
-            ctx.write(self.freelist_addr);
-        });
-        let idx = self.index_of(buf, "tx of a buffer this queue does not own");
-        debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-        self.free.push(idx);
-        self.next_tx += 1;
-        self.tx_count += 1;
-    }
-
-    /// Transmit and recycle from a core that does **not** own this queue
-    /// (pipeline mode: "the transmitting core must recycle the buffer into
-    /// the receiving core's pool", §2.2). The free-list line is accessed as
-    /// cross-core shared data, so it ping-pongs between the two cores.
-    pub fn tx_shared(&mut self, ctx: &mut ExecCtx<'_>, buf: Addr) {
-        let desc = self.tx_ring + (self.next_tx % self.n_desc) * DESC_BYTES;
-        ctx.scoped_id(self.t_tx_desc, |ctx| {
-            ctx.write(desc);
-        });
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.shared_read(self.freelist_addr);
-            ctx.shared_write(self.freelist_addr);
-        });
-        let idx = self.index_of(buf, "tx of a buffer this queue does not own");
-        debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-        self.free.push(idx);
-        self.next_tx += 1;
-        self.tx_count += 1;
-    }
-
-    /// Transmit and recycle a whole burst from a core that does **not** own
-    /// this queue (pipeline mode): TX descriptor writes charged once per
-    /// descriptor cache line, and the free-list head touched as cross-core
-    /// shared data once per *burst* — the ping-pong the scalar
-    /// [`tx_shared`](Self::tx_shared) pays per packet is amortized over the
-    /// vector. With one buffer the charges equal `tx_shared`.
-    pub fn tx_shared_batch(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
-        if bufs.is_empty() {
-            return;
-        }
-        if bufs.len() == 1 {
-            // Scalar path so the charge *order* is also identical.
-            self.tx_shared(ctx, bufs[0]);
-            return;
-        }
-        let mut last_desc_line = None;
-        for &buf in bufs {
-            let desc = self.tx_ring + (self.next_tx % self.n_desc) * DESC_BYTES;
-            let desc_line = desc / (DESC_BYTES * DESC_PER_LINE);
-            if last_desc_line != Some(desc_line) {
-                ctx.scoped_id(self.t_tx_desc, |ctx| {
-                    ctx.write(desc);
-                });
-                last_desc_line = Some(desc_line);
-            }
-            let idx = self.index_of(buf, "tx of a buffer this queue does not own");
-            debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-            self.free.push(idx);
-            self.next_tx += 1;
-            self.tx_count += 1;
-        }
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.shared_read(self.freelist_addr);
-            ctx.shared_write(self.freelist_addr);
-        });
-    }
-
-    /// Recycle a burst without transmitting, as cross-core shared data
-    /// (pipeline-mode batched drop path): the free-list head ping-pongs once
-    /// per burst. With one buffer the charges equal
-    /// [`recycle_shared`](Self::recycle_shared).
-    pub fn recycle_shared_batch(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
-        if bufs.is_empty() {
-            return;
-        }
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.shared_read(self.freelist_addr);
-            ctx.shared_write(self.freelist_addr);
-        });
-        for &buf in bufs {
-            let idx = self.index_of(buf, "recycle of a buffer this queue does not own");
-            debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-            self.free.push(idx);
-        }
-    }
-
-    /// Recycle without transmitting, as cross-core shared data (pipeline
-    /// mode drop path).
-    pub fn recycle_shared(&mut self, ctx: &mut ExecCtx<'_>, buf: Addr) {
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.shared_read(self.freelist_addr);
-            ctx.shared_write(self.freelist_addr);
-        });
-        let idx = self.index_of(buf, "recycle of a buffer this queue does not own");
-        debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-        self.free.push(idx);
-    }
-
-    /// Recycle without transmitting (used when an element drops the packet).
-    #[inline]
-    pub fn recycle(&mut self, ctx: &mut ExecCtx<'_>, buf: Addr) {
-        ctx.scoped_id(self.t_skb_recycle, |ctx| {
-            ctx.read(self.freelist_addr);
-            ctx.write(self.freelist_addr);
-        });
-        let idx = self.index_of(buf, "recycle of a buffer this queue does not own");
-        debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
-        self.free.push(idx);
-    }
 }
 
 #[cfg(test)]
@@ -506,7 +425,7 @@ mod tests {
         let mut ctx = m.ctx(CoreId(0));
         for _ in 0..100 {
             let buf = q.rx(&mut ctx, 64).expect("pool should not exhaust");
-            q.tx(&mut ctx, buf);
+            q.tx_batch(&mut ctx, &[buf]);
         }
         assert_eq!(q.rx_count, 100);
         assert_eq!(q.tx_count, 100);
@@ -523,7 +442,7 @@ mod tests {
         }
         assert!(q.rx(&mut ctx, 64).is_none());
         assert_eq!(q.alloc_failures, 1);
-        q.recycle(&mut ctx, held.pop().unwrap());
+        q.recycle_batch(&mut ctx, &[held.pop().unwrap()]);
         assert!(q.rx(&mut ctx, 64).is_some());
     }
 
@@ -544,7 +463,7 @@ mod tests {
         {
             let mut ctx = m.ctx(CoreId(0));
             let buf = q.rx(&mut ctx, 64).unwrap();
-            q.tx(&mut ctx, buf);
+            q.tx_batch(&mut ctx, &[buf]);
         }
         let cc = &m.core(CoreId(0)).counters;
         for tag in ["rx_desc", "skb_alloc", "skb_recycle", "tx_desc"] {
@@ -566,7 +485,7 @@ mod tests {
                 assert_eq!(b, f, "LIFO pool must reuse the same buffer");
             }
             first = Some(b);
-            q.tx(&mut ctx, b);
+            q.tx_batch(&mut ctx, &[b]);
         }
     }
 
@@ -575,7 +494,7 @@ mod tests {
     fn tx_of_foreign_buffer_panics() {
         let (mut m, mut q) = setup();
         let mut ctx = m.ctx(CoreId(0));
-        q.tx(&mut ctx, 0xdead_0000);
+        q.tx_batch(&mut ctx, &[0xdead_0000]);
     }
 
     #[test]
@@ -602,7 +521,7 @@ mod tests {
             let mut ctx = m_scalar.ctx(CoreId(0));
             for _ in 0..8 {
                 let b = q_scalar.rx(&mut ctx, 64).unwrap();
-                q_scalar.tx(&mut ctx, b);
+                q_scalar.tx_batch(&mut ctx, &[b]);
             }
         }
         let (mut m_batch, mut q_batch) = setup();
@@ -630,9 +549,9 @@ mod tests {
         {
             let mut ctx = m_scalar.ctx(CoreId(0));
             let b = q_scalar.rx(&mut ctx, 64).unwrap();
-            q_scalar.tx(&mut ctx, b);
+            q_scalar.tx_batch(&mut ctx, &[b]);
             let b2 = q_scalar.rx(&mut ctx, 64).unwrap();
-            q_scalar.recycle(&mut ctx, b2);
+            q_scalar.recycle_batch(&mut ctx, &[b2]);
         }
         let (mut m_batch, mut q_batch) = setup();
         {
@@ -670,7 +589,7 @@ mod tests {
                 q.tx_shared_batch(&mut ctx, &bufs);
             } else {
                 for &b in &bufs {
-                    q.tx_shared(&mut ctx, b);
+                    q.tx_shared_batch(&mut ctx, &[b]);
                 }
             }
             (q.free_buffers(), m.core(CoreId(1)).counters.tag("skb_recycle").unwrap().l1_refs)
@@ -721,7 +640,7 @@ mod tests {
             l3_misses: 5,
             ..Counts::default()
         };
-        assert_eq!(one_at_a_time(0, |q, ctx, b| q.tx(ctx, b)), (local, 533));
+        assert_eq!(one_at_a_time(0, |q, ctx, b| q.tx_batch(ctx, &[b])), (local, 533));
         // Shared, from core 1: the same three accesses per buffer, the
         // free-list pair as cross-core shared data.
         let shared = Counts {
@@ -735,39 +654,7 @@ mod tests {
             l3_misses: 2,
             ..Counts::default()
         };
-        assert_eq!(one_at_a_time(1, |q, ctx, b| q.tx_shared(ctx, b)), (shared, 120));
-    }
-
-    #[test]
-    fn tx_batch_of_one_charges_exactly_like_tx() {
-        assert_eq!(
-            one_at_a_time(0, |q, ctx, b| q.tx_batch(ctx, &[b])),
-            one_at_a_time(0, |q, ctx, b| q.tx(ctx, b))
-        );
-    }
-
-    #[test]
-    fn tx_shared_batch_of_one_charges_exactly_like_tx_shared() {
-        let run = |batched: bool| {
-            let (mut m, mut q) = setup();
-            let buf = {
-                let mut ctx = m.ctx(CoreId(0));
-                q.rx(&mut ctx, 64).unwrap()
-            };
-            {
-                let mut ctx = m.ctx(CoreId(1));
-                if batched {
-                    q.tx_shared_batch(&mut ctx, &[buf]);
-                } else {
-                    q.tx_shared(&mut ctx, buf);
-                }
-            }
-            (m.core(CoreId(1)).counters.snapshot(), m.core(CoreId(1)).clock)
-        };
-        let (s_snap, s_clock) = run(false);
-        let (b_snap, b_clock) = run(true);
-        assert_eq!(s_snap.total, b_snap.total);
-        assert_eq!(s_clock, b_clock);
+        assert_eq!(one_at_a_time(1, |q, ctx, b| q.tx_shared_batch(ctx, &[b])), (shared, 120));
     }
 
     #[test]
@@ -844,7 +731,7 @@ mod tests {
         assert_eq!(q.seize_buffers(100), 3, "only the free remainder is seizable");
         assert_eq!(q.free_buffers(), 0);
         for b in held {
-            q.recycle(&mut ctx, b);
+            q.recycle_batch(&mut ctx, &[b]);
         }
         q.release_seized();
         assert_eq!(q.free_buffers(), 8);

@@ -115,21 +115,14 @@ fn main() {
     };
     let measured = run_scenario(&scenario);
 
-    for (i, &t) in mix.iter().enumerate() {
-        let competitors: Vec<FlowType> = mix
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, &c)| c)
-            .collect();
-        let solo = predictor.solo(t).unwrap().pps;
-        let m = (solo - measured.flows[i].metrics.pps) / solo * 100.0;
+    for (m, flow) in predictor.predict_mix(&mix).iter().zip(&measured.flows) {
+        let solo = predictor.solo(m.flow).unwrap().pps;
         println!(
             "   {:<5}  {:>13.2}%  {:>16.2}%  {:>11.2}%",
-            t.name(),
-            predictor.predict_drop(t, &competitors),
-            predictor.predict_drop_fillrate(t, &competitors),
-            m,
+            m.flow.name(),
+            m.predicted,
+            m.predicted_fillrate,
+            (solo - flow.metrics.pps) / solo * 100.0,
         );
     }
 

@@ -14,7 +14,6 @@
 //! ```
 
 use predictable_pp::prelude::*;
-use std::collections::BTreeMap;
 
 fn main() {
     let params = ExpParams::quick();
@@ -50,37 +49,28 @@ fn main() {
     }
 
     println!("\nStep 2: predict each tenant's drop under the proposed placement");
-    let mut predicted = Vec::new();
-    for (i, &t) in per_socket.iter().enumerate() {
-        let competitors: Vec<FlowType> = per_socket
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, &c)| c)
-            .collect();
-        let p = predictor.predict_drop(t, &competitors);
-        predicted.push(p);
+    let predicted = predictor.predict_mix(&per_socket);
+    for (i, m) in predicted.iter().enumerate() {
         println!(
-            "  {:4}#{i}: predicted drop {p:5.2}%  -> offered SLA: {:.3} Mpps",
-            t.name(),
-            predictor.predict_pps(t, &competitors) / 1e6
+            "  {:4}#{i}: predicted drop {:5.2}%  -> offered SLA: {:.3} Mpps",
+            m.flow.name(),
+            m.predicted,
+            predictor.predict_pps(m.flow, &m.competitors) / 1e6
         );
     }
 
     println!("\nStep 3: deploy (simulate) and check the predictions");
     let placement = Placement { socket0: per_socket.clone(), socket1: per_socket.clone() };
-    let solo_pps: BTreeMap<FlowType, f64> =
-        types.iter().map(|&t| (t, predictor.solo(t).unwrap().pps)).collect();
-    let eval = evaluate_measured(&placement, &solo_pps, params);
+    let eval = evaluate_measured(&placement, &predictor.solo_pps(), params);
 
     let mut worst_err: f64 = 0.0;
     for (i, &(t, measured)) in eval.per_flow.iter().take(per_socket.len()).enumerate() {
-        let err = predicted[i] - measured;
+        let err = predicted[i].predicted - measured;
         worst_err = worst_err.max(err.abs());
         println!(
             "  {:4}#{i}: measured {measured:5.2}%  predicted {:5.2}%  error {err:+.2} pp",
             t.name(),
-            predicted[i]
+            predicted[i].predicted
         );
     }
     println!(

@@ -14,22 +14,20 @@ fn predictor() -> Predictor {
 
 #[test]
 fn prediction_tracks_measurement_for_unseen_mixes() {
-    let p = predictor();
-    let params = ExpParams::quick();
     // Mixes the predictor never co-ran (it only saw SYN ramps).
-    let cases: Vec<(&[FlowType], FlowType)> = vec![
-        (&[FlowType::Re; 5], FlowType::Mon),
-        (&[FlowType::Fw; 5], FlowType::Mon),
-        (&[FlowType::Mon; 5], FlowType::Fw),
+    let mixes = [
+        (FlowType::Mon, vec![FlowType::Re; 5]),
+        (FlowType::Mon, vec![FlowType::Fw; 5]),
+        (FlowType::Fw, vec![FlowType::Mon; 5]),
     ];
-    for (competitors, target) in cases {
-        let predicted = p.predict_drop(target, competitors);
-        let measured =
-            run_corun(target, competitors, ContentionConfig::Both, params).drop_pct;
+    for e in predictor().validate(&mixes, ExpParams::quick(), default_threads()) {
         assert!(
-            (predicted - measured).abs() < 8.0,
-            "{target} vs {:?}: predicted {predicted:.1}% measured {measured:.1}%",
-            competitors[0].name()
+            e.error().abs() < 8.0,
+            "{} vs {:?}: predicted {:.1}% measured {:.1}%",
+            e.target,
+            e.competitors[0].name(),
+            e.predicted,
+            e.measured
         );
     }
 }
@@ -46,18 +44,10 @@ fn mixed_workload_prediction() {
     let mix =
         [FlowType::Mon, FlowType::Mon, FlowType::Vpn, FlowType::Vpn, FlowType::Fw, FlowType::Re];
     let placement = Placement { socket0: mix.to_vec(), socket1: mix.to_vec() };
-    let solo: std::collections::BTreeMap<FlowType, f64> =
-        mix.iter().map(|&t| (t, p.solo(t).unwrap().pps)).collect();
-    let eval = evaluate_measured(&placement, &solo, ExpParams::quick());
+    let eval = evaluate_measured(&placement, &p.solo_pps(), ExpParams::quick());
+    let predictions = p.predict_mix(&mix);
     for (i, &(t, measured)) in eval.per_flow.iter().enumerate() {
-        let side = if i < 6 { &placement.socket0 } else { &placement.socket1 };
-        let comps: Vec<FlowType> = side
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i % 6)
-            .map(|(_, &c)| c)
-            .collect();
-        let predicted = p.predict_drop(t, &comps);
+        let predicted = predictions[i % 6].predicted;
         assert!(
             (predicted - measured).abs() < 8.0,
             "{t}#{i}: predicted {predicted:.1}% vs measured {measured:.1}%"
@@ -67,26 +57,17 @@ fn mixed_workload_prediction() {
 
 #[test]
 fn perfect_knowledge_is_at_least_as_good_on_average() {
-    let p = predictor();
-    let params = ExpParams::quick();
-    let mut ours = 0.0;
-    let mut perfect = 0.0;
-    let mut n = 0.0;
-    for target in [FlowType::Mon, FlowType::Fw] {
-        for comp in [FlowType::Mon, FlowType::Re] {
-            let o = run_corun(target, &[comp; 5], ContentionConfig::Both, params);
-            ours += (p.predict_drop(target, &[comp; 5]) - o.drop_pct).abs();
-            perfect +=
-                (p.predict_drop_perfect(target, o.competing_refs_per_sec) - o.drop_pct).abs();
-            n += 1.0;
-        }
-    }
+    let mixes: Vec<(FlowType, Vec<FlowType>)> = [FlowType::Mon, FlowType::Fw]
+        .iter()
+        .flat_map(|&t| [FlowType::Mon, FlowType::Re].map(|c| (t, vec![c; 5])))
+        .collect();
+    let errors = predictor().validate(&mixes, ExpParams::quick(), default_threads());
+    let ours = ErrorStats::of(errors.iter().map(PredictionError::error)).mean;
+    let perfect = ErrorStats::of(errors.iter().map(PredictionError::error_perfect)).mean;
     // The paper's Fig. 8: knowing the true competition shrinks the error.
     assert!(
-        perfect / n <= ours / n + 1.0,
-        "perfect-knowledge avg |err| {:.2} should not exceed ours {:.2} by much",
-        perfect / n,
-        ours / n
+        perfect <= ours + 1.0,
+        "perfect-knowledge avg |err| {perfect:.2} should not exceed ours {ours:.2} by much"
     );
 }
 
