@@ -2,7 +2,7 @@
 //! with realistic-competitor points, demonstrating that a workload's
 //! aggressiveness is determined by its refs/sec, not by what it computes.
 
-use crate::experiments::{fig2, five_of_each};
+use crate::experiments::fig2;
 use crate::RunCtx;
 use pp_core::prelude::*;
 
@@ -38,10 +38,10 @@ pub fn run(ctx: &RunCtx) -> Fig5Output {
     // Realistic points, and the solos they were measured against, from the
     // Fig. 2 measurement.
     let f2 = fig2::measure(ctx);
-    let realistic_points = five_of_each(&REALISTIC, &REALISTIC)
+    let realistic_points = f2
+        .outcomes
         .iter()
-        .zip(&f2.outcomes)
-        .map(|((t, c), o)| (*t, c[0], o.competing_refs_per_sec, o.drop_pct))
+        .map(|o| (o.target, o.competitors[0].flow, o.competing_refs_per_sec, o.drop_pct))
         .collect();
 
     // SYN curves in the realistic (Both) configuration.

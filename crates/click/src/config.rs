@@ -443,6 +443,18 @@ fn construct(
             None => Ok(()),
         }
     };
+    // `key`'s value (or `default`), which must lie in `range`.
+    let ranged = |key: &str, default: i64, range: std::ops::RangeInclusive<i64>| {
+        let v = arg(a, key).unwrap_or(default);
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(ConfigError::BadArgument {
+                class: decl.class.clone(),
+                message: format!("{key} out of range: {v}"),
+            })
+        }
+    };
     Ok(match decl.class.as_str() {
         "CheckIPHeader" => {
             keys(&[])?;
@@ -484,13 +496,7 @@ fn construct(
         }
         "NetFlow" => {
             keys(&["CAPACITY_LOG2", "BIDIRECTIONAL"])?;
-            let log2 = arg(a, "CAPACITY_LOG2").unwrap_or(18);
-            if !(1..=28).contains(&log2) {
-                return Err(ConfigError::BadArgument {
-                    class: decl.class.clone(),
-                    message: format!("CAPACITY_LOG2 out of range: {log2}"),
-                });
-            }
+            let log2 = ranged("CAPACITY_LOG2", 18, 1..=28)?;
             let alloc = ctx.machine.allocator(ctx.domain);
             let mut nf = NetFlow::new(alloc, log2 as u32, cost);
             nf.bidirectional = arg(a, "BIDIRECTIONAL").unwrap_or(1) != 0;
@@ -513,17 +519,6 @@ fn construct(
             keys(&["FP_LOG2", "STORE_MB", "SAMPLE_MOD"])?;
             // Unchecked, these overflow the slot-count shift, ask for a
             // 2^64-byte store, or divide by zero at the first sampled packet.
-            let ranged = |key: &str, default: i64, range: std::ops::RangeInclusive<i64>| {
-                let v = arg(a, key).unwrap_or(default);
-                if range.contains(&v) {
-                    Ok(v)
-                } else {
-                    Err(ConfigError::BadArgument {
-                        class: decl.class.clone(),
-                        message: format!("{key} out of range: {v}"),
-                    })
-                }
-            };
             let cfg = ReConfig {
                 log2_fp_slots: ranged("FP_LOG2", 21, 4..=28)? as u32,
                 store_bytes: (ranged("STORE_MB", 32, 1..=4096)? as u64) << 20,
@@ -580,36 +575,14 @@ fn construct(
         "NAT" => {
             keys(&["PUBLIC_IPS", "BINDINGS_LOG2"])?;
             let mut cfg = crate::elements::nat::NatConfig::default();
-            if let Some(ips) = arg(a, "PUBLIC_IPS") {
-                if !(1..=256).contains(&ips) {
-                    return Err(ConfigError::BadArgument {
-                        class: decl.class.clone(),
-                        message: format!("PUBLIC_IPS out of range: {ips}"),
-                    });
-                }
-                cfg.n_public_ips = ips as u16;
-            }
-            if let Some(l2) = arg(a, "BINDINGS_LOG2") {
-                if !(4..=24).contains(&l2) {
-                    return Err(ConfigError::BadArgument {
-                        class: decl.class.clone(),
-                        message: format!("BINDINGS_LOG2 out of range: {l2}"),
-                    });
-                }
-                cfg.log2_bindings = l2 as u32;
-            }
+            cfg.n_public_ips = ranged("PUBLIC_IPS", cfg.n_public_ips as i64, 1..=256)? as u16;
+            cfg.log2_bindings = ranged("BINDINGS_LOG2", cfg.log2_bindings as i64, 4..=24)? as u32;
             let alloc = ctx.machine.allocator(ctx.domain);
             Box::new(crate::elements::nat::Nat::new(alloc, cfg, cost))
         }
         "TupleSpaceClassifier" => {
             keys(&["RULES", "SEED"])?;
-            let n = arg(a, "RULES").unwrap_or(16_000);
-            if !(1..=65_535).contains(&n) {
-                return Err(ConfigError::BadArgument {
-                    class: decl.class.clone(),
-                    message: format!("RULES out of range: {n}"),
-                });
-            }
+            let n = ranged("RULES", 16_000, 1..=65_535)?;
             let rules = generate_classifier_rules(n as usize, seed ^ 0x4444);
             let alloc = ctx.machine.allocator(ctx.domain);
             Box::new(crate::elements::classifier::TupleSpaceClassifier::new(

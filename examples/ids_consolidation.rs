@@ -100,29 +100,17 @@ fn main() {
         "flow", "paper method", "fill-rate method", "measured"
     );
 
-    // Measure the actual mix once, for comparison.
-    let scenario = Scenario {
-        flows: mix
-            .iter()
-            .enumerate()
-            .map(|(i, &flow)| FlowPlacement {
-                core: pp_sim::types::CoreId(i as u16),
-                flow,
-                domain: pp_sim::types::MemDomain(0),
-            })
-            .collect(),
-        params,
-    };
-    let measured = run_scenario(&scenario);
+    // Measure the actual mix once (one socket, NUMA-local), for comparison.
+    let placement = Placement { socket0: mix.to_vec(), socket1: Vec::new() };
+    let measured = evaluate_measured(&placement, &predictor.solo_pps(), params);
 
-    for (m, flow) in predictor.predict_mix(&mix).iter().zip(&measured.flows) {
-        let solo = predictor.solo(m.flow).unwrap().pps;
+    for (m, &(_, drop)) in predictor.predict_mix(&mix).iter().zip(&measured.per_flow) {
         println!(
             "   {:<5}  {:>13.2}%  {:>16.2}%  {:>11.2}%",
             m.flow.name(),
             m.predicted,
             m.predicted_fillrate,
-            (solo - flow.metrics.pps) / solo * 100.0,
+            drop,
         );
     }
 
