@@ -320,7 +320,11 @@ impl NicQueue {
         self.recycle_burst(ctx, bufs, true);
     }
 
-    #[inline]
+    // `shared` is a constant at each public entry point; always-inline
+    // makes each its own specialised copy, as the hand-written twins were
+    // (plain `#[inline]` left one out-of-line body testing the flag, and
+    // read 1–2 % slower on `ip_scalar` and `method_quick`, 7 of 9 pairs).
+    #[inline(always)]
     fn tx_burst(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr], shared: bool) {
         if bufs.is_empty() {
             return;
@@ -342,7 +346,7 @@ impl NicQueue {
         self.touch_freelist(ctx, shared);
     }
 
-    #[inline]
+    #[inline(always)]
     fn recycle_burst(&mut self, ctx: &mut ExecCtx<'_>, bufs: &[Addr], shared: bool) {
         if bufs.is_empty() {
             return;
@@ -356,7 +360,7 @@ impl NicQueue {
     /// The recycle side's one free-list transaction: the head line read and
     /// written back, as the owning core's private data or (`shared`) as
     /// cross-core shared data.
-    #[inline]
+    #[inline(always)]
     fn touch_freelist(&self, ctx: &mut ExecCtx<'_>, shared: bool) {
         ctx.scoped_id(self.t_skb_recycle, |ctx| {
             if shared {
@@ -370,7 +374,7 @@ impl NicQueue {
     }
 
     /// Push `buf` back on the host-side free stack (no simulated charge).
-    #[inline]
+    #[inline(always)]
     fn free_push(&mut self, buf: Addr, foreign: &str) {
         let idx = self.index_of(buf, foreign);
         debug_assert!(!self.free.contains(&idx), "double recycle of buffer {idx}");
