@@ -597,6 +597,96 @@ mod tests {
         assert_eq!(seq, par);
     }
 
+    /// A `Counts` as its fields in declaration order, for compact pins.
+    fn fields(c: &Counts) -> [u64; 12] {
+        [
+            c.instructions,
+            c.compute_cycles,
+            c.stall_cycles,
+            c.l1_refs,
+            c.l1_hits,
+            c.l2_refs,
+            c.l2_hits,
+            c.l3_refs,
+            c.l3_hits,
+            c.l3_misses,
+            c.remote_accesses,
+            c.packets,
+        ]
+    }
+
+    /// Six replicas of one type in one machine — `corun6`'s shape at quick
+    /// scale: every flow's window counters and footprint, and where the
+    /// domain-0 allocator stands after the six builds.
+    #[test]
+    fn six_same_type_replicas_are_pinned() {
+        let params = ExpParams::quick();
+        let s = corun_scenario(FlowType::Mon, &[FlowType::Mon; 5], ContentionConfig::Both, params);
+        let r = run_scenario(&s);
+        let want: [[u64; 12]; 6] = [
+            [4628262, 3521320, 4879372, 199743, 93773, 105970, 59589, 46381, 28002, 18379, 0, 3497],
+            [4608695, 3506474, 4897969, 198992, 93442, 105550, 58944, 46606, 28082, 18524, 0, 3481],
+            [4610334, 3507719, 4894757, 198977, 93354, 105623, 59093, 46530, 28024, 18506, 0, 3483],
+            [4620413, 3515464, 4886602, 199280, 93508, 105772, 59287, 46485, 28044, 18441, 0, 3491],
+            [4631069, 3523384, 4878819, 199960, 93822, 106138, 59500, 46638, 28340, 18298, 0, 3499],
+            [4629486, 3522341, 4881155, 199569, 93492, 106077, 59414, 46663, 28331, 18332, 0, 3499],
+        ];
+        for (i, (f, want)) in r.flows.iter().zip(want).enumerate() {
+            assert_eq!(fields(&f.counts), want, "flow {i}");
+            assert_eq!(f.working_set_bytes, 10_881_088, "flow {i}");
+        }
+        let mut m = Machine::new(MachineConfig::westmere());
+        let _built: Vec<_> = s
+            .flows
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                p.flow.build_with_structure(
+                    &mut m,
+                    p.domain,
+                    params.scale,
+                    flow_seed(params.seed, i),
+                    p.flow.structure_seed(params.seed),
+                    params.batch_size,
+                )
+            })
+            .collect();
+        assert_eq!(m.allocator(MemDomain(0)).used(), 65_286_592);
+    }
+
+    /// Two IP flows written as config text in one machine: the
+    /// config-built lookup path, pinned the same way.
+    #[test]
+    fn two_config_built_ip_flows_are_pinned() {
+        use pp_click::pipelines::build_config_flow;
+        use pp_net::gen::traffic::TrafficSpec;
+        let config = "chk :: CheckIPHeader; rt :: RadixIPLookup(PREFIXES 32000, SEED 7); \
+                      ttl :: DecIPTTL; out :: ToDevice; chk -> rt -> ttl -> out;";
+        let mut m = Machine::new(MachineConfig::westmere());
+        let flows: Vec<_> = (0..2u64)
+            .map(|i| {
+                let traffic = TrafficSpec::random_dst(64, 100 + i);
+                build_config_flow(&mut m, MemDomain(0), "IP", config, traffic).expect("valid config")
+            })
+            .collect();
+        assert_eq!(m.allocator(MemDomain(0)).used(), 13_101_600);
+        let mut e = Engine::new(m);
+        for (i, f) in flows.into_iter().enumerate() {
+            e.set_task(CoreId(i as u16), Box::new(f.task));
+        }
+        let params = ExpParams::quick();
+        let cfg = e.machine.config().clone();
+        let meas = e.measure(params.warmup_cycles(&cfg), params.window_cycles(&cfg));
+        let want: [[u64; 12]; 2] = [
+            [7566304, 5540179, 2861010, 202818, 151162, 51656, 25344, 26312, 17214, 9098, 0, 6478],
+            [7563237, 5537791, 2862375, 202958, 151338, 51620, 25146, 26474, 17405, 9069, 0, 6475],
+        ];
+        for (i, want) in want.into_iter().enumerate() {
+            let core = meas.core(CoreId(i as u16)).expect("flow core measured");
+            assert_eq!(fields(&core.counts.total), want, "flow {i}");
+        }
+    }
+
     #[test]
     fn flow_seed_is_stable_and_distinct() {
         assert_eq!(flow_seed(42, 0), flow_seed(42, 0));
