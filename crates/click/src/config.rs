@@ -31,7 +31,6 @@ use crate::elements::re::{ReConfig, RedundancyElim};
 use crate::elements::synthetic::{SynParams, Synthetic};
 use crate::elements::vpn::VpnEncrypt;
 use crate::graph::ElementGraph;
-use pp_net::gen::prefixes::generate_bgp_table;
 use pp_net::gen::rules::{generate_classifier_rules, generate_unmatchable_rules};
 use pp_sim::machine::Machine;
 use pp_sim::nic::NicQueue;
@@ -479,19 +478,12 @@ fn construct(
         }
         "RadixIPLookup" | "MultibitIPLookup" | "Dir248IPLookup" => {
             keys(&["PREFIXES", "SEED"])?;
-            let n = arg(a, "PREFIXES").unwrap_or(128_000);
-            if n <= 0 {
-                return Err(ConfigError::BadArgument {
-                    class: decl.class.clone(),
-                    message: format!("PREFIXES must be positive, got {n}"),
-                });
-            }
-            let prefixes = generate_bgp_table(n as usize, seed ^ 0x1111);
+            let n = ranged("PREFIXES", 128_000, 1..=4_000_000)? as usize;
             let alloc = ctx.machine.allocator(ctx.domain);
             match decl.class.as_str() {
-                "RadixIPLookup" => Box::new(RadixIpLookup::new(alloc, &prefixes, cost)),
-                "MultibitIPLookup" => Box::new(MultibitIpLookup::new(alloc, &prefixes, cost)),
-                _ => Box::new(Dir248IpLookup::new(alloc, &prefixes, cost)),
+                "RadixIPLookup" => Box::new(RadixIpLookup::bgp(alloc, n, seed, cost)),
+                "MultibitIPLookup" => Box::new(MultibitIpLookup::bgp(alloc, n, seed, cost)),
+                _ => Box::new(Dir248IpLookup::bgp(alloc, n, seed, cost)),
             }
         }
         "NetFlow" => {
@@ -504,13 +496,7 @@ fn construct(
         }
         "Firewall" => {
             keys(&["RULES", "SEED"])?;
-            let n = arg(a, "RULES").unwrap_or(1000);
-            if n <= 0 {
-                return Err(ConfigError::BadArgument {
-                    class: decl.class.clone(),
-                    message: format!("RULES must be positive, got {n}"),
-                });
-            }
+            let n = ranged("RULES", 1000, 1..=65_535)?;
             let rules = generate_unmatchable_rules(n as usize, seed ^ 0x2222);
             let alloc = ctx.machine.allocator(ctx.domain);
             Box::new(Firewall::new(alloc, &rules, cost))
@@ -540,7 +526,7 @@ fn construct(
             let params = SynParams {
                 ops_per_packet: arg(a, "OPS").unwrap_or(0).max(0) as u64,
                 reads_per_packet: arg(a, "READS").unwrap_or(64).max(0) as u32,
-                working_set_bytes: (arg(a, "WS_MB").unwrap_or(12).max(1) as u64) << 20,
+                working_set_bytes: (ranged("WS_MB", 12, 1..=65_536)? as u64) << 20,
                 mlp: arg(a, "MLP").unwrap_or(8).clamp(1, 64) as u32,
                 seed,
             };
@@ -556,13 +542,7 @@ fn construct(
         }
         "DPI" => {
             keys(&["SIGNATURES", "PREVENT", "SEED"])?;
-            let n = arg(a, "SIGNATURES").unwrap_or(1500);
-            if n <= 0 {
-                return Err(ConfigError::BadArgument {
-                    class: decl.class.clone(),
-                    message: format!("SIGNATURES must be positive, got {n}"),
-                });
-            }
+            let n = ranged("SIGNATURES", 1500, 1..=65_535)?;
             let sigs = pp_net::gen::signatures::generate_signatures(n as usize, seed ^ 0x3333);
             let mode = if arg(a, "PREVENT").unwrap_or(0) != 0 {
                 crate::elements::dpi::DpiMode::Prevent
@@ -862,6 +842,18 @@ mod tests {
             "r :: RedundancyElim(FP_LOG2 -1); r -> r;",
             "r :: RedundancyElim(STORE_MB -1); r -> r;",
             "r :: RedundancyElim(STORE_MB 0); r -> r;",
+            // Unchecked, these three ask `Vec::with_capacity` for more than
+            // the address space and the fourth places a working set past the
+            // end of its NUMA domain.
+            "r :: RadixIPLookup(PREFIXES 9223372036854775807); r -> r;",
+            "r :: Dir248IPLookup(PREFIXES 4000001); r -> r;",
+            "f :: Firewall(RULES 9223372036854775807); f -> f;",
+            "f :: Firewall(RULES 65536); f -> f;",
+            "d :: DPI(SIGNATURES 9223372036854775807); d -> d;",
+            "d :: DPI(SIGNATURES 65536); d -> d;",
+            "s :: Synthetic(WS_MB 100000000); s -> s;",
+            "s :: Synthetic(WS_MB 65537); s -> s;",
+            "s :: Synthetic(WS_MB 0); s -> s;",
         ] {
             let (mut m, nic) = ctx_parts();
             let mut ctx = BuildCtx {

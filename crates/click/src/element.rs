@@ -77,17 +77,9 @@ pub trait Element {
 pub(crate) mod test_util {
     //! Shared helpers for element unit tests.
 
-    use super::Element;
-    use crate::cost::CostModel;
-    use pp_net::gen::prefixes::{generate_bgp_table, PrefixEntry};
     use pp_net::packet::{Packet, PacketBuilder};
-    use pp_sim::arena::DomainAllocator;
     use pp_sim::config::MachineConfig;
-    use pp_sim::counters::Counts;
     use pp_sim::machine::Machine;
-    use pp_sim::types::{CoreId, Cycles, MemDomain};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
     use std::net::Ipv4Addr;
 
     /// A Westmere machine for element tests.
@@ -104,75 +96,6 @@ pub(crate) mod test_util {
             53,
             &[0xAB; 10],
         )
-    }
-
-    /// A BGP-shaped table with extra /25–/32 prefixes layered under its
-    /// /24s, so DIR-24-8's spill stage is exercised.
-    pub fn bgp_with_long(n: usize, seed: u64) -> Vec<PrefixEntry> {
-        let mut t = generate_bgp_table(n, seed);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD128);
-        let slashes24: Vec<u32> =
-            t.iter().filter(|e| e.len == 24).map(|e| e.addr).take(64).collect();
-        for (i, &base) in slashes24.iter().enumerate() {
-            let len = 25 + (i % 8) as u8;
-            let shift = 32 - len as u32;
-            // Random low byte under the /24, canonicalized to `len` bits.
-            let addr = ((base | (rng.random::<u32>() & 0xFF)) >> shift) << shift;
-            t.push(PrefixEntry { addr, len, next_hop: rng.random_range(0..64) });
-        }
-        t
-    }
-
-    /// The LPM-element pin: build an element with `new` over
-    /// `bgp_with_long(2000, 11)` (less 240/4's cover) on a fresh machine and push a fixed
-    /// 256-packet stream through `process_batch` in vectors of `vector`.
-    /// The stream has NIC-buffer addresses (so the header touch is
-    /// charged), seeded random destinations with every eighth inside a /24
-    /// that holds a longer prefix, and two frames that do not parse as
-    /// IPv4. Returns the element, core 0's total `Counts` and its clock.
-    pub fn lpm_pin_run<E: Element>(
-        new: fn(&mut DomainAllocator, &[PrefixEntry], CostModel) -> E,
-        vector: usize,
-    ) -> (E, Counts, Cycles) {
-        let mut table = bgp_with_long(2000, 11);
-        // Un-route 240/4's covering /8s so some destinations have no route.
-        table.retain(|e| !(e.len == 8 && e.addr >> 28 == 0xF));
-        let long: Vec<u32> = table.iter().filter(|e| e.len > 24).map(|e| e.addr).collect();
-        let mut m = machine();
-        let mut el = new(m.allocator(MemDomain(0)), &table, CostModel::default());
-        let bufs = m.allocator(MemDomain(0)).alloc_lines(256 * 2048);
-        let mut rng = SmallRng::seed_from_u64(0x91);
-        let mut pkts: Vec<Packet> = (0..256u64)
-            .map(|i| {
-                let dst = if i % 8 == 7 {
-                    (long[(i / 8) as usize % long.len()] & !0xFF) | (rng.random::<u32>() & 0xFF)
-                } else {
-                    rng.random()
-                };
-                let mut p = PacketBuilder::default().udp(
-                    Ipv4Addr::new(10, 1, 2, 3),
-                    Ipv4Addr::from(dst),
-                    40_000,
-                    53,
-                    &[0xAB; 10],
-                );
-                p.buf_addr = bufs + i * 2048;
-                if i == 100 || i == 200 {
-                    p.data[14] = 0x65; // IP version 6: `ipv4()` fails
-                }
-                p
-            })
-            .collect();
-        let mut actions = Vec::new();
-        {
-            let mut ctx = m.ctx(CoreId(0));
-            for chunk in pkts.chunks_mut(vector) {
-                el.process_batch(&mut ctx, chunk, &mut actions);
-            }
-        }
-        assert_eq!(actions.len(), 256);
-        let core = m.core(CoreId(0));
-        (el, core.counters.total(), core.clock)
     }
 
     /// A valid UDP packet with an exact payload.

@@ -29,8 +29,9 @@
 
 use crate::elements::radix::{push_covering_lines, IpLookup, LpmTable};
 use pp_net::gen::prefixes::PrefixEntry;
-use pp_sim::arena::{DomainAllocator, SimVec};
+use pp_sim::arena::{DomainAllocator, SimPlacement};
 use pp_sim::ctx::ExecCtx;
+use std::rc::Rc;
 
 /// First-stage index width: the top 24 bits of the destination.
 const STAGE1_BITS: u32 = 24;
@@ -66,16 +67,22 @@ fn decode(e: u32) -> Option<u32> {
 }
 
 /// The DIR-24-8 table: a flat 16M-entry first stage plus per-/24 spill
-/// blocks, both allocated into simulated memory so every lookup's reads are
+/// blocks, both placed in simulated memory so every lookup's reads are
 /// charged like any other structure walk.
 pub struct Dir248Table {
+    image: Rc<Dir248Image>,
+    stage1: SimPlacement<u32>,
+    stage2: SimPlacement<u32>,
+}
+
+/// [`Dir248Table`]'s host data.
+pub struct Dir248Image {
     /// One entry per /24 (64 MB simulated — deliberately DRAM-resident).
-    stage1: SimVec<u32>,
+    stage1: Vec<u32>,
     /// Concatenated 256-entry spill blocks for /24s containing longer
     /// prefixes.
-    stage2: SimVec<u32>,
+    stage2: Vec<u32>,
     n_prefixes: usize,
-    n_blocks: usize,
 }
 
 /// Reusable per-batch walk state for
@@ -92,7 +99,7 @@ pub struct Dir248Scratch {
 impl Dir248Table {
     /// Number of prefixes inserted.
     pub fn prefix_count(&self) -> usize {
-        self.n_prefixes
+        self.image.n_prefixes
     }
 
     /// Total simulated footprint in bytes (first stage + spill blocks).
@@ -102,15 +109,15 @@ impl Dir248Table {
 
     /// Number of second-stage spill blocks (= /24s containing a /25–/32).
     pub fn block_count(&self) -> usize {
-        self.n_blocks
+        self.stage2.len() / BLOCK
     }
 
     /// Host-only lookup (no simulated cost) — the test-oracle interface.
     pub fn lookup_host(&self, dst: u32) -> Option<u32> {
-        let e = *self.stage1.peek((dst >> 8) as usize);
+        let e = self.image.stage1[(dst >> 8) as usize];
         if e & SPILL != 0 {
             let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
-            decode(*self.stage2.peek(idx))
+            decode(self.image.stage2[idx])
         } else {
             decode(e)
         }
@@ -120,6 +127,7 @@ impl Dir248Table {
 impl LpmTable for Dir248Table {
     const CLASS: &'static str = "Dir248IPLookup";
     type Scratch = Dir248Scratch;
+    type Image = Dir248Image;
 
     /// Two leaf-pushing phases, each in ascending prefix-length order
     /// (stable, so a duplicated `(addr, len)` resolves to the later table
@@ -127,7 +135,7 @@ impl LpmTable for Dir248Table {
     /// prefix of length ≤ 24 expands over its covered first-stage range,
     /// then every longer prefix spills its /24 into a block initialized
     /// from the finished first stage and overwrites its covered slots.
-    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
+    fn image(prefixes: &[PrefixEntry]) -> Dir248Image {
         let mut stage1 = vec![0u32; STAGE1_ENTRIES];
         let mut short: Vec<&PrefixEntry> = prefixes.iter().filter(|p| p.len <= 24).collect();
         short.sort_by_key(|p| p.len);
@@ -158,22 +166,22 @@ impl LpmTable for Dir248Table {
                 *e = leaf(p.len, p.next_hop);
             }
         }
-        let n_blocks = stage2.len() / BLOCK;
-        Dir248Table {
-            stage1: SimVec::from_vec(alloc, stage1),
-            stage2: SimVec::from_vec(alloc, stage2),
-            n_prefixes: prefixes.len(),
-            n_blocks,
-        }
+        Dir248Image { stage1, stage2, n_prefixes: prefixes.len() }
+    }
+
+    fn place(alloc: &mut DomainAllocator, image: Rc<Dir248Image>) -> Self {
+        let stage1 = SimPlacement::new(alloc, image.stage1.len());
+        let stage2 = SimPlacement::new(alloc, image.stage2.len());
+        Dir248Table { image, stage1, stage2 }
     }
 
     /// One direct-indexed read, plus one dependent block read when the /24
     /// is spilled: `steps` ∈ {1, 2}.
     fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
-        let e = self.stage1.read(ctx, (dst >> 8) as usize);
+        let e = self.stage1.read(ctx, &self.image.stage1, (dst >> 8) as usize);
         if e & SPILL != 0 {
             let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
-            (decode(self.stage2.read(ctx, idx)), 2)
+            (decode(self.stage2.read(ctx, &self.image.stage2, idx)), 2)
         } else {
             (decode(e), 1)
         }
@@ -200,7 +208,7 @@ impl LpmTable for Dir248Table {
         for (l, &dst) in dsts.iter().enumerate() {
             let i = (dst >> 8) as usize;
             push_covering_lines(addrs, self.stage1.addr_of(i), self.stage1.stride());
-            let e = *self.stage1.peek(i);
+            let e = self.image.stage1[i];
             entries.push(e);
             if e & SPILL != 0 {
                 let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
@@ -219,7 +227,7 @@ impl LpmTable for Dir248Table {
         out.extend(dsts.iter().zip(entries.iter()).map(|(&dst, &e)| {
             if e & SPILL != 0 {
                 let idx = ((e & !SPILL) as usize) * BLOCK + (dst & 0xFF) as usize;
-                (decode(*self.stage2.peek(idx)), 2)
+                (decode(self.image.stage2[idx]), 2)
             } else {
                 (decode(e), 1)
             }
@@ -235,8 +243,9 @@ pub type Dir248IpLookup = IpLookup<Dir248Table>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::test_util::{bgp_with_long, lpm_pin_run, machine};
-    use crate::elements::radix::{checks, BinaryRadixTrie};
+    use crate::element::test_util::machine;
+    use crate::elements::radix::checks::{self, bgp_with_long, lpm_pin_run};
+    use crate::elements::radix::BinaryRadixTrie;
     use pp_net::gen::prefixes::{generate_prefixes, linear_lpm};
     use pp_sim::types::{CoreId, MemDomain};
     use rand::rngs::SmallRng;

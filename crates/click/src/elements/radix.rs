@@ -21,14 +21,24 @@
 //!
 //! Every node access is a dependent read, so each converted miss costs a
 //! full δ — the paper's sensitivity mechanism.
+//!
+//! A table is its simulated placements plus one shared, read-only host
+//! image ([`LpmTable::Image`]). Replicas of one BGP-shaped table stood up
+//! through [`IpLookup::bgp`] while another is alive share that image and
+//! keep private simulated ranges, so each replica is charged exactly as a
+//! privately built one would be.
 
 use crate::cost::CostModel;
 use crate::element::{Action, Element, BATCH_MLP};
-use pp_net::gen::prefixes::PrefixEntry;
+use pp_net::gen::prefixes::{generate_bgp_table, PrefixEntry};
 use pp_net::packet::Packet;
-use pp_sim::arena::{DomainAllocator, SimVec};
+use pp_sim::arena::{DomainAllocator, SimPlacement};
 use pp_sim::ctx::ExecCtx;
 use pp_sim::types::CACHE_LINE;
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::{Rc, Weak};
 
 /// Append every cache line covering `[addr, addr + len)` to `out` — the
 /// batched walks must charge exactly the lines the scalar
@@ -49,7 +59,7 @@ pub(crate) fn push_covering_lines(out: &mut Vec<u64>, addr: u64, len: u64) {
 /// the walk issued (the element charges `lookup_step` compute per step);
 /// the batched form must visit the same entries and return the same pairs
 /// as per-lane `lookup` calls — only the core-visible stall may shrink.
-pub trait LpmTable {
+pub trait LpmTable: Sized + 'static {
     /// Click class name of the element over this table.
     const CLASS: &'static str;
 
@@ -57,9 +67,24 @@ pub trait LpmTable {
     /// so steady-state batched lookups allocate nothing).
     type Scratch: Default;
 
+    /// The table's host data: built once from a prefix table, read-only
+    /// ever after, and shareable between replicas.
+    type Image: 'static;
+
+    /// Build the host image of a prefix table. Host-only and pure: nothing
+    /// is allocated in simulated memory.
+    fn image(prefixes: &[PrefixEntry]) -> Self::Image;
+
+    /// Give `image` its own simulated range in `alloc`'s NUMA domain:
+    /// exactly the bytes, alignments and order [`build`](Self::build)
+    /// allocates, whoever else holds the image.
+    fn place(alloc: &mut DomainAllocator, image: Rc<Self::Image>) -> Self;
+
     /// Build from a prefix table, allocating the structure in `alloc`'s
     /// NUMA domain. Host-side: construction costs no simulated time.
-    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self;
+    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
+        Self::place(alloc, Rc::new(Self::image(prefixes)))
+    }
 
     /// Longest-prefix match for one destination, charging its reads.
     fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32);
@@ -107,26 +132,24 @@ fn leaf_hop(e: Entry) -> u32 {
 /// One interior node: 16 children, one cache line.
 type Node = [Entry; 16];
 
-/// The trie. Built host-side from a prefix table, then materialized into
-/// simulated memory; lookups charge one dependent read per level.
+/// The trie. Built host-side from a prefix table, then placed in simulated
+/// memory; lookups charge one dependent read per level.
 pub struct MultibitTrie {
-    root: SimVec<u32>,
-    nodes: SimVec<Node>,
+    image: Rc<MultibitImage>,
+    root: SimPlacement<Entry>,
+    nodes: SimPlacement<Node>,
+}
+
+/// [`MultibitTrie`]'s host data: the 2¹⁶-entry root array and the interior
+/// nodes, built with plain vectors so construction costs nothing in
+/// simulated time.
+pub struct MultibitImage {
+    root: Vec<Entry>,
+    nodes: Vec<Node>,
     n_prefixes: usize,
 }
 
-/// Host-side builder state (plain vectors; converted to `SimVec` at the
-/// end so construction costs nothing in simulated time).
-struct Builder {
-    root: Vec<Entry>,
-    nodes: Vec<Node>,
-}
-
-impl Builder {
-    fn new() -> Self {
-        Builder { root: vec![0; 1 << 16], nodes: Vec::new() }
-    }
-
+impl MultibitImage {
     fn new_node(&mut self) -> usize {
         self.nodes.push([0; 16]);
         self.nodes.len() - 1
@@ -214,7 +237,7 @@ impl Builder {
 impl MultibitTrie {
     /// Number of prefixes inserted.
     pub fn prefix_count(&self) -> usize {
-        self.n_prefixes
+        self.image.n_prefixes
     }
 
     /// Total simulated footprint in bytes (root array + nodes).
@@ -230,10 +253,10 @@ impl MultibitTrie {
     /// Host-only lookup (no simulated cost): the oracle interface for tests
     /// and for host-side tools.
     pub fn lookup_host(&self, dst: u32) -> Option<u32> {
-        let mut e = *self.root.peek((dst >> 16) as usize);
+        let mut e = self.image.root[(dst >> 16) as usize];
         let mut consumed = 16u32;
         while e & INTERNAL != 0 {
-            let node = self.nodes.peek((e & !INTERNAL) as usize);
+            let node = &self.image.nodes[(e & !INTERNAL) as usize];
             e = node[((dst >> (32 - consumed - 4)) & 0xF) as usize];
             consumed += 4;
         }
@@ -248,28 +271,32 @@ impl MultibitTrie {
 impl LpmTable for MultibitTrie {
     const CLASS: &'static str = "MultibitIPLookup";
     type Scratch = MultibitScratch;
+    type Image = MultibitImage;
 
-    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
-        let mut b = Builder::new();
+    fn image(prefixes: &[PrefixEntry]) -> MultibitImage {
+        let mut image =
+            MultibitImage { root: vec![0; 1 << 16], nodes: Vec::new(), n_prefixes: prefixes.len() };
         for p in prefixes {
-            b.insert(p);
+            image.insert(p);
         }
-        MultibitTrie {
-            root: SimVec::from_vec(alloc, b.root),
-            nodes: SimVec::from_vec(alloc, b.nodes),
-            n_prefixes: prefixes.len(),
-        }
+        image
+    }
+
+    fn place(alloc: &mut DomainAllocator, image: Rc<MultibitImage>) -> Self {
+        let root = SimPlacement::new(alloc, image.root.len());
+        let nodes = SimPlacement::new(alloc, image.nodes.len());
+        MultibitTrie { image, root, nodes }
     }
 
     /// One read in the root array, then one dependent 64-byte node read
     /// per level; `steps` = levels visited.
     fn lookup(&self, ctx: &mut ExecCtx<'_>, dst: u32) -> (Option<u32>, u32) {
         let mut levels = 1;
-        let mut e = self.root.read(ctx, (dst >> 16) as usize);
+        let mut e = self.root.read(ctx, &self.image.root, (dst >> 16) as usize);
         let mut consumed = 16u32;
         while e & INTERNAL != 0 {
             let node_idx = (e & !INTERNAL) as usize;
-            let node = self.nodes.read(ctx, node_idx);
+            let node = self.nodes.read(ctx, &self.image.nodes, node_idx);
             let nib = ((dst >> (32 - consumed - 4)) & 0xF) as usize;
             e = node[nib];
             consumed += 4;
@@ -307,7 +334,7 @@ impl LpmTable for MultibitTrie {
         for (l, &dst) in dsts.iter().enumerate() {
             let i = (dst >> 16) as usize;
             push_covering_lines(addrs, self.root.addr_of(i), self.root.stride());
-            let e = *self.root.peek(i);
+            let e = self.image.root[i];
             entries.push(e);
             if e & INTERNAL != 0 {
                 alive.push(l);
@@ -321,7 +348,7 @@ impl LpmTable for MultibitTrie {
             for &l in alive.iter() {
                 let node_idx = (entries[l] & !INTERNAL) as usize;
                 push_covering_lines(addrs, self.nodes.addr_of(node_idx), self.nodes.stride());
-                let node = *self.nodes.peek(node_idx);
+                let node = &self.image.nodes[node_idx];
                 let e = node[((dsts[l] >> (32 - consumed[l] - 4)) & 0xF) as usize];
                 entries[l] = e;
                 consumed[l] += 4;
@@ -359,17 +386,23 @@ pub struct MultibitScratch {
 /// A binary (bit-at-a-time) radix trie with best-match tracking — the
 /// shape of Click's `RadixTrie`. See the module docs.
 pub struct BinaryRadixTrie {
+    image: Rc<BinaryRadixImage>,
+    nodes: SimPlacement<[u32; 6]>,
+    routes: SimPlacement<[u32; 4]>,
+}
+
+/// [`BinaryRadixTrie`]'s host data.
+pub struct BinaryRadixImage {
     /// Nodes as `[left, right, best, pad...]`; `u32::MAX` = no child,
     /// `best` 0 = no prefix ends at this node (otherwise a packed leaf
     /// whose low bits index `routes`). 24 bytes per node, matching the
     /// footprint of Click's pointer-based C++ trie nodes (two child
     /// pointers plus prefix/route metadata).
-    nodes: SimVec<[u32; 6]>,
+    nodes: Vec<[u32; 6]>,
     /// One route entry per prefix: `[next_hop, iface, mtu, flags]`. The
     /// lookup's final dependent read, as in Click where the matched trie
     /// leaf points at a route structure.
-    routes: SimVec<[u32; 4]>,
-    n_prefixes: usize,
+    routes: Vec<[u32; 4]>,
 }
 
 const NO_CHILD: u32 = u32::MAX;
@@ -380,9 +413,9 @@ fn new_node() -> [u32; 6] {
 }
 
 impl BinaryRadixTrie {
-    /// Number of prefixes inserted.
+    /// Number of prefixes inserted (one route entry each).
     pub fn prefix_count(&self) -> usize {
-        self.n_prefixes
+        self.routes.len()
     }
 
     /// Total simulated footprint in bytes (nodes + route entries).
@@ -400,7 +433,7 @@ impl BinaryRadixTrie {
         let mut cur = 0usize;
         let mut best: u32 = 0;
         for i in 0..=32u32 {
-            let node = self.nodes.peek(cur);
+            let node = &self.image.nodes[cur];
             if node[2] != 0 {
                 best = node[2];
             }
@@ -414,7 +447,7 @@ impl BinaryRadixTrie {
             cur = node[bit] as usize;
         }
         if best != 0 {
-            Some(self.routes.peek(leaf_hop(best) as usize)[0])
+            Some(self.image.routes[leaf_hop(best) as usize][0])
         } else {
             None
         }
@@ -424,8 +457,9 @@ impl BinaryRadixTrie {
 impl LpmTable for BinaryRadixTrie {
     const CLASS: &'static str = "RadixIPLookup";
     type Scratch = LookupScratch;
+    type Image = BinaryRadixImage;
 
-    fn build(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry]) -> Self {
+    fn image(prefixes: &[PrefixEntry]) -> BinaryRadixImage {
         let mut nodes: Vec<[u32; 6]> = vec![new_node()];
         let mut routes: Vec<[u32; 4]> = Vec::with_capacity(prefixes.len());
         for (pi, p) in prefixes.iter().enumerate() {
@@ -449,11 +483,13 @@ impl LpmTable for BinaryRadixTrie {
                 nodes[cur][2] = leaf(p.len, pi as u32);
             }
         }
-        BinaryRadixTrie {
-            nodes: SimVec::from_vec(alloc, nodes),
-            routes: SimVec::from_vec(alloc, routes),
-            n_prefixes: prefixes.len(),
-        }
+        BinaryRadixImage { nodes, routes }
+    }
+
+    fn place(alloc: &mut DomainAllocator, image: Rc<BinaryRadixImage>) -> Self {
+        let nodes = SimPlacement::new(alloc, image.nodes.len());
+        let routes = SimPlacement::new(alloc, image.routes.len());
+        BinaryRadixTrie { image, nodes, routes }
     }
 
     /// One dependent node read per level, then the matched route entry;
@@ -463,7 +499,7 @@ impl LpmTable for BinaryRadixTrie {
         let mut best: u32 = 0;
         let mut levels = 0u32;
         for i in 0..=32u32 {
-            let node = self.nodes.read(ctx, cur);
+            let node = self.nodes.read(ctx, &self.image.nodes, cur);
             levels += 1;
             if node[2] != 0 {
                 best = node[2];
@@ -480,7 +516,7 @@ impl LpmTable for BinaryRadixTrie {
         }
         if best != 0 {
             // Final dependent read: the matched route entry.
-            let route = self.routes.read(ctx, leaf_hop(best) as usize);
+            let route = self.routes.read(ctx, &self.image.routes, leaf_hop(best) as usize);
             (Some(route[0]), levels + 1)
         } else {
             (None, levels)
@@ -524,7 +560,7 @@ impl LpmTable for BinaryRadixTrie {
             next_alive.clear();
             for &l in alive.iter() {
                 push_covering_lines(addrs, self.nodes.addr_of(cur[l]), self.nodes.stride());
-                let node = *self.nodes.peek(cur[l]);
+                let node = &self.image.nodes[cur[l]];
                 levels[l] += 1;
                 if node[2] != 0 {
                     best[l] = node[2];
@@ -555,8 +591,7 @@ impl LpmTable for BinaryRadixTrie {
         out.clear();
         out.extend((0..n).map(|l| {
             if best[l] != 0 {
-                let route = self.routes.peek(leaf_hop(best[l]) as usize);
-                (Some(route[0]), levels[l] + 1)
+                (Some(self.image.routes[leaf_hop(best[l]) as usize][0]), levels[l] + 1)
             } else {
                 (None, levels[l])
             }
@@ -606,11 +641,49 @@ pub type RadixIpLookup = IpLookup<BinaryRadixTrie>;
 /// of ~15. Routes identically; contends differently.
 pub type MultibitIpLookup = IpLookup<MultibitTrie>;
 
+/// Which BGP-shaped table an image is: table type, prefix count, seed.
+type ImageKey = (TypeId, usize, u64);
+
+thread_local! {
+    /// The host images [`IpLookup::bgp`] has handed out. Entries are weak:
+    /// an image lives exactly as long as some replica holds it, and dead
+    /// entries are pruned on insert.
+    static BGP_IMAGES: RefCell<HashMap<ImageKey, Weak<dyn Any>>> = RefCell::new(HashMap::new());
+}
+
 impl<T: LpmTable> IpLookup<T> {
     /// Build the element (and its table) in `alloc`'s domain.
     pub fn new(alloc: &mut DomainAllocator, prefixes: &[PrefixEntry], cost: CostModel) -> Self {
+        Self::over(T::build(alloc, prefixes), cost)
+    }
+
+    /// The element over the BGP-shaped table of `n_prefixes` prefixes that
+    /// structure seed `seed` generates — what every standard chain and
+    /// config-built lookup runs — placed in `alloc`'s domain. While another
+    /// replica of the same table is alive on this thread, the new one
+    /// shares its host image and takes only its own simulated range.
+    pub fn bgp(alloc: &mut DomainAllocator, n_prefixes: usize, seed: u64, cost: CostModel) -> Self {
+        let key = (TypeId::of::<T>(), n_prefixes, seed);
+        let live = BGP_IMAGES.with(|m| m.borrow().get(&key).and_then(Weak::upgrade));
+        let image = match live {
+            Some(image) => image.downcast().expect("images are keyed by table type"),
+            None => {
+                let image = Rc::new(T::image(&generate_bgp_table(n_prefixes, seed ^ 0x1111)));
+                let erased: Rc<dyn Any> = image.clone();
+                BGP_IMAGES.with(|m| {
+                    let mut m = m.borrow_mut();
+                    m.retain(|_, w| w.strong_count() > 0);
+                    m.insert(key, Rc::downgrade(&erased));
+                });
+                image
+            }
+        };
+        Self::over(T::place(alloc, image), cost)
+    }
+
+    fn over(table: T, cost: CostModel) -> Self {
         IpLookup {
-            table: T::build(alloc, prefixes),
+            table,
             cost,
             scratch: T::Scratch::default(),
             hdrs: Vec::new(),
@@ -717,17 +790,88 @@ impl<T: LpmTable> Element for IpLookup<T> {
 }
 
 /// The checks every [`LpmTable`] and the element over it must pass, generic
-/// so each table's test module instantiates them.
+/// so each table's test module instantiates them, and the prefix table and
+/// packet stream they share.
 #[cfg(test)]
 pub(crate) mod checks {
     use super::*;
-    use crate::element::test_util::{bgp_with_long, machine, packet};
+    use crate::element::test_util::{machine, packet};
     use pp_net::packet::PacketBuilder;
+    use pp_sim::counters::Counts;
     use pp_sim::machine::Machine;
-    use pp_sim::types::{CoreId, MemDomain};
+    use pp_sim::types::{CoreId, Cycles, MemDomain};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::net::Ipv4Addr;
+
+    /// A BGP-shaped table with extra /25–/32 prefixes layered under its
+    /// /24s, so DIR-24-8's spill stage is exercised.
+    pub fn bgp_with_long(n: usize, seed: u64) -> Vec<PrefixEntry> {
+        let mut t = generate_bgp_table(n, seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xD128);
+        let slashes24: Vec<u32> =
+            t.iter().filter(|e| e.len == 24).map(|e| e.addr).take(64).collect();
+        for (i, &base) in slashes24.iter().enumerate() {
+            let len = 25 + (i % 8) as u8;
+            let shift = 32 - len as u32;
+            // Random low byte under the /24, canonicalized to `len` bits.
+            let addr = ((base | (rng.random::<u32>() & 0xFF)) >> shift) << shift;
+            t.push(PrefixEntry { addr, len, next_hop: rng.random_range(0..64) });
+        }
+        t
+    }
+
+    /// The LPM-element pin: build an element with `new` over
+    /// `bgp_with_long(2000, 11)` (less 240/4's cover) on a fresh machine and push a fixed
+    /// 256-packet stream through `process_batch` in vectors of `vector`.
+    /// The stream has NIC-buffer addresses (so the header touch is
+    /// charged), seeded random destinations with every eighth inside a /24
+    /// that holds a longer prefix, and two frames that do not parse as
+    /// IPv4. Returns the element, core 0's total `Counts` and its clock.
+    pub fn lpm_pin_run<E: Element>(
+        new: fn(&mut DomainAllocator, &[PrefixEntry], CostModel) -> E,
+        vector: usize,
+    ) -> (E, Counts, Cycles) {
+        let mut table = bgp_with_long(2000, 11);
+        // Un-route 240/4's covering /8s so some destinations have no route.
+        table.retain(|e| !(e.len == 8 && e.addr >> 28 == 0xF));
+        let long: Vec<u32> = table.iter().filter(|e| e.len > 24).map(|e| e.addr).collect();
+        let mut m = machine();
+        let mut el = new(m.allocator(MemDomain(0)), &table, CostModel::default());
+        let bufs = m.allocator(MemDomain(0)).alloc_lines(256 * 2048);
+        let mut rng = SmallRng::seed_from_u64(0x91);
+        let mut pkts: Vec<Packet> = (0..256u64)
+            .map(|i| {
+                let dst = if i % 8 == 7 {
+                    (long[(i / 8) as usize % long.len()] & !0xFF) | (rng.random::<u32>() & 0xFF)
+                } else {
+                    rng.random()
+                };
+                let mut p = PacketBuilder::default().udp(
+                    Ipv4Addr::new(10, 1, 2, 3),
+                    Ipv4Addr::from(dst),
+                    40_000,
+                    53,
+                    &[0xAB; 10],
+                );
+                p.buf_addr = bufs + i * 2048;
+                if i == 100 || i == 200 {
+                    p.data[14] = 0x65; // IP version 6: `ipv4()` fails
+                }
+                p
+            })
+            .collect();
+        let mut actions = Vec::new();
+        {
+            let mut ctx = m.ctx(CoreId(0));
+            for chunk in pkts.chunks_mut(vector) {
+                el.process_batch(&mut ctx, chunk, &mut actions);
+            }
+        }
+        assert_eq!(actions.len(), 256);
+        let core = m.core(CoreId(0));
+        (el, core.counters.total(), core.clock)
+    }
 
     fn element<T: LpmTable>(prefixes: &[PrefixEntry]) -> (Machine, IpLookup<T>) {
         let mut m = machine();
@@ -850,8 +994,10 @@ pub(crate) mod checks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::test_util::{lpm_pin_run, machine};
+    use super::checks::lpm_pin_run;
+    use crate::element::test_util::machine;
     use pp_net::gen::prefixes::{generate_prefixes, linear_lpm};
+    use pp_sim::machine::Machine;
     use pp_sim::types::{CoreId, MemDomain};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1080,5 +1226,65 @@ mod tests {
     fn element_routes_and_drops() {
         checks::element_routes_and_drops::<BinaryRadixTrie>(34.0);
         checks::element_routes_and_drops::<MultibitTrie>(5.0);
+    }
+
+    /// `(live, dead)` entries in this thread's image map.
+    fn image_entries() -> (usize, usize) {
+        BGP_IMAGES.with(|m| {
+            let m = m.borrow();
+            let live = m.values().filter(|w| w.strong_count() > 0).count();
+            (live, m.len() - live)
+        })
+    }
+
+    /// Two `bgp` replicas in one machine share one host image, sit in
+    /// disjoint simulated ranges, and charge exactly what a privately built
+    /// table in the same range charges; any other table gets its own image,
+    /// and an image dies with its last replica.
+    #[test]
+    fn bgp_replicas_share_the_host_image_and_keep_private_ranges() {
+        let cost = CostModel::default();
+        let (n, seed) = (4000, 9);
+        let mut rng = SmallRng::seed_from_u64(12);
+        let dsts: Vec<u32> = (0..300).map(|_| rng.random()).collect();
+        let walk = |m: &mut Machine, t: &BinaryRadixTrie| {
+            let mut ctx = m.ctx(CoreId(0));
+            let routes: Vec<_> = dsts.iter().map(|&d| t.lookup(&mut ctx, d)).collect();
+            (routes, m.core(CoreId(0)).counters.total())
+        };
+        let next_addr = |m: &mut Machine| MemDomain(0).base() + m.allocator(MemDomain(0)).used();
+
+        let mut m = machine();
+        let a = RadixIpLookup::bgp(m.allocator(MemDomain(0)), n, seed, cost);
+        let after_a = next_addr(&mut m);
+        let b = RadixIpLookup::bgp(m.allocator(MemDomain(0)), n, seed, cost);
+        let (ta, tb) = (a.table(), b.table());
+        assert!(Rc::ptr_eq(&ta.image, &tb.image));
+        assert_eq!(tb.nodes.base(), after_a);
+        assert!(ta.routes.base() + ta.routes.footprint() <= tb.nodes.base());
+        assert_eq!((ta.footprint(), ta.prefix_count()), (tb.footprint(), tb.prefix_count()));
+        let (routes, shared) = walk(&mut m, tb);
+
+        let others = [
+            RadixIpLookup::bgp(m.allocator(MemDomain(0)), n + 1, seed, cost).table.image,
+            RadixIpLookup::bgp(m.allocator(MemDomain(0)), n, seed + 1, cost).table.image,
+        ];
+        assert!(others.iter().all(|o| !Rc::ptr_eq(o, &ta.image)));
+        let multibit = MultibitIpLookup::bgp(m.allocator(MemDomain(0)), n, seed, cost);
+        assert_eq!(image_entries(), (4, 0), "one image per table type, size and seed");
+
+        let gone = Rc::downgrade(&ta.image);
+        drop((a, b, others, multibit));
+        assert_eq!(gone.strong_count(), 0, "the image dies with its last replica");
+        // A fresh machine whose allocator stands where `b` was placed: the
+        // next replica builds a fresh image and prunes the dead entries.
+        let mut fresh = machine();
+        let pad = after_a - next_addr(&mut fresh);
+        fresh.allocator(MemDomain(0)).alloc(pad, 1);
+        let c = RadixIpLookup::bgp(fresh.allocator(MemDomain(0)), n, seed, cost);
+        assert!(!std::ptr::eq(gone.as_ptr(), Rc::as_ptr(&c.table().image)));
+        assert_eq!(image_entries(), (1, 0));
+        assert_eq!(c.table().nodes.base(), after_a);
+        assert_eq!(walk(&mut fresh, c.table()), (routes, shared));
     }
 }

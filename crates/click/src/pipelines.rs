@@ -13,7 +13,9 @@
 //! All flows end in `ToDevice`. Each flow owns private replicas of its data
 //! structures (per-client state, as in the paper's multi-tenant setting) in
 //! an explicitly chosen NUMA domain — the lever the Fig. 3 configurations
-//! use to isolate cache vs. memory-controller contention.
+//! use to isolate cache vs. memory-controller contention. (Identical
+//! routing-table replicas share one host image; their simulated ranges
+//! stay private — see [`IpLookup::bgp`](crate::elements::radix::IpLookup::bgp).)
 
 use crate::config::{build_config, BuildCtx, ConfigError};
 use crate::cost::CostModel;
@@ -31,7 +33,6 @@ use crate::elements::synthetic::{SynParams, Synthetic};
 use crate::elements::vpn::VpnEncrypt;
 use crate::flow::{FlowTask, FrameworkChurn, SinkStage, SourceStage};
 use crate::graph::ElementGraph;
-use pp_net::gen::prefixes::generate_bgp_table;
 use pp_net::gen::rules::{generate_classifier_rules, generate_unmatchable_rules};
 use pp_net::gen::signatures::generate_signatures;
 use pp_net::gen::traffic::{TrafficGen, TrafficSpec};
@@ -254,11 +255,9 @@ fn build_graph(
         }
         kind => {
             ids.push(g.add(Box::new(CheckIpHeader::new(cost))));
-            let prefixes = generate_bgp_table(spec.n_prefixes, spec.structure_seed ^ 0x1111);
-            {
-                let alloc = machine.allocator(domain);
-                ids.push(g.add(Box::new(RadixIpLookup::new(alloc, &prefixes, cost))));
-            }
+            let alloc = machine.allocator(domain);
+            let seed = spec.structure_seed;
+            ids.push(g.add(Box::new(RadixIpLookup::bgp(alloc, spec.n_prefixes, seed, cost))));
             if !matches!(kind, ChainKind::Ip) {
                 let alloc = machine.allocator(domain);
                 ids.push(g.add(Box::new(NetFlow::new(alloc, spec.netflow_log2, cost))));

@@ -5,7 +5,9 @@
 //! counts) and the *simulated* world (an address range in some NUMA domain,
 //! so every access has a cache/memory cost). [`SimVec`] and [`SimRing`] keep
 //! the two in lockstep: element code can only reach the host data through
-//! methods that charge the corresponding simulated access.
+//! methods that charge the corresponding simulated access. A
+//! [`SimPlacement`] is the simulated half alone, for host data that several
+//! identical replicas share.
 //!
 //! Allocation is a simple per-domain bump allocator — the workloads allocate
 //! at startup and never free, exactly like the paper's applications, which
@@ -13,6 +15,7 @@
 
 use crate::ctx::ExecCtx;
 use crate::types::{Addr, MemDomain, CACHE_LINE};
+use std::marker::PhantomData;
 
 /// Bump allocator for one NUMA domain's simulated address range.
 #[derive(Debug, Clone)]
@@ -33,12 +36,15 @@ impl DomainAllocator {
         self.domain
     }
 
-    /// Allocate `bytes` with the given alignment (power of two).
+    /// Allocate `bytes` with the given alignment (power of two). Panics if
+    /// the region would not end inside this allocator's domain: data homed
+    /// on the wrong socket would silently change every charge to it.
     pub fn alloc(&mut self, bytes: u64, align: u64) -> Addr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let base = (self.next + align - 1) & !(align - 1);
-        self.next = base + bytes.max(1);
-        debug_assert_eq!(crate::types::domain_of(base), self.domain, "domain overflow");
+        let end = base.checked_add(bytes.max(1)).expect("domain overflow");
+        assert_eq!(crate::types::domain_of(end - 1), self.domain, "domain overflow");
+        self.next = end;
         base
     }
 
@@ -53,25 +59,114 @@ impl DomainAllocator {
     }
 }
 
-/// A typed array that exists in both worlds: a host `Vec<T>` plus a range of
-/// simulated addresses. Reading or writing an element charges the simulated
+/// Where a typed array of `len` elements sits in simulated memory: its first
+/// address and its element stride. A placement holds no host data; its
+/// charging methods take the host slice it stands for. [`SimVec`] pairs one
+/// with an owned `Vec`; a read-only table may pair several with one host
+/// image that identical replicas share, each replica keeping its own range.
+#[derive(Debug, Clone, Copy)]
+pub struct SimPlacement<T> {
+    base: Addr,
+    stride: u64,
+    len: usize,
+    _elem: PhantomData<T>,
+}
+
+impl<T: Copy> SimPlacement<T> {
+    /// Allocate room for `len` elements laid out contiguously at their
+    /// natural size (so several small elements share a cache line, as a
+    /// real array would).
+    pub fn new(alloc: &mut DomainAllocator, len: usize) -> Self {
+        let stride = std::mem::size_of::<T>().max(1) as u64;
+        let align = (std::mem::align_of::<T>() as u64).max(1);
+        let base = alloc.alloc(stride * len.max(1) as u64, align);
+        SimPlacement { base, stride, len, _elem: PhantomData }
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the array is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Simulated address of element `i`.
+    #[inline]
+    pub fn addr_of(&self, i: usize) -> Addr {
+        debug_assert!(i < self.len);
+        self.base + i as u64 * self.stride
+    }
+
+    /// Bytes per element (the span a [`read`](Self::read) charges).
+    #[inline]
+    pub fn stride(&self) -> u64 {
+        self.stride
+    }
+
+    /// First simulated address of the array.
+    pub fn base(&self) -> Addr {
+        self.base
+    }
+
+    /// Total simulated footprint in bytes.
+    pub fn footprint(&self) -> u64 {
+        self.stride * self.len as u64
+    }
+
+    /// Read element `i` of `data`, charging a dependent load for each line
+    /// covered.
+    #[inline]
+    pub fn read(&self, ctx: &mut ExecCtx<'_>, data: &[T], i: usize) -> T {
+        debug_assert_eq!(data.len(), self.len);
+        ctx.read_struct(self.addr_of(i), self.stride);
+        data[i]
+    }
+
+    /// Overwrite element `i` of `data`, charging stores for each line
+    /// covered.
+    #[inline]
+    pub fn write(&self, ctx: &mut ExecCtx<'_>, data: &mut [T], i: usize, v: T) {
+        debug_assert_eq!(data.len(), self.len);
+        ctx.write_struct(self.addr_of(i), self.stride);
+        data[i] = v;
+    }
+
+    /// Read-modify-write element `i` of `data` in place: charges one load
+    /// plus one store on the covering line(s), like `x.field += 1` on real
+    /// hardware.
+    #[inline]
+    pub fn update<R>(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        data: &mut [T],
+        i: usize,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> R {
+        debug_assert_eq!(data.len(), self.len);
+        let addr = self.addr_of(i);
+        ctx.read_struct(addr, self.stride);
+        ctx.write_struct(addr, self.stride);
+        f(&mut data[i])
+    }
+}
+
+/// A typed array that exists in both worlds: a host `Vec<T>` plus its
+/// [`SimPlacement`]. Reading or writing an element charges the simulated
 /// memory accesses for every cache line the element covers.
 #[derive(Debug, Clone)]
 pub struct SimVec<T> {
     data: Vec<T>,
-    base: Addr,
-    stride: u64,
+    place: SimPlacement<T>,
 }
 
 impl<T: Copy> SimVec<T> {
-    /// Materialize a host vector in simulated memory. Elements are laid out
-    /// contiguously at their natural size (so several small elements share a
-    /// cache line, as a real array would).
+    /// Materialize a host vector in simulated memory, laid out as
+    /// [`SimPlacement::new`] lays it out.
     pub fn from_vec(alloc: &mut DomainAllocator, data: Vec<T>) -> Self {
-        let stride = std::mem::size_of::<T>().max(1) as u64;
-        let align = (std::mem::align_of::<T>() as u64).max(1);
-        let base = alloc.alloc(stride * data.len().max(1) as u64, align);
-        SimVec { data, base, stride }
+        SimVec { place: SimPlacement::new(alloc, data.len()), data }
     }
 
     /// An array of `len` copies of `init`.
@@ -92,48 +187,42 @@ impl<T: Copy> SimVec<T> {
     /// Simulated address of element `i`.
     #[inline]
     pub fn addr_of(&self, i: usize) -> Addr {
-        debug_assert!(i < self.data.len());
-        self.base + i as u64 * self.stride
+        self.place.addr_of(i)
     }
 
     /// Bytes per element (the span a [`read`](Self::read) charges).
     #[inline]
     pub fn stride(&self) -> u64 {
-        self.stride
+        self.place.stride()
     }
 
     /// First simulated address of the array.
     pub fn base(&self) -> Addr {
-        self.base
+        self.place.base()
     }
 
     /// Total simulated footprint in bytes.
     pub fn footprint(&self) -> u64 {
-        self.stride * self.data.len() as u64
+        self.place.footprint()
     }
 
     /// Read element `i`, charging a dependent load for each line covered.
     #[inline]
     pub fn read(&self, ctx: &mut ExecCtx<'_>, i: usize) -> T {
-        ctx.read_struct(self.addr_of(i), self.stride);
-        self.data[i]
+        self.place.read(ctx, &self.data, i)
     }
 
     /// Overwrite element `i`, charging stores for each line covered.
     #[inline]
     pub fn write(&mut self, ctx: &mut ExecCtx<'_>, i: usize, v: T) {
-        ctx.write_struct(self.addr_of(i), self.stride);
-        self.data[i] = v;
+        self.place.write(ctx, &mut self.data, i, v)
     }
 
     /// Read-modify-write element `i` in place: charges one load plus one
     /// store on the covering line(s), like `x.field += 1` on real hardware.
     #[inline]
     pub fn update<R>(&mut self, ctx: &mut ExecCtx<'_>, i: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        let addr = self.addr_of(i);
-        ctx.read_struct(addr, self.stride);
-        ctx.write_struct(addr, self.stride);
-        f(&mut self.data[i])
+        self.place.update(ctx, &mut self.data, i, f)
     }
 
     /// Host-side view without simulated cost. For construction, assertions,
@@ -247,6 +336,13 @@ mod tests {
         assert!(p2 >= p1 + 10);
         assert_eq!(crate::types::domain_of(p1), MemDomain(1));
         assert!(a.used() >= 110);
+    }
+
+    #[test]
+    #[should_panic(expected = "domain overflow")]
+    fn allocation_past_the_domain_end_panics() {
+        let mut a = DomainAllocator::new(MemDomain(0));
+        a.alloc(1 << crate::types::DOMAIN_SHIFT, 64);
     }
 
     #[test]
