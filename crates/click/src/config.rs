@@ -842,9 +842,9 @@ mod tests {
             "r :: RedundancyElim(FP_LOG2 -1); r -> r;",
             "r :: RedundancyElim(STORE_MB -1); r -> r;",
             "r :: RedundancyElim(STORE_MB 0); r -> r;",
-            // Unchecked, these three ask `Vec::with_capacity` for more than
-            // the address space and the fourth places a working set past the
-            // end of its NUMA domain.
+            // Unchecked, a huge PREFIXES, RULES or SIGNATURES asks
+            // `Vec::with_capacity` for more than the address space, and a
+            // huge WS_MB places the working set past its NUMA domain's end.
             "r :: RadixIPLookup(PREFIXES 9223372036854775807); r -> r;",
             "r :: Dir248IPLookup(PREFIXES 4000001); r -> r;",
             "f :: Firewall(RULES 9223372036854775807); f -> f;",

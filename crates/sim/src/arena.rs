@@ -61,9 +61,10 @@ impl DomainAllocator {
 
 /// Where a typed array of `len` elements sits in simulated memory: its first
 /// address and its element stride. A placement holds no host data; its
-/// charging methods take the host slice it stands for. [`SimVec`] pairs one
-/// with an owned `Vec`; a read-only table may pair several with one host
-/// image that identical replicas share, each replica keeping its own range.
+/// charging [`read`](Self::read) takes the host slice it stands for.
+/// [`SimVec`] pairs one with an owned `Vec`; a read-only table may pair
+/// several with one host image that identical replicas share, each replica
+/// keeping its own range.
 #[derive(Debug, Clone, Copy)]
 pub struct SimPlacement<T> {
     base: Addr,
@@ -123,33 +124,6 @@ impl<T: Copy> SimPlacement<T> {
         debug_assert_eq!(data.len(), self.len);
         ctx.read_struct(self.addr_of(i), self.stride);
         data[i]
-    }
-
-    /// Overwrite element `i` of `data`, charging stores for each line
-    /// covered.
-    #[inline]
-    pub fn write(&self, ctx: &mut ExecCtx<'_>, data: &mut [T], i: usize, v: T) {
-        debug_assert_eq!(data.len(), self.len);
-        ctx.write_struct(self.addr_of(i), self.stride);
-        data[i] = v;
-    }
-
-    /// Read-modify-write element `i` of `data` in place: charges one load
-    /// plus one store on the covering line(s), like `x.field += 1` on real
-    /// hardware.
-    #[inline]
-    pub fn update<R>(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        data: &mut [T],
-        i: usize,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> R {
-        debug_assert_eq!(data.len(), self.len);
-        let addr = self.addr_of(i);
-        ctx.read_struct(addr, self.stride);
-        ctx.write_struct(addr, self.stride);
-        f(&mut data[i])
     }
 }
 
@@ -215,14 +189,18 @@ impl<T: Copy> SimVec<T> {
     /// Overwrite element `i`, charging stores for each line covered.
     #[inline]
     pub fn write(&mut self, ctx: &mut ExecCtx<'_>, i: usize, v: T) {
-        self.place.write(ctx, &mut self.data, i, v)
+        ctx.write_struct(self.addr_of(i), self.stride());
+        self.data[i] = v;
     }
 
     /// Read-modify-write element `i` in place: charges one load plus one
     /// store on the covering line(s), like `x.field += 1` on real hardware.
     #[inline]
     pub fn update<R>(&mut self, ctx: &mut ExecCtx<'_>, i: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        self.place.update(ctx, &mut self.data, i, f)
+        let addr = self.addr_of(i);
+        ctx.read_struct(addr, self.stride());
+        ctx.write_struct(addr, self.stride());
+        f(&mut self.data[i])
     }
 
     /// Host-side view without simulated cost. For construction, assertions,
