@@ -518,6 +518,30 @@ mod tests {
         );
     }
 
+    /// NetFlow then NAT at default scale in one machine: where every table
+    /// lands and how much it spans. The host records may shrink; the
+    /// simulated layout may not.
+    #[test]
+    fn netflow_and_nat_layout_is_pinned() {
+        let mut m = machine();
+        let nf = crate::elements::netflow::NetFlow::new(
+            m.allocator(MemDomain(0)),
+            18,
+            CostModel::default(),
+        );
+        let after_nf = m.allocator(MemDomain(0)).used();
+        let n = Nat::new(m.allocator(MemDomain(0)), NatConfig::default(), CostModel::default());
+        let after_nat = m.allocator(MemDomain(0)).used();
+        assert_eq!((after_nf, after_nat), (16_777_280, 31_391_808));
+        assert_eq!(nf.footprint(), 16_777_216);
+        assert_eq!((nf.slot_addr(0), nf.slot_addr((1 << 18) - 1)), (64, 16_777_216));
+        assert_eq!((n.bindings.footprint(), n.sessions.footprint()), (10_485_760, 4_128_768));
+        let (nb, ns) = (n.bindings.len(), n.sessions.len());
+        assert_eq!((nb, ns), (1 << 18, 258_048));
+        assert_eq!((n.bindings.addr_of(0), n.bindings.addr_of(nb - 1)), (16_777_280, 27_263_000));
+        assert_eq!((n.sessions.addr_of(0), n.sessions.addr_of(ns - 1)), (27_263_040, 31_391_792));
+    }
+
     #[test]
     fn non_ip_garbage_is_dropped() {
         let (mut m, mut n) = nat(NatConfig::default());

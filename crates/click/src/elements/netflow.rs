@@ -136,6 +136,12 @@ impl NetFlow {
     pub fn packet_count(&self, key: &FlowKey) -> Option<u32> {
         self.host_record(key).map(|r| r.packets)
     }
+
+    /// Simulated address of slot `i` (layout pins).
+    #[cfg(test)]
+    pub(crate) fn slot_addr(&self, i: usize) -> pp_sim::types::Addr {
+        self.table.addr_of(i)
+    }
 }
 
 impl Element for NetFlow {
