@@ -72,9 +72,15 @@ impl NatConfig {
     }
 }
 
-/// Outbound binding record: 40 bytes (`session` pads to the `u64`s'
-/// alignment), so records straddle cache lines. Shrinking it to 32 B — two
-/// per line — would move every pinned NAT number and is its own re-pin.
+/// Simulated bytes per outbound binding: 40, so slots straddle cache lines.
+/// Shrinking the slot to 32 B — two per line — would move every pinned NAT
+/// number and is its own re-pin.
+const BINDING_SLOT_BYTES: u64 = 40;
+/// Simulated bytes per session-array entry.
+const SESSION_SLOT_BYTES: u64 = 16;
+
+/// Outbound binding record, the host half of one 40-byte binding slot:
+/// 32 bytes (`session` pads to the `u64`s' alignment).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[repr(C)]
 struct Binding {
@@ -87,7 +93,6 @@ struct Binding {
     session: u32,
     last_used: u64,
     created: u64,
-    _pad: u64,
 }
 
 const OCCUPIED: u8 = 1;
@@ -101,7 +106,8 @@ impl Binding {
     }
 }
 
-/// Session-array entry: 16 bytes, the reverse mapping for one public port.
+/// Session-array entry, the reverse mapping for one public port: 12 host
+/// bytes in a 16-byte simulated slot.
 #[derive(Debug, Clone, Copy, Default)]
 #[repr(C)]
 struct Session {
@@ -111,7 +117,6 @@ struct Session {
     /// Bit 0 = allocated.
     flags: u8,
     last_used: u32,
-    _pad: u32,
 }
 
 /// Probes before evicting in the outbound table.
@@ -146,9 +151,14 @@ impl Nat {
         let slots = 1usize << cfg.log2_bindings;
         Nat {
             cfg,
-            bindings: SimVec::new(alloc, slots, Binding::default()),
+            bindings: SimVec::with_slot(alloc, slots, Binding::default(), BINDING_SLOT_BYTES),
             mask: slots - 1,
-            sessions: SimVec::new(alloc, cfg.pool_size() as usize, Session::default()),
+            sessions: SimVec::with_slot(
+                alloc,
+                cfg.pool_size() as usize,
+                Session::default(),
+                SESSION_SLOT_BYTES,
+            ),
             cursor: 0,
             cost,
             translated: 0,
@@ -271,7 +281,6 @@ impl Nat {
                 proto: key.protocol,
                 flags: OCCUPIED,
                 last_used: (now >> 20) as u32, // coarse ticks (~0.4 ms)
-                _pad: 0,
             },
         );
     }
@@ -317,7 +326,6 @@ impl Nat {
                 session,
                 last_used: now,
                 created: now,
-                _pad: 0,
             },
         );
         self.bindings_created += 1;
@@ -510,7 +518,9 @@ mod tests {
     #[test]
     fn footprint_is_multi_megabyte_at_default_scale() {
         let (_m, n) = nat(NatConfig::default());
-        assert_eq!(std::mem::size_of::<Binding>(), 40, "shrinking it is a NAT re-pin");
+        assert_eq!(std::mem::size_of::<Binding>(), 32, "host record");
+        assert_eq!(n.bindings.stride(), 40, "shrinking the slot is a NAT re-pin");
+        assert_eq!((std::mem::size_of::<Session>(), n.sessions.stride()), (12, 16));
         assert!(
             n.footprint() > 8 << 20,
             "NAT state should pressure the L3 ({} B)",

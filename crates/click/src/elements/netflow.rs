@@ -4,11 +4,13 @@
 //! that benefits significantly from the L3 cache".
 //!
 //! The table is the paper's flat open-addressed array: one 64-byte
-//! `FlowRecord` (one cache line) per slot, linear probing. At paper scale
-//! `FlowSpec` builds 2^18 slots × 64 B = 16 MB for the population of
-//! 100 000 concurrent flows accounted in both directions — 200 000 entries,
-//! load factor ≈ 0.76, short linear probes. Every pinned repro digest sits
-//! on this layout.
+//! simulated slot (one cache line) per flow, linear probing. At paper scale
+//! `FlowSpec` builds 2^18 slots × 64 B = 16 MB of simulated table for the
+//! population of 100 000 concurrent flows accounted in both directions —
+//! 200 000 entries, load factor ≈ 0.76, short linear probes. Every pinned
+//! repro digest sits on this layout. The host keeps a 32-byte `FlowRecord`
+//! per slot, holding only the fields the element reads, so the host table
+//! is 8 MB; every charge still covers the whole 64-byte slot.
 
 use crate::cost::CostModel;
 use crate::element::{Action, Element};
@@ -17,8 +19,13 @@ use pp_net::packet::Packet;
 use pp_sim::arena::{DomainAllocator, SimVec};
 use pp_sim::ctx::ExecCtx;
 
-/// One flow record, exactly 64 bytes (one cache line), like a NetFlow v5
-/// record with its full set of counters and timestamps.
+/// Simulated bytes per flow slot: one cache line, the size of the paper's
+/// one-line NetFlow v5 record with its full set of counters, timestamps and
+/// routing fields. Every probe, update and insert charges this span.
+const FLOW_SLOT_BYTES: u64 = 64;
+
+/// The host half of one flow slot: the fields the element reads. 32 bytes,
+/// so host records never straddle a host cache line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(C)]
 struct FlowRecord {
@@ -31,13 +38,6 @@ struct FlowRecord {
     packets: u32,
     bytes: u32,
     last_seen: u64,
-    first_seen: u64,
-    /// Accumulated TCP flags (v5 semantics).
-    tcp_flags: u32,
-    /// TOS byte + input/output interface ids, packed.
-    tos_ifaces: u32,
-    /// Reserved (AS numbers, masks in v5).
-    _reserved: [u64; 2],
 }
 
 const OCCUPIED: u32 = 1 << 31;
@@ -57,13 +57,16 @@ impl FlowRecord {
         self.proto_flags & OCCUPIED != 0
     }
 
-    fn new_for(key: &FlowKey) -> FlowRecord {
+    /// A fresh record for `key`'s first packet of `len` bytes at `now`.
+    fn new_for(key: &FlowKey, len: u32, now: u64) -> FlowRecord {
         FlowRecord {
             src: u32::from(key.src),
             dst: u32::from(key.dst),
             ports: (key.src_port as u32) << 16 | key.dst_port as u32,
             proto_flags: OCCUPIED | key.protocol as u32,
-            ..FlowRecord::default()
+            packets: 1,
+            bytes: len,
+            last_seen: now,
         }
     }
 }
@@ -91,7 +94,7 @@ impl NetFlow {
     pub fn new(alloc: &mut DomainAllocator, log2_capacity: u32, cost: CostModel) -> Self {
         let cap = 1usize << log2_capacity;
         NetFlow {
-            table: SimVec::new(alloc, cap, FlowRecord::default()),
+            table: SimVec::with_slot(alloc, cap, FlowRecord::default(), FLOW_SLOT_BYTES),
             mask: cap - 1,
             cost,
             bidirectional: true,
@@ -191,21 +194,13 @@ impl NetFlow {
                     r.packets += 1;
                     r.bytes = r.bytes.wrapping_add(len);
                     r.last_seen = now;
-                    if r.first_seen == 0 {
-                        r.first_seen = now;
-                    }
                 });
                 CostModel::charge(ctx, self.cost.netflow_update);
                 self.updated += 1;
                 return;
             }
             if !rec.occupied() {
-                let mut fresh = FlowRecord::new_for(key);
-                fresh.packets = 1;
-                fresh.bytes = len;
-                fresh.last_seen = now;
-                fresh.first_seen = now;
-                self.table.write(ctx, idx, fresh);
+                self.table.write(ctx, idx, FlowRecord::new_for(key, len, now));
                 CostModel::charge(ctx, self.cost.netflow_update);
                 self.inserted += 1;
                 return;
@@ -214,13 +209,7 @@ impl NetFlow {
         // Probe budget exhausted: evict the home slot (bounded work per
         // packet keeps the element's cost predictable, as the paper's
         // fixed-population setup does by construction).
-        let idx = h & self.mask;
-        let mut fresh = FlowRecord::new_for(key);
-        fresh.packets = 1;
-        fresh.bytes = len;
-        fresh.last_seen = now;
-        fresh.first_seen = now;
-        self.table.write(ctx, idx, fresh);
+        self.table.write(ctx, h & self.mask, FlowRecord::new_for(key, len, now));
         CostModel::charge(ctx, self.cost.netflow_update);
         self.evicted += 1;
     }
@@ -346,7 +335,8 @@ mod tests {
     #[test]
     fn footprint_matches_paper_scale() {
         let (_m, nf) = netflow(17);
-        assert_eq!(std::mem::size_of::<FlowRecord>(), 64, "one record per cache line");
+        assert_eq!(std::mem::size_of::<FlowRecord>(), 32, "two host records per host line");
+        assert_eq!(nf.table.stride(), 64, "one simulated slot per cache line");
         assert_eq!(nf.footprint(), (1 << 17) * 64);
     }
 }

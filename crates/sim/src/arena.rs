@@ -60,11 +60,11 @@ impl DomainAllocator {
 }
 
 /// Where a typed array of `len` elements sits in simulated memory: its first
-/// address and its element stride. A placement holds no host data; its
-/// charging [`read`](Self::read) takes the host slice it stands for.
-/// [`SimVec`] pairs one with an owned `Vec`; a read-only table may pair
-/// several with one host image that identical replicas share, each replica
-/// keeping its own range.
+/// address and its element stride (the simulated *slot*). A placement holds
+/// no host data; its charging [`read`](Self::read) takes the host slice it
+/// stands for. [`SimVec`] pairs one with an owned `Vec`; a read-only table
+/// may pair several with one host image that identical replicas share, each
+/// replica keeping its own range.
 #[derive(Debug, Clone, Copy)]
 pub struct SimPlacement<T> {
     base: Addr,
@@ -78,7 +78,21 @@ impl<T: Copy> SimPlacement<T> {
     /// natural size (so several small elements share a cache line, as a
     /// real array would).
     pub fn new(alloc: &mut DomainAllocator, len: usize) -> Self {
-        let stride = std::mem::size_of::<T>().max(1) as u64;
+        Self::with_slot(alloc, len, std::mem::size_of::<T>() as u64)
+    }
+
+    /// Allocate `len` simulated slots of `slot_bytes` each, at `T`'s
+    /// alignment. The slot is the simulated layout: every address, span and
+    /// footprint uses it, so a host record narrower than its slot charges
+    /// exactly what a record as wide as the slot would. Panics if `T` is
+    /// wider than the slot, which would leave host bytes uncharged.
+    pub fn with_slot(alloc: &mut DomainAllocator, len: usize, slot_bytes: u64) -> Self {
+        assert!(
+            slot_bytes >= std::mem::size_of::<T>() as u64,
+            "a {}-byte record does not fit a {slot_bytes}-byte slot",
+            std::mem::size_of::<T>()
+        );
+        let stride = slot_bytes.max(1);
         let align = (std::mem::align_of::<T>() as u64).max(1);
         let base = alloc.alloc(stride * len.max(1) as u64, align);
         SimPlacement { base, stride, len, _elem: PhantomData }
@@ -101,7 +115,7 @@ impl<T: Copy> SimPlacement<T> {
         self.base + i as u64 * self.stride
     }
 
-    /// Bytes per element (the span a [`read`](Self::read) charges).
+    /// Bytes per simulated slot (the span a [`read`](Self::read) charges).
     #[inline]
     pub fn stride(&self) -> u64 {
         self.stride
@@ -129,7 +143,7 @@ impl<T: Copy> SimPlacement<T> {
 
 /// A typed array that exists in both worlds: a host `Vec<T>` plus its
 /// [`SimPlacement`]. Reading or writing an element charges the simulated
-/// memory accesses for every cache line the element covers.
+/// memory accesses for every cache line the element's slot covers.
 #[derive(Debug, Clone)]
 pub struct SimVec<T> {
     data: Vec<T>,
@@ -145,7 +159,13 @@ impl<T: Copy> SimVec<T> {
 
     /// An array of `len` copies of `init`.
     pub fn new(alloc: &mut DomainAllocator, len: usize, init: T) -> Self {
-        Self::from_vec(alloc, vec![init; len])
+        Self::with_slot(alloc, len, init, std::mem::size_of::<T>() as u64)
+    }
+
+    /// An array of `len` copies of `init`, each in a simulated slot of
+    /// `slot_bytes` (see [`SimPlacement::with_slot`]).
+    pub fn with_slot(alloc: &mut DomainAllocator, len: usize, init: T, slot_bytes: u64) -> Self {
+        SimVec { place: SimPlacement::with_slot(alloc, len, slot_bytes), data: vec![init; len] }
     }
 
     /// Number of elements.
@@ -164,7 +184,7 @@ impl<T: Copy> SimVec<T> {
         self.place.addr_of(i)
     }
 
-    /// Bytes per element (the span a [`read`](Self::read) charges).
+    /// Bytes per simulated slot (the span a [`read`](Self::read) charges).
     #[inline]
     pub fn stride(&self) -> u64 {
         self.place.stride()
@@ -347,6 +367,59 @@ mod tests {
         assert_eq!(*v.peek(2), 6);
         let c = m.core(CoreId(0)).counters.total();
         assert!(c.l1_refs >= 2, "update must charge a load and a store");
+    }
+
+    /// Write, read and update through an array whose base is 8- but not
+    /// 64-aligned, so every 64-byte slot straddles two lines.
+    fn slot_charges<T: Copy + Default>(
+        make: impl FnOnce(&mut DomainAllocator) -> SimVec<T>,
+    ) -> (SimVec<T>, crate::counters::Counts, u64) {
+        let mut m = test_machine();
+        let mut a = DomainAllocator::new(MemDomain(0));
+        a.alloc(8, 8);
+        let mut v = make(&mut a);
+        let mut ctx = m.ctx(CoreId(0));
+        v.write(&mut ctx, 3, T::default());
+        v.read(&mut ctx, 3);
+        v.read(&mut ctx, 7);
+        v.update(&mut ctx, 5, |_| ());
+        let clock = ctx.now();
+        (v, m.core(CoreId(0)).counters.total(), clock)
+    }
+
+    #[test]
+    fn narrow_record_in_a_wide_slot_charges_the_slot() {
+        let (narrow, counts, clock) =
+            slot_charges(|a| SimVec::with_slot(a, 16, [0u64; 4], 64));
+        let (wide, wide_counts, wide_clock) = slot_charges(|a| SimVec::new(a, 16, [0u64; 8]));
+        assert_eq!(narrow.base() % 64, 8);
+        assert_eq!(narrow.addr_of(1) - narrow.addr_of(0), 64);
+        assert_eq!(narrow.stride(), 64);
+        assert_eq!(narrow.footprint(), 64 * 16);
+        assert_eq!((narrow.base(), narrow.footprint()), (wide.base(), wide.footprint()));
+        assert_eq!(counts, wide_counts);
+        assert_eq!(clock, wide_clock);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn record_wider_than_its_slot_panics() {
+        let mut a = DomainAllocator::new(MemDomain(0));
+        SimVec::with_slot(&mut a, 4, [0u64; 4], 16);
+    }
+
+    #[test]
+    fn new_is_with_slot_at_the_natural_size() {
+        let mut a = DomainAllocator::new(MemDomain(0));
+        a.alloc(4, 4);
+        let mut b = a.clone();
+        let v = SimVec::new(&mut a, 10, [0u32; 3]);
+        let w = SimVec::with_slot(&mut b, 10, [0u32; 3], 12);
+        assert_eq!((v.base(), v.stride(), v.footprint()), (w.base(), w.stride(), w.footprint()));
+        assert_eq!(a.used(), b.used());
+        let p = SimPlacement::<[u32; 3]>::new(&mut a, 10);
+        let q = SimPlacement::<[u32; 3]>::with_slot(&mut b, 10, 12);
+        assert_eq!((p.base(), p.stride(), p.footprint()), (q.base(), q.stride(), q.footprint()));
     }
 
     #[test]
