@@ -488,7 +488,8 @@ fn construct(
         }
         "NetFlow" => {
             keys(&["CAPACITY_LOG2", "BIDIRECTIONAL"])?;
-            let log2 = ranged("CAPACITY_LOG2", 18, 1..=28)?;
+            // 2^24 slots is a 512 MB host table; the paper uses 2^18.
+            let log2 = ranged("CAPACITY_LOG2", 18, 1..=24)?;
             let alloc = ctx.machine.allocator(ctx.domain);
             let mut nf = NetFlow::new(alloc, log2 as u32, cost);
             nf.bidirectional = arg(a, "BIDIRECTIONAL").unwrap_or(1) != 0;
@@ -524,10 +525,10 @@ fn construct(
         "Synthetic" => {
             keys(&["OPS", "READS", "WS_MB", "MLP", "SEED"])?;
             let params = SynParams {
-                ops_per_packet: arg(a, "OPS").unwrap_or(0).max(0) as u64,
-                reads_per_packet: arg(a, "READS").unwrap_or(64).max(0) as u32,
+                ops_per_packet: ranged("OPS", 0, 0..=100_000_000)? as u64,
+                reads_per_packet: ranged("READS", 64, 0..=4_096)? as u32,
                 working_set_bytes: (ranged("WS_MB", 12, 1..=65_536)? as u64) << 20,
-                mlp: arg(a, "MLP").unwrap_or(8).clamp(1, 64) as u32,
+                mlp: ranged("MLP", 8, 1..=64)? as u32,
                 seed,
             };
             let alloc = ctx.machine.allocator(ctx.domain);
@@ -536,7 +537,7 @@ fn construct(
         "Control" => {
             keys(&["OPS"])?;
             let handle = ControlHandle::new();
-            handle.set(arg(a, "OPS").unwrap_or(0).max(0) as u64);
+            handle.set(ranged("OPS", 0, 0..=100_000_000)? as u64);
             controls.insert(decl.name.clone(), handle.clone());
             Box::new(Control::new(handle, cost))
         }
@@ -854,6 +855,21 @@ mod tests {
             "s :: Synthetic(WS_MB 100000000); s -> s;",
             "s :: Synthetic(WS_MB 65537); s -> s;",
             "s :: Synthetic(WS_MB 0); s -> s;",
+            // These were cast or clamped instead: READS 2^32 wrapped to no
+            // reads, MLP and negative OPS were silently moved into range,
+            // and CAPACITY_LOG2 28 asked for an 8 GB host flow table.
+            "s :: Synthetic(READS 4294967296); s -> s;",
+            "s :: Synthetic(READS 4097); s -> s;",
+            "s :: Synthetic(READS -1); s -> s;",
+            "s :: Synthetic(MLP 0); s -> s;",
+            "s :: Synthetic(MLP 65); s -> s;",
+            "s :: Synthetic(OPS -1); s -> s;",
+            "s :: Synthetic(OPS 100000001); s -> s;",
+            "c :: Control(OPS -1); c -> c;",
+            "c :: Control(OPS 100000001); c -> c;",
+            "n :: NetFlow(CAPACITY_LOG2 28); n -> n;",
+            "n :: NetFlow(CAPACITY_LOG2 25); n -> n;",
+            "n :: NetFlow(CAPACITY_LOG2 0); n -> n;",
         ] {
             let (mut m, nic) = ctx_parts();
             let mut ctx = BuildCtx {
