@@ -855,9 +855,9 @@ mod tests {
             "s :: Synthetic(WS_MB 100000000); s -> s;",
             "s :: Synthetic(WS_MB 65537); s -> s;",
             "s :: Synthetic(WS_MB 0); s -> s;",
-            // These were cast or clamped instead: READS 2^32 wrapped to no
-            // reads, MLP and negative OPS were silently moved into range,
-            // and CAPACITY_LOG2 28 asked for an 8 GB host flow table.
+            // Cast or clamped, READS 2^32 wraps to no reads, MLP and
+            // negative OPS move into range without a word, and
+            // CAPACITY_LOG2 28 asks for an 8 GB host flow table.
             "s :: Synthetic(READS 4294967296); s -> s;",
             "s :: Synthetic(READS 4097); s -> s;",
             "s :: Synthetic(READS -1); s -> s;",
