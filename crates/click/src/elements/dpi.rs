@@ -510,6 +510,55 @@ mod tests {
         );
     }
 
+    /// The DPI pin: 300 signatures on a fresh machine, then a fixed seeded
+    /// teaser stream with NIC-buffer addresses (so the payload stream is
+    /// charged). Pins core 0's `Counts`, its clock and the match count.
+    #[test]
+    fn seeded_teaser_stream_is_pinned() {
+        use pp_net::gen::traffic::{PayloadKind, TrafficGen, TrafficSpec};
+        let sigs = generate_signatures(300, 77);
+        let (mut m, mut d) = dpi(DpiMode::Detect, &sigs);
+        let bufs = m.allocator(MemDomain(0)).alloc_lines(64 * 2048);
+        let mut g = TrafficGen::new(TrafficSpec {
+            frame_len: 512,
+            n_flows: Some(100),
+            payload: PayloadKind::SignatureTease {
+                n_signatures: 300,
+                corpus_seed: 77,
+                full_match_per_mille: 100,
+            },
+            seed: 5,
+        });
+        {
+            let mut ctx = m.ctx(CoreId(0));
+            for i in 0..64u64 {
+                let mut p = g.next_packet();
+                p.buf_addr = bufs + i * 2048;
+                assert_eq!(d.process(&mut ctx, &mut p), Action::Out(0));
+            }
+        }
+        let core = m.core(CoreId(0));
+        assert_eq!((d.matches, d.alert_packets, d.scanned_bytes), (13, 12, 30_080));
+        assert_eq!(core.clock, 982_294);
+        assert_eq!(
+            core.counters.total(),
+            pp_sim::counters::Counts {
+                instructions: 121_183,
+                compute_cycles: 60_550,
+                stall_cycles: 921_744,
+                l1_refs: 30_618,
+                l1_hits: 16_482,
+                l2_refs: 14_136,
+                l2_hits: 7678,
+                l3_refs: 6458,
+                l3_hits: 2084,
+                l3_misses: 4374,
+                remote_accesses: 0,
+                packets: 0,
+            }
+        );
+    }
+
     #[test]
     fn simulated_walk_agrees_with_host_oracle() {
         let sigs = generate_signatures(100, 21);

@@ -1160,6 +1160,26 @@ mod tests {
         );
     }
 
+    /// The paper-scale routing table every standard chain builds, placed in
+    /// a fresh machine: where its nodes and routes land and how much they
+    /// span. The host image may shrink; the simulated layout may not.
+    #[test]
+    fn binary_trie_paper_scale_layout_is_pinned() {
+        let mut m = machine();
+        let el = RadixIpLookup::bgp(m.allocator(MemDomain(0)), 128_000, 1, CostModel::default());
+        let t = el.table();
+        assert_eq!(m.allocator(MemDomain(0)).used(), 18_700_464);
+        let (nn, nr) = (t.nodes.len(), t.routes.len());
+        assert_eq!((nn, nr), (693_850, 128_000));
+        assert_eq!((t.nodes.base(), t.nodes.stride(), t.nodes.footprint()), (64, 24, 16_652_400));
+        assert_eq!((t.nodes.addr_of(0), t.nodes.addr_of(nn - 1)), (64, 16_652_440));
+        assert_eq!(
+            (t.routes.base(), t.routes.stride(), t.routes.footprint()),
+            (16_652_464, 16, 2_048_000)
+        );
+        assert_eq!((t.routes.addr_of(0), t.routes.addr_of(nr - 1)), (16_652_464, 18_700_448));
+    }
+
     #[test]
     fn binary_simulated_matches_host() {
         use pp_net::gen::prefixes::generate_bgp_table;
@@ -1206,6 +1226,27 @@ mod tests {
                 packets: 0,
             }
         );
+        // The same stream through the binary radix trie, the paper's table.
+        let (el, counts, clock) = lpm_pin_run(RadixIpLookup::new, 1);
+        assert_eq!((el.found, el.no_route), (245, 9));
+        assert_eq!(clock, 219_814);
+        assert_eq!(
+            counts,
+            pp_sim::counters::Counts {
+                instructions: 33_569,
+                compute_cycles: 25_228,
+                stall_cycles: 194_586,
+                l1_refs: 4737,
+                l1_hits: 3524,
+                l2_refs: 1213,
+                l2_hits: 89,
+                l3_refs: 1124,
+                l3_hits: 2,
+                l3_misses: 1122,
+                remote_accesses: 0,
+                packets: 0,
+            }
+        );
     }
 
     #[test]
@@ -1220,6 +1261,22 @@ mod tests {
         // Same accesses as the one-packet vectors; only the stall overlaps.
         let (_, scalar_counts, _) = lpm_pin_run(MultibitIpLookup::new, 1);
         assert_eq!(counts, pp_sim::counters::Counts { stall_cycles: 24_642, ..scalar_counts });
+        let (el, counts, clock) = lpm_pin_run(RadixIpLookup::new, 64);
+        assert_eq!((el.found, el.no_route), (245, 9));
+        assert_eq!(clock, 74_777);
+        // Same lines as the one-packet vectors; the batch's order also
+        // turns nine L2 references into L1 hits.
+        let (_, scalar_counts, _) = lpm_pin_run(RadixIpLookup::new, 1);
+        assert_eq!(
+            counts,
+            pp_sim::counters::Counts {
+                stall_cycles: 49_549,
+                l1_hits: 3533,
+                l2_refs: 1204,
+                l2_hits: 80,
+                ..scalar_counts
+            }
+        );
     }
 
     #[test]
