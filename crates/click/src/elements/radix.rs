@@ -8,8 +8,11 @@
 //!   workload uses. Lookups under a BGP-shaped table walk a long chain of
 //!   *dependent* node reads (~12–20 levels): the hot top levels live in
 //!   L1/L2 ("hot spots", Fig. 7), the deep levels spread over megabytes and
-//!   produce the L3 references that make IP sensitive to contention. This
-//!   is the table under [`RadixIpLookup`], which every standard chain runs.
+//!   produce the L3 references that make IP sensitive to contention. Each
+//!   node occupies a 24-byte simulated slot (Click's node footprint) and
+//!   each route a 16-byte one; the host image keeps only the 12 and 4
+//!   bytes a lookup reads. This is the table under [`RadixIpLookup`],
+//!   which every standard chain runs.
 //!
 //! * [`MultibitTrie`] — a leaf-pushed stride-16/4 multibit trie, the
 //!   modern alternative with 3–5 reads per lookup. Kept as an ablation
@@ -387,30 +390,36 @@ pub struct MultibitScratch {
 /// shape of Click's `RadixTrie`. See the module docs.
 pub struct BinaryRadixTrie {
     image: Rc<BinaryRadixImage>,
-    nodes: SimPlacement<[u32; 6]>,
-    routes: SimPlacement<[u32; 4]>,
+    nodes: SimPlacement<RadixNode>,
+    routes: SimPlacement<u32>,
 }
 
-/// [`BinaryRadixTrie`]'s host data.
+/// A trie node's host record, `[left, right, best]`: `u32::MAX` = no
+/// child, `best` 0 = no prefix ends at this node (otherwise a packed leaf
+/// whose low bits index the routes).
+type RadixNode = [u32; 3];
+
+/// Simulated bytes per trie node: 24, the footprint of Click's
+/// pointer-based C++ trie nodes (two child pointers plus prefix/route
+/// metadata). Every node read charges this span.
+const NODE_SLOT_BYTES: u64 = 24;
+
+/// Simulated bytes per route entry: next hop, interface, MTU and flags, as
+/// in Click where the matched trie leaf points at a route structure.
+const ROUTE_SLOT_BYTES: u64 = 16;
+
+/// [`BinaryRadixTrie`]'s host data: only the fields a lookup reads.
 pub struct BinaryRadixImage {
-    /// Nodes as `[left, right, best, pad...]`; `u32::MAX` = no child,
-    /// `best` 0 = no prefix ends at this node (otherwise a packed leaf
-    /// whose low bits index `routes`). 24 bytes per node, matching the
-    /// footprint of Click's pointer-based C++ trie nodes (two child
-    /// pointers plus prefix/route metadata).
-    nodes: Vec<[u32; 6]>,
-    /// One route entry per prefix: `[next_hop, iface, mtu, flags]`. The
-    /// lookup's final dependent read, as in Click where the matched trie
-    /// leaf points at a route structure.
-    routes: Vec<[u32; 4]>,
+    /// One 12-B record per node, each in a `NODE_SLOT_BYTES` simulated
+    /// slot.
+    nodes: Vec<RadixNode>,
+    /// One next hop per prefix, each in a `ROUTE_SLOT_BYTES` simulated
+    /// slot: the lookup's final dependent read.
+    routes: Vec<u32>,
 }
 
 const NO_CHILD: u32 = u32::MAX;
-
-#[inline]
-fn new_node() -> [u32; 6] {
-    [NO_CHILD, NO_CHILD, 0, 0, 0, 0]
-}
+const NEW_NODE: RadixNode = [NO_CHILD, NO_CHILD, 0];
 
 impl BinaryRadixTrie {
     /// Number of prefixes inserted (one route entry each).
@@ -423,7 +432,7 @@ impl BinaryRadixTrie {
         self.nodes.footprint() + self.routes.footprint()
     }
 
-    /// Number of trie nodes (footprint = nodes × 24 B).
+    /// Number of trie nodes (footprint = nodes × `NODE_SLOT_BYTES`).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -447,7 +456,7 @@ impl BinaryRadixTrie {
             cur = node[bit] as usize;
         }
         if best != 0 {
-            Some(self.image.routes[leaf_hop(best) as usize][0])
+            Some(self.image.routes[leaf_hop(best) as usize])
         } else {
             None
         }
@@ -460,17 +469,17 @@ impl LpmTable for BinaryRadixTrie {
     type Image = BinaryRadixImage;
 
     fn image(prefixes: &[PrefixEntry]) -> BinaryRadixImage {
-        let mut nodes: Vec<[u32; 6]> = vec![new_node()];
-        let mut routes: Vec<[u32; 4]> = Vec::with_capacity(prefixes.len());
+        let mut nodes = vec![NEW_NODE];
+        let mut routes = Vec::with_capacity(prefixes.len());
         for (pi, p) in prefixes.iter().enumerate() {
             assert!(p.len <= 32);
-            routes.push([p.next_hop, pi as u32 & 0xF, 1500, 1]);
+            routes.push(p.next_hop);
             let mut cur = 0usize;
             for i in 0..p.len {
                 let bit = ((p.addr >> (31 - i)) & 1) as usize;
                 let child = nodes[cur][bit];
                 cur = if child == NO_CHILD {
-                    nodes.push(new_node());
+                    nodes.push(NEW_NODE);
                     let idx = (nodes.len() - 1) as u32;
                     nodes[cur][bit] = idx;
                     idx as usize
@@ -487,8 +496,8 @@ impl LpmTable for BinaryRadixTrie {
     }
 
     fn place(alloc: &mut DomainAllocator, image: Rc<BinaryRadixImage>) -> Self {
-        let nodes = SimPlacement::new(alloc, image.nodes.len());
-        let routes = SimPlacement::new(alloc, image.routes.len());
+        let nodes = SimPlacement::with_slot(alloc, image.nodes.len(), NODE_SLOT_BYTES);
+        let routes = SimPlacement::with_slot(alloc, image.routes.len(), ROUTE_SLOT_BYTES);
         BinaryRadixTrie { image, nodes, routes }
     }
 
@@ -516,8 +525,8 @@ impl LpmTable for BinaryRadixTrie {
         }
         if best != 0 {
             // Final dependent read: the matched route entry.
-            let route = self.routes.read(ctx, &self.image.routes, leaf_hop(best) as usize);
-            (Some(route[0]), levels + 1)
+            let hop = self.routes.read(ctx, &self.image.routes, leaf_hop(best) as usize);
+            (Some(hop), levels + 1)
         } else {
             (None, levels)
         }
@@ -591,7 +600,7 @@ impl LpmTable for BinaryRadixTrie {
         out.clear();
         out.extend((0..n).map(|l| {
             if best[l] != 0 {
-                (Some(self.image.routes[leaf_hop(best[l]) as usize][0]), levels[l] + 1)
+                (Some(self.image.routes[leaf_hop(best[l]) as usize]), levels[l] + 1)
             } else {
                 (None, levels[l])
             }
@@ -1158,6 +1167,44 @@ mod tests {
             mb > 8.0 && mb < 24.0,
             "trie should be in the paper's barely-cacheable range, got {mb:.1} MB"
         );
+    }
+
+    /// The host image holds 12-B nodes and 4-B next hops; the simulated
+    /// slots stay 24 B and 16 B, laid out exactly as host records of the
+    /// slot's width would be.
+    #[test]
+    fn binary_trie_host_records_are_narrower_than_their_slots() {
+        use pp_net::gen::prefixes::generate_bgp_table;
+        use std::mem::size_of;
+        let (_m, trie) = build_binary(&generate_bgp_table(128_000, 42));
+        assert_eq!((size_of::<RadixNode>(), trie.nodes.stride()), (12, 24));
+        assert_eq!((size_of::<u32>(), trie.routes.stride()), (4, 16));
+        assert_eq!(trie.footprint(), 18_729_992);
+        // A record as wide as each slot, at the same alignment, placed with
+        // `new` from the same unaligned allocator position.
+        type WideNode = [RadixNode; 2];
+        type WideRoute = [u32; 4];
+        let (nn, nr) = (trie.nodes.len(), trie.routes.len());
+        let mut wide = DomainAllocator::new(MemDomain(0));
+        wide.alloc(5, 1);
+        let mut narrow = wide.clone();
+        let w = (
+            SimPlacement::<WideNode>::new(&mut wide, nn),
+            SimPlacement::<WideRoute>::new(&mut wide, nr),
+        );
+        let n = (
+            SimPlacement::<RadixNode>::with_slot(&mut narrow, nn, NODE_SLOT_BYTES),
+            SimPlacement::<u32>::with_slot(&mut narrow, nr, ROUTE_SLOT_BYTES),
+        );
+        assert_eq!(
+            (w.0.base(), w.0.stride(), w.0.footprint(), w.0.addr_of(nn - 1)),
+            (n.0.base(), n.0.stride(), n.0.footprint(), n.0.addr_of(nn - 1))
+        );
+        assert_eq!(
+            (w.1.base(), w.1.stride(), w.1.footprint(), w.1.addr_of(nr - 1)),
+            (n.1.base(), n.1.stride(), n.1.footprint(), n.1.addr_of(nr - 1))
+        );
+        assert_eq!(wide.used(), narrow.used());
     }
 
     /// The paper-scale routing table every standard chain builds, placed in
