@@ -20,7 +20,7 @@
 use crate::cost::CostModel;
 use crate::element::{Action, Element};
 use pp_net::packet::Packet;
-use pp_sim::arena::{DomainAllocator, SimVec};
+use pp_sim::arena::{DomainAllocator, SimPlacement, SimVec};
 use pp_sim::ctx::ExecCtx;
 use std::collections::BTreeMap;
 
@@ -201,8 +201,9 @@ struct OutSpan {
 /// The DPI element. See the module docs.
 pub struct Dpi {
     auto: AhoCorasick,
-    /// The DFA rows in simulated memory (the contended structure).
-    table: SimVec<u32>,
+    /// Where the automaton's DFA rows sit in simulated memory (the
+    /// contended structure); the host rows are `auto`'s own.
+    table: SimPlacement<u32>,
     /// Per-state output spans, read only on a match.
     spans: SimVec<OutSpan>,
     /// Flattened pattern-id list.
@@ -230,7 +231,7 @@ impl Dpi {
         cost: CostModel,
     ) -> Self {
         let auto = AhoCorasick::build(patterns);
-        let table = SimVec::from_vec(alloc, auto.dfa.clone());
+        let table = SimPlacement::new(alloc, auto.dfa.len());
         let spans = SimVec::from_vec(
             alloc,
             auto.out_spans.iter().map(|&(start, len)| OutSpan { start, len }).collect(),
@@ -268,7 +269,7 @@ impl Dpi {
         let mut found = 0u64;
         for &b in payload {
             CostModel::charge(ctx, self.cost.dpi_byte);
-            let e = self.table.read(ctx, state as usize * 256 + b as usize);
+            let e = self.table.read(ctx, &self.auto.dfa, state as usize * 256 + b as usize);
             state = e & STATE_MASK;
             let d = self.auto.state_depth(state);
             if d > self.max_depth_seen {
@@ -508,6 +509,20 @@ mod tests {
             "DFA footprint {} should be several MB",
             d.footprint()
         );
+    }
+
+    /// The DFA is on the host once, in the automaton: the element's table
+    /// is a placement (address, stride, length) spanning exactly the
+    /// automaton's bytes.
+    #[test]
+    fn dfa_is_held_once_on_the_host() {
+        let mut m = machine();
+        let sigs = generate_signatures(1500, 9);
+        let d = Dpi::new(m.allocator(MemDomain(0)), &sigs, DpiMode::Detect, CostModel::default());
+        assert_eq!(std::mem::size_of::<SimPlacement<u32>>(), 24);
+        assert_eq!((d.table.len(), d.table.stride()), (d.auto.dfa.len(), 4));
+        assert_eq!(d.table.footprint(), d.auto.table_bytes());
+        assert_eq!(d.footprint(), 11_423_016);
     }
 
     /// The DPI pin: 300 signatures on a fresh machine, then a fixed seeded
