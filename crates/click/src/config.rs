@@ -506,9 +506,12 @@ fn construct(
             keys(&["FP_LOG2", "STORE_MB", "SAMPLE_MOD"])?;
             // Unchecked, these overflow the slot-count shift, ask for a
             // 2^64-byte store, or divide by zero at the first sampled packet.
+            // No argument asks for more than 512 MB of host memory: 2^24
+            // 16-byte fingerprint slots are 256 MB; the paper uses 2^21 and
+            // a 32 MB store.
             let cfg = ReConfig {
-                log2_fp_slots: ranged("FP_LOG2", 21, 4..=28)? as u32,
-                store_bytes: (ranged("STORE_MB", 32, 1..=4096)? as u64) << 20,
+                log2_fp_slots: ranged("FP_LOG2", 21, 4..=24)? as u32,
+                store_bytes: (ranged("STORE_MB", 32, 1..=512)? as u64) << 20,
                 sample_mod: ranged("SAMPLE_MOD", 6, 1..=i64::MAX)? as u64,
             };
             let alloc = ctx.machine.allocator(ctx.domain);
@@ -870,6 +873,13 @@ mod tests {
             "n :: NetFlow(CAPACITY_LOG2 28); n -> n;",
             "n :: NetFlow(CAPACITY_LOG2 25); n -> n;",
             "n :: NetFlow(CAPACITY_LOG2 0); n -> n;",
+            // FP_LOG2 28 is a 4 GB host fingerprint table and STORE_MB 4096
+            // a 4 GB host ring, so one line could ask for 8 GB.
+            "r :: RedundancyElim(FP_LOG2 28); r -> r;",
+            "r :: RedundancyElim(FP_LOG2 25); r -> r;",
+            "r :: RedundancyElim(FP_LOG2 3); r -> r;",
+            "r :: RedundancyElim(STORE_MB 4096); r -> r;",
+            "r :: RedundancyElim(STORE_MB 513); r -> r;",
         ] {
             let (mut m, nic) = ctx_parts();
             let mut ctx = BuildCtx {
