@@ -1175,10 +1175,10 @@ mod tests {
     #[test]
     fn binary_trie_host_records_are_narrower_than_their_slots() {
         use pp_net::gen::prefixes::generate_bgp_table;
-        use std::mem::size_of;
+        use std::mem::size_of_val;
         let (_m, trie) = build_binary(&generate_bgp_table(128_000, 42));
-        assert_eq!((size_of::<RadixNode>(), trie.nodes.stride()), (12, 24));
-        assert_eq!((size_of::<u32>(), trie.routes.stride()), (4, 16));
+        assert_eq!((size_of_val(&trie.image.nodes[0]), trie.nodes.stride()), (12, 24));
+        assert_eq!((size_of_val(&trie.image.routes[0]), trie.routes.stride()), (4, 16));
         assert_eq!(trie.footprint(), 18_729_992);
         // A record as wide as each slot, at the same alignment, placed with
         // `new` from the same unaligned allocator position.
