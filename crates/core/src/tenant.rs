@@ -111,7 +111,7 @@ impl TenantRt {
             controls: task.controls_handle(),
             parked: Some(Box::new(task)),
             batch,
-            shrink_batch: (batch / 2).max(4),
+            shrink_batch: (batch / 2).max(1),
             ..unplaced
         }
     }
