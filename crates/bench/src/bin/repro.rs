@@ -23,6 +23,10 @@
 //! the report named. Results land in `results/*.csv`.
 
 use pp_bench::experiments;
+use pp_bench::experiments::chaos::Chaos;
+use pp_bench::experiments::cluster_chaos::ClusterChaos;
+use pp_bench::experiments::fleet_chaos::FleetChaos;
+use pp_bench::experiments::sweep::run;
 use pp_bench::RunCtx;
 use std::time::Instant;
 
@@ -30,11 +34,17 @@ use std::time::Instant;
 type Sweep = (&'static str, &'static str, fn(&RunCtx));
 
 /// One [`SWEEPS`] row, given the experiment module whose `run` it calls
-/// (the report `run` returns, where it returns one, is for library callers).
+/// or the chaos-family sweep [`run`] runs (the report `run` returns, where
+/// it returns one, is for library callers).
 macro_rules! sweep {
     ($name:literal, $what:literal, $module:ident) => {
         ($name, $what, |ctx| {
             experiments::$module::run(ctx);
+        })
+    };
+    ($name:literal, $what:literal, <$sweep:ty>) => {
+        ($name, $what, |ctx| {
+            run::<$sweep>(ctx);
         })
     };
 }
@@ -61,9 +71,9 @@ const SWEEPS: [Sweep; 22] = [
     sweep!("batch", "extras   — vectorized-execution batch-size sweep", batch),
     sweep!("adaptive", "extras   — latency-budgeted batch choice, predictor at batch 64", adaptive),
     sweep!("tables", "extras   — internet-scale lookup structures, DRAM-resident", tables),
-    sweep!("chaos", "extras   — fault injection vs the runtime guard's ladder", chaos),
-    sweep!("fleet-chaos", "extras   — the tenant supervisor under sustained faults", fleet_chaos),
-    sweep!("cluster-chaos", "extras   — the fleet controller over N machines", cluster_chaos),
+    sweep!("chaos", "extras   — fault injection vs the runtime guard's ladder", <Chaos>),
+    sweep!("fleet-chaos", "extras   — the tenant supervisor under sustained faults", <FleetChaos>),
+    sweep!("cluster-chaos", "extras   — the fleet controller over N machines", <ClusterChaos>),
 ];
 
 fn usage() -> ! {

@@ -28,7 +28,8 @@
 //! Results land in `chaos.csv` and `CHAOS_results.json` (machine-readable,
 //! uploaded as a CI artifact).
 
-use crate::experiments::results_json::{save_results_json, JsonRow};
+use crate::experiments::results_json::JsonRow;
+use crate::experiments::sweep::{ChaosSweep, TwinKey};
 use crate::RunCtx;
 use pp_click::pipelines::{build_pipeline, PipelineSpec};
 use pp_core::prelude::*;
@@ -58,13 +59,9 @@ enum Topology {
     Pipeline,
 }
 
-/// One chaos scenario: a workload topology plus a fault timeline. Plain
-/// config data (`Send`), so `run_roster` can shard scenarios across host
-/// threads; each worker builds its own `Machine`/`Engine` (engines are
-/// `Rc`-based and must never cross a thread boundary) from the
-/// scenario's derived seed.
+/// One chaos scenario: a workload topology plus a fault timeline.
 #[derive(Debug, Clone)]
-struct Scenario {
+pub struct Scenario {
     name: &'static str,
     plan: FaultPlan,
     topology: Topology,
@@ -272,12 +269,8 @@ fn run_flow_scenario(ctx: &RunCtx, sc: &Scenario, controller: &BatchController) 
     for w in 0..run.total {
         for t in run.injector.advance(w).to_vec() {
             match t.kind {
-                FaultKind::RateBurst { multiplier } => {
-                    rt.offered_pace = if t.begin {
-                        (rt.baseline_pace / multiplier.max(1) as u64).max(1)
-                    } else {
-                        rt.baseline_pace
-                    };
+                kind @ (FaultKind::RateBurst { .. } | FaultKind::Corruption { .. }) => {
+                    rt.traffic_fault(kind, t.begin);
                 }
                 FaultKind::CompetitorChurn { competitors } => {
                     set_churn(
@@ -299,9 +292,6 @@ fn run_flow_scenario(ctx: &RunCtx, sc: &Scenario, controller: &BatchController) 
                     } else {
                         n.release_seized();
                     }
-                }
-                FaultKind::Corruption { per_mille } => {
-                    rt.controls.corrupt_per_mille.set(if t.begin { per_mille } else { 0 });
                 }
                 // Queue pressure targets the pipeline topology (below).
                 FaultKind::QueuePressure { .. } => {}
@@ -388,301 +378,269 @@ fn run_pipeline_scenario(ctx: &RunCtx, sc: &Scenario) -> ScenarioOutcome {
     outcome
 }
 
-/// The scenario roster: one per fault family, plus the null plan. Every
-/// plan seed mixes the CLI master seed (`--seed`) so a failing timeline
-/// can be replayed exactly.
-fn roster(seed: u64) -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "rate-burst",
-            topology: Topology::Flow,
-            // 8× the baseline offered rate for 8 windows (±1 window of
-            // seeded jitter): long enough for the ladder to reach the
-            // throttle rung and prove it stops the loss mid-fault.
-            plan: FaultPlan::seeded(seed ^ 0xA11CE).with_jittered(
-                2,
-                10,
-                1,
-                FaultKind::RateBurst { multiplier: 8 },
-            ),
-            offered_load: Some(0.7),
-            envelope_floor: 0.7,
-        },
-        Scenario {
-            name: "churn",
-            topology: Topology::Flow,
-            // A flash crowd: four SYN_MAX aggressors appear on the
-            // target's socket, then vanish.
-            plan: FaultPlan::seeded(seed ^ 0xB0B)
-                .with(2, 6, FaultKind::CompetitorChurn { competitors: 4 }),
-            offered_load: None,
-            envelope_floor: 0.9,
-        },
-        Scenario {
-            name: "freq-derate",
-            topology: Topology::Flow,
-            // Long enough (10 violating windows) to walk the full ladder
-            // into Shed — nothing short of load shedding answers a core
-            // that simply got slower.
-            plan: FaultPlan::seeded(seed ^ 0xD0D0)
-                .with(2, 12, FaultKind::FreqDerate { stall_cycles: 100_000 }),
-            offered_load: None,
-            envelope_floor: 0.7,
-        },
-        Scenario {
-            name: "pool-pressure",
-            topology: Topology::Flow,
-            // Seize 496 of the 512 NIC buffers: a 32-packet rx can fill
-            // only half its batch — until the shrink rung fits the batch
-            // to the starved pool.
-            plan: FaultPlan::seeded(seed ^ 0xF00D).with(2, 6, FaultKind::PoolPressure { seize: 496 }),
-            offered_load: None,
-            envelope_floor: 0.7,
-        },
-        Scenario {
-            name: "corruption",
-            topology: Topology::Flow,
-            // 200‰ of frames arrive with a flipped checksum byte and must
-            // die in CheckIpHeader — counted, not silent.
-            plan: FaultPlan::seeded(seed ^ 0xC0DE).with(2, 6, FaultKind::Corruption { per_mille: 200 }),
-            offered_load: None,
-            envelope_floor: 0.7,
-        },
-        Scenario {
-            name: "empty-plan",
-            topology: Topology::Flow,
-            plan: FaultPlan::empty(),
-            offered_load: None,
-            envelope_floor: 0.7,
-        },
-        Scenario {
-            name: "queue-pressure",
-            topology: Topology::Pipeline,
-            // Clamp the 128-slot ring to a single slot: partial-burst
-            // backpressure degenerates to one-packet handoffs, de-amortizing
-            // the per-burst fixed costs on both stages.
-            plan: FaultPlan::seeded(seed ^ 0x5EA)
-                .with(2, 6, FaultKind::QueuePressure { cap: 1 }),
-            offered_load: None,
-            envelope_floor: 0.7,
-        },
-    ]
+/// `repro chaos`. The shared state is the batch controller the
+/// shrink-batch rung asks; its calibration is subset-independent.
+pub struct Chaos {
+    controller: BatchController,
 }
 
-/// Canonical scenario names, in sweep order — the vocabulary accepted by
-/// [`measure_scenarios`].
-pub fn scenario_names() -> Vec<&'static str> {
-    roster(0).iter().map(|s| s.name).collect()
-}
+impl ChaosSweep for Chaos {
+    type Scenario = Scenario;
+    type Outcome = ScenarioOutcome;
+    const HEADING: &'static str = "Chaos — fault injection + graceful degradation";
+    const CSV: &'static str = "chaos";
+    const JSON_KEY: &'static str = "scenarios";
+    const CONTROL: &'static str = "empty-plan";
+    const TWIN: bool = false;
 
-/// Every scenario's fault plan under master seed `seed`, by name. Each
-/// plan's seed is a per-scenario mix of the master seed (never a
-/// sequential draw from one RNG), so a scenario's resolved timeline is
-/// independent of which other scenarios run — the determinism proptests
-/// pin exactly that.
-pub fn scenario_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
-    roster(seed).into_iter().map(|s| (s.name, s.plan)).collect()
-}
-
-/// Measure a subset of the roster (by name), sharded across `ctx.jobs`
-/// host threads, outcomes merged in canonical scenario order. Passing
-/// [`scenario_names`] runs the full sweep. Results are bit-for-bit
-/// identical at any job count: each scenario derives its own seeds and
-/// builds its own engine, and the shrink-rung calibration is
-/// subset-independent.
-pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<ScenarioOutcome> {
-    let controller = BatchController::calibrate(FlowType::Ip, ctx.params, ctx.jobs);
-    let run = |sc: Scenario, _| match sc.topology {
-        Topology::Flow => run_flow_scenario(ctx, &sc, &controller),
-        Topology::Pipeline => run_pipeline_scenario(ctx, &sc),
-    };
-    run_roster(roster(ctx.params.seed), |s| s.name, names, None, ctx.jobs, run).0
-}
-
-/// The `CHAOS_results.json` records for a set of outcomes (one flat row
-/// per scenario, canonical order preserved).
-pub fn json_rows(outcomes: &[ScenarioOutcome]) -> Vec<JsonRow> {
-    outcomes
-        .iter()
-        .map(|o| {
-            JsonRow::new()
-                .str("scenario", o.name)
-                .num("windows", o.windows)
-                .str("peak_level", o.peak_level)
-                .num("reprobes", o.reprobes)
-                .num("transitions", o.transitions)
-                .num("fault_events", o.fault_events)
-                .num("offered", o.drops.offered)
-                .num("processed", o.processed)
-                .num("nic_rx_exhausted", o.drops.nic_rx_exhausted)
-                .num("queue_full", o.drops.queue_full)
-                .num("element_dropped", o.drops.element_dropped)
-                .num("wire_overflow", o.drops.wire_overflow)
-                .num("shed", o.drops.shed)
-                .num("drained", o.drops.drained)
-                .opt_num("recovery_windows", o.recovery_windows)
-                .num("conservation_slack", o.conservation_slack)
-                .num("max_backlog", o.max_backlog)
-        })
-        .collect()
-}
-
-/// Per-scenario robustness assertions (the sweep's acceptance criteria).
-fn check(o: &ScenarioOutcome) {
-    let n = o.name;
-    assert_eq!(
-        o.final_level,
-        DegradeLevel::Normal,
-        "[{n}] guard must stand down once faults clear"
-    );
-    let rec = o.recovery_windows
-        .unwrap_or_else(|| panic!("[{n}] guard never recovered"));
-    assert!(
-        rec <= RECOVERY_BOUND,
-        "[{n}] recovery took {rec} windows (bound {RECOVERY_BOUND})"
-    );
-    match n {
-        "rate-burst" => {
-            assert!(o.drops.wire_overflow > 0, "[{n}] burst must overflow the wire");
-            assert!(
-                o.peak_level >= DegradeLevel::Throttle,
-                "[{n}] sustained overload must reach the throttle rung, got {}",
-                o.peak_level
-            );
-            assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
-        }
-        "churn" => {
-            assert!(
-                o.peak_level >= DegradeLevel::Reprobe,
-                "[{n}] a flash crowd must trip the guard"
-            );
-            assert!(o.min_pps < o.calib_pps, "[{n}] contention must dent throughput");
-            assert!(
-                o.conservation_slack.unsigned_abs() <= 2 * FULL_BATCH as u64,
-                "[{n}] slack {} exceeds a measurement boundary's in-flight bound",
-                o.conservation_slack
-            );
-        }
-        "freq-derate" => {
-            assert_eq!(
-                o.peak_level,
-                DegradeLevel::Shed,
-                "[{n}] a slower core defeats every milder rung"
-            );
-            assert!(o.drops.shed > 0, "[{n}] shed drops must be counted");
-            assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
-        }
-        "pool-pressure" => {
-            assert!(o.drops.nic_rx_exhausted > 0, "[{n}] starved pool must surface rx drops");
-            assert!(o.peak_level >= DegradeLevel::Reprobe, "[{n}] guard must react");
-            assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
-        }
-        "corruption" => {
-            assert!(
-                o.drops.element_dropped > 0,
-                "[{n}] corrupted frames must die in CheckIpHeader, visibly"
-            );
-            assert!(o.peak_level >= DegradeLevel::Reprobe, "[{n}] guard must react");
-            assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
-        }
-        "queue-pressure" => {
-            assert!(
-                o.min_pps < 0.7 * o.calib_pps,
-                "[{n}] a clamped ring must throttle the pipeline"
-            );
-            assert!(
-                o.max_backlog <= 128,
-                "[{n}] backlog {} outgrew the ring",
-                o.max_backlog
-            );
-            assert!(o.peak_level >= DegradeLevel::Reprobe, "[{n}] guard must react");
-            assert!(
-                o.conservation_slack.unsigned_abs() <= (128 + 2 * 8) as u64,
-                "[{n}] slack {} exceeds ring + burst in-flight bound",
-                o.conservation_slack
-            );
-        }
-        "empty-plan" => {
-            assert_eq!(o.fault_events, 0, "[{n}] null plan must fire nothing");
-            assert_eq!(o.transitions, 0, "[{n}] guard must never move");
-            assert_eq!(o.peak_level, DegradeLevel::Normal, "[{n}] no degradation");
-            assert_eq!(o.drops.total_dropped(), 0, "[{n}] zero loss on the null plan");
-            assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
-        }
-        other => panic!("unknown scenario {other}"),
+    /// One scenario per fault family, plus the null plan.
+    fn roster(seed: u64) -> Vec<Scenario> {
+        vec![
+            Scenario {
+                name: "rate-burst",
+                topology: Topology::Flow,
+                // 8× the baseline offered rate for 8 windows (±1 window of
+                // seeded jitter): long enough for the ladder to reach the
+                // throttle rung and prove it stops the loss mid-fault.
+                plan: FaultPlan::seeded(seed ^ 0xA11CE).with_jittered(
+                    2,
+                    10,
+                    1,
+                    FaultKind::RateBurst { multiplier: 8 },
+                ),
+                offered_load: Some(0.7),
+                envelope_floor: 0.7,
+            },
+            Scenario {
+                name: "churn",
+                topology: Topology::Flow,
+                // A flash crowd: four SYN_MAX aggressors appear on the
+                // target's socket, then vanish.
+                plan: FaultPlan::seeded(seed ^ 0xB0B)
+                    .with(2, 6, FaultKind::CompetitorChurn { competitors: 4 }),
+                offered_load: None,
+                envelope_floor: 0.9,
+            },
+            Scenario {
+                name: "freq-derate",
+                topology: Topology::Flow,
+                // Long enough (10 violating windows) to walk the full ladder
+                // into Shed — nothing short of load shedding answers a core
+                // that simply got slower.
+                plan: FaultPlan::seeded(seed ^ 0xD0D0)
+                    .with(2, 12, FaultKind::FreqDerate { stall_cycles: 100_000 }),
+                offered_load: None,
+                envelope_floor: 0.7,
+            },
+            Scenario {
+                name: "pool-pressure",
+                topology: Topology::Flow,
+                // Seize 496 of the 512 NIC buffers: a 32-packet rx can fill
+                // only half its batch — until the shrink rung fits the batch
+                // to the starved pool.
+                plan: FaultPlan::seeded(seed ^ 0xF00D).with(2, 6, FaultKind::PoolPressure { seize: 496 }),
+                offered_load: None,
+                envelope_floor: 0.7,
+            },
+            Scenario {
+                name: "corruption",
+                topology: Topology::Flow,
+                // 200‰ of frames arrive with a flipped checksum byte and must
+                // die in CheckIpHeader — counted, not silent.
+                plan: FaultPlan::seeded(seed ^ 0xC0DE).with(2, 6, FaultKind::Corruption { per_mille: 200 }),
+                offered_load: None,
+                envelope_floor: 0.7,
+            },
+            Scenario {
+                name: "empty-plan",
+                topology: Topology::Flow,
+                plan: FaultPlan::empty(),
+                offered_load: None,
+                envelope_floor: 0.7,
+            },
+            Scenario {
+                name: "queue-pressure",
+                topology: Topology::Pipeline,
+                // Clamp the 128-slot ring to a single slot: partial-burst
+                // backpressure degenerates to one-packet handoffs, de-amortizing
+                // the per-burst fixed costs on both stages.
+                plan: FaultPlan::seeded(seed ^ 0x5EA)
+                    .with(2, 6, FaultKind::QueuePressure { cap: 1 }),
+                offered_load: None,
+                envelope_floor: 0.7,
+            },
+        ]
     }
-}
 
-/// Run the chaos sweep: every scenario, the summary table, the JSON
-/// artifact, and the robustness assertions.
-pub fn run(ctx: &RunCtx) -> Vec<ScenarioOutcome> {
-    ctx.heading("Chaos — fault injection + graceful degradation");
-    println!("calibrating the batch controller (shrink-batch rung)…");
-    let names = scenario_names();
-    println!(
-        "running {} scenarios across {} jobs: {}…",
-        names.len(),
-        ctx.jobs.min(names.len()),
-        names.join(", ")
-    );
-    let outcomes = measure_scenarios(ctx, &names);
-
-    let mut table = Table::new(
-        "Chaos sweep: guard response and loss accounting per fault scenario",
-        &[
-            "scenario", "windows", "peak", "reprobes", "offered", "processed", "lost",
-            "loss%", "recov(win)", "slack",
-        ],
-    );
-    for o in &outcomes {
-        table.row(vec![
-            o.name.to_string(),
-            o.windows.to_string(),
-            o.peak_level.to_string(),
-            o.reprobes.to_string(),
-            o.drops.offered.to_string(),
-            o.processed.to_string(),
-            o.drops.total_dropped().to_string(),
-            format!("{:.2}", 100.0 * o.drops.loss_frac()),
-            o.recovery_windows.map(|r| r.to_string()).unwrap_or_else(|| "—".into()),
-            o.conservation_slack.to_string(),
-        ]);
+    fn name(sc: &Scenario) -> &'static str {
+        sc.name
     }
-    ctx.emit("chaos", &table);
 
-    // CHAOS_results.json lands in the repository root (CI uploads it).
-    save_results_json("CHAOS_results.json", "scenarios", &json_rows(&outcomes));
-
-    for o in &outcomes {
-        check(o);
+    fn plan(sc: &Scenario) -> &FaultPlan {
+        &sc.plan
     }
-    println!(
-        "chaos: {} scenarios — bounded recovery, zero silent loss, bounded backlog",
-        outcomes.len()
-    );
-    outcomes
+
+    fn prepare(ctx: &RunCtx) -> Self {
+        Chaos { controller: BatchController::calibrate(FlowType::Ip, ctx.params, ctx.jobs) }
+    }
+
+    fn run_scenario(&self, ctx: &RunCtx, sc: &Scenario, _controlled: bool) -> ScenarioOutcome {
+        match sc.topology {
+            Topology::Flow => run_flow_scenario(ctx, sc, &self.controller),
+            Topology::Pipeline => run_pipeline_scenario(ctx, sc),
+        }
+    }
+
+    fn twin_key(_: &ScenarioOutcome) -> TwinKey {
+        unreachable!("chaos runs no twin")
+    }
+
+    fn table(outcomes: &[ScenarioOutcome]) -> Table {
+        let mut table = Table::new(
+            "Chaos sweep: guard response and loss accounting per fault scenario",
+            &[
+                "scenario", "windows", "peak", "reprobes", "offered", "processed", "lost",
+                "loss%", "recov(win)", "slack",
+            ],
+        );
+        for o in outcomes {
+            table.row(vec![
+                o.name.to_string(),
+                o.windows.to_string(),
+                o.peak_level.to_string(),
+                o.reprobes.to_string(),
+                o.drops.offered.to_string(),
+                o.processed.to_string(),
+                o.drops.total_dropped().to_string(),
+                format!("{:.2}", 100.0 * o.drops.loss_frac()),
+                o.recovery_windows.map(|r| r.to_string()).unwrap_or_else(|| "—".into()),
+                o.conservation_slack.to_string(),
+            ]);
+        }
+        table
+    }
+
+    /// One flat row per scenario.
+    fn json_rows(outcomes: &[ScenarioOutcome]) -> Vec<JsonRow> {
+        outcomes
+            .iter()
+            .map(|o| {
+                JsonRow::new()
+                    .str("scenario", o.name)
+                    .num("windows", o.windows)
+                    .str("peak_level", o.peak_level)
+                    .num("reprobes", o.reprobes)
+                    .num("transitions", o.transitions)
+                    .num("fault_events", o.fault_events)
+                    .num("offered", o.drops.offered)
+                    .num("processed", o.processed)
+                    .num("nic_rx_exhausted", o.drops.nic_rx_exhausted)
+                    .num("queue_full", o.drops.queue_full)
+                    .num("element_dropped", o.drops.element_dropped)
+                    .num("wire_overflow", o.drops.wire_overflow)
+                    .num("shed", o.drops.shed)
+                    .num("drained", o.drops.drained)
+                    .opt_num("recovery_windows", o.recovery_windows)
+                    .num("conservation_slack", o.conservation_slack)
+                    .num("max_backlog", o.max_backlog)
+            })
+            .collect()
+    }
+
+    fn check(o: &ScenarioOutcome) {
+        let n = o.name;
+        assert_eq!(
+            o.final_level,
+            DegradeLevel::Normal,
+            "[{n}] guard must stand down once faults clear"
+        );
+        let rec = o.recovery_windows
+            .unwrap_or_else(|| panic!("[{n}] guard never recovered"));
+        assert!(
+            rec <= RECOVERY_BOUND,
+            "[{n}] recovery took {rec} windows (bound {RECOVERY_BOUND})"
+        );
+        match n {
+            "rate-burst" => {
+                assert!(o.drops.wire_overflow > 0, "[{n}] burst must overflow the wire");
+                assert!(
+                    o.peak_level >= DegradeLevel::Throttle,
+                    "[{n}] sustained overload must reach the throttle rung, got {}",
+                    o.peak_level
+                );
+                assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
+            }
+            "churn" => {
+                assert!(
+                    o.peak_level >= DegradeLevel::Reprobe,
+                    "[{n}] a flash crowd must trip the guard"
+                );
+                assert!(o.min_pps < o.calib_pps, "[{n}] contention must dent throughput");
+                assert!(
+                    o.conservation_slack.unsigned_abs() <= 2 * FULL_BATCH as u64,
+                    "[{n}] slack {} exceeds a measurement boundary's in-flight bound",
+                    o.conservation_slack
+                );
+            }
+            "freq-derate" => {
+                assert_eq!(
+                    o.peak_level,
+                    DegradeLevel::Shed,
+                    "[{n}] a slower core defeats every milder rung"
+                );
+                assert!(o.drops.shed > 0, "[{n}] shed drops must be counted");
+                assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
+            }
+            "pool-pressure" => {
+                assert!(o.drops.nic_rx_exhausted > 0, "[{n}] starved pool must surface rx drops");
+                assert!(o.peak_level >= DegradeLevel::Reprobe, "[{n}] guard must react");
+                assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
+            }
+            "corruption" => {
+                assert!(
+                    o.drops.element_dropped > 0,
+                    "[{n}] corrupted frames must die in CheckIpHeader, visibly"
+                );
+                assert!(o.peak_level >= DegradeLevel::Reprobe, "[{n}] guard must react");
+                assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
+            }
+            "queue-pressure" => {
+                assert!(
+                    o.min_pps < 0.7 * o.calib_pps,
+                    "[{n}] a clamped ring must throttle the pipeline"
+                );
+                assert!(
+                    o.max_backlog <= 128,
+                    "[{n}] backlog {} outgrew the ring",
+                    o.max_backlog
+                );
+                assert!(o.peak_level >= DegradeLevel::Reprobe, "[{n}] guard must react");
+                assert!(
+                    o.conservation_slack.unsigned_abs() <= (128 + 2 * 8) as u64,
+                    "[{n}] slack {} exceeds ring + burst in-flight bound",
+                    o.conservation_slack
+                );
+            }
+            "empty-plan" => {
+                assert_eq!(o.fault_events, 0, "[{n}] null plan must fire nothing");
+                assert_eq!(o.transitions, 0, "[{n}] guard must never move");
+                assert_eq!(o.peak_level, DegradeLevel::Normal, "[{n}] no degradation");
+                assert_eq!(o.drops.total_dropped(), 0, "[{n}] zero loss on the null plan");
+                assert_eq!(o.conservation_slack, 0, "[{n}] ledger must conserve exactly");
+            }
+            other => panic!("unknown scenario {other}"),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::results_json::render_document;
+    use crate::experiments::sweep::golden;
 
     #[test]
     fn chaos_sweep_holds_its_claims_at_test_scale() {
-        let mut ctx = RunCtx::quick();
-        // Short windows keep the sweep fast; every claim in `check` is
-        // asserted inside `run`.
-        ctx.params.warmup_ms = 0.5;
-        ctx.params.window_ms = 1.5;
-        ctx.out_dir = std::env::temp_dir();
-        let outcomes = run(&ctx);
+        let outcomes = golden::<Chaos>(include_str!("../../tests/golden/CHAOS_results.json"));
         assert_eq!(outcomes.len(), 7);
-        // Pinned against the previous commit, not just against `--jobs N`.
-        assert_eq!(
-            render_document("scenarios", &json_rows(&outcomes)),
-            include_str!("../../tests/golden/CHAOS_results.json"),
-            "CHAOS_results.json moved against the checked-in golden"
-        );
     }
 }

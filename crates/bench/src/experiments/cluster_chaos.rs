@@ -45,10 +45,10 @@
 //! (machine-readable, uploaded as a CI artifact). Scenario seeds mix the
 //! CLI master seed, so `--seed N` replays a failing timeline exactly.
 
-use crate::experiments::results_json::{save_results_json, JsonRow};
+use crate::experiments::results_json::JsonRow;
+use crate::experiments::sweep::{core_digest, ChaosSweep, Readmission, TwinKey};
 use crate::RunCtx;
 use pp_core::prelude::*;
-use pp_net::fivetuple::fnv1a;
 use pp_sim::cluster::{Cluster, MachineId, TelemetryChannel};
 use pp_sim::config::MachineConfig;
 use pp_sim::fault::{DropStats, FaultInjector, FaultKind, FaultPlan};
@@ -86,8 +86,6 @@ pub const INTERFERENCE_FLOOR: f64 = 0.5;
 /// Minimum heartbeat-silence the blackout scenario must demonstrate
 /// surviving without a decision.
 pub const BLACKOUT_STALENESS_FLOOR: u32 = 8;
-/// The flow classes profiled for re-placement admission.
-const PROFILE: [FlowType; 3] = [FlowType::Ip, FlowType::Mon, FlowType::Fw];
 
 /// One tenant spec: flow class, SLA priority (higher = more important),
 /// home machine.
@@ -108,7 +106,7 @@ fn default_fleet() -> Vec<TenantSpec> {
 /// One cluster scenario: a machine-scoped fault timeline plus the fleet
 /// it strikes.
 #[derive(Debug, Clone)]
-struct ClusterScenario {
+pub struct ClusterScenario {
     name: &'static str,
     plan: FaultPlan,
     fleet: Vec<TenantSpec>,
@@ -168,8 +166,8 @@ pub struct ClusterOutcome {
     pub min_rate_estimate: f64,
     /// Per-tenant outcomes, in fleet order.
     pub tenants: Vec<ClusterTenantOutcome>,
-    /// FNV-1a digest over (machine, core, clock, retired packets) for
-    /// every placement core — the empty-plan identity witness.
+    /// [`core_digest`] over every machine's placement cores — the
+    /// empty-plan identity witness.
     pub digest: u64,
 }
 
@@ -196,10 +194,10 @@ fn free_slot(cluster: &Cluster, m: MachineId) -> Option<CoreId> {
     (0..SLOTS as u16).map(CoreId).find(|&c| !cluster.engine(m).has_task(c))
 }
 
-/// Shared planning state (profiled once, used by every scenario).
-struct ClusterPlanCtx<'a> {
-    admission: AdmissionController<'a>,
-    slas: Vec<Sla>,
+/// `repro cluster-chaos`. The shared state is the re-placement admission
+/// profile.
+pub struct ClusterChaos {
+    readmission: Readmission,
 }
 
 /// Build the cluster and run one scenario end to end. `controlled =
@@ -208,7 +206,7 @@ struct ClusterPlanCtx<'a> {
 fn run_cluster_scenario(
     ctx: &RunCtx,
     sc: &ClusterScenario,
-    plan_ctx: &ClusterPlanCtx<'_>,
+    readmission: &Readmission,
     controlled: bool,
 ) -> ClusterOutcome {
     let params = ctx.params;
@@ -350,7 +348,7 @@ fn run_cluster_scenario(
                     .filter(|(_, l)| *l == Some(m.index()))
                     .map(|(f, _)| *f)
                     .collect();
-                plan_ctx.admission.readmit(&resident, &plan_ctx.slas, flow).admitted()
+                readmission.admits(&resident, flow)
             };
             ctrl.tick(w, &mut gate)
         } else {
@@ -418,15 +416,6 @@ fn run_cluster_scenario(
     for t in tenants.iter_mut() {
         t.rt.flush(cluster.engine(t.machine));
     }
-    let words = (0..MACHINES).flat_map(|m| {
-        let eng = cluster.engine(MachineId(m));
-        (0..SLOTS as u16).flat_map(move |c| {
-            let core = eng.machine.core(CoreId(c));
-            [m as u64, c as u64, core.clock, core.counters.total().packets]
-        })
-    });
-    let digest = fnv1a(&words.flat_map(u64::to_le_bytes).collect::<Vec<u8>>());
-
     let (decisions, replacements) = match &ctrl {
         Some(c) => (c.decisions(), c.replacements_used()),
         None => (0, 0),
@@ -459,337 +448,278 @@ fn run_cluster_scenario(
                 }
             })
             .collect(),
-        digest,
+        digest: core_digest(cluster.machine_ids().map(|m| cluster.engine(m)), SLOTS as u16),
     }
 }
 
-/// The scenario roster. Seeds mix the CLI master seed so `--seed` replays
-/// a failing timeline exactly.
-fn scenarios(seed: u64) -> Vec<ClusterScenario> {
-    vec![
-        ClusterScenario {
-            name: "machine-crash-restart",
-            // Machine 0 dies at w4 and restarts 10 windows later.
-            plan: FaultPlan::seeded(seed ^ 0xC1A5).with_machine_crash(CRASH_AT, 10, 0),
-            fleet: default_fleet(),
-            last_event: CRASH_AT + 10,
-        },
-        ClusterScenario {
-            name: "telemetry-blackout",
-            // Machine 2's control plane goes dark while its datapath
-            // degrades; the channel returns with a 2-window delay. Only
-            // the *reports* are struck — the machine never stops beating.
-            plan: FaultPlan::seeded(seed ^ 0xB1AD)
-                .with_target(4, 14, 2, FaultKind::TelemetryLoss)
-                .with_target(6, 12, 2, FaultKind::SocketDerate { stall_cycles: 20_000 })
-                .with_target(14, 18, 2, FaultKind::TelemetryDelay { windows: 2 }),
-            fleet: default_fleet(),
-            last_event: 18,
-        },
-        ClusterScenario {
-            name: "cascading-overload",
-            // Machine 0 carries three tenants (priorities 2/1/0) and dies
-            // for good — the restart lands far past the horizon. The
-            // survivors have one free slot each: someone must lose.
-            plan: FaultPlan::seeded(seed ^ 0xCA5C).with_machine_crash(CRASH_AT, 60, 0),
-            fleet: vec![
-                (FlowType::Ip, 2, 0),
-                (FlowType::Fw, 1, 0),
-                (FlowType::Mon, 0, 0),
-                (FlowType::Ip, 2, 1),
-                (FlowType::Mon, 1, 1),
-                (FlowType::Ip, 2, 2),
-                (FlowType::Mon, 1, 2),
+impl ChaosSweep for ClusterChaos {
+    type Scenario = ClusterScenario;
+    type Outcome = ClusterOutcome;
+    const HEADING: &'static str =
+        "Cluster chaos — the fleet controller under machine death and lying telemetry";
+    const CSV: &'static str = "cluster_chaos";
+    const JSON_KEY: &'static str = "tenants";
+    const CONTROL: &'static str = "cluster-empty-plan";
+    const TWIN: bool = true;
+
+    fn roster(seed: u64) -> Vec<ClusterScenario> {
+        vec![
+            ClusterScenario {
+                name: "machine-crash-restart",
+                // Machine 0 dies at w4 and restarts 10 windows later.
+                plan: FaultPlan::seeded(seed ^ 0xC1A5).with_machine_crash(CRASH_AT, 10, 0),
+                fleet: default_fleet(),
+                last_event: CRASH_AT + 10,
+            },
+            ClusterScenario {
+                name: "telemetry-blackout",
+                // Machine 2's control plane goes dark while its datapath
+                // degrades; the channel returns with a 2-window delay. Only
+                // the *reports* are struck — the machine never stops beating.
+                plan: FaultPlan::seeded(seed ^ 0xB1AD)
+                    .with_target(4, 14, 2, FaultKind::TelemetryLoss)
+                    .with_target(6, 12, 2, FaultKind::SocketDerate { stall_cycles: 20_000 })
+                    .with_target(14, 18, 2, FaultKind::TelemetryDelay { windows: 2 }),
+                fleet: default_fleet(),
+                last_event: 18,
+            },
+            ClusterScenario {
+                name: "cascading-overload",
+                // Machine 0 carries three tenants (priorities 2/1/0) and dies
+                // for good — the restart lands far past the horizon. The
+                // survivors have one free slot each: someone must lose.
+                plan: FaultPlan::seeded(seed ^ 0xCA5C).with_machine_crash(CRASH_AT, 60, 0),
+                fleet: vec![
+                    (FlowType::Ip, 2, 0),
+                    (FlowType::Fw, 1, 0),
+                    (FlowType::Mon, 0, 0),
+                    (FlowType::Ip, 2, 1),
+                    (FlowType::Mon, 1, 1),
+                    (FlowType::Ip, 2, 2),
+                    (FlowType::Mon, 1, 2),
+                ],
+                last_event: 12,
+            },
+            ClusterScenario {
+                name: "cluster-empty-plan",
+                plan: FaultPlan::empty(),
+                fleet: default_fleet(),
+                last_event: 0,
+            },
+        ]
+    }
+
+    fn name(sc: &ClusterScenario) -> &'static str {
+        sc.name
+    }
+
+    fn plan(sc: &ClusterScenario) -> &FaultPlan {
+        &sc.plan
+    }
+
+    fn prepare(ctx: &RunCtx) -> Self {
+        ClusterChaos { readmission: Readmission::profile(ctx) }
+    }
+
+    fn run_scenario(&self, ctx: &RunCtx, sc: &ClusterScenario, controlled: bool) -> ClusterOutcome {
+        run_cluster_scenario(ctx, sc, &self.readmission, controlled)
+    }
+
+    fn twin_key(o: &ClusterOutcome) -> TwinKey {
+        (o.digest, o.tenants.iter().map(|t| (t.processed, t.drops)).collect())
+    }
+
+    fn table(outcomes: &[ClusterOutcome]) -> Table {
+        let mut table = Table::new(
+            "Cluster chaos: fleet-controller response per tenant per scenario",
+            &[
+                "scenario", "tenant", "prio", "home", "end", "offered", "processed",
+                "drained", "lost", "min/calib", "slack",
             ],
-            last_event: 12,
-        },
-        ClusterScenario {
-            name: "cluster-empty-plan",
-            plan: FaultPlan::empty(),
-            fleet: default_fleet(),
-            last_event: 0,
-        },
-    ]
-}
-
-/// Canonical scenario names, in sweep order — the vocabulary accepted by
-/// [`measure_scenarios`].
-pub fn scenario_names() -> Vec<&'static str> {
-    scenarios(0).iter().map(|s| s.name).collect()
-}
-
-/// Every scenario's fault plan under master seed `seed`, by name. Plan
-/// seeds are per-scenario mixes of the master seed, never sequential
-/// draws, so each timeline is independent of which other scenarios run.
-pub fn scenario_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
-    scenarios(seed).into_iter().map(|s| (s.name, s.plan)).collect()
-}
-
-/// Measure a subset of the roster (by name), sharded across `ctx.jobs`
-/// host threads, outcomes merged in canonical scenario order. When
-/// `cluster-empty-plan` is selected, its controller-free twin rides along
-/// and the bit-for-bit identity (FNV digest over every core's clock and
-/// retired-packet counter, plus per-tenant ledgers) is asserted here.
-pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<ClusterOutcome> {
-    let predictor = Predictor::profile(&PROFILE, ctx.levels.min(3), ctx.params, ctx.jobs);
-    let admission = AdmissionController::new(&predictor);
-    let slas: Vec<Sla> =
-        PROFILE.iter().map(|&f| Sla { flow: f, max_drop_pct: 40.0 }).collect();
-    let plan_ctx = ClusterPlanCtx { admission, slas };
-
-    let (results, twin) = run_roster(
-        scenarios(ctx.params.seed),
-        |s| s.name,
-        names,
-        Some("cluster-empty-plan"),
-        ctx.jobs,
-        |sc, controlled| run_cluster_scenario(ctx, &sc, &plan_ctx, controlled),
-    );
-    if let Some((i, twin)) = twin {
-        let outcome = &results[i];
-        // Bit-for-bit identity across N machines: same digest, same
-        // per-tenant ledgers — an idle control plane is free.
-        assert_eq!(
-            outcome.digest, twin.digest,
-            "[cluster-empty-plan] core clocks/counters diverged"
         );
-        for (a, b) in outcome.tenants.iter().zip(twin.tenants.iter()) {
-            assert_eq!(a.processed, b.processed, "[cluster-empty-plan] {}", a.flow);
-            assert_eq!(a.drops, b.drops, "[cluster-empty-plan] {} ledger", a.flow);
+        for o in outcomes {
+            for t in &o.tenants {
+                table.row(vec![
+                    o.name.to_string(),
+                    t.flow.to_string(),
+                    t.priority.to_string(),
+                    format!("m{}", t.home),
+                    t.final_machine.map(|m| format!("m{m}")).unwrap_or_else(|| "parked".into()),
+                    t.drops.offered.to_string(),
+                    t.processed.to_string(),
+                    t.drops.drained.to_string(),
+                    t.drops.total_dropped().to_string(),
+                    format!("{:.2}", t.min_pps / t.calib_pps.max(1.0)),
+                    t.conservation_slack.to_string(),
+                ]);
+            }
         }
-        println!("empty-plan digest {:#018x} (twin identical)", outcome.digest);
+        table
     }
-    results
-}
 
-/// The `CLUSTER_CHAOS_results.json` records (one flat row per tenant per
-/// scenario, canonical order preserved).
-pub fn json_rows(outcomes: &[ClusterOutcome]) -> Vec<JsonRow> {
-    outcomes
-        .iter()
-        .flat_map(|o| {
-            o.tenants.iter().map(move |t| {
-                JsonRow::new()
-                    .str("scenario", o.name)
-                    .str("tenant", t.flow)
-                    .num("priority", t.priority)
-                    .num("home", t.home)
-                    .opt_num("final_machine", t.final_machine)
-                    .num("calib_pps", format!("{:.1}", t.calib_pps))
-                    .num("min_pps", format!("{:.1}", t.min_pps))
-                    .num("offered", t.drops.offered)
-                    .num("processed", t.processed)
-                    .num("drained", t.drops.drained)
-                    .num("total_dropped", t.drops.total_dropped())
-                    .num("conservation_slack", t.conservation_slack)
-                    .num("decisions", o.decisions)
-                    .num("replacements", o.replacements)
-                    .num("probes", o.probes)
-                    .num("max_staleness", o.max_staleness)
-                    .opt_num("declared_dead_at", o.declare_dead_window)
-                    .opt_num("first_replacement_at", o.first_replacement_window)
+    /// One flat row per tenant per scenario.
+    fn json_rows(outcomes: &[ClusterOutcome]) -> Vec<JsonRow> {
+        outcomes
+            .iter()
+            .flat_map(|o| {
+                o.tenants.iter().map(move |t| {
+                    JsonRow::new()
+                        .str("scenario", o.name)
+                        .str("tenant", t.flow)
+                        .num("priority", t.priority)
+                        .num("home", t.home)
+                        .opt_num("final_machine", t.final_machine)
+                        .num("calib_pps", format!("{:.1}", t.calib_pps))
+                        .num("min_pps", format!("{:.1}", t.min_pps))
+                        .num("offered", t.drops.offered)
+                        .num("processed", t.processed)
+                        .num("drained", t.drops.drained)
+                        .num("total_dropped", t.drops.total_dropped())
+                        .num("conservation_slack", t.conservation_slack)
+                        .num("decisions", o.decisions)
+                        .num("replacements", o.replacements)
+                        .num("probes", o.probes)
+                        .num("max_staleness", o.max_staleness)
+                        .opt_num("declared_dead_at", o.declare_dead_window)
+                        .opt_num("first_replacement_at", o.first_replacement_window)
+                })
             })
-        })
-        .collect()
-}
-
-/// Per-scenario assertions — the sweep's acceptance criteria.
-fn check(o: &ClusterOutcome) {
-    let n = o.name;
-    for t in &o.tenants {
-        assert_eq!(
-            t.conservation_slack, 0,
-            "[{n}/{}@m{}] fleet-wide ledger must conserve exactly",
-            t.flow, t.home
-        );
-        assert!(t.drops.offered > 0, "[{n}/{}@m{}] tenant saw traffic", t.flow, t.home);
+            .collect()
     }
-    let healthy_bound = |t: &ClusterTenantOutcome| {
-        assert_eq!(
-            t.final_machine,
-            Some(t.home),
-            "[{n}/{}@m{}] healthy tenant must stay home",
-            t.flow,
-            t.home
-        );
-        assert!(
-            t.min_pps >= INTERFERENCE_FLOOR * t.calib_pps,
-            "[{n}/{}@m{}] interference bound: min {:.3e} < {:.2} × calib {:.3e}",
-            t.flow,
-            t.home,
-            t.min_pps,
-            INTERFERENCE_FLOOR,
-            t.calib_pps
-        );
-    };
-    match n {
-        "machine-crash-restart" => {
-            let dead = o.declare_dead_window.expect("crash must be declared");
-            let first = o.first_replacement_window.expect("orphans must be re-placed");
-            assert!(
-                first - CRASH_AT <= REPLACEMENT_BOUND,
-                "[{n}] re-placement took {} windows (bound {REPLACEMENT_BOUND})",
-                first - CRASH_AT
-            );
-            assert!(dead <= first, "[{n}] replacement follows the declaration");
-            assert_eq!(o.probes, 2, "[{n}] two probes on capped backoff before death");
-            assert_eq!(o.replacements, 2, "[{n}] both orphans cost budget exactly once");
-            // DeclareDead + 2 orphan placements + 2 budget-free returns.
-            assert_eq!(o.decisions, 5, "[{n}] decision count is exact and bounded");
-            assert!(o.parked_tenants.is_empty(), "[{n}] zero healthy-machine collateral");
-            for t in &o.tenants {
-                if t.home == 0 {
-                    assert_eq!(
-                        t.final_machine,
-                        Some(0),
-                        "[{n}/{}] restart must send the refugee home",
-                        t.flow
-                    );
-                    assert!(t.drops.drained > 0, "[{n}/{}] crash loss counted", t.flow);
-                } else {
-                    healthy_bound(t);
-                }
-            }
-        }
-        "telemetry-blackout" => {
-            assert_eq!(
-                o.decisions, 0,
-                "[{n}] blindness bounds the decision rate: hold, don't flap"
-            );
-            assert_eq!(o.probes, 0, "[{n}] heartbeats never stopped — no liveness doubt");
-            assert!(
-                o.max_staleness >= BLACKOUT_STALENESS_FLOOR,
-                "[{n}] the blackout must actually blind the controller \
-                 (max staleness {} < {BLACKOUT_STALENESS_FLOOR})",
-                o.max_staleness
-            );
-            let min_calib =
-                o.tenants.iter().map(|t| t.calib_pps).fold(f64::INFINITY, f64::min);
-            assert!(
-                o.min_rate_estimate >= FLOOR_FRAC * min_calib,
-                "[{n}] silence must hold last-known-good, never read as rate 0 \
-                 (min estimate {:.3e})",
-                o.min_rate_estimate
-            );
-            for t in &o.tenants {
-                // The derated machine's tenants dip by design; everyone
-                // stays home either way.
-                assert_eq!(t.final_machine, Some(t.home), "[{n}/{}] nobody moves", t.flow);
-                if t.home != 2 {
-                    healthy_bound(t);
-                }
-            }
-        }
-        "cascading-overload" => {
-            assert_eq!(o.replacements, 2, "[{n}] the two higher classes are re-placed");
-            // DeclareDead + 2 placements + 1 park.
-            assert_eq!(o.decisions, 4, "[{n}] shed by SLA class, then hold");
-            assert_eq!(o.parked_tenants.len(), 1, "[{n}] exactly one tenant parks");
-            let parked = &o.tenants[o.parked_tenants[0]];
-            assert_eq!(parked.priority, 0, "[{n}] the lowest SLA class parks");
-            assert_eq!(parked.final_machine, None, "[{n}] no slot ever frees up");
-            assert!(parked.drops.drained > 0, "[{n}] parked loss is counted, not silent");
-            for t in &o.tenants {
-                if t.home == 0 && t.priority > 0 {
-                    let m = t.final_machine.expect("re-placed refugee is running");
-                    assert_ne!(m, 0, "[{n}/{}] the dead machine never hosts", t.flow);
-                } else if t.home != 0 {
-                    assert!(
-                        t.min_pps >= INTERFERENCE_FLOOR * t.calib_pps,
-                        "[{n}/{}@m{}] survivor interference bound",
-                        t.flow,
-                        t.home
-                    );
-                }
-            }
-        }
-        "cluster-empty-plan" => {
-            assert_eq!(o.decisions, 0, "[{n}] the idle control plane decides nothing");
-            assert_eq!(o.probes, 0);
-            assert!(o.parked_tenants.is_empty());
-            for t in &o.tenants {
-                assert_eq!(t.drops.drained, 0, "[{n}/{}] nothing drained", t.flow);
-                assert_eq!(t.final_machine, Some(t.home));
-            }
-        }
-        other => panic!("unknown scenario {other}"),
-    }
-}
 
-/// Run the cluster-chaos sweep: profile admission once, run every
-/// scenario, check the empty-plan identity, emit the table + JSON
-/// artifact, assert.
-pub fn run(ctx: &RunCtx) -> Vec<ClusterOutcome> {
-    ctx.heading("Cluster chaos — the fleet controller under machine death and lying telemetry");
-    println!("profiling re-placement admission…");
-    let names = scenario_names();
-    println!(
-        "running {} scenarios (+ the controller-free twin) across {} jobs: {}…",
-        names.len(),
-        ctx.jobs.min(names.len() + 1),
-        names.join(", ")
-    );
-    let outcomes = measure_scenarios(ctx, &names);
-
-    let mut table = Table::new(
-        "Cluster chaos: fleet-controller response per tenant per scenario",
-        &[
-            "scenario", "tenant", "prio", "home", "end", "offered", "processed",
-            "drained", "lost", "min/calib", "slack",
-        ],
-    );
-    for o in &outcomes {
+    fn check(o: &ClusterOutcome) {
+        let n = o.name;
         for t in &o.tenants {
-            table.row(vec![
-                o.name.to_string(),
-                t.flow.to_string(),
-                t.priority.to_string(),
-                format!("m{}", t.home),
-                t.final_machine.map(|m| format!("m{m}")).unwrap_or_else(|| "parked".into()),
-                t.drops.offered.to_string(),
-                t.processed.to_string(),
-                t.drops.drained.to_string(),
-                t.drops.total_dropped().to_string(),
-                format!("{:.2}", t.min_pps / t.calib_pps.max(1.0)),
-                t.conservation_slack.to_string(),
-            ]);
+            assert_eq!(
+                t.conservation_slack, 0,
+                "[{n}/{}@m{}] fleet-wide ledger must conserve exactly",
+                t.flow, t.home
+            );
+            assert!(t.drops.offered > 0, "[{n}/{}@m{}] tenant saw traffic", t.flow, t.home);
+        }
+        let healthy_bound = |t: &ClusterTenantOutcome| {
+            assert_eq!(
+                t.final_machine,
+                Some(t.home),
+                "[{n}/{}@m{}] healthy tenant must stay home",
+                t.flow,
+                t.home
+            );
+            assert!(
+                t.min_pps >= INTERFERENCE_FLOOR * t.calib_pps,
+                "[{n}/{}@m{}] interference bound: min {:.3e} < {:.2} × calib {:.3e}",
+                t.flow,
+                t.home,
+                t.min_pps,
+                INTERFERENCE_FLOOR,
+                t.calib_pps
+            );
+        };
+        match n {
+            "machine-crash-restart" => {
+                let dead = o.declare_dead_window.expect("crash must be declared");
+                let first = o.first_replacement_window.expect("orphans must be re-placed");
+                assert!(
+                    first - CRASH_AT <= REPLACEMENT_BOUND,
+                    "[{n}] re-placement took {} windows (bound {REPLACEMENT_BOUND})",
+                    first - CRASH_AT
+                );
+                assert!(dead <= first, "[{n}] replacement follows the declaration");
+                assert_eq!(o.probes, 2, "[{n}] two probes on capped backoff before death");
+                assert_eq!(o.replacements, 2, "[{n}] both orphans cost budget exactly once");
+                // DeclareDead + 2 orphan placements + 2 budget-free returns.
+                assert_eq!(o.decisions, 5, "[{n}] decision count is exact and bounded");
+                assert!(o.parked_tenants.is_empty(), "[{n}] zero healthy-machine collateral");
+                for t in &o.tenants {
+                    if t.home == 0 {
+                        assert_eq!(
+                            t.final_machine,
+                            Some(0),
+                            "[{n}/{}] restart must send the refugee home",
+                            t.flow
+                        );
+                        assert!(t.drops.drained > 0, "[{n}/{}] crash loss counted", t.flow);
+                    } else {
+                        healthy_bound(t);
+                    }
+                }
+            }
+            "telemetry-blackout" => {
+                assert_eq!(
+                    o.decisions, 0,
+                    "[{n}] blindness bounds the decision rate: hold, don't flap"
+                );
+                assert_eq!(o.probes, 0, "[{n}] heartbeats never stopped — no liveness doubt");
+                assert!(
+                    o.max_staleness >= BLACKOUT_STALENESS_FLOOR,
+                    "[{n}] the blackout must actually blind the controller \
+                     (max staleness {} < {BLACKOUT_STALENESS_FLOOR})",
+                    o.max_staleness
+                );
+                let min_calib =
+                    o.tenants.iter().map(|t| t.calib_pps).fold(f64::INFINITY, f64::min);
+                assert!(
+                    o.min_rate_estimate >= FLOOR_FRAC * min_calib,
+                    "[{n}] silence must hold last-known-good, never read as rate 0 \
+                     (min estimate {:.3e})",
+                    o.min_rate_estimate
+                );
+                for t in &o.tenants {
+                    // The derated machine's tenants dip by design; everyone
+                    // stays home either way.
+                    assert_eq!(t.final_machine, Some(t.home), "[{n}/{}] nobody moves", t.flow);
+                    if t.home != 2 {
+                        healthy_bound(t);
+                    }
+                }
+            }
+            "cascading-overload" => {
+                assert_eq!(o.replacements, 2, "[{n}] the two higher classes are re-placed");
+                // DeclareDead + 2 placements + 1 park.
+                assert_eq!(o.decisions, 4, "[{n}] shed by SLA class, then hold");
+                assert_eq!(o.parked_tenants.len(), 1, "[{n}] exactly one tenant parks");
+                let parked = &o.tenants[o.parked_tenants[0]];
+                assert_eq!(parked.priority, 0, "[{n}] the lowest SLA class parks");
+                assert_eq!(parked.final_machine, None, "[{n}] no slot ever frees up");
+                assert!(parked.drops.drained > 0, "[{n}] parked loss is counted, not silent");
+                for t in &o.tenants {
+                    if t.home == 0 && t.priority > 0 {
+                        let m = t.final_machine.expect("re-placed refugee is running");
+                        assert_ne!(m, 0, "[{n}/{}] the dead machine never hosts", t.flow);
+                    } else if t.home != 0 {
+                        assert!(
+                            t.min_pps >= INTERFERENCE_FLOOR * t.calib_pps,
+                            "[{n}/{}@m{}] survivor interference bound",
+                            t.flow,
+                            t.home
+                        );
+                    }
+                }
+            }
+            "cluster-empty-plan" => {
+                assert_eq!(o.decisions, 0, "[{n}] the idle control plane decides nothing");
+                assert_eq!(o.probes, 0);
+                assert!(o.parked_tenants.is_empty());
+                for t in &o.tenants {
+                    assert_eq!(t.drops.drained, 0, "[{n}/{}] nothing drained", t.flow);
+                    assert_eq!(t.final_machine, Some(t.home));
+                }
+            }
+            other => panic!("unknown scenario {other}"),
         }
     }
-    ctx.emit("cluster_chaos", &table);
-
-    // CLUSTER_CHAOS_results.json lands in the repository root (CI artifact).
-    save_results_json("CLUSTER_CHAOS_results.json", "tenants", &json_rows(&outcomes));
-
-    for o in &outcomes {
-        check(o);
-    }
-    println!(
-        "cluster-chaos: {} scenarios × {MACHINES} machines — bounded re-placement, \
-         blind windows decide nothing, shed by SLA class, exact fleet-wide conservation",
-        outcomes.len(),
-    );
-    outcomes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::results_json::render_document;
+    use crate::experiments::sweep::golden;
 
     #[test]
     fn cluster_chaos_holds_its_claims_at_test_scale() {
-        let mut ctx = RunCtx::quick();
-        ctx.params.warmup_ms = 0.5;
-        ctx.params.window_ms = 1.5;
-        ctx.out_dir = std::env::temp_dir();
-        let outcomes = run(&ctx);
+        let outcomes =
+            golden::<ClusterChaos>(include_str!("../../tests/golden/CLUSTER_CHAOS_results.json"));
         assert_eq!(outcomes.len(), 4);
-        // Pinned against the previous commit, not just against `--jobs N`.
-        assert_eq!(
-            render_document("tenants", &json_rows(&outcomes)),
-            include_str!("../../tests/golden/CLUSTER_CHAOS_results.json"),
-            "CLUSTER_CHAOS_results.json moved against the checked-in golden"
-        );
         // Every placement core's clock and retired-packet count, per
         // scenario — in the outcome but not in the JSON rows.
         let digests: Vec<(&str, u64)> = outcomes.iter().map(|o| (o.name, o.digest)).collect();

@@ -40,7 +40,8 @@
 //! Results land in `fleet_chaos.csv` and `FLEET_CHAOS_results.json`
 //! (machine-readable, uploaded as a CI artifact).
 
-use crate::experiments::results_json::{save_results_json, JsonRow};
+use crate::experiments::results_json::JsonRow;
+use crate::experiments::sweep::{self, core_digest, ChaosSweep, Readmission, TwinKey};
 use crate::RunCtx;
 use pp_core::prelude::*;
 use pp_sim::config::MachineConfig;
@@ -75,7 +76,7 @@ pub const INTERFERENCE_FLOOR: f64 = 0.55;
 /// One fleet scenario: a (possibly targeted) fault timeline plus an
 /// optional un-scripted environment change for the drift detector.
 #[derive(Debug, Clone)]
-struct FleetScenario {
+pub struct FleetScenario {
     name: &'static str,
     plan: FaultPlan,
     /// `(tenant, derate fraction, window)`: from `window` on, the tenant's
@@ -128,6 +129,9 @@ pub struct FleetOutcome {
     pub windows: u32,
     /// Per-tenant outcomes, in fleet order (IP, MON, FW).
     pub tenants: Vec<TenantOutcome>,
+    /// [`core_digest`] over the socket's cores — the empty-plan identity
+    /// witness.
+    pub digest: u64,
 }
 
 /// One tenant: the shared runtime plus what only this driver tracks.
@@ -161,11 +165,11 @@ fn healthy_spare(engine: &Engine, sick: &[u64; SOCKET_CORES]) -> Option<CoreId> 
         .find(|&c| !engine.has_task(c) && sick[c.index()] == 0)
 }
 
-/// Shared fleet planning state (built once, used by every scenario).
-struct FleetPlanCtx<'a> {
+/// `repro fleet-chaos`. The shared state is the socket plan (admission
+/// plus per-flow batch choice) and the re-admission profile.
+pub struct FleetChaos {
     plan: SocketPlan,
-    admission: AdmissionController<'a>,
-    slas: Vec<Sla>,
+    readmission: Readmission,
 }
 
 /// Build the fleet and run one scenario end to end. `supervised = false`
@@ -174,14 +178,14 @@ struct FleetPlanCtx<'a> {
 fn run_fleet_scenario(
     ctx: &RunCtx,
     sc: &FleetScenario,
-    plan_ctx: &FleetPlanCtx<'_>,
+    planned: &FleetChaos,
     supervised: bool,
-) -> (FleetOutcome, Vec<u64>) {
+) -> FleetOutcome {
     let params = ctx.params;
     let seed = params.seed ^ 0xF1EE7;
     let mut machine = Machine::new(MachineConfig::westmere());
     let mut tenants: Vec<Tenant> = Vec::new();
-    for (i, &(flow, choice)) in plan_ctx.plan.batches.iter().enumerate() {
+    for (i, &(flow, choice)) in planned.plan.batches.iter().enumerate() {
         let built = flow.build_with_structure(
             &mut machine,
             MemDomain(0),
@@ -231,7 +235,7 @@ fn run_fleet_scenario(
     // (the same probe→set_model protocol the drift path uses at run time).
     let mut sup = supervised.then(|| {
         let cfg = SupervisorConfig { seed, ..SupervisorConfig::default() };
-        let mut s = Supervisor::from_plan(cfg, &plan_ctx.plan, |flow| {
+        let mut s = Supervisor::from_plan(cfg, &planned.plan, |flow| {
             let t = tenants.iter().find(|t| t.flow == flow).expect("planned tenant");
             let pred = t.rt.calib_pps(); // placeholder; refit below
             (
@@ -277,17 +281,8 @@ fn run_fleet_scenario(
                         sick[core] = 0;
                     }
                 }
-                FaultKind::Corruption { per_mille } => {
-                    // A pathology in the tenant's own traffic: the knob
-                    // travels with the task, so no placement cures it.
-                    rt.controls.corrupt_per_mille.set(if tr.begin { per_mille } else { 0 });
-                }
-                FaultKind::RateBurst { multiplier } => {
-                    rt.offered_pace = if tr.begin {
-                        (rt.baseline_pace / multiplier.max(1) as u64).max(1)
-                    } else {
-                        rt.baseline_pace
-                    };
+                kind @ (FaultKind::Corruption { .. } | FaultKind::RateBurst { .. }) => {
+                    rt.traffic_fault(kind, tr.begin);
                 }
                 _ => {}
             }
@@ -321,10 +316,8 @@ fn run_fleet_scenario(
                             .map(|t| t.flow)
                             .collect();
                         let t = &mut tenants[j];
-                        let verdict =
-                            plan_ctx.admission.readmit(&resident, &plan_ctx.slas, t.flow);
                         assert!(
-                            verdict.admitted(),
+                            planned.readmission.admits(&resident, t.flow),
                             "re-admission prediction must hold for this fleet"
                         );
                         let dest = healthy_spare(&engine, &sick)
@@ -403,10 +396,7 @@ fn run_fleet_scenario(
     for t in tenants.iter_mut() {
         t.rt.flush(&engine);
     }
-    let clocks: Vec<u64> = (0..SOCKET_CORES as u16)
-        .map(|c| engine.machine.core(CoreId(c)).clock)
-        .collect();
-    let outcome = FleetOutcome {
+    FleetOutcome {
         name: sc.name,
         windows: total,
         tenants: tenants
@@ -438,296 +428,254 @@ fn run_fleet_scenario(
                 }
             })
             .collect(),
-    };
-    (outcome, clocks)
+        digest: core_digest([&engine], SOCKET_CORES as u16),
+    }
 }
 
-/// The scenario roster. Seeds mix the CLI master seed so `--seed` replays
-/// a failing timeline exactly.
-fn scenarios(seed: u64) -> Vec<FleetScenario> {
-    vec![
-        FleetScenario {
-            name: "sick-core",
-            // Tenant 0's core derates hard for 12 windows; only failover
-            // fixes a slow core.
-            plan: FaultPlan::seeded(seed ^ 0x51C0)
-                .with_target(2, 14, 0, FaultKind::FreqDerate { stall_cycles: 100_000 }),
-            env_change: None,
-            last_event: 14,
-        },
-        FleetScenario {
-            name: "poison-evict",
-            // Tenant 1's own traffic turns 200‰ corrupt: no placement
-            // helps, so the budgeted migrations fail, the ladder bottoms
-            // out at Shed, and the breaker takes over.
-            plan: FaultPlan::seeded(seed ^ 0xE71C)
-                .with_target(2, 30, 1, FaultKind::Corruption { per_mille: 200 }),
-            env_change: None,
-            last_event: 30,
-        },
-        FleetScenario {
-            name: "drift",
-            // The environment quietly slows tenant 2 by ~20% — inside the
-            // envelope, outside the model's tolerance.
-            plan: FaultPlan::seeded(seed ^ 0xD81F7),
-            env_change: Some((2, 0.25, 4)),
-            last_event: 12,
-        },
-        FleetScenario {
-            name: "fleet-empty-plan",
-            plan: FaultPlan::empty(),
-            env_change: None,
-            last_event: 0,
-        },
-    ]
-}
-
-/// Canonical scenario names, in sweep order — the vocabulary accepted by
-/// [`measure_scenarios`].
+/// Canonical scenario names, in roster order (the benchmark's `ctl_fleet`
+/// workload runs them all).
 pub fn scenario_names() -> Vec<&'static str> {
-    scenarios(0).iter().map(|s| s.name).collect()
+    sweep::scenario_names::<FleetChaos>()
 }
 
-/// Every scenario's fault plan under master seed `seed`, by name. Plan
-/// seeds are per-scenario mixes of the master seed, never sequential
-/// draws, so each timeline is independent of which other scenarios run.
-pub fn scenario_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
-    scenarios(seed).into_iter().map(|s| (s.name, s.plan)).collect()
-}
-
-/// Measure a subset of the roster (by name), sharded across `ctx.jobs`
-/// host threads, outcomes merged in canonical scenario order. When
-/// `fleet-empty-plan` is selected, its supervisor-free twin rides along
-/// and the bit-for-bit identity (core clocks, packets, ledgers) is
-/// asserted here.
+/// [`sweep::measure_scenarios`] over this sweep (the benchmark's
+/// `ctl_fleet` workload).
 pub fn measure_scenarios(ctx: &RunCtx, names: &[&str]) -> Vec<FleetOutcome> {
-    let controllers: Vec<BatchController> = FLEET
-        .iter()
-        .map(|&f| BatchController::calibrate(f, ctx.params, ctx.jobs))
-        .collect();
-    let predictor = Predictor::profile(&FLEET, ctx.levels.min(3), ctx.params, ctx.jobs);
-    let admission = AdmissionController::new(&predictor);
-    let slas: Vec<Sla> =
-        FLEET.iter().map(|&f| Sla { flow: f, max_drop_pct: 40.0 }).collect();
-    let plan = plan_socket(&controllers, &admission, &FLEET, &slas, &[]);
-    assert!(plan.viable(), "the fleet must be admissible before supervision");
-    let plan_ctx = FleetPlanCtx { plan, admission, slas };
-
-    let (results, twin) = run_roster(
-        scenarios(ctx.params.seed),
-        |s| s.name,
-        names,
-        Some("fleet-empty-plan"),
-        ctx.jobs,
-        |sc, supervised| run_fleet_scenario(ctx, &sc, &plan_ctx, supervised),
-    );
-    if let Some((i, (twin, twin_clocks))) = twin {
-        let (outcome, clocks) = &results[i];
-        // Bit-for-bit identity: same clocks, same packets, same ledgers —
-        // an idle control plane is free.
-        assert_eq!(clocks, &twin_clocks, "[fleet-empty-plan] core clocks diverged");
-        for (a, b) in outcome.tenants.iter().zip(twin.tenants.iter()) {
-            assert_eq!(a.processed, b.processed, "[fleet-empty-plan] {}", a.flow);
-            assert_eq!(a.drops, b.drops, "[fleet-empty-plan] {} ledger", a.flow);
-        }
-    }
-    results.into_iter().map(|(o, _)| o).collect()
+    sweep::measure_scenarios::<FleetChaos>(ctx, names)
 }
 
-/// The `FLEET_CHAOS_results.json` records (one flat row per tenant per
-/// scenario, canonical order preserved).
-pub fn json_rows(outcomes: &[FleetOutcome]) -> Vec<JsonRow> {
-    outcomes
-        .iter()
-        .flat_map(|o| {
-            o.tenants.iter().map(move |t| {
-                JsonRow::new()
-                    .str("scenario", o.name)
-                    .str("tenant", t.flow)
-                    .str("peak_level", t.peak_level)
-                    .str("final_level", t.final_level)
-                    .num("final_running", t.final_running)
-                    .num("trips", t.stats.trips)
-                    .num("failed_probes", t.stats.failed_probes)
-                    .num("migrations", t.stats.migrations)
-                    .num("recalibrations", t.stats.recalibrations)
-                    .num("evicted_windows", t.stats.evicted_windows)
-                    .num("guard_transitions", t.guard_transitions)
-                    .num("offered", t.drops.offered)
-                    .num("processed", t.processed)
-                    .num("drained", t.drops.drained)
-                    .num("shed", t.drops.shed)
-                    .num("element_dropped", t.drops.element_dropped)
-                    .num("wire_overflow", t.drops.wire_overflow)
-                    .num("total_dropped", t.drops.total_dropped())
-                    .opt_num("recovery_windows", t.recovery_windows)
-                    .num("conservation_slack", t.conservation_slack)
-            })
-        })
-        .collect()
-}
+impl ChaosSweep for FleetChaos {
+    type Scenario = FleetScenario;
+    type Outcome = FleetOutcome;
+    const HEADING: &'static str = "Fleet chaos — the tenant supervisor under sustained faults";
+    const CSV: &'static str = "fleet_chaos";
+    const JSON_KEY: &'static str = "tenants";
+    const CONTROL: &'static str = "fleet-empty-plan";
+    const TWIN: bool = true;
 
-/// Per-scenario, per-tenant assertions — the sweep's acceptance criteria.
-fn check(o: &FleetOutcome) {
-    let n = o.name;
-    for t in &o.tenants {
-        assert_eq!(
-            t.conservation_slack, 0,
-            "[{n}/{}] ledger must conserve exactly through migrations and evictions",
-            t.flow
-        );
+    fn roster(seed: u64) -> Vec<FleetScenario> {
+        vec![
+            FleetScenario {
+                name: "sick-core",
+                // Tenant 0's core derates hard for 12 windows; only failover
+                // fixes a slow core.
+                plan: FaultPlan::seeded(seed ^ 0x51C0)
+                    .with_target(2, 14, 0, FaultKind::FreqDerate { stall_cycles: 100_000 }),
+                env_change: None,
+                last_event: 14,
+            },
+            FleetScenario {
+                name: "poison-evict",
+                // Tenant 1's own traffic turns 200‰ corrupt: no placement
+                // helps, so the budgeted migrations fail, the ladder bottoms
+                // out at Shed, and the breaker takes over.
+                plan: FaultPlan::seeded(seed ^ 0xE71C)
+                    .with_target(2, 30, 1, FaultKind::Corruption { per_mille: 200 }),
+                env_change: None,
+                last_event: 30,
+            },
+            FleetScenario {
+                name: "drift",
+                // The environment quietly slows tenant 2 by ~20% — inside the
+                // envelope, outside the model's tolerance.
+                plan: FaultPlan::seeded(seed ^ 0xD81F7),
+                env_change: Some((2, 0.25, 4)),
+                last_event: 12,
+            },
+            FleetScenario {
+                name: "fleet-empty-plan",
+                plan: FaultPlan::empty(),
+                env_change: None,
+                last_event: 0,
+            },
+        ]
     }
-    let healthy_bound = |t: &TenantOutcome| {
-        assert_eq!(t.stats.trips, 0, "[{n}/{}] healthy tenant must not trip", t.flow);
-        assert_eq!(t.stats.migrations, 0, "[{n}/{}] healthy tenant must not move", t.flow);
-        assert!(
-            t.min_pps >= INTERFERENCE_FLOOR * t.calib_pps,
-            "[{n}/{}] interference bound: min {:.3e} < {:.2} × calib {:.3e}",
-            t.flow,
-            t.min_pps,
-            INTERFERENCE_FLOOR,
-            t.calib_pps
+
+    fn name(sc: &FleetScenario) -> &'static str {
+        sc.name
+    }
+
+    fn plan(sc: &FleetScenario) -> &FaultPlan {
+        &sc.plan
+    }
+
+    fn prepare(ctx: &RunCtx) -> Self {
+        let controllers: Vec<BatchController> = FLEET
+            .iter()
+            .map(|&f| BatchController::calibrate(f, ctx.params, ctx.jobs))
+            .collect();
+        let readmission = Readmission::profile(ctx);
+        let plan =
+            plan_socket(&controllers, &readmission.admission(), &FLEET, &readmission.slas, &[]);
+        assert!(plan.viable(), "the fleet must be admissible before supervision");
+        FleetChaos { plan, readmission }
+    }
+
+    fn run_scenario(&self, ctx: &RunCtx, sc: &FleetScenario, supervised: bool) -> FleetOutcome {
+        run_fleet_scenario(ctx, sc, self, supervised)
+    }
+
+    fn twin_key(o: &FleetOutcome) -> TwinKey {
+        (o.digest, o.tenants.iter().map(|t| (t.processed, t.drops)).collect())
+    }
+
+    fn table(outcomes: &[FleetOutcome]) -> Table {
+        let mut table = Table::new(
+            "Fleet chaos: supervisor response per tenant per scenario",
+            &[
+                "scenario", "tenant", "peak", "trips", "probes-failed", "migrations",
+                "recal", "evicted-win", "offered", "processed", "drained", "lost",
+                "recov(win)", "slack",
+            ],
         );
-    };
-    match n {
-        "sick-core" => {
-            let t = &o.tenants[0];
-            assert_eq!(t.stats.migrations, 1, "[{n}] one failover cures a sick core");
-            assert_eq!(t.stats.trips, 0, "[{n}] no eviction needed");
-            assert!(t.final_running && t.final_level == DegradeLevel::Normal);
-            let rec = t.recovery_windows.expect("sick-core tenant must recover");
-            assert!(rec <= FLEET_RECOVERY_BOUND, "[{n}] recovery took {rec} windows");
-            healthy_bound(&o.tenants[1]);
-            healthy_bound(&o.tenants[2]);
-        }
-        "poison-evict" => {
-            let t = &o.tenants[1];
-            assert_eq!(
-                t.stats.migrations, 2,
-                "[{n}] the budget bounds a flapping tenant's moves"
-            );
-            assert!(t.stats.trips >= 1, "[{n}] Shed windows must trip the breaker");
-            assert!(
-                t.stats.failed_probes >= 1,
-                "[{n}] the mid-fault probe must fail and double the delay"
-            );
-            assert!(t.stats.evicted_windows > 0, "[{n}] parked windows counted");
-            assert!(t.drops.drained > 0, "[{n}] eviction loss must be counted, never silent");
-            assert!(t.drops.element_dropped > 0, "[{n}] corruption drops are visible");
-            assert_eq!(t.peak_level, DegradeLevel::Shed, "[{n}] ladder bottomed out");
-            assert!(
-                t.final_running && t.final_level == DegradeLevel::Normal,
-                "[{n}] the post-fault probe must re-admit the tenant"
-            );
-            let rec = t.recovery_windows.expect("evicted tenant must be re-admitted");
-            assert!(rec <= FLEET_RECOVERY_BOUND, "[{n}] re-admission took {rec} windows");
-            healthy_bound(&o.tenants[0]);
-            healthy_bound(&o.tenants[2]);
-        }
-        "drift" => {
-            let t = &o.tenants[2];
-            assert_eq!(
-                t.stats.recalibrations, 1,
-                "[{n}] sustained clean divergence re-fits the model once"
-            );
-            assert_eq!(t.guard_transitions, 0, "[{n}] drift must not degrade");
-            assert_eq!(t.peak_level, DegradeLevel::Normal, "[{n}] ladder untouched");
-            assert_eq!(t.stats.trips, 0);
-            assert_eq!(t.stats.migrations, 0);
-            assert_eq!(t.drops.total_dropped(), 0, "[{n}] drift costs zero packets");
-            healthy_bound(&o.tenants[0]);
-            healthy_bound(&o.tenants[1]);
-        }
-        "fleet-empty-plan" => {
+        for o in outcomes {
             for t in &o.tenants {
-                assert_eq!(t.guard_transitions, 0, "[{n}] no ladder moves");
-                assert_eq!(t.stats.trips, 0);
-                assert_eq!(t.stats.migrations, 0);
-                assert_eq!(t.stats.recalibrations, 0);
-                assert_eq!(t.drops.drained, 0, "[{n}] nothing drained");
+                table.row(vec![
+                    o.name.to_string(),
+                    t.flow.to_string(),
+                    t.peak_level.to_string(),
+                    t.stats.trips.to_string(),
+                    t.stats.failed_probes.to_string(),
+                    t.stats.migrations.to_string(),
+                    t.stats.recalibrations.to_string(),
+                    t.stats.evicted_windows.to_string(),
+                    t.drops.offered.to_string(),
+                    t.processed.to_string(),
+                    t.drops.drained.to_string(),
+                    t.drops.total_dropped().to_string(),
+                    t.recovery_windows.map(|r| r.to_string()).unwrap_or_else(|| "—".into()),
+                    t.conservation_slack.to_string(),
+                ]);
             }
         }
-        other => panic!("unknown scenario {other}"),
+        table
     }
-}
 
-/// Run the fleet-chaos sweep: plan the socket, run every scenario, check
-/// the empty-plan identity, emit the table + JSON artifact, assert.
-pub fn run(ctx: &RunCtx) -> Vec<FleetOutcome> {
-    ctx.heading("Fleet chaos — the tenant supervisor under sustained faults");
-    println!("planning the socket (profiles + batch calibration)…");
-    let names = scenario_names();
-    println!(
-        "running {} scenarios (+ the supervisor-free twin) across {} jobs: {}…",
-        names.len(),
-        ctx.jobs.min(names.len() + 1),
-        names.join(", ")
-    );
-    let outcomes = measure_scenarios(ctx, &names);
+    /// One flat row per tenant per scenario.
+    fn json_rows(outcomes: &[FleetOutcome]) -> Vec<JsonRow> {
+        outcomes
+            .iter()
+            .flat_map(|o| {
+                o.tenants.iter().map(move |t| {
+                    JsonRow::new()
+                        .str("scenario", o.name)
+                        .str("tenant", t.flow)
+                        .str("peak_level", t.peak_level)
+                        .str("final_level", t.final_level)
+                        .num("final_running", t.final_running)
+                        .num("trips", t.stats.trips)
+                        .num("failed_probes", t.stats.failed_probes)
+                        .num("migrations", t.stats.migrations)
+                        .num("recalibrations", t.stats.recalibrations)
+                        .num("evicted_windows", t.stats.evicted_windows)
+                        .num("guard_transitions", t.guard_transitions)
+                        .num("offered", t.drops.offered)
+                        .num("processed", t.processed)
+                        .num("drained", t.drops.drained)
+                        .num("shed", t.drops.shed)
+                        .num("element_dropped", t.drops.element_dropped)
+                        .num("wire_overflow", t.drops.wire_overflow)
+                        .num("total_dropped", t.drops.total_dropped())
+                        .opt_num("recovery_windows", t.recovery_windows)
+                        .num("conservation_slack", t.conservation_slack)
+                })
+            })
+            .collect()
+    }
 
-    let mut table = Table::new(
-        "Fleet chaos: supervisor response per tenant per scenario",
-        &[
-            "scenario", "tenant", "peak", "trips", "probes-failed", "migrations",
-            "recal", "evicted-win", "offered", "processed", "drained", "lost",
-            "recov(win)", "slack",
-        ],
-    );
-    for o in &outcomes {
+    fn check(o: &FleetOutcome) {
+        let n = o.name;
         for t in &o.tenants {
-            table.row(vec![
-                o.name.to_string(),
-                t.flow.to_string(),
-                t.peak_level.to_string(),
-                t.stats.trips.to_string(),
-                t.stats.failed_probes.to_string(),
-                t.stats.migrations.to_string(),
-                t.stats.recalibrations.to_string(),
-                t.stats.evicted_windows.to_string(),
-                t.drops.offered.to_string(),
-                t.processed.to_string(),
-                t.drops.drained.to_string(),
-                t.drops.total_dropped().to_string(),
-                t.recovery_windows.map(|r| r.to_string()).unwrap_or_else(|| "—".into()),
-                t.conservation_slack.to_string(),
-            ]);
+            assert_eq!(
+                t.conservation_slack, 0,
+                "[{n}/{}] ledger must conserve exactly through migrations and evictions",
+                t.flow
+            );
+        }
+        let healthy_bound = |t: &TenantOutcome| {
+            assert_eq!(t.stats.trips, 0, "[{n}/{}] healthy tenant must not trip", t.flow);
+            assert_eq!(t.stats.migrations, 0, "[{n}/{}] healthy tenant must not move", t.flow);
+            assert!(
+                t.min_pps >= INTERFERENCE_FLOOR * t.calib_pps,
+                "[{n}/{}] interference bound: min {:.3e} < {:.2} × calib {:.3e}",
+                t.flow,
+                t.min_pps,
+                INTERFERENCE_FLOOR,
+                t.calib_pps
+            );
+        };
+        match n {
+            "sick-core" => {
+                let t = &o.tenants[0];
+                assert_eq!(t.stats.migrations, 1, "[{n}] one failover cures a sick core");
+                assert_eq!(t.stats.trips, 0, "[{n}] no eviction needed");
+                assert!(t.final_running && t.final_level == DegradeLevel::Normal);
+                let rec = t.recovery_windows.expect("sick-core tenant must recover");
+                assert!(rec <= FLEET_RECOVERY_BOUND, "[{n}] recovery took {rec} windows");
+                healthy_bound(&o.tenants[1]);
+                healthy_bound(&o.tenants[2]);
+            }
+            "poison-evict" => {
+                let t = &o.tenants[1];
+                assert_eq!(
+                    t.stats.migrations, 2,
+                    "[{n}] the budget bounds a flapping tenant's moves"
+                );
+                assert!(t.stats.trips >= 1, "[{n}] Shed windows must trip the breaker");
+                assert!(
+                    t.stats.failed_probes >= 1,
+                    "[{n}] the mid-fault probe must fail and double the delay"
+                );
+                assert!(t.stats.evicted_windows > 0, "[{n}] parked windows counted");
+                assert!(t.drops.drained > 0, "[{n}] eviction loss must be counted, never silent");
+                assert!(t.drops.element_dropped > 0, "[{n}] corruption drops are visible");
+                assert_eq!(t.peak_level, DegradeLevel::Shed, "[{n}] ladder bottomed out");
+                assert!(
+                    t.final_running && t.final_level == DegradeLevel::Normal,
+                    "[{n}] the post-fault probe must re-admit the tenant"
+                );
+                let rec = t.recovery_windows.expect("evicted tenant must be re-admitted");
+                assert!(rec <= FLEET_RECOVERY_BOUND, "[{n}] re-admission took {rec} windows");
+                healthy_bound(&o.tenants[0]);
+                healthy_bound(&o.tenants[2]);
+            }
+            "drift" => {
+                let t = &o.tenants[2];
+                assert_eq!(
+                    t.stats.recalibrations, 1,
+                    "[{n}] sustained clean divergence re-fits the model once"
+                );
+                assert_eq!(t.guard_transitions, 0, "[{n}] drift must not degrade");
+                assert_eq!(t.peak_level, DegradeLevel::Normal, "[{n}] ladder untouched");
+                assert_eq!(t.stats.trips, 0);
+                assert_eq!(t.stats.migrations, 0);
+                assert_eq!(t.drops.total_dropped(), 0, "[{n}] drift costs zero packets");
+                healthy_bound(&o.tenants[0]);
+                healthy_bound(&o.tenants[1]);
+            }
+            "fleet-empty-plan" => {
+                for t in &o.tenants {
+                    assert_eq!(t.guard_transitions, 0, "[{n}] no ladder moves");
+                    assert_eq!(t.stats.trips, 0);
+                    assert_eq!(t.stats.migrations, 0);
+                    assert_eq!(t.stats.recalibrations, 0);
+                    assert_eq!(t.drops.drained, 0, "[{n}] nothing drained");
+                }
+            }
+            other => panic!("unknown scenario {other}"),
         }
     }
-    ctx.emit("fleet_chaos", &table);
-
-    // FLEET_CHAOS_results.json lands in the repository root (CI artifact).
-    save_results_json("FLEET_CHAOS_results.json", "tenants", &json_rows(&outcomes));
-
-    for o in &outcomes {
-        check(o);
-    }
-    println!(
-        "fleet-chaos: {} scenarios × {} tenants — bounded recovery or clean eviction, \
-         exact conservation, interference bounded, empty plan bit-for-bit free",
-        outcomes.len(),
-        FLEET.len()
-    );
-    outcomes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::results_json::render_document;
+    use crate::experiments::sweep::golden;
 
     #[test]
     fn fleet_chaos_holds_its_claims_at_test_scale() {
-        let mut ctx = RunCtx::quick();
-        ctx.params.warmup_ms = 0.5;
-        ctx.params.window_ms = 1.5;
-        ctx.out_dir = std::env::temp_dir();
-        let outcomes = run(&ctx);
+        let outcomes =
+            golden::<FleetChaos>(include_str!("../../tests/golden/FLEET_CHAOS_results.json"));
         assert_eq!(outcomes.len(), 4);
-        // Pinned against the previous commit, not just against `--jobs N`.
-        assert_eq!(
-            render_document("tenants", &json_rows(&outcomes)),
-            include_str!("../../tests/golden/FLEET_CHAOS_results.json"),
-            "FLEET_CHAOS_results.json moved against the checked-in golden"
-        );
     }
 }

@@ -14,6 +14,7 @@ pub mod fleet_chaos;
 pub mod mixes;
 pub mod partition;
 pub mod results_json;
+pub mod sweep;
 pub mod fig2;
 pub mod fig4;
 pub mod fig5;

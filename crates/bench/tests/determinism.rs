@@ -12,8 +12,12 @@
 //! here is equality, not the robustness claims (those stay asserted by
 //! each sweep's own `run` test).
 
-use pp_bench::experiments::{chaos, cluster_chaos, fleet_chaos, tables};
+use pp_bench::experiments::chaos::Chaos;
+use pp_bench::experiments::cluster_chaos::ClusterChaos;
+use pp_bench::experiments::fleet_chaos::FleetChaos;
 use pp_bench::experiments::results_json::render_document;
+use pp_bench::experiments::sweep::{measure_scenarios, scenario_names, ChaosSweep};
+use pp_bench::experiments::tables;
 use pp_bench::RunCtx;
 use proptest::prelude::*;
 
@@ -47,19 +51,25 @@ fn subset_from_mask<'a>(names: &[&'a str], mask: u64, cap: usize) -> Vec<&'a str
     }
 }
 
+/// Sweep `S` over `names` at master seed `seed`, serial vs. each of `jobs`:
+/// the merged outcomes (core digests included) and the results-JSON bytes,
+/// rendered under the sweep's own top key, must be identical.
+fn assert_matches_serial<S: ChaosSweep>(names: &[&str], seed: u64, jobs: &[usize]) {
+    let serial = measure_scenarios::<S>(&det_ctx(1, seed), names);
+    let doc = render_document(S::JSON_KEY, &S::json_rows(&serial));
+    for &j in jobs {
+        let parallel = measure_scenarios::<S>(&det_ctx(j, seed), names);
+        assert_eq!(serial, parallel, "{} outcomes diverged at --jobs {j}", S::CSV);
+        let parallel_doc = render_document(S::JSON_KEY, &S::json_rows(&parallel));
+        assert_eq!(doc, parallel_doc, "{} JSON bytes diverged at --jobs {j}", S::CSV);
+    }
+}
+
 /// The full chaos roster, serial vs. jobs ∈ {2, 8}: merged outcomes and
 /// the emitted `CHAOS_results.json` document must be byte-identical.
 #[test]
 fn chaos_full_roster_is_bitwise_identical_at_jobs_2_and_8() {
-    let names = chaos::scenario_names();
-    let serial = chaos::measure_scenarios(&det_ctx(1, 42), &names);
-    let serial_doc = render_document("scenarios", &chaos::json_rows(&serial));
-    for jobs in [2usize, 8] {
-        let parallel = chaos::measure_scenarios(&det_ctx(jobs, 42), &names);
-        assert_eq!(serial, parallel, "outcomes diverged at --jobs {jobs}");
-        let doc = render_document("scenarios", &chaos::json_rows(&parallel));
-        assert_eq!(serial_doc, doc, "JSON bytes diverged at --jobs {jobs}");
-    }
+    assert_matches_serial::<Chaos>(&scenario_names::<Chaos>(), 42, &[2, 8]);
 }
 
 /// Subset runs return exactly the full roster's entries for those
@@ -67,10 +77,10 @@ fn chaos_full_roster_is_bitwise_identical_at_jobs_2_and_8() {
 /// cannot depend on which other scenarios share the sweep.
 #[test]
 fn chaos_subset_results_equal_full_roster_entries() {
-    let names = chaos::scenario_names();
-    let full = chaos::measure_scenarios(&det_ctx(1, 42), &names);
-    let subset = ["churn", "queue-pressure", "empty-plan"];
-    let picked = chaos::measure_scenarios(&det_ctx(8, 42), &subset);
+    let names = scenario_names::<Chaos>();
+    let full = measure_scenarios::<Chaos>(&det_ctx(1, 42), &names);
+    let subset = ["churn", "queue-pressure", Chaos::CONTROL];
+    let picked = measure_scenarios::<Chaos>(&det_ctx(8, 42), &subset);
     assert_eq!(picked.len(), subset.len());
     for o in &picked {
         let reference = full
@@ -91,34 +101,18 @@ proptest! {
     /// JSON bytes equal the exact serial path.
     #[test]
     fn chaos_random_subsets_match_serial(mask in any::<u64>(), seed in any::<u64>(), j8 in any::<bool>()) {
-        let names = chaos::scenario_names();
-        let subset = subset_from_mask(&names, mask, 3);
-        let jobs = if j8 { 8 } else { 2 };
-        let serial = chaos::measure_scenarios(&det_ctx(1, seed), &subset);
-        let parallel = chaos::measure_scenarios(&det_ctx(jobs, seed), &subset);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(
-            render_document("scenarios", &chaos::json_rows(&serial)),
-            render_document("scenarios", &chaos::json_rows(&parallel))
-        );
+        let names = scenario_names::<Chaos>();
+        assert_matches_serial::<Chaos>(&subset_from_mask(&names, mask, 3), seed, &[if j8 { 8 } else { 2 }]);
     }
 }
 
 /// The fleet sweep (tenant supervisor) sharded across 4 jobs vs. serial,
-/// on a subset that includes the twin-bearing `fleet-empty-plan`
-/// scenario — so the supervisor-free twin identity is also re-asserted
-/// under sharding (it runs inside `measure_scenarios`).
+/// on a subset that includes the twin-bearing control — so the
+/// supervisor-free twin identity is also re-asserted under sharding (it
+/// runs inside `measure_scenarios`).
 #[test]
 fn fleet_sweep_is_bitwise_identical_across_jobs() {
-    let subset = ["sick-core", "fleet-empty-plan"];
-    let serial = fleet_chaos::measure_scenarios(&det_ctx(1, 42), &subset);
-    let parallel = fleet_chaos::measure_scenarios(&det_ctx(4, 42), &subset);
-    assert_eq!(serial, parallel, "fleet outcomes diverged across jobs");
-    assert_eq!(
-        render_document("scenarios", &fleet_chaos::json_rows(&serial)),
-        render_document("scenarios", &fleet_chaos::json_rows(&parallel)),
-        "FLEET_CHAOS_results.json bytes diverged across jobs"
-    );
+    assert_matches_serial::<FleetChaos>(&["sick-core", FleetChaos::CONTROL], 42, &[4]);
 }
 
 /// The tables sweep (PR 10) sharded across 4 jobs vs. serial: grid
@@ -142,26 +136,11 @@ fn tables_sweep_is_bitwise_identical_across_jobs() {
     );
 }
 
-/// The cluster sweep sharded across 4 jobs vs. serial: per-scenario FNV
-/// digests (every core's clock and retired-packet counter across every
-/// machine) must match bit-for-bit, as must the merged outcomes and the
-/// JSON document.
+/// The cluster sweep sharded across 4 jobs vs. serial: per-scenario core
+/// digests (every placement core's clock and retired-packet counter
+/// across every machine) must match bit-for-bit, as must the merged
+/// outcomes and the JSON document.
 #[test]
 fn cluster_sweep_digests_are_bitwise_identical_across_jobs() {
-    let subset = ["machine-crash-restart", "cluster-empty-plan"];
-    let serial = cluster_chaos::measure_scenarios(&det_ctx(1, 42), &subset);
-    let parallel = cluster_chaos::measure_scenarios(&det_ctx(4, 42), &subset);
-    for (s, p) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(
-            s.digest, p.digest,
-            "[{}] digest {:#018x} != {:#018x} across jobs",
-            s.name, s.digest, p.digest
-        );
-    }
-    assert_eq!(serial, parallel, "cluster outcomes diverged across jobs");
-    assert_eq!(
-        render_document("scenarios", &cluster_chaos::json_rows(&serial)),
-        render_document("scenarios", &cluster_chaos::json_rows(&parallel)),
-        "CLUSTER_CHAOS_results.json bytes diverged across jobs"
-    );
+    assert_matches_serial::<ClusterChaos>(&["machine-crash-restart", ClusterChaos::CONTROL], 42, &[4]);
 }

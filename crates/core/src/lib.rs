@@ -101,7 +101,7 @@ pub mod prelude {
     };
     pub use crate::experiment::{
         corun_against_solo, corun_mixes, corun_scenario, default_threads, run_corun,
-        run_many, run_roster, run_scenario, solo_scenario, ContentionConfig, CoRunOutcome,
+        run_many, run_scenario, solo_scenario, ContentionConfig, CoRunOutcome,
         ExpParams, FlowPlacement, FlowResult, LatencySummary, Scenario, ScenarioResult,
     };
     pub use crate::fleet::{FleetAction, FleetConfig, FleetController, MachineState};

@@ -20,7 +20,7 @@ use crate::experiment::LatencySummary;
 use crate::guard::{DegradeLevel, GuardEnvelope, WindowObservation};
 use pp_click::flow::FlowTask;
 use pp_sim::engine::{CoreTask, Engine, Measurement};
-use pp_sim::fault::{DropStats, TaskControls};
+use pp_sim::fault::{DropStats, FaultKind, TaskControls};
 use pp_sim::latency::LatencyHistogram;
 use pp_sim::types::{CoreId, Cycles};
 use std::cell::RefCell;
@@ -243,6 +243,27 @@ impl TenantRt {
         self.controls
             .shed_per_mille
             .set(if level == DegradeLevel::Shed { SHED_PER_MILLE } else { 0 });
+    }
+
+    /// Begin or end a fault in the tenant's own traffic: a rate burst
+    /// divides the offered pace by its multiplier, corruption garbles that
+    /// share of frames. Both travel with the task, so no placement cures
+    /// them; every other kind strikes a core, a machine or a queue and is
+    /// the driver's to map.
+    pub fn traffic_fault(&mut self, kind: FaultKind, begin: bool) {
+        match kind {
+            FaultKind::RateBurst { multiplier } => {
+                self.offered_pace = if begin {
+                    (self.baseline_pace / multiplier.max(1) as u64).max(1)
+                } else {
+                    self.baseline_pace
+                };
+            }
+            FaultKind::Corruption { per_mille } => {
+                self.controls.corrupt_per_mille.set(if begin { per_mille } else { 0 });
+            }
+            other => panic!("{other:?} is not a traffic fault"),
+        }
     }
 
     /// Whether the tenant is off every engine.

@@ -13,7 +13,10 @@
 //! RNG — so adding, removing, or sharding scenarios cannot shift any
 //! other scenario's fault timeline.
 
-use pp_bench::experiments::{chaos, cluster_chaos, fleet_chaos};
+use pp_bench::experiments::chaos::Chaos;
+use pp_bench::experiments::cluster_chaos::ClusterChaos;
+use pp_bench::experiments::fleet_chaos::FleetChaos;
+use pp_bench::experiments::sweep::{scenario_names, scenario_plans, ChaosSweep};
 use predictable_pp::sim::fault::{FaultInjector, FaultPlan, FaultTransition};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -26,20 +29,28 @@ fn timeline(plan: &FaultPlan) -> Vec<FaultTransition> {
     injector.trace().to_vec()
 }
 
+/// One sweep's stem, vocabulary, plan list under one master seed and
+/// empty-plan control, as the protocol reports them.
+type Roster = (&'static str, Vec<&'static str>, Vec<(&'static str, FaultPlan)>, &'static str);
+
+fn roster<S: ChaosSweep>(seed: u64) -> Roster {
+    (S::CSV, scenario_names::<S>(), scenario_plans::<S>(seed), S::CONTROL)
+}
+
+/// The three chaos-family sweeps under master seed `seed`.
+fn rosters(seed: u64) -> [Roster; 3] {
+    [roster::<Chaos>(seed), roster::<FleetChaos>(seed), roster::<ClusterChaos>(seed)]
+}
+
 /// All three sweeps' plan lists under one master seed, flattened with a
-/// module prefix so name collisions across sweeps stay distinguishable.
+/// sweep prefix so name collisions across sweeps stay distinguishable.
 fn all_plans(seed: u64) -> Vec<(String, FaultPlan)> {
-    let mut plans = Vec::new();
-    for (name, plan) in chaos::scenario_plans(seed) {
-        plans.push((format!("chaos/{name}"), plan));
-    }
-    for (name, plan) in fleet_chaos::scenario_plans(seed) {
-        plans.push((format!("fleet/{name}"), plan));
-    }
-    for (name, plan) in cluster_chaos::scenario_plans(seed) {
-        plans.push((format!("cluster/{name}"), plan));
-    }
-    plans
+    rosters(seed)
+        .into_iter()
+        .flat_map(|(sweep, _, plans, _)| {
+            plans.into_iter().map(move |(name, plan)| (format!("{sweep}/{name}"), plan))
+        })
+        .collect()
 }
 
 proptest! {
@@ -64,11 +75,7 @@ proptest! {
     /// no two scenarios ever share a jitter stream.
     #[test]
     fn plan_seeds_are_distinct_per_scenario(seed in any::<u64>()) {
-        for (module, plans) in [
-            ("chaos", chaos::scenario_plans(seed)),
-            ("fleet", fleet_chaos::scenario_plans(seed)),
-            ("cluster", cluster_chaos::scenario_plans(seed)),
-        ] {
+        for (sweep, _, plans, _) in rosters(seed) {
             let mut seen = HashSet::new();
             for (name, plan) in &plans {
                 if plan.is_empty() {
@@ -77,7 +84,7 @@ proptest! {
                 prop_assert!(
                     seen.insert(plan.seed),
                     "[{}/{}] plan seed {} reused within the sweep",
-                    module, name, plan.seed
+                    sweep, name, plan.seed
                 );
             }
         }
@@ -108,11 +115,7 @@ proptest! {
 /// the advertised names, in canonical order.
 #[test]
 fn scenario_vocabularies_cover_their_plan_lists() {
-    for (names, plans, control) in [
-        (chaos::scenario_names(), chaos::scenario_plans(7), "empty-plan"),
-        (fleet_chaos::scenario_names(), fleet_chaos::scenario_plans(7), "fleet-empty-plan"),
-        (cluster_chaos::scenario_names(), cluster_chaos::scenario_plans(7), "cluster-empty-plan"),
-    ] {
+    for (_, names, plans, control) in rosters(7) {
         let plan_names: Vec<&str> = plans.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, plan_names, "plan list order != canonical scenario order");
         assert!(names.contains(&control), "missing the {control} control scenario");
