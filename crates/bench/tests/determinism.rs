@@ -102,7 +102,8 @@ proptest! {
     #[test]
     fn chaos_random_subsets_match_serial(mask in any::<u64>(), seed in any::<u64>(), j8 in any::<bool>()) {
         let names = scenario_names::<Chaos>();
-        assert_matches_serial::<Chaos>(&subset_from_mask(&names, mask, 3), seed, &[if j8 { 8 } else { 2 }]);
+        let subset = subset_from_mask(&names, mask, 3);
+        assert_matches_serial::<Chaos>(&subset, seed, &[if j8 { 8 } else { 2 }]);
     }
 }
 
@@ -142,5 +143,6 @@ fn tables_sweep_is_bitwise_identical_across_jobs() {
 /// outcomes and the JSON document.
 #[test]
 fn cluster_sweep_digests_are_bitwise_identical_across_jobs() {
-    assert_matches_serial::<ClusterChaos>(&["machine-crash-restart", ClusterChaos::CONTROL], 42, &[4]);
+    let subset = ["machine-crash-restart", ClusterChaos::CONTROL];
+    assert_matches_serial::<ClusterChaos>(&subset, 42, &[4]);
 }

@@ -114,7 +114,8 @@ fn ladder_truth_table() {
 fn the_shrink_target_is_half_the_planned_batch_and_never_larger() {
     let mut machine = Machine::new(MachineConfig::westmere());
     for (batch, target) in [(1, 1), (2, 1), (4, 2), (64, 32)] {
-        let flow = FlowType::Fw.build_with_structure(&mut machine, MemDomain(0), Scale::Test, 7, 7, batch);
+        let flow =
+            FlowType::Fw.build_with_structure(&mut machine, MemDomain(0), Scale::Test, 7, 7, batch);
         let rt = TenantRt::new(flow.task);
         assert_eq!((rt.batch, rt.shrink_batch), (batch, target), "planned batch {batch}");
     }
