@@ -567,6 +567,64 @@ mod tests {
         meas.core(CoreId(0)).unwrap().metrics.pps
     }
 
+    /// Every standard flow's footprint and first 200 turns at both scales
+    /// (seed 7, domain 0 of a fresh Westmere, core 0): bytes allocated by
+    /// `build_flow`, then the clock, L1 references and L3 references.
+    #[test]
+    fn standard_flows_are_pinned_at_both_scales() {
+        use pp_sim::engine::CoreTask;
+        const TEST: [(u64, u64, u64, u64); 9] = [
+            (6_681_920, 748_390, 9_479, 3_651),
+            (10_876_224, 898_474, 11_198, 4_528),
+            (10_896_192, 5_354_090, 261_398, 4_868),
+            (27_653_440, 2_864_425, 25_734, 14_169),
+            (10_880_576, 2_227_859, 460_886, 5_274),
+            (13_298_496, 2_896_114, 106_958, 24_199),
+            (14_284_096, 972_013, 12_397, 4_983),
+            (11_086_400, 1_400_514, 22_315, 7_850),
+            (13_770_880, 764_881, 17_400, 15_936),
+        ];
+        const PAPER: [(u64, u64, u64, u64); 9] = [
+            (19_913_280, 829_452, 9_960, 4_203),
+            (36_690_496, 992_745, 11_777, 5_205),
+            (36_710_464, 5_448_991, 261_977, 5_557),
+            (103_799_360, 5_204_797, 44_335, 23_735),
+            (36_694_848, 2_314_179, 461_388, 5_906),
+            (48_463_360, 4_376_096, 107_589, 37_480),
+            (51_305_024, 1_067_565, 12_987, 5_679),
+            (37_509_952, 1_707_313, 24_289, 9_931),
+            (13_770_880, 764_881, 17_400, 15_936),
+        ];
+        let kinds = [
+            ChainKind::Ip,
+            ChainKind::Mon,
+            ChainKind::Fw,
+            ChainKind::Re,
+            ChainKind::Vpn,
+            ChainKind::Dpi,
+            ChainKind::Nat,
+            ChainKind::Class,
+            ChainKind::Syn(SynParams::max(7)),
+        ];
+        for (small, pins) in [(true, TEST), (false, PAPER)] {
+            for (kind, want) in kinds.into_iter().zip(pins) {
+                let spec =
+                    if small { FlowSpec::small(kind, 7) } else { FlowSpec::new(kind, 7) };
+                let mut m = Machine::new(MachineConfig::westmere());
+                let mut task = build_flow(&mut m, MemDomain(0), &spec).task;
+                let used = m.allocator(MemDomain(0)).used();
+                for _ in 0..200 {
+                    task.run_turn(&mut m.ctx(CoreId(0)));
+                }
+                let core = m.core(CoreId(0));
+                let total = core.counters.total();
+                assert_eq!(total.packets, 200, "{} small={small}", kind.name());
+                let got = (used, core.clock, total.l1_refs, total.l3_refs);
+                assert_eq!(got, want, "{} small={small}", kind.name());
+            }
+        }
+    }
+
     #[test]
     fn all_chains_forward_packets() {
         for kind in [ChainKind::Ip, ChainKind::Mon, ChainKind::Fw, ChainKind::Vpn] {
