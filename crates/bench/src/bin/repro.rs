@@ -11,7 +11,7 @@
 //! runs); default is paper scale. `--packets N` sizes the measurement
 //! window so a batch-1 flow covers roughly N packets — one knob for
 //! simulation size shared by every sweep (it overrides the base window
-//! regardless of flag order). `--levels N` (≥ 1) is the SYN ramp length
+//! regardless of flag order; N runs from 1 to 100 000 000). `--levels N` (≥ 1) is the SYN ramp length
 //! behind every sensitivity curve. `--jobs N` shards each sweep's independent
 //! scenario points across N host threads (default: available cores;
 //! `--jobs 1` is the exact serial path). Results are bit-for-bit identical
@@ -76,6 +76,9 @@ const SWEEPS: [Sweep; 22] = [
     sweep!("cluster-chaos", "extras   — the fleet controller over N machines", <ClusterChaos>),
 ];
 
+/// The largest `--packets` window: about 1 200× the paper's 30 ms.
+const MAX_PACKETS: u64 = 100_000_000;
+
 fn usage() -> ! {
     eprintln!(
         "usage: repro <subcommand> [--quick] [--packets N] [--jobs N] [--levels N] [--out DIR] \
@@ -133,8 +136,11 @@ fn main() {
             }
             "--packets" => {
                 i += 1;
-                packets =
-                    Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
+                // 0 would shrink every window to its 0.1-ms floor; past 10⁸
+                // (a 35.7-s simulated window) a sweep never finishes.
+                let n = args.get(i).and_then(|s| s.parse().ok());
+                let n = n.filter(|n: &u64| (1..=MAX_PACKETS).contains(n));
+                packets = Some(n.unwrap_or_else(|| usage()));
             }
             "--levels" => {
                 i += 1;
