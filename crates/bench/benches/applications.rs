@@ -98,7 +98,7 @@ fn bench_chain_turns(c: &mut Criterion) {
     for kind in [ChainKind::Ip, ChainKind::Mon, ChainKind::Fw] {
         g.bench_function(kind.name(), |b| {
             let mut m = Machine::new(MachineConfig::westmere());
-            let spec = FlowSpec::small(kind, 3);
+            let spec = FlowSpec::new(kind, Scale::Test, 3);
             let built = build_flow(&mut m, MemDomain(0), &spec);
             let mut engine = Engine::new(m);
             engine.set_task(CoreId(0), Box::new(built.task));

@@ -327,11 +327,10 @@ fn run_flow_scenario(ctx: &RunCtx, sc: &Scenario, controller: &BatchController) 
 fn run_pipeline_scenario(ctx: &RunCtx, sc: &Scenario) -> ScenarioOutcome {
     let params = ctx.params;
     let seed = params.seed ^ 0x9199;
-    const QUEUE_CAP: usize = 128;
     const BURST: usize = 8;
     let mut machine = Machine::new(MachineConfig::westmere());
     let spec = FlowType::Ip.spec(params.scale, seed);
-    let pipe = PipelineSpec { queue_domain: MemDomain(0), queue_capacity: QUEUE_CAP, burst: BURST };
+    let pipe = PipelineSpec::new(MemDomain(0)).with_burst(BURST);
     let (src, sink, queue) =
         build_pipeline(&mut machine, MemDomain(0), MemDomain(0), &spec, &pipe);
     let sink_core = CoreId(1);

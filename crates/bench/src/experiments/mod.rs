@@ -97,10 +97,7 @@ pub(crate) fn seat_flow(
     seed: u64,
     structure_seed: u64,
 ) -> Seat {
-    let mut spec = match scale {
-        Scale::Paper => FlowSpec::new(kind, seed),
-        Scale::Test => FlowSpec::small(kind, seed),
-    };
+    let mut spec = FlowSpec::new(kind, scale, seed);
     spec.structure_seed = structure_seed;
     seat(core, build_flow(machine, MemDomain(0), &spec).task)
 }

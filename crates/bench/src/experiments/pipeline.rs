@@ -10,10 +10,7 @@
 use crate::experiments::{measure_window, seat};
 use crate::RunCtx;
 use pp_core::prelude::*;
-use pp_click::cost::CostModel;
-use pp_click::pipelines::{
-    build_pipeline, two_phase_parallel, two_phase_pipeline, PipelineSpec, TwoPhaseParams,
-};
+use pp_click::pipelines::{build_pipeline, two_phase_parallel, two_phase_pipeline, PipelineSpec};
 use pp_sim::config::MachineConfig;
 use pp_sim::types::{CoreId, MemDomain};
 
@@ -81,14 +78,11 @@ fn measure_pipeline_pair(ctx: &RunCtx, flow: FlowType) -> (f64, f64) {
 
 /// The crafted two-phase comparison: `(parallel_pps, pipeline_pps)`.
 pub fn crafted(ctx: &RunCtx) -> (f64, f64) {
-    let p = TwoPhaseParams::default();
-    let cost = CostModel::default();
-
     // Parallel: both phases on each of two cores, one per socket, each
     // core's structures local — every core touches 2× L3 worth of data.
     let parallel = measure_window(MachineConfig::westmere(), ctx.params, |machine| {
-        let f0 = two_phase_parallel(machine, MemDomain(0), &p, cost);
-        let f1 = two_phase_parallel(machine, MemDomain(1), &p, cost);
+        let f0 = two_phase_parallel(machine, MemDomain(0));
+        let f1 = two_phase_parallel(machine, MemDomain(1));
         vec![seat(0, f0), seat(6, f1)]
     });
 
@@ -96,8 +90,7 @@ pub fn crafted(ctx: &RunCtx) -> (f64, f64) {
     // structure fits its own L3.
     let pipeline = measure_window(MachineConfig::westmere(), ctx.params, |machine| {
         let pipe = PipelineSpec::new(MemDomain(0));
-        let (src, sink, _q) =
-            two_phase_pipeline(machine, MemDomain(0), MemDomain(1), &p, cost, &pipe);
+        let (src, sink, _q) = two_phase_pipeline(machine, MemDomain(0), MemDomain(1), &pipe);
         vec![seat(0, src), seat(6, sink)]
     });
     let pipeline_pps = pipeline.core(CoreId(6)).map(|c| c.metrics.pps).unwrap_or(0.0);

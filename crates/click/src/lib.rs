@@ -105,6 +105,6 @@ pub mod prelude {
     pub use crate::graph::{BatchOutcome, ElementGraph, ElementId};
     pub use crate::pipelines::{
         build_config_flow, build_flow, build_pipeline, two_phase_parallel, two_phase_pipeline,
-        BuiltFlow, ChainKind, ConfigFlow, FlowSpec, PipelineSpec, TwoPhaseParams,
+        BuiltFlow, ChainKind, ConfigFlow, FlowSpec, PipelineSpec, Scale,
     };
 }

@@ -21,7 +21,7 @@ use crate::config::{build_config, BuildCtx, ConfigError};
 use crate::cost::CostModel;
 use crate::elements::basic::{CheckIpHeader, DecIpTtl, ToDevice};
 use crate::elements::classifier::TupleSpaceClassifier;
-use crate::elements::control::{Control, ControlHandle};
+use crate::elements::control::ControlHandle;
 use crate::elements::dpi::{Dpi, DpiMode};
 use crate::elements::firewall::Firewall;
 use crate::elements::nat::{Nat, NatConfig};
@@ -100,11 +100,76 @@ impl ChainKind {
     }
 }
 
-/// Everything needed to build one flow.
+/// Data-structure scale of the standard flows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Paper-scale: 128 k prefixes, 100 k flows, 1000 rules, RE tables far
+    /// beyond L3. Use for regenerating tables/figures.
+    Paper,
+    /// ~4× smaller structures for fast tests (behaviour class preserved:
+    /// each flow's trie+table are cacheable alone but six co-located flows
+    /// overflow the L3, and RE's working set stays beyond the L3).
+    Test,
+}
+
+/// One scale's structure sizes — the only place a standard flow's sizes
+/// are written.
+struct Sizes {
+    /// Routing-table prefixes (paper: 128 000).
+    prefixes: usize,
+    /// Concurrent-flow population of the traffic (paper: 100 000).
+    flows: u32,
+    /// log2 of NetFlow table slots (the population at ~0.76 load).
+    netflow_log2: u32,
+    /// RE fingerprint table and store.
+    re: ReConfig,
+    /// DPI signatures (extension workload).
+    signatures: usize,
+    /// NAT pool and binding table (extension workload).
+    nat: NatConfig,
+    /// Classifier rules (extension workload; ClassBench-scale).
+    class_rules: usize,
+}
+
+/// Firewall rules at every scale (paper: 1000).
+const FW_RULES: usize = 1000;
+
+fn sizes(scale: Scale) -> Sizes {
+    match scale {
+        Scale::Paper => Sizes {
+            prefixes: 128_000,
+            flows: 100_000,
+            netflow_log2: 18,
+            re: ReConfig::default(),
+            signatures: 1500,
+            nat: NatConfig::default(),
+            class_rules: 16_000,
+        },
+        Scale::Test => Sizes {
+            prefixes: 32_000,
+            flows: 40_000,
+            netflow_log2: 16,
+            re: ReConfig { log2_fp_slots: 19, store_bytes: 8 << 20, sample_mod: 16 },
+            signatures: 300,
+            nat: NatConfig {
+                n_public_ips: 1,
+                ports_per_ip: 49152,
+                log2_bindings: 16,
+                ..NatConfig::default()
+            },
+            class_rules: 4000,
+        },
+    }
+}
+
+/// Everything needed to build one flow. Sizes come from `scale`; every
+/// element is charged at the default [`CostModel`].
 #[derive(Debug, Clone)]
 pub struct FlowSpec {
     /// The workload.
     pub kind: ChainKind,
+    /// The structures' scale.
+    pub scale: Scale,
     /// Seed for this flow instance's traffic and access patterns.
     pub seed: u64,
     /// Seed for the flow's *data structures* (routing table, rules, keys).
@@ -112,101 +177,37 @@ pub struct FlowSpec {
     /// as the paper's per-client replicas of one table are — while their
     /// traffic differs per `seed`.
     pub structure_seed: u64,
-    /// Compute-cost model.
-    pub cost: CostModel,
-    /// Routing-table size (paper: 128 000).
-    pub n_prefixes: usize,
-    /// Concurrent-flow population for the traffic (paper: 100 000).
-    pub flow_population: u32,
-    /// log2 of NetFlow table slots (paper population at ~0.76 load).
-    pub netflow_log2: u32,
-    /// Firewall rule count (paper: 1000).
-    pub n_rules: usize,
-    /// RE sizing.
-    pub re: ReConfig,
-    /// DPI signature-set size (extension workload).
-    pub n_signatures: usize,
-    /// NAT pool and table sizing (extension workload).
-    pub nat: NatConfig,
-    /// Classifier rule count (extension workload; ClassBench-scale).
-    pub n_class_rules: usize,
-    /// Prepend a `Control` element (for throttling experiments).
-    pub with_control: bool,
     /// Packets per engine turn (see [`FlowTask::with_batch_size`]). The
     /// default, 1, is the paper's per-packet platform; 0 means 1.
     pub batch_size: usize,
 }
 
 impl FlowSpec {
-    /// Paper-scale defaults for a workload.
-    pub fn new(kind: ChainKind, seed: u64) -> Self {
-        FlowSpec {
-            kind,
-            seed,
-            structure_seed: seed,
-            cost: CostModel::default(),
-            n_prefixes: 128_000,
-            flow_population: 100_000,
-            netflow_log2: 18,
-            n_rules: 1000,
-            re: ReConfig::default(),
-            n_signatures: 1500,
-            nat: NatConfig::default(),
-            n_class_rules: 16_000,
-            with_control: false,
-            batch_size: 1,
-        }
-    }
-
-    /// Scaled-down sizes for fast tests (structures shrink ~4x; behaviour
-    /// class is preserved: each flow's trie+table are cacheable alone but
-    /// six co-located flows overflow the L3, and RE's working set stays
-    /// beyond the L3).
-    pub fn small(kind: ChainKind, seed: u64) -> Self {
-        FlowSpec {
-            n_prefixes: 32_000,
-            flow_population: 40_000,
-            netflow_log2: 16,
-            n_rules: 1000,
-            re: ReConfig { log2_fp_slots: 19, store_bytes: 8 << 20, sample_mod: 16 },
-            n_signatures: 300,
-            nat: NatConfig {
-                n_public_ips: 1,
-                ports_per_ip: 49152,
-                log2_bindings: 16,
-                ..NatConfig::default()
-            },
-            n_class_rules: 4000,
-            ..Self::new(kind, seed)
-        }
-    }
-
-    /// The frame length this spec will generate: its workload's.
-    pub fn frame_len(&self) -> usize {
-        self.kind.default_frame_len()
+    /// `kind` at `scale`, traffic and structures from `seed`, one packet
+    /// per turn.
+    pub fn new(kind: ChainKind, scale: Scale, seed: u64) -> Self {
+        FlowSpec { kind, scale, seed, structure_seed: seed, batch_size: 1 }
     }
 
     fn traffic(&self) -> TrafficSpec {
+        let frame_len = self.kind.default_frame_len();
+        let Sizes { flows, signatures, .. } = sizes(self.scale);
         match self.kind {
             // IP: "packets with random destination addresses, because this
             // maximizes IP's sensitivity to contention".
-            ChainKind::Ip => TrafficSpec::random_dst(self.frame_len(), self.seed ^ 0xA5A5),
+            ChainKind::Ip => TrafficSpec::random_dst(frame_len, self.seed ^ 0xA5A5),
             // DPI: payloads crafted to tease the signature automaton into
             // deep states — the DPI analogue of the paper's input crafting.
             ChainKind::Dpi => TrafficSpec::dpi_tease(
-                self.frame_len(),
-                self.flow_population,
-                self.n_signatures as u32,
+                frame_len,
+                flows,
+                signatures as u32,
                 self.structure_seed ^ 0x3333,
                 self.seed ^ 0xA5A5,
             ),
             // Others: a fixed flow population (the NetFlow table holds
-            // `flow_population` entries).
-            _ => TrafficSpec::flow_population(
-                self.frame_len(),
-                self.flow_population,
-                self.seed ^ 0xA5A5,
-            ),
+            // `flows` entries).
+            _ => TrafficSpec::flow_population(frame_len, flows, self.seed ^ 0xA5A5),
         }
     }
 }
@@ -220,33 +221,27 @@ pub fn nic_queue(machine: &mut Machine, domain: MemDomain) -> Rc<RefCell<NicQueu
     Rc::new(RefCell::new(NicQueue::new(machine.allocator(domain), 256, 512, 2048)))
 }
 
-/// Result of building a flow: the task plus optional control handle.
+/// Descriptor slots in a pipeline's cross-core handoff ring.
+const HANDOFF_SLOTS: usize = 128;
+
+/// Result of building a flow.
 pub struct BuiltFlow {
     /// The schedulable task.
     pub task: FlowTask,
-    /// Present when the spec asked for a control element.
-    pub control: Option<ControlHandle>,
 }
 
-/// Build the element sub-chain for `spec` (everything between the NIC ends),
-/// returning the graph and the optional control handle.
+/// Build the element sub-chain for `spec` (everything between the NIC ends).
 fn build_graph(
     machine: &mut Machine,
     domain: MemDomain,
     nic: &Rc<RefCell<NicQueue>>,
     spec: &FlowSpec,
     tx_shared: bool,
-) -> (ElementGraph, Option<ControlHandle>) {
-    let cost = spec.cost;
+) -> ElementGraph {
+    let cost = CostModel::default();
+    let sizes = sizes(spec.scale);
     let mut g = ElementGraph::new(cost);
     let mut ids = Vec::new();
-    let mut control = None;
-
-    if spec.with_control {
-        let handle = ControlHandle::new();
-        ids.push(g.add(Box::new(Control::new(handle.clone(), cost))));
-        control = Some(handle);
-    }
 
     match spec.kind {
         ChainKind::Syn(params) => {
@@ -257,20 +252,20 @@ fn build_graph(
             ids.push(g.add(Box::new(CheckIpHeader::new(cost))));
             let alloc = machine.allocator(domain);
             let seed = spec.structure_seed;
-            ids.push(g.add(Box::new(RadixIpLookup::bgp(alloc, spec.n_prefixes, seed, cost))));
+            ids.push(g.add(Box::new(RadixIpLookup::bgp(alloc, sizes.prefixes, seed, cost))));
             if !matches!(kind, ChainKind::Ip) {
                 let alloc = machine.allocator(domain);
-                ids.push(g.add(Box::new(NetFlow::new(alloc, spec.netflow_log2, cost))));
+                ids.push(g.add(Box::new(NetFlow::new(alloc, sizes.netflow_log2, cost))));
             }
             match kind {
                 ChainKind::Fw => {
-                    let rules = generate_unmatchable_rules(spec.n_rules, spec.structure_seed ^ 0x2222);
+                    let rules = generate_unmatchable_rules(FW_RULES, spec.structure_seed ^ 0x2222);
                     let alloc = machine.allocator(domain);
                     ids.push(g.add(Box::new(Firewall::new(alloc, &rules, cost))));
                 }
                 ChainKind::Re => {
                     let alloc = machine.allocator(domain);
-                    ids.push(g.add(Box::new(RedundancyElim::new(alloc, spec.re, cost))));
+                    ids.push(g.add(Box::new(RedundancyElim::new(alloc, sizes.re, cost))));
                 }
                 ChainKind::Vpn => {
                     let alloc = machine.allocator(domain);
@@ -281,20 +276,17 @@ fn build_graph(
                     ids.push(g.add(Box::new(VpnEncrypt::new(alloc, k, spec.seed, cost))));
                 }
                 ChainKind::Dpi => {
-                    let sigs =
-                        generate_signatures(spec.n_signatures, spec.structure_seed ^ 0x3333);
+                    let sigs = generate_signatures(sizes.signatures, spec.structure_seed ^ 0x3333);
                     let alloc = machine.allocator(domain);
                     ids.push(g.add(Box::new(Dpi::new(alloc, &sigs, DpiMode::Detect, cost))));
                 }
                 ChainKind::Nat => {
                     let alloc = machine.allocator(domain);
-                    ids.push(g.add(Box::new(Nat::new(alloc, spec.nat, cost))));
+                    ids.push(g.add(Box::new(Nat::new(alloc, sizes.nat, cost))));
                 }
                 ChainKind::Class => {
-                    let rules = generate_classifier_rules(
-                        spec.n_class_rules,
-                        spec.structure_seed ^ 0x4444,
-                    );
+                    let rules =
+                        generate_classifier_rules(sizes.class_rules, spec.structure_seed ^ 0x4444);
                     let alloc = machine.allocator(domain);
                     ids.push(g.add(Box::new(TupleSpaceClassifier::new(
                         alloc,
@@ -311,20 +303,21 @@ fn build_graph(
 
     ids.push(g.add(Box::new(ToDevice::new(nic.clone(), tx_shared))));
     g.chain(&ids);
-    (g, control)
+    g
 }
 
 /// Build a complete run-to-completion flow whose data structures (and NIC
 /// rings/buffers) live in `domain`.
 pub fn build_flow(machine: &mut Machine, domain: MemDomain, spec: &FlowSpec) -> BuiltFlow {
+    let cost = CostModel::default();
     let nic = nic_queue(machine, domain);
-    let (graph, control) = build_graph(machine, domain, &nic, spec, false);
-    let churn = FrameworkChurn::new(machine.allocator(domain), &spec.cost);
+    let graph = build_graph(machine, domain, &nic, spec, false);
+    let churn = FrameworkChurn::new(machine.allocator(domain), &cost);
     let gen = TrafficGen::new(spec.traffic());
-    let task = FlowTask::new(spec.kind.name(), gen, nic, graph, spec.cost)
+    let task = FlowTask::new(spec.kind.name(), gen, nic, graph, cost)
         .with_churn(churn)
         .with_batch_size(spec.batch_size);
-    BuiltFlow { task, control }
+    BuiltFlow { task }
 }
 
 /// A flow built from Click-style configuration text.
@@ -358,7 +351,7 @@ pub fn build_config_flow(
     Ok(ConfigFlow { task, controls: built.controls })
 }
 
-/// Placement and sizing of a pipeline's cross-core handoff queue — the
+/// Placement and burst of a pipeline's cross-core handoff queue — the
 /// knobs the queue-placement NUMA scenarios and burst-size sweeps turn.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineSpec {
@@ -366,8 +359,6 @@ pub struct PipelineSpec {
     /// (the paper homes it with the receiving stage; homing it remotely is
     /// a queue-placement scenario in its own right).
     pub queue_domain: MemDomain,
-    /// Ring capacity in descriptor slots.
-    pub queue_capacity: usize,
     /// Packets per cross-core handoff through both stages
     /// ([`SourceStage::with_batch_size`] / [`SinkStage::with_batch_size`]).
     /// The default, 1, is §2.2's one queue transaction per packet; 0
@@ -376,16 +367,9 @@ pub struct PipelineSpec {
 }
 
 impl PipelineSpec {
-    /// Per-packet handoff with the queue homed in `queue_domain` and the
-    /// default 128-slot ring.
+    /// Per-packet handoff with the queue homed in `queue_domain`.
     pub fn new(queue_domain: MemDomain) -> Self {
-        PipelineSpec { queue_domain, queue_capacity: 128, burst: 1 }
-    }
-
-    /// Override the ring capacity.
-    pub fn with_capacity(mut self, slots: usize) -> Self {
-        self.queue_capacity = slots;
-        self
+        PipelineSpec { queue_domain, burst: 1 }
     }
 
     /// Hand off `burst` packets per queue transaction in both stages.
@@ -396,7 +380,8 @@ impl PipelineSpec {
 }
 
 /// A pipeline's first two allocations: the NIC ring in `front_domain`,
-/// then the handoff queue per `pipe`. The stages' graphs come next.
+/// then the [`HANDOFF_SLOTS`]-slot handoff queue in `pipe`'s domain. The
+/// stages' graphs come next.
 fn ring_and_queue(
     machine: &mut Machine,
     front_domain: MemDomain,
@@ -404,7 +389,7 @@ fn ring_and_queue(
     cost: CostModel,
 ) -> (Rc<RefCell<NicQueue>>, Rc<RefCell<SpscQueue>>) {
     let nic = nic_queue(machine, front_domain);
-    let queue = SpscQueue::new(machine.allocator(pipe.queue_domain), pipe.queue_capacity, cost);
+    let queue = SpscQueue::new(machine.allocator(pipe.queue_domain), HANDOFF_SLOTS, cost);
     (nic, Rc::new(RefCell::new(queue)))
 }
 
@@ -438,7 +423,7 @@ fn wire_stages(
 /// Build the same workload as a two-stage pipeline: stage 1 receives and
 /// validates, stage 2 does the heavy processing and transmits. Returns
 /// `(front, back, queue)`; bind `front` and `back` to different cores.
-/// Queue placement, capacity, and handoff burst come from `pipe`.
+/// Queue placement and handoff burst come from `pipe`.
 pub fn build_pipeline(
     machine: &mut Machine,
     front_domain: MemDomain,
@@ -446,7 +431,7 @@ pub fn build_pipeline(
     spec: &FlowSpec,
     pipe: &PipelineSpec,
 ) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
-    let cost = spec.cost;
+    let cost = CostModel::default();
     let ip_family = !matches!(spec.kind, ChainKind::Syn(_));
     let (nic, queue) = ring_and_queue(machine, front_domain, pipe, cost);
     // Front: CheckIPHeader only (classic RX stage).
@@ -458,7 +443,7 @@ pub fn build_pipeline(
     // Back: everything else — the full graph built in the back domain,
     // entered one element further in (element 0 is the CheckIPHeader
     // the front already ran for IP-family chains).
-    let (mut back, _) = build_graph(machine, back_domain, &nic, spec, true);
+    let mut back = build_graph(machine, back_domain, &nic, spec, true);
     if ip_family && back.len() > 1 {
         back.set_entry(1);
     }
@@ -468,62 +453,44 @@ pub fn build_pipeline(
     (src.with_churn(front_churn), sink.with_churn(back_churn), queue)
 }
 
-/// The §2.2 crafted two-phase synthetic workload: each packet triggers
-/// `reads_per_phase` random reads into each of two structures that together
-/// are "exactly double the size of an L3 cache". In the parallel
-/// configuration one core does both phases (working set 2×L3: thrash); in
-/// the pipeline configuration each phase runs on its own socket with its
-/// structure local (each fits that socket's L3).
-pub struct TwoPhaseParams {
-    /// Reads into each phase's structure per packet (paper: >100 each).
-    pub reads_per_phase: u32,
-    /// Each structure's size (paper: one L3, 12 MB).
-    pub phase_bytes: u64,
-    /// Seed.
-    pub seed: u64,
-}
+// The §2.2 crafted two-phase synthetic workload: each packet triggers
+// `TWO_PHASE_READS` random reads into each of two structures that together
+// are "exactly double the size of an L3 cache". In the parallel
+// configuration one core does both phases (working set 2×L3: thrash); in
+// the pipeline configuration each phase runs on its own socket with its
+// structure local (each fits that socket's L3).
 
-impl Default for TwoPhaseParams {
-    fn default() -> Self {
-        TwoPhaseParams { reads_per_phase: 110, phase_bytes: 12 << 20, seed: 7 }
-    }
-}
+/// Reads into each phase's structure per packet (paper: >100 each).
+const TWO_PHASE_READS: u32 = 110;
+/// Each phase structure's size (paper: one L3, 12 MB).
+const TWO_PHASE_BYTES: u64 = 12 << 20;
+/// Seed of the two-phase traffic and of phase 1 (phase 2 flips bit 0).
+const TWO_PHASE_SEED: u64 = 7;
 
-impl TwoPhaseParams {
-    /// One phase's element: 50 ops plus the phase's reads over its own
-    /// structure, allocated in `domain`.
-    fn phase(&self, machine: &mut Machine, domain: MemDomain, seed: u64, cost: CostModel) -> Synthetic {
-        let params = SynParams {
-            ops_per_packet: 50,
-            reads_per_packet: self.reads_per_phase,
-            working_set_bytes: self.phase_bytes,
-            mlp: 4,
-            seed,
-        };
-        Synthetic::new(machine.allocator(domain), params, cost)
-    }
+/// One phase's element: 50 ops plus the phase's reads over its own
+/// structure, allocated in `domain`.
+fn two_phase_element(machine: &mut Machine, domain: MemDomain, seed: u64) -> Synthetic {
+    let params = SynParams {
+        ops_per_packet: 50,
+        reads_per_packet: TWO_PHASE_READS,
+        working_set_bytes: TWO_PHASE_BYTES,
+        mlp: 4,
+        seed,
+    };
+    Synthetic::new(machine.allocator(domain), params, CostModel::default())
 }
 
 /// Parallel variant: both phases on one core, both structures in `domain`.
-pub fn two_phase_parallel(
-    machine: &mut Machine,
-    domain: MemDomain,
-    p: &TwoPhaseParams,
-    cost: CostModel,
-) -> FlowTask {
+pub fn two_phase_parallel(machine: &mut Machine, domain: MemDomain) -> FlowTask {
+    let cost = CostModel::default();
     let nic = nic_queue(machine, domain);
     let mut g = ElementGraph::new(cost);
-    let a = g.add(Box::new(p.phase(machine, domain, p.seed, cost)));
-    let b = g.add(Box::new(p.phase(machine, domain, p.seed ^ 1, cost)));
+    let a = g.add(Box::new(two_phase_element(machine, domain, TWO_PHASE_SEED)));
+    let b = g.add(Box::new(two_phase_element(machine, domain, TWO_PHASE_SEED ^ 1)));
     let t = g.add(Box::new(ToDevice::new(nic.clone(), false)));
     g.chain(&[a, b, t]);
-    FlowTask::new(
-        "2phase-parallel",
-        TrafficGen::new(TrafficSpec::random_dst(64, p.seed)),
-        nic,
-        g,
-        cost,
-    )
+    let traffic = TrafficGen::new(TrafficSpec::random_dst(64, TWO_PHASE_SEED));
+    FlowTask::new("2phase-parallel", traffic, nic, g, cost)
 }
 
 /// Pipeline variant: phase 1 on the front core (structure in
@@ -534,18 +501,17 @@ pub fn two_phase_pipeline(
     machine: &mut Machine,
     front_domain: MemDomain,
     back_domain: MemDomain,
-    p: &TwoPhaseParams,
-    cost: CostModel,
     pipe: &PipelineSpec,
 ) -> (SourceStage, SinkStage, Rc<RefCell<SpscQueue>>) {
+    let cost = CostModel::default();
     let (nic, queue) = ring_and_queue(machine, front_domain, pipe, cost);
     let mut front = ElementGraph::new(cost);
-    front.add(Box::new(p.phase(machine, front_domain, p.seed, cost)));
+    front.add(Box::new(two_phase_element(machine, front_domain, TWO_PHASE_SEED)));
     let mut back = ElementGraph::new(cost);
-    let b = back.add(Box::new(p.phase(machine, back_domain, p.seed ^ 1, cost)));
+    let b = back.add(Box::new(two_phase_element(machine, back_domain, TWO_PHASE_SEED ^ 1)));
     let t = back.add(Box::new(ToDevice::new(nic.clone(), true)));
     back.chain(&[b, t]);
-    let traffic = TrafficSpec::random_dst(64, p.seed);
+    let traffic = TrafficSpec::random_dst(64, TWO_PHASE_SEED);
     let (src, sink) = wire_stages("2phase", traffic, nic, &queue, [front, back], pipe.burst, cost);
     (src, sink, queue)
 }
@@ -559,7 +525,7 @@ mod tests {
 
     fn run_flow(kind: ChainKind) -> f64 {
         let mut m = Machine::new(MachineConfig::westmere());
-        let spec = FlowSpec::small(kind, 11);
+        let spec = FlowSpec::new(kind, Scale::Test, 11);
         let built = build_flow(&mut m, MemDomain(0), &spec);
         let mut e = Engine::new(m);
         e.set_task(CoreId(0), Box::new(built.task));
@@ -606,10 +572,9 @@ mod tests {
             ChainKind::Class,
             ChainKind::Syn(SynParams::max(7)),
         ];
-        for (small, pins) in [(true, TEST), (false, PAPER)] {
+        for (scale, pins) in [(Scale::Test, TEST), (Scale::Paper, PAPER)] {
             for (kind, want) in kinds.into_iter().zip(pins) {
-                let spec =
-                    if small { FlowSpec::small(kind, 7) } else { FlowSpec::new(kind, 7) };
+                let spec = FlowSpec::new(kind, scale, 7);
                 let mut m = Machine::new(MachineConfig::westmere());
                 let mut task = build_flow(&mut m, MemDomain(0), &spec).task;
                 let used = m.allocator(MemDomain(0)).used();
@@ -618,38 +583,24 @@ mod tests {
                 }
                 let core = m.core(CoreId(0));
                 let total = core.counters.total();
-                assert_eq!(total.packets, 200, "{} small={small}", kind.name());
+                assert_eq!(total.packets, 200, "{} {scale:?}", kind.name());
                 let got = (used, core.clock, total.l1_refs, total.l3_refs);
-                assert_eq!(got, want, "{} small={small}", kind.name());
+                assert_eq!(got, want, "{} {scale:?}", kind.name());
             }
         }
     }
 
+    /// Over a 2-ms window every chain forwards more than 10 kpps, or 5 kpps
+    /// for RE and the extension chains.
     #[test]
     fn all_chains_forward_packets() {
-        for kind in [ChainKind::Ip, ChainKind::Mon, ChainKind::Fw, ChainKind::Vpn] {
-            let pps = run_flow(kind);
-            assert!(pps > 10_000.0, "{} pps = {pps}", kind.name());
-        }
-    }
-
-    #[test]
-    fn re_chain_forwards_packets() {
-        let pps = run_flow(ChainKind::Re);
-        assert!(pps > 5_000.0, "RE pps = {pps}");
-    }
-
-    #[test]
-    fn syn_chain_forwards_packets() {
-        let pps = run_flow(ChainKind::Syn(SynParams::moderate(3)));
-        assert!(pps > 10_000.0, "SYN pps = {pps}");
-    }
-
-    #[test]
-    fn extension_chains_forward_packets() {
-        for kind in [ChainKind::Dpi, ChainKind::Nat, ChainKind::Class] {
-            let pps = run_flow(kind);
-            assert!(pps > 5_000.0, "{} pps = {pps}", kind.name());
+        use ChainKind::*;
+        let fast = [Ip, Mon, Fw, Vpn, Syn(SynParams::moderate(3))];
+        for (kinds, floor) in [(&fast[..], 10_000.0), (&[Re, Dpi, Nat, Class][..], 5_000.0)] {
+            for &kind in kinds {
+                let pps = run_flow(kind);
+                assert!(pps > floor, "{} pps = {pps}", kind.name());
+            }
         }
     }
 
@@ -671,22 +622,13 @@ mod tests {
         assert!(mon > re, "MON {mon} vs RE {re}");
     }
 
-    #[test]
-    fn control_handle_is_returned_when_requested() {
-        let mut m = Machine::new(MachineConfig::westmere());
-        let mut spec = FlowSpec::small(ChainKind::Fw, 5);
-        spec.with_control = true;
-        let built = build_flow(&mut m, MemDomain(0), &spec);
-        assert!(built.control.is_some());
-    }
-
     /// The two element factories agree on generator seeds: the IP chain
     /// written as config text with `SEED = structure_seed` is, charge for
     /// charge, the flow `build_flow` stands up.
     #[test]
     fn config_text_ip_flow_is_build_flow() {
         use pp_sim::engine::CoreTask;
-        let spec = FlowSpec::small(ChainKind::Ip, 11);
+        let spec = FlowSpec::new(ChainKind::Ip, Scale::Test, 11);
         let after_2000_packets = |mut m: Machine, mut task: FlowTask| {
             for _ in 0..2000 {
                 task.run_turn(&mut m.ctx(CoreId(0)));
@@ -701,34 +643,22 @@ mod tests {
         let config = format!(
             "chk :: CheckIPHeader; rt :: RadixIPLookup(PREFIXES {}, SEED {}); \
              ttl :: DecIPTTL; out :: ToDevice; chk -> rt -> ttl -> out;",
-            spec.n_prefixes, spec.structure_seed
+            sizes(Scale::Test).prefixes,
+            spec.structure_seed
         );
         let flow = build_config_flow(&mut m, MemDomain(0), "IP", &config, spec.traffic())
             .expect("valid config");
-        let churn = FrameworkChurn::new(m.allocator(MemDomain(0)), &spec.cost);
+        let churn = FrameworkChurn::new(m.allocator(MemDomain(0)), &CostModel::default());
         assert_eq!(after_2000_packets(m, flow.task.with_churn(churn)), want);
     }
 
-    #[test]
-    fn pipeline_variant_runs() {
-        let mut m = Machine::new(MachineConfig::westmere());
-        let spec = FlowSpec::small(ChainKind::Mon, 21);
-        let pipe = PipelineSpec::new(MemDomain(0)).with_capacity(64);
-        let (src, sink, q) = build_pipeline(&mut m, MemDomain(0), MemDomain(0), &spec, &pipe);
-        let mut e = Engine::new(m);
-        e.set_task(CoreId(0), Box::new(src));
-        e.set_task(CoreId(1), Box::new(sink));
-        let meas = e.measure(1_000_000, 5_600_000);
-        let pps = meas.core(CoreId(1)).unwrap().metrics.pps;
-        assert!(pps > 10_000.0, "pipeline MON pps = {pps}");
-        assert!(q.borrow().dequeued > 0);
-    }
-
+    /// With the ring fixed at 128 slots, burst 1 here is the plain
+    /// per-packet pipeline.
     #[test]
     fn burst_pipeline_runs_and_beats_burst_one() {
         let pps_at = |burst: usize| {
             let mut m = Machine::new(MachineConfig::westmere());
-            let spec = FlowSpec::small(ChainKind::Mon, 21);
+            let spec = FlowSpec::new(ChainKind::Mon, Scale::Test, 21);
             let pipe = PipelineSpec::new(MemDomain(0)).with_burst(burst);
             let (src, sink, q) =
                 build_pipeline(&mut m, MemDomain(0), MemDomain(0), &spec, &pipe);
@@ -742,6 +672,7 @@ mod tests {
             meas.core(CoreId(1)).unwrap().metrics.pps
         };
         let burst1 = pps_at(1);
+        assert!(burst1 > 10_000.0, "pipeline MON pps = {burst1}");
         let burst = pps_at(32);
         assert!(
             burst > burst1 * 1.02,
@@ -752,20 +683,20 @@ mod tests {
     #[test]
     fn pipeline_queue_lands_in_requested_domain() {
         let mut m = Machine::new(MachineConfig::westmere());
-        let spec = FlowSpec::small(ChainKind::Ip, 5);
+        let spec = FlowSpec::new(ChainKind::Ip, Scale::Test, 5);
         let before = m.allocator(MemDomain(1)).used();
-        let pipe = PipelineSpec::new(MemDomain(1)).with_capacity(256);
+        let pipe = PipelineSpec::new(MemDomain(1));
         let _ = build_pipeline(&mut m, MemDomain(0), MemDomain(0), &spec, &pipe);
         let grew = m.allocator(MemDomain(1)).used() - before;
-        // 256 slots * 16 B packed + head and tail lines.
-        assert_eq!(grew, 256 * 16 + 2 * 64, "only the queue lives in domain 1");
+        // 128 slots * 16 B packed + head and tail lines.
+        assert_eq!(grew, 128 * 16 + 2 * 64, "only the queue lives in domain 1");
     }
 
     #[test]
     fn data_lands_in_requested_domain() {
         let mut m = Machine::new(MachineConfig::westmere());
         let before = m.allocator(MemDomain(1)).used();
-        let spec = FlowSpec::small(ChainKind::Mon, 9);
+        let spec = FlowSpec::new(ChainKind::Mon, Scale::Test, 9);
         let _ = build_flow(&mut m, MemDomain(1), &spec);
         let after = m.allocator(MemDomain(1)).used();
         assert!(

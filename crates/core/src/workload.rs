@@ -2,10 +2,12 @@
 //!
 //! A [`FlowType`] is the *identity* the prediction machinery keys on (the
 //! paper profiles "IP", "MON", ... as types, then predicts any mix of
-//! them); [`Scale`] selects paper-sized or test-sized data structures.
+//! them); [`Scale`] (pp-click's, re-exported here) selects paper-sized or
+//! test-sized data structures.
 
 use pp_click::elements::synthetic::SynParams;
 use pp_click::pipelines::{build_flow, BuiltFlow, ChainKind, FlowSpec};
+pub use pp_click::pipelines::Scale;
 use pp_sim::machine::Machine;
 use pp_sim::types::MemDomain;
 
@@ -93,14 +95,10 @@ impl FlowType {
 
     /// The flow spec for this type at a given scale and seed.
     pub fn spec(&self, scale: Scale, seed: u64) -> FlowSpec {
-        let kind = self.chain_kind(seed);
         // Note: the synthetic working set stays L3-sized at every scale —
         // SYN's whole point is to pressure the shared cache, and the
         // simulated L3 does not shrink at test scale.
-        match scale {
-            Scale::Paper => FlowSpec::new(kind, seed),
-            Scale::Test => FlowSpec::small(kind, seed),
-        }
+        FlowSpec::new(self.chain_kind(seed), scale, seed)
     }
 
     /// A deterministic per-type structure seed: all instances of one type
@@ -144,17 +142,6 @@ impl std::fmt::Display for FlowType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.name())
     }
-}
-
-/// Data-structure scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Paper-scale: 128 k prefixes, 100 k flows, 1000 rules, RE tables far
-    /// beyond L3. Use for regenerating tables/figures.
-    Paper,
-    /// Shrunk ~16x for fast unit/integration tests (behaviour classes
-    /// preserved: cacheable trie+table, RE beyond L3).
-    Test,
 }
 
 #[cfg(test)]
@@ -209,14 +196,6 @@ mod tests {
             FlowType::Syn { level: 1, levels: 8 },
             FlowType::Syn { level: 2, levels: 8 }
         );
-    }
-
-    #[test]
-    fn specs_scale() {
-        let p = FlowType::Mon.spec(Scale::Paper, 1);
-        let t = FlowType::Mon.spec(Scale::Test, 1);
-        assert!(p.n_prefixes > t.n_prefixes);
-        assert!(p.flow_population > t.flow_population);
     }
 
     #[test]

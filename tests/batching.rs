@@ -13,7 +13,7 @@ use predictable_pp::sim::types::{CoreId, MemDomain};
 /// would for a solo task) and return its counters.
 fn measure(kind: ChainKind, batch: usize) -> predictable_pp::sim::counters::CounterSnapshot {
     let mut m = Machine::new(MachineConfig::westmere());
-    let mut spec = FlowSpec::small(kind, 23);
+    let mut spec = FlowSpec::new(kind, Scale::Test, 23);
     spec.batch_size = batch;
     let mut flow = build_flow(&mut m, MemDomain(0), &spec).task;
     while m.core(CoreId(0)).clock < 4_000_000 {
@@ -52,7 +52,7 @@ fn framework_cycles_per_packet_fall_with_batch_size() {
 fn batched_throughput_beats_scalar_on_ip() {
     let pps = |batch: usize| {
         let mut m = Machine::new(MachineConfig::westmere());
-        let mut spec = FlowSpec::small(ChainKind::Ip, 9);
+        let mut spec = FlowSpec::new(ChainKind::Ip, Scale::Test, 9);
         spec.batch_size = batch;
         let built = build_flow(&mut m, MemDomain(0), &spec);
         let mut e = Engine::new(m);

@@ -159,7 +159,7 @@ fn pipeline_mode_costs_extra_misses() {
 
     // Pipeline: two cores, same socket.
     let mut m = Machine::new(MachineConfig::westmere());
-    let pipe = PipelineSpec::new(MemDomain(0)).with_capacity(64);
+    let pipe = PipelineSpec::new(MemDomain(0));
     let (src, sink, _q) = build_pipeline(&mut m, MemDomain(0), MemDomain(0), &spec, &pipe);
     let mut e = Engine::new(m);
     e.set_task(CoreId(0), Box::new(src));

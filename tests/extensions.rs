@@ -79,11 +79,7 @@ fn cat_partitioning_caps_contention() {
         let params = ExpParams::quick();
         let scale = params.scale;
         let build = |machine: &mut Machine, seed: u64, kind| {
-            let spec = match scale {
-                Scale::Paper => FlowSpec::new(kind, seed),
-                Scale::Test => FlowSpec::small(kind, seed),
-            };
-            build_flow(machine, MemDomain(0), &spec)
+            build_flow(machine, MemDomain(0), &FlowSpec::new(kind, scale, seed))
         };
         // Solo.
         let mut m = Machine::new(cfg.clone());
@@ -132,7 +128,7 @@ fn prefetcher_is_safe_for_standard_workloads() {
             let mut cfg = MachineConfig::westmere();
             cfg.prefetch.enabled = enabled;
             let mut m = Machine::new(cfg);
-            let spec = FlowSpec::small(kind, 3);
+            let spec = FlowSpec::new(kind, Scale::Test, 3);
             let b = build_flow(&mut m, MemDomain(0), &spec);
             let mut e = Engine::new(m);
             e.set_task(CoreId(0), Box::new(b.task));

@@ -13,7 +13,7 @@ use predictable_pp::sim::types::{CoreId, MemDomain};
 /// return (sink packets, handoff cycles/packet, latency p50/p95/p99 cycles).
 fn run_pipeline(kind: ChainKind, burst: usize, t_end: u64) -> (u64, f64, (u64, u64, u64)) {
     let mut m = Machine::new(MachineConfig::westmere());
-    let spec = FlowSpec::small(kind, 23);
+    let spec = FlowSpec::new(kind, Scale::Test, 23);
     let pipe = PipelineSpec::new(MemDomain(0)).with_burst(burst);
     let (src, sink, _q) = build_pipeline(&mut m, MemDomain(0), MemDomain(0), &spec, &pipe);
     let lat = sink.latency_handle();
@@ -68,7 +68,7 @@ fn flow_task_records_latency_and_batching_trades_it_for_throughput() {
     // its whole vector) while raising throughput.
     let run = |batch: usize| {
         let mut m = Machine::new(MachineConfig::westmere());
-        let mut spec = FlowSpec::small(ChainKind::Ip, 9);
+        let mut spec = FlowSpec::new(ChainKind::Ip, Scale::Test, 9);
         spec.batch_size = batch;
         let built = build_flow(&mut m, MemDomain(0), &spec);
         let lat = built.task.latency_handle();
