@@ -11,12 +11,12 @@
 //! runs); default is paper scale. `--packets N` sizes the measurement
 //! window so a batch-1 flow covers roughly N packets — one knob for
 //! simulation size shared by every sweep (it overrides the base window
-//! regardless of flag order; N runs from 1 to 100 000 000). `--levels N` (≥ 1) is the SYN ramp length
-//! behind every sensitivity curve. `--jobs N` shards each sweep's independent
-//! scenario points across N host threads (default: available cores;
-//! `--jobs 1` is the exact serial path). Results are bit-for-bit identical
-//! at any job count — each point builds its own engine from its own
-//! derived seed and results merge in canonical order. `--seed N`
+//! regardless of flag order; 1 ≤ N ≤ 10⁸). `--levels N` (≥ 1) is the SYN
+//! ramp length behind every sensitivity curve. `--jobs N` shards each
+//! sweep's independent scenario points across N host threads (default:
+//! available cores; `--jobs 1` is the exact serial path). Results are
+//! bit-for-bit identical at any job count — each point builds its own
+//! engine from its own derived seed and results merge in canonical order. `--seed N`
 //! replaces the master seed every derived seed (workload structure,
 //! fault-plan jitter, supervisor probe jitter) mixes from — replay a
 //! failing chaos/fleet-chaos/cluster-chaos timeline by passing the seed
@@ -76,7 +76,8 @@ const SWEEPS: [Sweep; 22] = [
     sweep!("cluster-chaos", "extras   — the fleet controller over N machines", <ClusterChaos>),
 ];
 
-/// The largest `--packets` window: about 1 200× the paper's 30 ms.
+/// The largest `--packets`: a 35.7-s simulated window, about 1 200× the
+/// paper's 30 ms. Far beyond it a sweep never finishes.
 const MAX_PACKETS: u64 = 100_000_000;
 
 fn usage() -> ! {
@@ -136,8 +137,7 @@ fn main() {
             }
             "--packets" => {
                 i += 1;
-                // 0 would shrink every window to its 0.1-ms floor; past 10⁸
-                // (a 35.7-s simulated window) a sweep never finishes.
+                // 0 would silently run every window at its 0.1-ms floor.
                 let n = args.get(i).and_then(|s| s.parse().ok());
                 let n = n.filter(|n: &u64| (1..=MAX_PACKETS).contains(n));
                 packets = Some(n.unwrap_or_else(|| usage()));

@@ -652,8 +652,7 @@ mod tests {
         assert_eq!(after_2000_packets(m, flow.task.with_churn(churn)), want);
     }
 
-    /// With the ring fixed at 128 slots, burst 1 here is the plain
-    /// per-packet pipeline.
+    /// The per-packet pipeline (burst 1) forwards, and burst 32 beats it.
     #[test]
     fn burst_pipeline_runs_and_beats_burst_one() {
         let pps_at = |burst: usize| {
