@@ -166,7 +166,7 @@ impl GuardRun {
     fn new(envelope: GuardEnvelope, plan: &FaultPlan) -> Self {
         let last_fault = plan.last_window();
         GuardRun {
-            guard: RuntimeGuard::new(envelope, GuardConfig::default()),
+            guard: RuntimeGuard::new(envelope, GuardConfig),
             injector: FaultInjector::new(plan.clone()),
             last_fault,
             total: last_fault + RECOVERY_TAIL.max(8),

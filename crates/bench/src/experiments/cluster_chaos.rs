@@ -56,10 +56,6 @@ use pp_sim::types::{CoreId, MemDomain};
 
 /// Machines in the cluster.
 const MACHINES: usize = 3;
-/// Placement cores per machine (cores 0..SLOTS of socket 0); also the
-/// controller's `machine_capacity`, so slot scarcity is decided by the
-/// controller, not discovered by the driver.
-const SLOTS: usize = 3;
 /// Fixed per-tenant batch (the cluster sweep exercises placement, not
 /// batch choice — `repro batch` and `repro fleet-chaos` own that axis).
 const BATCH: usize = 16;
@@ -189,9 +185,13 @@ impl Tenant {
     }
 }
 
-/// First free placement core on machine `m`.
+/// First free placement core on machine `m`. The placement cores are
+/// cores 0..[`FleetConfig::MACHINE_CAPACITY`] of socket 0, so slot
+/// scarcity is decided by the controller, not discovered by the driver.
 fn free_slot(cluster: &Cluster, m: MachineId) -> Option<CoreId> {
-    (0..SLOTS as u16).map(CoreId).find(|&c| !cluster.engine(m).has_task(c))
+    (0..FleetConfig::MACHINE_CAPACITY as u16)
+        .map(CoreId)
+        .find(|&c| !cluster.engine(m).has_task(c))
 }
 
 /// `repro cluster-chaos`. The shared state is the re-placement admission
@@ -215,7 +215,10 @@ fn run_cluster_scenario(
     let mut tenants: Vec<Tenant> = Vec::new();
     let mut next_core = [0u16; MACHINES];
     for (ti, &(flow, priority, home)) in sc.fleet.iter().enumerate() {
-        assert!((next_core[home] as usize) < SLOTS, "fleet overfills machine {home}");
+        assert!(
+            (next_core[home] as usize) < FleetConfig::MACHINE_CAPACITY,
+            "fleet overfills machine {home}"
+        );
         let core = CoreId(next_core[home]);
         next_core[home] += 1;
         let machine = MachineId(home);
@@ -254,10 +257,7 @@ fn run_cluster_scenario(
     }
 
     let mut ctrl = controlled.then(|| {
-        let mut c = FleetController::new(FleetConfig {
-            machine_capacity: SLOTS,
-            ..FleetConfig::default()
-        });
+        let mut c = FleetController::new(FleetConfig);
         for _ in 0..MACHINES {
             c.add_machine();
         }
@@ -448,7 +448,10 @@ fn run_cluster_scenario(
                 }
             })
             .collect(),
-        digest: core_digest(cluster.machine_ids().map(|m| cluster.engine(m)), SLOTS as u16),
+        digest: core_digest(
+            cluster.machine_ids().map(|m| cluster.engine(m)),
+            FleetConfig::MACHINE_CAPACITY as u16,
+        ),
     }
 }
 

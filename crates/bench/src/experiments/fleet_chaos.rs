@@ -234,7 +234,7 @@ fn run_fleet_scenario(
     // envelopes, then immediately re-fitted from the measured calibration
     // (the same probe→set_model protocol the drift path uses at run time).
     let mut sup = supervised.then(|| {
-        let cfg = SupervisorConfig { seed, ..SupervisorConfig::default() };
+        let cfg = SupervisorConfig { seed };
         let mut s = Supervisor::from_plan(cfg, &planned.plan, |flow| {
             let t = tenants.iter().find(|t| t.flow == flow).expect("planned tenant");
             let pred = t.rt.calib_pps(); // placeholder; refit below

@@ -8,10 +8,11 @@
 //! lies by omission — and is built around three disciplines:
 //!
 //! 1. **Liveness is inferred, never assumed.** A machine is `Up` until
-//!    its heartbeat goes silent past `heartbeat_timeout` windows, then
-//!    `Suspect`: the controller sends probes on a capped exponential
-//!    backoff (`probe_backoff_base` doubling to `probe_backoff_max`) and
-//!    only after `suspect_probes` unanswered probes declares it `Dead`.
+//!    its heartbeat goes silent past [`FleetConfig::HEARTBEAT_TIMEOUT`]
+//!    windows, then `Suspect`: the controller sends probes on a capped
+//!    exponential backoff ([`FleetConfig::PROBE_BACKOFF_BASE`] doubling to
+//!    [`FleetConfig::PROBE_BACKOFF_MAX`]) and only after
+//!    [`FleetConfig::SUSPECT_PROBES`] unanswered probes declares it `Dead`.
 //!    The backoff bounds how hard a flapping network can make the
 //!    controller work; the probe count bounds how long a genuinely dead
 //!    machine strands its tenants. A heartbeat at any point snaps the
@@ -24,15 +25,17 @@
 //!    held through silence, confidence-decayed past the freshness
 //!    horizon. Violation streaks advance only when a *fresh-ordered*
 //!    report arrives, and overload shedding additionally requires
-//!    bundle confidence ≥ `act_confidence` — so during a telemetry
-//!    blackout the controller holds its last-safe decisions instead of
-//!    flapping. Blindness bounds the decision rate by construction.
+//!    bundle confidence ≥ [`FleetConfig::ACT_CONFIDENCE`] — so during a
+//!    telemetry blackout the controller holds its last-safe decisions
+//!    instead of flapping. Blindness bounds the decision rate by
+//!    construction.
 //! 3. **Re-placement is budgeted and gated.** Tenants orphaned by a dead
 //!    machine are re-placed in SLA-priority order, each placement gated
 //!    by the same predictor-backed admission the original plan used
 //!    (the driver supplies the gate closure wrapping
 //!    [`readmit`](crate::admission::AdmissionController::readmit)), and
-//!    every cross-machine move consumes a global `replacement_budget`.
+//!    every cross-machine move consumes a global
+//!    [`FleetConfig::REPLACEMENT_BUDGET`].
 //!    A tenant with no admitted machine — or no budget left — parks, and
 //!    its refused load is counted `drained`, not silently lost. Under
 //!    sustained fresh-telemetry floor violation the controller sheds the
@@ -43,70 +46,57 @@
 //! tracks placement intent and emits [`FleetAction`]s; the cluster-chaos
 //! driver actuates them on the engines and owns the loss ledger.
 
+use crate::guard::{Backoff, Streak};
 use crate::supervisor::TenantId;
 use crate::telemetry::{TelemetryReport, TenantTelemetry};
 use crate::workload::FlowType;
 use pp_sim::cluster::MachineId;
 
-/// Tuning for the fleet controller. Defaults are sized for the
-/// cluster-chaos timelines (windows of a few ms): detection within ~8
-/// windows of a crash, action only on fresh evidence.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetConfig {
-    /// EWMA smoothing factor for every telemetry tracker.
-    pub ewma_alpha: f64,
-    /// Windows of heartbeat silence before a machine turns `Suspect`.
-    /// 2 tolerates one lost beat without probing.
-    pub heartbeat_timeout: u32,
+/// Tuning for the fleet controller. Every value is a constant, sized for
+/// the cluster-chaos timelines (windows of a few ms): detection within ~8
+/// windows of a crash, action only on fresh evidence. The type stays so
+/// that [`FleetController::new`] keeps its signature; the telemetry
+/// tuning lives on [`TenantTelemetry`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FleetConfig;
+
+impl FleetConfig {
+    /// Windows of heartbeat silence tolerated: a machine turns `Suspect`
+    /// once silence exceeds this. 2 tolerates one lost beat without
+    /// probing.
+    pub const HEARTBEAT_TIMEOUT: u32 = 2;
     /// Unanswered probes before a `Suspect` machine is declared `Dead`.
-    pub suspect_probes: u32,
-    /// Windows between the first and second probe (doubles per probe).
-    pub probe_backoff_base: u32,
-    /// Cap on the probe interval, windows.
-    pub probe_backoff_max: u32,
-    /// Telemetry freshness horizon: a bundle at most this many windows
-    /// old has confidence 1.0. Must be ≥ 2: reports describe the window
-    /// *before* the tick that reads them, so the natural lag is 1.
-    pub stale_after: u32,
-    /// Per-window multiplicative confidence decay past the horizon.
-    pub confidence_decay: f64,
-    /// Minimum bundle confidence for overload actions. With the default
-    /// decay 0.8, one window past the horizon (0.8) already falls below
-    /// 0.9 — only genuinely fresh telemetry can trigger shedding.
-    pub act_confidence: f64,
+    pub const SUSPECT_PROBES: u32 = 2;
+    /// Windows idled after the first probe before the next: probes go
+    /// out `PROBE_BACKOFF_BASE + 1` windows apart, then the idle doubles.
+    /// So a machine silent from w0 turns suspect at w3, is probed at w4
+    /// and w6, and is declared dead at w9.
+    pub const PROBE_BACKOFF_BASE: u32 = 1;
+    /// Ceiling on the idle between probes, windows.
+    pub const PROBE_BACKOFF_MAX: u32 = 4;
+    /// Minimum bundle confidence for overload actions. With
+    /// [`TenantTelemetry::DECAY`] 0.8, one window past the horizon (0.8)
+    /// already falls below 0.9 — only genuinely fresh telemetry can
+    /// trigger shedding.
+    pub const ACT_CONFIDENCE: f64 = 0.9;
     /// Maximum residents per machine. Enforced by the controller itself
     /// (not the admission gate) because placements made earlier in the
     /// same tick must count — a gate built on a pre-tick snapshot would
     /// let two same-tick placements overfill one machine.
-    pub machine_capacity: usize,
+    pub const MACHINE_CAPACITY: usize = 3;
     /// Global budget of cross-machine re-placements (return-home moves
     /// after a restart are free — they restore the approved plan).
-    pub replacement_budget: u32,
+    pub const REPLACEMENT_BUDGET: u32 = 8;
     /// Consecutive fresh violating reports before an overload shed.
-    pub shed_violations: u32,
+    pub const SHED_VIOLATIONS: u32 = 3;
     /// Windows a shed tenant is held parked before it may be re-placed
     /// (prevents shed→readmit flapping on the machine it just left).
-    pub reshed_hold: u32,
+    pub const RESHED_HOLD: u32 = 8;
 }
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            ewma_alpha: 0.3,
-            heartbeat_timeout: 2,
-            suspect_probes: 2,
-            probe_backoff_base: 1,
-            probe_backoff_max: 4,
-            stale_after: 2,
-            confidence_decay: 0.8,
-            act_confidence: 0.9,
-            machine_capacity: 3,
-            replacement_budget: 8,
-            shed_violations: 3,
-            reshed_hold: 8,
-        }
-    }
-}
+// A report describes the window before the tick that reads it, so a
+// horizon under one window would leave no report ever fresh.
+const _: () = assert!(TenantTelemetry::FRESH_FOR >= 1, "reports lag one window by construction");
 
 /// Controller's belief about one machine's liveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,8 +105,9 @@ pub enum MachineState {
     Up,
     /// Heartbeats silent past the timeout; probing on capped backoff.
     Suspect,
-    /// Declared dead after `suspect_probes` unanswered probes. Tenants
-    /// orphaned and re-placed. A heartbeat from here marks a restart.
+    /// Declared dead after [`FleetConfig::SUSPECT_PROBES`] unanswered
+    /// probes. Tenants orphaned and re-placed. A heartbeat from here marks
+    /// a restart.
     Dead,
 }
 
@@ -129,8 +120,9 @@ pub enum FleetAction {
         /// The suspect machine.
         machine: MachineId,
     },
-    /// The machine failed `suspect_probes` probes: treat it as dead.
-    /// Its residents are orphaned and re-placed (or parked) this tick.
+    /// The machine failed [`FleetConfig::SUSPECT_PROBES`] probes: treat it
+    /// as dead. Its residents are orphaned and re-placed (or parked) this
+    /// tick.
     DeclareDead {
         /// The machine being declared.
         machine: MachineId,
@@ -167,7 +159,7 @@ struct MachineSlot {
     last_heartbeat: u32,
     probes_sent: u32,
     next_probe_in: u32,
-    probe_backoff: u32,
+    probe_backoff: Backoff,
     restarted: bool,
 }
 
@@ -179,7 +171,8 @@ struct TenantSlot {
     placed: Option<MachineId>,
     telemetry: TenantTelemetry,
     min_pps: f64,
-    violate_streak: u32,
+    /// Fresh-ordered reports under the floor, back to back.
+    violations: Streak,
     hold_until: u32,
 }
 
@@ -189,7 +182,6 @@ struct TenantSlot {
 /// and [`ingest`](FleetController::ingest) for the two inbound paths.
 #[derive(Debug)]
 pub struct FleetController {
-    cfg: FleetConfig,
     machines: Vec<MachineSlot>,
     tenants: Vec<TenantSlot>,
     replacements_used: u32,
@@ -198,9 +190,13 @@ pub struct FleetController {
 
 impl FleetController {
     /// A controller with no machines or tenants yet.
-    pub fn new(cfg: FleetConfig) -> Self {
-        assert!(cfg.stale_after >= 1, "reports lag one window by construction");
-        FleetController { cfg, machines: Vec::new(), tenants: Vec::new(), replacements_used: 0, decisions: 0 }
+    pub fn new(_: FleetConfig) -> Self {
+        FleetController {
+            machines: Vec::new(),
+            tenants: Vec::new(),
+            replacements_used: 0,
+            decisions: 0,
+        }
     }
 
     /// Register a machine (assumed up, heartbeat current at window 0).
@@ -211,7 +207,10 @@ impl FleetController {
             last_heartbeat: 0,
             probes_sent: 0,
             next_probe_in: 0,
-            probe_backoff: self.cfg.probe_backoff_base,
+            probe_backoff: Backoff::new(
+                FleetConfig::PROBE_BACKOFF_BASE,
+                FleetConfig::PROBE_BACKOFF_MAX,
+            ),
             restarted: false,
         });
         id
@@ -228,9 +227,9 @@ impl FleetController {
             priority,
             home,
             placed: Some(home),
-            telemetry: TenantTelemetry::new(self.cfg.ewma_alpha),
+            telemetry: TenantTelemetry::default(),
             min_pps: 0.0,
-            violate_streak: 0,
+            violations: Streak::new(FleetConfig::SHED_VIOLATIONS),
             hold_until: 0,
         });
         id
@@ -257,7 +256,7 @@ impl FleetController {
                 }
                 slot.state = MachineState::Up;
                 slot.probes_sent = 0;
-                slot.probe_backoff = self.cfg.probe_backoff_base;
+                slot.probe_backoff.reset();
                 slot.next_probe_in = 0;
             }
         }
@@ -273,11 +272,7 @@ impl FleetController {
         let fresh = slot.telemetry.last_window().is_none_or(|last| report.window > last);
         slot.telemetry.ingest(report);
         if fresh {
-            if slot.min_pps > 0.0 && report.pps < slot.min_pps {
-                slot.violate_streak += 1;
-            } else {
-                slot.violate_streak = 0;
-            }
+            slot.violations.push(slot.min_pps > 0.0 && report.pps < slot.min_pps);
         }
     }
 
@@ -326,38 +321,36 @@ impl FleetController {
     /// replacement pass can announce a one-time `Park` for the ones it
     /// cannot re-home).
     fn tick_liveness(&mut self, now: u32, actions: &mut Vec<FleetAction>) -> Vec<usize> {
-        let cfg = self.cfg;
         let mut orphaned = Vec::new();
         for mi in 0..self.machines.len() {
             let m = MachineId(mi);
             let slot = &mut self.machines[mi];
             match slot.state {
                 MachineState::Up => {
-                    if now.saturating_sub(slot.last_heartbeat) > cfg.heartbeat_timeout {
+                    if now.saturating_sub(slot.last_heartbeat) > FleetConfig::HEARTBEAT_TIMEOUT {
                         slot.state = MachineState::Suspect;
                         slot.probes_sent = 0;
-                        slot.probe_backoff = cfg.probe_backoff_base;
+                        slot.probe_backoff.reset();
                         slot.next_probe_in = 0;
                     }
                 }
                 MachineState::Suspect => {
                     if slot.next_probe_in > 0 {
                         slot.next_probe_in -= 1;
-                    } else if slot.probes_sent >= cfg.suspect_probes {
+                    } else if slot.probes_sent >= FleetConfig::SUSPECT_PROBES {
                         slot.state = MachineState::Dead;
                         actions.push(FleetAction::DeclareDead { machine: m });
                         for (ti, t) in self.tenants.iter_mut().enumerate() {
                             if t.placed == Some(m) {
                                 t.placed = None;
-                                t.violate_streak = 0;
+                                t.violations.reset();
                                 orphaned.push(ti);
                             }
                         }
                     } else {
                         slot.probes_sent += 1;
                         actions.push(FleetAction::ProbeMachine { machine: m });
-                        slot.next_probe_in = slot.probe_backoff;
-                        slot.probe_backoff = (slot.probe_backoff * 2).min(cfg.probe_backoff_max);
+                        slot.next_probe_in = slot.probe_backoff.take();
                     }
                 }
                 MachineState::Dead => {}
@@ -382,7 +375,7 @@ impl FleetController {
             .collect();
         order.sort_by_key(|&ti| std::cmp::Reverse(self.tenants[ti].priority));
         for ti in order {
-            let dest = if self.replacements_used < self.cfg.replacement_budget {
+            let dest = if self.replacements_used < FleetConfig::REPLACEMENT_BUDGET {
                 self.best_machine(self.tenants[ti].flow, admit)
             } else {
                 None
@@ -408,7 +401,6 @@ impl FleetController {
     /// a sustained, *fresh* floor violation. One shed per machine per
     /// tick; streaks reset so the next shed needs fresh evidence again.
     fn tick_overload(&mut self, now: u32, actions: &mut Vec<FleetAction>) {
-        let cfg = self.cfg;
         for mi in 0..self.machines.len() {
             if self.machines[mi].state != MachineState::Up {
                 continue;
@@ -421,9 +413,7 @@ impl FleetController {
             }
             let overloaded = residents.iter().any(|&ti| {
                 let t = &self.tenants[ti];
-                t.violate_streak >= cfg.shed_violations
-                    && t.telemetry.confidence(now, cfg.stale_after, cfg.confidence_decay)
-                        >= cfg.act_confidence
+                t.violations.full() && t.telemetry.confidence(now) >= FleetConfig::ACT_CONFIDENCE
             });
             if !overloaded {
                 continue;
@@ -433,9 +423,9 @@ impl FleetController {
                 .min_by_key(|&&ti| (self.tenants[ti].priority, std::cmp::Reverse(ti)))
                 .expect("residents is non-empty");
             self.tenants[victim].placed = None;
-            self.tenants[victim].hold_until = now.saturating_add(cfg.reshed_hold);
+            self.tenants[victim].hold_until = now.saturating_add(FleetConfig::RESHED_HOLD);
             for &ti in &residents {
-                self.tenants[ti].violate_streak = 0;
+                self.tenants[ti].violations.reset();
             }
             actions.push(FleetAction::Park { tenant: TenantId(victim) });
         }
@@ -457,7 +447,7 @@ impl FleetController {
             }
             let m = MachineId(mi);
             let residents = self.tenants.iter().filter(|t| t.placed == Some(m)).count();
-            if residents >= self.cfg.machine_capacity || !admit(m, flow) {
+            if residents >= FleetConfig::MACHINE_CAPACITY || !admit(m, flow) {
                 continue;
             }
             let load: f64 = self
@@ -517,11 +507,7 @@ impl FleetController {
 
     /// Confidence in tenant `t`'s bundle at window `now`.
     pub fn confidence(&self, t: TenantId, now: u32) -> f64 {
-        self.tenants[t.0].telemetry.confidence(
-            now,
-            self.cfg.stale_after,
-            self.cfg.confidence_decay,
-        )
+        self.tenants[t.0].telemetry.confidence(now)
     }
 
     /// Tenants currently parked (no placement).
@@ -535,7 +521,7 @@ mod tests {
     use super::*;
 
     fn ctrl(n_machines: usize) -> (FleetController, Vec<MachineId>) {
-        let mut c = FleetController::new(FleetConfig::default());
+        let mut c = FleetController::new(FleetConfig);
         let ms: Vec<_> = (0..n_machines).map(|_| c.add_machine()).collect();
         (c, ms)
     }
@@ -546,10 +532,9 @@ mod tests {
 
     /// Walk a silent machine through Suspect → probes → Dead, returning
     /// the window at which it was declared and the probe windows.
-    fn windows_to_death(cfg: FleetConfig) -> (u32, Vec<u32>) {
-        let mut c = FleetController::new(cfg);
-        let m = c.add_machine();
-        c.add_tenant(FlowType::Ip, 1, m);
+    fn windows_to_death() -> (u32, Vec<u32>) {
+        let (mut c, ms) = ctrl(1);
+        c.add_tenant(FlowType::Ip, 1, ms[0]);
         let mut probes = Vec::new();
         for w in 0..100 {
             // no heartbeats at all
@@ -565,18 +550,13 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_timeout_probes_with_capped_backoff_then_declares() {
-        let cfg = FleetConfig::default();
-        let (death, probes) = windows_to_death(cfg);
+    fn silent_machine_is_probed_with_capped_backoff_then_declared() {
+        let (death, probes) = windows_to_death();
         // Silence from w0: suspect once silence > timeout (w3), first
-        // probe next tick, the second after base·2 windows, the
-        // declaration once the doubled interval expires with no answer.
+        // probe next tick, the second after base+1 windows, the
+        // declaration once the doubled idle expires with no answer.
         assert_eq!(probes, vec![4, 6], "probe schedule follows the backoff");
         assert_eq!(death, 9, "declared after the capped backoff runs out");
-        // A tighter backoff cap cannot slow detection down.
-        let (d2, _) =
-            windows_to_death(FleetConfig { probe_backoff_max: 1, ..FleetConfig::default() });
-        assert!(d2 <= death);
     }
 
     #[test]
@@ -621,25 +601,32 @@ mod tests {
 
     #[test]
     fn exhausted_budget_parks_instead_of_placing() {
-        let cfg = FleetConfig { replacement_budget: 1, ..FleetConfig::default() };
-        let mut c = FleetController::new(cfg);
-        let m0 = c.add_machine();
-        let m1 = c.add_machine();
-        let hi = c.add_tenant(FlowType::Ip, 2, m0);
-        let lo = c.add_tenant(FlowType::Mon, 0, m0);
+        // m0 dies and restarts three times. Its three tenants are re-placed
+        // 3 + 3 times and go home free; the third death finds 2 of the 8
+        // re-placements left, so the lowest priority parks.
+        let (mut c, ms) = ctrl(2);
+        let hi = c.add_tenant(FlowType::Ip, 2, ms[0]);
+        let mid = c.add_tenant(FlowType::Fw, 1, ms[0]);
+        let lo = c.add_tenant(FlowType::Mon, 0, ms[0]);
         let mut parked = Vec::new();
-        for w in 0..12 {
-            c.heartbeat(m1, w);
+        for w in 0..36 {
+            // Silent for 10 windows (declared dead in the 10th), back for 3.
+            if w % 13 >= 10 {
+                c.heartbeat(ms[0], w);
+            }
+            c.heartbeat(ms[1], w);
             for a in c.tick(w, &mut admit_all) {
                 if let FleetAction::Park { tenant } = a {
                     parked.push(tenant);
                 }
             }
         }
-        assert_eq!(c.placement(hi), Some(m1), "the budget goes to the higher priority");
+        assert_eq!(c.machine_state(ms[0]), MachineState::Dead);
+        assert_eq!(c.placement(hi), Some(ms[1]), "the budget goes to the higher priorities");
+        assert_eq!(c.placement(mid), Some(ms[1]));
         assert_eq!(c.placement(lo), None);
         assert_eq!(parked, vec![lo], "parking announced once, not per window");
-        assert_eq!(c.replacements_used(), 1);
+        assert_eq!(c.replacements_used(), FleetConfig::REPLACEMENT_BUDGET);
     }
 
     #[test]
@@ -683,6 +670,30 @@ mod tests {
         }
         let acts = c.tick(13, &mut admit_all);
         assert_eq!(acts, vec![FleetAction::Park { tenant: _b }], "shed by priority");
+    }
+
+    #[test]
+    fn shedding_stops_one_window_past_the_freshness_horizon() {
+        // Three violating reports, the newest from w2. At w4 it is exactly
+        // FRESH_FOR windows old (confidence 1.0) and the machine sheds; at
+        // w5 confidence is DECAY = 0.8 < ACT_CONFIDENCE and it holds.
+        let shed_at = |now: u32| {
+            let (mut c, ms) = ctrl(1);
+            let a = c.add_tenant(FlowType::Ip, 1, ms[0]);
+            let b = c.add_tenant(FlowType::Mon, 0, ms[0]);
+            c.set_floor(a, 1000.0);
+            for w in 0..3 {
+                let r = TelemetryReport { window: w, pps: 10.0, p99_us: 50.0, loss_frac: 0.0 };
+                c.ingest(a, &r);
+            }
+            c.heartbeat(ms[0], now);
+            (c.tick(now, &mut admit_all), b)
+        };
+        assert_eq!(TenantTelemetry::FRESH_FOR, 2);
+        let (acts, b) = shed_at(4);
+        assert_eq!(acts, vec![FleetAction::Park { tenant: b }], "fresh at the horizon: shed");
+        let (acts, _) = shed_at(5);
+        assert!(acts.is_empty(), "one window past the horizon: hold, {acts:?}");
     }
 
     #[test]

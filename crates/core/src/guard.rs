@@ -26,8 +26,8 @@
 //!    never silent.
 //!
 //! Hysteresis works in both directions: it takes
-//! [`GuardConfig::violations_to_degrade`] consecutive bad windows to step
-//! down a rung and [`GuardConfig::clean_to_recover`] consecutive good ones
+//! [`GuardConfig::VIOLATIONS_TO_DEGRADE`] consecutive bad windows to step
+//! down a rung and [`GuardConfig::CLEAN_TO_RECOVER`] consecutive good ones
 //! to step back up, so a single noisy window can neither trigger
 //! degradation nor abort it. The guard itself is pure decision logic — it
 //! never touches the machine;
@@ -83,27 +83,78 @@ pub struct WindowObservation {
     pub loss_frac: f64,
 }
 
-/// Guard tuning: hysteresis depths and the re-probe backoff schedule.
-#[derive(Debug, Clone, Copy)]
-pub struct GuardConfig {
+/// Guard tuning. Every value is a constant; the type stays so that
+/// [`RuntimeGuard::new`] keeps its signature.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GuardConfig;
+
+impl GuardConfig {
     /// Consecutive violating windows before stepping down one rung.
-    pub violations_to_degrade: u32,
+    pub const VIOLATIONS_TO_DEGRADE: u32 = 2;
     /// Consecutive clean windows before stepping back up one rung.
-    pub clean_to_recover: u32,
-    /// Initial re-probe backoff, in windows (the first retry interval).
-    pub backoff_base: u32,
-    /// Backoff ceiling, in windows (doubling stops here).
-    pub backoff_max: u32,
+    pub const CLEAN_TO_RECOVER: u32 = 3;
+    /// Windows idled after the first re-probe before the second: probes
+    /// go out `BACKOFF_BASE + 1` windows apart, then the idle doubles.
+    pub const BACKOFF_BASE: u32 = 1;
+    /// Ceiling on the idle between re-probes (gaps of 2, 3, 5, 9, 9, …).
+    pub const BACKOFF_MAX: u32 = 8;
 }
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            violations_to_degrade: 2,
-            clean_to_recover: 3,
-            backoff_base: 1,
-            backoff_max: 8,
-        }
+/// A hysteresis counter: consecutive hits toward a fixed threshold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Streak {
+    count: u32,
+    need: u32,
+}
+
+impl Streak {
+    /// An empty streak that is full after `need` consecutive hits.
+    pub(crate) const fn new(need: u32) -> Self {
+        Streak { count: 0, need }
+    }
+
+    /// Count a hit, or restart on a miss; whether the streak is now full.
+    pub(crate) fn push(&mut self, hit: bool) -> bool {
+        self.count = if hit { self.count + 1 } else { 0 };
+        self.full()
+    }
+
+    /// Whether at least `need` consecutive hits have been pushed.
+    pub(crate) fn full(&self) -> bool {
+        self.count >= self.need
+    }
+
+    /// Start counting from zero.
+    pub(crate) fn reset(&mut self) {
+        self.count = 0;
+    }
+}
+
+/// A capped doubling delay: each [`take`](Self::take) returns the current
+/// delay and doubles the next one, up to the cap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Backoff {
+    base: u32,
+    max: u32,
+    next: u32,
+}
+
+impl Backoff {
+    /// A schedule of `base`, `2·base`, `4·base`, … capped at `max`.
+    pub(crate) const fn new(base: u32, max: u32) -> Self {
+        Backoff { base, max, next: base }
+    }
+
+    /// The current delay; the next one doubles, capped.
+    pub(crate) fn take(&mut self) -> u32 {
+        let delay = self.next;
+        self.next = (delay * 2).min(self.max);
+        delay
+    }
+
+    /// Restart the schedule at `base`.
+    pub(crate) fn reset(&mut self) {
+        self.next = self.base;
     }
 }
 
@@ -193,12 +244,11 @@ pub struct GuardDirective {
 #[derive(Debug, Clone)]
 pub struct RuntimeGuard {
     envelope: GuardEnvelope,
-    config: GuardConfig,
     level: DegradeLevel,
-    violation_streak: u32,
-    clean_streak: u32,
-    /// Current re-probe retry interval, in windows (doubles per retry).
-    backoff: u32,
+    violations: Streak,
+    cleans: Streak,
+    /// Re-probe idle schedule (doubles per retry).
+    backoff: Backoff,
     /// Windows until the next re-probe is allowed while degraded.
     cooldown: u32,
     window: u32,
@@ -209,15 +259,14 @@ pub struct RuntimeGuard {
 }
 
 impl RuntimeGuard {
-    /// A guard holding `envelope` with `config` hysteresis.
-    pub fn new(envelope: GuardEnvelope, config: GuardConfig) -> Self {
+    /// A guard holding `envelope`, with [`GuardConfig`]'s hysteresis.
+    pub fn new(envelope: GuardEnvelope, _: GuardConfig) -> Self {
         RuntimeGuard {
             envelope,
-            config,
             level: DegradeLevel::Normal,
-            violation_streak: 0,
-            clean_streak: 0,
-            backoff: config.backoff_base.max(1),
+            violations: Streak::new(GuardConfig::VIOLATIONS_TO_DEGRADE),
+            cleans: Streak::new(GuardConfig::CLEAN_TO_RECOVER),
+            backoff: Backoff::new(GuardConfig::BACKOFF_BASE, GuardConfig::BACKOFF_MAX),
             cooldown: 0,
             window: 0,
             transitions: VecDeque::new(),
@@ -238,8 +287,8 @@ impl RuntimeGuard {
     /// two bad windows of.
     pub fn set_envelope(&mut self, envelope: GuardEnvelope) {
         self.envelope = envelope;
-        self.violation_streak = 0;
-        self.clean_streak = 0;
+        self.violations.reset();
+        self.cleans.reset();
     }
 
     /// The ladder level currently in force.
@@ -266,9 +315,9 @@ impl RuntimeGuard {
     /// placement must not bias the new one.
     pub fn reset(&mut self) {
         self.level = DegradeLevel::Normal;
-        self.violation_streak = 0;
-        self.clean_streak = 0;
-        self.backoff = self.config.backoff_base.max(1);
+        self.violations.reset();
+        self.cleans.reset();
+        self.backoff.reset();
         self.cooldown = 0;
     }
 
@@ -285,57 +334,34 @@ impl RuntimeGuard {
     pub fn observe(&mut self, o: &WindowObservation) -> GuardDirective {
         let w = self.window;
         self.window += 1;
-        let mut changed = false;
-        match self.envelope.violation(o) {
-            Some(cause) => {
-                self.clean_streak = 0;
-                self.violation_streak += 1;
-                if self.violation_streak >= self.config.violations_to_degrade
-                    && self.level != DegradeLevel::Shed
-                {
-                    let from = self.level;
-                    self.level = self.level.degrade();
-                    self.violation_streak = 0;
-                    self.push_transition(GuardTransition {
-                        window: w,
-                        from,
-                        to: self.level,
-                        cause,
-                    });
-                    changed = true;
-                }
-            }
-            None => {
-                self.violation_streak = 0;
-                self.clean_streak += 1;
-                if self.clean_streak >= self.config.clean_to_recover
-                    && self.level != DegradeLevel::Normal
-                {
-                    let from = self.level;
-                    self.level = self.level.recover();
-                    self.clean_streak = 0;
-                    self.push_transition(GuardTransition {
-                        window: w,
-                        from,
-                        to: self.level,
-                        cause: "recovered",
-                    });
-                    changed = true;
-                }
-            }
+        // Both streaks count on every window, also at Shed / Normal where
+        // they cannot fire: the rung saturates instead.
+        let cause = self.envelope.violation(o);
+        self.violations.push(cause.is_some());
+        self.cleans.push(cause.is_none());
+        let to = match cause {
+            Some(_) if self.violations.full() => self.level.degrade(),
+            None if self.cleans.full() => self.level.recover(),
+            _ => self.level,
+        };
+        let changed = to != self.level;
+        if changed {
+            self.violations.reset();
+            self.cleans.reset();
+            let cause = cause.unwrap_or("recovered");
+            self.push_transition(GuardTransition { window: w, from: self.level, to, cause });
+            self.level = to;
         }
-        // Re-probe scheduling: while any degradation is in force, retry
-        // the model probe on an exponential-backoff clock (base, 2×base,
-        // 4×base, … capped at backoff_max). Full recovery resets the
-        // schedule.
+        // Re-probe scheduling: while any degradation is in force, probe,
+        // then idle on the backoff clock (base, 2×base, … capped at
+        // BACKOFF_MAX windows). Full recovery resets the schedule.
         let mut reprobe_now = false;
         if self.level == DegradeLevel::Normal {
-            self.backoff = self.config.backoff_base.max(1);
+            self.backoff.reset();
             self.cooldown = 0;
         } else if self.cooldown == 0 {
             reprobe_now = true;
-            self.cooldown = self.backoff;
-            self.backoff = (self.backoff * 2).min(self.config.backoff_max.max(1));
+            self.cooldown = self.backoff.take();
         } else {
             self.cooldown -= 1;
         }
@@ -361,7 +387,7 @@ mod tests {
 
     #[test]
     fn one_bad_window_does_not_degrade() {
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         let d = g.observe(&bad());
         assert_eq!(d.level, DegradeLevel::Normal);
         assert!(!d.changed);
@@ -375,7 +401,7 @@ mod tests {
 
     #[test]
     fn sustained_violation_walks_the_whole_ladder_and_back() {
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         let mut seen = vec![g.level()];
         for _ in 0..10 {
             let d = g.observe(&bad());
@@ -419,7 +445,7 @@ mod tests {
 
     #[test]
     fn loss_dominates_the_violation_report() {
-        let g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let g = RuntimeGuard::new(envelope(), GuardConfig);
         let o = WindowObservation { pps: 1.0, p99_us: 1e9, loss_frac: 1.0 };
         assert_eq!(g.envelope().violation(&o), Some("loss"));
         let o = WindowObservation { pps: 1.0, p99_us: 1e9, loss_frac: 0.0 };
@@ -431,7 +457,7 @@ mod tests {
 
     #[test]
     fn reprobe_retries_follow_exponential_backoff() {
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         let mut reprobe_windows = Vec::new();
         for w in 0..25u32 {
             let d = g.observe(&bad());
@@ -440,7 +466,7 @@ mod tests {
             }
         }
         // First reprobe when degradation engages (window 1: second bad
-        // window), then gaps of 1, 2, 4, 8, 8 … windows (base 1, cap 8).
+        // window), then idles of 1, 2, 4, 8, 8 … windows (base 1, cap 8).
         let gaps: Vec<u32> =
             reprobe_windows.windows(2).map(|p| p[1] - p[0]).collect();
         assert_eq!(reprobe_windows[0], 1, "first reprobe at the first degrade");
@@ -458,7 +484,7 @@ mod tests {
 
     #[test]
     fn set_envelope_mid_run_resets_hysteresis_counters() {
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         // One violating window: streak at 1, one short of a degrade.
         g.observe(&bad());
         assert_eq!(g.level(), DegradeLevel::Normal);
@@ -484,7 +510,7 @@ mod tests {
 
     #[test]
     fn recovery_from_shed_walks_every_rung() {
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         for _ in 0..8 {
             g.observe(&bad());
         }
@@ -518,7 +544,7 @@ mod tests {
     fn transition_history_is_ring_capped() {
         // Alternate 2-bad / 3-good forever: every cycle records two moves
         // (down one rung, back up). Run enough cycles to overflow the ring.
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         let cycles = (TRANSITION_CAP as u32 / 2) + 40;
         for _ in 0..cycles {
             for _ in 0..2 {
@@ -538,7 +564,7 @@ mod tests {
 
     #[test]
     fn reset_returns_to_fresh_normal() {
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         for _ in 0..8 {
             g.observe(&bad());
         }
@@ -560,7 +586,7 @@ mod tests {
 
     #[test]
     fn envelope_can_be_refit_after_a_probe() {
-        let mut g = RuntimeGuard::new(envelope(), GuardConfig::default());
+        let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         for _ in 0..2 {
             g.observe(&bad());
         }

@@ -15,26 +15,26 @@
 //! injector):
 //!
 //! 1. **Circuit-breaker admission.** A tenant whose guard bottoms out at
-//!    [`DegradeLevel::Shed`] for [`SupervisorConfig::shed_windows_to_trip`]
+//!    [`DegradeLevel::Shed`] for [`SupervisorConfig::SHED_WINDOWS_TO_TRIP`]
 //!    consecutive windows trips the breaker **open**: the tenant is
 //!    evicted (its offered load refused as counted `drained` loss) and
 //!    re-admission retries on capped exponential backoff with seeded
 //!    jitter. Each retry is a **half-open probe**: exactly one trial
 //!    window at normal service. A clean trial closes the breaker
 //!    (backoff resets to base); a violating trial re-opens it with the
-//!    delay doubled, capped at [`SupervisorConfig::breaker_backoff_max`].
+//!    delay doubled, capped at [`SupervisorConfig::BREAKER_BACKOFF_MAX`].
 //! 2. **Core failover.** Sustained violation at or past
-//!    [`SupervisorConfig::migrate_level`] — before the breaker would trip
+//!    [`SupervisorConfig::MIGRATE_LEVEL`] — before the breaker would trip
 //!    — with a healthy sibling core available migrates the tenant: drain
 //!    in-flight state through counted drop paths, re-probe on the new
 //!    placement, resume. A per-tenant
-//!    [`SupervisorConfig::migration_budget`] stops a flapping tenant from
+//!    [`SupervisorConfig::MIGRATION_BUDGET`] stops a flapping tenant from
 //!    ping-ponging between cores; once spent, the ladder (and ultimately
 //!    the breaker) take over.
 //! 3. **Drift-triggered re-calibration.** On *clean, non-fault* windows
 //!    the supervisor compares measured pps against the model reference
 //!    (`BatchController::predicted_pps` or the calibrated window rate).
-//!    Sustained divergence beyond [`SupervisorConfig::drift_tolerance`]
+//!    Sustained divergence beyond [`SupervisorConfig::DRIFT_TOLERANCE`]
 //!    marks the model **stale** and requests a re-fit — the envelope is
 //!    wrong, not the tenant, and degrading on a lie wastes capacity.
 //!
@@ -53,7 +53,7 @@
 
 use crate::batch_control::SocketPlan;
 use crate::guard::{
-    DegradeLevel, GuardConfig, GuardEnvelope, RuntimeGuard, WindowObservation,
+    Backoff, DegradeLevel, GuardConfig, GuardEnvelope, RuntimeGuard, Streak, WindowObservation,
 };
 use crate::workload::FlowType;
 
@@ -114,55 +114,46 @@ pub struct SupervisorDirective {
     pub reprobe_now: bool,
 }
 
-/// Supervisor tuning. The guard hysteresis is PR 6's
-/// ([`GuardConfig::default`]); the breaker/migration/drift constants
-/// layer on top without changing it.
+/// Supervisor tuning. The guard's hysteresis is [`GuardConfig`]'s; the
+/// breaker, migration and drift constants layer on top without changing
+/// it. The jitter seed is the one settable value.
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
-    /// Per-tenant guard hysteresis and re-probe backoff.
-    pub guard: GuardConfig,
-    /// Consecutive windows at [`DegradeLevel::Shed`] before the breaker
-    /// trips open (K).
-    pub shed_windows_to_trip: u32,
-    /// First re-admission retry delay, in windows.
-    pub breaker_backoff_base: u32,
-    /// Retry-delay ceiling, in windows (doubling stops here).
-    pub breaker_backoff_max: u32,
-    /// Maximum seeded jitter added to each retry delay, in windows
-    /// (de-synchronizes probes when several breakers trip together).
-    pub breaker_jitter: u32,
-    /// The ladder rung at (or past) which sustained violation triggers
-    /// migration instead of further in-place degradation.
-    pub migrate_level: DegradeLevel,
-    /// Consecutive windows at/past `migrate_level` before migrating.
-    pub migrate_after: u32,
-    /// Lifetime migrations allowed per tenant (anti-ping-pong).
-    pub migration_budget: u32,
-    /// Relative pps divergence from the model reference that counts as
-    /// drift on a clean window.
-    pub drift_tolerance: f64,
-    /// Consecutive drifting clean windows before the model is declared
-    /// stale.
-    pub drift_windows: u32,
     /// Seed for breaker-retry jitter (deterministic per tenant × trip).
     pub seed: u64,
 }
 
+impl SupervisorConfig {
+    /// Consecutive windows at [`DegradeLevel::Shed`] before the breaker
+    /// trips open.
+    pub const SHED_WINDOWS_TO_TRIP: u32 = 3;
+    /// First re-admission delay: the tenant stays parked exactly this
+    /// many windows (plus jitter) before its half-open probe.
+    pub const BREAKER_BACKOFF_BASE: u32 = 2;
+    /// Ceiling on the re-admission delay before jitter (doubling stops
+    /// here).
+    pub const BREAKER_BACKOFF_MAX: u32 = 16;
+    /// Maximum seeded jitter added to each re-admission delay, in windows
+    /// (de-synchronizes probes when several breakers trip together).
+    pub const BREAKER_JITTER: u32 = 1;
+    /// The ladder rung at (or past) which sustained violation triggers
+    /// migration instead of further in-place degradation.
+    pub const MIGRATE_LEVEL: DegradeLevel = DegradeLevel::Throttle;
+    /// Consecutive windows at/past [`MIGRATE_LEVEL`](Self::MIGRATE_LEVEL)
+    /// before migrating.
+    pub const MIGRATE_AFTER: u32 = 2;
+    /// Lifetime migrations allowed per tenant (anti-ping-pong).
+    pub const MIGRATION_BUDGET: u32 = 2;
+    /// Relative pps divergence from the model reference that counts as
+    /// drift on a clean window.
+    pub const DRIFT_TOLERANCE: f64 = 0.10;
+    /// Drifting clean windows before the model is declared stale.
+    pub const DRIFT_WINDOWS: u32 = 3;
+}
+
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            guard: GuardConfig::default(),
-            shed_windows_to_trip: 3,
-            breaker_backoff_base: 2,
-            breaker_backoff_max: 16,
-            breaker_jitter: 1,
-            migrate_level: DegradeLevel::Throttle,
-            migrate_after: 2,
-            migration_budget: 2,
-            drift_tolerance: 0.10,
-            drift_windows: 3,
-            seed: 0x5EED_50F7,
-        }
+        SupervisorConfig { seed: 0x5EED_50F7 }
     }
 }
 
@@ -189,11 +180,11 @@ struct Tenant {
     /// Model-predicted clean-window pps (the drift reference).
     model_pps: f64,
     stale: bool,
-    shed_streak: u32,
-    migrate_streak: u32,
-    drift_streak: u32,
-    /// Next retry delay, in windows (doubles per failed probe, capped).
-    backoff: u32,
+    shed: Streak,
+    migrate: Streak,
+    drift: Streak,
+    /// Re-admission delays (double per trip and failed probe, capped).
+    backoff: Backoff,
     stats: TenantStats,
 }
 
@@ -251,14 +242,17 @@ impl Supervisor {
         let id = TenantId(self.tenants.len());
         self.tenants.push(Tenant {
             flow,
-            guard: RuntimeGuard::new(envelope, self.config.guard),
+            guard: RuntimeGuard::new(envelope, GuardConfig),
             state: TenantState::Admitted,
             model_pps,
             stale: false,
-            shed_streak: 0,
-            migrate_streak: 0,
-            drift_streak: 0,
-            backoff: self.config.breaker_backoff_base.max(1),
+            shed: Streak::new(SupervisorConfig::SHED_WINDOWS_TO_TRIP),
+            migrate: Streak::new(SupervisorConfig::MIGRATE_AFTER),
+            drift: Streak::new(SupervisorConfig::DRIFT_WINDOWS),
+            backoff: Backoff::new(
+                SupervisorConfig::BREAKER_BACKOFF_BASE,
+                SupervisorConfig::BREAKER_BACKOFF_MAX,
+            ),
             stats: TenantStats::default(),
         });
         id
@@ -316,23 +310,29 @@ impl Supervisor {
         let tn = &mut self.tenants[t.0];
         tn.model_pps = model_pps;
         tn.stale = false;
-        tn.drift_streak = 0;
+        tn.drift.reset();
         tn.guard.set_envelope(envelope);
     }
 
-    fn jittered(&self, t: TenantId, delay: u32) -> u32 {
-        if self.config.breaker_jitter == 0 {
-            return delay;
-        }
-        let trips = self.tenants[t.0].stats.trips as u64;
-        let probes = self.tenants[t.0].stats.failed_probes as u64;
+    /// Open the breaker: park the tenant for its next backoff delay plus
+    /// seeded jitter, deterministic per tenant × trip × failed probe (the
+    /// caller has already counted this trip or failed probe).
+    fn evict(&mut self, t: TenantId) -> SupervisorDirective {
+        let tn = &mut self.tenants[t.0];
         let x = self
             .config
             .seed
             .wrapping_add((t.0 as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93))
-            .wrapping_add(trips.wrapping_mul(0x9E37_79B9))
-            .wrapping_add(probes);
-        delay + (splitmix64(x) % (self.config.breaker_jitter as u64 + 1)) as u32
+            .wrapping_add((tn.stats.trips as u64).wrapping_mul(0x9E37_79B9))
+            .wrapping_add(tn.stats.failed_probes as u64);
+        let jitter = splitmix64(x) % (SupervisorConfig::BREAKER_JITTER as u64 + 1);
+        let retry_in = tn.backoff.take() + jitter as u32;
+        tn.state = TenantState::Open { windows_left: retry_in };
+        SupervisorDirective {
+            action: SupervisorAction::Evict { retry_in },
+            level: DegradeLevel::Shed,
+            reprobe_now: false,
+        }
     }
 
     /// One parked (breaker-open) window for an evicted tenant: counts
@@ -376,10 +376,12 @@ impl Supervisor {
     ///
     /// # Edge-case ordering (pinned by tests)
     ///
-    /// * **Breaker beats migration.** The shed-streak check runs before
-    ///   the migrate check, so a window in which the shed streak reaches
-    ///   `shed_windows_to_trip` *and* the migrate streak reaches
-    ///   `migrate_after` trips the breaker: the tenant is evicted, no
+    /// * **Breaker beats migration.** The shed check runs before the
+    ///   migrate check, so a window in which the tenant has spent
+    ///   [`SHED_WINDOWS_TO_TRIP`](SupervisorConfig::SHED_WINDOWS_TO_TRIP)
+    ///   windows at Shed *and*
+    ///   [`MIGRATE_AFTER`](SupervisorConfig::MIGRATE_AFTER) at the migrate
+    ///   rung trips the breaker: the tenant is evicted, no
     ///   migration happens, and no migration budget is consumed. The
     ///   same winner holds when the budget is already exhausted — a
     ///   migration that cannot fire simply lets the ladder ride to the
@@ -402,78 +404,50 @@ impl Supervisor {
         sibling_available: bool,
         fault_active: bool,
     ) -> SupervisorDirective {
-        let clean = self.tenants[t.0].guard.envelope().violation(obs).is_none();
+        let tn = &mut self.tenants[t.0];
+        let clean = tn.guard.envelope().violation(obs).is_none();
 
         // Half-open: this observation *is* the single trial window.
-        if self.tenants[t.0].state == TenantState::HalfOpen {
-            if clean {
-                let tn = &mut self.tenants[t.0];
-                tn.state = TenantState::Admitted;
-                tn.backoff = self.config.breaker_backoff_base.max(1);
-                tn.shed_streak = 0;
-                tn.migrate_streak = 0;
-                tn.guard.reset();
-                return SupervisorDirective {
-                    action: SupervisorAction::Readmit,
-                    level: DegradeLevel::Normal,
-                    reprobe_now: false,
-                };
+        if tn.state == TenantState::HalfOpen {
+            if !clean {
+                tn.stats.failed_probes += 1;
+                return self.evict(t);
             }
-            self.tenants[t.0].stats.failed_probes += 1;
-            let delay = self.tenants[t.0].backoff;
-            let retry_in = self.jittered(t, delay).max(1);
-            let tn = &mut self.tenants[t.0];
-            tn.backoff = (tn.backoff * 2).min(self.config.breaker_backoff_max.max(1));
-            tn.state = TenantState::Open { windows_left: retry_in };
+            tn.state = TenantState::Admitted;
+            tn.backoff.reset();
+            tn.shed.reset();
+            tn.migrate.reset();
+            tn.guard.reset();
             return SupervisorDirective {
-                action: SupervisorAction::Evict { retry_in },
-                level: DegradeLevel::Shed,
+                action: SupervisorAction::Readmit,
+                level: DegradeLevel::Normal,
                 reprobe_now: false,
             };
         }
 
         // Admitted: the guard walks its ladder first.
-        let directive = self.tenants[t.0].guard.observe(obs);
+        let directive = tn.guard.observe(obs);
 
         // Breaker: K consecutive windows pinned at Shed trip it open.
-        if directive.level == DegradeLevel::Shed {
-            self.tenants[t.0].shed_streak += 1;
-        } else {
-            self.tenants[t.0].shed_streak = 0;
-        }
-        if self.tenants[t.0].shed_streak >= self.config.shed_windows_to_trip {
-            self.tenants[t.0].stats.trips += 1;
-            let delay = self.tenants[t.0].backoff;
-            let retry_in = self.jittered(t, delay).max(1);
-            let tn = &mut self.tenants[t.0];
-            tn.backoff = (tn.backoff * 2).min(self.config.breaker_backoff_max.max(1));
-            tn.state = TenantState::Open { windows_left: retry_in };
-            tn.shed_streak = 0;
-            tn.migrate_streak = 0;
-            tn.drift_streak = 0;
+        if tn.shed.push(directive.level == DegradeLevel::Shed) {
+            tn.stats.trips += 1;
+            tn.shed.reset();
+            tn.migrate.reset();
+            tn.drift.reset();
             tn.guard.reset();
-            return SupervisorDirective {
-                action: SupervisorAction::Evict { retry_in },
-                level: DegradeLevel::Shed,
-                reprobe_now: false,
-            };
+            return self.evict(t);
         }
 
         // Failover: sustained violation at/past the migrate rung, budget
-        // and a healthy sibling permitting.
-        if directive.level >= self.config.migrate_level {
-            self.tenants[t.0].migrate_streak += 1;
-        } else {
-            self.tenants[t.0].migrate_streak = 0;
-        }
-        if self.tenants[t.0].migrate_streak >= self.config.migrate_after
+        // and a healthy sibling permitting. The streak keeps counting past
+        // its threshold while neither is free.
+        if tn.migrate.push(directive.level >= SupervisorConfig::MIGRATE_LEVEL)
             && sibling_available
-            && self.tenants[t.0].stats.migrations < self.config.migration_budget
+            && tn.stats.migrations < SupervisorConfig::MIGRATION_BUDGET
         {
-            let tn = &mut self.tenants[t.0];
             tn.stats.migrations += 1;
-            tn.migrate_streak = 0;
-            tn.shed_streak = 0;
+            tn.migrate.reset();
+            tn.shed.reset();
             // Composition rule: the move resets the guard — ladder state
             // from the old placement must not chase the tenant.
             tn.guard.reset();
@@ -484,20 +458,16 @@ impl Supervisor {
             };
         }
 
-        // Drift: clean, non-fault windows diverging from the model.
+        // Drift: clean, non-fault windows diverging from the model. The
+        // streak holds across violating windows, restarts on fault windows,
+        // and the stale latch (not a reset) keeps it from firing twice.
         if clean && !fault_active && directive.level == DegradeLevel::Normal {
-            let tn = &mut self.tenants[t.0];
             let rel = if tn.model_pps > 0.0 {
                 (obs.pps - tn.model_pps).abs() / tn.model_pps
             } else {
                 0.0
             };
-            if rel > self.config.drift_tolerance {
-                tn.drift_streak += 1;
-            } else {
-                tn.drift_streak = 0;
-            }
-            if tn.drift_streak >= self.config.drift_windows && !tn.stale {
+            if tn.drift.push(rel > SupervisorConfig::DRIFT_TOLERANCE) && !tn.stale {
                 tn.stale = true;
                 tn.stats.recalibrations += 1;
                 return SupervisorDirective {
@@ -507,7 +477,7 @@ impl Supervisor {
                 };
             }
         } else if fault_active {
-            self.tenants[t.0].drift_streak = 0;
+            tn.drift.reset();
         }
 
         SupervisorDirective {
@@ -534,10 +504,6 @@ mod tests {
         WindowObservation { pps: 400_000.0, p99_us: 40.0, loss_frac: 0.0 }
     }
 
-    fn no_jitter() -> SupervisorConfig {
-        SupervisorConfig { breaker_jitter: 0, ..SupervisorConfig::default() }
-    }
-
     /// Drive an admitted tenant down to Shed with bad windows (no sibling,
     /// so migration never fires).
     fn sink_to_shed(s: &mut Supervisor, t: TenantId) {
@@ -550,7 +516,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_k_shed_windows_then_backs_off() {
-        let mut s = Supervisor::new(no_jitter());
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         sink_to_shed(&mut s, t);
         // K-1 more Shed windows: still running. (The window that *reached*
@@ -574,7 +540,7 @@ mod tests {
 
     #[test]
     fn half_open_is_single_window_failure_doubles_delay_success_closes() {
-        let mut s = Supervisor::new(no_jitter());
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         sink_to_shed(&mut s, t);
         s.observe(t, &bad(), false, true);
@@ -595,21 +561,23 @@ mod tests {
         assert_eq!(d.action, SupervisorAction::Readmit);
         assert_eq!(s.state(t), TenantState::Admitted);
         assert_eq!(s.guard(t).level(), DegradeLevel::Normal, "re-admitted fresh");
-        // Success resets the backoff: a future trip starts from base again.
+        // Success resets the backoff: a future trip starts from base again
+        // (2, plus this trip's seeded jitter of 1; unreset it would be ≥ 8).
         sink_to_shed(&mut s, t);
         s.observe(t, &bad(), false, true);
         let d = s.observe(t, &bad(), false, true);
-        assert_eq!(d.action, SupervisorAction::Evict { retry_in: 2 });
+        assert_eq!(d.action, SupervisorAction::Evict { retry_in: 3 });
     }
 
     #[test]
     fn backoff_is_capped_and_jitter_is_deterministic() {
-        let mut s = Supervisor::new(no_jitter());
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         sink_to_shed(&mut s, t);
         s.observe(t, &bad(), false, true);
         s.observe(t, &bad(), false, true); // trip
-        // Fail every probe; delays go 2, 4, 8, 16, 16, 16 (cap).
+        // Fail every probe; delays go 4, 8, 16, 16, 16, 16 (cap), plus
+        // the seeded jitter of 0 or 1.
         let mut delays = Vec::new();
         for _ in 0..6 {
             // Drain the countdown until the probe fires.
@@ -624,9 +592,9 @@ mod tests {
                 a => panic!("expected re-open, got {a:?}"),
             }
         }
-        assert_eq!(delays, vec![4, 8, 16, 16, 16, 16], "doubling, capped at 16");
+        assert_eq!(delays, vec![4, 8, 17, 16, 17, 17], "doubling, capped at 16, plus jitter");
         // Jitter determinism: two identically seeded supervisors agree.
-        let cfg = SupervisorConfig { breaker_jitter: 3, ..SupervisorConfig::default() };
+        let cfg = SupervisorConfig::default();
         let run = |cfg: SupervisorConfig| {
             let mut s = Supervisor::new(cfg);
             let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
@@ -638,19 +606,19 @@ mod tests {
             }
         };
         assert_eq!(run(cfg), run(cfg), "same seed, same jittered delay");
-        assert!((2..=5).contains(&run(cfg)), "base 2 + jitter 0..=3");
+        assert!((2..=3).contains(&run(cfg)), "base 2 + jitter 0..=1");
     }
 
     #[test]
     fn sustained_violation_with_sibling_migrates_within_budget() {
-        let mut s = Supervisor::new(no_jitter());
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         // Walk down to Throttle (the migrate rung): 2 bad per rung.
         for _ in 0..6 {
             s.observe(t, &bad(), true, true);
         }
         assert_eq!(s.guard(t).level(), DegradeLevel::Throttle);
-        // migrate_after=2 windows at/past Throttle: reaching it counted one.
+        // MIGRATE_AFTER = 2 windows at/past Throttle: reaching it counted one.
         let d = s.observe(t, &bad(), true, true);
         assert_eq!(d.action, SupervisorAction::Migrate);
         assert_eq!(s.stats(t).migrations, 1);
@@ -675,7 +643,7 @@ mod tests {
 
     #[test]
     fn no_sibling_means_no_migration() {
-        let mut s = Supervisor::new(no_jitter());
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         for _ in 0..10 {
             let d = s.observe(t, &bad(), false, true);
@@ -686,7 +654,7 @@ mod tests {
 
     #[test]
     fn drift_on_clean_windows_requests_recalibration_once() {
-        let mut s = Supervisor::new(no_jitter());
+        let mut s = Supervisor::new(SupervisorConfig::default());
         // Model says 2 Mpps; the world delivers a clean 1.5 Mpps (inside
         // the envelope, 25% off the model).
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
@@ -715,7 +683,7 @@ mod tests {
 
     #[test]
     fn fault_windows_do_not_count_as_drift() {
-        let mut s = Supervisor::new(no_jitter());
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         let drifted = WindowObservation { pps: 1_500_000.0, p99_us: 40.0, loss_frac: 0.0 };
         // Clean but fault-tagged windows: a disturbance explains the gap,
@@ -732,17 +700,14 @@ mod tests {
     fn eviction_refusal_is_shed_level_for_accounting() {
         // While parked, the driver refuses the tenant's load; the directive
         // carries Shed so the accounting maps onto the counted-drop path.
-        let mut s = Supervisor::new(SupervisorConfig {
-            breaker_backoff_base: 3,
-            ..no_jitter()
-        });
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         sink_to_shed(&mut s, t);
         s.observe(t, &bad(), false, true);
-        s.observe(t, &bad(), false, true); // trip, retry_in = 3
+        s.observe(t, &bad(), false, true); // trip, retry_in = 2
         let d = s.tick_parked(t);
         assert_eq!(d.level, DegradeLevel::Shed);
-        assert!(matches!(d.action, SupervisorAction::Evict { retry_in: 2 }));
+        assert!(matches!(d.action, SupervisorAction::Evict { retry_in: 1 }));
         assert_eq!(s.stats(t).evicted_windows, 1);
     }
 
@@ -752,7 +717,7 @@ mod tests {
         // observation yields the same directive whether or not a
         // targeted fault is still active during the probe window.
         let trial = |obs: WindowObservation, fault_active: bool| {
-            let mut s = Supervisor::new(no_jitter());
+            let mut s = Supervisor::new(SupervisorConfig::default());
             let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
             sink_to_shed(&mut s, t);
             s.observe(t, &bad(), false, true);
@@ -774,15 +739,16 @@ mod tests {
 
     #[test]
     fn breaker_trip_beats_migration_in_the_same_window() {
-        // migrate_after = 5 makes the migrate streak (counted from the
-        // Throttle rung, reached at w5) and the shed streak (counted
-        // from the Shed rung, reached at w7, tripping at 3) both cross
-        // their thresholds on the same window, w9 — with a sibling free
-        // and budget to spare. The breaker is checked first and wins.
-        let mut s = Supervisor::new(SupervisorConfig { migrate_after: 5, ..no_jitter() });
+        // The migrate streak counts from the Throttle rung (reached at w6)
+        // and keeps counting while no sibling is free; the shed streak
+        // counts from the Shed rung (reached at w8) and trips at its third
+        // window, w10. Freeing the sibling only on w10 makes both rules
+        // fire there, with budget to spare. The breaker is checked first
+        // and wins.
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
         for _ in 0..9 {
-            let d = s.observe(t, &bad(), true, true);
+            let d = s.observe(t, &bad(), false, true);
             assert_eq!(d.action, SupervisorAction::Continue);
         }
         let d = s.observe(t, &bad(), true, true);
@@ -793,18 +759,22 @@ mod tests {
 
     #[test]
     fn exhausted_budget_lets_the_ladder_ride_to_the_trip() {
-        // Same collision with the migration budget already spent: the
-        // migrate branch cannot fire at its threshold (w6 here), the
-        // ladder rides on, and the breaker trips on schedule.
-        let mut s =
-            Supervisor::new(SupervisorConfig { migration_budget: 0, ..no_jitter() });
+        // Same collision with the migration budget already spent (two
+        // migrations, 7 windows each): the migrate branch cannot fire at
+        // its threshold, the ladder rides on, and the breaker trips on
+        // schedule.
+        let mut s = Supervisor::new(SupervisorConfig::default());
         let t = s.admit(FlowType::Ip, envelope(), 2_000_000.0);
+        for _ in 0..14 {
+            s.observe(t, &bad(), true, true);
+        }
+        assert_eq!(s.stats(t).migrations, SupervisorConfig::MIGRATION_BUDGET);
         for _ in 0..9 {
             let d = s.observe(t, &bad(), true, true);
-            assert_eq!(d.action, SupervisorAction::Continue, "budget 0: never Migrate");
+            assert_eq!(d.action, SupervisorAction::Continue, "budget spent: never Migrate");
         }
         let d = s.observe(t, &bad(), true, true);
         assert_eq!(d.action, SupervisorAction::Evict { retry_in: 2 });
-        assert_eq!(s.stats(t).migrations, 0);
+        assert_eq!(s.stats(t).migrations, 2);
     }
 }

@@ -122,15 +122,26 @@ pub struct TenantTelemetry {
     pub loss: EwmaTracker,
 }
 
-impl TenantTelemetry {
-    /// A bundle with the same smoothing factor on every signal.
-    pub fn new(alpha: f64) -> Self {
+impl Default for TenantTelemetry {
+    /// A bundle with [`ALPHA`](Self::ALPHA) smoothing on every signal.
+    fn default() -> Self {
         TenantTelemetry {
-            rate: EwmaTracker::new(alpha),
-            p99: EwmaTracker::new(alpha),
-            loss: EwmaTracker::new(alpha),
+            rate: EwmaTracker::new(Self::ALPHA),
+            p99: EwmaTracker::new(Self::ALPHA),
+            loss: EwmaTracker::new(Self::ALPHA),
         }
     }
+}
+
+impl TenantTelemetry {
+    /// EWMA smoothing factor of every tracker.
+    pub const ALPHA: f64 = 0.3;
+    /// Freshness horizon: a bundle at most this many windows old has
+    /// confidence 1.0. Must be ≥ 1, because a report describes the window
+    /// before the tick that reads it; 2 also tolerates one lost report.
+    pub const FRESH_FOR: u32 = 2;
+    /// Per-window multiplicative confidence decay past the horizon.
+    pub const DECAY: f64 = 0.8;
 
     /// Ingest one report into all three trackers.
     pub fn ingest(&mut self, r: &TelemetryReport) {
@@ -150,14 +161,15 @@ impl TenantTelemetry {
     }
 
     /// How much to trust the bundle at window `now`: 1.0 while the
-    /// freshest report is at most `fresh_for` windows old, then decaying
-    /// by `decay` per additional window of silence; 0.0 before any
-    /// report. Monotone non-increasing in `now` between reports.
-    pub fn confidence(&self, now: u32, fresh_for: u32, decay: f64) -> f64 {
+    /// freshest report is at most [`FRESH_FOR`](Self::FRESH_FOR) windows
+    /// old, then decaying by [`DECAY`](Self::DECAY) per additional window
+    /// of silence; 0.0 before any report. Monotone non-increasing in `now`
+    /// between reports.
+    pub fn confidence(&self, now: u32) -> f64 {
         match self.staleness(now) {
             None => 0.0,
-            Some(age) if age <= fresh_for => 1.0,
-            Some(age) => decay.clamp(0.0, 1.0).powi((age - fresh_for).min(1_000) as i32),
+            Some(age) if age <= Self::FRESH_FOR => 1.0,
+            Some(age) => Self::DECAY.powi((age - Self::FRESH_FOR).min(1_000) as i32),
         }
     }
 }
@@ -192,21 +204,21 @@ mod tests {
 
     #[test]
     fn staleness_decay_is_monotone_and_fresh_is_full_trust() {
-        let mut b = TenantTelemetry::new(0.3);
-        assert_eq!(b.confidence(5, 2, 0.8), 0.0, "no report yet: zero trust");
+        let mut b = TenantTelemetry::default();
+        assert_eq!(b.confidence(5), 0.0, "no report yet: zero trust");
         b.ingest(&TelemetryReport { window: 10, pps: 1e6, p99_us: 40.0, loss_frac: 0.0 });
-        assert_eq!(b.confidence(10, 2, 0.8), 1.0);
-        assert_eq!(b.confidence(12, 2, 0.8), 1.0, "within the freshness horizon");
+        assert_eq!(b.confidence(10), 1.0);
+        assert_eq!(b.confidence(12), 1.0, "within the freshness horizon");
         let mut prev = 1.0;
         for now in 13..40 {
-            let c = b.confidence(now, 2, 0.8);
+            let c = b.confidence(now);
             assert!(c < prev, "confidence must strictly decay past the horizon");
             assert!(c > 0.0);
             prev = c;
         }
         // A fresh report restores full trust.
         b.ingest(&TelemetryReport { window: 40, pps: 1e6, p99_us: 40.0, loss_frac: 0.0 });
-        assert_eq!(b.confidence(40, 2, 0.8), 1.0);
+        assert_eq!(b.confidence(40), 1.0);
     }
 
     #[test]
