@@ -189,9 +189,7 @@ impl Tenant {
 /// cores 0..[`FleetConfig::MACHINE_CAPACITY`] of socket 0, so slot
 /// scarcity is decided by the controller, not discovered by the driver.
 fn free_slot(cluster: &Cluster, m: MachineId) -> Option<CoreId> {
-    (0..FleetConfig::MACHINE_CAPACITY as u16)
-        .map(CoreId)
-        .find(|&c| !cluster.engine(m).has_task(c))
+    (0..FleetConfig::MACHINE_CAPACITY as u16).map(CoreId).find(|&c| !cluster.engine(m).has_task(c))
 }
 
 /// `repro cluster-chaos`. The shared state is the re-placement admission
