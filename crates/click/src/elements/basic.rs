@@ -2,15 +2,13 @@
 //! and discard sinks, and a counter.
 //!
 //! `CheckIPHeader`, `DecIPTTL`, and `ToDevice` override
-//! [`Element::process_batch`]: header-line loads are overlapped across the
+//! [`Element::process_vector`]: header-line loads are overlapped across the
 //! vector ([`ExecCtx::read_batch`] with [`BATCH_MLP`] lookahead), per-packet
 //! compute is charged in one hoisted call, and `ToDevice` transmits the
-//! whole vector through one amortized `tx_batch`. One-packet batches of the
-//! first two take the scalar path, keeping batch size 1 charge-identical
-//! (`ToDevice` issues no `read_batch`, so its one body serves both).
+//! whole vector through one amortized `tx_batch`.
 
 use crate::cost::CostModel;
-use crate::element::{Action, Element, BATCH_MLP};
+use crate::element::{header_addrs, Action, Element, BATCH_MLP};
 use pp_net::headers::{ethertype, Ipv4Header};
 use pp_net::packet::Packet;
 use pp_sim::ctx::ExecCtx;
@@ -83,23 +81,17 @@ impl Element for CheckIpHeader {
         self.verdict(valid)
     }
 
-    fn process_batch(
+    fn process_vector(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         pkts: &mut [Packet],
         actions: &mut Vec<Action>,
     ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
-        }
         // The header lines of distinct packets are independent loads: issue
         // them with lookahead so the DCA-delivered lines stream in
         // overlapped, then charge the validation compute once, hoisted.
         self.addrs.clear();
-        self.addrs.extend(pkts.iter().filter(|p| p.buf_addr != 0).map(|p| p.buf_addr));
+        self.addrs.extend(header_addrs(pkts, |_| 0));
         ctx.read_batch(&self.addrs, BATCH_MLP);
         CostModel::charge_n(ctx, self.cost.check_ip_header, pkts.len() as u64);
         for pkt in pkts.iter() {
@@ -126,6 +118,17 @@ impl DecIpTtl {
     pub fn new(cost: CostModel) -> Self {
         DecIpTtl { cost, addrs: Vec::new(), expired: 0 }
     }
+
+    /// Record and translate one decrement: `false` when the TTL expired.
+    #[inline]
+    fn verdict(&mut self, alive: bool) -> Action {
+        if alive {
+            Action::Out(0)
+        } else {
+            self.expired += 1;
+            Action::Drop
+        }
+    }
 }
 
 impl Element for DecIpTtl {
@@ -144,47 +147,28 @@ impl Element for DecIpTtl {
             ctx.write(hdr);
         }
         CostModel::charge(ctx, self.cost.dec_ttl);
-        match pkt.dec_ttl() {
-            Some(_) => Action::Out(0),
-            None => {
-                self.expired += 1;
-                Action::Drop
-            }
-        }
+        self.verdict(pkt.dec_ttl().is_some())
     }
 
-    fn process_batch(
+    fn process_vector(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         pkts: &mut [Packet],
         actions: &mut Vec<Action>,
     ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
-        }
         // Overlap the independent header-line loads across the vector; the
         // dirtying writes stay per packet (stores drain through the store
         // buffer, so they are already cheap).
         self.addrs.clear();
-        self.addrs.extend(
-            pkts.iter().filter(|p| p.buf_addr != 0).map(|p| p.buf_addr + p.l3_offset() as u64),
-        );
+        self.addrs
+            .extend(header_addrs(pkts, |p| p.l3_offset() as u64));
         ctx.read_batch(&self.addrs, BATCH_MLP);
         for &a in &self.addrs {
             ctx.write(a);
         }
         CostModel::charge_n(ctx, self.cost.dec_ttl, pkts.len() as u64);
         for pkt in pkts.iter_mut() {
-            actions.push(match pkt.dec_ttl() {
-                Some(_) => Action::Out(0),
-                None => {
-                    self.expired += 1;
-                    Action::Drop
-                }
-            });
+            actions.push(self.verdict(pkt.dec_ttl().is_some()));
         }
     }
 }
@@ -196,7 +180,7 @@ impl Element for DecIpTtl {
 pub struct ToDevice {
     nic: Rc<RefCell<NicQueue>>,
     shared: bool,
-    /// Scratch buffer addresses for the batched path (reused every batch).
+    /// Scratch buffer addresses (reused every vector).
     bufs: Vec<Addr>,
     /// Packets transmitted.
     pub sent: u64,
@@ -208,15 +192,22 @@ impl ToDevice {
         ToDevice { nic, shared, bufs: Vec::new(), sent: 0 }
     }
 
-    /// One descriptor+free-list transaction for `bufs`, and one NIC borrow.
-    /// In pipeline mode the free list is cross-core shared data, its
-    /// ping-pong paid once per burst (`tx_shared_batch`).
-    fn transmit(&self, ctx: &mut ExecCtx<'_>, bufs: &[Addr]) {
+    /// Transmit and consume `pkts`: one descriptor+free-list transaction
+    /// and one NIC borrow for the whole vector. In pipeline mode the free
+    /// list is cross-core shared data, its ping-pong paid once per burst
+    /// (`tx_shared_batch`).
+    fn send(&mut self, ctx: &mut ExecCtx<'_>, pkts: &mut [Packet]) {
+        self.bufs.clear();
+        self.bufs.extend(header_addrs(pkts, |_| 0));
         let mut nic = self.nic.borrow_mut();
         if self.shared {
-            nic.tx_shared_batch(ctx, bufs);
+            nic.tx_shared_batch(ctx, &self.bufs);
         } else {
-            nic.tx_batch(ctx, bufs);
+            nic.tx_batch(ctx, &self.bufs);
+        }
+        for pkt in pkts.iter_mut() {
+            self.sent += 1;
+            pkt.buf_addr = 0;
         }
     }
 }
@@ -231,29 +222,22 @@ impl Element for ToDevice {
     }
 
     fn process(&mut self, ctx: &mut ExecCtx<'_>, pkt: &mut Packet) -> Action {
-        self.sent += 1;
-        if pkt.buf_addr != 0 {
-            self.transmit(ctx, &[pkt.buf_addr]);
-            pkt.buf_addr = 0;
-        }
+        // The vector body on a one-element slice: `tx_batch(&[buf])` is the
+        // per-packet transmit, and going through `bufs` keeps batch size
+        // 1's host allocations as they were (heap layout moves
+        // `peak_rss_mb`).
+        self.send(ctx, std::slice::from_mut(pkt));
         Action::Consumed
     }
 
-    fn process_batch(
+    fn process_vector(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         pkts: &mut [Packet],
         actions: &mut Vec<Action>,
     ) {
-        // No `read_batch` here, so unlike the other vectorised elements a
-        // one-packet vector needs no fallback: `tx_batch(&[buf])` is the
-        // per-packet transmit.
-        self.bufs.clear();
-        self.bufs.extend(pkts.iter().filter(|p| p.buf_addr != 0).map(|p| p.buf_addr));
-        self.transmit(ctx, &self.bufs);
-        for pkt in pkts.iter_mut() {
-            self.sent += 1;
-            pkt.buf_addr = 0;
+        self.send(ctx, pkts);
+        for _ in pkts.iter() {
             actions.push(Action::Consumed);
         }
     }

@@ -16,7 +16,7 @@
 //! sensitivity classes.
 
 use crate::cost::CostModel;
-use crate::element::{Action, Element, BATCH_MLP};
+use crate::element::{header_addrs, Action, Element, BATCH_MLP};
 use crate::elements::radix::push_covering_lines;
 use pp_net::fivetuple::{fnv1a, FlowKey};
 use pp_net::gen::rules::Rule;
@@ -165,11 +165,6 @@ impl TupleSpaceClassifier {
         }
     }
 
-    /// Number of distinct tuples (hash tables probed per packet).
-    pub fn tuple_count(&self) -> usize {
-        self.tuples.len()
-    }
-
     /// Simulated footprint of metadata plus all tuple tables.
     pub fn footprint(&self) -> u64 {
         self.tuples.footprint() + self.slots.footprint()
@@ -222,7 +217,7 @@ impl TupleSpaceClassifier {
     /// within a lane but independent across lanes. Matching semantics,
     /// probe counts, and per-packet `class_tuple` compute are identical to
     /// per-packet [`classify`](Self::classify) calls.
-    pub fn classify_batch(
+    fn classify_batch(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         keys: &[FlowKey],
@@ -286,6 +281,28 @@ impl TupleSpaceClassifier {
             .collect()
     }
 
+    /// Record and translate one classification: the highest rule index
+    /// counts as the default (the generated sets end with a catch-all), and
+    /// no match at all (a set with no default) drops.
+    #[inline]
+    fn verdict(&mut self, v: Option<Verdict>) -> Action {
+        let Some(v) = v else {
+            self.denied += 1;
+            return Action::Drop;
+        };
+        if v.rule as usize + 1 == self.n_rules {
+            self.default_matches += 1;
+        } else {
+            self.specific_matches += 1;
+        }
+        if v.deny {
+            self.denied += 1;
+            Action::Drop
+        } else {
+            Action::Out(0)
+        }
+    }
+
     /// Host-side classification (no simulated charges): the oracle used by
     /// tests against a linear scan of the rule set.
     pub fn classify_host(&self, key: &FlowKey) -> Option<Verdict> {
@@ -329,47 +346,17 @@ impl Element for TupleSpaceClassifier {
             ctx.read(pkt.buf_addr + pkt.l3_offset() as u64);
         }
         let Ok(key) = pkt.flow_key() else { return Action::Drop };
-        match self.classify(ctx, &key) {
-            Some(v) => {
-                // The generated sets end with a catch-all default; treat the
-                // highest index as "default" for accounting.
-                if v.rule as usize + 1 == self.n_rules {
-                    self.default_matches += 1;
-                } else {
-                    self.specific_matches += 1;
-                }
-                if v.deny {
-                    self.denied += 1;
-                    Action::Drop
-                } else {
-                    Action::Out(0)
-                }
-            }
-            None => {
-                // No rule at all (no default in the set): drop.
-                self.denied += 1;
-                Action::Drop
-            }
-        }
+        let v = self.classify(ctx, &key);
+        self.verdict(v)
     }
 
-    fn process_batch(
+    fn process_vector(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         pkts: &mut [Packet],
         actions: &mut Vec<Action>,
     ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
-        }
-        let hdrs: Vec<u64> = pkts
-            .iter()
-            .filter(|p| p.buf_addr != 0)
-            .map(|p| p.buf_addr + p.l3_offset() as u64)
-            .collect();
+        let hdrs: Vec<u64> = header_addrs(pkts, |p| p.l3_offset() as u64).collect();
         ctx.read_batch(&hdrs, BATCH_MLP);
         let mut keys = Vec::with_capacity(pkts.len());
         let mut lanes = Vec::with_capacity(pkts.len());
@@ -382,25 +369,7 @@ impl Element for TupleSpaceClassifier {
         let verdicts = self.classify_batch(ctx, &keys, BATCH_MLP);
         let mut out = vec![Action::Drop; pkts.len()];
         for (&lane, v) in lanes.iter().zip(verdicts) {
-            out[lane] = match v {
-                Some(v) => {
-                    if v.rule as usize + 1 == self.n_rules {
-                        self.default_matches += 1;
-                    } else {
-                        self.specific_matches += 1;
-                    }
-                    if v.deny {
-                        self.denied += 1;
-                        Action::Drop
-                    } else {
-                        Action::Out(0)
-                    }
-                }
-                None => {
-                    self.denied += 1;
-                    Action::Drop
-                }
-            };
+            out[lane] = self.verdict(v);
         }
         actions.extend(out);
     }
@@ -509,7 +478,7 @@ mod tests {
     fn every_tuple_is_probed_per_packet() {
         let rules = generate_classifier_rules(1000, 4);
         let (mut m, mut c) = classifier(&rules, &[]);
-        let tuples = c.tuple_count() as u64;
+        let tuples = c.tuples.len() as u64;
         assert!(tuples >= 12);
         let mut ctx = m.ctx(CoreId(0));
         let key = packet().flow_key().unwrap();

@@ -6,7 +6,7 @@
 //! *least* sensitive/aggressive workload.
 
 use crate::cost::CostModel;
-use crate::element::{Action, Element, BATCH_MLP};
+use crate::element::{header_addrs, Action, Element, BATCH_MLP};
 use pp_net::fivetuple::FlowKey;
 use pp_net::gen::rules::Rule;
 use pp_net::packet::Packet;
@@ -81,11 +81,6 @@ impl Firewall {
         Firewall { rules: SimVec::from_vec(alloc, recs), cost, matched: 0, passed: 0 }
     }
 
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Simulated footprint in bytes (the paper's 1000 rules ≈ 20 KB, which
     /// "can fit in the L2 cache").
     pub fn footprint(&self) -> u64 {
@@ -105,6 +100,18 @@ impl Firewall {
         }
         None
     }
+
+    /// Record and translate one scan result: a matching rule drops.
+    #[inline]
+    fn verdict(&mut self, matched: bool) -> Action {
+        if matched {
+            self.matched += 1;
+            Action::Drop
+        } else {
+            self.passed += 1;
+            Action::Out(0)
+        }
+    }
 }
 
 impl Element for Firewall {
@@ -121,36 +128,18 @@ impl Element for Firewall {
             ctx.read(pkt.buf_addr + pkt.l3_offset() as u64);
         }
         let Ok(key) = pkt.flow_key() else { return Action::Drop };
-        match self.scan(ctx, &key) {
-            Some(_) => {
-                self.matched += 1;
-                Action::Drop
-            }
-            None => {
-                self.passed += 1;
-                Action::Out(0)
-            }
-        }
+        let matched = self.scan(ctx, &key).is_some();
+        self.verdict(matched)
     }
 
-    fn process_batch(
+    fn process_vector(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         pkts: &mut [Packet],
         actions: &mut Vec<Action>,
     ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
-        }
         // Header touches overlapped across the vector.
-        let hdrs: Vec<u64> = pkts
-            .iter()
-            .filter(|p| p.buf_addr != 0)
-            .map(|p| p.buf_addr + p.l3_offset() as u64)
-            .collect();
+        let hdrs: Vec<u64> = header_addrs(pkts, |p| p.l3_offset() as u64).collect();
         ctx.read_batch(&hdrs, BATCH_MLP);
         // Loop interchange: outer over rules, inner over packets. Each rule
         // record is *read once per batch* instead of once per packet (the
@@ -191,17 +180,13 @@ impl Element for Firewall {
                     key.dst_port,
                     key.protocol,
                 ) {
-                    self.matched += 1;
-                    verdicts[lane] = Some(Action::Drop);
+                    verdicts[lane] = Some(self.verdict(true));
                     alive -= 1;
                 }
             }
         }
         for v in verdicts {
-            actions.push(v.unwrap_or_else(|| {
-                self.passed += 1;
-                Action::Out(0)
-            }));
+            actions.push(v.unwrap_or_else(|| self.verdict(false)));
         }
     }
 }
@@ -251,7 +236,7 @@ mod tests {
         let mut m = machine();
         let rules = generate_unmatchable_rules(1000, 4);
         let fw = Firewall::new(m.allocator(MemDomain(0)), &rules, CostModel::default());
-        assert_eq!(fw.rule_count(), 1000);
+        assert_eq!(fw.rules.len(), 1000);
         assert!(
             fw.footprint() <= m.config().l2.size_bytes / 2 * 2,
             "rules ({} B) should be L2-cacheable",

@@ -32,7 +32,7 @@
 //! privately built one would be.
 
 use crate::cost::CostModel;
-use crate::element::{Action, Element, BATCH_MLP};
+use crate::element::{header_addrs, Action, Element, BATCH_MLP};
 use pp_net::gen::prefixes::{generate_bgp_table, PrefixEntry};
 use pp_net::packet::Packet;
 use pp_sim::arena::{DomainAllocator, SimPlacement};
@@ -248,11 +248,6 @@ impl MultibitTrie {
         self.root.footprint() + self.nodes.footprint()
     }
 
-    /// Number of interior nodes (diagnostics; footprint = nodes × 64 B).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Host-only lookup (no simulated cost): the oracle interface for tests
     /// and for host-side tools.
     pub fn lookup_host(&self, dst: u32) -> Option<u32> {
@@ -430,11 +425,6 @@ impl BinaryRadixTrie {
     /// Total simulated footprint in bytes (nodes + route entries).
     pub fn footprint(&self) -> u64 {
         self.nodes.footprint() + self.routes.footprint()
-    }
-
-    /// Number of trie nodes (footprint = nodes × `NODE_SLOT_BYTES`).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Host-only lookup (no simulated cost) — the test oracle interface.
@@ -719,6 +709,18 @@ impl<T: LpmTable> IpLookup<T> {
             self.steps_total as f64 / n as f64
         }
     }
+
+    /// Record and translate one lookup result.
+    #[inline]
+    fn verdict(&mut self, hop: Option<u32>) -> Action {
+        if hop.is_some() {
+            self.found += 1;
+            Action::Out(0)
+        } else {
+            self.no_route += 1;
+            Action::Drop
+        }
+    }
 }
 
 impl<T: LpmTable> Element for IpLookup<T> {
@@ -741,32 +743,19 @@ impl<T: LpmTable> Element for IpLookup<T> {
         CostModel::charge(ctx, (self.cost.lookup_step.0 * steps as u64,
                                 self.cost.lookup_step.1 * steps as u64));
         self.steps_total += steps as u64;
-        if hop.is_some() {
-            self.found += 1;
-            Action::Out(0)
-        } else {
-            self.no_route += 1;
-            Action::Drop
-        }
+        self.verdict(hop)
     }
 
-    fn process_batch(
+    fn process_vector(
         &mut self,
         ctx: &mut ExecCtx<'_>,
         pkts: &mut [Packet],
         actions: &mut Vec<Action>,
     ) {
-        if pkts.len() <= 1 {
-            for pkt in pkts.iter_mut() {
-                actions.push(self.process(ctx, pkt));
-            }
-            return;
-        }
         // Header touches for the whole vector, overlapped.
         self.hdrs.clear();
-        self.hdrs.extend(
-            pkts.iter().filter(|p| p.buf_addr != 0).map(|p| p.buf_addr + p.l3_offset() as u64 + 16),
-        );
+        self.hdrs
+            .extend(header_addrs(pkts, |p| p.l3_offset() as u64 + 16));
         ctx.read_batch(&self.hdrs, BATCH_MLP);
         // Parse destinations host-side; unparsable packets drop as in the
         // scalar path, the rest walk the table together.
@@ -783,14 +772,10 @@ impl<T: LpmTable> Element for IpLookup<T> {
         let mut total_steps = 0u64;
         let verdict_base = actions.len();
         actions.resize(verdict_base + pkts.len(), Action::Drop);
-        for (&lane, &(hop, steps)) in self.lanes.iter().zip(self.results.iter()) {
+        for i in 0..self.lanes.len() {
+            let (hop, steps) = self.results[i];
             total_steps += steps as u64;
-            if hop.is_some() {
-                self.found += 1;
-                actions[verdict_base + lane] = Action::Out(0);
-            } else {
-                self.no_route += 1;
-            }
+            actions[verdict_base + self.lanes[i]] = self.verdict(hop);
         }
         self.steps_total += total_steps;
         CostModel::charge(ctx, (self.cost.lookup_step.0 * total_steps,

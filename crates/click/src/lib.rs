@@ -38,11 +38,12 @@
 //!
 //! Hot elements (`CheckIPHeader`, `DecIPTTL`, `RadixIPLookup`, `Firewall`,
 //! `TupleSpaceClassifier`, `ToDevice`) override
-//! [`element::Element::process_batch`] to hoist per-packet setup and issue
+//! [`element::Element::process_vector`] to hoist per-packet setup and issue
 //! independent per-packet loads overlapped (`ExecCtx::read_batch` with
 //! [`element::BATCH_MLP`] lookahead — software prefetching across lanes);
-//! every other element runs unchanged through the default per-packet loop,
-//! and the overrides themselves fall back to it for a one-packet vector.
+//! every other element runs unchanged through the default per-packet loop.
+//! A one-packet vector never reaches `process_vector`:
+//! [`element::Element::process_batch`] sends it to `process`.
 //! Batch-size sweeps (`repro batch`) are anchored to the paper's numbers at
 //! batch 1, pinned by output digests.
 //!
