@@ -137,7 +137,7 @@ impl Aes128 {
     ///
     /// Lookups are reported in execution order: 16 per main round
     /// (rounds 1..=9), then 16 S-box lookups in the final round.
-    pub fn encrypt_block_traced(
+    fn encrypt_block_traced(
         &self,
         block: [u8; 16],
         trace: &mut impl FnMut(TableRef, u8),

@@ -137,13 +137,8 @@ impl AhoCorasick {
         self.out_spans.len()
     }
 
-    /// Bytes of the dense transition table.
-    pub fn table_bytes(&self) -> u64 {
-        (self.dfa.len() * 4) as u64
-    }
-
     /// Trie depth of `state`.
-    pub fn state_depth(&self, state: u32) -> u16 {
+    fn state_depth(&self, state: u32) -> u16 {
         self.depth[state as usize]
     }
 
@@ -413,7 +408,7 @@ mod tests {
             ac.state_count(),
             total
         );
-        assert_eq!(ac.table_bytes(), ac.state_count() as u64 * 1024);
+        assert_eq!(ac.dfa.len(), ac.state_count() * 256);
     }
 
     fn dpi(mode: DpiMode, patterns: &[Vec<u8>]) -> (pp_sim::machine::Machine, Dpi) {
@@ -521,7 +516,7 @@ mod tests {
         let d = Dpi::new(m.allocator(MemDomain(0)), &sigs, DpiMode::Detect, CostModel::default());
         assert_eq!(std::mem::size_of::<SimPlacement<u32>>(), 24);
         assert_eq!((d.table.len(), d.table.stride()), (d.auto.dfa.len(), 4));
-        assert_eq!(d.table.footprint(), d.auto.table_bytes());
+        assert_eq!(d.table.footprint(), (d.auto.dfa.len() * 4) as u64);
         assert_eq!(d.footprint(), 11_423_016);
     }
 

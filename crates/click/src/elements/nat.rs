@@ -67,7 +67,7 @@ impl NatConfig {
     }
 
     /// Total public endpoints available.
-    pub fn pool_size(&self) -> u32 {
+    fn pool_size(&self) -> u32 {
         self.n_public_ips as u32 * self.ports_per_ip as u32
     }
 }
@@ -198,8 +198,9 @@ impl Nat {
     }
 
     /// Host-side query: the public endpoint currently bound to an inside
-    /// source, if any (diagnostics and tests).
-    pub fn binding_for(&self, key: &FlowKey) -> Option<(Ipv4Addr, u16)> {
+    /// source, if any (the tests' oracle).
+    #[cfg(test)]
+    fn binding_for(&self, key: &FlowKey) -> Option<(Ipv4Addr, u16)> {
         let h = Self::hash(key);
         for p in 0..MAX_PROBES {
             let b = self.bindings.peek((h + p) & self.mask);
@@ -214,7 +215,8 @@ impl Nat {
     }
 
     /// Host-side query: the inside endpoint owning a public port, if any.
-    pub fn reverse_of(&self, public_ip: Ipv4Addr, public_port: u16) -> Option<(Ipv4Addr, u16)> {
+    #[cfg(test)]
+    fn reverse_of(&self, public_ip: Ipv4Addr, public_port: u16) -> Option<(Ipv4Addr, u16)> {
         let ip_idx = u32::from(public_ip).checked_sub(u32::from(self.cfg.base_ip))?;
         if ip_idx >= self.cfg.n_public_ips as u32 || public_port < self.cfg.port_base {
             return None;

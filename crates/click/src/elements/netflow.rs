@@ -120,7 +120,8 @@ impl NetFlow {
         self.table.footprint()
     }
 
-    /// Host-side read of a flow's record (tests/diagnostics).
+    /// Host-side read of a flow's record (tests).
+    #[cfg(test)]
     fn host_record(&self, key: &FlowKey) -> Option<FlowRecord> {
         let h = key.hash() as usize;
         for p in 0..MAX_PROBES {
@@ -133,11 +134,6 @@ impl NetFlow {
             }
         }
         None
-    }
-
-    /// Host-side read of a flow's packet count (tests).
-    pub fn packet_count(&self, key: &FlowKey) -> Option<u32> {
-        self.host_record(key).map(|r| r.packets)
     }
 
     /// Simulated address of slot `i` (layout pins).
@@ -240,7 +236,7 @@ mod tests {
         assert_eq!(nf.inserted, 1);
         assert_eq!(nf.updated, 4);
         let key = pkt.flow_key().unwrap();
-        assert_eq!(nf.packet_count(&key), Some(5));
+        assert_eq!(nf.host_record(&key).map(|r| r.packets), Some(5));
         assert_eq!(nf.occupancy(), 1);
     }
 
@@ -261,8 +257,8 @@ mod tests {
             src_port: key.dst_port,
             dst_port: key.src_port,
         };
-        assert_eq!(nf.packet_count(&key), Some(1));
-        assert_eq!(nf.packet_count(&rev), Some(1));
+        assert_eq!(nf.host_record(&key).map(|r| r.packets), Some(1));
+        assert_eq!(nf.host_record(&rev).map(|r| r.packets), Some(1));
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl SpscQueue {
     /// Capacity currently in force: the ring size, clamped by any
     /// fault-injection cap.
     #[inline]
-    pub fn effective_capacity(&self) -> usize {
+    fn effective_capacity(&self) -> usize {
         self.capacity.min(self.cap_limit)
     }
 

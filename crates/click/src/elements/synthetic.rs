@@ -111,17 +111,6 @@ impl Synthetic {
     pub fn params(&self) -> &SynParams {
         &self.params
     }
-
-    /// Retune the compute intensity at run time (used by the throttling
-    /// controller and by hidden-aggressor scenarios).
-    pub fn set_ops_per_packet(&mut self, ops: u64) {
-        self.params.ops_per_packet = ops;
-    }
-
-    /// Retune the read count at run time.
-    pub fn set_reads_per_packet(&mut self, reads: u32) {
-        self.params.reads_per_packet = reads;
-    }
 }
 
 impl Element for Synthetic {
@@ -221,8 +210,8 @@ mod tests {
             SynParams::max(3),
             CostModel::default(),
         );
-        syn.set_ops_per_packet(100);
-        syn.set_reads_per_packet(4);
+        syn.params.ops_per_packet = 100;
+        syn.params.reads_per_packet = 4;
         let mut ctx = m.ctx(CoreId(0));
         let mut pkt = packet();
         syn.process(&mut ctx, &mut pkt);

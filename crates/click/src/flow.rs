@@ -258,12 +258,12 @@ impl FlowTask {
         self
     }
 
-    /// Re-size the batch at run time (0 means 1). The adaptive batch
-    /// controller uses this to move a live flow between measurement windows
-    /// without rebuilding its graph or tables: the next engine turn simply
-    /// receives a different-sized vector. Takes effect between turns — a
-    /// turn in flight always completes at the size it started with.
-    pub fn set_batch_size(&mut self, batch: usize) {
+    /// Re-size the batch at run time (0 means 1), as the `ShrinkBatch` rung
+    /// does through the shared control block: no graph or table is rebuilt,
+    /// the next engine turn simply receives a different-sized vector. Takes
+    /// effect between turns — a turn in flight always completes at the size
+    /// it started with.
+    fn set_batch_size(&mut self, batch: usize) {
         self.batch_size = batch.max(1);
     }
 
@@ -544,18 +544,13 @@ impl SourceStage {
         self.pool.clone()
     }
 
-    /// Hand off up to `batch` packets per engine turn (0 means 1).
+    /// Hand off up to `batch` packets per engine turn (0 means 1). Pair
+    /// with [`SinkStage::with_batch_size`] — the stages tolerate differing
+    /// sizes (the queue carries any mix of bursts), but the handoff
+    /// amortization follows the smaller of the two.
     pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.set_batch_size(batch);
-        self
-    }
-
-    /// Re-size the handoff burst at run time (0 means 1); effective from
-    /// the next turn. Pair with [`SinkStage::set_batch_size`] — the stages
-    /// tolerate differing sizes (the queue carries any mix of bursts), but
-    /// the handoff amortization follows the smaller of the two.
-    pub fn set_batch_size(&mut self, batch: usize) {
         self.batch_size = batch.max(1);
+        self
     }
 }
 
@@ -748,16 +743,11 @@ impl SinkStage {
         self.drops = drops;
     }
 
-    /// Drain up to `batch` packets per engine turn (0 means 1).
+    /// Drain up to `batch` packets per engine turn (0 means 1). See
+    /// [`SourceStage::with_batch_size`].
     pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.set_batch_size(batch);
-        self
-    }
-
-    /// Re-size the drain burst at run time (0 means 1); effective from
-    /// the next turn. See [`SourceStage::set_batch_size`].
-    pub fn set_batch_size(&mut self, batch: usize) {
         self.batch_size = batch.max(1);
+        self
     }
 
     /// Shared handle to the pipeline's ingress→egress latency histogram

@@ -258,32 +258,14 @@ impl BatchController {
     /// histogram. Verification must match the calibration context — use
     /// this only for controllers calibrated from solo probes
     /// ([`calibrate`](Self::calibrate)); a controller built from co-run
-    /// probes must be verified against a measurement of the same co-run
-    /// (measure the scenario yourself and pass the point to
-    /// [`verify_measured`](Self::verify_measured), as `repro adaptive`
-    /// does with its fixed-batch grid).
+    /// probes must be verified against a measurement of the same co-run.
     pub fn verify(
         &self,
         choice: BatchChoice,
         budget: LatencyBudget,
         params: ExpParams,
     ) -> VerifiedChoice {
-        self.verify_measured(choice, budget, Self::probe(self.flow, choice.batch, params))
-    }
-
-    /// Close the loop against an externally measured point (any context:
-    /// solo, co-run, pipeline), checking the achieved p99 at the chosen
-    /// size against the budget.
-    pub fn verify_measured(
-        &self,
-        choice: BatchChoice,
-        budget: LatencyBudget,
-        achieved: BatchProbe,
-    ) -> VerifiedChoice {
-        assert_eq!(
-            achieved.batch, choice.batch,
-            "verification must measure the chosen batch size"
-        );
+        let achieved = Self::probe(self.flow, choice.batch, params);
         let met_budget = achieved.latency.p99_us <= budget.p99_us;
         VerifiedChoice { choice, achieved, met_budget }
     }

@@ -158,13 +158,6 @@ impl BatchAmortization {
         }
         self.cycles_per_packet(1.0) / self.per_packet_cycles
     }
-
-    /// The pipeline extension of the model: framework amortization plus the
-    /// cross-core handoff term, i.e. predicted cycles/packet for a
-    /// two-stage pipeline running burst-mode handoff at burst size `b`.
-    pub fn pipeline_cycles_per_packet(&self, handoff: &CrossCoreHandoff, burst: f64) -> f64 {
-        self.cycles_per_packet(burst) + handoff.cycles_per_packet(burst)
-    }
 }
 
 /// Cross-core handoff term for the pipeline's burst-mode SPSC ring.
@@ -387,25 +380,6 @@ mod tests {
         // Exact interpolation at power-of-two interior sizes.
         for b in [4.0, 8.0, 16.0, 32.0] {
             assert!((fit.cycles_per_packet(b) - truth.cycles_per_packet(b)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn pipeline_model_combines_framework_and_handoff_terms() {
-        let fw = BatchAmortization { per_batch_cycles: 620.0, per_packet_cycles: 300.0 };
-        let h = CrossCoreHandoff {
-            control_cycles_per_burst: 400.0,
-            slot_line_cycles: 120.0,
-            slots_per_line: 4.0,
-        };
-        let combined1 = fw.pipeline_cycles_per_packet(&h, 1.0);
-        assert!((combined1 - (920.0 + 520.0)).abs() < 1e-9);
-        let mut last = f64::INFINITY;
-        for b in [1.0, 4.0, 8.0, 16.0, 32.0, 64.0] {
-            let c = fw.pipeline_cycles_per_packet(&h, b);
-            assert!(c < last, "combined pipeline cost must fall at burst {b}");
-            assert!(c > fw.per_packet_cycles, "never below the irreducible floor");
-            last = c;
         }
     }
 

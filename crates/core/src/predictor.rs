@@ -162,7 +162,7 @@ impl Predictor {
     }
 
     /// Predict with perfect knowledge of the actual competing refs/sec.
-    pub fn predict_drop_perfect(&self, target: FlowType, actual_competing: f64) -> f64 {
+    fn predict_drop_perfect(&self, target: FlowType, actual_competing: f64) -> f64 {
         let curve = self.curves.get(&target).expect("target type was not profiled");
         curve.interpolate(actual_competing)
     }

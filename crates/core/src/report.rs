@@ -68,7 +68,7 @@ impl Table {
     }
 
     /// Render as CSV (RFC-4180-style quoting for commas/quotes).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let esc = |s: &str| {
             if s.contains(',') || s.contains('"') || s.contains('\n') {
                 format!("\"{}\"", s.replace('"', "\"\""))

@@ -295,13 +295,6 @@ impl Supervisor {
         &self.tenants[t.0].guard
     }
 
-    /// Whether the tenant's model is currently marked stale (a
-    /// [`SupervisorAction::Recalibrate`] was issued and no
-    /// [`set_model`](Self::set_model) has landed since).
-    pub fn is_stale(&self, t: TenantId) -> bool {
-        self.tenants[t.0].stale
-    }
-
     /// Install a freshly fitted model for the tenant: new envelope, new
     /// drift reference. Clears the stale flag and the drift streak, and
     /// (via [`RuntimeGuard::set_envelope`]) restarts the guard's
@@ -665,7 +658,7 @@ mod tests {
         }
         let d = s.observe(t, &drifted, false, false);
         assert_eq!(d.action, SupervisorAction::Recalibrate, "3rd drifting clean window");
-        assert!(s.is_stale(t));
+        assert!(s.tenants[t.0].stale);
         assert_eq!(s.stats(t).recalibrations, 1);
         // Stale latches: no repeat request until a new model lands.
         for _ in 0..5 {
@@ -674,7 +667,7 @@ mod tests {
         assert_eq!(s.stats(t).recalibrations, 1);
         // A re-fit clears it; aligned windows stay quiet afterwards.
         s.set_model(t, 1_500_000.0, GuardEnvelope { min_pps: 1_050_000.0, ..envelope() });
-        assert!(!s.is_stale(t));
+        assert!(!s.tenants[t.0].stale);
         for _ in 0..5 {
             assert_eq!(s.observe(t, &drifted, false, false).action, SupervisorAction::Continue);
         }
@@ -693,7 +686,7 @@ mod tests {
             assert_eq!(d.action, SupervisorAction::Continue);
         }
         assert_eq!(s.stats(t).recalibrations, 0);
-        assert!(!s.is_stale(t));
+        assert!(!s.tenants[t.0].stale);
     }
 
     #[test]

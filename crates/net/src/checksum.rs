@@ -6,7 +6,7 @@
 
 /// One's-complement sum of a byte slice, folded to 16 bits (not inverted).
 /// Odd-length data is padded with a zero byte, per RFC 1071.
-pub fn ones_complement_sum(data: &[u8]) -> u16 {
+fn ones_complement_sum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
     for c in &mut chunks {

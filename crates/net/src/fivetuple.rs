@@ -25,7 +25,7 @@ pub struct FlowKey {
 
 impl FlowKey {
     /// Pack into 13 bytes (src, dst, proto, sport, dport), network order.
-    pub fn to_bytes(&self) -> [u8; 13] {
+    fn to_bytes(self) -> [u8; 13] {
         let mut b = [0u8; 13];
         b[0..4].copy_from_slice(&self.src.octets());
         b[4..8].copy_from_slice(&self.dst.octets());

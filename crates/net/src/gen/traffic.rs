@@ -100,7 +100,7 @@ impl TrafficSpec {
     }
 
     /// UDP payload bytes available at this frame length.
-    pub fn payload_len(&self) -> usize {
+    fn payload_len(&self) -> usize {
         self.frame_len.saturating_sub(14 + 20 + 8)
     }
 }

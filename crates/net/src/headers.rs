@@ -23,11 +23,6 @@ impl MacAddr {
         let [hi, lo] = idx.to_be_bytes();
         MacAddr([0x02, 0x00, 0x00, 0x00, hi, lo])
     }
-
-    /// Whether the multicast bit is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
 }
 
 impl std::fmt::Display for MacAddr {
@@ -316,10 +311,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mac_display_and_multicast() {
+    fn mac_display() {
         assert_eq!(MacAddr::local(0x1234).to_string(), "02:00:00:00:12:34");
-        assert!(!MacAddr::local(5).is_multicast());
-        assert!(MacAddr::BROADCAST.is_multicast());
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl Packet {
     }
 
     /// Byte offset where the L4 header starts (fixed 20-byte IPv4 header).
-    pub fn l4_offset(&self) -> usize {
+    fn l4_offset(&self) -> usize {
         self.l3_offset() + Ipv4Header::LEN
     }
 

@@ -116,11 +116,6 @@ impl Cluster {
         self.nodes[m.index()].up = up;
     }
 
-    /// Number of machines currently serving.
-    pub fn up_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.up).count()
-    }
-
     /// Machine ids in index order.
     pub fn machine_ids(&self) -> impl Iterator<Item = MachineId> {
         (0..self.nodes.len()).map(MachineId)
@@ -241,11 +236,6 @@ impl<T> TelemetryChannel<T> {
         self.queue = keep;
         out
     }
-
-    /// Payloads queued but not yet delivered.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -277,7 +267,7 @@ mod tests {
     fn down_machines_freeze_and_skip_measurement() {
         let mut cl = Cluster::new_uniform(2, &small_cfg());
         assert_eq!(cl.len(), 2);
-        assert_eq!(cl.up_count(), 2);
+        assert!(cl.nodes.iter().all(|n| n.up));
         for m in [MachineId(0), MachineId(1)] {
             cl.engine_mut(m).set_task(CoreId(0), Box::new(Spinner));
         }
@@ -286,7 +276,7 @@ mod tests {
         let frozen = cl.engine(MachineId(1)).machine.max_clock();
 
         cl.set_up(MachineId(1), false);
-        assert_eq!(cl.up_count(), 1);
+        assert!(cl.nodes[0].up && !cl.nodes[1].up);
         let r = cl.measure_all(0, 10_000);
         assert!(r[0].is_some());
         assert!(r[1].is_none(), "down machine yields no measurement");
@@ -318,7 +308,7 @@ mod tests {
         ch.send(1, "b");
         assert_eq!(ch.recv(0), vec!["a"]);
         assert!(ch.recv(1).is_empty(), "delayed payload not yet due");
-        assert_eq!(ch.in_flight(), 1);
+        assert_eq!(ch.queue.len(), 1);
         assert_eq!(ch.recv(3), vec!["b"]);
         assert_eq!((ch.sent, ch.dropped, ch.delivered), (2, 0, 2));
     }

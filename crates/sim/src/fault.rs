@@ -101,11 +101,6 @@ impl DropStats {
         }
     }
 
-    /// Whether any loss at all was recorded.
-    pub fn any_loss(&self) -> bool {
-        self.total_dropped() > 0
-    }
-
     /// Reset every counter (the after-warmup protocol).
     pub fn reset(&mut self) {
         *self = DropStats::default();
@@ -458,15 +453,6 @@ impl FaultInjector {
         &self.trace[first_new..]
     }
 
-    /// The faults active at `window` (after jitter resolution).
-    pub fn active_at(&self, window: u32) -> impl Iterator<Item = FaultKind> + '_ {
-        self.resolved
-            .iter()
-            .zip(self.plan.events.iter())
-            .filter(move |(&(start, end), _)| start <= window && window < end)
-            .map(|(_, e)| e.kind)
-    }
-
     /// The faults active at `window` that apply to tenant slot `tenant`:
     /// machine-wide events (no target) plus events targeting exactly that
     /// slot.
@@ -504,11 +490,9 @@ mod tests {
         assert_eq!(d.total_dropped(), 15);
         assert_eq!(d.undelivered(), 13);
         assert!((d.loss_frac() - 0.15).abs() < 1e-12);
-        assert!(d.any_loss());
         let mut d2 = d;
         d2.reset();
         assert_eq!(d2, DropStats::default());
-        assert!(!d2.any_loss());
         assert_eq!(d2.loss_frac(), 0.0);
     }
 
@@ -532,7 +516,7 @@ mod tests {
         assert_eq!(inj.plan().last_window(), 0);
         inj.advance(1000);
         assert!(inj.trace().is_empty());
-        assert_eq!(inj.active_at(5).count(), 0);
+        assert_eq!(inj.active_for(5, 0).count(), 0);
     }
 
     #[test]
@@ -545,8 +529,8 @@ mod tests {
         let t = inj.advance(2);
         assert_eq!(t.len(), 1);
         assert!(t[0].begin && t[0].event == 0 && t[0].window == 2);
-        assert_eq!(inj.active_at(2).count(), 1);
-        assert_eq!(inj.active_at(4).count(), 2);
+        assert_eq!(inj.active_for(2, 0).count(), 1);
+        assert_eq!(inj.active_for(4, 0).count(), 2);
         let t = inj.advance(6).to_vec();
         // window 4: event 1 begins; window 5: event 0 ends; window 6: event 1 ends.
         assert_eq!(
@@ -575,7 +559,7 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(inj.active_at(6).count(), 0);
+        assert_eq!(inj.active_for(6, 0).count(), 0);
         // Re-advancing a passed window yields nothing new.
         assert!(inj.advance(6).is_empty());
     }
@@ -610,8 +594,6 @@ mod tests {
         assert_eq!(inj.active_for(3, 0).count(), 1);
         assert_eq!(inj.active_for(3, 1).count(), 2);
         assert_eq!(inj.active_for(3, 2).count(), 1);
-        // active_at still reports both (slot-blind view).
-        assert_eq!(inj.active_at(3).count(), 2);
         // The trace carries the target tag through.
         let t = inj.advance(6).to_vec();
         let targeted: Vec<_> = t.iter().filter(|tr| tr.target == Some(1)).collect();

@@ -74,11 +74,6 @@ impl Interconnect {
     pub fn stats(&self, from: SocketId, to: SocketId) -> LinkStats {
         self.channels[from.index() * self.sockets + to.index()].stats
     }
-
-    /// Per-hop latency (cycles).
-    pub fn hop_latency(&self) -> Cycles {
-        self.hop_latency
-    }
 }
 
 #[cfg(test)]

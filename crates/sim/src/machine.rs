@@ -105,19 +105,9 @@ impl Machine {
         &mut self.cores[core.index()]
     }
 
-    /// All core ids, in order.
-    pub fn core_ids(&self) -> impl Iterator<Item = CoreId> {
-        (0..self.cores.len()).map(|i| CoreId(i as u16))
-    }
-
     /// The socket a core belongs to.
     pub fn socket_of(&self, core: CoreId) -> SocketId {
         self.cores[core.index()].socket
-    }
-
-    /// Cores belonging to one socket, in order.
-    pub fn cores_of(&self, socket: SocketId) -> Vec<CoreId> {
-        self.core_ids().filter(|&c| self.socket_of(c) == socket).collect()
     }
 
     /// The allocator for a NUMA domain (used when building data structures).
@@ -679,11 +669,14 @@ mod tests {
     #[test]
     fn topology_matches_config() {
         let m = machine();
-        assert_eq!(m.core_ids().count(), 12);
+        assert_eq!(m.cores.len(), 12);
         assert_eq!(m.socket_of(CoreId(0)), SocketId(0));
         assert_eq!(m.socket_of(CoreId(5)), SocketId(0));
         assert_eq!(m.socket_of(CoreId(6)), SocketId(1));
-        assert_eq!(m.cores_of(SocketId(1)).len(), 6);
+        assert_eq!(
+            m.cores.iter().filter(|c| c.socket == SocketId(1)).count(),
+            6
+        );
     }
 
     #[test]

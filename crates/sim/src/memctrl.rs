@@ -77,18 +77,6 @@ impl QueueModel {
         (busy / window as f64).min(self.max_utilization)
     }
 
-    /// Estimated utilization over the last finished bucket (diagnostics);
-    /// falls back to the current bucket before any bucket completes.
-    pub fn utilization(&self) -> f64 {
-        let (count, window) = if self.prev_count > 0 {
-            (self.prev_count, 1u64 << BUCKET_SHIFT)
-        } else {
-            (self.cur_count, 1u64 << BUCKET_SHIFT)
-        };
-        let busy = count as f64 * self.service_time as f64;
-        (busy / window as f64).min(self.max_utilization)
-    }
-
     /// Record an arrival at `now` and return the modeled queueing delay
     /// (M/D/1 mean wait: `service * rho / (2 * (1 - rho))`).
     ///
@@ -174,11 +162,6 @@ impl MemCtrl {
         self.stats.busy_cycles += self.queue.service_time();
     }
 
-    /// Current utilization estimate (0..=max).
-    pub fn utilization(&self) -> f64 {
-        self.queue.utilization()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> MemCtrlStats {
         self.stats
@@ -250,7 +233,7 @@ mod tests {
             last = m.demand_read(i * 10);
         }
         assert!(last >= 35, "saturated controller should impose real delay, got {last}");
-        assert!(m.utilization() > 0.85);
+        assert!(m.queue.rho(20_000 * 10) > 0.85);
     }
 
     #[test]
@@ -305,11 +288,11 @@ mod tests {
         for i in 0..10_000u64 {
             m.demand_read(i * 10);
         }
-        assert!(m.utilization() > 0.85);
+        assert!(m.queue.rho(10_000 * 10) > 0.85);
         // Two empty buckets later, history is gone.
         let far = 10_000 * 10 + (3u64 << 16);
         assert_eq!(m.demand_read(far), 0);
-        assert!(m.utilization() < 0.1);
+        assert!(m.queue.rho(far) < 0.1);
     }
 
     #[test]

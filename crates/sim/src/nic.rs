@@ -118,12 +118,6 @@ impl NicQueue {
         }
     }
 
-    /// Buffer capacity in bytes.
-    #[inline]
-    pub fn buf_bytes(&self) -> u64 {
-        self.buf_bytes
-    }
-
     /// Buffers currently available in the pool.
     #[inline]
     pub fn free_buffers(&self) -> usize {
@@ -158,12 +152,6 @@ impl NicQueue {
         let mut restored: Vec<u32> = std::mem::take(&mut self.seized);
         restored.append(&mut self.free);
         self.free = restored;
-    }
-
-    /// Buffers currently withheld by fault injection.
-    #[inline]
-    pub fn seized_buffers(&self) -> usize {
-        self.seized.len()
     }
 
     /// Receive one packet of `pkt_len` bytes: fetch and write back the RX
@@ -710,7 +698,7 @@ mod tests {
         let (mut m, mut q) = setup(); // 8 buffers
         assert_eq!(q.seize_buffers(6), 6);
         assert_eq!(q.free_buffers(), 2);
-        assert_eq!(q.seized_buffers(), 6);
+        assert_eq!(q.seized.len(), 6);
         let mut ctx = m.ctx(CoreId(0));
         let mut bufs = Vec::new();
         let n = q.rx_batch(&mut ctx, &[64; 4], &mut bufs);
@@ -719,7 +707,7 @@ mod tests {
         q.recycle_batch(&mut ctx, &bufs);
         q.release_seized();
         assert_eq!(q.free_buffers(), 8, "release restores the full pool");
-        assert_eq!(q.seized_buffers(), 0);
+        assert_eq!(q.seized.len(), 0);
         // The pool still works end to end after a seize/release cycle.
         bufs.clear();
         assert_eq!(q.rx_batch(&mut ctx, &[64; 8], &mut bufs), 8);
