@@ -9,10 +9,10 @@
 //!
 //! 1. **Liveness is inferred, never assumed.** A machine is `Up` until
 //!    its heartbeat goes silent past [`FleetConfig::HEARTBEAT_TIMEOUT`]
-//!    windows, then `Suspect`: the controller sends probes on a capped
-//!    exponential backoff ([`FleetConfig::PROBE_BACKOFF_BASE`] doubling to
-//!    [`FleetConfig::PROBE_BACKOFF_MAX`]) and only after
-//!    [`FleetConfig::SUSPECT_PROBES`] unanswered probes declares it `Dead`.
+//!    windows, then `Suspect`: the controller sends probes on an
+//!    exponential backoff (idles of [`FleetConfig::PROBE_BACKOFF_BASE`],
+//!    then double that) and only after [`FleetConfig::SUSPECT_PROBES`]
+//!    unanswered probes declares it `Dead`.
 //!    The backoff bounds how hard a flapping network can make the
 //!    controller work; the probe count bounds how long a genuinely dead
 //!    machine strands its tenants. A heartbeat at any point snaps the
@@ -72,8 +72,6 @@ impl FleetConfig {
     /// So a machine silent from w0 turns suspect at w3, is probed at w4
     /// and w6, and is declared dead at w9.
     pub const PROBE_BACKOFF_BASE: u32 = 1;
-    /// Ceiling on the idle between probes, windows.
-    pub const PROBE_BACKOFF_MAX: u32 = 4;
     /// Minimum bundle confidence for overload actions. With
     /// [`TenantTelemetry::DECAY`] 0.8, one window past the horizon (0.8)
     /// already falls below 0.9 — only genuinely fresh telemetry can
@@ -207,9 +205,11 @@ impl FleetController {
             last_heartbeat: 0,
             probes_sent: 0,
             next_probe_in: 0,
+            // A suspect phase takes `SUSPECT_PROBES` idles, so the doubling
+            // never needs a cap beyond the last of them.
             probe_backoff: Backoff::new(
                 FleetConfig::PROBE_BACKOFF_BASE,
-                FleetConfig::PROBE_BACKOFF_MAX,
+                FleetConfig::PROBE_BACKOFF_BASE << (FleetConfig::SUSPECT_PROBES - 1),
             ),
             restarted: false,
         });
@@ -467,11 +467,6 @@ impl FleetController {
         best.map(|(_, _, mi)| MachineId(mi))
     }
 
-    /// Controller's belief about machine `m`.
-    pub fn machine_state(&self, m: MachineId) -> MachineState {
-        self.machines[m.index()].state
-    }
-
     /// Current placement intent for tenant `t` (`None` = parked).
     pub fn placement(&self, t: TenantId) -> Option<MachineId> {
         self.tenants[t.0].placed
@@ -508,11 +503,6 @@ impl FleetController {
     /// Confidence in tenant `t`'s bundle at window `now`.
     pub fn confidence(&self, t: TenantId, now: u32) -> f64 {
         self.tenants[t.0].telemetry.confidence(now)
-    }
-
-    /// Tenants currently parked (no placement).
-    pub fn parked_count(&self) -> usize {
-        self.tenants.iter().filter(|t| t.placed.is_none()).count()
     }
 }
 
@@ -566,9 +556,9 @@ mod tests {
         for w in 0..4 {
             let _ = c.tick(w, &mut admit_all); // silence: suspect by w3
         }
-        assert_eq!(c.machine_state(ms[0]), MachineState::Suspect);
+        assert_eq!(c.machines[ms[0].index()].state, MachineState::Suspect);
         c.heartbeat(ms[0], 4);
-        assert_eq!(c.machine_state(ms[0]), MachineState::Up);
+        assert_eq!(c.machines[ms[0].index()].state, MachineState::Up);
         let _ = c.tick(4, &mut admit_all);
         assert_eq!(c.decisions(), 0, "a flap that recovers costs no placement change");
     }
@@ -590,12 +580,12 @@ mod tests {
                 }
             }
         }
-        assert_eq!(c.machine_state(ms[0]), MachineState::Dead);
+        assert_eq!(c.machines[ms[0].index()].state, MachineState::Dead);
         assert_eq!(placed_order, vec![hi, mid, lo], "highest priority re-places first");
         // Scored placement: hi goes to the emptier machine (m2), mid to
         // m1/m2 (fewest residents), and everything ends placed.
         assert_eq!(c.placement(hi), Some(ms[2]), "fewest residents wins");
-        assert_eq!(c.parked_count(), 0);
+        assert!(c.tenants.iter().all(|t| t.placed.is_some()));
         assert_eq!(c.replacements_used(), 3);
     }
 
@@ -621,12 +611,40 @@ mod tests {
                 }
             }
         }
-        assert_eq!(c.machine_state(ms[0]), MachineState::Dead);
+        assert_eq!(c.machines[ms[0].index()].state, MachineState::Dead);
         assert_eq!(c.placement(hi), Some(ms[1]), "the budget goes to the higher priorities");
         assert_eq!(c.placement(mid), Some(ms[1]));
         assert_eq!(c.placement(lo), None);
         assert_eq!(parked, vec![lo], "parking announced once, not per window");
         assert_eq!(c.replacements_used(), FleetConfig::REPLACEMENT_BUDGET);
+    }
+
+    #[test]
+    fn orphan_parks_when_the_survivor_is_full() {
+        // m1 already holds MACHINE_CAPACITY (3) residents, so m0's orphan
+        // has no machine with room and parks; one more slot would place it.
+        let (mut c, ms) = ctrl(2);
+        let orphan = c.add_tenant(FlowType::Ip, 1, ms[0]);
+        for _ in 0..3 {
+            c.add_tenant(FlowType::Fw, 0, ms[1]);
+        }
+        let mut parked = Vec::new();
+        for w in 0..12 {
+            c.heartbeat(ms[1], w);
+            for a in c.tick(w, &mut admit_all) {
+                if let FleetAction::Park { tenant } = a {
+                    parked.push(tenant);
+                }
+            }
+        }
+        assert_eq!(c.machines[ms[0].index()].state, MachineState::Dead);
+        assert_eq!(
+            parked,
+            vec![orphan],
+            "no room on the survivor: the orphan parks"
+        );
+        assert_eq!(c.placement(orphan), None);
+        assert_eq!(c.replacements_used(), 0);
     }
 
     #[test]
@@ -637,7 +655,7 @@ mod tests {
             c.heartbeat(ms[1], w);
             let _ = c.tick(w, &mut admit_all);
         }
-        assert_eq!(c.machine_state(ms[0]), MachineState::Dead);
+        assert_eq!(c.machines[ms[0].index()].state, MachineState::Dead);
         assert_eq!(c.placement(t), Some(ms[1]), "refugee placed on the survivor");
         let used = c.replacements_used();
         c.heartbeat(ms[0], 12); // restart

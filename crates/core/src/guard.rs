@@ -459,18 +459,20 @@ mod tests {
     fn reprobe_retries_follow_exponential_backoff() {
         let mut g = RuntimeGuard::new(envelope(), GuardConfig);
         let mut reprobe_windows = Vec::new();
-        for w in 0..25u32 {
+        for w in 0..30u32 {
             let d = g.observe(&bad());
             if d.reprobe_now {
                 reprobe_windows.push(w);
             }
         }
         // First reprobe when degradation engages (window 1: second bad
-        // window), then idles of 1, 2, 4, 8, 8 … windows (base 1, cap 8).
-        let gaps: Vec<u32> =
-            reprobe_windows.windows(2).map(|p| p[1] - p[0]).collect();
-        assert_eq!(reprobe_windows[0], 1, "first reprobe at the first degrade");
-        assert_eq!(&gaps[..4], &[2, 3, 5, 9], "doubling backoff (gap = backoff+1)");
+        // window), then idles of 1, 2, 4, 8, 8 windows (base 1, cap 8; gap =
+        // idle + 1). The sixth probe exists only while the cap holds.
+        assert_eq!(
+            reprobe_windows,
+            [1, 3, 6, 11, 20, 29],
+            "capped doubling backoff"
+        );
         // Recovery resets the schedule.
         for _ in 0..20 {
             g.observe(&good());
