@@ -27,6 +27,15 @@
 //! burst, and transmits/recycles through one amortized shared NIC
 //! transaction. The head/tail control-line ping-pong is paid once per burst
 //! — at the default burst of 1, once per packet, as §2.2 describes.
+//! [`pipeline_stages`] builds the pair.
+//!
+//! The three task types share their datapath ends: [`FlowTask`] and
+//! [`SourceStage`] call one receive (generate, charge, `rx_batch`, ledger,
+//! recycle the pool-starved tail), and all three call one completion
+//! (ledger the graph's drops, recycle every returned or dropped buffer in
+//! one NIC transaction, return every carcass to the pool). The
+//! [`DropStats`] ledger is written only there and at the shed, pacing,
+//! queue-full and migration decisions that precede or bypass them.
 //!
 //! Every task records per-packet ingress→egress **latency** (simulated
 //! cycles, stamped at the receive path and read at completion) into a
@@ -96,6 +105,167 @@ impl FrameworkChurn {
             }
         });
     }
+}
+
+/// A per-mille fault rate over its deterministic accumulator: it fires on
+/// exactly `rate` of every 1 000 calls, and never at rate 0.
+struct PerMille<'a> {
+    rate: u32,
+    acc: &'a mut u32,
+}
+
+impl PerMille<'_> {
+    #[inline]
+    fn fires(&mut self) -> bool {
+        if self.rate == 0 {
+            return false;
+        }
+        *self.acc += self.rate;
+        if *self.acc < 1000 {
+            return false;
+        }
+        *self.acc -= 1000;
+        true
+    }
+}
+
+/// The receive end [`FlowTask`] and [`SourceStage`] share, borrowed over
+/// the task's own fields (it owns nothing, so neither task's layout or
+/// allocations change).
+struct Receive<'a> {
+    gen: &'a mut TrafficGen,
+    nic: &'a RefCell<NicQueue>,
+    pool: &'a mut PacketPool,
+    cost: &'a CostModel,
+    churn: Option<&'a mut FrameworkChurn>,
+    drops: &'a RefCell<DropStats>,
+    pkts: &'a mut Vec<Packet>,
+    lens: &'a mut Vec<u64>,
+    bufs: &'a mut Vec<Addr>,
+}
+
+impl Receive<'_> {
+    /// Receive one vector of up to `admitted` arrivals, in order:
+    /// 1. generate them into recycled carcasses, shedding and corrupting
+    ///    at the given rates (host-side and charge-free);
+    /// 2. charge the per-batch fixed overhead, the per-packet residue for
+    ///    each generated packet and the framework churn — a fully shed
+    ///    vector pays the fixed overhead only and ends here;
+    /// 3. receive the vector in one `rx_batch`;
+    /// 4. ledger it as offered, its pool-starved tail as `nic_rx_exhausted`;
+    /// 5. return the tail's carcasses to the pool;
+    /// 6. give each delivered packet its buffer and the `ingress` stamp.
+    ///
+    /// Returns `(generated, delivered)`; the delivered packets are in
+    /// `pkts`.
+    #[inline]
+    fn run(
+        self,
+        ctx: &mut ExecCtx<'_>,
+        admitted: u64,
+        mut shed: PerMille<'_>,
+        mut corrupt: PerMille<'_>,
+        ingress: u64,
+    ) -> (usize, usize) {
+        self.pkts.clear();
+        self.lens.clear();
+        let mut shed_count = 0u64;
+        for _ in 0..admitted {
+            if shed.fires() {
+                shed_count += 1;
+                continue;
+            }
+            // The wire always has a packet waiting (the paper's generators
+            // run at line rate); generation refills a recycled carcass, so
+            // it allocates nothing.
+            let mut pkt = self.pool.take();
+            self.gen.next_packet_into(&mut pkt);
+            if corrupt.fires() {
+                pkt.data[CORRUPT_BYTE] ^= 0xFF;
+            }
+            self.lens.push(pkt.len() as u64);
+            self.pkts.push(pkt);
+        }
+        if shed_count > 0 {
+            let mut d = self.drops.borrow_mut();
+            d.offered += shed_count;
+            d.shed += shed_count;
+        }
+        let generated = self.pkts.len();
+        // Per-batch fixed overhead plus the per-packet residue; the split
+        // sums to `per_packet_overhead`, which is what a one-packet vector
+        // pays (see CostModel). A fully shed vector's drop decisions cost
+        // the fixed overhead (and advance the clock).
+        CostModel::charge(ctx, self.cost.batch_fixed_overhead);
+        if generated == 0 {
+            return (0, 0);
+        }
+        CostModel::charge_n(ctx, self.cost.batch_per_packet_overhead, generated as u64);
+        if let Some(churn) = self.churn {
+            // Once per batch: the framework's code + metadata footprint is
+            // re-referenced across the vector (I-cache amortization).
+            churn.touch(ctx);
+        }
+        self.bufs.clear();
+        let delivered = self.nic.borrow_mut().rx_batch(ctx, self.lens, self.bufs);
+        {
+            let mut d = self.drops.borrow_mut();
+            d.offered += generated as u64;
+            d.nic_rx_exhausted += (generated - delivered) as u64;
+        }
+        if delivered == 0 {
+            self.pool.put_all(self.pkts);
+            return (generated, 0); // time advanced by the failed rx
+        }
+        // Partial batch: the undelivered tail is lost (carcasses recycle).
+        while self.pkts.len() > delivered {
+            let p = self.pkts.pop().expect("len checked");
+            self.pool.put(p);
+        }
+        for (pkt, &buf) in self.pkts.iter_mut().zip(self.bufs.iter()) {
+            pkt.buf_addr = buf;
+            pkt.ingress_cycle = ingress;
+        }
+        (generated, delivered)
+    }
+}
+
+/// One NIC recycle transaction: [`NicQueue::recycle_batch`], or
+/// [`NicQueue::recycle_shared_batch`] for a cross-core recycle.
+type Recycle = fn(&mut NicQueue, &mut ExecCtx<'_>, &[Addr]);
+
+/// The completion end all three task types share, in order: ledger the
+/// graph's drops, gather the NIC buffers of every returned and dropped
+/// packet, hand them to `recycle` in one transaction, and return every
+/// carcass to the pool.
+#[inline]
+fn complete(
+    ctx: &mut ExecCtx<'_>,
+    outcome: &mut BatchOutcome,
+    nic: &RefCell<NicQueue>,
+    recycle: Recycle,
+    drops: &RefCell<DropStats>,
+    pool: &mut PacketPool,
+    bufs: &mut Vec<Addr>,
+) {
+    if !outcome.dropped.is_empty() {
+        drops.borrow_mut().element_dropped += outcome.dropped.len() as u64;
+    }
+    bufs.clear();
+    bufs.extend(
+        outcome
+            .returned
+            .iter()
+            .chain(outcome.dropped.iter())
+            .map(|p| p.buf_addr)
+            .filter(|&a| a != 0),
+    );
+    if !bufs.is_empty() {
+        recycle(&mut nic.borrow_mut(), ctx, bufs);
+    }
+    pool.put_all(&mut outcome.returned);
+    pool.put_all(&mut outcome.dropped);
+    pool.put_all(&mut outcome.carcasses);
 }
 
 /// A complete run-to-completion flow on one core. See the module docs.
@@ -299,9 +469,7 @@ impl CoreTask for FlowTask {
         let ingress = ctx.now();
         // Fault/degradation hooks: all host-side branches, dead when every
         // knob is zero (the default), so the unfaulted turn is bit-for-bit
-        // what it was before the hooks existed. Generation below is also
-        // host-side and charge-free, so running it ahead of the charges
-        // changes no simulated state.
+        // what it was before the hooks existed.
         let mut admitted = n as u64;
         let mut corrupt_pm = 0u32;
         let mut shed_pm = 0u32;
@@ -325,95 +493,38 @@ impl CoreTask for FlowTask {
             self.pace_last = u64::MAX;
             self.pace_credit = 0;
         }
-        self.pkts.clear();
-        self.lens.clear();
-        let mut shed_count = 0u64;
-        for _ in 0..admitted {
-            if shed_pm > 0 {
-                self.shed_acc += shed_pm;
-                if self.shed_acc >= 1000 {
-                    self.shed_acc -= 1000;
-                    shed_count += 1;
-                    continue;
-                }
-            }
-            // The wire always has a packet waiting (the paper's generators
-            // run at line rate); generation refills a recycled carcass, so
-            // it allocates nothing.
-            let mut pkt = self.pool.take();
-            self.gen.next_packet_into(&mut pkt);
-            if corrupt_pm > 0 {
-                self.corrupt_acc += corrupt_pm;
-                if self.corrupt_acc >= 1000 {
-                    self.corrupt_acc -= 1000;
-                    pkt.data[CORRUPT_BYTE] ^= 0xFF;
-                }
-            }
-            self.lens.push(pkt.len() as u64);
-            self.pkts.push(pkt);
+        let (generated, delivered) = Receive {
+            gen: &mut self.gen,
+            nic: &self.nic,
+            pool: &mut self.pool,
+            cost: &self.cost,
+            churn: self.churn.as_mut(),
+            drops: &self.drops,
+            pkts: &mut self.pkts,
+            lens: &mut self.lens,
+            bufs: &mut self.bufs,
         }
-        if shed_count > 0 {
-            let mut d = self.drops.borrow_mut();
-            d.offered += shed_count;
-            d.shed += shed_count;
-        }
-        let generated = self.pkts.len();
-        if generated == 0 {
-            // The whole admitted burst was shed: the drop decisions cost
-            // the fixed turn overhead (and advance the clock).
-            CostModel::charge(ctx, self.cost.batch_fixed_overhead);
-            return TurnResult::Progress;
-        }
-        // Per-batch fixed overhead plus the per-packet residue; the split
-        // sums to `per_packet_overhead`, which is what a one-packet vector
-        // pays (see CostModel).
-        CostModel::charge(ctx, self.cost.batch_fixed_overhead);
-        CostModel::charge_n(ctx, self.cost.batch_per_packet_overhead, generated as u64);
-        if let Some(churn) = &mut self.churn {
-            // Once per batch: the framework's code + metadata footprint is
-            // re-referenced across the vector (I-cache amortization).
-            churn.touch(ctx);
-        }
-        self.bufs.clear();
-        let delivered = self.nic.borrow_mut().rx_batch(ctx, &self.lens, &mut self.bufs);
+        .run(
+            ctx,
+            admitted,
+            PerMille { rate: shed_pm, acc: &mut self.shed_acc },
+            PerMille { rate: corrupt_pm, acc: &mut self.corrupt_acc },
+            ingress,
+        );
         self.rx_failures += (generated - delivered) as u64;
-        {
-            let mut d = self.drops.borrow_mut();
-            d.offered += generated as u64;
-            d.nic_rx_exhausted += (generated - delivered) as u64;
-        }
         if delivered == 0 {
-            self.pool.put_all(&mut self.pkts);
-            return TurnResult::Progress; // time advanced by the failed rx
-        }
-        // Partial batch: the undelivered tail is lost (carcasses recycle).
-        while self.pkts.len() > delivered {
-            let p = self.pkts.pop().expect("len checked");
-            self.pool.put(p);
-        }
-        for (pkt, &buf) in self.pkts.iter_mut().zip(self.bufs.iter()) {
-            pkt.buf_addr = buf;
+            return TurnResult::Progress; // the receive advanced the clock
         }
         self.graph.run_batch_into(ctx, &mut self.pkts, &mut self.outcome);
-        if !self.outcome.dropped.is_empty() {
-            self.drops.borrow_mut().element_dropped += self.outcome.dropped.len() as u64;
-        }
-        self.bufs.clear();
-        self.bufs.extend(
-            self.outcome
-                .returned
-                .iter()
-                .chain(self.outcome.dropped.iter())
-                .map(|p| p.buf_addr)
-                .filter(|&a| a != 0),
+        complete(
+            ctx,
+            &mut self.outcome,
+            &self.nic,
+            NicQueue::recycle_batch,
+            &self.drops,
+            &mut self.pool,
+            &mut self.bufs,
         );
-        if !self.bufs.is_empty() {
-            self.nic.borrow_mut().recycle_batch(ctx, &self.bufs);
-        }
-        // Every completed packet's carcass goes back to the pool.
-        self.pool.put_all(&mut self.outcome.returned);
-        self.pool.put_all(&mut self.outcome.dropped);
-        self.pool.put_all(&mut self.outcome.carcasses);
         self.processed += delivered as u64;
         ctx.retire_packets(delivered as u64);
         // Every packet of the burst was received together and completes
@@ -453,104 +564,110 @@ impl CoreTask for FlowTask {
     }
 }
 
-/// Pipeline stage 1: receive + the front of the chain, then enqueue.
-pub struct SourceStage {
+/// What both pipeline stages hold. [`pipeline_stages`] gives the two one
+/// carcass pool, one loss ledger and one handoff burst.
+struct Stage {
     label: Rc<str>,
-    gen: TrafficGen,
+    /// The source core's NIC queue: the front stage receives from it, the
+    /// back stage recycles into it cross-core.
     nic: Rc<RefCell<NicQueue>>,
-    /// Front sub-chain (may be empty: pure receive stage).
+    /// This stage's part of the chain (the front's may be empty: a pure
+    /// receive stage).
     graph: ElementGraph,
-    out: Rc<RefCell<SpscQueue>>,
-    cost: CostModel,
     churn: Option<FrameworkChurn>,
-    /// Packets per engine turn, ≥ 1 (a partial burst is sent when the
-    /// queue has fewer free slots).
+    /// Packets per engine turn (≥ 1).
     batch_size: usize,
-    /// Scratch frame lengths for the batched receive (reused every turn).
-    lens: Vec<u64>,
-    /// Scratch buffer addresses for the batched receive (reused).
+    /// Scratch buffer addresses for the batched receive and recycle.
     bufs: Vec<Addr>,
-    /// Host-side carcass pool. Shared with the paired [`SinkStage`] (see
-    /// [`pool_handle`](Self::pool_handle)): the sink returns completed
-    /// packets' frame allocations here and the generator refills them,
+    /// Host-side carcass pool: the sink returns completed packets' frame
+    /// allocations here and the source's generator refills them,
     /// mirroring §2.2's cross-core buffer recycling on the host side.
     pool: Rc<RefCell<PacketPool>>,
+    /// Reusable batch outcome for this stage's graph.
+    outcome: BatchOutcome,
+    /// The pipeline's loss ledger.
+    drops: Rc<RefCell<DropStats>>,
+}
+
+impl Stage {
+    /// This stage's completion end (see [`complete`]).
+    fn complete(&mut self, ctx: &mut ExecCtx<'_>, recycle: Recycle) {
+        let pool = &mut self.pool.borrow_mut();
+        complete(ctx, &mut self.outcome, &self.nic, recycle, &self.drops, pool, &mut self.bufs);
+    }
+}
+
+/// Wire the §2.2 pipeline's two stages around `queue`, labelled
+/// `{label}-front` and `{label}-back`. The front receives from `nic`,
+/// runs the first graph and hands off into `queue`; the back drains it,
+/// runs the second graph and recycles into `nic` cross-core. Each graph
+/// comes with its stage's framework churn, if any. The stages share one
+/// carcass pool, one loss ledger and one handoff burst of `burst` packets
+/// per turn (0 means 1).
+pub fn pipeline_stages(
+    label: &str,
+    gen: TrafficGen,
+    nic: Rc<RefCell<NicQueue>>,
+    queue: &Rc<RefCell<SpscQueue>>,
+    [front, back]: [(ElementGraph, Option<FrameworkChurn>); 2],
+    burst: usize,
+    cost: CostModel,
+) -> (SourceStage, SinkStage) {
+    let pool = Rc::new(RefCell::new(PacketPool::new()));
+    let drops = Rc::new(RefCell::new(DropStats::default()));
+    let stage = |side: &str, (graph, churn)| Stage {
+        label: Rc::from(format!("{label}-{side}")),
+        nic: nic.clone(),
+        graph,
+        churn,
+        batch_size: burst.max(1),
+        bufs: Vec::new(),
+        pool: pool.clone(),
+        outcome: BatchOutcome::default(),
+        drops: drops.clone(),
+    };
+    let src = SourceStage {
+        stage: stage("front", front),
+        gen,
+        out: queue.clone(),
+        cost,
+        lens: Vec::new(),
+        pkts: Vec::new(),
+        forwarded: 0,
+        stalls: 0,
+    };
+    let sink = SinkStage {
+        stage: stage("back", back),
+        input: queue.clone(),
+        scratch: Vec::new(),
+        ingress: Vec::new(),
+        latency: Rc::new(RefCell::new(LatencyHistogram::new())),
+        processed: 0,
+    };
+    (src, sink)
+}
+
+/// Pipeline stage 1: receive + the front of the chain, then enqueue.
+pub struct SourceStage {
+    stage: Stage,
+    gen: TrafficGen,
+    out: Rc<RefCell<SpscQueue>>,
+    cost: CostModel,
+    /// Scratch frame lengths for the batched receive (reused every turn).
+    lens: Vec<u64>,
     /// Scratch packet vector for the burst turn (reused).
     pkts: Vec<Packet>,
-    /// Reusable batch outcome for the front chain.
-    outcome: BatchOutcome,
-    /// Loss ledger for the whole pipeline (share it with the paired
-    /// [`SinkStage::share_drops`]; see [`drop_handle`](Self::drop_handle)).
-    drops: Rc<RefCell<DropStats>>,
     /// Packets handed to the next stage.
     pub forwarded: u64,
     /// Turns skipped because the queue was full.
     pub stalls: u64,
-    /// Packets lost to buffer-pool exhaustion at this stage's NIC (counted
-    /// per packet; the drop is also ledgered in
-    /// [`DropStats::nic_rx_exhausted`] — it is never silent).
-    pub rx_failures: u64,
 }
 
 impl SourceStage {
-    /// Assemble the front stage.
-    pub fn new(
-        label: impl Into<String>,
-        gen: TrafficGen,
-        nic: Rc<RefCell<NicQueue>>,
-        graph: ElementGraph,
-        out: Rc<RefCell<SpscQueue>>,
-        cost: CostModel,
-    ) -> Self {
-        SourceStage {
-            label: Rc::from(label.into()),
-            gen,
-            nic,
-            graph,
-            out,
-            cost,
-            churn: None,
-            batch_size: 1,
-            lens: Vec::new(),
-            bufs: Vec::new(),
-            pool: Rc::new(RefCell::new(PacketPool::new())),
-            pkts: Vec::new(),
-            outcome: BatchOutcome::default(),
-            drops: Rc::new(RefCell::new(DropStats::default())),
-            forwarded: 0,
-            stalls: 0,
-            rx_failures: 0,
-        }
-    }
-
     /// Shared handle to the pipeline's loss ledger (clone before boxing,
-    /// reset after warmup; hand it to [`SinkStage::share_drops`] so both
-    /// stages write one ledger).
+    /// reset after warmup); both stages write it.
     pub fn drop_handle(&self) -> Rc<RefCell<DropStats>> {
-        self.drops.clone()
-    }
-
-    /// Attach framework churn to this stage.
-    pub fn with_churn(mut self, churn: FrameworkChurn) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Shared handle to this stage's host-side carcass pool; hand it to
-    /// the paired [`SinkStage::share_pool`] so completed packets' frame
-    /// allocations flow back to the generator (the standard builders in
-    /// [`crate::pipelines`] do this).
-    pub fn pool_handle(&self) -> Rc<RefCell<PacketPool>> {
-        self.pool.clone()
-    }
-
-    /// Hand off up to `batch` packets per engine turn (0 means 1). Pair
-    /// with [`SinkStage::with_batch_size`] — the stages tolerate differing
-    /// sizes (the queue carries any mix of bursts), but the handoff
-    /// amortization follows the smaller of the two.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = batch.max(1);
-        self
+        self.stage.drops.clone()
     }
 }
 
@@ -561,7 +678,7 @@ impl CoreTask for SourceStage {
     fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
         // Partial-burst backpressure: size the burst to the room downstream
         // (a host-side check; a full queue stalls the turn).
-        let n = self.out.borrow().free_slots().min(self.batch_size);
+        let n = self.out.borrow().free_slots().min(self.stage.batch_size);
         if n == 0 {
             self.stalls += 1;
             return TurnResult::Idle;
@@ -570,186 +687,75 @@ impl CoreTask for SourceStage {
         // guarantees this is ≤ every other core's clock, so the sink's
         // egress reading is always causally after it.
         let ingress = ctx.now();
-        // Per-burst fixed overhead plus the per-packet residue (the split
-        // sums to `per_packet_overhead`, which is what a 1-packet burst
-        // pays).
-        CostModel::charge(ctx, self.cost.batch_fixed_overhead);
-        CostModel::charge_n(ctx, self.cost.batch_per_packet_overhead, n as u64);
-        if let Some(churn) = &mut self.churn {
-            churn.touch(ctx);
+        let s = &mut self.stage;
+        let (_, delivered) = Receive {
+            gen: &mut self.gen,
+            nic: &s.nic,
+            pool: &mut s.pool.borrow_mut(),
+            cost: &self.cost,
+            churn: s.churn.as_mut(),
+            drops: &s.drops,
+            pkts: &mut self.pkts,
+            lens: &mut self.lens,
+            bufs: &mut s.bufs,
         }
-        self.pkts.clear();
-        self.lens.clear();
-        {
-            let mut pool = self.pool.borrow_mut();
-            for _ in 0..n {
-                let mut pkt = pool.take();
-                self.gen.next_packet_into(&mut pkt);
-                self.lens.push(pkt.len() as u64);
-                self.pkts.push(pkt);
-            }
-        }
-        self.bufs.clear();
-        let delivered = self.nic.borrow_mut().rx_batch(ctx, &self.lens, &mut self.bufs);
-        self.rx_failures += (n - delivered) as u64;
-        {
-            let mut d = self.drops.borrow_mut();
-            d.offered += n as u64;
-            d.nic_rx_exhausted += (n - delivered) as u64;
-        }
+        .run(
+            ctx,
+            n as u64,
+            PerMille { rate: 0, acc: &mut 0 },
+            PerMille { rate: 0, acc: &mut 0 },
+            ingress,
+        );
         if delivered == 0 {
-            self.pool.borrow_mut().put_all(&mut self.pkts);
             return TurnResult::Progress; // time advanced by the failed rx
         }
-        // Partial batch: the pool-starved tail is lost (carcasses recycle).
-        {
-            let mut pool = self.pool.borrow_mut();
-            while self.pkts.len() > delivered {
-                let p = self.pkts.pop().expect("len checked");
-                pool.put(p);
-            }
-        }
-        for (pkt, &buf) in self.pkts.iter_mut().zip(self.bufs.iter()) {
-            pkt.buf_addr = buf;
-            pkt.ingress_cycle = ingress;
-        }
-        if self.graph.is_empty() {
-            self.outcome.reset();
-            self.outcome.returned.append(&mut self.pkts);
+        if s.graph.is_empty() {
+            s.outcome.reset();
+            s.outcome.returned.append(&mut self.pkts);
         } else {
-            self.graph.run_batch_into(ctx, &mut self.pkts, &mut self.outcome);
+            s.graph.run_batch_into(ctx, &mut self.pkts, &mut s.outcome);
         }
-        if !self.outcome.dropped.is_empty() {
-            self.drops.borrow_mut().element_dropped += self.outcome.dropped.len() as u64;
-        }
-        let to_queue = &mut self.outcome.returned;
+        let to_queue = &mut s.outcome.returned;
         let pushed = self.out.borrow_mut().push_burst(ctx, to_queue);
         self.forwarded += pushed as u64;
         if !to_queue.is_empty() {
             // Queue filled under us (cannot happen with the room check
             // above, but handled for robustness): counted queue-full drops.
-            self.drops.borrow_mut().queue_full += to_queue.len() as u64;
+            s.drops.borrow_mut().queue_full += to_queue.len() as u64;
             self.stalls += 1;
         }
-        // Recycle locally: front-chain drops plus any burst-rejected tail.
-        self.bufs.clear();
-        self.bufs.extend(
-            self.outcome
-                .dropped
-                .iter()
-                .chain(self.outcome.returned.iter())
-                .map(|p| p.buf_addr)
-                .filter(|&a| a != 0),
-        );
-        if !self.bufs.is_empty() {
-            self.nic.borrow_mut().recycle_batch(ctx, &self.bufs);
-        }
-        // Locally-ended packets return their carcasses to the pool (the
-        // forwarded ones come back via the sink's shared handle).
-        let mut pool = self.pool.borrow_mut();
-        pool.put_all(&mut self.outcome.dropped);
-        pool.put_all(&mut self.outcome.returned);
-        pool.put_all(&mut self.outcome.carcasses);
+        // Recycle locally: front-chain drops plus any burst-rejected tail
+        // (the forwarded packets come back via the sink).
+        s.complete(ctx, NicQueue::recycle_batch);
         TurnResult::Progress
     }
 
     fn label(&self) -> &str {
-        &self.label
+        &self.stage.label
     }
 
     fn label_shared(&self) -> Rc<str> {
-        self.label.clone()
+        self.stage.label.clone()
     }
 }
 
 /// Pipeline stage 2: dequeue, run the back of the chain, transmit (with
 /// cross-core buffer recycling into the source stage's pool).
 pub struct SinkStage {
-    label: Rc<str>,
+    stage: Stage,
     input: Rc<RefCell<SpscQueue>>,
-    graph: ElementGraph,
-    /// The *source* core's NIC queue: drops recycle into it cross-core.
-    nic: Rc<RefCell<NicQueue>>,
-    churn: Option<FrameworkChurn>,
-    /// Packets drained per engine turn (≥ 1).
-    batch_size: usize,
     /// Staging vector for the burst dequeue (reused every turn).
     scratch: Vec<Packet>,
     /// Scratch ingress stamps for latency recording (reused every turn).
     ingress: Vec<u64>,
-    /// Scratch buffer addresses for the batched recycle (reused).
-    bufs: Vec<Addr>,
-    /// Host-side carcass pool; [`share_pool`](Self::share_pool) points it
-    /// at the paired [`SourceStage`]'s pool so completed packets' frame
-    /// allocations flow back to the generator.
-    pool: Rc<RefCell<PacketPool>>,
-    /// Reusable batch outcome for the back chain.
-    outcome: BatchOutcome,
     /// Per-packet ingress→egress simulated cycles across the whole
     /// pipeline (stamped by the source stage at receive).
     latency: Rc<RefCell<LatencyHistogram>>,
-    /// Loss ledger; [`share_drops`](Self::share_drops) points it at the
-    /// paired [`SourceStage`]'s so the pipeline keeps one ledger.
-    drops: Rc<RefCell<DropStats>>,
     /// Packets completed at this stage.
     pub processed: u64,
 }
 
 impl SinkStage {
-    /// Assemble the back stage.
-    pub fn new(
-        label: impl Into<String>,
-        input: Rc<RefCell<SpscQueue>>,
-        graph: ElementGraph,
-        nic: Rc<RefCell<NicQueue>>,
-    ) -> Self {
-        SinkStage {
-            label: Rc::from(label.into()),
-            input,
-            graph,
-            nic,
-            churn: None,
-            batch_size: 1,
-            scratch: Vec::new(),
-            ingress: Vec::new(),
-            bufs: Vec::new(),
-            pool: Rc::new(RefCell::new(PacketPool::new())),
-            outcome: BatchOutcome::default(),
-            latency: Rc::new(RefCell::new(LatencyHistogram::new())),
-            drops: Rc::new(RefCell::new(DropStats::default())),
-            processed: 0,
-        }
-    }
-
-    /// Attach framework churn to this stage.
-    pub fn with_churn(mut self, churn: FrameworkChurn) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Recycle completed packets' carcasses into `pool` — normally the
-    /// paired [`SourceStage::pool_handle`], closing the host-side carcass
-    /// loop across the pipeline the way the simulated §2.2 recycling
-    /// closes the NIC buffer loop (the standard builders in
-    /// [`crate::pipelines`] wire this).
-    pub fn share_pool(&mut self, pool: Rc<RefCell<PacketPool>>) {
-        self.pool = pool;
-    }
-
-    /// Write this stage's losses into `drops` — normally the paired
-    /// [`SourceStage::drop_handle`], so the whole pipeline keeps one
-    /// ledger (the standard builders in [`crate::pipelines`] wire this).
-    pub fn share_drops(&mut self, drops: Rc<RefCell<DropStats>>) {
-        self.drops = drops;
-    }
-
-    /// Drain up to `batch` packets per engine turn (0 means 1). See
-    /// [`SourceStage::with_batch_size`].
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch_size = batch.max(1);
-        self
-    }
-
     /// Shared handle to the pipeline's ingress→egress latency histogram
     /// (clone it before boxing the task into the engine; reset it after
     /// warmup).
@@ -780,12 +786,13 @@ impl CoreTask for SinkStage {
                 return TurnResult::Idle;
             }
             self.scratch.clear();
-            q.pop_burst(ctx, self.batch_size, &mut self.scratch);
+            q.pop_burst(ctx, self.stage.batch_size, &mut self.scratch);
         }
         if self.scratch.is_empty() {
             return TurnResult::Idle;
         }
-        if let Some(churn) = &mut self.churn {
+        let s = &mut self.stage;
+        if let Some(churn) = &mut s.churn {
             // Once per burst: I-cache/metadata amortization.
             churn.touch(ctx);
         }
@@ -801,32 +808,11 @@ impl CoreTask for SinkStage {
         self.ingress.clear();
         self.ingress.extend(self.scratch.iter().map(|p| p.ingress_cycle));
         let n = self.scratch.len() as u64;
-        self.graph.run_batch_into(ctx, &mut self.scratch, &mut self.outcome);
-        if !self.outcome.dropped.is_empty() {
-            self.drops.borrow_mut().element_dropped += self.outcome.dropped.len() as u64;
-        }
-        self.bufs.clear();
-        self.bufs.extend(
-            self.outcome
-                .returned
-                .iter()
-                .chain(self.outcome.dropped.iter())
-                .map(|p| p.buf_addr)
-                .filter(|&a| a != 0),
-        );
-        if !self.bufs.is_empty() {
-            // Cross-core recycle into the source core's pool, one
-            // free-list ping-pong per burst.
-            self.nic.borrow_mut().recycle_shared_batch(ctx, &self.bufs);
-        }
-        // Carcasses flow back to the source stage's generator (host-side
-        // mirror of the cross-core buffer recycle above).
-        {
-            let mut pool = self.pool.borrow_mut();
-            pool.put_all(&mut self.outcome.returned);
-            pool.put_all(&mut self.outcome.dropped);
-            pool.put_all(&mut self.outcome.carcasses);
-        }
+        s.graph.run_batch_into(ctx, &mut self.scratch, &mut s.outcome);
+        // Cross-core recycle into the source core's pool, one free-list
+        // ping-pong per burst; the carcasses flow back to the source
+        // stage's generator (the host-side mirror of that recycle).
+        s.complete(ctx, NicQueue::recycle_shared_batch);
         self.processed += n;
         ctx.retire_packets(n);
         self.record_latencies(ctx.now(), &self.ingress);
@@ -834,11 +820,11 @@ impl CoreTask for SinkStage {
     }
 
     fn label(&self) -> &str {
-        &self.label
+        &self.stage.label
     }
 
     fn label_shared(&self) -> Rc<str> {
-        self.label.clone()
+        self.stage.label.clone()
     }
 }
 
@@ -922,12 +908,13 @@ mod tests {
             128,
             cost,
         )));
-        let src = SourceStage::new(
-            "front",
+        let (src, _) = pipeline_stages(
+            "p",
             TrafficGen::new(TrafficSpec::random_dst(64, 3)),
             nic.clone(),
-            ElementGraph::new(cost),
-            q.clone(),
+            &q,
+            [(ElementGraph::new(cost), None), (ElementGraph::new(cost), None)],
+            1,
             cost,
         );
         let mut e = Engine::new(m);
@@ -1217,14 +1204,12 @@ mod tests {
             2048,
         )));
         let q = Rc::new(RefCell::new(SpscQueue::new(m.allocator(MemDomain(0)), 4, cost)));
-        let mut src = SourceStage::new(
-            "front",
-            TrafficGen::new(TrafficSpec::random_dst(64, 3)),
-            nic.clone(),
-            ElementGraph::new(cost),
-            q.clone(),
-            cost,
-        );
+        let source = |burst| {
+            let traffic = TrafficGen::new(TrafficSpec::random_dst(64, 3));
+            let graphs = [(ElementGraph::new(cost), None), (ElementGraph::new(cost), None)];
+            pipeline_stages("p", traffic, nic.clone(), &q, graphs, burst, cost).0
+        };
+        let mut src = source(1);
         let drops = src.drop_handle();
         for _ in 0..50 {
             let mut ctx = m.ctx(CoreId(0));
@@ -1237,7 +1222,8 @@ mod tests {
         assert!(src.stalls >= 46);
         // Burst mode with a shrunken cap: the queue fills mid-burst and the
         // rejected tail is a counted queue-full drop.
-        let mut src = src.with_batch_size(8);
+        let mut src = source(8);
+        let drops = src.drop_handle();
         q.borrow_mut().clear_capacity_limit();
         {
             let mut q = q.borrow_mut();
@@ -1270,19 +1256,19 @@ mod tests {
         )));
         let mut front = ElementGraph::new(cost);
         front.add(Box::new(CheckIpHeader::new(cost)));
-        let src = SourceStage::new(
-            "front",
-            TrafficGen::new(TrafficSpec::random_dst(64, 3)),
-            nic.clone(),
-            front,
-            q.clone(),
-            cost,
-        );
         let mut back = ElementGraph::new(cost);
         let cnt = back.add(Box::new(Counter::default()));
         let tx = back.add(Box::new(ToDevice::new(nic.clone(), true)));
         back.chain(&[cnt, tx]);
-        let sink = SinkStage::new("back", q.clone(), back, nic.clone());
+        let (src, sink) = pipeline_stages(
+            "p",
+            TrafficGen::new(TrafficSpec::random_dst(64, 3)),
+            nic.clone(),
+            &q,
+            [(front, None), (back, None)],
+            1,
+            cost,
+        );
 
         let mut e = Engine::new(m);
         e.set_task(CoreId(0), Box::new(src));

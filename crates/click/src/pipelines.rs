@@ -31,7 +31,7 @@ use crate::elements::radix::RadixIpLookup;
 use crate::elements::re::{ReConfig, RedundancyElim};
 use crate::elements::synthetic::{SynParams, Synthetic};
 use crate::elements::vpn::VpnEncrypt;
-use crate::flow::{FlowTask, FrameworkChurn, SinkStage, SourceStage};
+use crate::flow::{pipeline_stages, FlowTask, FrameworkChurn, SinkStage, SourceStage};
 use crate::graph::ElementGraph;
 use pp_net::gen::rules::{generate_classifier_rules, generate_unmatchable_rules};
 use pp_net::gen::signatures::generate_signatures;
@@ -360,7 +360,7 @@ pub struct PipelineSpec {
     /// a queue-placement scenario in its own right).
     pub queue_domain: MemDomain,
     /// Packets per cross-core handoff through both stages
-    /// ([`SourceStage::with_batch_size`] / [`SinkStage::with_batch_size`]).
+    /// ([`pipeline_stages`]).
     /// The default, 1, is §2.2's one queue transaction per packet; 0
     /// means 1.
     pub burst: usize,
@@ -393,33 +393,6 @@ fn ring_and_queue(
     (nic, Rc::new(RefCell::new(queue)))
 }
 
-/// The one pipeline wiring, over [`ring_and_queue`]'s pair and the two
-/// halves' graphs: the sink returns completed packets' frame allocations
-/// to the source's generator pool — closing the host-side carcass loop —
-/// and the two stages share one loss ledger and one handoff burst.
-fn wire_stages(
-    label: &str,
-    traffic: TrafficSpec,
-    nic: Rc<RefCell<NicQueue>>,
-    queue: &Rc<RefCell<SpscQueue>>,
-    [front, back]: [ElementGraph; 2],
-    burst: usize,
-    cost: CostModel,
-) -> (SourceStage, SinkStage) {
-    let src = SourceStage::new(
-        format!("{label}-front"),
-        TrafficGen::new(traffic),
-        nic.clone(),
-        front,
-        queue.clone(),
-        cost,
-    );
-    let mut sink = SinkStage::new(format!("{label}-back"), queue.clone(), back, nic);
-    sink.share_pool(src.pool_handle());
-    sink.share_drops(src.drop_handle());
-    (src.with_batch_size(burst), sink.with_batch_size(burst))
-}
-
 /// Build the same workload as a two-stage pipeline: stage 1 receives and
 /// validates, stage 2 does the heavy processing and transmits. Returns
 /// `(front, back, queue)`; bind `front` and `back` to different cores.
@@ -448,9 +421,10 @@ pub fn build_pipeline(
         back.set_entry(1);
     }
     let back_churn = FrameworkChurn::new(machine.allocator(back_domain), &cost);
-    let (src, sink) =
-        wire_stages(spec.kind.name(), spec.traffic(), nic, &queue, [front, back], pipe.burst, cost);
-    (src.with_churn(front_churn), sink.with_churn(back_churn), queue)
+    let graphs = [(front, Some(front_churn)), (back, Some(back_churn))];
+    let gen = TrafficGen::new(spec.traffic());
+    let (src, sink) = pipeline_stages(spec.kind.name(), gen, nic, &queue, graphs, pipe.burst, cost);
+    (src, sink, queue)
 }
 
 // The §2.2 crafted two-phase synthetic workload: each packet triggers
@@ -511,8 +485,9 @@ pub fn two_phase_pipeline(
     let b = back.add(Box::new(two_phase_element(machine, back_domain, TWO_PHASE_SEED ^ 1)));
     let t = back.add(Box::new(ToDevice::new(nic.clone(), true)));
     back.chain(&[b, t]);
-    let traffic = TrafficSpec::random_dst(64, TWO_PHASE_SEED);
-    let (src, sink) = wire_stages("2phase", traffic, nic, &queue, [front, back], pipe.burst, cost);
+    let gen = TrafficGen::new(TrafficSpec::random_dst(64, TWO_PHASE_SEED));
+    let graphs = [(front, None), (back, None)];
+    let (src, sink) = pipeline_stages("2phase", gen, nic, &queue, graphs, pipe.burst, cost);
     (src, sink, queue)
 }
 
