@@ -23,13 +23,14 @@
 //!    decreasing, so the largest batch whose predicted p99 fits the budget
 //!    is also the throughput-best feasible one — the decision is a scan,
 //!    no search.
-//! 3. **Verify** ([`BatchController::verify`]): run the flow at the chosen
-//!    size and read the achieved p99 back from the
+//! 3. **Verify** (`repro adaptive`): the adaptive sweep measures every
+//!    scenario's fixed-batch grid, reads the achieved p99 at the chosen
+//!    size back from the
 //!    [`LatencyHistogram`](pp_sim::latency::LatencyHistogram) (surfaced as
-//!    [`LatencySummary`] on every [`FlowResult`](crate::experiment::FlowResult)).
-//!    `repro adaptive` asserts the budget holds in every scenario and that
-//!    the chosen batch keeps ≥ 90% of the best fixed batch's throughput
-//!    under the same budget.
+//!    [`LatencySummary`] on every [`FlowResult`](crate::experiment::FlowResult)),
+//!    and asserts the budget holds in every scenario and that the chosen
+//!    batch keeps ≥ 90% of the best fixed batch's throughput under the
+//!    same budget.
 //!
 //! The loop closes on the *predictor* too ([`revalidate_predictor`]):
 //! batching changes every per-packet cost, so the paper's <3% contention-
@@ -112,17 +113,6 @@ pub struct BatchChoice {
     /// Whether the prediction fits the budget. `false` means even batch 1
     /// is predicted to miss — the choice is then the least-bad size (1).
     pub feasible: bool,
-}
-
-/// A verified decision: the choice plus the measured outcome at that size.
-#[derive(Debug, Clone)]
-pub struct VerifiedChoice {
-    /// The model's decision.
-    pub choice: BatchChoice,
-    /// The measurement at the chosen size.
-    pub achieved: BatchProbe,
-    /// Whether the *measured* p99 met the budget.
-    pub met_budget: bool,
 }
 
 /// Per-flow adaptive batch controller. See the module docs for the loop.
@@ -251,23 +241,6 @@ impl BatchController {
             predicted_cycles_per_packet: self.model.cycles_per_packet(batch as f64),
             feasible: feasible.is_some(),
         }
-    }
-
-    /// Close the loop with a **solo** run: measure the flow alone at the
-    /// chosen size and read the achieved p99 back from the latency
-    /// histogram. Verification must match the calibration context — use
-    /// this only for controllers calibrated from solo probes
-    /// ([`calibrate`](Self::calibrate)); a controller built from co-run
-    /// probes must be verified against a measurement of the same co-run.
-    pub fn verify(
-        &self,
-        choice: BatchChoice,
-        budget: LatencyBudget,
-        params: ExpParams,
-    ) -> VerifiedChoice {
-        let achieved = Self::probe(self.flow, choice.batch, params);
-        let met_budget = achieved.latency.p99_us <= budget.p99_us;
-        VerifiedChoice { choice, achieved, met_budget }
     }
 }
 
@@ -475,17 +448,17 @@ mod tests {
     #[test]
     fn verified_choice_meets_a_sane_budget() {
         // The end-to-end loop at test scale: pick for a budget 4x the
-        // measured batch-1 p99, then verify the measurement agrees.
+        // measured batch-1 p99, then measure the chosen size solo.
         let c = controller();
         let budget = LatencyBudget::us(c.probes[0].latency.p99_us * 4.0);
         let choice = c.choose(budget);
         assert!(choice.feasible);
         assert!(choice.batch >= 1);
-        let v = c.verify(choice, budget, ExpParams::quick());
+        let achieved = BatchController::probe(c.flow, choice.batch, ExpParams::quick());
         assert!(
-            v.met_budget,
+            achieved.latency.p99_us <= budget.p99_us,
             "chosen batch {} achieved p99 {:.2}us over budget {:.2}us",
-            choice.batch, v.achieved.latency.p99_us, budget.p99_us
+            choice.batch, achieved.latency.p99_us, budget.p99_us
         );
     }
 

@@ -24,9 +24,10 @@
 //! * **Adaptive batch control** ([`batch_control`]) — beyond the paper:
 //!   the closed loop that picks each flow's datapath batch size from the
 //!   fitted `F/b + p` (+ `C/b + S·ceil(b/L)/b` for pipelines) cost models
-//!   subject to a p99 latency budget, verifies the decision against the
-//!   measured latency histogram, and re-validates the contention predictor
-//!   on the batched datapath (`repro adaptive`).
+//!   subject to a p99 latency budget, and re-validates the contention
+//!   predictor on the batched datapath; the adaptive sweep (`repro
+//!   adaptive`) verifies every decision against the measured latency
+//!   histogram.
 //! * **Runtime guard** ([`guard`]) — beyond the paper: the windowed
 //!   envelope check and hysteresis-protected degradation ladder
 //!   (re-probe → shrink batch → throttle → shed) that keeps the closed
@@ -97,7 +98,7 @@ pub mod prelude {
     pub use crate::admission::{AdmissionController, AdmissionDecision, FlowVerdict, Sla};
     pub use crate::batch_control::{
         plan_socket, revalidate_predictor, BatchChoice, BatchController, BatchProbe,
-        LatencyBudget, Revalidation, SocketPlan, VerifiedChoice, CANDIDATE_BATCHES,
+        LatencyBudget, Revalidation, SocketPlan, CANDIDATE_BATCHES,
     };
     pub use crate::experiment::{
         corun_against_solo, corun_mixes, corun_scenario, default_threads, run_corun,
