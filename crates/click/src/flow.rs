@@ -145,19 +145,12 @@ struct Receive<'a> {
 }
 
 impl Receive<'_> {
-    /// Receive one vector of up to `admitted` arrivals, in order:
-    /// 1. generate them into recycled carcasses, shedding and corrupting
-    ///    at the given rates (host-side and charge-free);
-    /// 2. charge the per-batch fixed overhead, the per-packet residue for
-    ///    each generated packet and the framework churn — a fully shed
-    ///    vector pays the fixed overhead only and ends here;
-    /// 3. receive the vector in one `rx_batch`;
-    /// 4. ledger it as offered, its pool-starved tail as `nic_rx_exhausted`;
-    /// 5. return the tail's carcasses to the pool;
-    /// 6. give each delivered packet its buffer and the `ingress` stamp.
-    ///
-    /// Returns `(generated, delivered)`; the delivered packets are in
-    /// `pkts`.
+    /// Receive one vector of up to `admitted` arrivals: generate them
+    /// (host-side and charge-free, shedding and corrupting at the given
+    /// rates), charge the batch, `rx_batch` it, ledger it, recycle the
+    /// pool-starved tail, and stamp each delivered packet with its buffer
+    /// and `ingress`. Returns `(generated, delivered)`; the delivered
+    /// packets are left in `pkts`.
     #[inline]
     fn run(
         self,
@@ -213,13 +206,8 @@ impl Receive<'_> {
             d.offered += generated as u64;
             d.nic_rx_exhausted += (generated - delivered) as u64;
         }
-        if delivered == 0 {
-            self.pool.put_all(self.pkts);
-            return (generated, 0); // time advanced by the failed rx
-        }
-        // Partial batch: the undelivered tail is lost (carcasses recycle).
-        while self.pkts.len() > delivered {
-            let p = self.pkts.pop().expect("len checked");
+        // The pool-starved tail is lost (its carcasses recycle).
+        for p in self.pkts.drain(delivered..).rev() {
             self.pool.put(p);
         }
         for (pkt, &buf) in self.pkts.iter_mut().zip(self.bufs.iter()) {
@@ -252,14 +240,8 @@ fn complete(
         drops.borrow_mut().element_dropped += outcome.dropped.len() as u64;
     }
     bufs.clear();
-    bufs.extend(
-        outcome
-            .returned
-            .iter()
-            .chain(outcome.dropped.iter())
-            .map(|p| p.buf_addr)
-            .filter(|&a| a != 0),
-    );
+    let ended = outcome.returned.iter().chain(&outcome.dropped);
+    bufs.extend(ended.map(|p| p.buf_addr).filter(|&a| a != 0));
     if !bufs.is_empty() {
         recycle(&mut nic.borrow_mut(), ctx, bufs);
     }
@@ -583,9 +565,7 @@ struct Stage {
     /// allocations here and the source's generator refills them,
     /// mirroring §2.2's cross-core buffer recycling on the host side.
     pool: Rc<RefCell<PacketPool>>,
-    /// Reusable batch outcome for this stage's graph.
     outcome: BatchOutcome,
-    /// The pipeline's loss ledger.
     drops: Rc<RefCell<DropStats>>,
 }
 
@@ -762,17 +742,6 @@ impl SinkStage {
     pub fn latency_handle(&self) -> Rc<RefCell<LatencyHistogram>> {
         self.latency.clone()
     }
-
-    /// Record completion latencies for a set of ingress stamps (host-side,
-    /// charge-free).
-    fn record_latencies(&self, now: u64, ingress: &[u64]) {
-        let mut lat = self.latency.borrow_mut();
-        for &t in ingress {
-            if t != 0 && t <= now {
-                lat.record(now - t);
-            }
-        }
-    }
 }
 
 impl CoreTask for SinkStage {
@@ -815,7 +784,11 @@ impl CoreTask for SinkStage {
         s.complete(ctx, NicQueue::recycle_shared_batch);
         self.processed += n;
         ctx.retire_packets(n);
-        self.record_latencies(ctx.now(), &self.ingress);
+        // Host-side and charge-free, like the stamps.
+        let (now, mut lat) = (ctx.now(), self.latency.borrow_mut());
+        for &t in self.ingress.iter().filter(|&&t| t != 0 && t <= now) {
+            lat.record(now - t);
+        }
         TurnResult::Progress
     }
 
@@ -839,32 +812,52 @@ mod tests {
     use pp_sim::machine::Machine;
     use pp_sim::types::{CoreId, MemDomain};
 
+    fn nic(m: &mut Machine, n_desc: u64, buffers: usize) -> Rc<RefCell<NicQueue>> {
+        Rc::new(RefCell::new(NicQueue::new(m.allocator(MemDomain(0)), n_desc, buffers, 2048)))
+    }
+
+    fn queue(m: &mut Machine, slots: usize) -> Rc<RefCell<SpscQueue>> {
+        let cost = CostModel::default();
+        Rc::new(RefCell::new(SpscQueue::new(m.allocator(MemDomain(0)), slots, cost)))
+    }
+
+    /// Run `turns` turns of `task` on core 0.
+    fn run_turns(m: &mut Machine, task: &mut impl CoreTask, turns: usize) {
+        for _ in 0..turns {
+            task.run_turn(&mut m.ctx(CoreId(0)));
+        }
+    }
+
+    /// CheckIPHeader → Counter → ToDevice on a 64-buffer NIC, no churn.
     fn simple_flow(m: &mut Machine, core_seed: u64) -> FlowTask {
         let cost = CostModel::default();
-        let nic = Rc::new(RefCell::new(NicQueue::new(
-            m.allocator(MemDomain(0)),
-            256,
-            64,
-            2048,
-        )));
+        let nic = nic(m, 256, 64);
         let mut g = ElementGraph::new(cost);
         let a = g.add(Box::new(CheckIpHeader::new(cost)));
         let b = g.add(Box::new(Counter::default()));
         let c = g.add(Box::new(ToDevice::new(nic.clone(), false)));
         g.chain(&[a, b, c]);
-        FlowTask::new(
-            "test-flow",
-            TrafficGen::new(TrafficSpec::random_dst(64, core_seed)),
-            nic,
-            g,
-            cost,
-        )
+        let traffic = TrafficGen::new(TrafficSpec::random_dst(64, core_seed));
+        FlowTask::new("test-flow", traffic, nic, g, cost)
+    }
+
+    /// A source stage with an empty front graph, receiving from `nic` into
+    /// `q` (its sink is dropped: nothing drains the queue).
+    fn bare_source(
+        nic: &Rc<RefCell<NicQueue>>,
+        q: &Rc<RefCell<SpscQueue>>,
+        burst: usize,
+    ) -> SourceStage {
+        let cost = CostModel::default();
+        let traffic = TrafficGen::new(TrafficSpec::random_dst(64, 3));
+        let graphs = [(ElementGraph::new(cost), None), (ElementGraph::new(cost), None)];
+        pipeline_stages("p", traffic, nic.clone(), q, graphs, burst, cost).0
     }
 
     #[test]
     fn flow_processes_packets_end_to_end() {
         let mut m = Machine::new(MachineConfig::westmere());
-        let flow = simple_flow(&mut m, 1);
+        let flow = simple_flow(&mut m, 1); // no with_churn
         let mut e = Engine::new(m);
         e.set_task(CoreId(0), Box::new(flow));
         let meas = e.measure(100_000, 2_800_000); // 1 ms
@@ -873,6 +866,7 @@ mod tests {
         assert_eq!(&*cm.label, "test-flow");
         // No buffer leaks: pool cycles cleanly.
         assert!(cm.counts.total.packets > 0);
+        assert!(cm.counts.tag("framework").is_none(), "a flow without churn touches none");
     }
 
     #[test]
@@ -896,47 +890,14 @@ mod tests {
         // A source with a large queue but a tiny buffer pool: once every
         // buffer is parked in the queue, rx fails and forwarding stops.
         let mut m = Machine::new(MachineConfig::westmere());
-        let cost = CostModel::default();
-        let nic = Rc::new(RefCell::new(NicQueue::new(
-            m.allocator(MemDomain(0)),
-            64,
-            8, // only 8 buffers
-            2048,
-        )));
-        let q = Rc::new(RefCell::new(SpscQueue::new(
-            m.allocator(MemDomain(0)),
-            128,
-            cost,
-        )));
-        let (src, _) = pipeline_stages(
-            "p",
-            TrafficGen::new(TrafficSpec::random_dst(64, 3)),
-            nic.clone(),
-            &q,
-            [(ElementGraph::new(cost), None), (ElementGraph::new(cost), None)],
-            1,
-            cost,
-        );
+        let nic = nic(&mut m, 64, 8); // only 8 buffers
+        let q = queue(&mut m, 128);
         let mut e = Engine::new(m);
-        e.set_task(CoreId(0), Box::new(src));
+        e.set_task(CoreId(0), Box::new(bare_source(&nic, &q, 1)));
         e.run_until(2_000_000);
-        assert!(
-            q.borrow().enqueued <= 8,
-            "cannot park more packets than buffers: {}",
-            q.borrow().enqueued
-        );
+        let enqueued = q.borrow().enqueued;
+        assert!(enqueued <= 8, "cannot park more packets than buffers: {enqueued}");
         assert_eq!(nic.borrow().free_buffers(), 0, "every buffer is in flight");
-    }
-
-    #[test]
-    fn flow_without_churn_still_processes() {
-        let mut m = Machine::new(MachineConfig::westmere());
-        let flow = simple_flow(&mut m, 9); // no with_churn
-        let mut e = Engine::new(m);
-        e.set_task(CoreId(0), Box::new(flow));
-        let meas = e.measure(100_000, 1_400_000);
-        assert!(meas.core(CoreId(0)).unwrap().counts.total.packets > 0);
-        assert!(meas.core(CoreId(0)).unwrap().counts.tag("framework").is_none());
     }
 
     #[test]
@@ -944,41 +905,28 @@ mod tests {
         // Semantic equivalence across vector sizes: the same generated
         // packet sequence yields the same processed counts and graph
         // outcomes (cycle counts legitimately differ — that is the speedup).
-        let turns = 50usize;
-        let batch = 8usize;
-        let run = |batch_size: Option<usize>, turns: usize| {
+        let run = |batch: usize, turns: usize| {
             let mut m = Machine::new(MachineConfig::westmere());
-            let mut flow = simple_flow(&mut m, 7);
-            if let Some(b) = batch_size {
-                flow = flow.with_batch_size(b);
-            }
-            for _ in 0..turns {
-                let mut ctx = m.ctx(CoreId(0));
-                let _ = flow.run_turn(&mut ctx);
-            }
+            let mut flow = simple_flow(&mut m, 7).with_batch_size(batch);
+            run_turns(&mut m, &mut flow, turns);
             (flow.processed, flow.graph().drops, flow.graph().exits)
         };
-        let per_packet = run(None, turns * batch);
-        let batched = run(Some(batch), turns);
-        assert_eq!(per_packet, batched, "(processed, drops, exits) must agree");
+        assert_eq!(run(1, 50 * 8), run(8, 50), "(processed, drops, exits) must agree");
     }
 
     #[test]
     fn batched_flow_is_cheaper_per_packet_than_one_packet_vectors() {
-        let cycles_per_packet = |batch_size: Option<usize>| {
+        let cycles_per_packet = |batch: usize| {
             let mut m = Machine::new(MachineConfig::westmere());
-            let mut flow = simple_flow(&mut m, 5);
-            if let Some(b) = batch_size {
-                flow = flow.with_batch_size(b);
-            }
+            let flow = simple_flow(&mut m, 5).with_batch_size(batch);
             let mut e = Engine::new(m);
             e.set_task(CoreId(0), Box::new(flow));
             let meas = e.measure(500_000, 2_800_000);
             let cm = meas.core(CoreId(0)).unwrap();
             cm.counts.total.cycles() as f64 / cm.counts.total.packets as f64
         };
-        let per_packet = cycles_per_packet(None);
-        let batched = cycles_per_packet(Some(32));
+        let per_packet = cycles_per_packet(1);
+        let batched = cycles_per_packet(32);
         assert!(
             batched < per_packet * 0.95,
             "32-packet batches must amortize framework cost: batch 1 {per_packet:.0} vs batch 32 {batched:.0} cycles/packet"
@@ -995,10 +943,7 @@ mod tests {
         let mut flow = simple_flow(&mut m, 13).with_batch_size(1);
         let window_cpp = |m: &mut Machine, flow: &mut FlowTask, turns: usize| {
             let before = m.core(CoreId(0)).counters.snapshot();
-            for _ in 0..turns {
-                let mut ctx = m.ctx(CoreId(0));
-                let _ = flow.run_turn(&mut ctx);
-            }
+            run_turns(m, flow, turns);
             let d = m.core(CoreId(0)).counters.snapshot().delta(&before);
             d.total.cycles() as f64 / d.total.packets.max(1) as f64
         };
@@ -1016,67 +961,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_flow_handles_pool_exhaustion_with_partial_batches() {
-        // 4 buffers but 8-packet batches: every turn delivers a partial
-        // batch of 4 and counts 4 failures; buffers recycle cleanly.
+    fn drop_stats_are_exact_under_forced_exhaustion() {
+        // 4 buffers, 8-packet batches: every turn offers 8 and delivers a
+        // partial batch of 4; buffers recycle cleanly, and the ledger must
+        // account for every single packet.
         let mut m = Machine::new(MachineConfig::westmere());
         let cost = CostModel::default();
-        let nic = Rc::new(RefCell::new(NicQueue::new(
-            m.allocator(MemDomain(0)),
-            64,
-            4,
-            2048,
-        )));
+        let nic = nic(&mut m, 64, 4);
         let mut g = ElementGraph::new(cost);
         let a = g.add(Box::new(CheckIpHeader::new(cost)));
         let t = g.add(Box::new(ToDevice::new(nic.clone(), false)));
         g.chain(&[a, t]);
-        let mut flow = FlowTask::new(
-            "partial",
-            TrafficGen::new(TrafficSpec::random_dst(64, 3)),
-            nic.clone(),
-            g,
-            cost,
-        )
-        .with_batch_size(8);
+        let traffic = TrafficGen::new(TrafficSpec::random_dst(64, 3));
+        let mut flow = FlowTask::new("exhaust", traffic, nic.clone(), g, cost).with_batch_size(8);
+        let drops = flow.drop_handle();
         for _ in 0..10 {
-            let mut ctx = m.ctx(CoreId(0));
-            assert_eq!(flow.run_turn(&mut ctx), pp_sim::engine::TurnResult::Progress);
+            assert_eq!(flow.run_turn(&mut m.ctx(CoreId(0))), TurnResult::Progress);
         }
         assert_eq!(flow.processed, 40, "4 delivered per 8-packet batch");
         assert_eq!(flow.rx_failures, 40, "4 undelivered per batch");
         assert_eq!(nic.borrow().free_buffers(), 4, "no buffer leak");
-    }
-
-    #[test]
-    fn drop_stats_are_exact_under_forced_exhaustion() {
-        // 4 buffers, 8-packet batches: every turn offers 8, delivers 4.
-        // The ledger must account for every single packet.
-        let mut m = Machine::new(MachineConfig::westmere());
-        let cost = CostModel::default();
-        let nic = Rc::new(RefCell::new(NicQueue::new(
-            m.allocator(MemDomain(0)),
-            64,
-            4,
-            2048,
-        )));
-        let mut g = ElementGraph::new(cost);
-        let a = g.add(Box::new(CheckIpHeader::new(cost)));
-        let t = g.add(Box::new(ToDevice::new(nic.clone(), false)));
-        g.chain(&[a, t]);
-        let mut flow = FlowTask::new(
-            "exhaust",
-            TrafficGen::new(TrafficSpec::random_dst(64, 3)),
-            nic,
-            g,
-            cost,
-        )
-        .with_batch_size(8);
-        let drops = flow.drop_handle();
-        for _ in 0..10 {
-            let mut ctx = m.ctx(CoreId(0));
-            flow.run_turn(&mut ctx);
-        }
         let d = *drops.borrow();
         assert_eq!(d.offered, 80, "every offered packet is ledgered");
         assert_eq!(d.nic_rx_exhausted, 40, "exactly the undelivered half");
@@ -1097,20 +1001,14 @@ mod tests {
         let drops = flow.drop_handle();
         let controls = flow.controls_handle();
         controls.corrupt_per_mille.set(250);
-        for _ in 0..40 {
-            let mut ctx = m.ctx(CoreId(0));
-            flow.run_turn(&mut ctx);
-        }
+        run_turns(&mut m, &mut flow, 40);
         let d = *drops.borrow();
         assert_eq!(flow.processed, 40, "corrupted packets still complete (as drops)");
         assert_eq!(d.element_dropped, 10, "every 4th packet fails the checksum");
         assert_eq!(flow.graph().drops, 10, "the graph agrees");
         // Turning the knob off stops the corruption.
         controls.corrupt_per_mille.set(0);
-        for _ in 0..20 {
-            let mut ctx = m.ctx(CoreId(0));
-            flow.run_turn(&mut ctx);
-        }
+        run_turns(&mut m, &mut flow, 20);
         assert_eq!(drops.borrow().element_dropped, 10, "no further drops");
     }
 
@@ -1119,11 +1017,9 @@ mod tests {
         let mut m = Machine::new(MachineConfig::westmere());
         let mut flow = simple_flow(&mut m, 17);
         let drops = flow.drop_handle();
-        let controls = flow.controls_handle();
-        controls.shed_per_mille.set(500);
+        flow.controls_handle().shed_per_mille.set(500);
         for _ in 0..30 {
-            let mut ctx = m.ctx(CoreId(0));
-            assert_eq!(flow.run_turn(&mut ctx), TurnResult::Progress);
+            assert_eq!(flow.run_turn(&mut m.ctx(CoreId(0))), TurnResult::Progress);
         }
         let d = *drops.borrow();
         assert_eq!(d.shed, 15, "exactly every 2nd arrival shed");
@@ -1132,25 +1028,24 @@ mod tests {
         assert_eq!(d.offered, flow.processed + d.undelivered(), "conservation");
     }
 
+    /// Run a paced `simple_flow` in the engine until `t_end`; its ledger.
+    fn paced(seed: u64, pace: u64, t_end: u64) -> DropStats {
+        let mut m = Machine::new(MachineConfig::westmere());
+        let flow = simple_flow(&mut m, seed);
+        let drops = flow.drop_handle();
+        flow.controls_handle().pace_cycles.set(pace);
+        let mut e = Engine::new(m);
+        e.set_task(CoreId(0), Box::new(flow));
+        e.run_until(t_end);
+        let d = *drops.borrow();
+        d
+    }
+
     #[test]
     fn pacing_throttles_throughput_without_loss() {
         // Pace far below the service rate: the flow idles between
         // arrivals, processes everything that arrives, and loses nothing.
-        let run = |pace: u64| {
-            let mut m = Machine::new(MachineConfig::westmere());
-            let flow = simple_flow(&mut m, 23);
-            let drops = flow.drop_handle();
-            let controls = flow.controls_handle();
-            controls.pace_cycles.set(pace);
-            let mut e = Engine::new(m);
-            e.set_task(CoreId(0), Box::new(flow));
-            e.run_until(2_000_000);
-            let task = e.take_task(CoreId(0)).unwrap();
-            // Recover the concrete flow for its processed count.
-            let d = *drops.borrow();
-            (d, task)
-        };
-        let (d, _task) = run(20_000); // one packet per 20k cycles: ~100 arrivals
+        let d = paced(23, 20_000, 2_000_000); // one packet per 20k cycles: ~100 arrivals
         assert!(d.offered >= 90 && d.offered <= 110, "paced arrivals: {}", d.offered);
         assert_eq!(d.total_dropped(), 0, "throttling is lossless backpressure");
     }
@@ -1160,17 +1055,7 @@ mod tests {
         // Pace of 1 cycle/packet wildly exceeds the service rate: credit
         // accrues past the NIC ring depth and the excess is a *counted*
         // wire drop. Conservation must still hold exactly.
-        let mut m = Machine::new(MachineConfig::westmere());
-        let flow = simple_flow(&mut m, 29);
-        let drops = flow.drop_handle();
-        let controls = flow.controls_handle();
-        controls.pace_cycles.set(1);
-        let mut e = Engine::new(m);
-        e.set_task(CoreId(0), Box::new(flow));
-        e.run_until(1_000_000);
-        let task = e.take_task(CoreId(0)).unwrap();
-        drop(task);
-        let d = *drops.borrow();
+        let d = paced(29, 1, 1_000_000);
         assert!(d.wire_overflow > 0, "overload must surface as wire drops");
         assert_eq!(d.nic_rx_exhausted, 0, "pool never exhausts at batch 1");
         // offered = processed + overflow (+ nothing else): the ledger
@@ -1182,10 +1067,8 @@ mod tests {
     fn batch_override_resizes_the_live_task() {
         let mut m = Machine::new(MachineConfig::westmere());
         let mut flow = simple_flow(&mut m, 31).with_batch_size(32);
-        let controls = flow.controls_handle();
-        controls.batch_override.set(4);
-        let mut ctx = m.ctx(CoreId(0));
-        flow.run_turn(&mut ctx);
+        flow.controls_handle().batch_override.set(4);
+        run_turns(&mut m, &mut flow, 1);
         assert_eq!(flow.batch_size(), 4, "override takes effect at the next turn");
         assert_eq!(flow.processed, 4, "the turn ran at the overridden size");
     }
@@ -1196,44 +1079,22 @@ mod tests {
         // loss path — and with the stage's free-slot check, the packets
         // that cannot be parked simply stall (backpressure).
         let mut m = Machine::new(MachineConfig::westmere());
-        let cost = CostModel::default();
-        let nic = Rc::new(RefCell::new(NicQueue::new(
-            m.allocator(MemDomain(0)),
-            64,
-            32,
-            2048,
-        )));
-        let q = Rc::new(RefCell::new(SpscQueue::new(m.allocator(MemDomain(0)), 4, cost)));
-        let source = |burst| {
-            let traffic = TrafficGen::new(TrafficSpec::random_dst(64, 3));
-            let graphs = [(ElementGraph::new(cost), None), (ElementGraph::new(cost), None)];
-            pipeline_stages("p", traffic, nic.clone(), &q, graphs, burst, cost).0
-        };
-        let mut src = source(1);
+        let nic = nic(&mut m, 64, 32);
+        let q = queue(&mut m, 4);
+        let mut src = bare_source(&nic, &q, 1);
         let drops = src.drop_handle();
-        for _ in 0..50 {
-            let mut ctx = m.ctx(CoreId(0));
-            src.run_turn(&mut ctx);
-        }
+        run_turns(&mut m, &mut src, 50);
         let d = *drops.borrow();
         assert_eq!(src.forwarded, 4, "queue holds 4");
         assert_eq!(d.offered, 4, "the stalled turns offered nothing (backpressure)");
         assert_eq!(d.queue_full, 0, "the free-slot check stalls instead of dropping");
         assert!(src.stalls >= 46);
-        // Burst mode with a shrunken cap: the queue fills mid-burst and the
-        // rejected tail is a counted queue-full drop.
-        let mut src = source(8);
+        // Burst mode: drain the queue, then an 8-packet burst is cut to the
+        // 4 free slots instead of overflowing.
+        let mut src = bare_source(&nic, &q, 8);
         let drops = src.drop_handle();
-        q.borrow_mut().clear_capacity_limit();
-        {
-            let mut q = q.borrow_mut();
-            let mut sink_ctx = m.ctx(CoreId(1));
-            let mut out = Vec::new();
-            q.pop_burst(&mut sink_ctx, 4, &mut out); // drain
-        }
-        drops.borrow_mut().reset();
-        let mut ctx = m.ctx(CoreId(0));
-        src.run_turn(&mut ctx);
+        q.borrow_mut().pop_burst(&mut m.ctx(CoreId(1)), 4, &mut Vec::new());
+        run_turns(&mut m, &mut src, 1);
         let d = *drops.borrow();
         assert_eq!(d.offered, 4, "burst sized to the queue's 4 free slots");
         assert_eq!(d.queue_full, 0, "partial-burst backpressure, not drops");
@@ -1243,33 +1104,17 @@ mod tests {
     fn pipeline_stages_hand_off_packets() {
         let mut m = Machine::new(MachineConfig::westmere());
         let cost = CostModel::default();
-        let nic = Rc::new(RefCell::new(NicQueue::new(
-            m.allocator(MemDomain(0)),
-            256,
-            256,
-            2048,
-        )));
-        let q = Rc::new(RefCell::new(SpscQueue::new(
-            m.allocator(MemDomain(0)),
-            128,
-            cost,
-        )));
+        let nic = nic(&mut m, 256, 256);
+        let q = queue(&mut m, 128);
         let mut front = ElementGraph::new(cost);
         front.add(Box::new(CheckIpHeader::new(cost)));
         let mut back = ElementGraph::new(cost);
         let cnt = back.add(Box::new(Counter::default()));
         let tx = back.add(Box::new(ToDevice::new(nic.clone(), true)));
         back.chain(&[cnt, tx]);
-        let (src, sink) = pipeline_stages(
-            "p",
-            TrafficGen::new(TrafficSpec::random_dst(64, 3)),
-            nic.clone(),
-            &q,
-            [(front, None), (back, None)],
-            1,
-            cost,
-        );
-
+        let traffic = TrafficGen::new(TrafficSpec::random_dst(64, 3));
+        let graphs = [(front, None), (back, None)];
+        let (src, sink) = pipeline_stages("p", traffic, nic.clone(), &q, graphs, 1, cost);
         let mut e = Engine::new(m);
         e.set_task(CoreId(0), Box::new(src));
         e.set_task(CoreId(1), Box::new(sink));
