@@ -553,6 +553,8 @@ struct Stage {
     /// The source core's NIC queue: the front stage receives from it, the
     /// back stage recycles into it cross-core.
     nic: Rc<RefCell<NicQueue>>,
+    /// The handoff queue: the front stage pushes into it, the back pops.
+    queue: Rc<RefCell<SpscQueue>>,
     /// This stage's part of the chain (the front's may be empty: a pure
     /// receive stage).
     graph: ElementGraph,
@@ -598,6 +600,7 @@ pub fn pipeline_stages(
     let stage = |side: &str, (graph, churn)| Stage {
         label: Rc::from(format!("{label}-{side}")),
         nic: nic.clone(),
+        queue: queue.clone(),
         graph,
         churn,
         batch_size: burst.max(1),
@@ -609,7 +612,6 @@ pub fn pipeline_stages(
     let src = SourceStage {
         stage: stage("front", front),
         gen,
-        out: queue.clone(),
         cost,
         lens: Vec::new(),
         pkts: Vec::new(),
@@ -618,7 +620,6 @@ pub fn pipeline_stages(
     };
     let sink = SinkStage {
         stage: stage("back", back),
-        input: queue.clone(),
         scratch: Vec::new(),
         ingress: Vec::new(),
         latency: Rc::new(RefCell::new(LatencyHistogram::new())),
@@ -631,7 +632,6 @@ pub fn pipeline_stages(
 pub struct SourceStage {
     stage: Stage,
     gen: TrafficGen,
-    out: Rc<RefCell<SpscQueue>>,
     cost: CostModel,
     /// Scratch frame lengths for the batched receive (reused every turn).
     lens: Vec<u64>,
@@ -658,7 +658,7 @@ impl CoreTask for SourceStage {
     fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
         // Partial-burst backpressure: size the burst to the room downstream
         // (a host-side check; a full queue stalls the turn).
-        let n = self.out.borrow().free_slots().min(self.stage.batch_size);
+        let n = self.stage.queue.borrow().free_slots().min(self.stage.batch_size);
         if n == 0 {
             self.stalls += 1;
             return TurnResult::Idle;
@@ -696,7 +696,7 @@ impl CoreTask for SourceStage {
             s.graph.run_batch_into(ctx, &mut self.pkts, &mut s.outcome);
         }
         let to_queue = &mut s.outcome.returned;
-        let pushed = self.out.borrow_mut().push_burst(ctx, to_queue);
+        let pushed = s.queue.borrow_mut().push_burst(ctx, to_queue);
         self.forwarded += pushed as u64;
         if !to_queue.is_empty() {
             // Queue filled under us (cannot happen with the room check
@@ -723,7 +723,6 @@ impl CoreTask for SourceStage {
 /// cross-core buffer recycling into the source stage's pool).
 pub struct SinkStage {
     stage: Stage,
-    input: Rc<RefCell<SpscQueue>>,
     /// Staging vector for the burst dequeue (reused every turn).
     scratch: Vec<Packet>,
     /// Scratch ingress stamps for latency recording (reused every turn).
@@ -750,7 +749,7 @@ impl CoreTask for SinkStage {
     /// buffers in one cross-core batch transaction.
     fn run_turn(&mut self, ctx: &mut ExecCtx<'_>) -> TurnResult {
         {
-            let mut q = self.input.borrow_mut();
+            let mut q = self.stage.queue.borrow_mut();
             if !q.poll(ctx) {
                 return TurnResult::Idle;
             }
